@@ -228,7 +228,7 @@ func BenchmarkRuntimeBarriers(b *testing.B) {
 		b.Run(fmt.Sprintf("tree-d4/p=%d", p), func(b *testing.B) { benchBarrier(b, NewCombiningTree(p, 4), p) })
 		b.Run(fmt.Sprintf("mcs-d4/p=%d", p), func(b *testing.B) { benchBarrier(b, NewMCSTree(p, 4), p) })
 		b.Run(fmt.Sprintf("dynamic-d4/p=%d", p), func(b *testing.B) { benchBarrier(b, NewDynamic(p, 4), p) })
-		b.Run(fmt.Sprintf("adaptive/p=%d", p), func(b *testing.B) { benchBarrier(b, NewAdaptive(p, 64, 0), p) })
+		b.Run(fmt.Sprintf("adaptive/p=%d", p), func(b *testing.B) { benchBarrier(b, NewReconfigurable(p, ReconfigConfig{ReplanEvery: 64}), p) })
 		b.Run(fmt.Sprintf("tree-d4-wakeup/p=%d", p), func(b *testing.B) {
 			benchBarrier(b, NewCombiningTree(p, 4, WithTreeWakeup()), p)
 		})

@@ -113,7 +113,7 @@ func main() {
 	case "dynamic":
 		b = softbarrier.NewDynamic(*p, *degree, opts...)
 	case "adaptive":
-		b = softbarrier.NewAdaptive(*p, 10, 0, opts...)
+		b = softbarrier.NewReconfigurable(*p, softbarrier.ReconfigConfig{ReplanEvery: 10}, opts...)
 	case "dissemination":
 		b = softbarrier.NewDissemination(*p, opts...)
 	case "tournament":
@@ -201,7 +201,7 @@ func main() {
 	if d, ok := b.(*softbarrier.DynamicBarrier); ok {
 		fmt.Printf("dynamic placement performed %d swaps\n", d.Swaps())
 	}
-	if a, ok := b.(*softbarrier.AdaptiveBarrier); ok {
+	if a, ok := b.(*softbarrier.ReconfigurableBarrier); ok {
 		rs := a.ReconfigStats()
 		fmt.Printf("adaptive barrier: degree %d, σ estimate %v, epoch %d (%d rebuilds over %d evals, %d deferred)\n",
 			a.Degree(), time.Duration(a.Sigma()*float64(time.Second)).Round(time.Microsecond),

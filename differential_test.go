@@ -28,10 +28,11 @@ func driveRuntime(tree *topology.Tree, orders [][]int) []int {
 			b.Arrive(proc)
 		}
 	}
-	out := make([]int, b.p)
+	st := b.state.Load()
+	out := make([]int, st.p)
 	for id := range out {
 		c := b.FirstCounterOf(id)
-		if dc := &b.counters[c]; dc.evicted == id {
+		if dc := &st.counters[c]; dc.evicted == id {
 			c = dc.destination
 		}
 		out[id] = c

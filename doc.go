@@ -22,10 +22,15 @@
 //     spread σ, re-derives its degree from the paper's analytic model —
 //     the run-time adaptation the paper's conclusion proposes — and is
 //     elastic: Grow/Shrink/Resize change the participant count at episode
-//     boundaries while waiters drain safely. AdaptiveBarrier is an alias
-//     for it. Every rebuild happens at a quiescent point via one atomic
-//     pointer swap, with hysteresis damping σ noise; ReconfigStats
-//     reports the epoch, rebuild and deferral history.
+//     boundaries while waiters drain safely. Every rebuild happens at a
+//     quiescent point via one atomic pointer swap, with hysteresis
+//     damping σ noise; ReconfigStats reports the epoch, rebuild and
+//     deferral history.
+//
+// The three tree barriers are one combining tree (treeCore): the counter
+// ascent, the release wait and the collective path exist once, and each
+// barrier adds only its answer to "who sits where" — a fixed placement,
+// victor/victim swaps during the ascent, or a new epoch at the root.
 //
 // The library also ships the classic baselines the paper compares
 // against: DisseminationBarrier (the Hensgen/Finkel/Manber butterfly) and

@@ -22,7 +22,7 @@ func main() {
 	const workers = 16
 	// Assume a 100µs counter update cost so the example's millisecond
 	// sleeps register as heavy imbalance.
-	b := softbarrier.NewAdaptive(workers, 4, 100e-6)
+	b := softbarrier.NewReconfigurable(workers, softbarrier.ReconfigConfig{ReplanEvery: 4, Tc: 100e-6})
 
 	runPhase := func(name string, episodes int, imbalance func(id int) time.Duration) {
 		for k := 0; k < episodes; k++ {

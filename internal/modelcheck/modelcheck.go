@@ -13,8 +13,9 @@
 //   - at quiescence every counter's occupancy matches its fan-in and all
 //     counts are reset (the liveness-critical placement invariant).
 //
-// The model mirrors softbarrier.DynamicBarrier step for step (the
-// differential tests in the root package tie the two to the simulator,
+// The model mirrors the dynamic-placement ascent step for step — the
+// root package's one treeCore.arrive with its adopt and victorSwap steps
+// (the differential tests in the root package tie the two to the simulator,
 // which ties them to each other); state spaces stay tractable for the
 // small shapes that already exercise every protocol transition.
 package modelcheck

@@ -104,7 +104,7 @@ func (c *Client) Join(session string, p int) error { return c.JoinAs(session, p,
 
 // JoinAs is Join with an explicit participant id request.
 func (c *Client) JoinAs(session string, p, id int) error {
-	return c.join(TypeJoinReq, session, p, id)
+	return c.join(wire.TypeJoinReq, session, p, id)
 }
 
 // ShardJoin enters the named session as one of shards aggregated shard
@@ -113,7 +113,7 @@ func (c *Client) JoinAs(session string, p, id int) error {
 // ascending-id fold (so a fleet that cares about bit-identical collective
 // results assigns stable shard indices); -1 takes any free slot.
 func (c *Client) ShardJoin(session string, shards, id int) error {
-	return c.join(TypeShardJoin, session, shards, id)
+	return c.join(wire.TypeShardJoin, session, shards, id)
 }
 
 func (c *Client) join(typ byte, session string, p, id int) error {
@@ -123,14 +123,14 @@ func (c *Client) join(typ byte, session string, p, id int) error {
 	if c.joined {
 		return c.fail(errors.New("netbarrier: already joined"))
 	}
-	if err := c.fc.WriteFrame(Frame{Type: typ, Name: session, P: p, ID: id}); err != nil {
+	if err := c.fc.WriteFrame(wire.Frame{Type: typ, Name: session, P: p, ID: id}); err != nil {
 		return c.fail(err)
 	}
 	resp, err := c.fc.ReadFrame()
 	if err != nil {
 		return c.fail(fmt.Errorf("netbarrier: join failed: %w", err))
 	}
-	if resp.Type != TypeJoinResp {
+	if resp.Type != wire.TypeJoinResp {
 		return c.fail(fmt.Errorf("netbarrier: join answered with frame type %d", resp.Type))
 	}
 	if resp.Err != "" {
@@ -183,7 +183,7 @@ func (c *Client) Arrive() error {
 	if !c.joined {
 		return c.fail(errors.New("netbarrier: arrive before join"))
 	}
-	if err := c.fc.WriteFrame(Frame{Type: TypeArrive, Episode: c.episode}); err != nil {
+	if err := c.fc.WriteFrame(wire.Frame{Type: wire.TypeArrive, Episode: c.episode}); err != nil {
 		return c.fail(err)
 	}
 	return nil
@@ -201,7 +201,7 @@ func (c *Client) ArriveReduce(in []byte) error {
 	if !c.joined {
 		return c.fail(errors.New("netbarrier: arrive before join"))
 	}
-	if err := c.fc.WriteFrame(Frame{Type: TypeArriveData, Episode: c.episode, Data: in}); err != nil {
+	if err := c.fc.WriteFrame(wire.Frame{Type: wire.TypeArriveData, Episode: c.episode, Data: in}); err != nil {
 		return c.fail(err)
 	}
 	return nil
@@ -220,7 +220,7 @@ func (c *Client) ShardArrive(localP int, spread, sigma float64, data []byte) err
 	if !c.joined {
 		return c.fail(errors.New("netbarrier: arrive before join"))
 	}
-	if err := c.fc.WriteFrame(Frame{Type: TypeShardArrive, Episode: c.episode, P: localP, Spread: spread, Sigma: sigma, Data: data}); err != nil {
+	if err := c.fc.WriteFrame(wire.Frame{Type: wire.TypeShardArrive, Episode: c.episode, P: localP, Spread: spread, Sigma: sigma, Data: data}); err != nil {
 		return c.fail(err)
 	}
 	return nil
@@ -241,7 +241,7 @@ func (c *Client) Poison(err error) error {
 	if !c.joined {
 		return c.fail(errors.New("netbarrier: poison before join"))
 	}
-	if werr := c.fc.WriteFrame(Frame{Type: TypePoison, Cause: softbarrier.EncodePoisonCause(nil, err)}); werr != nil {
+	if werr := c.fc.WriteFrame(wire.Frame{Type: wire.TypePoison, Cause: softbarrier.EncodePoisonCause(nil, err)}); werr != nil {
 		return c.fail(werr)
 	}
 	c.fail(err)
@@ -277,7 +277,7 @@ func (c *Client) Await() (Release, error) {
 		return Release{}, c.fail(fmt.Errorf("netbarrier: connection failed awaiting release: %w", err))
 	}
 	switch f.Type {
-	case TypeRelease, TypeResult, TypeShardRelease:
+	case wire.TypeRelease, wire.TypeResult, wire.TypeShardRelease:
 		c.episode = f.Episode + 1
 		c.degree = f.Degree
 		if f.P > 0 {
@@ -287,19 +287,19 @@ func (c *Client) Await() (Release, error) {
 		c.sigma = f.Sigma
 		rel := Release{Episode: f.Episode, Degree: f.Degree, P: f.P, Epoch: f.Epoch, Spread: f.Spread, Sigma: f.Sigma}
 		switch f.Type {
-		case TypeResult:
+		case wire.TypeResult:
 			rel.Result = append([]byte(nil), f.Data...)
-		case TypeShardRelease:
+		case wire.TypeShardRelease:
 			rel.FleetP = f.FleetP
 			if len(f.Data) > 0 {
 				rel.Result = append([]byte(nil), f.Data...)
 			}
 		}
 		return rel, nil
-	case TypePoison:
+	case wire.TypePoison:
 		return Release{}, c.fail(softbarrier.DecodePoisonCause(f.Cause))
 	default:
-		return Release{}, c.fail(fmt.Errorf("netbarrier: unexpected frame %s while awaiting release", FrameName(f.Type)))
+		return Release{}, c.fail(fmt.Errorf("netbarrier: unexpected frame %s while awaiting release", wire.FrameName(f.Type)))
 	}
 }
 
@@ -352,7 +352,7 @@ func (c *Client) WaitCtx(ctx context.Context) (Release, error) {
 func (c *Client) Leave() error {
 	if c.err == nil && c.joined && !c.left {
 		c.left = true
-		if err := c.fc.WriteFrame(Frame{Type: TypeLeave}); err != nil {
+		if err := c.fc.WriteFrame(wire.Frame{Type: wire.TypeLeave}); err != nil {
 			c.fail(err)
 		}
 	}

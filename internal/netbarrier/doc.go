@@ -26,7 +26,7 @@
 // the client hanging on a dead episode.
 //
 // The wire protocol is eleven length-prefixed binary frame types (see
-// protocol.go); release fan-out assembles each frame once and writes it
+// internal/wire/frame.go); release fan-out assembles each frame once and writes it
 // to each member socket in a single batched write. Handshake frames
 // (JoinReq, ShardJoin, JoinResp) carry a protocol version byte, so a
 // mixed-revision deployment is refused at join time with an error naming

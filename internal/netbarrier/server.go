@@ -501,21 +501,21 @@ func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReader(conn)
 
 	conn.SetReadDeadline(time.Now().Add(s.opt.joinTimeout()))
-	req, err := ReadFrameInto(br, &c.rbuf)
-	if err != nil || (req.Type != TypeJoinReq && req.Type != TypeShardJoin) {
+	req, err := wire.ReadFrameInto(br, &c.rbuf)
+	if err != nil || (req.Type != wire.TypeJoinReq && req.Type != wire.TypeShardJoin) {
 		if err != nil && strings.Contains(err.Error(), "version mismatch") {
 			// The one decode failure worth answering: tell the
 			// mixed-revision peer why it is being refused before hanging up,
 			// so the operator sees "protocol version mismatch" on both ends
 			// instead of a silent disconnect on one.
-			if buf, encErr := AppendFrame(nil, Frame{Type: TypeJoinResp, Err: err.Error()}); encErr == nil {
+			if buf, encErr := wire.AppendFrame(nil, wire.Frame{Type: wire.TypeJoinResp, Err: err.Error()}); encErr == nil {
 				c.send(buf, s.opt.writeTimeout())
 			}
 			s.opt.logf("refused %s: %v", conn.RemoteAddr(), err)
 		}
 		return // never joined; nothing to poison
 	}
-	c.shard = req.Type == TypeShardJoin
+	c.shard = req.Type == wire.TypeShardJoin
 	go c.writeLoop()
 	sess, resp, deferred := s.join(c, req)
 	if deferred {
@@ -525,7 +525,7 @@ func (s *Server) handle(conn net.Conn) {
 		conn.SetReadDeadline(time.Time{})
 		s.opt.logf("session %s: client pending admission (%s)", sess.name, conn.RemoteAddr())
 	} else {
-		buf, encErr := AppendFrame(nil, resp)
+		buf, encErr := wire.AppendFrame(nil, resp)
 		if encErr != nil || c.send(buf, s.opt.writeTimeout()) != nil || sess == nil {
 			if sess != nil {
 				sess.disconnect(c, fmt.Errorf("join response write failed"))
@@ -537,34 +537,34 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	for {
-		f, err := ReadFrameInto(br, &c.rbuf)
+		f, err := wire.ReadFrameInto(br, &c.rbuf)
 		if err != nil {
 			sess.disconnect(c, err)
 			return
 		}
 		switch {
-		case f.Type == TypeArrive && !c.shard:
+		case f.Type == wire.TypeArrive && !c.shard:
 			sess.arrive(c, f.Episode)
-		case f.Type == TypeArriveData && !c.shard:
+		case f.Type == wire.TypeArriveData && !c.shard:
 			sess.arriveData(c, f.Episode, f.Data)
-		case f.Type == TypeShardArrive && c.shard:
+		case f.Type == wire.TypeShardArrive && c.shard:
 			sess.shardArrive(c, f)
-		case f.Type == TypePoison && c.shard:
+		case f.Type == wire.TypePoison && c.shard:
 			// A shard handing up its local poison cause: fail the whole
 			// fleet session with the original error, identity intact.
 			sess.poison(fmt.Errorf("netbarrier: shard %d poisoned: %w", c.id.Load(), softbarrier.DecodePoisonCause(f.Cause)))
 			return
-		case f.Type == TypePoison:
+		case f.Type == wire.TypePoison:
 			// A member aborting the session with a cause (Client.Poison):
 			// wrap with %w so errors.Is/As identity survives the fan-out —
 			// and, on a leaf, the trip through the root to other shards.
 			sess.poison(fmt.Errorf("netbarrier: member %d poisoned the session: %w", c.id.Load(), softbarrier.DecodePoisonCause(f.Cause)))
 			return
-		case f.Type == TypeLeave:
+		case f.Type == wire.TypeLeave:
 			sess.leave(c)
 			return
 		default:
-			sess.poison(fmt.Errorf("netbarrier: protocol violation: member %d sent frame %s", c.id.Load(), FrameName(f.Type)))
+			sess.poison(fmt.Errorf("netbarrier: protocol violation: member %d sent frame %s", c.id.Load(), wire.FrameName(f.Type)))
 			return
 		}
 	}
@@ -574,9 +574,9 @@ func (s *Server) handle(conn net.Conn) {
 // on first contact. It returns the session (nil on refusal), the JoinResp
 // to send, and — for elastic sessions — whether the join was deferred to
 // the next episode boundary (the boundary then sends the JoinResp).
-func (s *Server) join(c *srvConn, req Frame) (*session, Frame, bool) {
-	refuse := func(msg string) (*session, Frame, bool) {
-		return nil, Frame{Type: TypeJoinResp, Err: msg}, false
+func (s *Server) join(c *srvConn, req wire.Frame) (*session, wire.Frame, bool) {
+	refuse := func(msg string) (*session, wire.Frame, bool) {
+		return nil, wire.Frame{Type: wire.TypeJoinResp, Err: msg}, false
 	}
 	if req.Name == "" {
 		return refuse("empty session name")
@@ -606,10 +606,10 @@ func (s *Server) join(c *srvConn, req Frame) (*session, Frame, bool) {
 		return refuse(refusal)
 	}
 	if deferred {
-		return sess, Frame{}, true
+		return sess, wire.Frame{}, true
 	}
-	return sess, Frame{
-		Type:    TypeJoinResp,
+	return sess, wire.Frame{
+		Type:    wire.TypeJoinResp,
 		ID:      id,
 		P:       sess.p(),
 		Degree:  sess.degree(),

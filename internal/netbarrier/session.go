@@ -9,6 +9,7 @@ import (
 	"softbarrier"
 	"softbarrier/internal/reconfig"
 	rt "softbarrier/internal/runtime"
+	"softbarrier/internal/wire"
 )
 
 // arrivalTree is the server-side arrival structure: the subset of the
@@ -16,6 +17,8 @@ import (
 // Arrive — remote clients wait on their sockets, not on the in-process
 // gate — so the release path degenerates to the Observer callback, which
 // fires at the episode's quiescent point, before any in-process release.
+// A member's next Arrive can therefore reach the tree before its gate has
+// opened; the tree holds such an arrival until it has.
 type arrivalTree interface {
 	Arrive(id int)
 	ArriveReduce(id int, in []byte) error
@@ -326,7 +329,7 @@ func (s *session) arriveData(c *srvConn, episode uint64, data []byte) {
 		return
 	}
 	if s.op == nil {
-		s.poison(fmt.Errorf("netbarrier: protocol violation: client %d sent %s to a session with no collective op", id, FrameName(TypeArriveData)))
+		s.poison(fmt.Errorf("netbarrier: protocol violation: client %d sent %s to a session with no collective op", id, wire.FrameName(wire.TypeArriveData)))
 		return
 	}
 	if len(data) != s.op.Width {
@@ -343,7 +346,7 @@ func (s *session) arriveData(c *srvConn, episode uint64, data []byte) {
 // the connection for the fleet aggregate computed at release time. An
 // empty payload on a collective session contributes the op's identity (a
 // plain-barrier leaf inside a collective fleet), mirroring arrive.
-func (s *session) shardArrive(c *srvConn, f Frame) {
+func (s *session) shardArrive(c *srvConn, f wire.Frame) {
 	id, ok := s.checkArrival(c, f.Episode)
 	if !ok {
 		return
@@ -533,23 +536,23 @@ func (s *session) capture(box *coreBox, episode uint64) []byte {
 // carrying both the fleet-wide result and the fleet aggregate (ΣP and the
 // σ folded across the shards' reports), which each leaf fans back out to
 // its local clients.
-func (s *session) releaseFrame(ep uint64, degree, p int, epoch uint64, spread, sigma float64, result []byte) Frame {
+func (s *session) releaseFrame(ep uint64, degree, p int, epoch uint64, spread, sigma float64, result []byte) wire.Frame {
 	if s.shard {
 		fleetP, fleetSigma := s.fleetStats()
-		return Frame{
-			Type: TypeShardRelease, Episode: ep,
+		return wire.Frame{
+			Type: wire.TypeShardRelease, Episode: ep,
 			Degree: degree, P: p, Epoch: epoch,
 			Spread: spread, Sigma: fleetSigma,
 			FleetP: fleetP, Data: result,
 		}
 	}
-	f := Frame{
-		Type: TypeRelease, Episode: ep,
+	f := wire.Frame{
+		Type: wire.TypeRelease, Episode: ep,
 		Degree: degree, P: p, Epoch: epoch,
 		Spread: spread, Sigma: sigma,
 	}
 	if s.op != nil {
-		f.Type = TypeResult
+		f.Type = wire.TypeResult
 		f.Data = result
 	}
 	return f
@@ -640,11 +643,11 @@ func (s *session) elasticBoundary(st softbarrier.EpisodeStats, out ShardOutcome)
 	deg := s.degree()
 	wt := s.srv.opt.writeTimeout()
 	for _, m := range admitted {
-		resp := Frame{
-			Type: TypeJoinResp, ID: int(m.id.Load()), P: cur.P,
+		resp := wire.Frame{
+			Type: wire.TypeJoinResp, ID: int(m.id.Load()), P: cur.P,
 			Degree: deg, Episode: ep + 1,
 		}
-		buf, err := AppendFrame(nil, resp)
+		buf, err := wire.AppendFrame(nil, resp)
 		if err != nil {
 			s.poison(fmt.Errorf("netbarrier: internal: unencodable frame: %w", err))
 			return
@@ -687,7 +690,7 @@ func (s *session) onPoison(err error) {
 
 	wt := s.srv.opt.writeTimeout()
 	var wg sync.WaitGroup
-	if buf, encErr := AppendFrame(nil, Frame{Type: TypePoison, Cause: softbarrier.EncodePoisonCause(nil, err)}); encErr == nil {
+	if buf, encErr := wire.AppendFrame(nil, wire.Frame{Type: wire.TypePoison, Cause: softbarrier.EncodePoisonCause(nil, err)}); encErr == nil {
 		for _, m := range members {
 			wg.Add(1)
 			go func(m *srvConn) {
@@ -697,7 +700,7 @@ func (s *session) onPoison(err error) {
 		}
 	}
 	if len(pending) > 0 {
-		buf, encErr := AppendFrame(nil, Frame{Type: TypeJoinResp, Err: fmt.Sprintf("session poisoned: %v", err)})
+		buf, encErr := wire.AppendFrame(nil, wire.Frame{Type: wire.TypeJoinResp, Err: fmt.Sprintf("session poisoned: %v", err)})
 		for _, m := range pending {
 			wg.Add(1)
 			go func(m *srvConn) {
@@ -752,7 +755,7 @@ func (s *session) releaseTargets() []*srvConn {
 // k+2 cannot exist before every member arrived. relPending guards the
 // residual race (a stalled socket still holding the buffer): nonzero means
 // encode into a fresh allocation instead.
-func (s *session) broadcastRelease(ep uint64, f Frame, ms []*srvConn) {
+func (s *session) broadcastRelease(ep uint64, f wire.Frame, ms []*srvConn) {
 	parity := ep & 1
 	pend := &s.relPending[parity]
 	var dst []byte
@@ -761,7 +764,7 @@ func (s *session) broadcastRelease(ep uint64, f Frame, ms []*srvConn) {
 	} else {
 		pend = nil // scratch still borrowed; this fan-out owns a private buffer
 	}
-	buf, err := AppendFrame(dst, f)
+	buf, err := wire.AppendFrame(dst, f)
 	if err != nil {
 		s.poison(fmt.Errorf("netbarrier: internal: unencodable frame: %w", err))
 		return

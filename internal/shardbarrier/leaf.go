@@ -279,7 +279,7 @@ func (lk *link) dial() error {
 		return fmt.Errorf("shardbarrier: session %q cannot reach root: %w", lk.name, err)
 	}
 	fc := wire.NewFrameConn(conn)
-	err = fc.WriteFrameTimeout(netbarrier.Frame{Type: netbarrier.TypeShardJoin, Name: lk.name, P: shards, ID: id}, opt.writeTimeout())
+	err = fc.WriteFrameTimeout(wire.Frame{Type: wire.TypeShardJoin, Name: lk.name, P: shards, ID: id}, opt.writeTimeout())
 	if err != nil {
 		fc.Close()
 		return fmt.Errorf("shardbarrier: session %q shard-join write failed: %w", lk.name, err)
@@ -290,9 +290,9 @@ func (lk *link) dial() error {
 	case err != nil:
 		fc.Close()
 		return fmt.Errorf("shardbarrier: session %q shard-join failed: %w", lk.name, err)
-	case resp.Type != netbarrier.TypeJoinResp:
+	case resp.Type != wire.TypeJoinResp:
 		fc.Close()
-		return fmt.Errorf("shardbarrier: session %q shard-join answered with %s", lk.name, netbarrier.FrameName(resp.Type))
+		return fmt.Errorf("shardbarrier: session %q shard-join answered with %s", lk.name, wire.FrameName(resp.Type))
 	case resp.Err != "":
 		fc.Close()
 		return fmt.Errorf("shardbarrier: session %q shard-join refused by root: %s", lk.name, resp.Err)
@@ -316,8 +316,8 @@ func (lk *link) arrive(localP int, spread, sigma float64, data []byte, done func
 		return
 	}
 	lk.pending = done
-	err := lk.writeLocked(netbarrier.Frame{
-		Type: netbarrier.TypeShardArrive, Episode: lk.episode,
+	err := lk.writeLocked(wire.Frame{
+		Type: wire.TypeShardArrive, Episode: lk.episode,
 		P: localP, Spread: spread, Sigma: sigma, Data: data,
 	})
 	if err != nil {
@@ -346,7 +346,7 @@ func (lk *link) read() {
 			return
 		}
 		switch f.Type {
-		case netbarrier.TypeShardRelease:
+		case wire.TypeShardRelease:
 			lk.mu.Lock()
 			done := lk.pending
 			lk.pending = nil
@@ -364,14 +364,14 @@ func (lk *link) read() {
 			}
 			done(out)
 			if closing {
-				lk.shutdown(netbarrier.Frame{Type: netbarrier.TypeLeave})
+				lk.shutdown(wire.Frame{Type: wire.TypeLeave})
 				return
 			}
-		case netbarrier.TypePoison:
+		case wire.TypePoison:
 			lk.fail(softbarrier.DecodePoisonCause(f.Cause))
 			return
 		default:
-			lk.fail(fmt.Errorf("shardbarrier: session %q: unexpected %s from root", lk.name, netbarrier.FrameName(f.Type)))
+			lk.fail(fmt.Errorf("shardbarrier: session %q: unexpected %s from root", lk.name, wire.FrameName(f.Type)))
 			return
 		}
 	}
@@ -413,7 +413,7 @@ func (lk *link) poison(cause error) {
 	}
 	lk.dead = true
 	lk.pending = nil // the local session already has its cause
-	lk.writeLocked(netbarrier.Frame{Type: netbarrier.TypePoison, Cause: softbarrier.EncodePoisonCause(nil, cause)})
+	lk.writeLocked(wire.Frame{Type: wire.TypePoison, Cause: softbarrier.EncodePoisonCause(nil, cause)})
 	lk.mu.Unlock()
 	lk.fc.Close()
 	lk.leaf.drop(lk)
@@ -436,7 +436,7 @@ func (lk *link) leave() {
 		return
 	}
 	lk.dead = true
-	lk.writeLocked(netbarrier.Frame{Type: netbarrier.TypeLeave})
+	lk.writeLocked(wire.Frame{Type: wire.TypeLeave})
 	lk.mu.Unlock()
 	lk.fc.Close()
 	lk.leaf.drop(lk)
@@ -444,7 +444,7 @@ func (lk *link) leave() {
 
 // shutdown (reader-goroutine only) sends a final frame and tears down,
 // for the deferred-leave path.
-func (lk *link) shutdown(f netbarrier.Frame) {
+func (lk *link) shutdown(f wire.Frame) {
 	lk.mu.Lock()
 	lk.dead = true
 	lk.writeLocked(f)
@@ -455,6 +455,6 @@ func (lk *link) shutdown(f netbarrier.Frame) {
 
 // writeLocked sends one frame on the write half under lk.mu, bounded by
 // the leaf's write timeout.
-func (lk *link) writeLocked(f netbarrier.Frame) error {
+func (lk *link) writeLocked(f wire.Frame) error {
 	return lk.fc.WriteFrameTimeout(f, lk.leaf.opt.writeTimeout())
 }

@@ -496,7 +496,7 @@ func TestVersionMismatchRefusedByRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	buf, err := netbarrier.AppendFrame(nil, netbarrier.Frame{Type: netbarrier.TypeShardJoin, Name: "v", P: 2, ID: 0})
+	buf, err := wire.AppendFrame(nil, wire.Frame{Type: wire.TypeShardJoin, Name: "v", P: 2, ID: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,12 +505,12 @@ func TestVersionMismatchRefusedByRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	resp, err := netbarrier.ReadFrame(conn)
+	resp, err := wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatalf("no refusal frame: %v", err)
 	}
-	if resp.Type != netbarrier.TypeJoinResp || !strings.Contains(resp.Err, "version mismatch") {
-		t.Fatalf("got %s %q, want a version-mismatch refusal", netbarrier.FrameName(resp.Type), resp.Err)
+	if resp.Type != wire.TypeJoinResp || !strings.Contains(resp.Err, "version mismatch") {
+		t.Fatalf("got %s %q, want a version-mismatch refusal", wire.FrameName(resp.Type), resp.Err)
 	}
 }
 

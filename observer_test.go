@@ -36,11 +36,13 @@ func TestObserverEpisodeStats(t *testing.T) {
 		episodes = 40
 	)
 	for name, mk := range map[string]func(Observer) Barrier{
-		"central":       func(o Observer) Barrier { return NewCentral(p, WithObserver(o)) },
-		"tree-d4":       func(o Observer) Barrier { return NewCombiningTree(p, 4, WithObserver(o)) },
-		"mcs-d4":        func(o Observer) Barrier { return NewMCSTree(p, 4, WithObserver(o)) },
-		"dynamic-d4":    func(o Observer) Barrier { return NewDynamic(p, 4, WithObserver(o)) },
-		"adaptive":      func(o Observer) Barrier { return NewAdaptive(p, 64, 0, WithObserver(o)) },
+		"central":    func(o Observer) Barrier { return NewCentral(p, WithObserver(o)) },
+		"tree-d4":    func(o Observer) Barrier { return NewCombiningTree(p, 4, WithObserver(o)) },
+		"mcs-d4":     func(o Observer) Barrier { return NewMCSTree(p, 4, WithObserver(o)) },
+		"dynamic-d4": func(o Observer) Barrier { return NewDynamic(p, 4, WithObserver(o)) },
+		"adaptive": func(o Observer) Barrier {
+			return NewReconfigurable(p, ReconfigConfig{ReplanEvery: 64}, WithObserver(o))
+		},
 		"dissemination": func(o Observer) Barrier { return NewDissemination(p, WithObserver(o)) },
 		"tournament":    func(o Observer) Barrier { return NewTournament(p, WithObserver(o)) },
 	} {
@@ -116,7 +118,7 @@ func TestObserverSeesSwapsAndAdaptations(t *testing.T) {
 	}
 
 	adObs := &recordingObserver{}
-	ad := NewAdaptive(p, 64, 0, WithObserver(adObs))
+	ad := NewReconfigurable(p, ReconfigConfig{ReplanEvery: 64}, WithObserver(adObs))
 	events = run(ad, adObs)
 	if len(events) != episodes {
 		t.Fatalf("adaptive: %d events, want %d", len(events), episodes)
@@ -211,7 +213,7 @@ func (f *fakeSigma) MeasuredSigma() (float64, uint64) { return f.sigma, f.episod
 // interface.
 func TestAdaptiveIsSigmaSource(t *testing.T) {
 	const p = 4
-	ad := NewAdaptive(p, 64, 0)
+	ad := NewReconfigurable(p, ReconfigConfig{ReplanEvery: 64})
 	var src SigmaSource = ad
 	if _, n := src.MeasuredSigma(); n != 0 {
 		t.Fatalf("fresh adaptive barrier reports %d episodes", n)

@@ -136,9 +136,3 @@ func (o options) reducer(p, nodes int) *rt.Reducer {
 func withClock(clock func() int64) Option {
 	return func(o *options) { o.clock = clock }
 }
-
-// TreeOption is the former tree-only option type.
-//
-// Deprecated: all constructors now share Option; TreeOption remains as an
-// alias for source compatibility.
-type TreeOption = Option

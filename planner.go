@@ -117,8 +117,8 @@ func clampDegree(d, p int) int {
 	return d
 }
 
-// SigmaSource supplies a measured arrival-spread estimate. AdaptiveBarrier
-// and Aggregate implement it; any Observer that folds EpisodeStats.Spread
+// SigmaSource supplies a measured arrival-spread estimate.
+// ReconfigurableBarrier and Aggregate implement it; any Observer that folds EpisodeStats.Spread
 // into its own estimate can too. The episode count lets the planner tell a
 // live estimate from an unseeded one.
 type SigmaSource interface {
@@ -129,7 +129,7 @@ type SigmaSource interface {
 
 // Measured returns a copy of the profile with Sigma replaced by src's live
 // estimate, when src has observed at least one episode. This closes the
-// paper's loop: run with WithObserver (or an AdaptiveBarrier), feed the
+// paper's loop: run with WithObserver (or a ReconfigurableBarrier), feed the
 // measured spread back, and re-plan with real numbers instead of guesses.
 func (pr Profile) Measured(src SigmaSource) Profile {
 	if src != nil {

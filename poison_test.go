@@ -38,7 +38,7 @@ func abortableVariants(p int, opts ...Option) []struct {
 		{"dynamic-ring", mk(func(o []Option) ContextBarrier {
 			return NewDynamicRing([]int{p / 2, p - p/2}, 2, o...)
 		})},
-		{"adaptive", mk(func(o []Option) ContextBarrier { return NewAdaptive(p, 8, 0, o...) })},
+		{"adaptive", mk(func(o []Option) ContextBarrier { return NewReconfigurable(p, ReconfigConfig{ReplanEvery: 8}, o...) })},
 	}
 }
 

@@ -1,10 +1,6 @@
 package softbarrier
 
 import (
-	"context"
-	"runtime"
-	"sync/atomic"
-
 	"softbarrier/internal/reconfig"
 	rt "softbarrier/internal/runtime"
 	"softbarrier/internal/topology"
@@ -32,39 +28,16 @@ import (
 // it can never contribute to — or slip past — an episode of the epoch
 // before it existed.
 type ReconfigurableBarrier struct {
+	treeCore
 	tc float64
-
-	gate  rt.Gate
-	state atomic.Pointer[rcState] // replaced only at quiescent points
 
 	ctrl *reconfig.Controller
 	est  rt.SigmaEstimator // EWMA of per-episode arrival spread, seconds
-	rec  *rt.Recorder      // always active: the control loop needs the spreads
-	red  *rt.Reducer       // payload reducer; nil without WithCollective
 
 	// Predictive straggler placement (WithPlacementPolicy). place and
 	// lagBuf are touched only by the releasing participant.
 	place  PlacementPolicy
 	lagBuf []float64
-	poisonCore
-}
-
-// rcState is one epoch's rebuildable configuration: the topology, its
-// counters, and the per-participant generation slots.
-type rcState struct {
-	p        int
-	degree   int
-	epoch    uint64
-	epochGen uint64 // gate generation at which this epoch becomes active
-	tree     *topology.Tree
-	counters []treeCounter
-	// order is the placement order the epoch's tree was built with, nil
-	// for the natural ascending-id placement.
-	order []int
-	// myGen holds each participant's episode generation. It only ever
-	// grows across epochs (shrunk ids keep their slot so their final
-	// Await still reads a valid generation while they drain out).
-	myGen []rt.PaddedUint64
 }
 
 // ReconfigConfig tunes a ReconfigurableBarrier's replan cadence,
@@ -130,8 +103,7 @@ func NewReconfigurable(p int, cfg ReconfigConfig, opts ...Option) *Reconfigurabl
 	}
 	o := applyOptions(opts)
 	b := &ReconfigurableBarrier{tc: cfg.Tc, place: o.placement}
-	b.gate.Init(o.policy)
-	b.rec = o.recorder(p, true)
+	b.elastic = b
 	b.est.Init(rt.DefaultSigmaWeight)
 	b.ctrl = reconfig.New(
 		reconfig.Config{
@@ -144,38 +116,20 @@ func NewReconfigurable(p int, cfg ReconfigConfig, opts ...Option) *Reconfigurabl
 		func(p int, sigma float64) (int, bool) { return OptimalDegree(p, sigma, b.tc), false },
 		reconfig.Plan{P: p, Degree: cfg.InitialDegree},
 	)
-	st0 := newRCState(nil, b.ctrl.Current(), 0, nil, b.place != nil)
-	b.state.Store(st0)
-	b.red = o.reducer(p, len(st0.counters))
-	b.initPoison(p, o.watchdog, o.poisonNotify,
-		func() { b.gate.Poison() },
-		func() {
-			st := b.state.Load()
-			for i := range st.counters {
-				c := &st.counters[i]
-				c.mu.Lock()
-				c.count = 0
-				c.mu.Unlock()
-			}
-			if b.red != nil {
-				b.red.Reset()
-			}
-			b.gate.Unpoison()
-		})
+	b.init(o, b.newEpoch(nil, b.ctrl.Current(), 0, nil))
 	return b
 }
 
-// newRCState builds the epoch described by plan, carrying forward the
+// newEpoch builds the epoch described by plan, carrying forward the
 // generation slots of prev (nil for the initial epoch). epochGen is the
 // gate generation at which the epoch's first episode runs. order, when
 // it covers plan.P, relabels the tree laggiest-first-shallowest
-// (PlaceByDepth). mcs selects an MCS-shaped tree: a barrier with a
-// placement policy builds MCS epochs, because a classic tree puts every
-// participant at the same (leaf) depth and placement would choose
-// nothing.
-func newRCState(prev *rcState, plan reconfig.Plan, epochGen uint64, order []int, mcs bool) *rcState {
+// (PlaceByDepth). A barrier with a placement policy builds MCS epochs,
+// because a classic tree puts every participant at the same (leaf) depth
+// and placement would choose nothing.
+func (b *ReconfigurableBarrier) newEpoch(prev *treeEpoch, plan reconfig.Plan, epochGen uint64, order []int) treeEpoch {
 	var tree *topology.Tree
-	if mcs {
+	if b.place != nil {
 		tree = topology.NewMCS(plan.P, plan.Degree)
 	} else {
 		tree = topology.NewClassic(plan.P, plan.Degree)
@@ -185,37 +139,10 @@ func newRCState(prev *rcState, plan reconfig.Plan, epochGen uint64, order []int,
 	} else {
 		order = nil
 	}
-	st := &rcState{
-		p:        plan.P,
-		degree:   plan.Degree,
-		epoch:    plan.Epoch,
-		epochGen: epochGen,
-		tree:     tree,
-		counters: make([]treeCounter, len(tree.Counters)),
-		order:    order,
-	}
-	for i := range st.counters {
-		st.counters[i].fanIn = tree.Counters[i].FanIn()
-	}
-	n := plan.P
-	if prev != nil && len(prev.myGen) > n {
-		n = len(prev.myGen)
-	}
-	st.myGen = make([]rt.PaddedUint64, n)
-	if prev != nil {
-		copy(st.myGen, prev.myGen)
-	}
+	st := newTreeEpoch(tree, prev, epochGen)
+	st.epoch, st.order = plan.Epoch, order
 	return st
 }
-
-// Participants returns the current epoch's participant count. It reflects
-// a committed membership change as soon as the changing episode's release
-// is published, so a worker observing its id outside [0, Participants)
-// after Wait returns has been shrunk away and must stop calling Wait.
-func (b *ReconfigurableBarrier) Participants() int { return b.state.Load().p }
-
-// Degree returns the current tree degree.
-func (b *ReconfigurableBarrier) Degree() int { return b.state.Load().degree }
 
 // Epoch returns the 0-based configuration epoch.
 func (b *ReconfigurableBarrier) Epoch() uint64 { return b.state.Load().epoch }
@@ -230,12 +157,7 @@ func (b *ReconfigurableBarrier) Sigma() float64 { return b.est.Sigma() }
 // Depths is safe from any goroutine; it reflects the epoch current at
 // the call.
 func (b *ReconfigurableBarrier) Depths() []int {
-	st := b.state.Load()
-	d := make([]int, st.p)
-	for id := range d {
-		d[id] = st.tree.Depth(st.tree.FirstCounter(id))
-	}
-	return d
+	return b.state.Load().depths()
 }
 
 // MeasuredSigma implements SigmaSource: the live σ estimate and the number
@@ -283,59 +205,6 @@ func (b *ReconfigurableBarrier) Grow(n int) (int, error) { return b.ctrl.Request
 // longer covering their id.
 func (b *ReconfigurableBarrier) Shrink(n int) (int, error) { return b.ctrl.RequestDelta(-n) }
 
-// Wait blocks until all participants arrive.
-func (b *ReconfigurableBarrier) Wait(id int) {
-	b.Arrive(id)
-	b.Await(id)
-}
-
-// Arrive records the arrival time and performs the counter ascent,
-// re-planning and releasing the episode if id completes the root. On a
-// poisoned barrier it is a no-op, as it is for an id the current epoch has
-// shrunk away (such a participant is draining out and must not touch the
-// counters).
-func (b *ReconfigurableBarrier) Arrive(id int) {
-	st := b.state.Load()
-	checkID(id, len(st.myGen))
-	if id >= st.p {
-		return // shrunk away; drain without contributing
-	}
-	// A freshly grown participant can observe the new epoch (Participants
-	// covers it) before the admitting episode's release has opened the
-	// gate. Entering then would stamp the old generation and unblock on
-	// the wrong release, so hold until the epoch is active.
-	for b.gate.Seq() < st.epochGen {
-		if b.poisoned() {
-			return
-		}
-		runtime.Gosched()
-	}
-	if b.poisoned() {
-		return
-	}
-	b.noteArrive(id)
-	gen := b.gate.Seq()
-	b.rec.Arrive(id, gen)
-	st.myGen[id].V = gen
-
-	c := st.tree.FirstCounter(id)
-	for c != topology.NoCounter {
-		tc := &st.counters[c]
-		tc.mu.Lock()
-		tc.count++
-		last := tc.count == tc.fanIn
-		if last {
-			tc.count = 0
-		}
-		tc.mu.Unlock()
-		if !last {
-			return
-		}
-		c = st.tree.Counters[c].Parent
-	}
-	b.release(st)
-}
-
 // release runs on the participant that completed the root: a quiescent
 // point for the counters. It folds the measured spread into the σ
 // estimate (and the per-participant lags into the placement policy),
@@ -343,7 +212,7 @@ func (b *ReconfigurableBarrier) Arrive(id int) {
 // so — otherwise rebuilds in place when the policy's predicted-straggler
 // order changed on the replan cadence — emits the episode's telemetry,
 // and opens the gate.
-func (b *ReconfigurableBarrier) release(st *rcState) {
+func (b *ReconfigurableBarrier) release(st *treeEpoch) {
 	seq := b.gate.Seq()
 	m, _ := b.rec.Measure(seq)
 	b.ctrl.Observe(m.Spread)
@@ -360,7 +229,7 @@ func (b *ReconfigurableBarrier) release(st *rcState) {
 		b.applyPlacement(st, order, seq+1)
 	}
 	cur := b.state.Load()
-	b.rec.Emit(m, rt.Extra{Adaptations: b.ctrl.Rebuilds(), Degree: cur.degree, Epoch: cur.epoch})
+	b.rec.Emit(m, rt.Extra{Adaptations: b.ctrl.Rebuilds(), Degree: cur.tree.Degree, Epoch: cur.epoch})
 	b.gate.Open()
 }
 
@@ -370,7 +239,7 @@ func (b *ReconfigurableBarrier) release(st *rcState) {
 // stale membership, or unchanged from the epoch's current placement).
 // Order() is consumed at most once per release — hysteresis policies
 // record what they emit.
-func (b *ReconfigurableBarrier) duePlacementOrder(st *rcState) []int {
+func (b *ReconfigurableBarrier) duePlacementOrder(st *treeEpoch) []int {
 	if b.place == nil {
 		return nil
 	}
@@ -387,7 +256,7 @@ func (b *ReconfigurableBarrier) duePlacementOrder(st *rcState) []int {
 
 // apply installs plan as the running epoch. It must run at a quiescent
 // point: the release path, or a caller-synchronized Resize.
-func (b *ReconfigurableBarrier) apply(prev *rcState, plan reconfig.Plan, epochGen uint64) {
+func (b *ReconfigurableBarrier) apply(prev *treeEpoch, plan reconfig.Plan, epochGen uint64) {
 	order := policyOrder(b.place, plan.P)
 	if order == nil && len(prev.order) == plan.P {
 		// The policy has no (new) opinion for this membership; keep the
@@ -395,7 +264,7 @@ func (b *ReconfigurableBarrier) apply(prev *rcState, plan reconfig.Plan, epochGe
 		// to the identity order.
 		order = prev.order
 	}
-	next := newRCState(prev, plan, epochGen, order, b.place != nil)
+	next := b.newEpoch(prev, plan, epochGen, order)
 	if plan.P != prev.p {
 		b.rec.Resize(plan.P)
 		b.resizeArrivals(plan.P)
@@ -404,7 +273,7 @@ func (b *ReconfigurableBarrier) apply(prev *rcState, plan reconfig.Plan, epochGe
 	// the new tree; its published result buffers survive, so awaiters of
 	// the pre-rebuild episode still copy their in-flight result.
 	b.red.Resize(plan.P, len(next.counters))
-	b.state.Store(next)
+	b.state.Store(&next)
 	b.ctrl.Commit(plan)
 }
 
@@ -413,197 +282,12 @@ func (b *ReconfigurableBarrier) apply(prev *rcState, plan reconfig.Plan, epochGe
 // sits on the k-th shallowest slot. Like apply it runs only at the
 // quiescent release point; ReconfigStats.Placements counts these
 // rebuilds.
-func (b *ReconfigurableBarrier) applyPlacement(prev *rcState, order []int, epochGen uint64) {
+func (b *ReconfigurableBarrier) applyPlacement(prev *treeEpoch, order []int, epochGen uint64) {
 	plan := b.ctrl.Current()
-	next := newRCState(prev, plan, epochGen, order, b.place != nil)
+	next := b.newEpoch(prev, plan, epochGen, order)
 	b.red.Resize(plan.P, len(next.counters))
-	b.state.Store(next)
+	b.state.Store(&next)
 	b.ctrl.NotePlacement()
-}
-
-// AllReduce contributes in, completes one episode, and copies the
-// reduction of the epoch's contributions into out. A participant the
-// current epoch has shrunk away drains without contributing and without a
-// result — exactly as Wait drains it — so an elastic worker follows the
-// same protocol as ever: check Participants after each collective call
-// and stop once its id falls outside the membership (its final episode's
-// result is then not delivered locally; netbarrier sessions deliver it in
-// the Release frame instead). Epoch boundaries preserve in-flight
-// contributions: the rebuild happens at the quiescent release point,
-// after the episode's result is published into buffers that survive it.
-func (b *ReconfigurableBarrier) AllReduce(id int, in, out []byte) error {
-	if b.red == nil {
-		return ErrNoCollective
-	}
-	b.arriveColl(id, in, reduceMode(b.red.Op()), 0)
-	return b.AwaitResult(id, out)
-}
-
-// Reduce is AllReduce with the result delivered only to root. root must
-// stay inside the membership for the episode.
-func (b *ReconfigurableBarrier) Reduce(id, root int, in, out []byte) error {
-	if b.red == nil {
-		return ErrNoCollective
-	}
-	checkID(root, b.state.Load().p)
-	b.arriveColl(id, in, reduceMode(b.red.Op()), 0)
-	if id != root {
-		out = nil
-	}
-	return b.AwaitResult(id, out)
-}
-
-// Broadcast completes one episode delivering root's buf into every other
-// participant's buf.
-func (b *ReconfigurableBarrier) Broadcast(id, root int, buf []byte) error {
-	if b.red == nil {
-		return ErrNoCollective
-	}
-	checkID(root, b.state.Load().p)
-	b.arriveColl(id, buf, collBcast, root)
-	if id == root {
-		buf = nil
-	}
-	return b.AwaitResult(id, buf)
-}
-
-// ArriveReduce is the fuzzy half of AllReduce: contribute and ascend
-// without waiting; collect with AwaitResult.
-func (b *ReconfigurableBarrier) ArriveReduce(id int, in []byte) error {
-	if b.red == nil {
-		return ErrNoCollective
-	}
-	b.arriveColl(id, in, reduceMode(b.red.Op()), 0)
-	return nil
-}
-
-// AwaitResult blocks until ArriveReduce's episode completes and copies
-// its reduction into out (nil discards it). The copy is skipped — out is
-// left untouched — when this participant is outside the membership after
-// the release (it was draining, or was shrunk away at the episode's
-// boundary): such a participant is no longer ordered against future
-// episodes, so reading the shared result buffer would race with a later
-// publish. Call AwaitResult exactly once per ArriveReduce, before the
-// participant's next episode.
-func (b *ReconfigurableBarrier) AwaitResult(id int, out []byte) error {
-	if b.red == nil {
-		return ErrNoCollective
-	}
-	st := b.state.Load()
-	checkID(id, len(st.myGen))
-	b.gate.Await(st.myGen[id].V)
-	if err := b.Err(); err != nil {
-		return err
-	}
-	// Re-load: the episode's release may have committed a new epoch, and
-	// membership is judged against the post-release state.
-	cur := b.state.Load()
-	if out != nil && id < cur.p {
-		b.red.CopyResult(cur.myGen[id].V, out)
-	}
-	return nil
-}
-
-// Reduced returns the published reduction of the given episode — see
-// TreeBarrier.Reduced.
-func (b *ReconfigurableBarrier) Reduced(episode uint64) []byte {
-	if b.red == nil {
-		return nil
-	}
-	return b.red.Result(episode)
-}
-
-// arriveColl is Arrive carrying a payload: Arrive's drain/hold protocol,
-// plus the mode-selected payload step (greedy fold, deposit cell, or
-// broadcast root deposit), with the episode's result published at the
-// root completion before the release.
-func (b *ReconfigurableBarrier) arriveColl(id int, in []byte, mode uint8, root int) {
-	st := b.state.Load()
-	checkID(id, len(st.myGen))
-	checkContribution(b.red, in)
-	if id >= st.p {
-		return // shrunk away; drain without contributing
-	}
-	for b.gate.Seq() < st.epochGen {
-		if b.poisoned() {
-			return
-		}
-		runtime.Gosched()
-	}
-	if b.poisoned() {
-		return
-	}
-	b.noteArrive(id)
-	gen := b.gate.Seq()
-	b.rec.Arrive(id, gen)
-	st.myGen[id].V = gen
-	switch mode {
-	case collCells:
-		b.red.Deposit(gen, id, in)
-	case collBcast:
-		if id == root {
-			b.red.Deposit(gen, id, in)
-		}
-	}
-	var carry []byte
-	if mode == collGreedy {
-		carry = in
-	}
-
-	c := st.tree.FirstCounter(id)
-	for c != topology.NoCounter {
-		tc := &st.counters[c]
-		tc.mu.Lock()
-		if mode == collGreedy {
-			b.red.FoldNode(c, carry)
-		}
-		tc.count++
-		last := tc.count == tc.fanIn
-		if last {
-			tc.count = 0
-			if mode == collGreedy {
-				carry = b.red.TakeNode(c)
-			}
-		}
-		tc.mu.Unlock()
-		if !last {
-			return
-		}
-		c = st.tree.Counters[c].Parent
-	}
-	// Root completed: publish the result while the cells and accumulators
-	// are quiescent — before release applies any epoch rebuild, so the
-	// fold runs over this episode's membership and tree.
-	switch mode {
-	case collGreedy:
-		b.red.PublishCarry(gen, carry)
-	case collCells:
-		b.red.FinishCells(gen, st.p)
-	case collBcast:
-		b.red.PublishCell(gen, root)
-	}
-	b.release(st)
-}
-
-// Await blocks participant id until the episode it arrived in completes
-// or the barrier is poisoned.
-func (b *ReconfigurableBarrier) Await(id int) {
-	st := b.state.Load()
-	checkID(id, len(st.myGen))
-	b.gate.Await(st.myGen[id].V)
-}
-
-// WaitCtx is Wait with cancellation: if ctx ends while the wait is in
-// flight the barrier is poisoned, and the poison error is returned.
-func (b *ReconfigurableBarrier) WaitCtx(ctx context.Context, id int) error {
-	checkID(id, len(b.state.Load().myGen))
-	return b.waitCtx(ctx, func() { b.Wait(id) })
-}
-
-// AwaitCtx is Await with cancellation, with WaitCtx's poison semantics.
-func (b *ReconfigurableBarrier) AwaitCtx(ctx context.Context, id int) error {
-	checkID(id, len(b.state.Load().myGen))
-	return b.waitCtx(ctx, func() { b.Await(id) })
 }
 
 var _ PhasedBarrier = (*ReconfigurableBarrier)(nil)

@@ -23,7 +23,7 @@ func barriersUnderTest(p int) map[string]Barrier {
 		"tree-flat":     NewCombiningTree(p, flat),
 		"mcs-d4":        NewMCSTree(p, 4),
 		"dynamic":       NewDynamic(p, 4),
-		"adaptive":      NewAdaptive(p, 4, 0),
+		"adaptive":      NewReconfigurable(p, ReconfigConfig{ReplanEvery: 4}),
 		"dissemination": NewDissemination(p),
 		"tournament":    NewTournament(p),
 	}
@@ -131,9 +131,8 @@ func TestConstructorPanics(t *testing.T) {
 		"central-0":        func() { NewCentral(0) },
 		"tree-0":           func() { NewCombiningTree(0, 4) },
 		"tree-degree-1":    func() { NewCombiningTree(8, 1) },
-		"adaptive-0":       func() { NewAdaptive(0, 1, 0) },
-		"adaptive-int":     func() { NewAdaptive(4, 0, 0) },
-		"adaptive-neg-tc":  func() { NewAdaptive(4, 1, -1) },
+		"adaptive-0":       func() { NewReconfigurable(0, ReconfigConfig{ReplanEvery: 1}) },
+		"adaptive-neg-tc":  func() { NewReconfigurable(4, ReconfigConfig{ReplanEvery: 1, Tc: -1}) },
 		"dynamic-degree-1": func() { NewDynamic(8, 1) },
 	} {
 		f := f
@@ -153,7 +152,7 @@ func TestPhasedBarrierOverlapsWork(t *testing.T) {
 	// episode must not complete before every Arrive, and Await must not
 	// return before the episode completes.
 	const p = 4
-	for _, b := range []PhasedBarrier{NewCentral(p), NewCombiningTree(p, 2), NewDynamic(p, 2), NewAdaptive(p, 2, 0)} {
+	for _, b := range []PhasedBarrier{NewCentral(p), NewCombiningTree(p, 2), NewDynamic(p, 2), NewReconfigurable(p, ReconfigConfig{ReplanEvery: 2})} {
 		var arrived atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(p)
@@ -308,17 +307,18 @@ func checkBarrierWithJitter(t *testing.T, b Barrier, p, episodes int) {
 // may legitimately be stale until its incoming victim consumes the
 // redirect, so Local itself is not validated here.)
 func validateDynamicPlacement(b *DynamicBarrier) string {
+	st := b.state.Load()
 	occupants := make(map[int]int)
-	for id := 0; id < b.p; id++ {
+	for id := 0; id < st.p; id++ {
 		c := b.FirstCounterOf(id)
-		if dc := &b.counters[c]; dc.evicted == id {
+		if dc := &st.counters[c]; dc.evicted == id {
 			c = dc.destination
 		}
 		occupants[c]++
 	}
-	for i := range b.counters {
-		dc := &b.counters[i]
-		wantProcs := b.tree.Counters[i].FanIn() - len(b.tree.Counters[i].Children)
+	for i := range st.counters {
+		dc := &st.counters[i]
+		wantProcs := st.tree.Counters[i].FanIn() - len(st.tree.Counters[i].Children)
 		if occupants[i] != wantProcs {
 			return "counter occupancy does not match its processor fan-in"
 		}
@@ -331,7 +331,7 @@ func validateDynamicPlacement(b *DynamicBarrier) string {
 
 func TestAdaptiveBarrierWidensUnderImbalance(t *testing.T) {
 	const p = 8
-	b := NewAdaptive(p, 3, 0) // tc = 20µs
+	b := NewReconfigurable(p, ReconfigConfig{ReplanEvery: 3}) // tc = 20µs
 	if b.Degree() != 4 {
 		t.Fatalf("initial degree %d, want 4", b.Degree())
 	}
@@ -363,7 +363,7 @@ func TestAdaptiveBarrierStaysNarrowWhenBalanced(t *testing.T) {
 	const p = 8
 	// With an (assumed) counter update cost of a full second, scheduling
 	// noise is negligible imbalance and the degree must stay at 4.
-	b := NewAdaptive(p, 2, 1.0)
+	b := NewReconfigurable(p, ReconfigConfig{ReplanEvery: 2, Tc: 1.0})
 	checkBarrier(t, b, p, 12)
 	// With p = 8 the model's full-tree degrees are {2, 8}; under balanced
 	// load it must stay narrow (2 or the initial 4), never go flat.

@@ -1,0 +1,474 @@
+package softbarrier
+
+import (
+	"context"
+	"sync"
+	"sync/atomic"
+
+	rt "softbarrier/internal/runtime"
+	"softbarrier/internal/topology"
+)
+
+// treeCore is the one combining tree under TreeBarrier, DynamicBarrier and
+// ReconfigurableBarrier: a tree of counters, each protected by its own
+// lock, that participants ascend on arrival; whoever completes a
+// counter's fan-in proceeds to the parent, and completing the root
+// releases the episode. The paper's point is that static, MCS and dynamic
+// placement are this same tree with a different answer to "who sits
+// where", so the ascent, the release wait and the collective path exist
+// once, here, and the three barriers embed the core and add only their
+// policy: a static tree is the epoch that never changes (tree.go), dynamic
+// placement is two steps around the ascent (dynamic.go), and the
+// reconfigurable barrier replaces the epoch at the root (reconfigurable.go).
+//
+// The policies are fixed at construction and are plain fields the ascent
+// branches on — the loop runs a hundred-odd times per 32-participant
+// episode, so a policy is a predictable branch, never an indirect call.
+type treeCore struct {
+	gate  rt.Gate
+	state atomic.Pointer[treeEpoch] // replaced only at quiescent points
+	// first is the construction-time epoch, held inline so that a barrier
+	// whose epoch never changes pays no allocation for the indirection. An
+	// elastic barrier's later epochs are allocated; its first one's arrays
+	// then stay reachable for the barrier's lifetime.
+	first treeEpoch
+
+	rec *rt.Recorder
+	red *rt.Reducer // payload reducer; nil without WithCollective
+
+	dynamic bool          // victor/victim placement (dynamic.go)
+	swaps   atomic.Uint64 // placement swaps so far
+	// elastic, when set, is the embedding barrier whose release runs at the
+	// root completion in place of the plain measure-and-open.
+	elastic *ReconfigurableBarrier
+	// Tree wakeup (WithTreeWakeup, tree.go): nil selects the broadcast gate.
+	wakeFlag []rt.Cell
+	policy   rt.WaitPolicy
+	poisonCore
+}
+
+// treeEpoch is one epoch's rebuildable configuration: the topology, its
+// counters, and the per-participant slots.
+type treeEpoch struct {
+	p        int
+	epoch    uint64
+	tree     *topology.Tree
+	counters []treeCounter
+	// order is the placement order the epoch's tree was built with, nil
+	// for the natural ascending-id placement.
+	order []int
+	// slots only ever grows across epochs (shrunk ids keep their slot so
+	// their final Await still reads a valid generation while they drain
+	// out).
+	slots []treeSlot
+}
+
+// treeCounter is one tree node's arrival counter, plus the fields dynamic
+// placement hands a displaced participant over with.
+type treeCounter struct {
+	mu     sync.Mutex
+	count  int
+	fanIn  int
+	parent int
+	// local is the participant occupying the counter's local slot, or
+	// topology.NoProc (classic trees; the ring merge root accepts no
+	// migrants). For internal counters it always names the participant
+	// whose first counter this is.
+	local int
+	// evicted/destination implement the victim hand-off: evicted names the
+	// displaced participant (one-shot, cleared on consumption) and
+	// destination its new first counter.
+	evicted     int
+	destination int
+	_           [8]byte // separate counters across cache lines
+}
+
+// treeSlot is one participant's owner-written state, on its own cache
+// line.
+type treeSlot struct {
+	gen   uint64 // generation of the episode the participant last arrived in
+	next  uint64 // earliest generation its next arrival may join
+	first int    // its first counter; moves only under dynamic placement
+	_     [40]byte
+}
+
+// newTreeEpoch builds the counters and slots for tree, carrying forward
+// the generation slots of prev (nil for the initial epoch). epochGen is the
+// gate generation at which the epoch's first episode runs.
+func newTreeEpoch(tree *topology.Tree, prev *treeEpoch, epochGen uint64) treeEpoch {
+	st := treeEpoch{p: tree.P, tree: tree, counters: make([]treeCounter, len(tree.Counters))}
+	for i := range st.counters {
+		c := &tree.Counters[i]
+		st.counters[i] = treeCounter{
+			fanIn:       c.FanIn(),
+			parent:      c.Parent,
+			local:       c.Local,
+			evicted:     topology.NoProc,
+			destination: topology.NoCounter,
+		}
+	}
+	n := tree.P
+	if prev != nil && len(prev.slots) > n {
+		n = len(prev.slots)
+	}
+	st.slots = make([]treeSlot, n)
+	admitted := 0
+	if prev != nil {
+		copy(st.slots, prev.slots)
+		admitted = prev.p
+	}
+	for id := 0; id < tree.P; id++ {
+		st.slots[id].first = tree.FirstCounter(id)
+		if id >= admitted {
+			// A freshly grown participant can observe the new epoch
+			// (Participants covers it) before the admitting episode's
+			// release has opened the gate; it must not join before then.
+			st.slots[id].next = epochGen
+		}
+	}
+	return st
+}
+
+// depths returns each participant's synchronization path length in the
+// epoch's tree as built.
+func (st *treeEpoch) depths() []int {
+	d := make([]int, st.p)
+	for id := range d {
+		d[id] = st.tree.Depth(st.tree.FirstCounter(id))
+	}
+	return d
+}
+
+// init wires the core around its first epoch.
+func (b *treeCore) init(o options, first treeEpoch) {
+	b.policy = o.policy
+	b.gate.Init(o.policy)
+	b.first = first
+	st := &b.first
+	b.state.Store(st)
+	// An elastic barrier records even without an observer: its control
+	// loop needs the spreads.
+	b.rec = o.recorder(st.p, b.elastic != nil)
+	b.red = o.reducer(st.p, len(st.counters))
+	b.initPoison(st.p, o.watchdog, o.poisonNotify, b.poisonWaiters, b.clearEpisode)
+}
+
+// poisonWaiters poisons every wait primitive a participant can be parked
+// on.
+func (b *treeCore) poisonWaiters() {
+	b.gate.Poison()
+	for i := range b.wakeFlag {
+		b.wakeFlag[i].Poison()
+	}
+}
+
+// clearEpisode drops the aborted episode's partial counts and folds for
+// Reset. Dynamic placement state (local slots, pending evictions, first
+// counters) survives: it is a consistent placement at every ascent
+// boundary, and pending victims adopt their destination on their next
+// arrival.
+func (b *treeCore) clearEpisode() {
+	st := b.state.Load()
+	for i := range st.counters {
+		tc := &st.counters[i]
+		tc.mu.Lock()
+		tc.count = 0
+		tc.mu.Unlock()
+	}
+	for i := range b.wakeFlag {
+		b.wakeFlag[i].Reset()
+	}
+	// Whoever arrived in the aborted episode arrives in its generation
+	// again: Reset does not advance the gate.
+	for i := range st.slots {
+		st.slots[i].next = 0
+	}
+	if b.red != nil {
+		b.red.Reset()
+	}
+	b.gate.Unpoison()
+}
+
+// Participants returns the participant count P. On a
+// ReconfigurableBarrier it is the current epoch's, and reflects a
+// committed membership change as soon as the changing episode's release
+// is published, so a worker observing its id outside [0, Participants)
+// after Wait returns has been shrunk away and must stop calling Wait.
+func (b *treeCore) Participants() int { return b.state.Load().p }
+
+// Degree returns the (current) tree's construction degree.
+func (b *treeCore) Degree() int { return b.state.Load().tree.Degree }
+
+// LagsInto reads the given episode's per-participant arrival lags
+// (seconds behind the episode's earliest arrival) into dst, which is
+// reused when it has the capacity. Like the recorder it wraps, it is
+// releaser-only before the episode's release; it returns nil on a
+// barrier built without an observer.
+func (b *treeCore) LagsInto(episode uint64, dst []float64) []float64 {
+	return b.rec.LagsInto(episode, dst)
+}
+
+// Wait blocks until all participants arrive.
+func (b *treeCore) Wait(id int) {
+	b.Arrive(id)
+	b.Await(id)
+}
+
+// Arrive performs participant id's counter ascent. If id completes the
+// root counter it releases the episode before returning — on a
+// ReconfigurableBarrier after re-planning. On a poisoned barrier it is a
+// no-op, as it is for an id the current epoch has shrunk away (such a
+// participant is draining out and must not touch the counters).
+func (b *treeCore) Arrive(id int) { b.arrive(id, nil) }
+
+// payload is one arrival's contribution on its way up the tree: mode
+// selects how it travels (greedy fold during the ascent, deposit cell for
+// the releaser's id-order fold, or broadcast root deposit). It stays in
+// the collective call's frame and the ascent takes a pointer: threading
+// mode, root and data through as arguments keeps them live across every
+// call in the loop, which cost the plain episode about 5%.
+type payload struct {
+	mode uint8
+	root int    // collBcast: whose data is delivered
+	data []byte // the contribution; under collGreedy the carry folded so far
+}
+
+// arrive is the ascent; pl is nil for a plain arrival.
+func (b *treeCore) arrive(id int, pl *payload) {
+	st := b.state.Load()
+	checkID(id, len(st.slots))
+	if pl != nil {
+		checkContribution(b.red, pl.data)
+	}
+	// An arrival can reach the tree before the gate has opened on the
+	// participant's previous episode: a coordinator arriving for remote
+	// members (internal/netbarrier) never Awaits and learns of the release
+	// from the Observer, which runs first; a freshly grown participant sees
+	// its epoch before the admitting release. Entering then would stamp the
+	// old generation — deposit into the wrong parity, unblock on the wrong
+	// release — so wait on the gate until it has moved on. That release may
+	// install a new epoch, hence the re-load.
+	gen := b.gate.Seq()
+	for gen < st.slots[id].next {
+		b.gate.Await(gen)
+		st = b.state.Load()
+		gen = b.gate.Seq()
+	}
+	if id >= st.p {
+		return // shrunk away; drain without contributing
+	}
+	if b.poisoned() {
+		return
+	}
+	b.noteArrive(id)
+	// gen is exactly this participant's episode index: the episode cannot
+	// be released (advancing the generation) before this arrival
+	// contributes to it, and a poisoned sample never gets here.
+	b.rec.Arrive(id, gen)
+	sl := &st.slots[id]
+	sl.gen, sl.next = gen, gen+1
+	greedy := false
+	if pl != nil {
+		switch pl.mode {
+		case collGreedy:
+			greedy = true
+		case collCells:
+			b.red.Deposit(gen, id, pl.data)
+		case collBcast:
+			if id == pl.root {
+				b.red.Deposit(gen, id, pl.data)
+			}
+		}
+	}
+	if b.dynamic {
+		st.adopt(id, sl)
+	}
+
+	for cn := sl.first; cn != topology.NoCounter; {
+		tc := &st.counters[cn]
+		tc.mu.Lock()
+		// A greedy fold shares the counter's critical section. The carry is
+		// attached to the ascending participant, not to a tree position, so
+		// a placement swap cannot drop or double-fold a contribution.
+		if greedy {
+			b.red.FoldNode(cn, pl.data)
+		}
+		tc.count++
+		last := tc.count == tc.fanIn
+		if last {
+			tc.count = 0
+			if greedy {
+				pl.data = b.red.TakeNode(cn)
+			}
+		}
+		tc.mu.Unlock()
+		if !last {
+			return
+		}
+		// id arrived last in cn's whole subtree: under dynamic placement it
+		// positions itself here before touching the parent, so the swap is
+		// ordered before any possible release.
+		if b.dynamic && cn != sl.first && st.victorSwap(id, sl, cn) {
+			b.swaps.Add(1)
+		}
+		cn = tc.parent
+	}
+
+	// Root completed: publish the result while the cells and accumulators
+	// are quiescent — before release applies any epoch rebuild, so the fold
+	// runs over this episode's membership and tree.
+	if pl != nil {
+		switch pl.mode {
+		case collGreedy:
+			b.red.PublishCarry(gen, pl.data)
+		case collCells:
+			b.red.FinishCells(gen, st.p)
+		case collBcast:
+			b.red.PublishCell(gen, pl.root)
+		}
+	}
+	if b.elastic != nil {
+		b.elastic.release(st)
+		return
+	}
+	// Measure while the arrival slots are quiescent, then release everyone.
+	b.rec.Release(gen, rt.Extra{Swaps: b.swaps.Load(), Degree: st.tree.Degree})
+	opened := b.gate.Open()
+	if b.wakeFlag != nil {
+		b.wakeFlag[0].Set(opened)
+	}
+}
+
+// Await blocks participant id until the episode it arrived in completes
+// or the barrier is poisoned.
+func (b *treeCore) Await(id int) {
+	st := b.state.Load()
+	checkID(id, len(st.slots))
+	if b.wakeFlag != nil {
+		b.awaitWake(id, st.slots[id].gen)
+		return
+	}
+	b.gate.Await(st.slots[id].gen)
+}
+
+// WaitCtx is Wait with cancellation: if ctx ends while the wait is in
+// flight the barrier is poisoned, and the poison error is returned.
+func (b *treeCore) WaitCtx(ctx context.Context, id int) error {
+	checkID(id, len(b.state.Load().slots))
+	return b.waitCtx(ctx, func() { b.Wait(id) })
+}
+
+// AwaitCtx is Await with cancellation, with WaitCtx's poison semantics.
+func (b *treeCore) AwaitCtx(ctx context.Context, id int) error {
+	checkID(id, len(b.state.Load().slots))
+	return b.waitCtx(ctx, func() { b.Await(id) })
+}
+
+// AllReduce contributes in, completes one barrier episode, and copies the
+// reduction of all the epoch's contributions into out (out may alias in,
+// or be nil to discard). It returns ErrNoCollective on a barrier built
+// without WithCollective, and the poison cause if the episode was
+// aborted. Every participant must make the same collective call for the
+// episode.
+//
+// Under dynamic placement and systemic imbalance the migration is itself
+// the σ-aware reduction policy: the consistently late participant ends up
+// adjacent to the root, so its contribution folds last and the
+// post-arrival critical path shrinks to O(1) folds.
+//
+// On a ReconfigurableBarrier a participant the current epoch has shrunk
+// away drains without contributing and without a result — exactly as Wait
+// drains it — so an elastic worker follows the same protocol as ever:
+// check Participants after each collective call and stop once its id
+// falls outside the membership (its final episode's result is then not
+// delivered locally; netbarrier sessions deliver it in the Release frame
+// instead). Epoch boundaries preserve in-flight contributions: the
+// rebuild happens at the quiescent release point, after the episode's
+// result is published into buffers that survive it.
+func (b *treeCore) AllReduce(id int, in, out []byte) error {
+	if b.red == nil {
+		return ErrNoCollective
+	}
+	b.arrive(id, &payload{mode: reduceMode(b.red.Op()), data: in})
+	return b.AwaitResult(id, out)
+}
+
+// Reduce is AllReduce with the result delivered only to root; the other
+// participants' out arguments are ignored. root must stay inside the
+// membership for the episode.
+func (b *treeCore) Reduce(id, root int, in, out []byte) error {
+	if b.red == nil {
+		return ErrNoCollective
+	}
+	checkID(root, b.state.Load().p)
+	b.arrive(id, &payload{mode: reduceMode(b.red.Op()), data: in})
+	if id != root {
+		out = nil
+	}
+	return b.AwaitResult(id, out)
+}
+
+// Broadcast completes one episode delivering root's buf into every other
+// participant's buf (root's own buf is left untouched). buf must be
+// Op.Width bytes for every participant.
+func (b *treeCore) Broadcast(id, root int, buf []byte) error {
+	if b.red == nil {
+		return ErrNoCollective
+	}
+	checkID(root, b.state.Load().p)
+	b.arrive(id, &payload{mode: collBcast, root: root, data: buf})
+	if id == root {
+		buf = nil
+	}
+	return b.AwaitResult(id, buf)
+}
+
+// ArriveReduce is the fuzzy half of AllReduce/Reduce: it contributes in
+// and performs the ascent without waiting — do slack work, then collect
+// the result with AwaitResult. It returns ErrNoCollective on a barrier
+// built without WithCollective; on a poisoned barrier it is a no-op (the
+// matching AwaitResult reports the cause).
+func (b *treeCore) ArriveReduce(id int, in []byte) error {
+	if b.red == nil {
+		return ErrNoCollective
+	}
+	b.arrive(id, &payload{mode: reduceMode(b.red.Op()), data: in})
+	return nil
+}
+
+// AwaitResult blocks until the episode ArriveReduce contributed to
+// completes and copies its reduction into out (nil discards it). The copy
+// is skipped — out is left untouched — when this participant is outside
+// the membership after the release (it was draining, or was shrunk away
+// at the episode's boundary): such a participant is no longer ordered
+// against future episodes, so reading the shared result buffer would race
+// with a later publish. Call AwaitResult exactly once per ArriveReduce,
+// before the participant's next episode.
+func (b *treeCore) AwaitResult(id int, out []byte) error {
+	if b.red == nil {
+		return ErrNoCollective
+	}
+	b.Await(id)
+	if err := b.Err(); err != nil {
+		return err
+	}
+	// Re-load: the episode's release may have committed a new epoch, and
+	// membership is judged against the post-release state.
+	cur := b.state.Load()
+	if out != nil && id < cur.p {
+		b.red.CopyResult(cur.slots[id].gen, out)
+	}
+	return nil
+}
+
+// Reduced returns the published reduction of the given episode, for
+// coordinators that drive the barrier through ArriveReduce on behalf of
+// remote participants (internal/netbarrier). The slice is read-only and
+// valid until the episode two generations later is published; it is nil
+// without WithCollective.
+func (b *treeCore) Reduced(episode uint64) []byte {
+	if b.red == nil {
+		return nil
+	}
+	return b.red.Result(episode)
+}

@@ -1,0 +1,225 @@
+package softbarrier
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"testing"
+	"time"
+)
+
+// fuzzyCollective is the arrive/await surface the four tree kinds share.
+type fuzzyCollective interface {
+	PhasedBarrier
+	Abortable
+	Reset()
+	ArriveReduce(id int, in []byte) error
+	AwaitResult(id int, out []byte) error
+	Reduced(episode uint64) []byte
+}
+
+// observerFunc adapts a function to Observer.
+type observerFunc func(EpisodeStats)
+
+func (f observerFunc) Episode(st EpisodeStats) { f(st) }
+
+// treeKinds builds each tree barrier kind the one core serves.
+var treeKinds = []struct {
+	name string
+	mk   func(p int, opts ...Option) fuzzyCollective
+}{
+	{"tree", func(p int, o ...Option) fuzzyCollective { return NewCombiningTree(p, 4, o...) }},
+	{"mcs", func(p int, o ...Option) fuzzyCollective { return NewMCSTree(p, 4, o...) }},
+	{"dynamic", func(p int, o ...Option) fuzzyCollective { return NewDynamic(p, 4, o...) }},
+	{"reconfig", func(p int, o ...Option) fuzzyCollective {
+		return NewReconfigurable(p, ReconfigConfig{ReplanEvery: 10}, o...)
+	}},
+}
+
+// TestTreeEpisodeZeroAllocs gates the steady-state episode of every tree
+// kind at zero allocations, plain and carrying a payload: one goroutine
+// drives all P arrivals and then all P awaits, so the count is the
+// barrier's own and not the scheduler's.
+func TestTreeEpisodeZeroAllocs(t *testing.T) {
+	const p = 32
+	in, out := make([]byte, 8), make([]byte, 8)
+	binary.BigEndian.PutUint64(in, 3)
+	for _, k := range treeKinds {
+		plain := k.mk(p)
+		coll := k.mk(p, WithCollective(OpSumUint64()))
+		for _, c := range []struct {
+			name    string
+			episode func()
+		}{
+			{"plain", func() {
+				for id := 0; id < p; id++ {
+					plain.Arrive(id)
+				}
+				for id := 0; id < p; id++ {
+					plain.Await(id)
+				}
+			}},
+			{"sum-u64", func() {
+				for id := 0; id < p; id++ {
+					if err := coll.ArriveReduce(id, in); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for id := 0; id < p; id++ {
+					if err := coll.AwaitResult(id, out); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}},
+		} {
+			// Warm up past the reconfigurable barrier's first replans and
+			// the dynamic barrier's migration.
+			for i := 0; i < 40; i++ {
+				c.episode()
+			}
+			if n := testing.AllocsPerRun(50, c.episode); n != 0 {
+				t.Errorf("%s/%s: %v allocs per episode, want 0", k.name, c.name, n)
+			}
+		}
+		if got := binary.BigEndian.Uint64(out); got != 3*p {
+			t.Errorf("%s: AllReduce delivered %d, want %d", k.name, got, 3*p)
+		}
+	}
+}
+
+// TestTreeConstructorAllocs pins what building a tree barrier allocates —
+// the setup cost a run that builds barriers per round pays. The limits are
+// the counts measured before the three barriers shared one core.
+func TestTreeConstructorAllocs(t *testing.T) {
+	const p = 32
+	limits := map[string][2]float64{ // plain, WithCollective
+		"tree":     {52, 60},
+		"mcs":      {54, 62},
+		"dynamic":  {56, 64},
+		"reconfig": {60, 68},
+	}
+	withOp := []Option{WithCollective(OpSumUint64())}
+	for _, k := range treeKinds {
+		plain := testing.AllocsPerRun(20, func() { k.mk(p) })
+		coll := testing.AllocsPerRun(20, func() { k.mk(p, withOp...) })
+		t.Logf("%s: %v allocs, %v with a collective", k.name, plain, coll)
+		if lim := limits[k.name]; plain > lim[0] || coll > lim[1] {
+			t.Errorf("%s: constructor allocates %v / %v, want at most %v / %v", k.name, plain, coll, lim[0], lim[1])
+		}
+	}
+}
+
+// TestCollectiveAfterPoisonReset strands a collective episode part-way,
+// poisons it, drains, resets, and checks the barrier then reduces
+// correctly again — on the greedy fold (commutative op), whose node
+// accumulators hold the stranded partial folds, and on the cell fold
+// (non-commutative op), on every tree kind.
+func TestCollectiveAfterPoisonReset(t *testing.T) {
+	const p, stranded = 8, 5
+	cause := errors.New("stranded episode")
+	u64 := func(id, e int) []byte {
+		return binary.BigEndian.AppendUint64(nil, uint64(1000*e+id+1))
+	}
+	for _, oc := range []struct {
+		op      Op
+		contrib func(id, e int) []byte
+	}{
+		{OpSumUint64(), u64},
+		{opMat2(), mat2Contribution},
+	} {
+		for _, k := range treeKinds {
+			t.Run(oc.op.Name+"/"+k.name, func(t *testing.T) {
+				b := k.mk(p, WithCollective(oc.op))
+				out := make([]byte, oc.op.Width)
+				episode := func(e int) {
+					t.Helper()
+					cs := make([][]byte, p)
+					// Arrive high ids first so the fold order is not the
+					// id order by accident.
+					for id := p - 1; id >= 0; id-- {
+						cs[id] = oc.contrib(id, e)
+						if err := b.ArriveReduce(id, cs[id]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					want := sequentialFold(oc.op, cs)
+					for id := 0; id < p; id++ {
+						if err := b.AwaitResult(id, out); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(out, want) {
+							t.Fatalf("episode %d id %d: got %x want %x", e, id, out, want)
+						}
+					}
+				}
+				episode(0)
+				episode(1)
+				for id := 0; id < stranded; id++ {
+					if err := b.ArriveReduce(id, oc.contrib(id, 2)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				b.Poison(cause)
+				for id := 0; id < stranded; id++ {
+					if err := b.AwaitResult(id, out); !errors.Is(err, cause) {
+						t.Fatalf("drain id %d: got %v, want the poison cause", id, err)
+					}
+				}
+				b.Reset()
+				for e := 3; e < 6; e++ {
+					episode(e)
+				}
+			})
+		}
+	}
+}
+
+// TestArriveHoldsUntilPreviousRelease plays a coordinator that arrives on
+// behalf of remote members and never Awaits (internal/netbarrier): it
+// learns of an episode's release from the Observer, which runs before the
+// gate opens, so a member's next arrival can reach the tree while the
+// gate still shows the old generation. That arrival must wait for the
+// gate; stamped with the old generation it would deposit into the wrong
+// parity and drop out of the next episode's fold.
+func TestArriveHoldsUntilPreviousRelease(t *testing.T) {
+	const p = 2
+	op := opMat2() // cell fold: the deposit's parity decides what is folded
+	for _, k := range treeKinds {
+		t.Run(k.name, func(t *testing.T) {
+			var b fuzzyCollective
+			early := make(chan struct{}) // closed once the early arrival returned
+			episodes := 0
+			obs := observerFunc(func(EpisodeStats) {
+				if episodes++; episodes != 1 {
+					return
+				}
+				// Episode 0 is released as far as the coordinator knows;
+				// member 0 arrives for episode 1 with the gate still shut.
+				go func() {
+					defer close(early)
+					if err := b.ArriveReduce(0, mat2Contribution(0, 1)); err != nil {
+						t.Error(err)
+					}
+				}()
+				select {
+				case <-early: // not held: the stale generation is stamped by now
+				case <-time.After(20 * time.Millisecond):
+				}
+			})
+			b = k.mk(p, WithCollective(op), WithObserver(obs))
+			for id := 0; id < p; id++ {
+				if err := b.ArriveReduce(id, mat2Contribution(id, 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			<-early
+			if err := b.ArriveReduce(1, mat2Contribution(1, 1)); err != nil {
+				t.Fatal(err)
+			}
+			want := sequentialFold(op, [][]byte{mat2Contribution(0, 1), mat2Contribution(1, 1)})
+			if got := b.Reduced(1); !bytes.Equal(got, want) {
+				t.Fatalf("episode 1 folded %x, want %x", got, want)
+			}
+		})
+	}
+}
