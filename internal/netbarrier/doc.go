@@ -26,8 +26,17 @@
 // the client hanging on a dead episode.
 //
 // The wire protocol is eleven length-prefixed binary frame types (see
-// internal/wire/frame.go); release fan-out assembles each frame once and writes it
-// to each member socket in a single batched write. Handshake frames
+// internal/wire/frame.go). A connection has one goroutine, its reader.
+// The release fan-out encodes each frame once, and the reader whose
+// arrival completed the episode writes it to every member socket itself,
+// through the connection's non-blocking write (wire.TryWriter): under
+// load imbalance the last arrival finds the server idle, so this loop is
+// the synchronization delay, and it wakes nothing and allocates nothing.
+// A socket that will not take a whole frame keeps its write lock — held
+// from the inline attempt to the end of the remainder, so frames never
+// interleave — and a one-off goroutine finishes the frame under
+// Options.WriteTimeout; a member that cannot be written by then poisons
+// the session, and delays nobody else meanwhile. Handshake frames
 // (JoinReq, ShardJoin, JoinResp) carry a protocol version byte, so a
 // mixed-revision deployment is refused at join time with an error naming
 // both versions instead of failing later with a garbled frame.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -42,7 +43,13 @@ func startServerOn(t testing.TB, tr wire.Transport, bind string, opt Options) (a
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv = NewServer(opt)
+	return ln.Addr().String(), serveOn(t, ln, opt)
+}
+
+// serveOn runs a server on ln — a transport's listener, or a test's
+// wrapper around one — and tears it down with the test.
+func serveOn(t testing.TB, ln net.Listener, opt Options) *Server {
+	srv := NewServer(opt)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -52,7 +59,7 @@ func startServerOn(t testing.TB, tr wire.Transport, bind string, opt Options) (a
 		srv.Close()
 		<-done
 	})
-	return ln.Addr().String(), srv
+	return srv
 }
 
 // testDial routes an address to the transport that owns it: testNet for

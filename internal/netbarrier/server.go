@@ -361,19 +361,18 @@ func (s *Server) PoisonSession(name string, cause error) bool {
 // diagnostics read it from arbitrary goroutines, hence atomic); the
 // reader goroutine owns nextArrive's hot path, with the elastic boundary
 // seeding it for freshly admitted members; gone/leftOK are guarded by the
-// session mutex; writes go through send, which batches each frame into a
-// single socket write under wmu; rbuf is the reader goroutine's reusable
-// frame-body buffer (ReadFrameInto).
+// session mutex; rbuf is the reader goroutine's reusable frame-body
+// buffer (ReadFrameInto).
 //
-// Fan-out writes (release, poison, deferred JoinResp) are not performed on
-// the caller's goroutine: they are enqueued on sendq and drained by a
-// dedicated per-connection writer goroutine (writeLoop), so a member whose
-// socket has stalled blocks only its own writer — its send still times out
-// against the server's write deadline and poisons per the usual semantics,
-// but every other member's release goes out immediately.
+// The reader is the connection's only goroutine. Frames are written by
+// whoever has one to send — the releaser, for every member in turn —
+// through send or sendWait, one whole frame per hold of wmu. tw is the
+// connection's non-blocking write capability (nil if it has none): a
+// frame the socket takes whole is written inline, and only a socket that
+// would block gets a goroutine, for the remainder of that one frame.
 type srvConn struct {
 	conn net.Conn
-	bw   *bufio.Writer
+	tw   wire.TryWriter
 	wmu  sync.Mutex
 
 	id         atomic.Int64
@@ -388,95 +387,106 @@ type srvConn struct {
 	lastLocalP atomic.Int64
 	lastSigma  atomic.Uint64 // float64 bits
 
-	rbuf  []byte       // reader-goroutine-owned frame body buffer
-	sendq chan sendJob // fan-out queue, drained by writeLoop
-	stop  chan struct{}
+	rbuf []byte // reader-goroutine-owned frame body buffer
 }
 
-// sendJob is one queued fan-out write. buf is pre-encoded and read-only;
-// pend, when non-nil, is the borrow count of the session scratch buffer
-// backing buf and is decremented when the write (success or failure) is
-// done with the bytes. sess, when non-nil, is poisoned on write failure —
-// a member that cannot be written within the deadline will never arrive
-// again; nil means failures are ignored (poison broadcasts: that member is
-// already gone).
-type sendJob struct {
-	buf     []byte
-	timeout time.Duration
-	sess    *session
-	pend    *atomic.Int64
-}
-
-// sendQueueDepth bounds sendq. At most one release (or admission
-// JoinResp) per connection can be pending — a member must receive episode
-// k's release before it can arrive at k+1, and k+1's release cannot exist
-// before every member arrived — plus at most one poison frame, so depth 2
-// never blocks; enqueue still degrades to a one-off goroutine if it ever
-// would.
-const sendQueueDepth = 2
-
-// newSrvConn wraps an accepted connection; startWriter must be called
-// before any enqueue.
 func newSrvConn(conn net.Conn) *srvConn {
-	c := &srvConn{
-		conn:  conn,
-		bw:    bufio.NewWriter(conn),
-		sendq: make(chan sendJob, sendQueueDepth),
-		stop:  make(chan struct{}),
-	}
+	c := &srvConn{conn: conn, tw: wire.TryWriterOf(conn)}
 	c.id.Store(-1)
 	return c
 }
 
-// send writes one pre-encoded frame with a single flush — the per-socket
-// batched write of the fan-out path. It is safe from any goroutine (wmu
-// serializes whole frames); fan-out paths call it via writeLoop.
-func (c *srvConn) send(buf []byte, timeout time.Duration) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.conn.SetWriteDeadline(time.Now().Add(timeout))
-	if _, err := c.bw.Write(buf); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+// sendJob is one fan-out write: a release, or the JoinResp admitting an
+// elastic joiner. buf is pre-encoded and read-only; pend, when non-nil,
+// is the borrow count of the session scratch backing buf. A member that
+// cannot be written within the server's write timeout will never arrive
+// again, so a failed write poisons sess.
+type sendJob struct {
+	buf  []byte
+	sess *session
+	pend *atomic.Int64
 }
 
-// run performs one queued write and its bookkeeping.
-func (j sendJob) run(c *srvConn) {
-	err := c.send(j.buf, j.timeout)
+// tryWrite is the inline attempt: how much of buf the socket took
+// without blocking. The caller holds wmu.
+func (c *srvConn) tryWrite(buf []byte) (int, error) {
+	if c.tw == nil {
+		return 0, nil
+	}
+	return c.tw.TryWrite(buf)
+}
+
+// writeRest is the blocking write of what the inline attempt left,
+// bounded by timeout. The caller holds wmu. The deadline is cleared
+// afterwards: left armed it would expire between episodes, and a kernel
+// socket refuses even a non-blocking write under an expired deadline.
+func (c *srvConn) writeRest(rest []byte, timeout time.Duration) error {
+	c.conn.SetWriteDeadline(time.Now().Add(timeout))
+	_, err := c.conn.Write(rest)
+	c.conn.SetWriteDeadline(time.Time{})
+	return err
+}
+
+// sendWait writes one pre-encoded frame and returns when it is written
+// or has failed, blocking for up to timeout if the socket does. For
+// callers that need the outcome before they go on: handshake replies and
+// poison causes, each on a goroutine that may wait.
+func (c *srvConn) sendWait(buf []byte, timeout time.Duration) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	n, err := c.tryWrite(buf)
+	if err != nil || n == len(buf) {
+		return err
+	}
+	return c.writeRest(buf[n:], timeout)
+}
+
+// send writes one fan-out frame without ever blocking the caller, who
+// has other members to release. A socket that takes the whole frame —
+// the steady state — is written inline: no wake-up, no timer, no
+// allocation. One that takes less keeps its write lock, so no other
+// frame can cut into this one, and a one-off goroutine finishes the
+// frame under it; so does a connection whose lock is already held by
+// such a goroutine, or that has no non-blocking write at all. An error
+// met inline is returned for the caller to act on once its fan-out is
+// over; one met by the goroutine poisons the session from there.
+func (c *srvConn) send(j sendJob) error {
+	n := -1 // write lock not held: finish takes it
+	if c.wmu.TryLock() {
+		var err error
+		n, err = c.tryWrite(j.buf)
+		if err != nil || n == len(j.buf) {
+			c.wmu.Unlock()
+			return err
+		}
+	}
+	if j.pend != nil {
+		j.pend.Add(1) // the goroutine borrows buf past this call's return
+	}
+	go c.finish(j, n)
+	return nil
+}
+
+// finish completes a frame send could not: from byte n on, under the
+// write lock send kept for it, or — n < 0 — all of it, once the lock is
+// free. It lives for at most the write timeout (plus, in the second
+// case, that of the write ahead of it) and nothing waits for it: closing
+// the connection fails its write.
+func (c *srvConn) finish(j sendJob, n int) {
+	if n < 0 {
+		c.wmu.Lock()
+		n = 0
+	}
+	err := c.writeRest(j.buf[n:], j.sess.srv.opt.writeTimeout())
+	c.wmu.Unlock()
 	if j.pend != nil {
 		// Release the borrow only after the last read of buf: the next
 		// same-parity broadcast's Load of the counter is then ordered after
 		// every access to the scratch bytes.
 		j.pend.Add(-1)
 	}
-	if err != nil && j.sess != nil {
-		j.sess.poison(fmt.Errorf("netbarrier: client %d unreachable: %w", c.id.Load(), err))
-	}
-}
-
-// writeLoop drains sendq until the connection handler exits. One stalled
-// socket therefore delays exactly one goroutine — this one.
-func (c *srvConn) writeLoop() {
-	for {
-		select {
-		case <-c.stop:
-			return
-		case j := <-c.sendq:
-			j.run(c)
-		}
-	}
-}
-
-// enqueue hands a fan-out write to the connection's writer goroutine
-// without ever blocking the caller: if the queue is full (possible only
-// under pathological poison/release overlap) the job runs on a one-off
-// goroutine instead.
-func (c *srvConn) enqueue(j sendJob) {
-	select {
-	case c.sendq <- j:
-	default:
-		go j.run(c)
+	if err != nil {
+		j.sess.unreachable(c, err)
 	}
 }
 
@@ -485,7 +495,6 @@ func (c *srvConn) enqueue(j sendJob) {
 func (s *Server) handle(conn net.Conn) {
 	c := newSrvConn(conn)
 	defer func() {
-		close(c.stop)
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -509,14 +518,13 @@ func (s *Server) handle(conn net.Conn) {
 			// so the operator sees "protocol version mismatch" on both ends
 			// instead of a silent disconnect on one.
 			if buf, encErr := wire.AppendFrame(nil, wire.Frame{Type: wire.TypeJoinResp, Err: err.Error()}); encErr == nil {
-				c.send(buf, s.opt.writeTimeout())
+				c.sendWait(buf, s.opt.writeTimeout())
 			}
 			s.opt.logf("refused %s: %v", conn.RemoteAddr(), err)
 		}
 		return // never joined; nothing to poison
 	}
 	c.shard = req.Type == wire.TypeShardJoin
-	go c.writeLoop()
 	sess, resp, deferred := s.join(c, req)
 	if deferred {
 		// Elastic admission: the JoinResp is sent by the episode boundary
@@ -526,7 +534,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.opt.logf("session %s: client pending admission (%s)", sess.name, conn.RemoteAddr())
 	} else {
 		buf, encErr := wire.AppendFrame(nil, resp)
-		if encErr != nil || c.send(buf, s.opt.writeTimeout()) != nil || sess == nil {
+		if encErr != nil || c.sendWait(buf, s.opt.writeTimeout()) != nil || sess == nil {
 			if sess != nil {
 				sess.disconnect(c, fmt.Errorf("join response write failed"))
 			}

@@ -494,7 +494,7 @@ func (s *session) completeEpisode(st softbarrier.EpisodeStats, out ShardOutcome)
 		return // poison raced in mid-episode; members already have the cause
 	}
 	cur := s.ctrl.Current()
-	s.broadcastRelease(ep, s.releaseFrame(ep, s.degree(), cur.P, cur.Epoch, st.Spread, s.sigmaFor(out), out.Result), s.releaseTargets())
+	s.fanOut(ep, s.releaseFrame(ep, s.degree(), cur.P, cur.Epoch, st.Spread, s.sigmaFor(out), out.Result), s.releaseTargets(), nil)
 }
 
 // sigmaFor selects the σ an episode's release advertises: the fleet-wide
@@ -640,24 +640,7 @@ func (s *session) elasticBoundary(st softbarrier.EpisodeStats, out ShardOutcome)
 	if s.dead.Load() {
 		return // poison raced in mid-episode; members already have the cause
 	}
-	deg := s.degree()
-	wt := s.srv.opt.writeTimeout()
-	for _, m := range admitted {
-		resp := wire.Frame{
-			Type: wire.TypeJoinResp, ID: int(m.id.Load()), P: cur.P,
-			Degree: deg, Episode: ep + 1,
-		}
-		buf, err := wire.AppendFrame(nil, resp)
-		if err != nil {
-			s.poison(fmt.Errorf("netbarrier: internal: unencodable frame: %w", err))
-			return
-		}
-		// Enqueued like a release: an admitted member whose socket cannot be
-		// written poisons the session from its writer goroutine, without
-		// delaying anyone else's JoinResp or release.
-		m.enqueue(sendJob{buf: buf, timeout: wt, sess: s})
-	}
-	s.broadcastRelease(ep, s.releaseFrame(ep, deg, cur.P, cur.Epoch, st.Spread, s.sigmaFor(out), out.Result), continuing)
+	s.fanOut(ep, s.releaseFrame(ep, s.degree(), cur.P, cur.Epoch, st.Spread, s.sigmaFor(out), out.Result), continuing, admitted)
 }
 
 // onPoison is the WithPoisonNotify hook: whatever poisoned the tree —
@@ -670,8 +653,13 @@ func (s *session) elasticBoundary(st softbarrier.EpisodeStats, out ShardOutcome)
 // write deadline, not a deadline per member — but the hook still blocks
 // until every send finishes: Server.Close poisons sessions and then
 // immediately closes every connection, so the cause frames must be on the
-// wire before this returns. The session is retired so its name becomes
-// reusable.
+// wire before this returns.
+//
+// The session gives up its name before the first cause frame leaves, so a
+// member that reads the cause and rejoins the name at once opens a fresh
+// session instead of being refused by this dying one. The upstream link
+// goes first: its ShardClose is keyed by name and must not meet a
+// successor's link.
 func (s *session) onPoison(err error) {
 	if !s.dead.CompareAndSwap(false, true) {
 		return
@@ -687,6 +675,8 @@ func (s *session) onPoison(err error) {
 	pending := s.pending
 	s.pending = nil
 	s.mu.Unlock()
+	s.upstreamClose(err)
+	s.srv.retire(s)
 
 	wt := s.srv.opt.writeTimeout()
 	var wg sync.WaitGroup
@@ -695,7 +685,7 @@ func (s *session) onPoison(err error) {
 			wg.Add(1)
 			go func(m *srvConn) {
 				defer wg.Done()
-				m.send(buf, wt) // failure ignored: that member is already gone
+				m.sendWait(buf, wt) // failure ignored: that member is already gone
 			}(m)
 		}
 	}
@@ -707,7 +697,7 @@ func (s *session) onPoison(err error) {
 				defer wg.Done()
 				sendErr := encErr
 				if sendErr == nil {
-					sendErr = m.send(buf, wt)
+					sendErr = m.sendWait(buf, wt)
 				}
 				if sendErr != nil {
 					s.srv.opt.logf("session %s: failed to refuse pending client %s: %v", s.name, m.conn.RemoteAddr(), sendErr)
@@ -718,8 +708,13 @@ func (s *session) onPoison(err error) {
 	}
 	wg.Wait()
 	s.core.Load().b.Close()
-	s.upstreamClose(err)
-	s.srv.retire(s)
+}
+
+// unreachable poisons the session on behalf of a member whose socket
+// could not be written: it will never see a release, so never arrive
+// again.
+func (s *session) unreachable(c *srvConn, err error) {
+	s.poison(fmt.Errorf("netbarrier: client %d unreachable: %w", c.id.Load(), err))
 }
 
 // poison fails the session with the given cause. The notify hook on the
@@ -741,21 +736,50 @@ func (s *session) releaseTargets() []*srvConn {
 	return ms
 }
 
-// broadcastRelease encodes the episode-completing frame once — into the
+// fanOut is the release fan-out: it answers the joiners this boundary
+// admitted (elastic sessions; each JoinResp is its own small encoding) and
+// sends the episode-completing frame — encoded once, into the
 // parity-double-buffered release scratch, so a steady-state episode
-// encodes with zero allocations — and fans it out to ms concurrently, one
-// enqueue per member's writer goroutine. A member we cannot write to
-// within the server's write timeout will never arrive again, so its
-// (asynchronous) failed write poisons the session; every other member's
-// release is unaffected.
+// encodes with zero allocations — to every continuing member. The
+// releaser writes each socket itself (srvConn.send): with the server idle
+// behind the last arrival, the synchronization delay is this loop, and a
+// write per member is all it holds — no goroutine is woken, no timer
+// armed, nothing allocated.
+//
+// One stalled socket cannot delay the rest: send never blocks, handing a
+// frame the socket will not take whole to a goroutine of its own, whose
+// write still times out against the server's write deadline and poisons
+// the session then. A write error met inline is kept until every other
+// member has its frame, and poisons once, after the loop — poisoning
+// blocks until the cause frames are written, which in the middle of the
+// loop is exactly the wait behind a bad socket the loop must not have.
 //
 // Scratch safety: a same-parity buffer is reused two episodes later, by
 // which time every borrowing write has completed — a member must receive
 // episode k's release before it can arrive at k+1, and releases k+1 and
-// k+2 cannot exist before every member arrived. relPending guards the
-// residual race (a stalled socket still holding the buffer): nonzero means
-// encode into a fresh allocation instead.
-func (s *session) broadcastRelease(ep uint64, f wire.Frame, ms []*srvConn) {
+// k+2 cannot exist before every member arrived. Inline writes are done
+// with the buffer when send returns; relPending counts the goroutines
+// still holding it (a stalled socket), and nonzero means encode into a
+// fresh allocation instead.
+func (s *session) fanOut(ep uint64, f wire.Frame, continuing, admitted []*srvConn) {
+	var failed *srvConn
+	var failure error
+	send := func(m *srvConn, buf []byte, pend *atomic.Int64) {
+		if err := m.send(sendJob{buf: buf, sess: s, pend: pend}); err != nil && failed == nil {
+			failed, failure = m, err
+		}
+	}
+	for _, m := range admitted {
+		buf, err := wire.AppendFrame(nil, wire.Frame{
+			Type: wire.TypeJoinResp, ID: int(m.id.Load()), P: f.P,
+			Degree: f.Degree, Episode: ep + 1,
+		})
+		if err != nil {
+			s.poison(fmt.Errorf("netbarrier: internal: unencodable frame: %w", err))
+			return
+		}
+		send(m, buf, nil)
+	}
 	parity := ep & 1
 	pend := &s.relPending[parity]
 	var dst []byte
@@ -772,12 +796,11 @@ func (s *session) broadcastRelease(ep uint64, f wire.Frame, ms []*srvConn) {
 	if pend != nil {
 		s.relScratch[parity] = buf
 	}
-	wt := s.srv.opt.writeTimeout()
-	for _, m := range ms {
-		if pend != nil {
-			pend.Add(1)
-		}
-		m.enqueue(sendJob{buf: buf, timeout: wt, sess: s, pend: pend})
+	for _, m := range continuing {
+		send(m, buf, pend)
+	}
+	if failed != nil {
+		s.unreachable(failed, failure)
 	}
 }
 

@@ -1,6 +1,7 @@
 package netbarrier
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"os"
@@ -9,18 +10,33 @@ import (
 	"testing"
 	"time"
 
+	"softbarrier"
 	"softbarrier/internal/wire"
 )
 
 // stallConn wraps a server-side connection so a test can freeze its write
-// path: while stalled, Write blocks — honoring SetWriteDeadline, so the
-// server's fan-out write still times out per the normal semantics — and
-// reads pass through untouched.
+// path: while stalled, TryWrite reports that the socket would block and
+// Write blocks — honoring SetWriteDeadline, so the server's fan-out write
+// still times out per the normal semantics — and reads pass through
+// untouched. Unstalled it is the wrapped connection, inline write
+// included, so the stall tests run the production path: inline attempt,
+// remainder goroutine, deadline.
 type stallConn struct {
 	net.Conn
+	tw       wire.TryWriter // the wrapped connection's own
 	mu       sync.Mutex
 	stalled  bool
 	deadline time.Time
+}
+
+func (c *stallConn) TryWrite(p []byte) (int, error) {
+	c.mu.Lock()
+	stalled := c.stalled
+	c.mu.Unlock()
+	if stalled || c.tw == nil {
+		return 0, nil
+	}
+	return c.tw.TryWrite(p)
 }
 
 func (c *stallConn) SetStalled(v bool) {
@@ -64,7 +80,7 @@ func (l *stallListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := &stallConn{Conn: c}
+	sc := &stallConn{Conn: c, tw: wire.TryWriterOf(c)}
 	l.mu.Lock()
 	l.conns = append(l.conns, sc)
 	l.mu.Unlock()
@@ -99,16 +115,7 @@ func startStallServerOn(t *testing.T, tr wire.Transport, bind string, opt Option
 		t.Fatal(err)
 	}
 	ln = &stallListener{Listener: raw}
-	srv := NewServer(opt)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Serve(ln)
-	}()
-	t.Cleanup(func() {
-		srv.Close()
-		<-done
-	})
+	serveOn(t, ln, opt)
 	return raw.Addr().String(), ln
 }
 
@@ -321,5 +328,205 @@ func TestStalledSocketPoisonCause(t *testing.T) {
 		t.Fatal("want the victim's write timeout to poison the session")
 	} else if !strings.Contains(err.Error(), "unreachable") {
 		t.Fatalf("poison cause = %v; want the victim reported unreachable", err)
+	}
+}
+
+// TestNameReuseWhilePoisonUnwinds is the regression test for a poisoned
+// session holding its name until its last cause frame was written: a
+// member that read the cause and rejoined the name at once was refused
+// with "session is shutting down". Each waiter here rejoins from inside
+// its own goroutine the instant Wait returns the cause, while a third
+// member's frozen socket keeps the poison fan-out unwinding for a whole
+// write timeout — the window that used to be a few microseconds wide is
+// held open, so the old order fails every time, not one run in ten.
+func TestNameReuseWhilePoisonUnwinds(t *testing.T) {
+	const p = 4
+	addr, ln := startStallServer(t, Options{WriteTimeout: 500 * time.Millisecond, Watchdog: 30 * time.Second})
+	clients := make([]*Client, p)
+	for i := range clients {
+		clients[i] = dialJoin(t, addr, "reuse", p, i)
+		defer clients[i].Close()
+	}
+	var wg sync.WaitGroup
+	for _, c := range clients {
+		wg.Add(1)
+		go func(c *Client) {
+			defer wg.Done()
+			if _, err := c.Wait(); err != nil {
+				t.Errorf("warmup: %v", err)
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	// Member 0 arrives but will not be told: its server-side socket takes
+	// no more writes. Members 1 and 2 wait; member 3 dies without arriving.
+	sc := ln.connFor(clients[0].LocalAddr().String())
+	if sc == nil {
+		t.Fatal("no server-side conn for member 0")
+	}
+	sc.SetStalled(true)
+	if err := clients[0].Arrive(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range clients[1:3] {
+		wg.Add(1)
+		go func(c *Client) {
+			defer wg.Done()
+			if _, err := c.Wait(); err == nil {
+				t.Error("waiter returned success from a poisoned episode")
+				return
+			}
+			again, err := testDial(addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer again.Close()
+			if err := again.Join("reuse", 2); err != nil {
+				t.Errorf("rejoining the name the instant the cause arrived: %v", err)
+			}
+		}(c)
+	}
+	time.Sleep(20 * time.Millisecond) // let the waiters' arrivals land first
+	clients[3].Close()
+	wg.Wait()
+}
+
+// TestStalledSocketStaleWriteDeadline: the blocking remainder write arms a
+// write deadline, and a kernel socket refuses even a non-blocking write
+// once an armed deadline has expired. A stall that clears in time must
+// therefore leave no deadline behind: the episode after it — later than
+// the write timeout — goes out inline and must succeed. TCP, because that
+// is where an expired deadline bites.
+func TestStalledSocketStaleWriteDeadline(t *testing.T) {
+	const (
+		p            = 2
+		writeTimeout = 300 * time.Millisecond
+	)
+	addr, ln := startStallServerOn(t, wire.DefaultTCP, "127.0.0.1:0",
+		Options{WriteTimeout: writeTimeout, Watchdog: 30 * time.Second})
+	victim := dialJoin(t, addr, "stale", p, 0)
+	defer victim.Close()
+	peer := dialJoin(t, addr, "stale", p, 1)
+	defer peer.Close()
+	episode := func(what string) {
+		t.Helper()
+		errs := make(chan error, p)
+		for _, c := range []*Client{victim, peer} {
+			go func(c *Client) {
+				_, err := c.Wait()
+				errs <- err
+			}(c)
+		}
+		for i := 0; i < p; i++ {
+			select {
+			case err := <-errs:
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: no release", what)
+			}
+		}
+	}
+	episode("warmup")
+
+	sc := ln.connFor(victim.LocalAddr().String())
+	if sc == nil {
+		t.Fatal("no server-side conn for the victim client")
+	}
+	// The victim's release finds its socket stalled and goes to the
+	// blocking path, which the un-stall lets through well inside the
+	// timeout.
+	sc.SetStalled(true)
+	if err := victim.Arrive(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := peer.Wait(); err != nil {
+		t.Fatalf("peer's release should beat the stall: %v", err)
+	}
+	sc.SetStalled(false)
+	if _, err := victim.Await(); err != nil {
+		t.Fatalf("release through the blocking path: %v", err)
+	}
+
+	time.Sleep(writeTimeout + 100*time.Millisecond) // the deadline that write armed is now in the past
+	episode("episode after the stale deadline")
+}
+
+// partialListener wraps every accepted connection so that its inline
+// write takes at most the first 7 bytes of a frame — a socket buffer
+// that is always nearly full.
+type partialListener struct{ net.Listener }
+
+type partialConn struct {
+	net.Conn
+	tw wire.TryWriter
+}
+
+func (l partialListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &partialConn{Conn: c, tw: wire.TryWriterOf(c)}, nil
+}
+
+func (c *partialConn) TryWrite(p []byte) (int, error) {
+	return c.tw.TryWrite(p[:min(7, len(p))])
+}
+
+// TestStalledSocketPartialInlineWrite: when a socket takes only part of a
+// frame inline, the remainder goroutine must finish that frame before
+// any other frame touches the socket. Every release here is cut after 7
+// bytes — mid-header — on every member, for 200 collective episodes, and
+// each must decode intact, in order, carrying that episode's sum.
+func TestStalledSocketPartialInlineWrite(t *testing.T) {
+	op, ok := softbarrier.OpByName("sum-u64")
+	if !ok {
+		t.Fatal("sum-u64 op not registered")
+	}
+	for _, tr := range []struct {
+		name string
+		tr   wire.Transport
+		bind string
+	}{{"memnet", testNet, "mem:0"}, {"tcp", wire.DefaultTCP, "127.0.0.1:0"}} {
+		t.Run(tr.name, func(t *testing.T) {
+			raw, err := tr.tr.Listen(tr.bind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serveOn(t, partialListener{raw}, Options{Op: opPtr(op), Watchdog: 30 * time.Second})
+
+			const p, episodes = 3, 200
+			var wg sync.WaitGroup
+			for id := 0; id < p; id++ {
+				c := dialJoin(t, raw.Addr().String(), "partial", p, id)
+				defer c.Close()
+				wg.Add(1)
+				go func(id int, c *Client) {
+					defer wg.Done()
+					in := make([]byte, op.Width)
+					for ep := uint64(0); ep < episodes; ep++ {
+						binary.BigEndian.PutUint64(in, (ep+1)*uint64(id+1))
+						if err := c.ArriveReduce(in); err != nil {
+							t.Errorf("client %d episode %d: %v", id, ep, err)
+							return
+						}
+						rel, err := c.Await()
+						if err != nil {
+							t.Errorf("client %d episode %d: %v", id, ep, err)
+							return
+						}
+						if got, want := binary.BigEndian.Uint64(rel.Result), (ep+1)*(1+2+3); rel.Episode != ep || got != want {
+							t.Errorf("client %d: release of episode %d carries sum %d; want episode %d, sum %d", id, rel.Episode, got, ep, want)
+							return
+						}
+					}
+				}(id, c)
+			}
+			wg.Wait()
+		})
 	}
 }

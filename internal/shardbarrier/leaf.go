@@ -299,8 +299,19 @@ func (lk *link) dial() error {
 	}
 	fc.SetReadDeadline(time.Time{})
 	fc.SetWriteDeadline(time.Time{})
+	// Links are keyed by session name, so a ShardClose meant for a
+	// predecessor under this name (its link failing late, and poisoning by
+	// name) can reach this link while it is still dialing: publish under
+	// mu, and do not bring up a link that was poisoned in the meantime.
+	lk.mu.Lock()
+	if lk.dead {
+		lk.mu.Unlock()
+		fc.Close()
+		return fmt.Errorf("shardbarrier: session %q was poisoned during its shard-join", lk.name)
+	}
 	lk.fc = fc
 	lk.episode = resp.Episode
+	lk.mu.Unlock()
 	go lk.read()
 	return nil
 }

@@ -18,9 +18,12 @@
 //     Dialer/Transport abstract how connections are made. TCP is the
 //     production transport (Nagle disabled, OS keepalive armed, both
 //     configurable); Redial wraps any Dialer with the bounded
-//     backoff-retry loop fleet bringup needs. The in-process memnet
-//     transport and the fault-injecting chaos wrapper live in the
-//     subpackages wire/memnet and wire/chaos.
+//     backoff-retry loop fleet bringup needs. TryWriter (trywrite.go)
+//     is a Conn's optional non-blocking write, which lets the server's
+//     release fan-out write member sockets from the releasing goroutine;
+//     TryWriterOf finds it, or builds it for a kernel socket. The
+//     in-process memnet transport and the fault-injecting chaos wrapper
+//     live in the subpackages wire/memnet and wire/chaos.
 //
 //   - FrameConn (framec.go): one peer's framed view of a Conn — buffered
 //     reader/writer plus reusable encode/decode scratch, so the

@@ -171,6 +171,10 @@ type conn struct {
 func (c *conn) Read(p []byte) (int, error)  { return c.rd.read(p) }
 func (c *conn) Write(p []byte) (int, error) { return c.wr.write(p) }
 
+// TryWrite implements wire.TryWriter: it appends what fits under the pipe
+// lock and never waits for the peer to drain.
+func (c *conn) TryWrite(p []byte) (int, error) { return c.wr.tryWrite(p) }
+
 func (c *conn) Close() error {
 	c.closed.Do(func() {
 		// Outgoing half: the peer drains what was written, then sees EOF.
@@ -186,18 +190,17 @@ func (c *conn) LocalAddr() net.Addr  { return c.local }
 func (c *conn) RemoteAddr() net.Addr { return c.remote }
 
 func (c *conn) SetDeadline(t time.Time) error {
-	c.rd.setReadDeadline(t)
-	c.wr.setWriteDeadline(t)
+	c.rd.r.setDeadline(t)
+	c.wr.w.setDeadline(t)
 	return nil
 }
-func (c *conn) SetReadDeadline(t time.Time) error  { c.rd.setReadDeadline(t); return nil }
-func (c *conn) SetWriteDeadline(t time.Time) error { c.wr.setWriteDeadline(t); return nil }
+func (c *conn) SetReadDeadline(t time.Time) error  { c.rd.r.setDeadline(t); return nil }
+func (c *conn) SetWriteDeadline(t time.Time) error { c.wr.w.setDeadline(t); return nil }
 
 // pipe is one direction of a connection: a bounded FIFO of bytes with
 // deadline-aware blocking reads and writes.
 type pipe struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	buf []byte
 	off int // consumed prefix of buf
@@ -206,13 +209,65 @@ type pipe struct {
 	rclosed bool // reader hung up: reads fail; writes get one grace then fail
 	rst     bool // a write already landed after rclosed: the RST is back
 
-	rdeadline, wdeadline time.Time
-	rtimer, wtimer       *time.Timer
+	r, w waiters // blocked reads, blocked writes
+}
+
+// waiters is one side of a pipe: where its operations block (cond.L is
+// the pipe's mutex), the deadline that bounds them, and the timer that
+// wakes them at it. Setting a deadline only stores it and wakes whoever
+// is blocked; the timer is created once, by the first operation that has
+// to block under a deadline, and re-armed by each later one — so a
+// deadline set ahead of an operation that completes at once costs
+// neither a timer nor an allocation, which is every steady-state frame.
+type waiters struct {
+	cond     sync.Cond
+	deadline time.Time
+	timer    *time.Timer
+}
+
+// setDeadline stores the side's deadline and wakes its blocked operations
+// to re-evaluate against it: a deadline already in the past fails them
+// now (the unblock the cancellation machinery relies on), a later or
+// earlier one makes them re-arm the timer for the new time.
+func (w *waiters) setDeadline(t time.Time) {
+	w.cond.L.Lock()
+	w.deadline = t
+	w.cond.Broadcast()
+	w.cond.L.Unlock()
+}
+
+// block parks the caller (which holds the pipe's mutex) until the side is
+// woken, or reports false at once when its deadline has passed. A wake-up
+// says only that something changed — bytes, space, a close, the deadline
+// itself — so callers re-check and call block again.
+func (w *waiters) block() bool {
+	if !w.deadline.IsZero() {
+		d := time.Until(w.deadline)
+		if d <= 0 {
+			return false
+		}
+		if w.timer == nil {
+			// The callback takes the mutex so that it cannot run between
+			// this arming and the Wait below, where its wake-up would be lost.
+			w.timer = time.AfterFunc(d, func() {
+				w.cond.L.Lock()
+				w.cond.Broadcast()
+				w.cond.L.Unlock()
+			})
+		} else {
+			// A timer left armed by an earlier wait fires early at worst,
+			// and an early wake-up only costs one more turn of the loop.
+			w.timer.Reset(d)
+		}
+	}
+	w.cond.Wait()
+	return true
 }
 
 func newPipe() *pipe {
 	p := &pipe{}
-	p.cond = sync.NewCond(&p.mu)
+	p.r.cond.L = &p.mu
+	p.w.cond.L = &p.mu
 	return p
 }
 
@@ -232,7 +287,7 @@ func (p *pipe) read(b []byte) (int, error) {
 				p.buf = p.buf[:0]
 				p.off = 0
 			}
-			p.cond.Broadcast() // space freed: wake writers
+			p.w.cond.Broadcast() // space freed
 			return n, nil
 		}
 		if p.wclosed {
@@ -240,11 +295,35 @@ func (p *pipe) read(b []byte) (int, error) {
 			// the frame reader distinguishes clean EOF from a mid-frame cut.
 			return 0, io.EOF
 		}
-		if !p.rdeadline.IsZero() && !time.Now().Before(p.rdeadline) {
+		if !p.r.block() {
 			return 0, &net.OpError{Op: "read", Net: "mem", Err: os.ErrDeadlineExceeded}
 		}
-		p.cond.Wait()
 	}
+}
+
+// put appends as much of b as the pipe has room for and returns how much
+// that was. The caller holds p.mu.
+func (p *pipe) put(b []byte) (int, error) {
+	if p.wclosed {
+		return 0, &net.OpError{Op: "write", Net: "mem", Err: fmt.Errorf("write on closed connection")}
+	}
+	if p.rclosed {
+		// TCP-like: the first write after the peer's close is accepted
+		// locally (and discarded — nobody will read it), exactly as a
+		// kernel buffers a write racing the peer's FIN; the RST that
+		// write provokes fails every later write, like EPIPE.
+		if p.rst {
+			return 0, &net.OpError{Op: "write", Net: "mem", Err: fmt.Errorf("connection reset by peer")}
+		}
+		p.rst = true
+		return len(b), nil
+	}
+	n := min(len(b), bufCap-p.pending())
+	if n > 0 {
+		p.buf = append(p.buf, b[:n]...)
+		p.r.cond.Broadcast() // bytes available
+	}
+	return n, nil
 }
 
 func (p *pipe) write(b []byte) (int, error) {
@@ -252,86 +331,35 @@ func (p *pipe) write(b []byte) (int, error) {
 	defer p.mu.Unlock()
 	total := 0
 	for {
-		if p.wclosed {
-			return total, &net.OpError{Op: "write", Net: "mem", Err: fmt.Errorf("write on closed connection")}
+		n, err := p.put(b[total:])
+		total += n
+		if err != nil || total == len(b) {
+			return total, err
 		}
-		if p.rclosed {
-			// TCP-like: the first write after the peer's close is accepted
-			// locally (and discarded — nobody will read it), exactly as a
-			// kernel buffers a write racing the peer's FIN; the RST that
-			// write provokes fails every later write, like EPIPE.
-			if p.rst {
-				return total, &net.OpError{Op: "write", Net: "mem", Err: fmt.Errorf("connection reset by peer")}
-			}
-			p.rst = true
-			return total + len(b), nil
-		}
-		if space := bufCap - p.pending(); space > 0 && len(b) > 0 {
-			n := len(b)
-			if n > space {
-				n = space
-			}
-			p.buf = append(p.buf, b[:n]...)
-			b = b[n:]
-			total += n
-			p.cond.Broadcast() // bytes available: wake readers
-		}
-		if len(b) == 0 {
-			return total, nil
-		}
-		if !p.wdeadline.IsZero() && !time.Now().Before(p.wdeadline) {
+		if !p.w.block() {
 			return total, &net.OpError{Op: "write", Net: "mem", Err: os.ErrDeadlineExceeded}
 		}
-		p.cond.Wait()
 	}
+}
+
+func (p *pipe) tryWrite(b []byte) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.put(b)
 }
 
 func (p *pipe) closeWrite() {
 	p.mu.Lock()
 	p.wclosed = true
-	p.cond.Broadcast()
+	p.r.cond.Broadcast()
+	p.w.cond.Broadcast()
 	p.mu.Unlock()
 }
 
 func (p *pipe) closeRead() {
 	p.mu.Lock()
 	p.rclosed = true
-	p.cond.Broadcast()
+	p.r.cond.Broadcast()
+	p.w.cond.Broadcast()
 	p.mu.Unlock()
 }
-
-// setReadDeadline arms the read half's deadline: blocked reads are woken
-// when it expires (a deadline already in the past wakes them now, the
-// unblock the cancellation machinery relies on).
-func (p *pipe) setReadDeadline(t time.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.rdeadline = t
-	if p.rtimer != nil {
-		p.rtimer.Stop()
-		p.rtimer = nil
-	}
-	if !t.IsZero() {
-		if d := time.Until(t); d > 0 {
-			p.rtimer = time.AfterFunc(d, p.cond.Broadcast)
-		}
-	}
-	p.cond.Broadcast()
-}
-
-func (p *pipe) setWriteDeadline(t time.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.wdeadline = t
-	if p.wtimer != nil {
-		p.wtimer.Stop()
-		p.wtimer = nil
-	}
-	if !t.IsZero() {
-		if d := time.Until(t); d > 0 {
-			p.wtimer = time.AfterFunc(d, p.cond.Broadcast)
-		}
-	}
-	p.cond.Broadcast()
-}
-

@@ -268,3 +268,126 @@ func TestMemNetConcurrentConns(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// pair returns the two ends of one fresh connection.
+func pair(t *testing.T) (client, server wire.Conn) {
+	t.Helper()
+	n := New()
+	ln, err := n.Listen("x:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	accepted := make(chan wire.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		accepted <- c
+	}()
+	client, err = n.Dial(ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server = <-accepted
+	t.Cleanup(func() { client.Close(); server.Close() })
+	return client, server
+}
+
+// TestMemNetDeadlineZeroAllocs: a deadline set ahead of an operation that
+// does not block is a stored value — no timer, no allocation. The frame
+// path sets one per write on the leaf link, so anything else would put
+// memnet's own cost into every episode measured over it.
+func TestMemNetDeadlineZeroAllocs(t *testing.T) {
+	client, _ := pair(t)
+	avg := testing.AllocsPerRun(100, func() {
+		client.SetWriteDeadline(time.Now().Add(10 * time.Second))
+		client.SetReadDeadline(time.Now().Add(10 * time.Second))
+	})
+	if avg != 0 {
+		t.Fatalf("setting deadlines on an idle connection allocated %.2f times/op, want 0", avg)
+	}
+}
+
+// TestMemNetDeadlineMovedWhileBlocked: a read already blocked under one
+// deadline must fire at the deadline it is moved to, later or earlier —
+// the blocked operation owns the timer, so a Set has to make it re-arm.
+func TestMemNetDeadlineMovedWhileBlocked(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		first, moved time.Duration
+	}{
+		{"extended", 50 * time.Millisecond, 300 * time.Millisecond},
+		{"shortened", 10 * time.Second, 100 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, _ := pair(t) // the peer never writes
+			start := time.Now()
+			client.SetReadDeadline(start.Add(tc.first))
+			got := make(chan error, 1)
+			go func() {
+				_, err := client.Read(make([]byte, 1))
+				got <- err
+			}()
+			time.Sleep(20 * time.Millisecond) // let the read block and arm its timer
+			client.SetReadDeadline(start.Add(tc.moved))
+			select {
+			case err := <-got:
+				if !errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatalf("read error = %v; want deadline exceeded", err)
+				}
+				if since := time.Since(start); since < tc.moved || since > tc.moved+2*time.Second {
+					t.Fatalf("read failed after %v; want the moved deadline, %v", since, tc.moved)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("moved deadline never fired")
+			}
+		})
+	}
+}
+
+// TestMemNetTryWrite: the non-blocking write takes what fits and says how
+// much, and treats a closed peer exactly as Write does — one write
+// accepted into the void, then reset.
+func TestMemNetTryWrite(t *testing.T) {
+	client, server := pair(t) // the server never reads
+	tw := wire.TryWriterOf(client)
+	if tw == nil {
+		t.Fatal("memnet connections must offer TryWrite")
+	}
+	chunk := make([]byte, 100<<10)
+	var total int
+	for i := 0; ; i++ {
+		n, err := tw.TryWrite(chunk) // a blocking write would hang the test here
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += n
+		if n < len(chunk) {
+			break
+		}
+		if i > 100 {
+			t.Fatalf("wrote %d bytes into an unread connection; no backpressure", total)
+		}
+	}
+	if n, err := tw.TryWrite(chunk); n != 0 || err != nil {
+		t.Fatalf("TryWrite on a full pipe = %d, %v; want 0, nil", n, err)
+	}
+	// What it reported written is what arrives.
+	client.Close()
+	if got, err := io.Copy(io.Discard, server); err != nil || int(got) != total {
+		t.Fatalf("drained %d bytes, %v; want %d", got, err, total)
+	}
+
+	// Closed peer: grace, then reset.
+	client, server = pair(t)
+	tw = wire.TryWriterOf(server)
+	client.Close()
+	if n, err := tw.TryWrite([]byte("xy")); n != 2 || err != nil {
+		t.Fatalf("first TryWrite after peer close = %d, %v; want TCP-like buffered success", n, err)
+	}
+	if _, err := tw.TryWrite([]byte("x")); err == nil {
+		t.Fatal("second TryWrite to a closed peer succeeded")
+	}
+	if _, err := wire.TryWriterOf(client).TryWrite([]byte("x")); err == nil {
+		t.Fatal("TryWrite on a closed conn succeeded")
+	}
+}
