@@ -29,6 +29,7 @@ import (
 	"softbarrier"
 	"softbarrier/internal/barriersim"
 	"softbarrier/internal/cli"
+	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/model"
 	"softbarrier/internal/stats"
 	"softbarrier/internal/sweep"
@@ -56,7 +57,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var w workload.Workload
+	var w loadmodel.Generator
 	if *traceIn != "" {
 		f, err := os.Open(*traceIn)
 		if err != nil {
@@ -88,7 +89,7 @@ func main() {
 
 	cfg := barriersim.Config{Tc: tc.Seconds(), Dynamic: *dynamic}
 	if w == nil {
-		w = workload.IID{N: *p, Dist: stats.Normal{Sigma: sigma.Seconds()}}
+		w = loadmodel.IID{N: *p, Dist: stats.Normal{Sigma: sigma.Seconds()}}
 	}
 
 	if *place != "" {

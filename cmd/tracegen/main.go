@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"softbarrier/internal/ksr"
+	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/sor"
 	"softbarrier/internal/stats"
 	"softbarrier/internal/workload"
@@ -37,17 +38,17 @@ func main() {
 	)
 	flag.Parse()
 
-	var w workload.Workload
+	var w loadmodel.Generator
 	switch *kind {
 	case "normal":
-		w = workload.IID{N: *p, Dist: stats.Normal{Mu: mu.Seconds(), Sigma: sigma.Seconds()}}
+		w = loadmodel.IID{N: *p, Dist: stats.Normal{Mu: mu.Seconds(), Sigma: sigma.Seconds()}}
 	case "systemic":
-		w = workload.Systemic{
-			Base:    workload.IID{N: *p, Dist: stats.Normal{Mu: mu.Seconds(), Sigma: sigma.Seconds()}},
-			Offsets: workload.LinearOffsets(*p, sprd.Seconds()),
+		w = loadmodel.StaticSkew{
+			Base:    loadmodel.IID{N: *p, Dist: stats.Normal{Mu: mu.Seconds(), Sigma: sigma.Seconds()}},
+			Offsets: loadmodel.LinearOffsets(*p, sprd.Seconds()),
 		}
 	case "evolving":
-		w = &workload.Evolving{N: *p, Dist: stats.Normal{Mu: mu.Seconds(), Sigma: sigma.Seconds()},
+		w = &loadmodel.Drift{N: *p, Dist: stats.Normal{Mu: mu.Seconds(), Sigma: sigma.Seconds()},
 			Rho: *rho, InnovSigma: sigma.Seconds() / 4}
 	case "sor":
 		m := ksr.New56()

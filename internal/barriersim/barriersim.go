@@ -22,6 +22,7 @@ import (
 	"math"
 
 	"softbarrier/internal/eventsim"
+	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/stats"
 	"softbarrier/internal/topology"
 	"softbarrier/internal/workload"
@@ -368,7 +369,7 @@ func RunIID(tree *topology.Tree, cfg Config, dist stats.Distribution, episodes i
 	rr := RunResult{Episodes: episodes, SyncDelays: make([]float64, 0, episodes)}
 	comms := 0
 	for k := 0; k < episodes; k++ {
-		er := s.Episode(workload.SampleArrivals(tree.P, dist, r))
+		er := s.Episode(loadmodel.SampleArrivals(tree.P, dist, r))
 		rr.MeanSync += er.SyncDelay
 		rr.MeanUpdate += er.UpdateDelay
 		rr.MeanContention += er.ContentionDelay

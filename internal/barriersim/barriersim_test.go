@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/stats"
 	"softbarrier/internal/topology"
 	"softbarrier/internal/workload"
@@ -84,7 +85,7 @@ func TestReleaseAfterLastArrivalAlways(t *testing.T) {
 	s := New(tree, Config{})
 	r := stats.NewRNG(1)
 	for k := 0; k < 50; k++ {
-		arr := workload.SampleArrivals(64, stats.Normal{Sigma: 5 * tc}, r)
+		arr := loadmodel.SampleArrivals(64, stats.Normal{Sigma: 5 * tc}, r)
 		er := s.Episode(arr)
 		if er.SyncDelay < 3*tc-tc*1e-9 {
 			t.Fatalf("delay %v below update floor", er.SyncDelay)
@@ -152,9 +153,9 @@ func TestCallersTreeNotMutated(t *testing.T) {
 	before := tree.FirstCounter(5)
 	s := New(tree, Config{Dynamic: true})
 	it := workload.NewIterator(
-		workload.Systemic{
-			Base:    workload.IID{N: 64, Dist: stats.Normal{Sigma: tc}},
-			Offsets: workload.LinearOffsets(64, 100*tc),
+		loadmodel.StaticSkew{
+			Base:    loadmodel.IID{N: 64, Dist: stats.Normal{Sigma: tc}},
+			Offsets: loadmodel.LinearOffsets(64, 100*tc),
 		}, 1e9, 7)
 	s.Run(it, 5, 10)
 	if tree.FirstCounter(5) != before {
@@ -174,7 +175,7 @@ func TestDynamicPlacementMovesSystemicallySlowProcToRoot(t *testing.T) {
 	off[13] = 500 * tc // processor 13 is always very late
 	s := New(tree, Config{Dynamic: true})
 	it := workload.NewIterator(
-		workload.Systemic{Base: workload.IID{N: p, Dist: stats.Normal{Sigma: tc / 10}}, Offsets: off},
+		loadmodel.StaticSkew{Base: loadmodel.IID{N: p, Dist: stats.Normal{Sigma: tc / 10}}, Offsets: off},
 		1e9, 3)
 	rr := s.Run(it, 10, 20)
 	if got := s.Tree().Counters[s.Tree().Root].Local; got != 13 {
@@ -189,14 +190,14 @@ func TestDynamicPlacementReducesDelayUnderSystemicImbalance(t *testing.T) {
 	p := 256
 	// Reverse the offsets so the systemically slow processors are the
 	// low-numbered ones, which start on leaf counters.
-	off := workload.LinearOffsets(p, 200*tc)
+	off := loadmodel.LinearOffsets(p, 200*tc)
 	for i, j := 0, len(off)-1; i < j; i, j = i+1, j-1 {
 		off[i], off[j] = off[j], off[i]
 	}
 	mkIter := func(seed uint64) *workload.Iterator {
 		return workload.NewIterator(
-			workload.Systemic{
-				Base:    workload.IID{N: p, Dist: stats.Normal{Sigma: tc}},
+			loadmodel.StaticSkew{
+				Base:    loadmodel.IID{N: p, Dist: stats.Normal{Sigma: tc}},
 				Offsets: off,
 			}, 1e9, seed)
 	}
@@ -215,7 +216,7 @@ func TestDynamicPlacementUselessAtZeroSlack(t *testing.T) {
 	// unpredictable, so dynamic placement gives no speedup (ratio ≈ 1).
 	p := 256
 	mkIter := func() *workload.Iterator {
-		return workload.NewIterator(workload.IID{N: p, Dist: stats.Normal{Mu: 100 * tc, Sigma: 12.5 * tc}}, 0, 9)
+		return workload.NewIterator(loadmodel.IID{N: p, Dist: stats.Normal{Mu: 100 * tc, Sigma: 12.5 * tc}}, 0, 9)
 	}
 	static := New(topology.NewMCS(p, 4), Config{}).Run(mkIter(), 10, 60)
 	dynamic := New(topology.NewMCS(p, 4), Config{Dynamic: true}).Run(mkIter(), 10, 60)
@@ -230,7 +231,7 @@ func TestDynamicCommOverheadBounded(t *testing.T) {
 	// there is at most one swap per counter, so overhead ≤ 1 + 1/(d+1).
 	p := 256
 	d := 4
-	it := workload.NewIterator(workload.IID{N: p, Dist: stats.Normal{Sigma: 12.5 * tc}}, 0, 11)
+	it := workload.NewIterator(loadmodel.IID{N: p, Dist: stats.Normal{Sigma: 12.5 * tc}}, 0, 11)
 	rr := New(topology.NewMCS(p, d), Config{Dynamic: true}).Run(it, 5, 50)
 	if rr.CommOverhead > 1+1.0/float64(d+1)+1e-9 {
 		t.Errorf("comm overhead %v exceeds bound %v", rr.CommOverhead, 1+1.0/float64(d+1))
@@ -241,7 +242,7 @@ func TestDynamicCommOverheadBounded(t *testing.T) {
 }
 
 func TestStaticRunHasNoSwapsAndUnitOverhead(t *testing.T) {
-	it := workload.NewIterator(workload.IID{N: 64, Dist: stats.Normal{Sigma: 5 * tc}}, 0, 13)
+	it := workload.NewIterator(loadmodel.IID{N: 64, Dist: stats.Normal{Sigma: 5 * tc}}, 0, 13)
 	rr := New(topology.NewMCS(64, 4), Config{}).Run(it, 0, 20)
 	if rr.MeanSwaps != 0 || rr.CommOverhead != 1 {
 		t.Errorf("static run: swaps %v overhead %v", rr.MeanSwaps, rr.CommOverhead)
@@ -250,7 +251,7 @@ func TestStaticRunHasNoSwapsAndUnitOverhead(t *testing.T) {
 
 func TestDynamicOnClassicTreeIsNoOp(t *testing.T) {
 	// Classic trees have no local slots, so dynamic placement cannot swap.
-	it := workload.NewIterator(workload.IID{N: 64, Dist: stats.Normal{Sigma: 5 * tc}}, 1e9, 15)
+	it := workload.NewIterator(loadmodel.IID{N: 64, Dist: stats.Normal{Sigma: 5 * tc}}, 1e9, 15)
 	rr := New(topology.NewClassic(64, 4), Config{Dynamic: true}).Run(it, 0, 20)
 	if rr.MeanSwaps != 0 {
 		t.Errorf("classic tree produced %v swaps", rr.MeanSwaps)
@@ -264,7 +265,7 @@ func TestRingTreeSwapsStayInRing(t *testing.T) {
 	off[3] = 500 * tc // slow processor in ring 0
 	s := New(tree, Config{Dynamic: true})
 	it := workload.NewIterator(
-		workload.Systemic{Base: workload.IID{N: 56, Dist: stats.Normal{Sigma: tc / 10}}, Offsets: off},
+		loadmodel.StaticSkew{Base: loadmodel.IID{N: 56, Dist: stats.Normal{Sigma: tc / 10}}, Offsets: off},
 		1e9, 17)
 	s.Run(it, 10, 20)
 	if got := s.Tree().RingOf(3); got != 0 {
@@ -285,7 +286,7 @@ func TestRingTreeSwapsStayInRing(t *testing.T) {
 	off2[40] = 500 * tc
 	s2 := New(topology.NewRing(rings, 4), Config{Dynamic: true})
 	it2 := workload.NewIterator(
-		workload.Systemic{Base: workload.IID{N: 56, Dist: stats.Normal{Sigma: tc / 10}}, Offsets: off2},
+		loadmodel.StaticSkew{Base: loadmodel.IID{N: 56, Dist: stats.Normal{Sigma: tc / 10}}, Offsets: off2},
 		1e9, 18)
 	s2.Run(it2, 10, 20)
 	if got := s2.Tree().RingOf(40); got != 1 {
@@ -316,7 +317,7 @@ func TestVictimPaysPenaltyNextEpisode(t *testing.T) {
 }
 
 func TestRunResultAggregates(t *testing.T) {
-	it := workload.NewIterator(workload.IID{N: 64, Dist: stats.Normal{Mu: 50 * tc, Sigma: 2 * tc}}, 0, 19)
+	it := workload.NewIterator(loadmodel.IID{N: 64, Dist: stats.Normal{Mu: 50 * tc, Sigma: 2 * tc}}, 0, 19)
 	rr := New(topology.NewClassic(64, 4), Config{}).Run(it, 2, 25)
 	if rr.Episodes != 25 || len(rr.SyncDelays) != 25 {
 		t.Fatalf("episodes %d, delays %d", rr.Episodes, len(rr.SyncDelays))
@@ -333,7 +334,7 @@ func TestRunResultAggregates(t *testing.T) {
 }
 
 func TestRunPanicsOnZeroEpisodes(t *testing.T) {
-	it := workload.NewIterator(workload.IID{N: 4, Dist: stats.Degenerate{V: 1}}, 0, 0)
+	it := workload.NewIterator(loadmodel.IID{N: 4, Dist: stats.Degenerate{V: 1}}, 0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/stats"
-	"softbarrier/internal/workload"
 )
 
 // This file models the classic non-combining barriers — dissemination and
@@ -171,7 +171,7 @@ func RunBaselineIID(kind BaselineKind, p int, tc float64, dist stats.Distributio
 	r := stats.NewRNG(seed)
 	rr := RunResult{Episodes: episodes, SyncDelays: make([]float64, 0, episodes), CommOverhead: 1}
 	for k := 0; k < episodes; k++ {
-		arr := workload.SampleArrivals(p, dist, r)
+		arr := loadmodel.SampleArrivals(p, dist, r)
 		d := BaselineDelay(kind, arr, tc)
 		rr.MeanSync += d
 		rr.SyncDelays = append(rr.SyncDelays, d)

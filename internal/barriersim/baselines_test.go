@@ -4,9 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/stats"
 	"softbarrier/internal/topology"
-	"softbarrier/internal/workload"
 )
 
 func TestDisseminationSimultaneous(t *testing.T) {
@@ -62,7 +62,7 @@ func TestCentralDelayMatchesFlatTreeSimulation(t *testing.T) {
 	r := stats.NewRNG(3)
 	s := New(topology.NewClassic(p, p), Config{})
 	for k := 0; k < 20; k++ {
-		arr := workload.SampleArrivals(p, stats.Normal{Sigma: 5 * tc}, r)
+		arr := loadmodel.SampleArrivals(p, stats.Normal{Sigma: 5 * tc}, r)
 		want := s.Episode(arr).SyncDelay
 		got := CentralDelay(arr, tc)
 		if math.Abs(got-want) > tc*1e-6 {

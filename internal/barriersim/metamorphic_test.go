@@ -5,9 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/stats"
 	"softbarrier/internal/topology"
-	"softbarrier/internal/workload"
 )
 
 // Metamorphic properties of the episode simulation: relations that must
@@ -16,7 +16,7 @@ import (
 // genArrivals produces a deterministic arrival vector from a seed.
 func genArrivals(p int, seed uint64, sigma float64) []float64 {
 	r := stats.NewRNG(seed)
-	return workload.SampleArrivals(p, stats.Normal{Sigma: sigma}, r)
+	return loadmodel.SampleArrivals(p, stats.Normal{Sigma: sigma}, r)
 }
 
 // Property: shifting every arrival by a constant shifts the release by the
@@ -116,7 +116,7 @@ func TestDynamicEpisodesPreserveTreeValidity(t *testing.T) {
 		s := New(tree, Config{Dynamic: true})
 		r := stats.NewRNG(uint64(seed))
 		for k := 0; k < 15; k++ {
-			s.Episode(workload.SampleArrivals(40, stats.Normal{Sigma: 20 * tc}, r))
+			s.Episode(loadmodel.SampleArrivals(40, stats.Normal{Sigma: 20 * tc}, r))
 			if s.Tree().Validate() != nil {
 				return false
 			}

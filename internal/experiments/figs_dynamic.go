@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"softbarrier/internal/barriersim"
+	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/stats"
 	"softbarrier/internal/topology"
 	"softbarrier/internal/workload"
@@ -42,7 +43,7 @@ func Fig5(o Options) *Table {
 	}
 	rows := grid(o, "fig5", gridKeys(fmt.Sprintf("p=%d sigma=%g slack=%%g", p, fig8Sigma), fig5Slacks),
 		func(i int, seed uint64) []float64 {
-			it := workload.NewIterator(workload.IID{N: p, Dist: stats.Normal{Sigma: fig8Sigma}}, fig5Slacks[i], seed)
+			it := workload.NewIterator(loadmodel.IID{N: p, Dist: stats.Normal{Sigma: fig8Sigma}}, fig5Slacks[i], seed)
 			history := make([][]float64, 0, iters)
 			for k := 0; k < iters; k++ {
 				arr := it.Next()
@@ -102,7 +103,7 @@ func Fig8Data(o Options, degrees []int, p int) []Fig8Row {
 		pt := points[i]
 		tree := topology.NewMCS(p, pt.Degree)
 		mkIter := func() *workload.Iterator {
-			return workload.NewIterator(workload.IID{N: p, Dist: dist}, pt.Slack, seed)
+			return workload.NewIterator(loadmodel.IID{N: p, Dist: dist}, pt.Slack, seed)
 		}
 		static := barriersim.New(tree, barriersim.Config{}).Run(mkIter(), o.Warmup, o.Episodes)
 		dynamic := barriersim.New(tree, barriersim.Config{Dynamic: true}).Run(mkIter(), o.Warmup, o.Episodes)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"softbarrier/internal/barriersim"
+	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/stats"
 	"softbarrier/internal/topology"
 	"softbarrier/internal/workload"
@@ -80,7 +81,7 @@ func scaleDynamicRun(o Options, p, degree int, slack float64, seed uint64) place
 	tree := topology.NewMCS(p, degree)
 	dist := stats.Normal{Sigma: fig8Sigma}
 	mkIter := func() *workload.Iterator {
-		return workload.NewIterator(workload.IID{N: p, Dist: dist}, slack, seed)
+		return workload.NewIterator(loadmodel.IID{N: p, Dist: dist}, slack, seed)
 	}
 	return placementCell{
 		Static:  barriersim.New(tree, barriersim.Config{}).Run(mkIter(), o.Warmup, o.Episodes),

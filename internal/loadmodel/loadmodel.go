@@ -12,8 +12,8 @@
 // noise (charm++ load_imb_by_history), heavy right tails, bursty
 // correlated slowdowns, and chunk-boundary-aligned skew (the LFSR
 // cycle-distribution study: C work chunks over N workers leave C mod N
-// workers one chunk heavier). internal/workload re-exports the paper's
-// three regimes under their historical names.
+// workers one chunk heavier). internal/workload couples them across
+// episodes (fuzzy-barrier slack) and replays recorded traces.
 package loadmodel
 
 import (
@@ -89,6 +89,16 @@ func LinearOffsets(p int, spread float64) []float64 {
 		off[i] = spread * (float64(i)/float64(p-1) - 0.5)
 	}
 	return off
+}
+
+// SampleArrivals draws a single episode of arrival times for p processors
+// iid from dist: the single-barrier experiments of Figs. 2–4 and 9.
+func SampleArrivals(p int, dist stats.Distribution, r *stats.RNG) []float64 {
+	dst := make([]float64, p)
+	for i := range dst {
+		dst[i] = dist.Sample(r)
+	}
+	return dst
 }
 
 // Drift drifts each participant's bias as an AR(1) process with

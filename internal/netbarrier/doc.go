@@ -43,7 +43,8 @@
 //
 // The ShardJoin/ShardArrive/ShardRelease frames carry the hierarchical
 // deployment (internal/shardbarrier): a leaf server combines its local
-// clients through its own tree, then — via Options.Upstream — forwards
+// clients through its own tree, then — over the root link each session
+// opens for itself through Options.Upstream, and alone owns — forwards
 // one aggregated arrival per episode to a root barrierd, which combines
 // the shards exactly like a session of clients and fans one release back
 // down. The root is this same Server; shard sessions differ only in that

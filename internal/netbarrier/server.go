@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,54 +16,6 @@ import (
 // ErrServerClosed is the poison cause members receive when the server is
 // shut down under them.
 var ErrServerClosed = errors.New("netbarrier: server closed")
-
-// ShardOutcome is what an upstream's release delivers back to a leaf
-// session: the fleet-wide view of the episode the leaf forwarded.
-type ShardOutcome struct {
-	// Result is the globally folded collective payload (nil for plain
-	// sessions). The bytes are valid only while the done callback runs;
-	// the session consumes them into its release encoding before returning.
-	Result []byte
-	// FleetP is the fleet-wide participant count across every shard.
-	FleetP int
-	// Sigma is the fleet-wide σ estimate the root aggregated from the
-	// shards' reports, seconds. 0 means not yet measured; the leaf then
-	// falls back to its local estimate.
-	Sigma float64
-	// Err, when non-nil, is the poison cause: the root aborted the
-	// episode (another shard died, the root's watchdog fired, the root is
-	// shutting down). The leaf session must poison itself with it.
-	Err error
-}
-
-// Upstream is the inter-shard hook that turns a server into a leaf of a
-// hierarchical deployment: a session on a server with an Upstream does
-// not release an episode when its local combining tree completes — that
-// completion is one *aggregated arrival* of a fleet-wide episode.
-// The session forwards it upstream and releases its local clients only
-// when the upstream's release comes back, so the two-level hierarchy
-// composes the same episode protocol at both levels.
-//
-// All three methods are called at quiescent points of the session's
-// episode protocol, never concurrently for one session.
-// internal/shardbarrier provides the standard implementation (one
-// netbarrier.Client-like link per session to the root barrierd).
-type Upstream interface {
-	// ShardArrive forwards the session's combined local arrival: localP
-	// local participants, their measured spread and EWMA σ, and the
-	// locally folded collective contribution (nil for plain sessions;
-	// data is only valid during the call and must be consumed before
-	// returning). done must be called exactly once — from any goroutine —
-	// when the upstream releases or poisons the episode; the session
-	// completes (or poisons) itself in that callback.
-	ShardArrive(session string, episode uint64, localP int, spread, sigma float64, data []byte, done func(ShardOutcome))
-	// ShardClose tears down the session's upstream link. A nil cause is a
-	// graceful departure (the local session retired cleanly); non-nil
-	// delivers the local poison cause upstream so the rest of the fleet
-	// fails with the original error, not a bare disconnect. It must be
-	// idempotent and safe to call for sessions that never forwarded.
-	ShardClose(session string, cause error)
-}
 
 // Options configures a Server. The zero value serves plain static-degree
 // sessions with no watchdog.
@@ -123,7 +74,8 @@ type Options struct {
 	// Upstream, when non-nil, makes this server a leaf shard of a
 	// hierarchical deployment: every session forwards one aggregated
 	// arrival per episode upstream and releases its local clients only on
-	// the upstream's release (see the Upstream interface).
+	// the upstream's release, over a link the session opens for itself
+	// (see the Upstream interface).
 	// internal/shardbarrier wires this to a root barrierd over the wire
 	// protocol's shard frames.
 	Upstream Upstream
@@ -337,24 +289,6 @@ func (s *Server) SessionStats(name string) (SessionStats, bool) {
 	return sess.stats(), true
 }
 
-// PoisonSession aborts the named session with the given cause: every
-// member receives the wire-encoded cause exactly as for any other poison.
-// It reports whether a live session by that name existed. The inter-shard
-// machinery uses it to fail a leaf's local cohort when the upstream link
-// dies outside an episode (no pending completion callback to deliver the
-// error through); it is also the operational kill switch for a stuck
-// cohort.
-func (s *Server) PoisonSession(name string, cause error) bool {
-	s.mu.Lock()
-	sess := s.sessions[name]
-	s.mu.Unlock()
-	if sess == nil {
-		return false
-	}
-	sess.poison(cause)
-	return true
-}
-
 // srvConn is the server side of one member connection. id is -1 until the
 // session admits the connection, and in elastic sessions is re-assigned
 // at episode boundaries (both writes happen at quiescent points, but
@@ -512,7 +446,7 @@ func (s *Server) handle(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(s.opt.joinTimeout()))
 	req, err := wire.ReadFrameInto(br, &c.rbuf)
 	if err != nil || (req.Type != wire.TypeJoinReq && req.Type != wire.TypeShardJoin) {
-		if err != nil && strings.Contains(err.Error(), "version mismatch") {
+		if errors.Is(err, wire.ErrVersionMismatch) {
 			// The one decode failure worth answering: tell the
 			// mixed-revision peer why it is being refused before hanging up,
 			// so the operator sees "protocol version mismatch" on both ends
@@ -551,12 +485,9 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		switch {
-		case f.Type == wire.TypeArrive && !c.shard:
-			sess.arrive(c, f.Episode)
-		case f.Type == wire.TypeArriveData && !c.shard:
-			sess.arriveData(c, f.Episode, f.Data)
-		case f.Type == wire.TypeShardArrive && c.shard:
-			sess.shardArrive(c, f)
+		case (f.Type == wire.TypeArrive || f.Type == wire.TypeArriveData) && !c.shard,
+			f.Type == wire.TypeShardArrive && c.shard:
+			sess.arrive(c, f)
 		case f.Type == wire.TypePoison && c.shard:
 			// A shard handing up its local poison cause: fail the whole
 			// fleet session with the original error, identity intact.

@@ -169,8 +169,8 @@ func TestHierarchicalRaceSmoke(t *testing.T) {
 // Arrive combined at its leaf, one aggregated arrival per leaf at the
 // root, the release fanned back down — over loopback TCP, at the
 // topology points the flat BenchmarkNetBarrier covers with a single
-// server, so BENCH_<n>.json carries the flat-vs-sharded episode latency
-// comparison at equal client counts.
+// server, for the flat-vs-sharded episode latency comparison at equal
+// client counts.
 func BenchmarkHierarchical(b *testing.B) {
 	for _, tc := range []struct{ leaves, clients int }{
 		{2, 64}, {4, 64}, {4, 256},

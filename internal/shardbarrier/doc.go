@@ -16,11 +16,13 @@
 // levels re-plan their trees independently at their own quiescent release
 // points.
 //
-// Leaf sits behind netbarrier.Options.Upstream: a leaf session's episode
-// does not complete when its local tree fills — that completion is one
-// aggregated arrival of the fleet episode, forwarded over the session's
-// root link; the local release fans out only when the root's
-// ShardRelease (fleet result, fleet P, fleet σ) comes back. Failure flows
+// Leaf sits behind netbarrier.Options.Upstream, where all it does is open
+// links: each leaf session owns the root link it opened, and the leaf
+// keeps no table of them. A leaf session's episode does not complete when
+// its local tree fills — that completion is one aggregated arrival of the
+// fleet episode, forwarded over the session's link; the local release
+// fans out only when the root's ShardRelease (fleet result, fleet P,
+// fleet σ) comes back. Failure flows
 // both ways through the existing poison-cause machinery: a leaf-side
 // poison travels up with its cause intact and fails the fleet session,
 // and a root-side poison (another shard died, the root shut down) comes

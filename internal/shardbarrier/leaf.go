@@ -1,7 +1,6 @@
 package shardbarrier
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -10,9 +9,6 @@ import (
 	"softbarrier/internal/netbarrier"
 	"softbarrier/internal/wire"
 )
-
-// ErrLeafClosed is the cause sessions receive when their leaf shuts down.
-var ErrLeafClosed = errors.New("shardbarrier: leaf closed")
 
 // LeafOptions configures one leaf shard of a hierarchical deployment.
 type LeafOptions struct {
@@ -112,17 +108,13 @@ func (o *LeafOptions) slot(session string) (shards, id int) {
 type Leaf struct {
 	opt LeafOptions
 	srv *netbarrier.Server
-
-	mu     sync.Mutex
-	links  map[string]*link
-	closed bool
 }
 
 // NewLeaf returns a leaf serving opt.Net locally and synchronizing
 // through the root at opt.Root. Start it with Serve/ListenAndServe, like
 // the server it wraps.
 func NewLeaf(opt LeafOptions) *Leaf {
-	l := &Leaf{opt: opt, links: make(map[string]*link)}
+	l := &Leaf{opt: opt}
 	l.opt.Net.Upstream = l
 	if l.opt.Net.Transport == nil {
 		l.opt.Net.Transport = l.opt.transport()
@@ -149,115 +141,39 @@ func (l *Leaf) ListenAndServe(addr string) error {
 // the duration.
 func (l *Leaf) Serve(ln wire.Listener) error { return l.srv.Serve(ln) }
 
-// Close shuts the leaf down: local sessions are poisoned (their causes
-// travel both down to local clients and up to the root, so the rest of
-// the fleet fails with "leaf closed" rather than a bare disconnect), and
-// every root link is torn down.
-func (l *Leaf) Close() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
-	}
-	l.closed = true
-	l.mu.Unlock()
-	err := l.srv.Close() // poisons live sessions; their ShardClose tears down their links
-	l.mu.Lock()
-	links := make([]*link, 0, len(l.links))
-	for _, lk := range l.links {
-		links = append(links, lk)
-	}
-	l.mu.Unlock()
-	for _, lk := range links {
-		lk.poison(ErrLeafClosed)
-	}
-	return err
-}
+// Close shuts the leaf down: the local server poisons its sessions, and
+// each session's cause travels both down to its local clients and, over
+// the root link the session owns, up to the root — so the rest of the
+// fleet fails with the server's shutdown cause rather than a bare
+// disconnect. There are no links but the sessions', so nothing is left to
+// sweep afterwards.
+func (l *Leaf) Close() error { return l.srv.Close() }
 
-// ShardArrive implements netbarrier.Upstream: it forwards the session's
-// combined local arrival to the root over the session's link (dialing and
-// shard-joining on first use) and arranges for done to run when the
-// root's release — or the fleet's poison cause — comes back.
-func (l *Leaf) ShardArrive(session string, episode uint64, localP int, spread, sigma float64, data []byte, done func(netbarrier.ShardOutcome)) {
-	lk, err := l.link(session)
-	if err != nil {
-		done(netbarrier.ShardOutcome{Err: err})
-		return
-	}
-	lk.arrive(localP, spread, sigma, data, done)
-}
-
-// ShardClose implements netbarrier.Upstream: the session's link departs
-// the root gracefully (nil cause) or forwards the local poison cause so
-// the rest of the fleet fails with the original error.
-func (l *Leaf) ShardClose(session string, cause error) {
-	l.mu.Lock()
-	lk := l.links[session]
-	l.mu.Unlock()
-	if lk == nil {
-		return
-	}
-	if cause != nil {
-		lk.poison(cause)
-		return
-	}
-	lk.leave()
-}
-
-// link returns the session's root link, establishing it on first use.
-// Sessions are serialized at their episode boundaries, so per-session
-// calls never race; the once guards only the map entry's handshake.
-func (l *Leaf) link(session string) (*link, error) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil, ErrLeafClosed
-	}
-	lk := l.links[session]
-	if lk == nil {
-		lk = &link{leaf: l, name: session}
-		l.links[session] = lk
-	}
-	l.mu.Unlock()
-	lk.ready.Do(func() { lk.joinErr = lk.dial() })
-	if lk.joinErr != nil {
-		l.drop(lk)
-		return nil, lk.joinErr
-	}
-	return lk, nil
-}
-
-// drop removes a dead link so the session name can re-link later (a new
-// session instance under a reused name dials fresh).
-func (l *Leaf) drop(lk *link) {
-	l.mu.Lock()
-	if cur := l.links[lk.name]; cur == lk {
-		delete(l.links, lk.name)
-	}
-	l.mu.Unlock()
+// Open implements netbarrier.Upstream: the root link of one session
+// instance, not yet connected.
+func (l *Leaf) Open(session string, fail func(error)) netbarrier.UpstreamLink {
+	return &link{leaf: l, name: session, failSession: fail}
 }
 
 // link is one session's connection to the root: the leaf side of the
-// ShardJoin/ShardArrive/ShardRelease protocol. The session's episode
-// serialization — its local cohort cannot begin episode k+1 before the
-// release of k has been fanned out — means at most one forwarded arrival
-// is ever outstanding, so a single pending-callback slot suffices.
+// ShardJoin/ShardArrive/ShardRelease protocol, owned by the session that
+// opened it — the name only says which root session to join. The session's
+// episode serialization — its local cohort cannot begin episode k+1 before
+// the release of k has been fanned out — means at most one forwarded
+// arrival is ever outstanding, so a single pending-callback slot suffices.
 //
-// Concurrency: the session's releaser goroutine writes (arrive, leave,
-// poison) and the link's reader goroutine completes (release, poison from
-// the root); mu guards the write half of fc, the episode counter, and the
+// Concurrency: the session's releaser goroutine writes (Arrive, Close)
+// and the link's reader goroutine completes (release, poison from the
+// root); mu guards the write half of fc, the episode counter, and the
 // pending slot; the reader goroutine owns the read half exclusively —
 // exactly the two-halves split wire.FrameConn is documented for.
 type link struct {
-	leaf *Leaf
-	name string
-
-	ready   sync.Once
-	joinErr error
-
-	fc *wire.FrameConn
+	leaf        *Leaf
+	name        string
+	failSession func(error) // poisons the owning session; for a failure with no arrival outstanding
 
 	mu      sync.Mutex
+	fc      *wire.FrameConn // nil until the first Arrive has dialed
 	episode uint64
 	pending func(netbarrier.ShardOutcome)
 	closing bool // graceful leave deferred past the in-flight episode
@@ -267,60 +183,72 @@ type link struct {
 }
 
 // dial connects to the root through the leaf's transport and performs the
-// ShardJoin handshake.
-func (lk *link) dial() error {
+// ShardJoin handshake, returning the connection and the root session's
+// current episode.
+func (lk *link) dial() (*wire.FrameConn, uint64, error) {
 	opt := &lk.leaf.opt
 	shards, id := opt.slot(lk.name)
 	if id < 0 {
-		return fmt.Errorf("shardbarrier: session %q is not placed on this leaf (consistent-hash placement routes it elsewhere)", lk.name)
+		return nil, 0, fmt.Errorf("shardbarrier: session %q is not placed on this leaf (consistent-hash placement routes it elsewhere)", lk.name)
 	}
 	conn, err := wire.Redial(opt.transport(), opt.Root, opt.dialTimeout(), opt.dialAttempts(), opt.dialBackoff())
 	if err != nil {
-		return fmt.Errorf("shardbarrier: session %q cannot reach root: %w", lk.name, err)
+		return nil, 0, fmt.Errorf("shardbarrier: session %q cannot reach root: %w", lk.name, err)
 	}
 	fc := wire.NewFrameConn(conn)
 	err = fc.WriteFrameTimeout(wire.Frame{Type: wire.TypeShardJoin, Name: lk.name, P: shards, ID: id}, opt.writeTimeout())
 	if err != nil {
 		fc.Close()
-		return fmt.Errorf("shardbarrier: session %q shard-join write failed: %w", lk.name, err)
+		return nil, 0, fmt.Errorf("shardbarrier: session %q shard-join write failed: %w", lk.name, err)
 	}
 	fc.SetReadDeadline(time.Now().Add(opt.dialTimeout() + opt.writeTimeout()))
 	resp, err := fc.ReadFrame()
 	switch {
 	case err != nil:
 		fc.Close()
-		return fmt.Errorf("shardbarrier: session %q shard-join failed: %w", lk.name, err)
+		return nil, 0, fmt.Errorf("shardbarrier: session %q shard-join failed: %w", lk.name, err)
 	case resp.Type != wire.TypeJoinResp:
 		fc.Close()
-		return fmt.Errorf("shardbarrier: session %q shard-join answered with %s", lk.name, wire.FrameName(resp.Type))
+		return nil, 0, fmt.Errorf("shardbarrier: session %q shard-join answered with %s", lk.name, wire.FrameName(resp.Type))
 	case resp.Err != "":
 		fc.Close()
-		return fmt.Errorf("shardbarrier: session %q shard-join refused by root: %s", lk.name, resp.Err)
+		return nil, 0, fmt.Errorf("shardbarrier: session %q shard-join refused by root: %s", lk.name, resp.Err)
 	}
 	fc.SetReadDeadline(time.Time{})
 	fc.SetWriteDeadline(time.Time{})
-	// Links are keyed by session name, so a ShardClose meant for a
-	// predecessor under this name (its link failing late, and poisoning by
-	// name) can reach this link while it is still dialing: publish under
-	// mu, and do not bring up a link that was poisoned in the meantime.
-	lk.mu.Lock()
-	if lk.dead {
-		lk.mu.Unlock()
-		fc.Close()
-		return fmt.Errorf("shardbarrier: session %q was poisoned during its shard-join", lk.name)
-	}
-	lk.fc = fc
-	lk.episode = resp.Episode
-	lk.mu.Unlock()
-	go lk.read()
-	return nil
+	return fc, resp.Episode, nil
 }
 
-// arrive forwards one aggregated arrival. The pending slot is armed
-// before the frame is flushed, so a release (or poison) racing back on
-// the reader goroutine always finds its callback.
-func (lk *link) arrive(localP int, spread, sigma float64, data []byte, done func(netbarrier.ShardOutcome)) {
+// Arrive implements netbarrier.UpstreamLink: it forwards the session's
+// combined local arrival to the root, dialing and shard-joining on first
+// use, and arranges for done to run when the root's release — or the
+// fleet's poison cause — comes back. The root session counts its own
+// episodes (the link follows them from the JoinResp on), so the local
+// episode number is not sent. The pending slot is armed before the frame
+// is flushed, so a release (or poison) racing back on the reader goroutine
+// always finds its callback.
+func (lk *link) Arrive(_ uint64, localP int, spread, sigma float64, data []byte, done func(netbarrier.ShardOutcome)) {
 	lk.mu.Lock()
+	if lk.fc == nil && !lk.dead {
+		// The dial runs unlocked — a Close must not wait out a redial
+		// backoff — so the session can be poisoned meanwhile: a connection
+		// dialed for a link closed under it is dropped, never published.
+		lk.mu.Unlock()
+		fc, episode, err := lk.dial()
+		lk.mu.Lock()
+		switch {
+		case err != nil:
+			lk.dead = true
+			lk.mu.Unlock()
+			done(netbarrier.ShardOutcome{Err: err})
+			return
+		case lk.dead:
+			fc.Close()
+		default:
+			lk.fc, lk.episode = fc, episode
+			go lk.read()
+		}
+	}
 	if lk.dead {
 		lk.mu.Unlock()
 		done(netbarrier.ShardOutcome{Err: fmt.Errorf("shardbarrier: session %q root link is down", lk.name)})
@@ -334,9 +262,8 @@ func (lk *link) arrive(localP int, spread, sigma float64, data []byte, done func
 	if err != nil {
 		lk.pending = nil
 		lk.dead = true
-		lk.mu.Unlock()
 		lk.fc.Close()
-		lk.leaf.drop(lk)
+		lk.mu.Unlock()
 		done(netbarrier.ShardOutcome{Err: fmt.Errorf("shardbarrier: session %q lost root link: %w", lk.name, err)})
 		return
 	}
@@ -345,10 +272,7 @@ func (lk *link) arrive(localP int, spread, sigma float64, data []byte, done func
 
 // read is the link's reader loop: it completes forwarded arrivals with
 // the root's releases and converts a root-side poison — or the link
-// dying — into the session's poison cause. A failure with no arrival
-// outstanding poisons the local session directly (PoisonSession): the
-// root died between episodes, and local clients must not hang until the
-// next arrival discovers it.
+// dying — into the session's poison cause (fail).
 func (lk *link) read() {
 	for {
 		f, err := lk.fc.ReadFrame()
@@ -375,7 +299,7 @@ func (lk *link) read() {
 			}
 			done(out)
 			if closing {
-				lk.shutdown(wire.Frame{Type: wire.TypeLeave})
+				lk.Close(nil) // nothing is pending any more, so this one leaves
 				return
 			}
 		case wire.TypePoison:
@@ -388,9 +312,12 @@ func (lk *link) read() {
 	}
 }
 
-// fail tears the link down with cause, delivering it through the pending
-// callback when an arrival is outstanding and by poisoning the local
-// session otherwise. Idempotent.
+// fail tears the link down with a cause that came from the root's side,
+// delivering it through the pending callback when an arrival is
+// outstanding, and otherwise — the root died between episodes, and local
+// clients must not hang until the next arrival discovers it — by
+// poisoning the session that owns the link. A link its session has
+// already closed is dead, so this does nothing then.
 func (lk *link) fail(cause error) {
 	lk.mu.Lock()
 	if lk.dead {
@@ -400,68 +327,46 @@ func (lk *link) fail(cause error) {
 	lk.dead = true
 	done := lk.pending
 	lk.pending = nil
-	lk.mu.Unlock()
 	lk.fc.Close()
-	lk.leaf.drop(lk)
+	lk.mu.Unlock()
 	if done != nil {
 		done(netbarrier.ShardOutcome{Err: cause})
 		return
 	}
-	lk.leaf.srv.PoisonSession(lk.name, cause)
+	lk.failSession(cause)
 }
 
-// poison hands the local session's cause up to the root (best effort) and
-// tears the link down. The root fails the fleet-wide session with the
-// original error, identity intact, so every other shard's clients see
-// why. Idempotent; safe on a link whose handshake never completed.
-func (lk *link) poison(cause error) {
+// Close implements netbarrier.UpstreamLink. With a cause it hands the
+// local session's poison up to the root (best effort): the root fails the
+// fleet-wide session with the original error, identity intact, so every
+// other shard's clients see why. Without one it departs the root
+// gracefully — deferred, if an arrival is still outstanding (every local
+// client arrived and then left without awaiting), until that episode's
+// release, keeping the root's arrival accounting exact. Idempotent; safe
+// on a link that never dialed.
+func (lk *link) Close(cause error) {
 	lk.mu.Lock()
-	if lk.dead || lk.fc == nil {
+	defer lk.mu.Unlock()
+	switch {
+	case lk.dead:
+	case lk.fc == nil:
 		lk.dead = true
-		lk.pending = nil
-		lk.mu.Unlock()
-		return
-	}
-	lk.dead = true
-	lk.pending = nil // the local session already has its cause
-	lk.writeLocked(wire.Frame{Type: wire.TypePoison, Cause: softbarrier.EncodePoisonCause(nil, cause)})
-	lk.mu.Unlock()
-	lk.fc.Close()
-	lk.leaf.drop(lk)
-}
-
-// leave departs the root gracefully. With an arrival still outstanding —
-// every local client arrived and then left without awaiting — the
-// departure is deferred until the in-flight episode's release, keeping
-// the root's arrival accounting exact.
-func (lk *link) leave() {
-	lk.mu.Lock()
-	if lk.dead || lk.fc == nil {
-		lk.dead = true
-		lk.mu.Unlock()
-		return
-	}
-	if lk.pending != nil {
+	case cause != nil:
+		lk.pending = nil // the local session already has its cause
+		lk.closeLocked(wire.Frame{Type: wire.TypePoison, Cause: softbarrier.EncodePoisonCause(nil, cause)})
+	case lk.pending != nil:
 		lk.closing = true
-		lk.mu.Unlock()
-		return
+	default:
+		lk.closeLocked(wire.Frame{Type: wire.TypeLeave})
 	}
-	lk.dead = true
-	lk.writeLocked(wire.Frame{Type: wire.TypeLeave})
-	lk.mu.Unlock()
-	lk.fc.Close()
-	lk.leaf.drop(lk)
 }
 
-// shutdown (reader-goroutine only) sends a final frame and tears down,
-// for the deferred-leave path.
-func (lk *link) shutdown(f wire.Frame) {
-	lk.mu.Lock()
+// closeLocked sends the link's last frame (best effort) and tears it
+// down. Caller holds lk.mu, on a dialed link.
+func (lk *link) closeLocked(last wire.Frame) {
 	lk.dead = true
-	lk.writeLocked(f)
-	lk.mu.Unlock()
+	lk.writeLocked(last)
 	lk.fc.Close()
-	lk.leaf.drop(lk)
 }
 
 // writeLocked sends one frame on the write half under lk.mu, bounded by

@@ -371,6 +371,55 @@ func TestLeafKillPoisonsEveryShard(t *testing.T) {
 	}
 }
 
+// TestNameReuseAcrossFleetAfterPoison: once every member of a poisoned
+// fleet session has its cause, the name is free on every leaf and at the
+// root — each leaf session took its own root link down with it — so a new
+// cohort under the same name dials fresh links and runs clean.
+func TestNameReuseAcrossFleetAfterPoison(t *testing.T) {
+	const leaves, perLeaf, episodes = 2, 2, 100
+	f := startFleet(t, FleetOptions{
+		Leaves: leaves,
+		Net:    netbarrier.Options{Watchdog: 30 * time.Second},
+	})
+	addrs := f.LeafAddrs()
+	cohort := func() []*netbarrier.Client {
+		var cs []*netbarrier.Client
+		for l := 0; l < leaves; l++ {
+			for i := 0; i < perLeaf; i++ {
+				c := dialJoin(t, addrs[l], "reuse", perLeaf, -1)
+				t.Cleanup(func() { c.Close() })
+				cs = append(cs, c)
+			}
+		}
+		return cs
+	}
+	run := func(cs []*netbarrier.Client, n int, wantErr bool) {
+		var wg sync.WaitGroup
+		for _, c := range cs {
+			wg.Add(1)
+			go func(c *netbarrier.Client) {
+				defer wg.Done()
+				for ep := 0; ep < n; ep++ {
+					if _, err := c.Wait(); (err != nil) != wantErr {
+						t.Errorf("episode %d: err %v, want error: %v", ep, err, wantErr)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+	}
+
+	first := cohort()
+	run(first, 3, false)
+	first[len(first)-1].Close() // dies between episodes: poisons its leaf, the root, the other leaf
+	run(first[:len(first)-1], 1, true)
+	if t.Failed() {
+		t.FailNow()
+	}
+	run(cohort(), episodes, false)
+}
+
 // TestDeadRootPoisonsLeafSessions closes the root between episodes: the
 // leaves' link readers must convert the root's poison into local session
 // poisons promptly — clients get a wire-delivered cause, not a hang.

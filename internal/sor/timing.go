@@ -14,7 +14,7 @@ import (
 // σ = jitter·√(4·⌈210/16⌉) ⇒ jitter ≈ 14.7µs.
 const DefaultJitter = 14.7e-6
 
-// TimingModel is a workload.Workload producing the per-iteration execution
+// TimingModel is a loadmodel.Generator producing the per-iteration execution
 // times of the SOR program on a KSR machine model: a deterministic compute
 // term proportional to the stripe size plus one randomly delayed remote
 // transfer per communicated cache sub-line.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -109,6 +110,12 @@ const (
 // mixed-revision deployments (a leaf and a root built from different
 // releases) fail fast and legibly at join time.
 const ProtocolVersion = byte(1)
+
+// ErrVersionMismatch is what decoding a handshake frame of another
+// protocol revision fails with (wrapped: the message names both
+// revisions). It is the one decode failure a server answers, with a
+// refusing JoinResp, before hanging up.
+var ErrVersionMismatch = errors.New("protocol version mismatch")
 
 // FrameName returns the symbolic name of a frame type for error messages
 // and logs, or "type(N)" for an unknown type.
@@ -434,7 +441,7 @@ func checkVersion(t byte, b []byte) ([]byte, error) {
 		return nil, fmt.Errorf("wire: %s missing protocol version byte", FrameName(t))
 	}
 	if b[0] != ProtocolVersion {
-		return nil, fmt.Errorf("wire: protocol version mismatch: peer's %s speaks v%d, this binary speaks v%d — both ends must run the same protocol revision", FrameName(t), b[0], ProtocolVersion)
+		return nil, fmt.Errorf("wire: %w: peer's %s speaks v%d, this binary speaks v%d — both ends must run the same protocol revision", ErrVersionMismatch, FrameName(t), b[0], ProtocolVersion)
 	}
 	return b[1:], nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -160,8 +161,8 @@ func TestProtocolVersionMismatch(t *testing.T) {
 		}
 		body[1] = ProtocolVersion + 1
 		_, err := DecodeFrame(body)
-		if err == nil {
-			t.Fatalf("%s: future-revision frame decoded", FrameName(typ))
+		if !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("%s: future-revision frame decoded with %v, want ErrVersionMismatch", FrameName(typ), err)
 		}
 		msg := err.Error()
 		for _, want := range []string{"version mismatch",

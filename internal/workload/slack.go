@@ -1,8 +1,14 @@
+// Package workload couples consecutive barrier episodes: the fuzzy-barrier
+// slack model (Iterator) that turns a load model's per-iteration work
+// times into per-episode arrival times, and recorded traces (Trace) that
+// replay as a load model. The imbalance regimes themselves — iid, static
+// skew, drift and the rest — are internal/loadmodel's generators.
 package workload
 
 import (
 	"fmt"
 
+	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/stats"
 )
 
@@ -23,7 +29,7 @@ import (
 // makes history-based placement work.
 type Iterator struct {
 	Slack float64
-	W     Workload
+	W     loadmodel.Generator
 
 	rng     *stats.RNG
 	enforce []float64 // e_i of the previous iteration
@@ -32,9 +38,9 @@ type Iterator struct {
 	started bool
 }
 
-// NewIterator creates an iterator over episodes of workload w with the
+// NewIterator creates an iterator over episodes of load model w with the
 // given fuzzy-barrier slack, drawing randomness from seed.
-func NewIterator(w Workload, slack float64, seed uint64) *Iterator {
+func NewIterator(w loadmodel.Generator, slack float64, seed uint64) *Iterator {
 	if slack < 0 {
 		panic("workload: negative slack")
 	}

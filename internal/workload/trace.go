@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/stats"
 )
 
@@ -109,7 +110,7 @@ func WriteTrace(w io.Writer, t *Trace) error {
 
 // Record samples iterations iterations of w into a replayable Trace using
 // the given seed, the bridge from synthetic workloads to trace files.
-func Record(w Workload, iterations int, seed uint64) *Trace {
+func Record(w loadmodel.Generator, iterations int, seed uint64) *Trace {
 	if iterations < 1 {
 		panic("workload: need at least one iteration to record")
 	}

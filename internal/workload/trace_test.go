@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/stats"
 )
 
@@ -43,7 +44,7 @@ func TestNewTraceValidation(t *testing.T) {
 }
 
 func TestTraceRoundTrip(t *testing.T) {
-	orig := Record(IID{N: 5, Dist: stats.Normal{Mu: 1e-3, Sigma: 1e-4}}, 7, 3)
+	orig := Record(loadmodel.IID{N: 5, Dist: stats.Normal{Mu: 1e-3, Sigma: 1e-4}}, 7, 3)
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, orig); err != nil {
 		t.Fatal(err)
@@ -84,7 +85,7 @@ func TestParseTraceCommentsAndErrors(t *testing.T) {
 }
 
 func TestRecordMatchesDirectSampling(t *testing.T) {
-	w := IID{N: 3, Dist: stats.Normal{Sigma: 1}}
+	w := loadmodel.IID{N: 3, Dist: stats.Normal{Sigma: 1}}
 	tr := Record(w, 4, 9)
 	// Same seed, same workload: direct sampling must agree row by row.
 	r := stats.NewRNG(9)
@@ -105,11 +106,11 @@ func TestRecordPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Record(IID{N: 1, Dist: stats.Degenerate{}}, 0, 1)
+	Record(loadmodel.IID{N: 1, Dist: stats.Degenerate{}}, 0, 1)
 }
 
 func TestTraceDrivesIterator(t *testing.T) {
-	tr := Record(IID{N: 8, Dist: stats.Normal{Mu: 1, Sigma: 0.1}}, 10, 11)
+	tr := Record(loadmodel.IID{N: 8, Dist: stats.Normal{Mu: 1, Sigma: 0.1}}, 10, 11)
 	it := NewIterator(tr, 0, 13)
 	for k := 0; k < 20; k++ { // wraps past the recording
 		arr := it.Next()

@@ -4,11 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/stats"
 )
 
 func TestIIDMoments(t *testing.T) {
-	w := IID{N: 1000, Dist: stats.Normal{Mu: 5, Sigma: 2}}
+	w := loadmodel.IID{N: 1000, Dist: stats.Normal{Mu: 5, Sigma: 2}}
 	r := stats.NewRNG(1)
 	dst := make([]float64, w.P())
 	var all []float64
@@ -26,8 +27,8 @@ func TestIIDMoments(t *testing.T) {
 
 func TestSystemicOffsetsPersist(t *testing.T) {
 	p := 64
-	off := LinearOffsets(p, 10)
-	w := Systemic{Base: IID{N: p, Dist: stats.Normal{Sigma: 0.01}}, Offsets: off}
+	off := loadmodel.LinearOffsets(p, 10)
+	w := loadmodel.StaticSkew{Base: loadmodel.IID{N: p, Dist: stats.Normal{Sigma: 0.01}}, Offsets: off}
 	r := stats.NewRNG(2)
 	dst := make([]float64, p)
 	// With tiny noise, the slowest processor must be the one with the
@@ -47,21 +48,21 @@ func TestSystemicOffsetsPersist(t *testing.T) {
 }
 
 func TestLinearOffsets(t *testing.T) {
-	off := LinearOffsets(5, 4)
+	off := loadmodel.LinearOffsets(5, 4)
 	want := []float64{-2, -1, 0, 1, 2}
 	for i := range want {
 		if math.Abs(off[i]-want[i]) > 1e-12 {
 			t.Fatalf("offsets %v, want %v", off, want)
 		}
 	}
-	if one := LinearOffsets(1, 4); one[0] != 0 {
+	if one := loadmodel.LinearOffsets(1, 4); one[0] != 0 {
 		t.Fatal("single processor offset should be 0")
 	}
 }
 
 func TestEvolvingAutocorrelation(t *testing.T) {
 	p := 256
-	w := &Evolving{N: p, Dist: stats.Normal{Sigma: 0.1}, Rho: 0.95, InnovSigma: 1}
+	w := &loadmodel.Drift{N: p, Dist: stats.Normal{Sigma: 0.1}, Rho: 0.95, InnovSigma: 1}
 	r := stats.NewRNG(3)
 	prev := make([]float64, p)
 	cur := make([]float64, p)
@@ -78,7 +79,7 @@ func TestEvolvingAutocorrelation(t *testing.T) {
 
 func TestEvolvingZeroRhoIsIID(t *testing.T) {
 	p := 512
-	w := &Evolving{N: p, Dist: stats.Normal{Sigma: 1}, Rho: 0, InnovSigma: 0}
+	w := &loadmodel.Drift{N: p, Dist: stats.Normal{Sigma: 1}, Rho: 0, InnovSigma: 0}
 	r := stats.NewRNG(4)
 	a, b := make([]float64, p), make([]float64, p)
 	w.Times(0, r, a)
@@ -90,7 +91,7 @@ func TestEvolvingZeroRhoIsIID(t *testing.T) {
 
 func TestSampleArrivals(t *testing.T) {
 	r := stats.NewRNG(5)
-	xs := SampleArrivals(10000, stats.Normal{Sigma: 3}, r)
+	xs := loadmodel.SampleArrivals(10000, stats.Normal{Sigma: 3}, r)
 	if len(xs) != 10000 {
 		t.Fatalf("got %d arrivals", len(xs))
 	}
@@ -101,7 +102,7 @@ func TestSampleArrivals(t *testing.T) {
 
 func TestIteratorSlackZeroDecorrelates(t *testing.T) {
 	p := 512
-	it := NewIterator(IID{N: p, Dist: stats.Normal{Mu: 1, Sigma: 0.1}}, 0, 6)
+	it := NewIterator(loadmodel.IID{N: p, Dist: stats.Normal{Mu: 1, Sigma: 0.1}}, 0, 6)
 	prev := make([]float64, p)
 	var rhoSum float64
 	const iters = 30
@@ -120,7 +121,7 @@ func TestIteratorSlackZeroDecorrelates(t *testing.T) {
 
 func TestIteratorLargeSlackPersists(t *testing.T) {
 	p := 512
-	it := NewIterator(IID{N: p, Dist: stats.Normal{Mu: 1, Sigma: 0.1}}, 1e9, 7)
+	it := NewIterator(loadmodel.IID{N: p, Dist: stats.Normal{Mu: 1, Sigma: 0.1}}, 1e9, 7)
 	prev := make([]float64, p)
 	var rhoSum float64
 	const iters = 30
@@ -139,7 +140,7 @@ func TestIteratorLargeSlackPersists(t *testing.T) {
 
 func TestIteratorSlackZeroArrivalsRestartFromRelease(t *testing.T) {
 	p := 8
-	it := NewIterator(IID{N: p, Dist: stats.Degenerate{V: 2}}, 0, 8)
+	it := NewIterator(loadmodel.IID{N: p, Dist: stats.Degenerate{V: 2}}, 0, 8)
 	arr := append([]float64(nil), it.Next()...)
 	for _, a := range arr {
 		if a != 2 {
@@ -156,7 +157,7 @@ func TestIteratorSlackZeroArrivalsRestartFromRelease(t *testing.T) {
 }
 
 func TestIteratorProtocolViolations(t *testing.T) {
-	it := NewIterator(IID{N: 2, Dist: stats.Degenerate{V: 1}}, 0, 9)
+	it := NewIterator(loadmodel.IID{N: 2, Dist: stats.Degenerate{V: 1}}, 0, 9)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -182,11 +183,11 @@ func TestIteratorNegativeSlackPanics(t *testing.T) {
 			t.Fatal("negative slack did not panic")
 		}
 	}()
-	NewIterator(IID{N: 1, Dist: stats.Degenerate{V: 1}}, -1, 0)
+	NewIterator(loadmodel.IID{N: 1, Dist: stats.Degenerate{V: 1}}, -1, 0)
 }
 
 func TestIteratorIterationCounter(t *testing.T) {
-	it := NewIterator(IID{N: 2, Dist: stats.Degenerate{V: 1}}, 0, 10)
+	it := NewIterator(loadmodel.IID{N: 2, Dist: stats.Degenerate{V: 1}}, 0, 10)
 	if it.Iteration() != 0 {
 		t.Fatal("initial iteration != 0")
 	}
@@ -198,10 +199,10 @@ func TestIteratorIterationCounter(t *testing.T) {
 }
 
 func TestWorkloadStrings(t *testing.T) {
-	ws := []Workload{
-		IID{N: 2, Dist: stats.Normal{}},
-		Systemic{Base: IID{N: 2, Dist: stats.Normal{}}, Offsets: []float64{0, 0}},
-		&Evolving{N: 2, Dist: stats.Normal{}},
+	ws := []loadmodel.Generator{
+		loadmodel.IID{N: 2, Dist: stats.Normal{}},
+		loadmodel.StaticSkew{Base: loadmodel.IID{N: 2, Dist: stats.Normal{}}, Offsets: []float64{0, 0}},
+		&loadmodel.Drift{N: 2, Dist: stats.Normal{}},
 	}
 	for _, w := range ws {
 		if w.String() == "" {
