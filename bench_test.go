@@ -192,7 +192,7 @@ func benchBarrier(b *testing.B, bar Barrier, p int) {
 // BenchmarkWaiterPolicies compares the waiter's wait policies on the two
 // barriers where the policy choice matters most — the central barrier
 // (every participant parks on one gate) and the combining tree (gate
-// release after a lock ascent) — at P well below, near, and above
+// release after a counter ascent) — at P well below, near, and above
 // GOMAXPROCS. "spin" busy-polls long enough that episodes at these scales
 // never park; "park" disables spinning and yields straight to the channel
 // park; "default" is the shipped spin→yield→park ramp.
@@ -235,4 +235,66 @@ func BenchmarkRuntimeBarriers(b *testing.B) {
 		b.Run(fmt.Sprintf("dissemination/p=%d", p), func(b *testing.B) { benchBarrier(b, NewDissemination(p), p) })
 		b.Run(fmt.Sprintf("tournament/p=%d", p), func(b *testing.B) { benchBarrier(b, NewTournament(p), p) })
 	}
+}
+
+// BenchmarkAscent measures the paper's unit, the counter update t_c, on
+// the runtime: one goroutine drives every arrival of a 32-participant
+// episode and then every await, so arrival order is an input and the
+// scheduler adds nothing, and the episode's time is divided by its
+// counter visits (one per participant plus one per completed non-root
+// counter). "plain" is the lock-free ascent; "greedy" carries a sum-u64
+// contribution, whose visits fold under the node's lock.
+func BenchmarkAscent(b *testing.B) {
+	const p = 32
+	in, out := make([]byte, 8), make([]byte, 8)
+	for _, k := range treeKinds {
+		for _, greedy := range []bool{false, true} {
+			name, opts := k.name+"/plain", []Option(nil)
+			if greedy {
+				name, opts = k.name+"/greedy", []Option{WithCollective(OpSumUint64())}
+			}
+			b.Run(name, func(b *testing.B) {
+				bar := k.mk(p, opts...)
+				episode := func() {
+					for id := 0; id < p; id++ {
+						if !greedy {
+							bar.Arrive(id)
+						} else if err := bar.ArriveReduce(id, in); err != nil {
+							b.Fatal(err)
+						}
+					}
+					for id := 0; id < p; id++ {
+						if !greedy {
+							bar.Await(id)
+						} else if err := bar.AwaitResult(id, out); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				for i := 0; i < 40; i++ { // past the first replans and migrations
+					episode()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					episode()
+				}
+				visits := p + len(coreOf(bar).state.Load().counters) - 1
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*visits), "ns/visit")
+			})
+		}
+	}
+}
+
+// coreOf returns the combining-tree core a tree barrier kind embeds.
+func coreOf(b fuzzyCollective) *treeCore {
+	switch b := b.(type) {
+	case *TreeBarrier:
+		return &b.treeCore
+	case *DynamicBarrier:
+		return &b.treeCore
+	case *ReconfigurableBarrier:
+		return &b.treeCore
+	}
+	panic("not a tree barrier")
 }

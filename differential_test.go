@@ -31,11 +31,7 @@ func driveRuntime(tree *topology.Tree, orders [][]int) []int {
 	st := b.state.Load()
 	out := make([]int, st.p)
 	for id := range out {
-		c := b.FirstCounterOf(id)
-		if dc := &st.counters[c]; dc.evicted == id {
-			c = dc.destination
-		}
-		out[id] = c
+		out[id] = st.home(id)
 	}
 	return out
 }

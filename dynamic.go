@@ -68,38 +68,54 @@ func (b *DynamicBarrier) FirstCounterOf(id int) int {
 // has not consumed yet is resolved as the victim itself would resolve it.
 func (b *DynamicBarrier) DepthOf(id int) int {
 	st := b.state.Load()
-	c := b.FirstCounterOf(id)
-	if tc := &st.counters[c]; tc.evicted == id {
-		c = tc.destination
-	}
+	checkID(id, st.p)
 	n := 0
-	for c != topology.NoCounter {
+	for c := st.home(id); c != topology.NoCounter; c = int(st.counters[c].parent) {
 		n++
-		c = st.counters[c].parent
 	}
 	return n
 }
 
+// home is the counter participant id's next ascent starts from: its first
+// counter, or where a pending eviction it has not consumed yet sends it.
+// Quiescent-only, like FirstCounterOf.
+func (st *treeEpoch) home(id int) int {
+	c := st.slots[id].first
+	if tc := &st.counters[c]; tc.evicted.Load() == int32(id) {
+		c = int(tc.destination)
+	}
+	return c
+}
+
+// Neither step takes a lock; the counter chain orders them. A counter has
+// one victor per episode — whoever's add completed it — and every access
+// to its placement fields is by that victor, by the victim it names, or by
+// the participant adopting it as a destination. The victim and the adopter
+// both count inside the counter's subtree (a destination is always the
+// child the victor climbed from), so their accesses precede the adds that
+// complete the counter, which precede the victor's; the victor's precede
+// its parent add, hence the release, hence everything of the next episode.
+// evicted alone is read by participants that own none of this — everyone
+// whose first counter this is checks it on arrival while the victim may be
+// clearing it — so it is the one atomic, and the victor publishes it last:
+// whoever sees its id there finds destination and local already written.
+// internal/modelcheck explores these steps one memory operation at a time.
+
 // adopt is the victim side (Fig. 6d), run before the participant's first
 // counter update: if it was displaced last episode, its stale counter's
 // evicted entry names it; it adopts the destination and, when that is an
-// internal counter, takes over its local slot.
+// internal counter, takes over its local slot. Not displaced — the case
+// on all but a few arrivals — it costs one atomic load.
 func (st *treeEpoch) adopt(id int, sl *treeSlot) {
 	cn := &st.counters[sl.first]
-	cn.mu.Lock()
-	if cn.evicted != id {
-		cn.mu.Unlock()
+	if cn.evicted.Load() != int32(id) {
 		return
 	}
-	cn.evicted = topology.NoProc
-	dest := cn.destination
-	cn.mu.Unlock()
-	nc := &st.counters[dest]
-	nc.mu.Lock()
+	cn.evicted.Store(topology.NoProc)
+	dest := int(cn.destination)
 	if len(st.tree.Counters[dest].Children) > 0 {
-		nc.local = id
+		st.counters[dest].local = int32(id)
 	}
-	nc.mu.Unlock()
 	sl.first = dest
 }
 
@@ -110,18 +126,15 @@ func (st *treeEpoch) adopt(id int, sl *treeSlot) {
 // cross ring boundaries.
 func (st *treeEpoch) victorSwap(id int, sl *treeSlot, c int) bool {
 	tc := &st.counters[c]
-	tc.mu.Lock()
-	ok := tc.local != topology.NoProc && st.tree.Counters[c].RingID == st.tree.RingOf(id)
-	if ok {
-		tc.evicted = tc.local
-		tc.destination = sl.first
-		tc.local = id
+	victim := tc.local
+	if victim == topology.NoProc || st.tree.Counters[c].RingID != st.tree.RingOf(id) {
+		return false
 	}
-	tc.mu.Unlock()
-	if ok {
-		sl.first = c
-	}
-	return ok
+	tc.destination = int32(sl.first)
+	tc.local = int32(id)
+	tc.evicted.Store(victim)
+	sl.first = c
+	return true
 }
 
 var _ PhasedBarrier = (*DynamicBarrier)(nil)

@@ -1,23 +1,33 @@
 // Package modelcheck exhaustively verifies the dynamic-placement barrier
-// protocol by explicit-state exploration: it models every lock-protected
-// step of the algorithm (victim check, redirect adoption, counter update,
-// victor swap, release) as one atomic transition and breadth-first
-// explores ALL interleavings of all participants across several episodes,
-// checking at every state that
+// protocol by explicit-state exploration. The runtime's ascent takes no
+// lock, so the model's transitions are the algorithm's single memory
+// operations — the victim's load of evicted, its clearing store, its read
+// of destination, its write of local; a counter's fetch-and-add and the
+// last arriver's reset; the victor's read of local and its three stores;
+// the release — and the checker breadth-first explores ALL interleavings
+// of all participants' operations across several episodes, checking that
 //
 //   - the barrier never releases an episode before all participants
 //     arrived (safety),
 //   - every reachable state can make progress until all episodes complete
 //     (deadlock freedom, by construction of the exploration),
-//   - each episode releases exactly once, and
-//   - at quiescence every counter's occupancy matches its fan-in and all
-//     counts are reset (the liveness-critical placement invariant).
+//   - each episode releases exactly once,
+//   - no counter is ever added to beyond its fan-in, and all counts are
+//     reset at quiescence, and
+//   - at EVERY state, between any two memory operations, resolving each
+//     participant's pending eviction as it would itself gives every
+//     counter exactly its fan-in's worth of occupants (the
+//     liveness-critical placement invariant; it holding mid-swap is what
+//     "destination and local are written before evicted publishes them"
+//     buys).
 //
-// The model mirrors the dynamic-placement ascent step for step — the
-// root package's one treeCore.arrive with its adopt and victorSwap steps
-// (the differential tests in the root package tie the two to the simulator,
-// which ties them to each other); state spaces stay tractable for the
-// small shapes that already exercise every protocol transition.
+// The model mirrors the dynamic-placement ascent operation for operation —
+// the root package's one treeCore.arrive with its adopt and victorSwap
+// steps (the differential tests in the root package tie the two to the
+// simulator, which ties them to each other); state spaces stay tractable
+// for the small shapes that already exercise every protocol transition.
+// The greedy fold is not modelled: it keeps a lock, and its critical
+// section is one transition of the counter it replaces.
 package modelcheck
 
 import (
@@ -27,20 +37,38 @@ import (
 	"softbarrier/internal/topology"
 )
 
-// phase is a participant's position in its episode's step sequence.
+// phase is a participant's program counter: the memory operation it
+// performs next.
 type phase uint8
 
 const (
-	// phIdle: before the episode's first step (the arrival point).
+	// phIdle: before the episode's first operation (the arrival point).
 	phIdle phase = iota
-	// phCheck: about to inspect its first counter's eviction fields.
-	phCheck
-	// phAdopt: redirected; about to claim the destination counter.
-	phAdopt
-	// phUpdate: about to increment the current counter.
-	phUpdate
-	// phSwap: completed the current counter; about to swap into it.
-	phSwap
+	// Victim side (adopt). phLoadEvicted: about to load its first
+	// counter's evicted entry.
+	phLoadEvicted
+	// phClearEvicted: found itself named; about to clear the entry.
+	phClearEvicted
+	// phReadDest: about to read the counter's destination.
+	phReadDest
+	// phClaimLocal: about to write itself into the destination's local
+	// slot (and, privately, make the destination its first counter).
+	phClaimLocal
+	// phAdd: about to fetch-and-add the current counter.
+	phAdd
+	// phReset: its add completed the fan-in; about to store zero.
+	phReset
+	// Victor side (victorSwap). phReadLocal: completed a counter above
+	// its own; about to read the counter's local slot.
+	phReadLocal
+	// phWriteDest: about to write the counter it vacates into destination.
+	phWriteDest
+	// phWriteLocal: about to write itself into the local slot.
+	phWriteLocal
+	// phPublish: about to store the victim's id into evicted.
+	phPublish
+	// phRelease: completed the root; about to open the gate.
+	phRelease
 	// phWait: finished its ascent; waiting for the release.
 	phWait
 	// phDone: all episodes completed.
@@ -51,8 +79,9 @@ const (
 type procState struct {
 	phase   phase
 	first   int // its first counter
-	cur     int // counter being operated on (phUpdate/phSwap)
-	dest    int // adopted destination (phAdopt)
+	cur     int // counter being operated on (phAdd … phPublish)
+	dest    int // destination read from the stale counter (phClaimLocal)
+	victim  int // local slot's occupant read by the victor (phWriteDest … phPublish)
 	episode int // episodes completed
 }
 
@@ -76,7 +105,7 @@ type state struct {
 func (s *state) key() string {
 	b := make([]byte, 0, 8*len(s.procs)+8*len(s.counters)+8)
 	for _, p := range s.procs {
-		b = append(b, byte(p.phase), byte(p.first+1), byte(p.cur+2), byte(p.dest+2), byte(p.episode))
+		b = append(b, byte(p.phase), byte(p.first+1), byte(p.cur+2), byte(p.dest+2), byte(p.victim+1), byte(p.episode))
 	}
 	for _, c := range s.counters {
 		b = append(b, byte(c.count), byte(c.local+1), byte(c.evicted+1), byte(c.destination+2))
@@ -104,10 +133,15 @@ type Checker struct {
 	Explored int
 
 	// sabotageLateRootSwap (tests only) reorders the releaser's swap to
-	// AFTER the release broadcast — the race the production implementation
+	// AFTER the release — the race the production implementation
 	// explicitly avoids by swapping during the ascent (see DESIGN.md
 	// §5.3). The checker must detect the resulting double-occupancy.
 	sabotageLateRootSwap bool
+	// sabotageEarlyPublish (tests only) makes the victor store evicted
+	// first and destination and local after it. The checker must detect
+	// the state in between, where the victim is already named and its
+	// redirect still points wherever the previous swap left it.
+	sabotageEarlyPublish bool
 }
 
 // New creates a checker for the given tree and episode count. Trees with
@@ -130,7 +164,7 @@ func (c *Checker) initial() *state {
 		counters: make([]counterState, len(c.tree.Counters)),
 	}
 	for i := range s.procs {
-		s.procs[i] = procState{phase: phIdle, first: c.tree.FirstCounter(i), cur: -1, dest: -1}
+		s.procs[i] = procState{phase: phIdle, first: c.tree.FirstCounter(i), cur: -1, dest: -1, victim: topology.NoProc}
 	}
 	for i := range s.counters {
 		tc := &c.tree.Counters[i]
@@ -163,7 +197,7 @@ func (c *Checker) enabled(s *state) []int {
 	return out
 }
 
-// step applies participant id's next transition to a copy of s and
+// step applies participant id's next memory operation to a copy of s and
 // reports a protocol violation if one occurs.
 func (c *Checker) step(s *state, id int) (*state, error) {
 	ns := s.clone()
@@ -171,30 +205,32 @@ func (c *Checker) step(s *state, id int) (*state, error) {
 	switch p.phase {
 	case phIdle:
 		ns.arrived++
-		p.phase = phCheck
+		p.phase = phLoadEvicted
 
-	case phCheck:
-		cn := &ns.counters[p.first]
-		if cn.evicted == id {
-			cn.evicted = topology.NoProc
-			p.dest = cn.destination
-			p.phase = phAdopt
+	case phLoadEvicted:
+		if ns.counters[p.first].evicted == id {
+			p.phase = phClearEvicted
 		} else {
 			p.cur = p.first
-			p.phase = phUpdate
+			p.phase = phAdd
 		}
 
-	case phAdopt:
-		dc := &ns.counters[p.dest]
+	case phClearEvicted:
+		ns.counters[p.first].evicted = topology.NoProc
+		p.phase = phReadDest
+
+	case phReadDest:
+		p.dest = ns.counters[p.first].destination
+		p.phase = phClaimLocal
+
+	case phClaimLocal:
 		if len(c.tree.Counters[p.dest].Children) > 0 {
-			dc.local = id
+			ns.counters[p.dest].local = id
 		}
-		p.first = p.dest
-		p.cur = p.dest
-		p.dest = -1
-		p.phase = phUpdate
+		p.first, p.cur, p.dest = p.dest, p.dest, -1
+		p.phase = phAdd
 
-	case phUpdate:
+	case phAdd:
 		cn := &ns.counters[p.cur]
 		cn.count++
 		fanIn := c.tree.Counters[p.cur].FanIn()
@@ -203,40 +239,63 @@ func (c *Checker) step(s *state, id int) (*state, error) {
 		}
 		if cn.count < fanIn {
 			p.phase = phWait
-			break
-		}
-		cn.count = 0
-		if p.cur != p.first {
-			if c.sabotageLateRootSwap && c.tree.Counters[p.cur].Parent == topology.NoCounter {
-				// Buggy ordering: release now, swap afterwards.
-				if err := c.release(ns); err != nil {
-					return nil, err
-				}
-				p.phase = phSwap
-				break
-			}
-			p.phase = phSwap
-		} else if err := c.advance(ns, id); err != nil {
-			return nil, err
+		} else {
+			p.phase = phReset
 		}
 
-	case phSwap:
-		cn := &ns.counters[p.cur]
-		if cn.local != topology.NoProc && c.ringOK(id, p.cur) {
-			cn.evicted = cn.local
-			cn.destination = p.first
-			cn.local = id
-			p.first = p.cur
+	case phReset:
+		ns.counters[p.cur].count = 0
+		switch {
+		case p.cur == p.first:
+			c.advance(ns, id)
+		case c.sabotageLateRootSwap && c.tree.Counters[p.cur].Parent == topology.NoCounter:
+			// Buggy ordering: release now, swap afterwards.
+			if err := c.release(ns); err != nil {
+				return nil, err
+			}
+			p.phase = phReadLocal
+		default:
+			p.phase = phReadLocal
 		}
-		if c.sabotageLateRootSwap && c.tree.Counters[p.cur].Parent == topology.NoCounter {
-			// The release already happened before this (buggy) late swap.
-			p.phase = phIdle
-			p.episode++
-			break
+
+	case phReadLocal:
+		p.victim = ns.counters[p.cur].local
+		switch {
+		case p.victim == topology.NoProc || !c.ringOK(id, p.cur):
+			p.victim = topology.NoProc
+			c.swapDone(ns, id)
+		case c.sabotageEarlyPublish:
+			p.phase = phPublish
+		default:
+			p.phase = phWriteDest
 		}
-		if err := c.advance(ns, id); err != nil {
+
+	case phWriteDest:
+		ns.counters[p.cur].destination = p.first
+		p.phase = phWriteLocal
+
+	case phWriteLocal:
+		ns.counters[p.cur].local = id
+		if c.sabotageEarlyPublish {
+			c.swapDone(ns, id)
+		} else {
+			p.phase = phPublish
+		}
+
+	case phPublish:
+		ns.counters[p.cur].evicted = p.victim
+		if c.sabotageEarlyPublish {
+			p.phase = phWriteDest
+		} else {
+			c.swapDone(ns, id)
+		}
+
+	case phRelease:
+		if err := c.release(ns); err != nil {
 			return nil, err
 		}
+		p.phase = phIdle
+		p.episode++
 
 	case phWait:
 		p.phase = phIdle
@@ -248,23 +307,34 @@ func (c *Checker) step(s *state, id int) (*state, error) {
 	return ns, nil
 }
 
-// advance moves participant id from its just-completed counter to the
-// parent, or releases the episode at the root.
-func (c *Checker) advance(s *state, id int) error {
+// swapDone ends participant id's swap at its current counter: if it
+// displaced a victim the counter becomes its first (a write to its own
+// slot, seen by nobody else, so it rides on the swap's last operation),
+// and the ascent moves on.
+func (c *Checker) swapDone(s *state, id int) {
 	p := &s.procs[id]
-	parent := c.tree.Counters[p.cur].Parent
-	if parent != topology.NoCounter {
+	if p.victim != topology.NoProc {
+		p.first, p.victim = p.cur, topology.NoProc
+	}
+	if c.sabotageLateRootSwap && c.tree.Counters[p.cur].Parent == topology.NoCounter {
+		// The release already happened before this (buggy) late swap.
+		p.phase = phIdle
+		p.episode++
+		return
+	}
+	c.advance(s, id)
+}
+
+// advance moves participant id from its just-completed counter to the
+// parent's add, or at the root to the release.
+func (c *Checker) advance(s *state, id int) {
+	p := &s.procs[id]
+	if parent := c.tree.Counters[p.cur].Parent; parent != topology.NoCounter {
 		p.cur = parent
-		p.phase = phUpdate
-		return nil
+		p.phase = phAdd
+		return
 	}
-	// Root completed: release.
-	if err := c.release(s); err != nil {
-		return err
-	}
-	p.phase = phIdle
-	p.episode++
-	return nil
+	p.phase = phRelease
 }
 
 // release fires the episode's release, checking the safety property.
@@ -281,28 +351,48 @@ func (c *Checker) ringOK(id, counter int) bool {
 	return c.tree.Counters[counter].RingID == c.tree.RingOf(id)
 }
 
-// checkQuiescent validates the placement invariant when every participant
-// is idle between episodes.
-func (c *Checker) checkQuiescent(s *state) error {
-	for i := range s.procs {
-		if ph := s.procs[i].phase; ph != phIdle && ph != phDone {
-			return nil // not quiescent; nothing to check
-		}
+// home is the counter participant i's next ascent starts from, as i itself
+// would resolve it from the state: mid-adopt, the redirect it is
+// following; otherwise its first counter, or that counter's destination
+// while its evicted entry names i.
+func home(s *state, i int) int {
+	p := &s.procs[i]
+	switch p.phase {
+	case phReadDest:
+		return s.counters[p.first].destination
+	case phClaimLocal:
+		return p.dest
 	}
-	occupants := make(map[int]int)
+	if cn := &s.counters[p.first]; cn.evicted == i {
+		return cn.destination
+	}
+	return p.first
+}
+
+// checkPlacement validates the placement invariant, which holds between
+// any two memory operations: every counter has exactly its fan-in's worth
+// of occupants once pending evictions are resolved. When every
+// participant is idle between episodes it also checks the counts are
+// reset.
+func (c *Checker) checkPlacement(s *state) error {
+	occupants := make([]int, len(s.counters))
+	quiescent := true
 	for i := range s.procs {
-		fc := s.procs[i].first
-		if cn := &s.counters[fc]; cn.evicted == i {
-			fc = cn.destination
+		h := home(s, i)
+		if h == topology.NoCounter {
+			return fmt.Errorf("participant %d is evicted to no destination", i)
 		}
-		occupants[fc]++
+		occupants[h]++
+		if ph := s.procs[i].phase; ph != phIdle && ph != phDone {
+			quiescent = false
+		}
 	}
 	for i := range s.counters {
 		want := c.tree.Counters[i].FanIn() - len(c.tree.Counters[i].Children)
 		if occupants[i] != want {
-			return fmt.Errorf("quiescent occupancy of counter %d is %d, want %d", i, occupants[i], want)
+			return fmt.Errorf("occupancy of counter %d is %d, want %d", i, occupants[i], want)
 		}
-		if s.counters[i].count != 0 {
+		if quiescent && s.counters[i].count != 0 {
 			return fmt.Errorf("counter %d count %d at quiescence", i, s.counters[i].count)
 		}
 	}
@@ -355,7 +445,7 @@ func (c *Checker) Run() error {
 					ns.procs[i].phase = phDone
 				}
 			}
-			if err := c.checkQuiescent(ns); err != nil {
+			if err := c.checkPlacement(ns); err != nil {
 				return err
 			}
 			k := ns.key()

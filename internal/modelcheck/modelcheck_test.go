@@ -8,8 +8,9 @@ import (
 )
 
 func TestDynamicProtocolMCSTrees(t *testing.T) {
-	// Exhaustive interleaving exploration of the dynamic-placement
-	// protocol over small MCS trees and multiple episodes. Three episodes
+	// Exhaustive exploration, one memory operation at a time, of the
+	// dynamic-placement protocol over small MCS trees and multiple
+	// episodes. Three episodes
 	// exercise the full victim hand-off cycle (swap in ep k, victim
 	// discovery in ep k+1, re-swap in ep k+2).
 	for _, cfg := range []struct {
@@ -82,4 +83,26 @@ func TestCheckerCatchesLateRootSwap(t *testing.T) {
 		t.Fatalf("unexpected violation kind: %v", err)
 	}
 	t.Logf("sabotage detected as: %v", err)
+}
+
+// Second mutant: the victor stores evicted before destination and local.
+// Every run still completes — the victim looks at evicted only after the
+// release, which the whole swap precedes — so nothing but the
+// every-state placement check can see it: between the two stores the
+// victim is named and its redirect is whatever the counter's previous
+// swap left (nothing, the first time). That is the state a reader not
+// ordered by the release, or a Reset after a poison, would trust.
+func TestCheckerCatchesEarlyPublish(t *testing.T) {
+	for _, tree := range []*topology.Tree{topology.NewMCS(4, 2), topology.NewRing([]int{3, 2}, 2)} {
+		c := New(tree, 3)
+		c.sabotageEarlyPublish = true
+		err := c.Run()
+		if err == nil {
+			t.Fatal("evicted published before destination passed the checker")
+		}
+		if !strings.Contains(err.Error(), "no destination") && !strings.Contains(err.Error(), "occupancy") {
+			t.Fatalf("unexpected violation kind: %v", err)
+		}
+		t.Logf("sabotage detected as: %v", err)
+	}
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 )
 
 // Op is an associative combining operator over fixed-width byte strings —
@@ -58,9 +59,13 @@ func (op Op) identity() []byte {
 	return make([]byte, op.Width)
 }
 
+// CacheLine is the line size hot per-node and per-participant state is
+// padded to.
+const CacheLine = 64
+
 // cellStride rounds a contribution width up to a cache-line multiple so
 // adjacent participants' deposit cells never share a line.
-func cellStride(width int) int { return (width + 63) &^ 63 }
+func cellStride(width int) int { return (width + CacheLine - 1) &^ (CacheLine - 1) }
 
 // Reducer carries the payload side of a combining-tree episode: padded
 // per-participant deposit cells, per-node fold accumulators, and the
@@ -70,19 +75,36 @@ func cellStride(width int) int { return (width + 63) &^ 63 }
 // episode k+1 uses the other buffer, and nobody can reach episode k+2
 // (parity of k) before the episode-k releaser — who folds and publishes
 // before opening the gate — is done. Node accumulators need no parity at
-// all: they are guarded by the tree's own counter locks and are
-// quiescently empty (every fold consumed) whenever the root completes.
+// all: each is folded under its own node's lock, which is the only lock a
+// combining tree takes and is taken only where bytes are folded, and they
+// are quiescently empty (every fold consumed) whenever the root completes.
 type Reducer struct {
 	op     Op
 	ident  []byte
 	stride int
 	p      int
-	cells  [2][]byte // p*stride each; deposit slots, owner-written
-	accN   []int     // per-node fold count; guarded by the node's counter lock
-	acc    []byte    // nodes*stride; guarded likewise
-	res    [2][]byte // width each; releaser-written, parity-stable across Resize
-	mu     sync.Mutex
+	cells  [2][]byte  // p*stride each; deposit slots, owner-written
+	nodes  []foldNode // per-node lock and arrival count
+	acc    []byte     // nodes*stride; each node's under its foldNode's lock
+	res    [2][]byte  // width each; releaser-written, parity-stable across Resize
 }
+
+// foldNode is one tree node's fold lock and the count of arrivals folded
+// under it this episode, on a cache line of its own. On a greedy barrier
+// the count is the node's arrival counter: the lock a fold needs anyway
+// also decides who completed the fan-in, so a visit costs one lock round
+// trip and no further atomic.
+type foldNode struct {
+	mu sync.Mutex
+	n  int32
+	_  [CacheLine - 12]byte
+}
+
+// Both lines compile only when a foldNode is exactly one cache line.
+const (
+	_ = CacheLine - unsafe.Sizeof(foldNode{})
+	_ = unsafe.Sizeof(foldNode{}) - CacheLine
+)
 
 // NewReducer builds a reducer for p participants over a tree of nodes
 // counters. It panics on an invalid op — collective configuration is a
@@ -102,7 +124,7 @@ func (r *Reducer) alloc(p, nodes int) {
 	r.p = p
 	r.cells[0] = make([]byte, p*r.stride)
 	r.cells[1] = make([]byte, p*r.stride)
-	r.accN = make([]int, nodes)
+	r.nodes = make([]foldNode, nodes)
 	r.acc = make([]byte, nodes*r.stride)
 }
 
@@ -137,30 +159,33 @@ func (r *Reducer) DepositIdentity(parity uint64, id int) {
 	copy(r.cell(parity, id), r.ident)
 }
 
-// FoldNode folds src into node's accumulator. The caller must hold the
-// node's counter lock — the accumulator shares the counter's critical
-// section, which is what makes the greedy path lock-free beyond the locks
-// the barrier already takes.
-func (r *Reducer) FoldNode(node int, src []byte) {
+// FoldNode counts one arrival at node and folds src into the node's
+// accumulator under the node's lock; a nil src folds the identity (a plain
+// arrival on a greedy barrier, which counts through the same node so that
+// a mixed episode still completes). When the arrival completes fanIn it
+// consumes the accumulator and returns it as the carry for the parent. The
+// carry stays valid after unlock because nobody can fold into this node
+// again before the episode's release, and the carry is folded onward
+// before that.
+func (r *Reducer) FoldNode(node int, src []byte, fanIn int32) (carry []byte, last bool) {
+	if src == nil {
+		src = r.ident
+	}
 	off := node * r.stride
 	dst := r.acc[off : off+r.op.Width]
-	if r.accN[node] == 0 {
+	nd := &r.nodes[node]
+	nd.mu.Lock()
+	if nd.n == 0 {
 		copy(dst, src)
 	} else {
 		r.op.Fold(dst, src)
 	}
-	r.accN[node]++
-}
-
-// TakeNode consumes node's accumulator after its fan-in completed,
-// returning the folded value as the carry for the parent. The caller must
-// hold the node's counter lock when calling; the returned slice stays
-// valid after unlock because nobody can fold into this node again before
-// the episode's release, and the carry is folded onward before that.
-func (r *Reducer) TakeNode(node int) []byte {
-	r.accN[node] = 0
-	off := node * r.stride
-	return r.acc[off : off+r.op.Width]
+	nd.n++
+	if last = nd.n == fanIn; last {
+		nd.n = 0
+	}
+	nd.mu.Unlock()
+	return dst, last
 }
 
 // FinishCells folds the first n deposit cells in ascending id order into
@@ -205,7 +230,7 @@ func (r *Reducer) CopyResult(parity uint64, dst []byte) {
 // deliberately kept — a slow awaiter of the pre-rebuild episode still
 // copies its result from the same backing array.
 func (r *Reducer) Resize(p, nodes int) {
-	if r == nil || (p == r.p && nodes == len(r.accN)) {
+	if r == nil || (p == r.p && nodes == len(r.nodes)) {
 		return
 	}
 	r.alloc(p, nodes)
@@ -215,8 +240,8 @@ func (r *Reducer) Resize(p, nodes int) {
 // Reset barrier starts from empty folds. Quiescent-only, like the
 // barrier-side clear it is called from.
 func (r *Reducer) Reset() {
-	for i := range r.accN {
-		r.accN[i] = 0
+	for i := range r.nodes {
+		r.nodes[i].n = 0
 	}
 }
 

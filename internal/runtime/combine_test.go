@@ -45,23 +45,39 @@ func TestOpValidate(t *testing.T) {
 }
 
 func TestReducerGreedyPath(t *testing.T) {
-	// One node with fan-in 3: fold three contributions through
-	// FoldNode/TakeNode and check the sum.
+	// One node with fan-in 3: fold three contributions through FoldNode;
+	// only the third completes the node, and it carries the sum.
 	r := NewReducer(sumOp(), 3, 1)
 	buf := make([]byte, 8)
-	for _, v := range []uint64{10, 200, 3000} {
+	var carry []byte
+	for i, v := range []uint64{10, 200, 3000} {
 		binary.BigEndian.PutUint64(buf, v)
-		r.FoldNode(0, buf)
+		var last bool
+		if carry, last = r.FoldNode(0, buf, 3); last != (i == 2) {
+			t.Fatalf("arrival %d of 3: last = %v", i+1, last)
+		}
 	}
-	got := binary.BigEndian.Uint64(r.TakeNode(0))
-	if got != 3210 {
+	if got := binary.BigEndian.Uint64(carry); got != 3210 {
 		t.Fatalf("greedy fold = %d, want 3210", got)
 	}
-	// The accumulator must be consumable again for the next episode.
+	// The node is empty again for the next episode, a nil contribution
+	// (a plain arrival) counts and folds the identity, and Reset drops a
+	// stranded part-fold.
 	binary.BigEndian.PutUint64(buf, 7)
-	r.FoldNode(0, buf)
-	if got := binary.BigEndian.Uint64(r.TakeNode(0)); got != 7 {
-		t.Fatalf("post-take fold = %d, want 7", got)
+	r.FoldNode(0, buf, 3)
+	r.FoldNode(0, nil, 3)
+	carry, last := r.FoldNode(0, buf, 3)
+	if got := binary.BigEndian.Uint64(carry); !last || got != 14 {
+		t.Fatalf("post-take fold = %d (last %v), want 14", got, last)
+	}
+	r.FoldNode(0, buf, 3)
+	r.Reset()
+	binary.BigEndian.PutUint64(buf, 1)
+	for i := 0; i < 3; i++ {
+		carry, last = r.FoldNode(0, buf, 3)
+	}
+	if got := binary.BigEndian.Uint64(carry); !last || got != 3 {
+		t.Fatalf("post-reset fold = %d (last %v), want 3", got, last)
 	}
 }
 

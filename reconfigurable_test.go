@@ -57,10 +57,14 @@ func TestReconfigurableElasticMidRun(t *testing.T) {
 	b := NewReconfigurable(8, ReconfigConfig{ReplanEvery: 2})
 	episodes := func() uint64 { _, n := b.MeasuredSigma(); return n }
 
-	var wg sync.WaitGroup
-	wg.Add(8)
-	for id := 0; id < 8; id++ {
+	var wg, shrunk sync.WaitGroup
+	wg.Add(4)
+	shrunk.Add(4)
+	for id := 0; id < 4; id++ {
 		go elasticWorker(b, id, &wg)
+	}
+	for id := 4; id < 8; id++ {
+		go elasticWorker(b, id, &shrunk)
 	}
 	waitFor(t, "warmup episodes", func() bool { return episodes() >= 50 })
 
@@ -71,6 +75,10 @@ func TestReconfigurableElasticMidRun(t *testing.T) {
 	mark := episodes()
 	waitFor(t, "episodes at p=4", func() bool { return episodes() >= mark+50 })
 
+	// Ids 4–7 are handed to new workers below: their shrunk owners must
+	// have drained out first, or a slow one sees the regrown membership
+	// cover its id, carries on, and two goroutines share a participant.
+	shrunk.Wait()
 	if _, err := b.Grow(4); err != nil {
 		t.Fatal(err)
 	}

@@ -226,21 +226,21 @@ func TestDynamicSlowParticipantMigratesToRoot(t *testing.T) {
 }
 
 func TestDynamicRingNeverMigratesAcrossRings(t *testing.T) {
+	// One goroutine issues every arrival, the slow id's last, and then
+	// collects every release: who arrives last is the test's input, not
+	// the scheduler's output.
 	runSlow := func(b *DynamicBarrier, slow int) {
-		var wg sync.WaitGroup
-		wg.Add(8)
-		for id := 0; id < 8; id++ {
-			go func(id int) {
-				defer wg.Done()
-				for k := 0; k < 20; k++ {
-					if id == slow {
-						time.Sleep(time.Millisecond)
-					}
-					b.Wait(id)
+		for k := 0; k < 20; k++ {
+			for id := 0; id < 8; id++ {
+				if id != slow {
+					b.Arrive(id)
 				}
-			}(id)
+			}
+			b.Arrive(slow)
+			for id := 0; id < 8; id++ {
+				b.Await(id)
+			}
 		}
-		wg.Wait()
 	}
 
 	// A slow ring-0 participant may take the merge root (it belongs to
@@ -256,6 +256,11 @@ func TestDynamicRingNeverMigratesAcrossRings(t *testing.T) {
 	runSlow(b1, 5)
 	if got := b1.DepthOf(5); got != 2 {
 		t.Errorf("slow ring-1 participant depth %d, want 2", got)
+	}
+	for _, b := range []*DynamicBarrier{b0, b1} {
+		if err := validateDynamicPlacement(b); err != "" {
+			t.Error(err)
+		}
 	}
 }
 
@@ -310,11 +315,7 @@ func validateDynamicPlacement(b *DynamicBarrier) string {
 	st := b.state.Load()
 	occupants := make(map[int]int)
 	for id := 0; id < st.p; id++ {
-		c := b.FirstCounterOf(id)
-		if dc := &st.counters[c]; dc.evicted == id {
-			c = dc.destination
-		}
-		occupants[c]++
+		occupants[st.home(id)]++
 	}
 	for i := range st.counters {
 		dc := &st.counters[i]
@@ -322,7 +323,7 @@ func validateDynamicPlacement(b *DynamicBarrier) string {
 		if occupants[i] != wantProcs {
 			return "counter occupancy does not match its processor fan-in"
 		}
-		if dc.count != 0 {
+		if dc.count.Load() != 0 {
 			return "counter not reset at quiescence"
 		}
 	}

@@ -5,11 +5,11 @@ import (
 	"softbarrier/internal/topology"
 )
 
-// TreeBarrier is a software combining-tree barrier: a tree of counters,
-// each protected by its own lock, so that at most degree+1 participants
-// ever contend on the same cache line. A participant updates its first
-// counter; whoever completes a counter's fan-in proceeds to the parent,
-// and completing the root releases the episode.
+// TreeBarrier is a software combining-tree barrier: a tree of atomic
+// counters, each on its own cache line, so that at most degree+1
+// participants ever contend on the same line. A participant adds to its
+// first counter; whoever completes a counter's fan-in proceeds to the
+// parent, and completing the root releases the episode.
 //
 // Construct with NewCombiningTree (participants at the leaves only, the
 // Yew/Tzeng/Lawrie structure) or NewMCSTree (one participant attached to

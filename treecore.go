@@ -2,24 +2,27 @@ package softbarrier
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	rt "softbarrier/internal/runtime"
 	"softbarrier/internal/topology"
 )
 
 // treeCore is the one combining tree under TreeBarrier, DynamicBarrier and
-// ReconfigurableBarrier: a tree of counters, each protected by its own
-// lock, that participants ascend on arrival; whoever completes a
-// counter's fan-in proceeds to the parent, and completing the root
-// releases the episode. The paper's point is that static, MCS and dynamic
-// placement are this same tree with a different answer to "who sits
-// where", so the ascent, the release wait and the collective path exist
-// once, here, and the three barriers embed the core and add only their
-// policy: a static tree is the epoch that never changes (tree.go), dynamic
-// placement is two steps around the ascent (dynamic.go), and the
-// reconfigurable barrier replaces the epoch at the root (reconfigurable.go).
+// ReconfigurableBarrier: a tree of atomic counters that participants
+// ascend on arrival, one fetch-and-add per counter visited; whoever
+// completes a counter's fan-in resets it and proceeds to the parent, and
+// completing the root releases the episode. Nothing on the ascent takes a
+// lock except where bytes are folded (folding, below).
+//
+// The paper's point is that static, MCS and dynamic placement are this
+// same tree with a different answer to "who sits where", so the ascent,
+// the release wait and the collective path exist once, here, and the three
+// barriers embed the core and add only their policy: a static tree is the
+// epoch that never changes (tree.go), dynamic placement is two steps
+// around the ascent (dynamic.go), and the reconfigurable barrier replaces
+// the epoch at the root (reconfigurable.go).
 //
 // The policies are fixed at construction and are plain fields the ascent
 // branches on — the loop runs a hundred-odd times per 32-participant
@@ -36,7 +39,14 @@ type treeCore struct {
 	rec *rt.Recorder
 	red *rt.Reducer // payload reducer; nil without WithCollective
 
-	dynamic bool          // victor/victim placement (dynamic.go)
+	dynamic bool // victor/victim placement (dynamic.go)
+	// folding is set on a barrier whose collective op is Commutative: every
+	// counter visit, plain arrivals included, then counts through the
+	// reducer's node (rt.Reducer.FoldNode), whose fold lock decides who
+	// completed the fan-in, and treeCounter.count goes unused. One owner
+	// per counter is what lets an episode that mixes Arrive and
+	// ArriveReduce complete.
+	folding bool
 	swaps   atomic.Uint64 // placement swaps so far
 	// elastic, when set, is the embedding barrier whose release runs at the
 	// root completion in place of the plain measure-and-open.
@@ -64,23 +74,25 @@ type treeEpoch struct {
 }
 
 // treeCounter is one tree node's arrival counter, plus the fields dynamic
-// placement hands a displaced participant over with.
+// placement hands a displaced participant over with, padded to a cache
+// line of its own. There is no lock: count is one atomic add per visit;
+// the placement fields are ordered by the counter chain (dynamic.go).
 type treeCounter struct {
-	mu     sync.Mutex
-	count  int
-	fanIn  int
-	parent int
+	count  atomic.Int32
+	fanIn  int32
+	parent int32
 	// local is the participant occupying the counter's local slot, or
 	// topology.NoProc (classic trees; the ring merge root accepts no
 	// migrants). For internal counters it always names the participant
 	// whose first counter this is.
-	local int
+	local int32
 	// evicted/destination implement the victim hand-off: evicted names the
 	// displaced participant (one-shot, cleared on consumption) and
-	// destination its new first counter.
-	evicted     int
-	destination int
-	_           [8]byte // separate counters across cache lines
+	// destination its new first counter, written before evicted publishes
+	// it.
+	evicted     atomic.Int32
+	destination int32
+	_           [rt.CacheLine - 24]byte
 }
 
 // treeSlot is one participant's owner-written state, on its own cache
@@ -89,8 +101,17 @@ type treeSlot struct {
 	gen   uint64 // generation of the episode the participant last arrived in
 	next  uint64 // earliest generation its next arrival may join
 	first int    // its first counter; moves only under dynamic placement
-	_     [40]byte
+	_     [rt.CacheLine - 24]byte
 }
+
+// Each line compiles only when the struct is exactly one cache line, so
+// the padding above cannot silently drift when a field changes.
+const (
+	_ = rt.CacheLine - unsafe.Sizeof(treeCounter{})
+	_ = unsafe.Sizeof(treeCounter{}) - rt.CacheLine
+	_ = rt.CacheLine - unsafe.Sizeof(treeSlot{})
+	_ = unsafe.Sizeof(treeSlot{}) - rt.CacheLine
+)
 
 // newTreeEpoch builds the counters and slots for tree, carrying forward
 // the generation slots of prev (nil for the initial epoch). epochGen is the
@@ -98,14 +119,10 @@ type treeSlot struct {
 func newTreeEpoch(tree *topology.Tree, prev *treeEpoch, epochGen uint64) treeEpoch {
 	st := treeEpoch{p: tree.P, tree: tree, counters: make([]treeCounter, len(tree.Counters))}
 	for i := range st.counters {
-		c := &tree.Counters[i]
-		st.counters[i] = treeCounter{
-			fanIn:       c.FanIn(),
-			parent:      c.Parent,
-			local:       c.Local,
-			evicted:     topology.NoProc,
-			destination: topology.NoCounter,
-		}
+		c, tc := &tree.Counters[i], &st.counters[i]
+		tc.fanIn, tc.parent = int32(c.FanIn()), int32(c.Parent)
+		tc.local, tc.destination = int32(c.Local), topology.NoCounter
+		tc.evicted.Store(topology.NoProc)
 	}
 	n := tree.P
 	if prev != nil && len(prev.slots) > n {
@@ -150,6 +167,7 @@ func (b *treeCore) init(o options, first treeEpoch) {
 	// loop needs the spreads.
 	b.rec = o.recorder(st.p, b.elastic != nil)
 	b.red = o.reducer(st.p, len(st.counters))
+	b.folding = b.red != nil && b.red.Op().Commutative
 	b.initPoison(st.p, o.watchdog, o.poisonNotify, b.poisonWaiters, b.clearEpisode)
 }
 
@@ -163,17 +181,15 @@ func (b *treeCore) poisonWaiters() {
 }
 
 // clearEpisode drops the aborted episode's partial counts and folds for
-// Reset. Dynamic placement state (local slots, pending evictions, first
-// counters) survives: it is a consistent placement at every ascent
-// boundary, and pending victims adopt their destination on their next
-// arrival.
+// Reset: the counters' own counts here, and the reducer's per-node counts
+// and part-folds (the counts of a folding barrier) in red.Reset. Dynamic
+// placement state (local slots, pending evictions, first counters)
+// survives: it is a consistent placement at every ascent boundary, and
+// pending victims adopt their destination on their next arrival.
 func (b *treeCore) clearEpisode() {
 	st := b.state.Load()
 	for i := range st.counters {
-		tc := &st.counters[i]
-		tc.mu.Lock()
-		tc.count = 0
-		tc.mu.Unlock()
+		st.counters[i].count.Store(0)
 	}
 	for i := range b.wakeFlag {
 		b.wakeFlag[i].Reset()
@@ -226,11 +242,12 @@ func (b *treeCore) Arrive(id int) { b.arrive(id, nil) }
 // the releaser's id-order fold, or broadcast root deposit). It stays in
 // the collective call's frame and the ascent takes a pointer: threading
 // mode, root and data through as arguments keeps them live across every
-// call in the loop, which cost the plain episode about 5%.
+// call in the loop, which cost the plain episode about 5%. The one value
+// the loop does keep is the greedy carry.
 type payload struct {
 	mode uint8
 	root int    // collBcast: whose data is delivered
-	data []byte // the contribution; under collGreedy the carry folded so far
+	data []byte // the contribution
 }
 
 // arrive is the ascent; pl is nil for a plain arrival.
@@ -267,11 +284,14 @@ func (b *treeCore) arrive(id int, pl *payload) {
 	b.rec.Arrive(id, gen)
 	sl := &st.slots[id]
 	sl.gen, sl.next = gen, gen+1
-	greedy := false
+	// carry is what a folding barrier's visit folds into the node: the
+	// contribution on its way up, nil (the identity) for an arrival that
+	// brings none.
+	var carry []byte
 	if pl != nil {
 		switch pl.mode {
 		case collGreedy:
-			greedy = true
+			carry = pl.data
 		case collCells:
 			b.red.Deposit(gen, id, pl.data)
 		case collBcast:
@@ -286,24 +306,21 @@ func (b *treeCore) arrive(id int, pl *payload) {
 
 	for cn := sl.first; cn != topology.NoCounter; {
 		tc := &st.counters[cn]
-		tc.mu.Lock()
-		// A greedy fold shares the counter's critical section. The carry is
-		// attached to the ascending participant, not to a tree position, so
-		// a placement swap cannot drop or double-fold a contribution.
-		if greedy {
-			b.red.FoldNode(cn, pl.data)
-		}
-		tc.count++
-		last := tc.count == tc.fanIn
-		if last {
-			tc.count = 0
-			if greedy {
-				pl.data = b.red.TakeNode(cn)
+		if b.folding {
+			// The fold's lock does the counting. The carry is attached to
+			// the ascending participant, not to a tree position, so a
+			// placement swap cannot drop or double-fold a contribution.
+			var last bool
+			if carry, last = b.red.FoldNode(cn, carry, tc.fanIn); !last {
+				return
 			}
-		}
-		tc.mu.Unlock()
-		if !last {
+		} else if tc.count.Add(1) != tc.fanIn {
 			return
+		} else {
+			// The last arriver resets the counter before it touches the
+			// parent, and so before any release: the next episode's first
+			// add finds zero.
+			tc.count.Store(0)
 		}
 		// id arrived last in cn's whole subtree: under dynamic placement it
 		// positions itself here before touching the parent, so the swap is
@@ -311,7 +328,7 @@ func (b *treeCore) arrive(id int, pl *payload) {
 		if b.dynamic && cn != sl.first && st.victorSwap(id, sl, cn) {
 			b.swaps.Add(1)
 		}
-		cn = tc.parent
+		cn = int(tc.parent)
 	}
 
 	// Root completed: publish the result while the cells and accumulators
@@ -320,7 +337,7 @@ func (b *treeCore) arrive(id int, pl *payload) {
 	if pl != nil {
 		switch pl.mode {
 		case collGreedy:
-			b.red.PublishCarry(gen, pl.data)
+			b.red.PublishCarry(gen, carry)
 		case collCells:
 			b.red.FinishCells(gen, st.p)
 		case collBcast:

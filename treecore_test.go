@@ -109,45 +109,90 @@ func TestTreeConstructorAllocs(t *testing.T) {
 	}
 }
 
-// TestCollectiveAfterPoisonReset strands a collective episode part-way,
-// poisons it, drains, resets, and checks the barrier then reduces
-// correctly again — on the greedy fold (commutative op), whose node
-// accumulators hold the stranded partial folds, and on the cell fold
-// (non-commutative op), on every tree kind.
+// partCounts returns how many of b's counters hold a part-filled count.
+func partCounts(b fuzzyCollective) int {
+	n := 0
+	st := coreOf(b).state.Load()
+	for i := range st.counters {
+		if st.counters[i].count.Load() != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCollectiveAfterPoisonReset poisons an episode mid-ascent — five of
+// eight arrived, so one leaf has completed into a part-filled root and
+// the other leaf is part-filled itself, with the same nodes' folds
+// part-done — drains, resets, and then checks a hundred episodes: no
+// release before the last arrival, every result the sequential fold. The
+// counts and the part-folds have separate owners (the tree's atomic
+// counters; on a greedy barrier the reducer's nodes, which also hold its
+// counts) and Reset must clear both, so it runs plain, on the greedy fold
+// (commutative op) and on the cell fold (non-commutative op), on every
+// tree kind.
 func TestCollectiveAfterPoisonReset(t *testing.T) {
-	const p, stranded = 8, 5
+	const p, stranded, after = 8, 5, 100
 	cause := errors.New("stranded episode")
 	u64 := func(id, e int) []byte {
 		return binary.BigEndian.AppendUint64(nil, uint64(1000*e+id+1))
 	}
+	sum, mat2 := OpSumUint64(), opMat2()
 	for _, oc := range []struct {
-		op      Op
+		name    string
+		op      *Op // nil: plain Arrive/Await
 		contrib func(id, e int) []byte
 	}{
-		{OpSumUint64(), u64},
-		{opMat2(), mat2Contribution},
+		{"plain", nil, nil},
+		{sum.Name, &sum, u64},
+		{mat2.Name, &mat2, mat2Contribution},
 	} {
 		for _, k := range treeKinds {
-			t.Run(oc.op.Name+"/"+k.name, func(t *testing.T) {
-				b := k.mk(p, WithCollective(oc.op))
-				out := make([]byte, oc.op.Width)
+			t.Run(oc.name+"/"+k.name, func(t *testing.T) {
+				released := 0
+				opts := []Option{WithObserver(observerFunc(func(EpisodeStats) { released++ }))}
+				var out []byte
+				if oc.op != nil {
+					opts = append(opts, WithCollective(*oc.op))
+					out = make([]byte, oc.op.Width)
+				}
+				b := k.mk(p, opts...)
+				arrive := func(id, e int) []byte {
+					t.Helper()
+					if oc.op == nil {
+						b.Arrive(id)
+						return nil
+					}
+					c := oc.contrib(id, e)
+					if err := b.ArriveReduce(id, c); err != nil {
+						t.Fatal(err)
+					}
+					return c
+				}
 				episode := func(e int) {
 					t.Helper()
 					cs := make([][]byte, p)
+					before := released
 					// Arrive high ids first so the fold order is not the
 					// id order by accident.
 					for id := p - 1; id >= 0; id-- {
-						cs[id] = oc.contrib(id, e)
-						if err := b.ArriveReduce(id, cs[id]); err != nil {
-							t.Fatal(err)
+						if released != before {
+							t.Fatalf("episode %d released with %d of %d arrived", e, p-1-id, p)
 						}
+						cs[id] = arrive(id, e)
 					}
-					want := sequentialFold(oc.op, cs)
+					if released != before+1 {
+						t.Fatalf("episode %d: %d releases after the last arrival, want 1", e, released-before)
+					}
 					for id := 0; id < p; id++ {
+						if oc.op == nil {
+							b.Await(id)
+							continue
+						}
 						if err := b.AwaitResult(id, out); err != nil {
 							t.Fatal(err)
 						}
-						if !bytes.Equal(out, want) {
+						if want := sequentialFold(*oc.op, cs); !bytes.Equal(out, want) {
 							t.Fatalf("episode %d id %d: got %x want %x", e, id, out, want)
 						}
 					}
@@ -155,18 +200,23 @@ func TestCollectiveAfterPoisonReset(t *testing.T) {
 				episode(0)
 				episode(1)
 				for id := 0; id < stranded; id++ {
-					if err := b.ArriveReduce(id, oc.contrib(id, 2)); err != nil {
-						t.Fatal(err)
-					}
+					arrive(id, 2)
+				}
+				if !coreOf(b).folding && partCounts(b) == 0 {
+					t.Fatal("no counter is part-filled: the episode was not stranded mid-ascent")
 				}
 				b.Poison(cause)
 				for id := 0; id < stranded; id++ {
-					if err := b.AwaitResult(id, out); !errors.Is(err, cause) {
+					b.Await(id)
+					if err := b.Err(); !errors.Is(err, cause) {
 						t.Fatalf("drain id %d: got %v, want the poison cause", id, err)
 					}
 				}
 				b.Reset()
-				for e := 3; e < 6; e++ {
+				if n := partCounts(b); n != 0 {
+					t.Fatalf("%d counters still part-filled after Reset", n)
+				}
+				for e := 3; e < 3+after; e++ {
 					episode(e)
 				}
 			})
