@@ -6,7 +6,7 @@
 // Usage:
 //
 //	barrierd [-listen 127.0.0.1:7643] [-watchdog 10s] [-replan 10]
-//	         [-dynamic] [-elastic] [-tc SECONDS] [-sigma SECONDS]
+//	         [-elastic] [-tc SECONDS] [-sigma SECONDS]
 //	         [-collective OP] [-placement POLICY]
 //	         [-role standalone|root|leaf] [-root ADDR]
 //	         [-shards N] [-shard-id I]
@@ -29,7 +29,9 @@
 // episode's arrival lags and, on the -replan cadence, rebuilds the
 // session's combining tree with predicted stragglers in the shallowest
 // slots. Placed sessions use MCS-shaped trees, whose depth diversity is
-// what placement exploits.
+// what placement exploits. For consistently slow clients use -placement
+// reactive: it is the paper's dynamic placement generalized to a full
+// ranking, on a tree that survives re-plans.
 //
 // With -collective, every session is an AllReduce: arrivals may carry
 // contributions (clients use ArriveReduce/AllReduce), releases carry the
@@ -141,8 +143,8 @@ func main() {
 	if role == "leaf" {
 		role = "leaf of " + nf.Root
 	}
-	log.Printf("listening on %s as %s (watchdog %v, replan every %d episodes, dynamic %v, elastic %v, collective %s, placement %s)",
-		ln.Addr(), role, opt.Watchdog, opt.ReplanEvery, opt.Dynamic, opt.Elastic, coll, place)
+	log.Printf("listening on %s as %s (watchdog %v, replan every %d episodes, elastic %v, collective %s, placement %s)",
+		ln.Addr(), role, opt.Watchdog, opt.ReplanEvery, opt.Elastic, coll, place)
 	if err := serve(); err != nil && !errors.Is(err, netbarrier.ErrServerClosed) {
 		log.Fatal(err)
 	}

@@ -152,8 +152,6 @@ type NetFlags struct {
 	Watchdog time.Duration
 	// Replan is how many episodes pass between planner re-evaluations.
 	Replan int
-	// Dynamic marks imbalance as systemic, selecting dynamic placement.
-	Dynamic bool
 	// Elastic lets session membership change between episodes: late
 	// joiners are parked and admitted at the next boundary, leavers shrink
 	// the cohort instead of stalling it.
@@ -206,14 +204,13 @@ func AddNetFlags() *NetFlags {
 	flag.StringVar(&f.Listen, "listen", "127.0.0.1:7643", "TCP listen address")
 	flag.DurationVar(&f.Watchdog, "watchdog", 10*time.Second, "per-session stall deadline (0 disables stall detection)")
 	flag.IntVar(&f.Replan, "replan", 10, "episodes between tree-degree re-plans (0 = every episode)")
-	flag.BoolVar(&f.Dynamic, "dynamic", false, "treat imbalance as systemic: use dynamic-placement trees")
 	flag.BoolVar(&f.Elastic, "elastic", false, "elastic sessions: admit joins and absorb leaves at episode boundaries")
 	flag.Float64Var(&f.Tc, "tc", 0, "model counter-update cost in seconds (0 = 20µs)")
 	flag.Float64Var(&f.Sigma, "sigma", 0, "assumed arrival spread in seconds before measurement")
 	flag.StringVar(&f.Collective, "collective", "",
 		"serve collective sessions folding contributions with this op, one of: "+strings.Join(softbarrier.OpNames(), ", "))
 	flag.StringVar(&f.Placement, "placement", "",
-		"predictive straggler-placement policy, one of: "+strings.Join(softbarrier.PlacementNames(), ", "))
+		"predictive straggler-placement policy (reactive moves consistently slow clients to the root), one of: "+strings.Join(softbarrier.PlacementNames(), ", "))
 	flag.StringVar(&f.Role, "role", "standalone", "deployment role: standalone | root | leaf")
 	flag.StringVar(&f.Root, "root", "", "root barrierd address (required with -role leaf)")
 	flag.IntVar(&f.ShardID, "shard-id", 0, "this leaf's shard index in [0, -shards) (-role leaf)")
@@ -278,7 +275,6 @@ func (f *NetFlags) Options() (netbarrier.Options, error) {
 	opt := netbarrier.Options{
 		Watchdog:     f.Watchdog,
 		ReplanEvery:  f.Replan,
-		Dynamic:      f.Dynamic,
 		Elastic:      f.Elastic,
 		Tc:           f.Tc,
 		InitialSigma: f.Sigma,

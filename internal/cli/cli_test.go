@@ -93,12 +93,12 @@ func TestDur(t *testing.T) {
 }
 
 func TestNetFlagsOptions(t *testing.T) {
-	f := &NetFlags{Watchdog: 3 * time.Second, Replan: 5, Dynamic: true, Tc: 1e-5, Sigma: 2e-4}
+	f := &NetFlags{Watchdog: 3 * time.Second, Replan: 5, Tc: 1e-5, Sigma: 2e-4}
 	opt, err := f.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Watchdog != 3*time.Second || opt.ReplanEvery != 5 || !opt.Dynamic ||
+	if opt.Watchdog != 3*time.Second || opt.ReplanEvery != 5 ||
 		opt.Tc != 1e-5 || opt.InitialSigma != 2e-4 {
 		t.Fatalf("options = %+v do not mirror flags %+v", opt, f)
 	}

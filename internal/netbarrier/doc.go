@@ -6,15 +6,21 @@
 // The paper's core result — the optimal combining-tree degree grows with
 // the arrival-time spread σ — matters most in exactly this setting, where
 // arrival skew is large (network jitter stacks on load imbalance) and
-// shifts over time. Each session therefore measures the spread of its
-// remote arrivals per episode exactly as the in-process barriers do (the
-// shared internal/runtime recorder), folds it into an EWMA σ, and at
-// episode boundaries asks the planner (softbarrier.RecommendMeasured) for
-// the degree that σ justifies; when the recommendation moves, the arrival
-// tree is rebuilt at the new degree during the release — a quiescent
-// point, so the swap is a plain pointer store. With Options.Dynamic the
-// planner selects the dynamic-placement tree instead, and consistently
-// slow clients migrate toward the root between episodes.
+// shifts over time. Each session therefore runs on one
+// softbarrier.ReconfigurableBarrier, built with the session and never
+// replaced: the barrier measures the spread of the remote arrivals,
+// re-derives the degree σ justifies, applies a placement policy
+// (Options.Placement) and swaps epochs at the release, exactly as it does
+// in process (DESIGN §5.8). What the session adds is membership: at its
+// episode boundary an elastic session absorbs leavers and pending
+// joiners, re-assigns ids densely and Resizes the barrier. That boundary
+// runs in one of two contexts, both quiescent points of the barrier: the
+// barrier's Observer, before its gate opens (a standalone server), or the
+// root link's done callback, after it has (a leaf). Sharing the barrier's
+// loop has edges, listed in DESIGN §5.7: the cadence re-plan precedes the
+// membership step, so one boundary can commit two epochs; the placement
+// policy's Order is consumed once per cadence; arrival counters and the
+// watchdog live as long as the session.
 //
 // Failure semantics are the PR-3 poison machinery end to end. Whatever
 // kills an episode — a client disconnecting mid-session, a stall caught

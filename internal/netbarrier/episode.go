@@ -124,77 +124,61 @@ func (s *session) checkArrival(c *srvConn, episode uint64) (id int, ok bool) {
 // than a per-member error: the episode's fold is already corrupted by the
 // time a retry could land.
 func (s *session) deposit(id int, data []byte) {
-	core := s.core.Load().b
 	switch {
 	case s.op == nil && len(data) == 0:
-		core.Arrive(id)
+		s.tree.Arrive(id)
 	case s.op == nil:
 		s.poison(fmt.Errorf("netbarrier: protocol violation: member %d contributed %d bytes to a session with no collective op", id, len(data)))
 	case len(data) == 0:
-		core.ArriveReduce(id, s.ident)
+		s.tree.ArriveReduce(id, s.ident)
 	case len(data) != s.op.Width:
 		s.poison(fmt.Errorf("netbarrier: protocol violation: member %d contributed %d bytes, op %q wants %d", id, len(data), s.op.Name, s.op.Width))
 	default:
-		core.ArriveReduce(id, data)
+		s.tree.ArriveReduce(id, data)
 	}
 }
 
 // onEpisode is the Observer callback: it runs on the reader goroutine
-// whose arrival completed the root, at the episode's quiescent point. It
-// folds the measured spread into the σ estimate and captures the episode's
-// collective result; then, on a standalone server, it completes the
-// episode immediately, while a leaf session first forwards one aggregated
-// arrival — carrying the local fold — over its root link and completes
-// only when the upstream outcome (the fleet-wide release, or the fleet's
-// poison cause) comes back. Episode serialization makes the suspended
-// completion safe: no local member can arrive at the next episode until
-// the release this completion will broadcast reaches it, so at most one
-// upstream round-trip per session is ever outstanding.
+// whose arrival completed the root, at the episode's quiescent point,
+// after the barrier has folded the spread into σ and taken any cadence
+// re-plan of its own. The episode's collective result is read where the
+// barrier published it — the recorder's episode index is the session's,
+// and the published buffer outlives any rebuild. A standalone server then
+// completes the episode immediately, while a leaf session first forwards
+// one aggregated arrival — carrying the local fold — over its root link
+// and completes only when the upstream outcome (the fleet-wide release, or
+// the fleet's poison cause) comes back. Episode serialization makes the
+// suspended completion safe: no local member can arrive at the next
+// episode until the release this completion will broadcast reaches it, so
+// at most one upstream round-trip per session is ever outstanding.
 func (s *session) onEpisode(st softbarrier.EpisodeStats) {
-	s.ctrl.Observe(st.Spread)
-	box := s.core.Load()
-	s.observePlacement(box, st.Episode)
-	// Capture the collective result at the quiescent point, while the
-	// completed core still owns it: a re-plan in the completion swaps the
-	// core out, and the next same-parity episode would overwrite the
-	// buffer.
-	result := s.capture(box, st.Episode)
+	result := s.tree.Reduced(st.Episode) // nil for a plain barrier session
 	if s.up != nil && !s.dead.Load() {
-		s.up.Arrive(s.episode.Load(), s.ctrl.Current().P, st.Spread, s.ctrl.Sigma(), result,
+		s.up.Arrive(st.Episode, s.tree.Participants(), st.Spread, s.tree.Sigma(), result,
 			func(out ShardOutcome) { s.completeEpisode(st, out) })
 		return
 	}
 	s.completeEpisode(st, ShardOutcome{Result: result})
 }
 
-// capture copies episode's folded result out of the completed core into
-// the session's reusable capture buffer, or returns nil for a plain
-// barrier session. Releaser-only; the bytes are consumed (copied into the
-// release frame encoding) before the next episode's capture can run.
-func (s *session) capture(box *coreBox, episode uint64) []byte {
-	if s.op == nil {
-		return nil
-	}
-	s.capBuf = append(s.capBuf[:0], box.b.Reduced(episode)...)
-	return s.capBuf
-}
-
 // completeEpisode is the episode boundary, run once its outcome is known
-// — locally immediate on a standalone server, or deferred to the upstream
-// release on a leaf; an upstream error poisons the session instead,
-// delivering the fleet's cause to every local member. It is the one
-// instant at which the session changes shape: under the session mutex it
-// collects the live members, lets an elastic session absorb its leavers
-// and pending joiners, applies a due re-plan, and advances the episode;
-// then, outside the mutex, it fans the completing frame out.
+// — locally immediate on a standalone server (inside the barrier's
+// Observer, its gate not yet open), or deferred to the upstream release on
+// a leaf (in the link's done callback, after the gate has opened); an
+// upstream error poisons the session instead, delivering the fleet's cause
+// to every local member. Both are quiescent points of the barrier, and
+// this is the one instant at which the session changes shape: under the
+// session mutex it collects the live members, lets an elastic session
+// absorb its leavers and pending joiners, and advances the episode; then,
+// outside the mutex, it fans the completing frame out.
 //
 // Holding the mutex from the membership walk to the episode advance is
 // what makes a concurrent Leave safe: a leaver observes either the
-// pre-boundary episode (and proxy-arrives into the old tree, which still
-// needs its arrival) or the post-boundary membership (which no longer
-// contains it). A fixed-membership session is the elastic session whose
-// membership step never has anything to do; so is the elastic steady
-// state, which is why both stay allocation-free.
+// pre-boundary episode (and proxy-arrives into its slot, which the episode
+// still needs) or the post-boundary membership (which no longer contains
+// it). A fixed-membership session is the elastic session whose membership
+// step never has anything to do; so is the elastic steady state, which is
+// why both stay allocation-free.
 func (s *session) completeEpisode(st softbarrier.EpisodeStats, out ShardOutcome) {
 	s.mu.Lock()
 	if s.retired {
@@ -209,8 +193,7 @@ func (s *session) completeEpisode(st softbarrier.EpisodeStats, out ShardOutcome)
 		s.poison(out.Err)
 		return
 	}
-	ep := s.episode.Load()
-	box := s.core.Load()
+	ep := st.Episode
 	continuing := s.liveLocked(s.contBuf[:0])
 	s.contBuf = continuing
 	var admitted []*srvConn
@@ -226,44 +209,19 @@ func (s *session) completeEpisode(st softbarrier.EpisodeStats, out ShardOutcome)
 		}
 		s.reseatLocked(continuing, admitted, ep)
 	}
-	rebuilt := s.replan()
 	// Advance the episode before the first Release byte leaves: a client's
 	// next Arrive frame is ordered after its Release, so every validation
 	// against the episode counter sees the new value.
 	s.episode.Store(ep + 1)
-	cur := s.ctrl.Current()
 	s.mu.Unlock()
 
-	if rebuilt {
-		box.b.Close() // retire the old tree's watchdog
-		s.srv.opt.logf("session %s: episode %d epoch %d: p %d degree %d -> %d (measured sigma %.3gs, %d joined, %d continuing, placement %v)",
-			s.name, ep, cur.Epoch, cur.P, box.b.Degree(), cur.Degree, cur.Sigma, len(admitted), len(continuing), s.builtOrder)
+	if epoch := s.tree.Epoch(); epoch != s.epoch {
+		s.epoch = epoch
+		s.srv.opt.logf("session %s: episode %d epoch %d: p %d degree %d (measured sigma %.3gs, %d joined, %d continuing)",
+			s.name, ep, epoch, s.tree.Participants(), s.tree.Degree(), s.tree.Sigma(), len(admitted), len(continuing))
 	}
 	if s.dead.Load() {
 		return // poison raced in mid-episode; members already have the cause
 	}
-	s.fanOut(ep, s.releaseFrame(ep, cur, st.Spread, out, continuing), continuing, admitted)
-}
-
-// replan is the boundary's planning step, the only place the session asks
-// its controller for a plan: a due epoch plan — a degree the measured σ
-// now justifies, or the membership reseatLocked queued — or, failing that,
-// a due placement-only rebuild replaces the arrival tree, and every later
-// arrival lands in the new one. It reports whether it did; the caller
-// closes the old tree. Releaser-only, at the quiescent point.
-func (s *session) replan() bool {
-	if s.dead.Load() {
-		return false
-	}
-	if plan, ok := s.ctrl.Evaluate(); ok {
-		s.core.Store(&coreBox{s.buildCore(plan)})
-		s.ctrl.Commit(plan)
-		return true
-	}
-	if s.placementDue() {
-		s.core.Store(&coreBox{s.buildCore(s.ctrl.Current())})
-		s.ctrl.NotePlacement()
-		return true
-	}
-	return false
+	s.fanOut(ep, s.releaseFrame(ep, st.Spread, out, continuing), continuing, admitted)
 }

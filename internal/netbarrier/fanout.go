@@ -7,23 +7,24 @@ import (
 	"sync/atomic"
 
 	"softbarrier"
-	"softbarrier/internal/reconfig"
 	"softbarrier/internal/wire"
 )
 
-// releaseFrame builds the frame completing episode ep, under epoch plan
-// cur, for the members in live: a Release for a plain session, a Result
-// carrying the folded contributions for a collective one, or — for an
-// inter-shard session — a ShardRelease carrying both the fleet-wide result
-// and the fleet aggregate (ΣP and the σ folded across the shards'
-// reports), which each leaf fans back out to its local clients. The σ a leaf's release advertises is the
-// fleet-wide estimate the root reported with this outcome when there is
-// one, else the session's own: leaf clients thus plan against the σ of the
-// whole arrival population they actually synchronize with.
-func (s *session) releaseFrame(ep uint64, cur reconfig.Plan, spread float64, out ShardOutcome, live []*srvConn) wire.Frame {
+// releaseFrame builds the frame completing episode ep, under the tree's
+// post-boundary configuration, for the members in live: a Release for a
+// plain session, a Result carrying the folded contributions for a
+// collective one, or — for an inter-shard session — a ShardRelease
+// carrying both the fleet-wide result and the fleet aggregate (ΣP and the
+// σ folded across the shards' reports), which each leaf fans back out to
+// its local clients. The σ a
+// leaf's release advertises is the fleet-wide estimate the root reported
+// with this outcome when there is one, else the session's own: leaf
+// clients thus plan against the σ of the whole arrival population they
+// actually synchronize with.
+func (s *session) releaseFrame(ep uint64, spread float64, out ShardOutcome, live []*srvConn) wire.Frame {
 	f := wire.Frame{
 		Type: wire.TypeRelease, Episode: ep,
-		Degree: s.degree(), P: cur.P, Epoch: cur.Epoch,
+		Degree: s.tree.Degree(), P: s.tree.Participants(), Epoch: s.tree.Epoch(),
 		Spread: spread, Sigma: out.Sigma,
 	}
 	switch {
@@ -37,7 +38,7 @@ func (s *session) releaseFrame(ep uint64, cur reconfig.Plan, spread float64, out
 		f.Data = out.Result
 	}
 	if f.Sigma <= 0 {
-		f.Sigma = s.ctrl.Sigma()
+		f.Sigma = s.tree.Sigma()
 	}
 	return f
 }
@@ -149,7 +150,7 @@ func (s *session) onPoison(err error) {
 	if !s.dead.CompareAndSwap(false, true) {
 		return
 	}
-	s.srv.opt.logf("session %s: poisoned: %v (arrivals %v)", s.name, err, s.core.Load().b.Arrivals())
+	s.srv.opt.logf("session %s: poisoned: %v (arrivals %v)", s.name, err, s.tree.Arrivals())
 	s.mu.Lock()
 	members := s.liveLocked(nil)
 	pending := s.pending
@@ -187,5 +188,5 @@ func (s *session) onPoison(err error) {
 		}
 	}
 	wg.Wait()
-	s.core.Load().b.Close()
+	s.tree.Close()
 }

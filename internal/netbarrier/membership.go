@@ -76,10 +76,11 @@ func (s *session) join(c *srvConn, p, want int) (id int, refusal string, deferre
 
 // reseatLocked is the elastic boundary's membership step: the cohort
 // becomes the continuing members followed by the joiners this boundary
-// admits, ids re-assigned densely, and a changed size is queued with the
-// controller so the boundary's re-plan builds the tree for it. Caller
-// holds s.mu, at the quiescent point of episode ep, with at least one
-// member on the two lists.
+// admits, ids re-assigned densely, and the barrier Resized to a changed
+// count — legal here because the boundary is a quiescent point of the
+// barrier in both contexts it runs in (completeEpisode). Caller holds
+// s.mu, at the boundary of episode ep, with at least one member on the two
+// lists.
 func (s *session) reseatLocked(continuing, admitted []*srvConn, ep uint64) {
 	// The membership slice must not alias the boundary's reusable scratch:
 	// other goroutines read s.members under the mutex while the next
@@ -94,8 +95,8 @@ func (s *session) reseatLocked(continuing, admitted []*srvConn, ep uint64) {
 	}
 	s.members = live
 	s.left = 0
-	if n := len(live); n != s.ctrl.Current().P {
-		s.ctrl.RequestP(n) // n ≥ 1 here, so the request cannot fail
+	if n := len(live); n != s.tree.Participants() {
+		s.tree.Resize(n) // n ≥ 1 here, so it cannot fail
 	}
 }
 
@@ -146,7 +147,7 @@ func (s *session) leave(c *srvConn) {
 // stops, the root link (on a leaf) departs gracefully, and the name
 // becomes free. The caller has set s.retired under s.mu.
 func (s *session) retireClean() {
-	s.core.Load().b.Close()
+	s.tree.Close()
 	s.upstreamClose(nil)
 	s.srv.retire(s)
 }

@@ -31,10 +31,6 @@ type Options struct {
 	// model evaluation) and only rebuilds the tree when the recommended
 	// degree actually changes.
 	ReplanEvery int
-	// Dynamic marks session load imbalance as systemic, which makes the
-	// planner select the dynamic-placement barrier: consistently slow
-	// clients migrate toward the tree root between episodes.
-	Dynamic bool
 	// Elastic lets session membership change between episodes: joins
 	// against a full session are parked and admitted at the next episode
 	// boundary instead of refused, Leaves shrink the cohort at the next
@@ -68,8 +64,9 @@ type Options struct {
 	// predicted stragglers in the shallowest slots
 	// (ReconfigStats.Placements counts these rebuilds). Sessions with a
 	// policy build MCS-shaped trees: classic trees have uniform depth,
-	// leaving placement nothing to choose. Nil disables predictive
-	// placement.
+	// leaving placement nothing to choose. "reactive" is the policy for
+	// consistently slow clients — the paper's dynamic placement generalized
+	// to a full ranking. Nil disables predictive placement.
 	Placement func() softbarrier.PlacementPolicy
 	// Upstream, when non-nil, makes this server a leaf shard of a
 	// hierarchical deployment: every session forwards one aggregated
@@ -252,7 +249,7 @@ func (s *Server) retire(sess *session) {
 		delete(s.sessions, sess.name)
 	}
 	s.mu.Unlock()
-	st := sess.ctrl.Stats()
+	st := sess.tree.ReconfigStats()
 	s.opt.logf("session %s: retired after %d episodes (%d epochs, %d rebuilds)",
 		sess.name, sess.episode.Load(), st.Epochs, st.Rebuilds)
 }
@@ -270,10 +267,9 @@ type SessionStats struct {
 	Shard    bool   // members are aggregated leaf shards, not clients
 	FleetP   int    // shard sessions: fleet-wide participant count, as of the last release
 	Reconfig softbarrier.ReconfigStats
-	// Depths is the per-participant synchronization path length of the
-	// current core, when it exposes one (fixed-tree cores; dynamic cores
-	// migrate placement per episode and report nil). With a Placement
-	// policy armed, predicted stragglers show the smallest depths.
+	// Depths is the per-participant synchronization path length in the
+	// current epoch's tree. With a Placement policy armed, predicted
+	// stragglers show the smallest depths.
 	Depths []int
 }
 
@@ -550,8 +546,8 @@ func (s *Server) join(c *srvConn, req wire.Frame) (*session, wire.Frame, bool) {
 	return sess, wire.Frame{
 		Type:    wire.TypeJoinResp,
 		ID:      id,
-		P:       sess.p(),
-		Degree:  sess.degree(),
+		P:       sess.tree.Participants(),
+		Degree:  sess.tree.Degree(),
 		Episode: sess.episode.Load(),
 	}, false
 }

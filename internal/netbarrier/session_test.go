@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -206,46 +206,57 @@ type captureConn struct {
 func (c *captureConn) TryWrite(p []byte) (int, error) { return c.got.Write(p) }
 
 // TestBoundaryFixedEqualsIdleElastic is the claim that lets one episode
-// boundary serve both kinds of session: driven through the same scripted
-// sequence of completed episodes — spreads that swing far enough to force
-// re-plans — a fixed session and an elastic session nobody joins or leaves
-// put byte-identical release frames (episode, degree, P, epoch, spread and
-// σ bits) on their members' sockets.
+// boundary serve both kinds of session: driven through the same arrivals
+// by one driver, a fixed session and an elastic session nobody joins or
+// leaves put the same release frames — episode, degree, P, epoch — on
+// their members' sockets, across a re-plan. The re-plan is taken out of
+// timing's hands: with a model t_c of one second both sessions start flat
+// (an assumed σ of 100 s) and the driver's spread — microseconds, or
+// milliseconds when the scheduler interferes — re-plans both to a narrow
+// tree at the first cadence and never again; the nearest degree threshold
+// is seconds away. The two measured fields, Spread and Sigma, are zeroed
+// before comparing.
 func TestBoundaryFixedEqualsIdleElastic(t *testing.T) {
-	const p, episodes = 16, 200
-	run := func(elastic bool) [][]byte {
-		srv := NewServer(Options{Elastic: elastic, ReplanEvery: 5})
+	const p, episodes = 16, 40
+	run := func(elastic bool) [][]wire.Frame {
+		srv := NewServer(Options{Elastic: elastic, ReplanEvery: 5, Tc: 1, InitialSigma: 100})
 		conns := make([]*captureConn, p)
+		members := make([]*srvConn, p)
 		var sess *session
 		for i := range conns {
 			conns[i] = &captureConn{}
-			s, resp, deferred := srv.join(newSrvConn(conns[i]), wire.Frame{Type: wire.TypeJoinReq, Name: "eq", P: p, ID: i})
+			members[i] = newSrvConn(conns[i])
+			s, resp, deferred := srv.join(members[i], wire.Frame{Type: wire.TypeJoinReq, Name: "eq", P: p, ID: i})
 			if s == nil || deferred {
 				t.Fatalf("member %d not seated: %+v", i, resp)
 			}
 			sess = s
 		}
-		rng := rand.New(rand.NewSource(1))
 		for ep := uint64(0); ep < episodes; ep++ {
-			spread := 1e-6 * rng.Float64() // balanced arrivals …
-			if ep/50%2 == 1 {
-				spread = 5e-3 * (1 + rng.Float64()) // … and skewed phases, to move σ across degrees
+			for _, m := range members {
+				sess.arrive(m, wire.Frame{Type: wire.TypeArrive, Episode: ep})
 			}
-			sess.onEpisode(softbarrier.EpisodeStats{Episode: ep, Spread: spread})
 		}
 		if st := sess.stats(); st.Episode != episodes || st.Reconfig.Epochs < 2 {
-			t.Fatalf("elastic=%v: %d episodes, %d epochs — the script must force re-plans", elastic, st.Episode, st.Reconfig.Epochs)
+			t.Fatalf("elastic=%v: %d episodes, %d epochs — the run must cross a re-plan", elastic, st.Episode, st.Reconfig.Epochs)
 		}
-		out := make([][]byte, p)
+		out := make([][]wire.Frame, p)
 		for i, c := range conns {
-			out[i] = c.got.Bytes()
+			for c.got.Len() > 0 {
+				f, err := wire.ReadFrame(&c.got)
+				if err != nil {
+					t.Fatalf("elastic=%v member %d: %v", elastic, i, err)
+				}
+				f.Spread, f.Sigma = 0, 0
+				out[i] = append(out[i], f)
+			}
 		}
 		return out
 	}
 	fixed, idle := run(false), run(true)
 	for i := range fixed {
-		if len(fixed[i]) == 0 || !bytes.Equal(fixed[i], idle[i]) {
-			t.Fatalf("member %d: fixed session wrote %d bytes, idle elastic session %d, and they differ", i, len(fixed[i]), len(idle[i]))
+		if len(fixed[i]) != episodes || !reflect.DeepEqual(fixed[i], idle[i]) {
+			t.Fatalf("member %d: fixed session released\n%+v\nidle elastic session\n%+v", i, fixed[i], idle[i])
 		}
 	}
 }

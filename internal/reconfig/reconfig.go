@@ -1,20 +1,19 @@
-// Package reconfig is the epoch-based reconfiguration core shared by
-// every elastic barrier in the module: the in-process adaptive/elastic
-// barrier (softbarrier.ReconfigurableBarrier) and the networked barrier
-// sessions (internal/netbarrier) both drive their degree and membership
-// changes through a Controller instead of hand-rolled replan loops.
+// Package reconfig is the epoch-based reconfiguration core of
+// softbarrier.ReconfigurableBarrier — and, through the one barrier each
+// networked session runs on, of internal/netbarrier: degree and
+// membership changes are driven through a Controller instead of a
+// hand-rolled replan loop.
 //
-// The protocol generalizes the quiescent-point pointer swap both loops
-// already used: a barrier configuration (participant count, tree degree,
-// dynamic placement on/off) is an *epoch*. The participant that releases
-// an episode — and is therefore at a point where no other participant can
-// be touching barrier state — asks the controller to Evaluate. Off the
-// hot path the controller folds the measured arrival spread into the
-// shared EWMA σ estimate, consults an injected Recommender, and applies
-// hysteresis; when a new configuration is due it hands back a Plan, which
-// the caller applies (rebuilding trees, resizing recorders and arrival
-// counters) and then Commits, all before opening the release gate. Every
-// other episode costs one mutex acquisition on the releaser only.
+// A barrier configuration (participant count, tree degree) is an *epoch*.
+// The participant that releases an episode — and is therefore at a point
+// where no other participant can be touching barrier state — asks the
+// controller to Evaluate. Off the hot path the controller folds the
+// measured arrival spread into the EWMA σ estimate, consults an injected
+// Recommender, and applies hysteresis; when a new configuration is due it
+// hands back a Plan, which the caller applies (rebuilding trees, resizing
+// recorders and arrival counters) and then Commits, all before opening the
+// release gate. Every other episode costs one mutex acquisition on the
+// releaser only.
 //
 // Membership changes (Grow/Shrink/RequestP from any goroutine) are
 // queued targets: the next Evaluate always plans when a resize is
@@ -30,9 +29,7 @@ import (
 )
 
 // Config tunes the controller's replan cadence and hysteresis. The zero
-// value re-plans every episode with no hysteresis — exactly the behaviour
-// of the legacy adaptive and netbarrier replan loops this package
-// replaced.
+// value re-plans every episode with no hysteresis.
 type Config struct {
 	// ReplanEvery is how many episodes pass between degree
 	// re-evaluations; 0 means every episode (normalized to 1).
@@ -45,8 +42,8 @@ type Config struct {
 	MinEpisodesBetween uint64
 	// MinDegreeDelta is the hysteresis floor on degree movement: a
 	// recommended degree closer than this to the current one does not
-	// trigger a rebuild (unless dynamic placement flips, or membership
-	// changes). 0 normalizes to 1 — any change rebuilds.
+	// trigger a rebuild (unless membership changes). 0 normalizes to 1 —
+	// any change rebuilds.
 	MinDegreeDelta int
 	// InitialSigma is the arrival spread assumed while the σ estimator
 	// is unseeded, seconds.
@@ -54,9 +51,7 @@ type Config struct {
 }
 
 // Normalized returns the config with defaulting applied: ReplanEvery
-// 0 → 1 and MinDegreeDelta < 1 → 1. This is the single home of the
-// "replanEvery == 0 means 1" rule previously duplicated in the netbarrier
-// session.
+// 0 → 1 and MinDegreeDelta < 1 → 1.
 func (c Config) Normalized() Config {
 	if c.ReplanEvery == 0 {
 		c.ReplanEvery = 1
@@ -78,8 +73,6 @@ type Plan struct {
 	P int
 	// Degree is the combining-tree degree.
 	Degree int
-	// Dynamic selects a dynamic-placement tree (networked sessions).
-	Dynamic bool
 	// Sigma is the σ estimate the plan was derived from, seconds.
 	Sigma float64
 	// Episodes is how many episodes had been observed at plan time.
@@ -108,10 +101,9 @@ type Stats struct {
 }
 
 // Recommender maps a (participant count, σ estimate) pair to a tree
-// configuration. Injecting it keeps the analytic model and planner out of
-// this package: the root package wires OptimalDegree, the netbarrier
-// session wires softbarrier.Recommend over its profile.
-type Recommender func(p int, sigma float64) (degree int, dynamic bool)
+// degree. Injecting it keeps the analytic model out of this package: the
+// root package wires OptimalDegree.
+type Recommender func(p int, sigma float64) (degree int)
 
 // Controller owns one barrier's reconfiguration state. Observe and
 // Evaluate/Commit run on the releasing participant at the episode's
@@ -220,10 +212,10 @@ func (c *Controller) TargetP() int {
 // Evaluate decides, at the episode's quiescent point, whether a new epoch
 // is due. A pending membership change always yields a plan; otherwise a
 // plan is produced only on the replan cadence, when the recommended
-// degree moved by at least MinDegreeDelta (or dynamic placement flipped),
-// and the MinEpisodesBetween floor has passed. Only the releasing
-// participant may call it, and a returned plan must be applied and
-// Committed before the episode is released.
+// degree moved by at least MinDegreeDelta, and the MinEpisodesBetween
+// floor has passed. Only the releasing participant may call it, and a
+// returned plan must be applied and Committed before the episode is
+// released.
 func (c *Controller) Evaluate() (Plan, bool) {
 	n := c.est.Episodes()
 	c.mu.Lock()
@@ -241,13 +233,13 @@ func (c *Controller) Evaluate() (Plan, bool) {
 		return Plan{}, false
 	}
 	sigma := c.sigmaLocked(n)
-	deg, dyn := c.rec(p, sigma)
+	deg := c.rec(p, sigma)
 	if !resize {
 		delta := deg - c.cur.Degree
 		if delta < 0 {
 			delta = -delta
 		}
-		if delta < c.cfg.MinDegreeDelta && dyn == c.cur.Dynamic {
+		if delta < c.cfg.MinDegreeDelta {
 			return Plan{}, false
 		}
 		if n-c.lastAt < c.cfg.MinEpisodesBetween {
@@ -259,7 +251,6 @@ func (c *Controller) Evaluate() (Plan, bool) {
 		Epoch:    c.cur.Epoch + 1,
 		P:        p,
 		Degree:   deg,
-		Dynamic:  dyn,
 		Sigma:    sigma,
 		Episodes: n,
 	}, true
@@ -277,12 +268,10 @@ func (c *Controller) PlanResize(p int) (Plan, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sigma := c.sigmaLocked(n)
-	deg, dyn := c.rec(p, sigma)
 	return Plan{
 		Epoch:    c.cur.Epoch + 1,
 		P:        p,
-		Degree:   deg,
-		Dynamic:  dyn,
+		Degree:   c.rec(p, sigma),
 		Sigma:    sigma,
 		Episodes: n,
 	}, nil

@@ -8,18 +8,16 @@ import (
 
 // fixedRec returns a recommender controlled through a pointer, so tests
 // can steer the recommendation between episodes.
-func fixedRec(deg *int, dyn *bool) Recommender {
-	return func(p int, sigma float64) (int, bool) {
-		return *deg, *dyn
-	}
+func fixedRec(deg *int) Recommender {
+	return func(p int, sigma float64) int { return *deg }
 }
 
-func newTestController(cfg Config, deg int) (*Controller, *int, *bool) {
+func newTestController(cfg Config, deg int) (*Controller, *int) {
 	est := &rt.SigmaEstimator{}
 	est.Init(0)
-	d, dy := deg, false
-	c := New(cfg, est, fixedRec(&d, &dy), Plan{P: 8, Degree: deg})
-	return c, &d, &dy
+	d := deg
+	c := New(cfg, est, fixedRec(&d), Plan{P: 8, Degree: deg})
+	return c, &d
 }
 
 func TestReconfigConfigNormalized(t *testing.T) {
@@ -37,7 +35,7 @@ func TestReconfigConfigNormalized(t *testing.T) {
 }
 
 func TestReconfigInitialPlan(t *testing.T) {
-	c, _, _ := newTestController(Config{InitialSigma: 2e-4}, 4)
+	c, _ := newTestController(Config{InitialSigma: 2e-4}, 4)
 	cur := c.Current()
 	if cur.Epoch != 0 || cur.P != 8 || cur.Degree != 4 {
 		t.Fatalf("initial plan = %+v", cur)
@@ -52,7 +50,7 @@ func TestReconfigInitialPlan(t *testing.T) {
 }
 
 func TestReconfigCadence(t *testing.T) {
-	c, deg, _ := newTestController(Config{ReplanEvery: 3}, 4)
+	c, deg := newTestController(Config{ReplanEvery: 3}, 4)
 	*deg = 8 // the recommendation moved right away
 	for i := 1; i <= 2; i++ {
 		c.Observe(1e-3)
@@ -75,7 +73,7 @@ func TestReconfigCadence(t *testing.T) {
 }
 
 func TestReconfigNoPlanWhenDegreeHolds(t *testing.T) {
-	c, _, _ := newTestController(Config{ReplanEvery: 1}, 4)
+	c, _ := newTestController(Config{ReplanEvery: 1}, 4)
 	for i := 0; i < 5; i++ {
 		c.Observe(1e-5)
 		if plan, ok := c.Evaluate(); ok {
@@ -85,7 +83,7 @@ func TestReconfigNoPlanWhenDegreeHolds(t *testing.T) {
 }
 
 func TestReconfigMinDegreeDelta(t *testing.T) {
-	c, deg, _ := newTestController(Config{ReplanEvery: 1, MinDegreeDelta: 3}, 4)
+	c, deg := newTestController(Config{ReplanEvery: 1, MinDegreeDelta: 3}, 4)
 	*deg = 6 // |Δ| = 2 < 3: suppressed
 	c.Observe(1e-3)
 	if plan, ok := c.Evaluate(); ok {
@@ -98,20 +96,10 @@ func TestReconfigMinDegreeDelta(t *testing.T) {
 	}
 }
 
-func TestReconfigDynamicFlipBeatsDegreeFloor(t *testing.T) {
-	c, _, dyn := newTestController(Config{ReplanEvery: 1, MinDegreeDelta: 100}, 4)
-	*dyn = true
-	c.Observe(1e-3)
-	plan, ok := c.Evaluate()
-	if !ok || !plan.Dynamic {
-		t.Fatalf("dynamic flip did not force a plan (ok=%v plan=%+v)", ok, plan)
-	}
-}
-
 func TestReconfigMinEpisodesBetween(t *testing.T) {
 	// The floor counts from the last rebuild; the initial configuration
 	// is the rebuild at episode 0, so the first plan is deferred too.
-	c, deg, _ := newTestController(Config{ReplanEvery: 1, MinEpisodesBetween: 4}, 4)
+	c, deg := newTestController(Config{ReplanEvery: 1, MinEpisodesBetween: 4}, 4)
 	*deg = 8
 	for i := 1; i <= 3; i++ {
 		c.Observe(1e-3)
@@ -142,7 +130,7 @@ func TestReconfigMinEpisodesBetween(t *testing.T) {
 }
 
 func TestReconfigResizeAlwaysPlans(t *testing.T) {
-	c, _, _ := newTestController(Config{ReplanEvery: 1000}, 4)
+	c, _ := newTestController(Config{ReplanEvery: 1000}, 4)
 	if err := c.RequestP(12); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +151,7 @@ func TestReconfigResizeAlwaysPlans(t *testing.T) {
 }
 
 func TestReconfigRequestDeltaStacks(t *testing.T) {
-	c, _, _ := newTestController(Config{}, 4)
+	c, _ := newTestController(Config{}, 4)
 	if p, err := c.RequestDelta(+2); err != nil || p != 10 {
 		t.Fatalf("first delta: p=%d err=%v, want 10", p, err)
 	}
@@ -179,7 +167,7 @@ func TestReconfigRequestDeltaStacks(t *testing.T) {
 }
 
 func TestReconfigInitialSigmaWhileUnseeded(t *testing.T) {
-	c, _, _ := newTestController(Config{InitialSigma: 5e-4}, 4)
+	c, _ := newTestController(Config{InitialSigma: 5e-4}, 4)
 	if got := c.Sigma(); got != 5e-4 {
 		t.Errorf("unseeded Sigma() = %g, want InitialSigma", got)
 	}
@@ -198,7 +186,7 @@ func TestReconfigInitialSigmaWhileUnseeded(t *testing.T) {
 }
 
 func TestReconfigStatsCounts(t *testing.T) {
-	c, deg, _ := newTestController(Config{ReplanEvery: 2}, 4)
+	c, deg := newTestController(Config{ReplanEvery: 2}, 4)
 	*deg = 8
 	for i := 1; i <= 4; i++ {
 		c.Observe(1e-3)

@@ -602,3 +602,103 @@ func TestTCPSmokeHierarchicalEpisodes(t *testing.T) {
 		}
 	}
 }
+
+// TestLeafElasticBoundary runs elastic sessions on the leaves of a fleet —
+// the second context the session's membership step runs in: on a leaf the
+// episode boundary (and the barrier Resize inside it) happens in the
+// upstream link's done callback, after the local tree's gate has opened,
+// not inside its Observer. A late joiner parks on leaf 0 and is admitted
+// at a boundary (that leaf's releases go P 2 → 3, the fleet's P 4 → 5),
+// then a member leaves (P back to 2), with ten checked episodes after each
+// change.
+func TestLeafElasticBoundary(t *testing.T) {
+	const session = "leaf-elastic"
+	f := startFleet(t, FleetOptions{
+		Leaves:  2,
+		Net:     netbarrier.Options{Elastic: true, ReplanEvery: 2, Watchdog: 10 * time.Second},
+		RootNet: &netbarrier.Options{Watchdog: 10 * time.Second},
+	})
+	addrs := f.LeafAddrs()
+	type member struct {
+		c    *netbarrier.Client
+		leaf int
+	}
+	var members []member
+	for i := 0; i < 4; i++ {
+		members = append(members, member{dialJoin(t, addrs[i/2], session, 2, -1), i / 2})
+	}
+	var ep uint64
+	// run drives n episodes with the current members; every release must
+	// name the episode and the local participant count of the next one.
+	run := func(n int, wantP [2]int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			var wg sync.WaitGroup
+			for _, m := range members {
+				wg.Add(1)
+				go func(m member) {
+					defer wg.Done()
+					r, err := m.c.Wait()
+					if err != nil {
+						t.Errorf("episode %d: %v", ep, err)
+					} else if r.Episode != ep || r.P != wantP[m.leaf] {
+						t.Errorf("episode %d on leaf %d released as episode %d with p %d, want p %d", ep, m.leaf, r.Episode, r.P, wantP[m.leaf])
+					}
+				}(m)
+			}
+			wg.Wait()
+			if t.Failed() {
+				t.FailNow()
+			}
+			ep++
+		}
+	}
+	fleetP := func() int {
+		st, _ := f.Root.SessionStats(session)
+		return st.FleetP
+	}
+	run(10, [2]int{2, 2})
+
+	joined := make(chan error, 1)
+	late, err := testDial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { joined <- late.Join(session, 2) }()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if st, ok := f.Leaves[0].Server().SessionStats(session); ok && st.Pending == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("late joiner never parked as pending on leaf 0")
+		}
+	}
+	run(1, [2]int{3, 2}) // the admitting boundary
+	if err := <-joined; err != nil {
+		t.Fatalf("late join: %v", err)
+	}
+	if late.Participants() != 3 || late.Episode() != ep {
+		t.Fatalf("late joiner admitted with p %d at episode %d, want p 3 at episode %d", late.Participants(), late.Episode(), ep)
+	}
+	members = append(members, member{late, 0})
+	run(10, [2]int{3, 2})
+	if got := fleetP(); got != 5 {
+		t.Errorf("fleet p = %d after the admission, want 5", got)
+	}
+
+	// Member 0 has awaited every episode so far, so its Leave lands between
+	// episodes: the session arrives at the next one on its behalf, and that
+	// episode's boundary drops it.
+	if err := members[0].c.Leave(); err != nil {
+		t.Fatal(err)
+	}
+	members = members[1:]
+	run(1, [2]int{2, 2})
+	run(10, [2]int{2, 2})
+	if got := fleetP(); got != 4 {
+		t.Errorf("fleet p = %d after the leave, want 4", got)
+	}
+	for _, m := range members {
+		m.c.Leave()
+	}
+}

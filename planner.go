@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"softbarrier/internal/loadmodel"
+	"softbarrier/internal/model"
 )
 
 // Profile describes a workload's synchronization-relevant properties, in
@@ -62,7 +63,7 @@ func RecommendConfig(pr Profile) (degree int, dynamic bool) {
 	}
 	tc := pr.Tc
 	if tc == 0 {
-		tc = 20e-6
+		tc = model.DefaultTc
 	}
 	degree = clampDegree(OptimalDegree(pr.P, pr.Sigma, tc), pr.P)
 	// The §7 measurements put the static/dynamic crossover near the point
@@ -76,7 +77,7 @@ func RecommendConfig(pr Profile) (degree int, dynamic bool) {
 func Recommend(pr Profile) Recommendation {
 	tc := pr.Tc
 	if tc == 0 {
-		tc = 20e-6
+		tc = model.DefaultTc
 	}
 	degree, dynamic := RecommendConfig(pr)
 	rec := Recommendation{Degree: degree, Dynamic: dynamic}

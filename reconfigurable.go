@@ -1,6 +1,9 @@
 package softbarrier
 
 import (
+	"unsafe"
+
+	"softbarrier/internal/model"
 	"softbarrier/internal/reconfig"
 	rt "softbarrier/internal/runtime"
 	"softbarrier/internal/topology"
@@ -27,9 +30,18 @@ import (
 // internally holds it until the admitting epoch's release has happened, so
 // it can never contribute to — or slip past — an episode of the epoch
 // before it existed.
+//
+// Drain before regrow: a shrunk id may be handed to a new worker only
+// after its old owner has returned from its last Wait, which still reads
+// the id's slot. (A coordinator arriving for remote members,
+// internal/netbarrier, is exempt: a departed connection never arrives or
+// awaits again.)
 type ReconfigurableBarrier struct {
 	treeCore
-	tc float64
+	// nextGen is the gate generation the next episode runs at. release sets
+	// it first, so a Resize from the completing episode's Observer — gate
+	// not yet open — stamps what one made after it would. Quiescent-only.
+	nextGen uint64
 
 	ctrl *reconfig.Controller
 	est  rt.SigmaEstimator // EWMA of per-episode arrival spread, seconds
@@ -39,6 +51,11 @@ type ReconfigurableBarrier struct {
 	place  PlacementPolicy
 	lagBuf []float64
 }
+
+// 448 bytes is an allocation class whose objects start on a cache line;
+// one word more lands in the 480 class, which measured +7% sync delay on
+// lib-allreduce-32 (EXPERIMENTS.md, PR 23). Fails to compile on growth.
+const _ = 448 - unsafe.Sizeof(ReconfigurableBarrier{})
 
 // ReconfigConfig tunes a ReconfigurableBarrier's replan cadence,
 // hysteresis and model inputs. The zero value re-plans every episode with
@@ -90,7 +107,7 @@ func NewReconfigurable(p int, cfg ReconfigConfig, opts ...Option) *Reconfigurabl
 		panic("softbarrier: negative replan cadence")
 	}
 	if cfg.Tc == 0 {
-		cfg.Tc = 20e-6
+		cfg.Tc = model.DefaultTc
 	}
 	if cfg.Tc < 0 {
 		panic("softbarrier: negative counter update cost")
@@ -102,7 +119,7 @@ func NewReconfigurable(p int, cfg ReconfigConfig, opts ...Option) *Reconfigurabl
 		panic("softbarrier: tree degree must be ≥ 2")
 	}
 	o := applyOptions(opts)
-	b := &ReconfigurableBarrier{tc: cfg.Tc, place: o.placement}
+	b, tc := &ReconfigurableBarrier{place: o.placement}, cfg.Tc
 	b.elastic = b
 	b.est.Init(rt.DefaultSigmaWeight)
 	b.ctrl = reconfig.New(
@@ -113,7 +130,7 @@ func NewReconfigurable(p int, cfg ReconfigConfig, opts ...Option) *Reconfigurabl
 			InitialSigma:       cfg.InitialSigma,
 		},
 		&b.est,
-		func(p int, sigma float64) (int, bool) { return OptimalDegree(p, sigma, b.tc), false },
+		func(p int, sigma float64) int { return OptimalDegree(p, sigma, tc) },
 		reconfig.Plan{P: p, Degree: cfg.InitialDegree},
 	)
 	b.init(o, b.newEpoch(nil, b.ctrl.Current(), 0, nil))
@@ -175,16 +192,15 @@ func (b *ReconfigurableBarrier) ReconfigStats() ReconfigStats { return b.ctrl.St
 
 // Resize changes the participant count immediately. It may only be called
 // at a quiescent point — no Wait/Arrive/Await in flight — exactly like
-// Reset; use Grow/Shrink/RequestResize to change membership while the
+// Reset, or from the Observer of the completing episode, which runs at
+// one; use Grow/Shrink/RequestResize to change membership while the
 // barrier is running.
 func (b *ReconfigurableBarrier) Resize(p int) error {
 	plan, err := b.ctrl.PlanResize(p)
 	if err != nil {
 		return err
 	}
-	// The new epoch is active right away: the gate generation does not
-	// move at a quiescent Resize.
-	b.apply(b.state.Load(), plan, b.gate.Seq())
+	b.apply(b.state.Load(), plan, b.nextGen)
 	return nil
 }
 
@@ -214,6 +230,7 @@ func (b *ReconfigurableBarrier) Shrink(n int) (int, error) { return b.ctrl.Reque
 // and opens the gate.
 func (b *ReconfigurableBarrier) release(st *treeEpoch) {
 	seq := b.gate.Seq()
+	b.nextGen = seq + 1
 	m, _ := b.rec.Measure(seq)
 	b.ctrl.Observe(m.Spread)
 	if b.place != nil {
@@ -224,9 +241,9 @@ func (b *ReconfigurableBarrier) release(st *treeEpoch) {
 	if plan, ok := b.ctrl.Evaluate(); ok {
 		// The new epoch's first episode runs at the generation the Open
 		// below advances to.
-		b.apply(st, plan, seq+1)
+		b.apply(st, plan, b.nextGen)
 	} else if order := b.duePlacementOrder(st); order != nil {
-		b.applyPlacement(st, order, seq+1)
+		b.applyPlacement(st, order, b.nextGen)
 	}
 	cur := b.state.Load()
 	b.rec.Emit(m, rt.Extra{Adaptations: b.ctrl.Rebuilds(), Degree: cur.tree.Degree, Epoch: cur.epoch})

@@ -143,6 +143,75 @@ func TestReconfigurableResizeImmediate(t *testing.T) {
 	}
 }
 
+// TestReconfigurableResizeFromObserver drives the membership protocol of a
+// coordinator (internal/netbarrier): the Observer of the completing
+// episode — a quiescent point at which the gate has not opened yet —
+// Resizes 2 → 3 and starts worker 2 itself, so that worker's first Arrive
+// races the gate opening, and later Resizes 3 → 2, regrowing only once the
+// shrunk owner of id 2 has exited (drain before regrow). Every id's Wait
+// must return exactly once per episode its membership covered: a grown
+// slot stamped with the completing episode's generation instead of the
+// next one lets worker 2 through a barrier nobody else has reached.
+func TestReconfigurableResizeFromObserver(t *testing.T) {
+	const episodes = 300
+	var (
+		b        *ReconfigurableBarrier
+		grown    sync.WaitGroup
+		drained  atomic.Bool
+		returned [3]atomic.Int64
+		covered  int64 // episodes run at P = 3; Observer-only until the workers are done
+	)
+	drained.Store(true)
+	b = NewReconfigurable(2, ReconfigConfig{ReplanEvery: 1000}, WithObserver(observerFunc(func(st EpisodeStats) {
+		last := st.Episode == episodes-1
+		switch {
+		case st.P == 3:
+			covered++
+			if last || st.Episode%3 == 0 {
+				if err := b.Resize(2); err != nil {
+					t.Error(err)
+				}
+			}
+		case !last && drained.Load():
+			if err := b.Resize(3); err != nil {
+				t.Error(err)
+			}
+			drained.Store(false)
+			grown.Add(1)
+			go func() {
+				defer grown.Done()
+				for b.Participants() == 3 {
+					b.Wait(2)
+					returned[2].Add(1)
+				}
+				drained.Store(true)
+			}()
+		}
+	})))
+
+	var wg sync.WaitGroup
+	for id := 0; id < 2; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for ep := 0; ep < episodes; ep++ {
+				b.Wait(id)
+				returned[id].Add(1)
+			}
+		}(id)
+	}
+	wg.Wait()
+	grown.Wait()
+	if covered == 0 {
+		t.Fatal("id 2 was never a member")
+	}
+	for id, want := range []int64{episodes, episodes, covered} {
+		if got := returned[id].Load(); got != want {
+			t.Errorf("id %d returned from %d waits, its membership covered %d episodes", id, got, want)
+		}
+	}
+}
+
 func TestReconfigurableEpochInObserver(t *testing.T) {
 	var obs episodeCounter
 	b := NewReconfigurable(4, ReconfigConfig{ReplanEvery: 1000}, WithObserver(&obs))

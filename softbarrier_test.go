@@ -200,20 +200,20 @@ func TestDynamicSlowParticipantMigratesToRoot(t *testing.T) {
 	b := NewDynamic(p, 4)
 	slow := 3
 	startDepth := b.DepthOf(slow)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for id := 0; id < p; id++ {
-		go func(id int) {
-			defer wg.Done()
-			for k := 0; k < 25; k++ {
-				if id == slow {
-					time.Sleep(2 * time.Millisecond)
-				}
-				b.Wait(id)
+	// One goroutine issues every arrival, the slow id's last, and then
+	// collects every release: who arrives last is the test's input, not
+	// the scheduler's output.
+	for k := 0; k < 25; k++ {
+		for id := 0; id < p; id++ {
+			if id != slow {
+				b.Arrive(id)
 			}
-		}(id)
+		}
+		b.Arrive(slow)
+		for id := 0; id < p; id++ {
+			b.Await(id)
+		}
 	}
-	wg.Wait()
 	if got := b.DepthOf(slow); got != 1 {
 		t.Errorf("slow participant depth %d after 25 episodes (started at %d), want 1", got, startDepth)
 	}
@@ -332,22 +332,23 @@ func validateDynamicPlacement(b *DynamicBarrier) string {
 
 func TestAdaptiveBarrierWidensUnderImbalance(t *testing.T) {
 	const p = 8
-	b := NewReconfigurable(p, ReconfigConfig{ReplanEvery: 3}) // tc = 20µs
+	// One goroutine issues every arrival against a clock it advances
+	// itself, 400µs between arrivals, and then collects every release: the
+	// spread is the test's input, not the scheduler's output.
+	var now int64
+	b := NewReconfigurable(p, ReconfigConfig{ReplanEvery: 3}, withClock(func() int64 { return now })) // tc = 20µs
 	if b.Degree() != 4 {
 		t.Fatalf("initial degree %d, want 4", b.Degree())
 	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for id := 0; id < p; id++ {
-		go func(id int) {
-			defer wg.Done()
-			for k := 0; k < 15; k++ {
-				time.Sleep(time.Duration(id) * 400 * time.Microsecond)
-				b.Wait(id)
-			}
-		}(id)
+	for k := 0; k < 15; k++ {
+		for id := 0; id < p; id++ {
+			now += int64(400 * time.Microsecond)
+			b.Arrive(id)
+		}
+		for id := 0; id < p; id++ {
+			b.Await(id)
+		}
 	}
-	wg.Wait()
 	// Arrival spread ≈ 1ms ≫ 20µs: the model should have widened the tree.
 	if b.Degree() <= 4 {
 		t.Errorf("degree %d after heavy imbalance, want > 4 (σ estimate %v)", b.Degree(), b.Sigma())
