@@ -203,9 +203,9 @@ func main() {
 	}
 	if a, ok := b.(*softbarrier.ReconfigurableBarrier); ok {
 		rs := a.ReconfigStats()
-		fmt.Printf("adaptive barrier: degree %d, σ estimate %v, epoch %d (%d rebuilds over %d evals, %d deferred)\n",
+		fmt.Printf("adaptive barrier: degree %d, σ estimate %v, epoch %d (%d rebuilds over %d evals)\n",
 			a.Degree(), time.Duration(a.Sigma()*float64(time.Second)).Round(time.Microsecond),
-			rs.LastPlan.Epoch, rs.Rebuilds, rs.Evals, rs.Deferred)
+			rs.LastPlan.Epoch, rs.Rebuilds, rs.Evals)
 	}
 
 	if *stats != "" {

@@ -17,15 +17,14 @@
 //     migrates toward the root (victor/victim swaps), cutting its
 //     synchronization path from O(log p) to O(1) when arrival order is
 //     predictable (systemic imbalance, or fuzzy barriers with slack).
-//   - ReconfigurableBarrier: a tree barrier built on an epoch-based
-//     reconfiguration core (internal/reconfig): it measures the arrival
-//     spread σ, re-derives its degree from the paper's analytic model —
-//     the run-time adaptation the paper's conclusion proposes — and is
+//   - ReconfigurableBarrier: a tree barrier whose configuration is an
+//     epoch it replaces itself: it measures the arrival spread σ,
+//     re-derives its degree from the paper's analytic model — the
+//     run-time adaptation the paper's conclusion proposes — and is
 //     elastic: Grow/Shrink/Resize change the participant count at episode
 //     boundaries while waiters drain safely. Every rebuild happens at a
-//     quiescent point via one atomic pointer swap, with hysteresis
-//     damping σ noise; ReconfigStats reports the epoch, rebuild and
-//     deferral history.
+//     quiescent point via one atomic pointer swap; ReconfigStats reports
+//     the epoch and rebuild history.
 //
 // The three tree barriers are one combining tree (treeCore): the counter
 // ascent, the release wait and the collective path exist once, and each

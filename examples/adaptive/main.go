@@ -55,6 +55,6 @@ func main() {
 	}
 	fmt.Println("the barrier widened its tree once arrivals spread out, as §4 predicts")
 	rs := b.ReconfigStats()
-	fmt.Printf("reconfiguration: epoch %d after %d rebuilds (%d plans evaluated, %d deferred by hysteresis)\n",
-		rs.LastPlan.Epoch, rs.Rebuilds, rs.Evals, rs.Deferred)
+	fmt.Printf("reconfiguration: epoch %d after %d rebuilds (%d plans evaluated)\n",
+		rs.LastPlan.Epoch, rs.Rebuilds, rs.Evals)
 }

@@ -230,7 +230,7 @@ func EstimateByDegree(p int, sigma, tc float64) map[int]float64 {
 
 // delayScalar is Algorithm 1 as a pure scalar computation: the same math
 // as Estimate, but with a running maximum instead of a Breakdown, so it
-// performs no allocations. Hot re-plan paths (the per-episode controller
+// performs no allocations. Hot re-plan paths (a barrier's per-episode degree
 // evaluation) run the degree scan on it. levels must satisfy
 // d^levels == p; tc must already be defaulted.
 func delayScalar(p, d, levels int, sigma, tc float64) float64 {

@@ -70,8 +70,8 @@ func plainEpisode(c *Client) error {
 // decode, and (the server being in-process) the server-side read, arrival,
 // re-plan evaluation, release encode, and fan-out — must perform zero heap
 // allocations. Default options: no watchdog, and the default
-// every-episode replan cadence, so the controller's Evaluate →
-// Recommender → analytic-model path is inside the measurement too.
+// every-episode replan cadence, so the barrier's release →
+// OptimalDegree → analytic-model path is inside the measurement too.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	episodeAllocs(t, Options{}, plainEpisode, func(t *testing.T, avg float64) {
 		if avg != 0 {

@@ -141,8 +141,8 @@ func TestElasticMembershipAcceptance(t *testing.T) {
 	if r.LastPlan.P != cohort {
 		t.Errorf("last plan P = %d, want %d", r.LastPlan.P, cohort)
 	}
-	t.Logf("elastic acceptance: %d episodes, %d epochs, %d rebuilds, %d evals (%d deferred), last plan %+v",
-		st.Episode, r.Epochs, r.Rebuilds, r.Evals, r.Deferred, r.LastPlan)
+	t.Logf("elastic acceptance: %d episodes, %d epochs, %d rebuilds, %d evals, last plan %+v",
+		st.Episode, r.Epochs, r.Rebuilds, r.Evals, r.LastPlan)
 }
 
 // TestElasticLateJoinExpands pins the welcome-the-stranger behaviour at

@@ -51,9 +51,8 @@ type Recommendation struct {
 // predictable — systemic imbalance, or slack comfortably exceeding the
 // per-iteration spread (the Fig. 5/8/13 condition; below that threshold
 // dynamic placement measured slower than static). It allocates nothing,
-// which is what per-episode re-planning loops (internal/reconfig) need:
-// with the default every-episode cadence the recommender sits on the
-// steady-state release path. It panics for P < 1 or negative quantities.
+// so a caller may re-plan with it every episode. It panics for P < 1 or
+// negative quantities.
 func RecommendConfig(pr Profile) (degree int, dynamic bool) {
 	if pr.P < 1 {
 		panic("softbarrier: profile needs at least one participant")
@@ -65,7 +64,7 @@ func RecommendConfig(pr Profile) (degree int, dynamic bool) {
 	if tc == 0 {
 		tc = model.DefaultTc
 	}
-	degree = clampDegree(OptimalDegree(pr.P, pr.Sigma, tc), pr.P)
+	degree = OptimalDegree(pr.P, pr.Sigma, tc)
 	// The §7 measurements put the static/dynamic crossover near the point
 	// where the slack covers a few arrival spreads; require 2σ.
 	predictable := pr.Systemic || (pr.Slack > 0 && pr.Slack >= 2*pr.Sigma)
@@ -98,24 +97,6 @@ func Recommend(pr Profile) Recommendation {
 	}
 	rec.Rationale = rationale
 	return rec
-}
-
-// clampDegree bounds a recommended tree degree to [2, p]: a combining
-// tree needs fan-in ≥ 2 to combine anything, and a degree above p buys
-// nothing over the flat central counter the tree degenerates to at
-// degree p. For p < 2 the interval is empty and the floor wins — the
-// degenerate one-participant tree accepts any degree. OptimalDegree
-// applies the same clamp; repeating it here keeps the planner's contract
-// independent of the model's, so a future model that returns raw optima
-// cannot leak an unbuildable degree into a Recommendation.
-func clampDegree(d, p int) int {
-	if p >= 2 && d > p {
-		d = p
-	}
-	if d < 2 {
-		d = 2
-	}
-	return d
 }
 
 // SigmaSource supplies a measured arrival-spread estimate.

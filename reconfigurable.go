@@ -1,21 +1,22 @@
 package softbarrier
 
 import (
+	"fmt"
+	"sync/atomic"
 	"unsafe"
 
 	"softbarrier/internal/model"
-	"softbarrier/internal/reconfig"
 	rt "softbarrier/internal/runtime"
 	"softbarrier/internal/topology"
 )
 
 // ReconfigurableBarrier is a combining-tree barrier whose configuration —
-// tree degree and participant count — is an epoch managed by the shared
-// internal/reconfig controller. Every episode the releasing participant
-// folds the measured arrival spread into the EWMA σ estimate; on the
-// replan cadence (and immediately when a membership change is pending)
-// the controller derives a new Plan from the analytic model
-// (OptimalDegree) with hysteresis, and the releaser applies it at the
+// tree degree and participant count — is an epoch the barrier replaces
+// itself. Every episode the releasing participant folds the measured
+// arrival spread into the EWMA σ estimate; on the replan cadence (and
+// immediately when a membership change is pending) it asks the analytic
+// model (OptimalDegree) for the degree and, when that moved by at least
+// MinDegreeDelta or the membership changes, builds the next epoch at the
 // episode's quiescent point, before opening the release gate. This is the
 // run-time degree adaptation the paper's conclusion proposes, extended to
 // elastic membership: Grow/Shrink/RequestResize queue a participant-count
@@ -43,33 +44,50 @@ type ReconfigurableBarrier struct {
 	// not yet open — stamps what one made after it would. Quiescent-only.
 	nextGen uint64
 
-	ctrl *reconfig.Controller
-	est  rt.SigmaEstimator // EWMA of per-episode arrival spread, seconds
+	est rt.SigmaEstimator // EWMA of per-episode arrival spread, seconds
+
+	// The re-plan rule, normalized from ReconfigConfig at construction.
+	replanEvery uint64
+	minDelta    int
+	tc          float64
+
+	// target is the membership the barrier is asked to run at — the one
+	// word other goroutines write. RequestResize and Resize store it, Grow
+	// and Shrink move it by CAS, and the releaser builds a new epoch
+	// whenever it differs from the running epoch's P. Nothing is ever
+	// cleared: a request that lands mid-boundary still differs at the next.
+	target     atomic.Int64
+	placements atomic.Uint64 // placement-only rebuilds so far
 
 	// Predictive straggler placement (WithPlacementPolicy). place and
 	// lagBuf are touched only by the releasing participant.
 	place  PlacementPolicy
 	lagBuf []float64
+
+	_ [16]byte
 }
 
-// 448 bytes is an allocation class whose objects start on a cache line;
-// one word more lands in the 480 class, which measured +7% sync delay on
-// lib-allreduce-32 (EXPERIMENTS.md, PR 23). Fails to compile on growth.
-const _ = 448 - unsafe.Sizeof(ReconfigurableBarrier{})
+// Eight whole cache lines, on purpose: 512 bytes is an allocation class
+// whose objects start on a cache line. An unpadded size between classes
+// rounds up to one that does not (456 bytes landed in the 480 class and
+// measured +7% sync delay on lib-allreduce-32; EXPERIMENTS.md, PR 23).
+// Compiles only at exactly 512: shrink the padding when a field is added.
+const (
+	_ = 512 - unsafe.Sizeof(ReconfigurableBarrier{})
+	_ = unsafe.Sizeof(ReconfigurableBarrier{}) - 512
+)
 
-// ReconfigConfig tunes a ReconfigurableBarrier's replan cadence,
-// hysteresis and model inputs. The zero value re-plans every episode with
-// no hysteresis, starting at degree 4 with the paper's 20µs counter cost.
+// ReconfigConfig tunes a ReconfigurableBarrier's replan cadence, degree
+// damper and model inputs. The zero value re-plans every episode and
+// rebuilds on any degree change, starting at degree 4 with the paper's
+// 20µs counter cost.
 type ReconfigConfig struct {
 	// ReplanEvery is how many episodes pass between degree
 	// re-evaluations; 0 means every episode.
 	ReplanEvery int
-	// MinEpisodesBetween defers degree-only rebuilds until at least this
-	// many episodes have passed since the last one; 0 disables the floor.
-	// Membership changes are never deferred.
-	MinEpisodesBetween int
 	// MinDegreeDelta suppresses rebuilds whose recommended degree moved
-	// by less than this; 0 means any change rebuilds.
+	// by less than this; 0 means any change rebuilds. Membership changes
+	// always rebuild.
 	MinDegreeDelta int
 	// Tc is the assumed counter update cost fed to the model, seconds;
 	// 0 selects the paper's 20µs.
@@ -85,10 +103,36 @@ type ReconfigConfig struct {
 // ReconfigStats is the unified reconfiguration telemetry every elastic
 // barrier exposes — the in-process ReconfigurableBarrier and the
 // netbarrier sessions report the same shape.
-type ReconfigStats = reconfig.Stats
+type ReconfigStats struct {
+	// Epochs is how many configurations the barrier has run, including
+	// the initial one: Rebuilds + 1.
+	Epochs uint64
+	// Rebuilds is how many times a new epoch replaced the running one.
+	Rebuilds uint64
+	// Evals counts re-plan evaluations (one per episode).
+	Evals uint64
+	// Placements counts placement-only rebuilds: same configuration,
+	// slots re-ordered by a placement policy's predicted-straggler order.
+	Placements uint64
+	// LastPlan is the running epoch's plan; for a barrier that never
+	// re-planned it describes the initial configuration.
+	LastPlan ReconfigPlan
+}
 
-// ReconfigPlan is one epoch's configuration as planned by the controller.
-type ReconfigPlan = reconfig.Plan
+// ReconfigPlan is one epoch's configuration as planned at its boundary.
+type ReconfigPlan struct {
+	// Epoch is the 0-based configuration index; the initial
+	// configuration is epoch 0 and every rebuild increments it.
+	Epoch uint64
+	// P is the participant count the epoch runs at.
+	P int
+	// Degree is the combining-tree degree.
+	Degree int
+	// Sigma is the σ estimate the plan was derived from, seconds.
+	Sigma float64
+	// Episodes is how many episodes had been observed at plan time.
+	Episodes uint64
+}
 
 // Resizable is a barrier whose participant count can be changed at a
 // quiescent point.
@@ -119,45 +163,37 @@ func NewReconfigurable(p int, cfg ReconfigConfig, opts ...Option) *Reconfigurabl
 		panic("softbarrier: tree degree must be ≥ 2")
 	}
 	o := applyOptions(opts)
-	b, tc := &ReconfigurableBarrier{place: o.placement}, cfg.Tc
+	b := &ReconfigurableBarrier{
+		replanEvery: uint64(max(cfg.ReplanEvery, 1)),
+		minDelta:    max(cfg.MinDegreeDelta, 1),
+		tc:          cfg.Tc,
+		place:       o.placement,
+	}
 	b.elastic = b
+	b.target.Store(int64(p))
 	b.est.Init(rt.DefaultSigmaWeight)
-	b.ctrl = reconfig.New(
-		reconfig.Config{
-			ReplanEvery:        uint64(cfg.ReplanEvery),
-			MinEpisodesBetween: uint64(cfg.MinEpisodesBetween),
-			MinDegreeDelta:     cfg.MinDegreeDelta,
-			InitialSigma:       cfg.InitialSigma,
-		},
-		&b.est,
-		func(p int, sigma float64) int { return OptimalDegree(p, sigma, tc) },
-		reconfig.Plan{P: p, Degree: cfg.InitialDegree},
-	)
-	b.init(o, b.newEpoch(nil, b.ctrl.Current(), 0, nil))
+	first := b.newEpoch(nil, p, cfg.InitialDegree, nil)
+	first.sigma = cfg.InitialSigma
+	b.init(o, first)
 	return b
 }
 
-// newEpoch builds the epoch described by plan, carrying forward the
-// generation slots of prev (nil for the initial epoch). epochGen is the
-// gate generation at which the epoch's first episode runs. order, when
-// it covers plan.P, relabels the tree laggiest-first-shallowest
-// (PlaceByDepth). A barrier with a placement policy builds MCS epochs,
+// newEpoch builds a tree for p participants at the given degree, carrying
+// forward the generation slots of prev (nil for the initial epoch); the
+// caller numbers it. Its first episode runs at nextGen. A non-nil order
+// (one entry per participant) relabels the tree laggiest-first-shallowest
+// (PlaceByDepth). A barrier with a placement policy builds MCS trees,
 // because a classic tree puts every participant at the same (leaf) depth
 // and placement would choose nothing.
-func (b *ReconfigurableBarrier) newEpoch(prev *treeEpoch, plan reconfig.Plan, epochGen uint64, order []int) treeEpoch {
+func (b *ReconfigurableBarrier) newEpoch(prev *treeEpoch, p, degree int, order []int) treeEpoch {
 	var tree *topology.Tree
 	if b.place != nil {
-		tree = topology.NewMCS(plan.P, plan.Degree)
+		tree = topology.NewMCS(p, degree)
 	} else {
-		tree = topology.NewClassic(plan.P, plan.Degree)
+		tree = topology.NewClassic(p, degree)
 	}
-	if len(order) == plan.P {
-		tree = placeTree(tree, order)
-	} else {
-		order = nil
-	}
-	st := newTreeEpoch(tree, prev, epochGen)
-	st.epoch, st.order = plan.Epoch, order
+	st := newTreeEpoch(placeTree(tree, order), prev, b.nextGen)
+	st.order = order
 	return st
 }
 
@@ -183,128 +219,170 @@ func (b *ReconfigurableBarrier) MeasuredSigma() (sigma float64, episodes uint64)
 	return b.est.Sigma(), b.est.Episodes()
 }
 
-// Adaptations returns how many times the barrier has rebuilt its tree.
-func (b *ReconfigurableBarrier) Adaptations() uint64 { return b.ctrl.Rebuilds() }
+// Adaptations returns how many times the barrier has rebuilt its tree
+// into a new epoch.
+func (b *ReconfigurableBarrier) Adaptations() uint64 { return b.state.Load().epoch }
 
 // ReconfigStats returns the unified reconfiguration telemetry: epoch and
-// rebuild counts plus the last committed plan (σ at plan time included).
-func (b *ReconfigurableBarrier) ReconfigStats() ReconfigStats { return b.ctrl.Stats() }
-
-// Resize changes the participant count immediately. It may only be called
-// at a quiescent point — no Wait/Arrive/Await in flight — exactly like
-// Reset, or from the Observer of the completing episode, which runs at
-// one; use Grow/Shrink/RequestResize to change membership while the
-// barrier is running.
-func (b *ReconfigurableBarrier) Resize(p int) error {
-	plan, err := b.ctrl.PlanResize(p)
-	if err != nil {
-		return err
+// rebuild counts plus the running epoch's plan (σ at plan time included).
+// It is safe from any goroutine and takes no lock: everything but
+// Placements and Evals is read off one published epoch, so the counts
+// always agree with each other.
+func (b *ReconfigurableBarrier) ReconfigStats() ReconfigStats {
+	st := b.state.Load()
+	return ReconfigStats{
+		Epochs:     st.epoch + 1,
+		Rebuilds:   st.epoch,
+		Evals:      b.est.Episodes(),
+		Placements: b.placements.Load(),
+		LastPlan: ReconfigPlan{
+			Epoch:    st.epoch,
+			P:        st.p,
+			Degree:   st.tree.Degree,
+			Sigma:    st.sigma,
+			Episodes: st.episodes,
+		},
 	}
-	b.apply(b.state.Load(), plan, b.nextGen)
+}
+
+// Resize changes the participant count immediately, superseding any queued
+// membership request (the last request wins, and this is the later one).
+// It may only be called at a quiescent point — no Wait/Arrive/Await in
+// flight — exactly like Reset, or from the Observer of the completing
+// episode, which runs at one; use Grow/Shrink/RequestResize to change
+// membership while the barrier is running.
+func (b *ReconfigurableBarrier) Resize(p int) error {
+	if p < 1 {
+		return errTarget(p)
+	}
+	b.target.Store(int64(p))
+	st := b.state.Load()
+	degree, sigma := b.plan(st, p)
+	b.install(st, p, degree, sigma)
 	return nil
+}
+
+func errTarget(p int) error {
+	return fmt.Errorf("softbarrier: membership target %d below 1", p)
 }
 
 // RequestResize queues a membership change to p participants; the change
 // is applied at the next episode boundary. Safe from any goroutine; the
 // last request before the boundary wins.
-func (b *ReconfigurableBarrier) RequestResize(p int) error { return b.ctrl.RequestP(p) }
+func (b *ReconfigurableBarrier) RequestResize(p int) error {
+	if p < 1 {
+		return errTarget(p)
+	}
+	b.target.Store(int64(p))
+	return nil
+}
 
 // Grow queues the admission of n more participants at the next episode
 // boundary and returns the resulting membership target. The new ids are
 // the target's top n; a new worker must wait until Participants covers its
 // id before its first Wait.
-func (b *ReconfigurableBarrier) Grow(n int) (int, error) { return b.ctrl.RequestDelta(n) }
+func (b *ReconfigurableBarrier) Grow(n int) (int, error) { return b.requestDelta(n) }
 
 // Shrink queues the removal of the top n participant ids at the next
 // episode boundary and returns the resulting membership target. Shrunk
 // workers observe their removal when Wait returns with Participants no
 // longer covering their id.
-func (b *ReconfigurableBarrier) Shrink(n int) (int, error) { return b.ctrl.RequestDelta(-n) }
+func (b *ReconfigurableBarrier) Shrink(n int) (int, error) { return b.requestDelta(-n) }
+
+// requestDelta moves the membership target by delta. With nothing queued
+// the target is the current P; otherwise successive requests stack.
+func (b *ReconfigurableBarrier) requestDelta(delta int) (int, error) {
+	for {
+		old := b.target.Load()
+		p := int(old) + delta
+		if p < 1 {
+			return 0, errTarget(p)
+		}
+		if b.target.CompareAndSwap(old, int64(p)) {
+			return p, nil
+		}
+	}
+}
 
 // release runs on the participant that completed the root: a quiescent
 // point for the counters. It folds the measured spread into the σ
-// estimate (and the per-participant lags into the placement policy),
-// asks the controller whether a new epoch is due, applies the plan if
-// so — otherwise rebuilds in place when the policy's predicted-straggler
-// order changed on the replan cadence — emits the episode's telemetry,
-// and opens the gate.
+// estimate (and the per-participant lags into the placement policy) and
+// decides what the next episode runs on: a new epoch when a membership
+// change is queued, or when on the replan cadence the model's degree for
+// the measured σ moved by at least MinDegreeDelta; else, on the cadence,
+// the same epoch re-placed if the policy's predicted-straggler order
+// changed. Then it emits the episode's telemetry and opens the gate.
 func (b *ReconfigurableBarrier) release(st *treeEpoch) {
 	seq := b.gate.Seq()
 	b.nextGen = seq + 1
 	m, _ := b.rec.Measure(seq)
-	b.ctrl.Observe(m.Spread)
+	b.est.Observe(m.Spread)
 	if b.place != nil {
 		if b.lagBuf = b.rec.LagsInto(seq, b.lagBuf); len(b.lagBuf) > 0 {
 			b.place.Observe(b.lagBuf)
 		}
 	}
-	if plan, ok := b.ctrl.Evaluate(); ok {
-		// The new epoch's first episode runs at the generation the Open
-		// below advances to.
-		b.apply(st, plan, b.nextGen)
-	} else if order := b.duePlacementOrder(st); order != nil {
-		b.applyPlacement(st, order, b.nextGen)
+	p := int(b.target.Load())
+	if p != st.p || b.est.Episodes()%b.replanEvery == 0 {
+		degree, sigma := b.plan(st, p)
+		// Either branch consumes the policy's Order(), so at most once per
+		// release: hysteresis policies record what they emit.
+		if d := degree - st.tree.Degree; p != st.p || d >= b.minDelta || -d >= b.minDelta {
+			b.install(st, p, degree, sigma)
+		} else if order := policyOrder(b.place, p); order != nil && !sameOrder(order, st.order, p) {
+			b.reorder(st, order)
+		}
 	}
 	cur := b.state.Load()
-	b.rec.Emit(m, rt.Extra{Adaptations: b.ctrl.Rebuilds(), Degree: cur.tree.Degree, Epoch: cur.epoch})
+	b.rec.Emit(m, rt.Extra{Adaptations: cur.epoch, Degree: cur.tree.Degree, Epoch: cur.epoch})
 	b.gate.Open()
 }
 
-// duePlacementOrder decides, on the replan cadence, whether the policy
-// wants the running epoch's slots re-ordered: it returns the new order,
-// or nil when none is due (off cadence, no policy opinion, opinion for a
-// stale membership, or unchanged from the epoch's current placement).
-// Order() is consumed at most once per release — hysteresis policies
-// record what they emit.
-func (b *ReconfigurableBarrier) duePlacementOrder(st *treeEpoch) []int {
-	if b.place == nil {
-		return nil
+// plan returns the model's degree for p participants and the σ it was
+// derived from: the measured EWMA, or, before any episode, what the
+// running epoch was planned with (ReconfigConfig.InitialSigma).
+func (b *ReconfigurableBarrier) plan(st *treeEpoch, p int) (degree int, sigma float64) {
+	sigma = st.sigma
+	if b.est.Episodes() > 0 {
+		sigma = b.est.Sigma()
 	}
-	n := b.ctrl.Episodes()
-	if n == 0 || n%b.ctrl.Config().ReplanEvery != 0 {
-		return nil
-	}
-	order := policyOrder(b.place, st.p)
-	if order == nil || sameOrder(order, st.order, st.p) {
-		return nil
-	}
-	return order
+	return OptimalDegree(p, sigma, b.tc), sigma
 }
 
-// apply installs plan as the running epoch. It must run at a quiescent
-// point: the release path, or a caller-synchronized Resize.
-func (b *ReconfigurableBarrier) apply(prev *treeEpoch, plan reconfig.Plan, epochGen uint64) {
-	order := policyOrder(b.place, plan.P)
-	if order == nil && len(prev.order) == plan.P {
+// install builds the epoch after prev and publishes it. It must run at a
+// quiescent point: the release path, or a caller-synchronized Resize.
+func (b *ReconfigurableBarrier) install(prev *treeEpoch, p, degree int, sigma float64) {
+	order := policyOrder(b.place, p)
+	if order == nil && len(prev.order) == p {
 		// The policy has no (new) opinion for this membership; keep the
 		// placement the previous epoch ran with rather than snapping back
 		// to the identity order.
 		order = prev.order
 	}
-	next := b.newEpoch(prev, plan, epochGen, order)
-	if plan.P != prev.p {
-		b.rec.Resize(plan.P)
-		b.resizeArrivals(plan.P)
+	next := b.newEpoch(prev, p, degree, order)
+	next.epoch, next.sigma, next.episodes = prev.epoch+1, sigma, b.est.Episodes()
+	if p != prev.p {
+		b.rec.Resize(p)
+		b.resizeArrivals(p)
 	}
 	// The reducer's deposit cells and node accumulators are rebuilt for
 	// the new tree; its published result buffers survive, so awaiters of
 	// the pre-rebuild episode still copy their in-flight result.
-	b.red.Resize(plan.P, len(next.counters))
+	b.red.Resize(p, len(next.counters))
 	b.state.Store(&next)
-	b.ctrl.Commit(plan)
 }
 
-// applyPlacement rebuilds the running epoch's tree with a new placement
-// order — same P, degree and epoch number, slots re-labelled so order[k]
-// sits on the k-th shallowest slot. Like apply it runs only at the
+// reorder rebuilds the running epoch's tree with a new placement order —
+// same P, degree, epoch number and plan, slots re-labelled so order[k]
+// sits on the k-th shallowest slot. Like install it runs only at the
 // quiescent release point; ReconfigStats.Placements counts these
 // rebuilds.
-func (b *ReconfigurableBarrier) applyPlacement(prev *treeEpoch, order []int, epochGen uint64) {
-	plan := b.ctrl.Current()
-	next := b.newEpoch(prev, plan, epochGen, order)
-	b.red.Resize(plan.P, len(next.counters))
+func (b *ReconfigurableBarrier) reorder(prev *treeEpoch, order []int) {
+	next := b.newEpoch(prev, prev.p, prev.tree.Degree, order)
+	next.epoch, next.sigma, next.episodes = prev.epoch, prev.sigma, prev.episodes
+	b.red.Resize(next.p, len(next.counters))
 	b.state.Store(&next)
-	b.ctrl.NotePlacement()
+	b.placements.Add(1)
 }
 
 var _ PhasedBarrier = (*ReconfigurableBarrier)(nil)

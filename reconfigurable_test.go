@@ -2,6 +2,8 @@ package softbarrier
 
 import (
 	"errors"
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -274,5 +276,248 @@ func TestElasticGroupGrowShrink(t *testing.T) {
 	}
 	if err := NewGroup(NewCentral(4)).Resize(8); err == nil {
 		t.Error("resize of a non-resizable barrier accepted")
+	}
+}
+
+// The re-plan rule, checked on one goroutine against a clock the test
+// owns. With P = 8 and t_c = 1ms the model knows two degrees: 2 up to
+// σ ≈ 3.75ms and 8 (flat) beyond, so wideGap — 2ms between consecutive
+// arrivals, a spread of ≈ 4.6ms — recommends 8 and simultaneous arrival
+// recommends 2.
+const (
+	drivenTc = 1e-3
+	wideGap  = 2 * time.Millisecond
+)
+
+// drivenReconfigurable returns a barrier starting at degree 2 and a
+// function that runs one episode single-handed, gap apart between
+// consecutive arrivals: the spread is the test's input, not the
+// scheduler's output.
+func drivenReconfigurable(p int, cfg ReconfigConfig) (*ReconfigurableBarrier, func(gap time.Duration)) {
+	var now int64
+	cfg.Tc, cfg.InitialDegree = drivenTc, 2
+	b := NewReconfigurable(p, cfg, withClock(func() int64 { return now }))
+	return b, func(gap time.Duration) {
+		n := b.Participants()
+		for id := 0; id < n; id++ {
+			now += int64(gap)
+			b.Arrive(id)
+		}
+		for id := 0; id < n; id++ {
+			b.Await(id)
+		}
+	}
+}
+
+func TestReconfigurableInitialPlan(t *testing.T) {
+	b, _ := drivenReconfigurable(8, ReconfigConfig{InitialSigma: 2e-4})
+	want := ReconfigStats{Epochs: 1, LastPlan: ReconfigPlan{P: 8, Degree: 2, Sigma: 2e-4}}
+	if got := b.ReconfigStats(); got != want {
+		t.Errorf("fresh stats = %+v, want %+v", got, want)
+	}
+}
+
+func TestReconfigurableCadence(t *testing.T) {
+	b, episode := drivenReconfigurable(8, ReconfigConfig{ReplanEvery: 3})
+	for i := 1; i <= 2; i++ {
+		episode(wideGap) // the recommendation moved right away
+		if b.Epoch() != 0 || b.Degree() != 2 {
+			t.Fatalf("episode %d re-planned off-cadence (ReplanEvery 3): epoch %d degree %d", i, b.Epoch(), b.Degree())
+		}
+	}
+	episode(wideGap)
+	want := ReconfigPlan{Epoch: 1, P: 8, Degree: 8, Sigma: b.Sigma(), Episodes: 3}
+	if got := b.ReconfigStats().LastPlan; got != want {
+		t.Errorf("plan after episode 3 = %+v, want %+v", got, want)
+	}
+	if b.Epoch() != 1 || b.Degree() != 8 || b.Adaptations() != 1 {
+		t.Errorf("after episode 3: epoch %d degree %d adaptations %d, want 1/8/1", b.Epoch(), b.Degree(), b.Adaptations())
+	}
+}
+
+func TestReconfigurableNoPlanWhenDegreeHolds(t *testing.T) {
+	b, episode := drivenReconfigurable(8, ReconfigConfig{ReplanEvery: 1})
+	for i := 0; i < 5; i++ {
+		episode(0)
+		if b.Epoch() != 0 {
+			t.Fatalf("re-planned to %+v with an unchanged recommendation", b.ReconfigStats().LastPlan)
+		}
+	}
+}
+
+func TestReconfigurableMinDegreeDelta(t *testing.T) {
+	// The recommendation moves 2 → 8: |Δ| = 6.
+	for _, c := range []struct {
+		minDelta int
+		epoch    uint64
+	}{{7, 0}, {6, 1}} {
+		b, episode := drivenReconfigurable(8, ReconfigConfig{ReplanEvery: 1, MinDegreeDelta: c.minDelta})
+		episode(wideGap)
+		if b.Epoch() != c.epoch {
+			t.Errorf("MinDegreeDelta %d against |Δ| = 6: epoch %d, want %d", c.minDelta, b.Epoch(), c.epoch)
+		}
+	}
+}
+
+func TestReconfigurableResizeAlwaysPlans(t *testing.T) {
+	b, episode := drivenReconfigurable(8, ReconfigConfig{ReplanEvery: 1000})
+	if err := b.RequestResize(12); err != nil {
+		t.Fatal(err)
+	}
+	episode(0) // far off the cadence
+	if b.Participants() != 12 || b.Epoch() != 1 {
+		t.Fatalf("pending membership change did not force a plan: p %d epoch %d", b.Participants(), b.Epoch())
+	}
+	episode(0)
+	if b.Epoch() != 1 {
+		t.Error("re-planned with no pending target and off-cadence")
+	}
+	// The boundary consumed the target: a delta now starts from P.
+	if p, err := b.Grow(1); err != nil || p != 13 {
+		t.Errorf("Grow(1) after the boundary: p=%d err=%v, want 13", p, err)
+	}
+}
+
+func TestReconfigurableRequestDeltaStacks(t *testing.T) {
+	b, episode := drivenReconfigurable(8, ReconfigConfig{})
+	if p, err := b.Grow(2); err != nil || p != 10 {
+		t.Fatalf("first delta: p=%d err=%v, want 10", p, err)
+	}
+	if p, err := b.Grow(2); err != nil || p != 12 {
+		t.Fatalf("stacked delta: p=%d err=%v, want 12", p, err)
+	}
+	if _, err := b.Shrink(12); err == nil {
+		t.Error("delta to p=0 accepted")
+	}
+	if err := b.RequestResize(0); err == nil {
+		t.Error("RequestResize(0) accepted")
+	}
+	episode(0)
+	if b.Participants() != 12 {
+		t.Errorf("participants after the boundary = %d, want 12 (the refusals leave the target alone)", b.Participants())
+	}
+}
+
+func TestReconfigurableInitialSigmaWhileUnseeded(t *testing.T) {
+	b, episode := drivenReconfigurable(8, ReconfigConfig{ReplanEvery: 1000, InitialSigma: 5e-4})
+	if err := b.Resize(6); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.ReconfigStats().LastPlan; got.Sigma != 5e-4 || got.Episodes != 0 {
+		t.Errorf("unseeded plan = %+v, want InitialSigma 5e-4 at 0 episodes", got)
+	}
+	episode(wideGap)
+	if err := b.Resize(8); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.ReconfigStats().LastPlan; got.Sigma != b.Sigma() || got.Sigma <= 5e-4 || got.Episodes != 1 {
+		t.Errorf("seeded plan = %+v, want the EWMA estimate %g at 1 episode", got, b.Sigma())
+	}
+}
+
+func TestReconfigurableStatsCounts(t *testing.T) {
+	b, episode := drivenReconfigurable(8, ReconfigConfig{ReplanEvery: 2})
+	// Two wide episodes recommend 8 at the first cadence; two simultaneous
+	// ones decay the EWMA to 0.64 of that, back under the threshold, at the
+	// second.
+	for _, gap := range []time.Duration{wideGap, wideGap, 0, 0} {
+		episode(gap)
+	}
+	st := b.ReconfigStats()
+	if st.Evals != 4 {
+		t.Errorf("evals = %d, want 4", st.Evals)
+	}
+	if st.Rebuilds != 2 || st.Epochs != 3 {
+		t.Errorf("rebuilds=%d epochs=%d, want 2 and 3", st.Rebuilds, st.Epochs)
+	}
+	if st.LastPlan.Epoch != 2 || st.LastPlan.Degree != 2 || st.LastPlan.Episodes != 4 {
+		t.Errorf("last plan = %+v, want epoch 2 at degree 2 after 4 episodes", st.LastPlan)
+	}
+}
+
+// TestReconfigurableResizeClearsPendingTarget: Resize is a membership
+// request like any other, and the last one wins — a target queued before
+// it must not resurface at the next boundary.
+func TestReconfigurableResizeClearsPendingTarget(t *testing.T) {
+	b, episode := drivenReconfigurable(4, ReconfigConfig{ReplanEvery: 1000})
+	if _, err := b.Grow(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Resize(3); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		episode(0)
+		if got := b.Participants(); got != 3 {
+			t.Fatalf("participants after episode %d = %d, want 3 (the queued target of 6 came back)", i, got)
+		}
+	}
+	if p, err := b.Grow(1); err != nil || p != 4 {
+		t.Errorf("Grow(1) after Resize(3): p=%d err=%v, want 4", p, err)
+	}
+}
+
+// TestReconfigurableConcurrentRequestsAndStats checks the lock-free
+// membership word and telemetry where a mutex used to be: one goroutine
+// drives every episode while another queues membership changes and takes
+// snapshots. Every snapshot must agree with itself, and the last accepted
+// request must be what the barrier ends up at — none lost to a boundary
+// that was building an earlier target when it landed.
+func TestReconfigurableConcurrentRequestsAndStats(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const episodes, requests, maxP = 2000, 2000, 16
+	b, episode := drivenReconfigurable(4, ReconfigConfig{})
+
+	var last atomic.Int64 // last accepted membership target
+	last.Store(4)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < requests; i++ {
+			var p int
+			var err error
+			switch target := int(last.Load()); {
+			case i%5 == 0:
+				p = 1 + rng.Intn(maxP)
+				err = b.RequestResize(p)
+			case target < maxP && rng.Intn(2) == 0:
+				p, err = b.Grow(1)
+			default:
+				// Refused at a target of 1, which must leave the target alone.
+				p, err = b.Shrink(1)
+			}
+			if err == nil {
+				last.Store(int64(p))
+			}
+			st := b.ReconfigStats()
+			if st.Epochs != st.Rebuilds+1 || st.Rebuilds != st.LastPlan.Epoch || st.LastPlan.P < 1 {
+				t.Errorf("inconsistent snapshot %+v", st)
+				return
+			}
+			if a := b.Adaptations(); a < st.Rebuilds {
+				t.Errorf("Adaptations() = %d went back from %d", a, st.Rebuilds)
+				return
+			}
+			if len(b.Depths()) < 1 {
+				t.Error("Depths() of an empty epoch")
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	requesting := true
+	for ep := 0; ep < episodes || requesting; ep++ {
+		episode(0)
+		select {
+		case <-done:
+			requesting = false
+		default:
+		}
+	}
+	episode(0) // a boundary after the last request
+	if got, want := b.Participants(), int(last.Load()); got != want {
+		t.Errorf("participants = %d after the requester stopped at a target of %d", got, want)
 	}
 }

@@ -71,6 +71,10 @@ type treeEpoch struct {
 	// their final Await still reads a valid generation while they drain
 	// out).
 	slots []treeSlot
+	// sigma and episodes are the σ estimate and the episode count the epoch
+	// was planned at (reconfigurable.go); zero on a static tree.
+	sigma    float64
+	episodes uint64
 }
 
 // treeCounter is one tree node's arrival counter, plus the fields dynamic

@@ -96,7 +96,7 @@ func TestTreeConstructorAllocs(t *testing.T) {
 		"tree":     {52, 60},
 		"mcs":      {54, 62},
 		"dynamic":  {56, 64},
-		"reconfig": {60, 68},
+		"reconfig": {57, 65},
 	}
 	withOp := []Option{WithCollective(OpSumUint64())}
 	for _, k := range treeKinds {
