@@ -34,7 +34,7 @@ func NewCentral(p int, opts ...Option) *CentralBarrier {
 	o := applyOptions(opts)
 	b := &CentralBarrier{p: p, local: make([]rt.PaddedUint64, p)}
 	b.gate.Init(o.policy)
-	b.rec = o.recorder(p, false)
+	b.rec = o.recorder(p, 0)
 	b.initPoison(p, o.watchdog, o.poisonNotify,
 		func() { b.gate.Poison() },
 		func() {

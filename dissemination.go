@@ -57,7 +57,7 @@ func NewDissemination(p int, opts ...Option) *DisseminationBarrier {
 		rt.InitCells(b.flags[i])
 	}
 	b.state = make([]dissState, p)
-	b.rec = o.recorder(p, false)
+	b.rec = o.recorder(p, 0)
 	b.initPoison(p, o.watchdog, o.poisonNotify,
 		func() {
 			// No central gate: waking everyone means poisoning every round

@@ -18,8 +18,10 @@
 //     synchronization path from O(log p) to O(1) when arrival order is
 //     predictable (systemic imbalance, or fuzzy barriers with slack).
 //   - ReconfigurableBarrier: a tree barrier whose configuration is an
-//     epoch it replaces itself: it measures the arrival spread σ,
-//     re-derives its degree from the paper's analytic model — the
+//     epoch it replaces itself: it measures the arrival spread σ (of
+//     the episodes a decision reads: one in ReplanEvery, or all for an
+//     Observer or placement policy), re-derives its degree from the
+//     paper's analytic model — the
 //     run-time adaptation the paper's conclusion proposes — and is
 //     elastic: Grow/Shrink/Resize change the participant count at episode
 //     boundaries while waiters drain safely. Every rebuild happens at a

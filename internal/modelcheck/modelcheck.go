@@ -2,9 +2,9 @@
 // protocol by explicit-state exploration. The runtime's ascent takes no
 // lock, so the model's transitions are the algorithm's single memory
 // operations — the victim's load of evicted, its clearing store, its read
-// of destination, its write of local; a counter's fetch-and-add and the
-// last arriver's reset; the victor's read of local and its three stores;
-// the release — and the checker breadth-first explores ALL interleavings
+// of destination, its write of local; a counter's fetch-and-add, up in
+// even episodes and down in odd; the victor's read of local and its three
+// stores; the release — and the checker breadth-first explores ALL interleavings
 // of all participants' operations across several episodes, checking that
 //
 //   - the barrier never releases an episode before all participants
@@ -12,8 +12,8 @@
 //   - every reachable state can make progress until all episodes complete
 //     (deadlock freedom, by construction of the exploration),
 //   - each episode releases exactly once,
-//   - no counter is ever added to beyond its fan-in, and all counts are
-//     reset at quiescence, and
+//   - no count leaves [0, fan-in], and at quiescence every count is 0 or
+//     its fan-in by the parity of episodes completed, and
 //   - at EVERY state, between any two memory operations, resolving each
 //     participant's pending eviction as it would itself gives every
 //     counter exactly its fan-in's worth of occupants (the
@@ -54,10 +54,8 @@ const (
 	// phClaimLocal: about to write itself into the destination's local
 	// slot (and, privately, make the destination its first counter).
 	phClaimLocal
-	// phAdd: about to fetch-and-add the current counter.
+	// phAdd: about to fetch-and-add the current counter, ±1 by episode parity.
 	phAdd
-	// phReset: its add completed the fan-in; about to store zero.
-	phReset
 	// Victor side (victorSwap). phReadLocal: completed a counter above
 	// its own; about to read the counter's local slot.
 	phReadLocal
@@ -142,6 +140,9 @@ type Checker struct {
 	// the state in between, where the victim is already named and its
 	// redirect still points wherever the previous swap left it.
 	sabotageEarlyPublish bool
+	// sabotageStuckSense (tests only) makes the add that would complete a
+	// counter in an odd episode go +1: the counter then never completes.
+	sabotageStuckSense bool
 }
 
 // New creates a checker for the given tree and episode count. Trees with
@@ -232,20 +233,21 @@ func (c *Checker) step(s *state, id int) (*state, error) {
 
 	case phAdd:
 		cn := &ns.counters[p.cur]
-		cn.count++
 		fanIn := c.tree.Counters[p.cur].FanIn()
-		if cn.count > fanIn {
-			return nil, fmt.Errorf("counter %d overflowed fan-in %d", p.cur, fanIn)
+		step, full := 1, fanIn
+		if p.episode%2 == 1 {
+			step, full = -1, 0
+			if c.sabotageStuckSense && cn.count == 1 {
+				step = 1
+			}
 		}
-		if cn.count < fanIn {
+		cn.count += step
+		if cn.count > fanIn || cn.count < 0 {
+			return nil, fmt.Errorf("counter %d overflowed fan-in %d: count %d", p.cur, fanIn, cn.count)
+		}
+		switch { // the last arriver moves on; there is no reset
+		case cn.count != full:
 			p.phase = phWait
-		} else {
-			p.phase = phReset
-		}
-
-	case phReset:
-		ns.counters[p.cur].count = 0
-		switch {
 		case p.cur == p.first:
 			c.advance(ns, id)
 		case c.sabotageLateRootSwap && c.tree.Counters[p.cur].Parent == topology.NoCounter:
@@ -372,8 +374,8 @@ func home(s *state, i int) int {
 // checkPlacement validates the placement invariant, which holds between
 // any two memory operations: every counter has exactly its fan-in's worth
 // of occupants once pending evictions are resolved. When every
-// participant is idle between episodes it also checks the counts are
-// reset.
+// participant is idle between episodes it also checks every count stands
+// at the fan-in after an odd number of them and at zero after an even one.
 func (c *Checker) checkPlacement(s *state) error {
 	occupants := make([]int, len(s.counters))
 	quiescent := true
@@ -392,8 +394,8 @@ func (c *Checker) checkPlacement(s *state) error {
 		if occupants[i] != want {
 			return fmt.Errorf("occupancy of counter %d is %d, want %d", i, occupants[i], want)
 		}
-		if quiescent && s.counters[i].count != 0 {
-			return fmt.Errorf("counter %d count %d at quiescence", i, s.counters[i].count)
+		if rest := c.tree.Counters[i].FanIn() * (s.released % 2); quiescent && s.counters[i].count != rest {
+			return fmt.Errorf("counter %d count %d at quiescence after %d episodes, want %d", i, s.counters[i].count, s.released, rest)
 		}
 	}
 	return nil

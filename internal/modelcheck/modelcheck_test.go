@@ -106,3 +106,22 @@ func TestCheckerCatchesEarlyPublish(t *testing.T) {
 		t.Logf("sabotage detected as: %v", err)
 	}
 }
+
+// Third mutant: the counters reverse sense instead of being reset, so an
+// add in the wrong direction is the bug to look for. Here the add that
+// would complete a counter in an odd episode goes +1: the counter never
+// reaches zero, nobody climbs past it, and the episode cannot release.
+func TestCheckerCatchesStuckSense(t *testing.T) {
+	for _, tree := range []*topology.Tree{topology.NewMCS(4, 2), topology.NewMCS(4, 3), topology.NewRing([]int{3, 2}, 2)} {
+		c := New(tree, 3)
+		c.sabotageStuckSense = true
+		err := c.Run()
+		if err == nil {
+			t.Fatal("a +1 in an odd episode passed the checker")
+		}
+		if !strings.Contains(err.Error(), "deadlock") && !strings.Contains(err.Error(), "overflow") {
+			t.Fatalf("unexpected violation kind: %v", err)
+		}
+		t.Logf("sabotage detected as: %v", err)
+	}
+}

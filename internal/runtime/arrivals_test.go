@@ -97,7 +97,7 @@ func TestArrivalsScanAndResize(t *testing.T) {
 // panic: a recorder resized to zero participants must measure and report
 // lags without indexing slots[0].
 func TestRecorderShrinkToZero(t *testing.T) {
-	r := New(4, nil, nil, true)
+	r := New(4, nil, nil, 1)
 	for id := 0; id < 4; id++ {
 		r.Arrive(id, 0)
 	}

@@ -317,9 +317,10 @@ func (e *LagEstimator) Episodes() uint64 {
 
 // FoldLags feeds the episode's recorded arrival timestamps into est. Like
 // Measure it is releaser-only and must run before the episode's release,
-// while the parity buffer is quiescent. A nil recorder is a no-op.
+// while the parity buffer is quiescent. A nil recorder is a no-op, as is
+// an episode that was not measured.
 func (r *Recorder) FoldLags(episode uint64, est *LagEstimator) {
-	if r == nil || est == nil {
+	if r == nil || est == nil || episode < r.armed {
 		return
 	}
 	slots := r.arrivals[episode&1]

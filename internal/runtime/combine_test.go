@@ -187,7 +187,7 @@ func TestLagEstimator(t *testing.T) {
 func TestRecorderFoldLags(t *testing.T) {
 	now := int64(0)
 	clock := func() int64 { return now }
-	r := New(3, nil, clock, true)
+	r := New(3, nil, clock, 1)
 	est := NewLagEstimator(3, 1)
 	for id, at := range []int64{0, 1e9, 3e9} {
 		now = at

@@ -18,21 +18,26 @@ import (
 // are called only by the releasing participant, at a point ordered before
 // the episode's release, so they need no locking.
 type Recorder struct {
-	obs      Observer
-	clock    func() int64
-	p        int
-	episode  uint64 // next episode index; releaser-only
-	arrivals [2][]PaddedInt64
-	scratch  []float64 // spread computation buffer; releaser-only
+	obs   Observer
+	clock func() int64
+	p     int
+	// armed is the earliest episode that is measured; an arrival in one
+	// before it reads no clock. Emit moves it on by step (0: measure all)
+	// before the release that lets the next arrivals read it: a plain word.
+	armed, step uint64
+	episode     uint64 // next index reported to the observer; releaser-only
+	arrivals    [2][]PaddedInt64
+	scratch     []float64 // spread computation buffer; releaser-only
 }
 
-// New returns a recorder for p participants reporting to obs. When obs is
-// nil and always is false it returns nil — the disabled recorder. always
-// forces recording without an observer, for barriers (adaptive) whose own
-// control loop needs the measurements. clock overrides the nanosecond
-// clock; nil selects a monotonic clock zeroed at construction.
-func New(p int, obs Observer, clock func() int64, always bool) *Recorder {
-	if obs == nil && !always {
+// New returns a recorder for p participants reporting to obs, measuring
+// every episode. With a nil obs it measures the last of each `every`
+// episodes — every−1, 2·every−1, … — for a barrier whose own control loop
+// reads them on that cadence, and every = 0 returns nil, the disabled
+// recorder. clock overrides the nanosecond clock; nil selects a monotonic
+// clock zeroed at construction.
+func New(p int, obs Observer, clock func() int64, every uint64) *Recorder {
+	if obs == nil && every == 0 {
 		return nil
 	}
 	if clock == nil {
@@ -40,6 +45,9 @@ func New(p int, obs Observer, clock func() int64, always bool) *Recorder {
 		clock = func() int64 { return int64(time.Since(base)) }
 	}
 	r := &Recorder{obs: obs, clock: clock, p: p, scratch: make([]float64, p)}
+	if obs == nil && every > 1 {
+		r.armed, r.step = every-1, every
+	}
 	r.arrivals[0] = make([]PaddedInt64, p)
 	r.arrivals[1] = make([]PaddedInt64, p)
 	return r
@@ -62,12 +70,12 @@ func (r *Recorder) Resize(p int) {
 	r.scratch = make([]float64, p)
 }
 
-// Arrive timestamps participant id's arrival for the given episode. It
-// must be called before the participant contributes to the episode's
-// completion (counter update, flag signal, …) so the releaser's read of
-// the slot is ordered after the write.
+// Arrive timestamps participant id's arrival for the given episode if it
+// is measured. It must be called before the participant contributes to the
+// episode's completion (counter update, flag signal, …) so the releaser's
+// read is ordered after the write. The guard fills the inliner's budget.
 func (r *Recorder) Arrive(id int, episode uint64) {
-	if r == nil {
+	if r == nil || episode < r.armed {
 		return
 	}
 	r.arrivals[episode&1][id].V = r.clock()
@@ -83,9 +91,10 @@ type Measurement struct {
 
 // Measure reads the episode's arrival slots and timestamps the release. It
 // must be called by the releasing participant before the episode is
-// released, when the slots are quiescent. ok is false on a nil recorder.
+// released, when the slots are quiescent. ok is false on a nil recorder and
+// for an episode that was not measured: there is then nothing to Emit.
 func (r *Recorder) Measure(episode uint64) (m Measurement, ok bool) {
-	if r == nil {
+	if r == nil || episode < r.armed {
 		return Measurement{}, false
 	}
 	slots := r.arrivals[episode&1]
@@ -112,11 +121,11 @@ func (r *Recorder) Measure(episode uint64) (m Measurement, ok bool) {
 // lags — arrival time minus the episode's earliest arrival, seconds —
 // the signal a placement policy consumes. dst is reused when it has the
 // capacity. Like Measure it is releaser-only, before the episode's
-// release; a nil recorder returns nil, and a recorder shrunk to zero
-// participants returns dst[:0] (there is no earliest arrival to lag
-// behind, and indexing an empty slot array would panic).
+// release and Emit; a nil recorder and an unmeasured episode return nil
+// (never an earlier episode's stamps), and a recorder shrunk to zero
+// participants returns dst[:0] (indexing no slots would panic).
 func (r *Recorder) LagsInto(episode uint64, dst []float64) []float64 {
-	if r == nil {
+	if r == nil || episode < r.armed {
 		return nil
 	}
 	slots := r.arrivals[episode&1]
@@ -139,12 +148,13 @@ func (r *Recorder) LagsInto(episode uint64, dst []float64) []float64 {
 	return dst
 }
 
-// Emit publishes the measurement to the observer (if any) and advances the
-// episode counter. Like Measure it runs on the releasing participant only.
+// Emit publishes a measured episode to the observer (if any) and arms the
+// next one. Like Measure it runs on the releasing participant only.
 func (r *Recorder) Emit(m Measurement, ex Extra) {
 	if r == nil {
 		return
 	}
+	r.armed += r.step
 	ep := r.episode
 	r.episode++
 	if r.obs == nil {
@@ -172,9 +182,7 @@ func (r *Recorder) Emit(m Measurement, ex Extra) {
 // Release is Measure followed by Emit, for barriers that do not act on the
 // measurement themselves.
 func (r *Recorder) Release(episode uint64, ex Extra) {
-	if r == nil {
-		return
+	if m, ok := r.Measure(episode); ok {
+		r.Emit(m, ex)
 	}
-	m, _ := r.Measure(episode)
-	r.Emit(m, ex)
 }

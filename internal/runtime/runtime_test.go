@@ -325,7 +325,7 @@ func (o *sliceObserver) Episode(st EpisodeStats) {
 }
 
 func TestRecorderNilFastPath(t *testing.T) {
-	r := New(4, nil, nil, false)
+	r := New(4, nil, nil, 0)
 	if r != nil {
 		t.Fatal("recorder without observer should be nil")
 	}
@@ -345,7 +345,7 @@ func TestRecorderMeasuresSpreadAndDelay(t *testing.T) {
 	now := int64(0)
 	clock := func() int64 { return now }
 	obs := &sliceObserver{}
-	r := New(3, obs, clock, false)
+	r := New(3, obs, clock, 0)
 
 	// Episode 0: arrivals at 0, 1000, 2000 ns; release at 2500 ns.
 	for id, at := range []int64{0, 1000, 2000} {
@@ -386,7 +386,7 @@ func TestRecorderMeasuresSpreadAndDelay(t *testing.T) {
 }
 
 func TestRecorderAlwaysActiveWithoutObserver(t *testing.T) {
-	r := New(2, nil, nil, true)
+	r := New(2, nil, nil, 1)
 	if !r.Active() {
 		t.Fatal("always-on recorder inactive")
 	}
@@ -400,4 +400,47 @@ func TestRecorderAlwaysActiveWithoutObserver(t *testing.T) {
 		t.Fatalf("last %d before first %d", m.Last, m.First)
 	}
 	r.Emit(m, Extra{}) // no observer: must not panic
+}
+
+// TestRecorderSamplesOnCadence: without an observer the recorder measures
+// the last of every `every` episodes and reads no clock for the others;
+// an unmeasured episode has no measurement and no lags (not the stamps an
+// earlier episode left in its parity buffer), and a Resize keeps the armed
+// episode armed.
+func TestRecorderSamplesOnCadence(t *testing.T) {
+	var reads int64
+	clock := func() int64 { reads++; return reads }
+	r := New(2, nil, clock, 3)
+	episode := func(e uint64, p int) (measured bool) {
+		for id := 0; id < p; id++ {
+			r.Arrive(id, e)
+		}
+		lags := r.LagsInto(e, nil)
+		m, ok := r.Measure(e)
+		if ok != (lags != nil) {
+			t.Fatalf("episode %d: Measure ok=%t but LagsInto = %v", e, ok, lags)
+		}
+		if ok {
+			r.Emit(m, Extra{})
+		}
+		return ok
+	}
+	for e := uint64(0); e < 5; e++ {
+		if got, want := episode(e, 2), e == 2; got != want {
+			t.Fatalf("episode %d measured = %t, want %t", e, got, want)
+		}
+	}
+	if reads != 3 {
+		t.Fatalf("%d clock reads over five episodes, want 3 (two arrivals and a release in episode 2)", reads)
+	}
+	r.Resize(4) // between episodes 4 and 5, as an elastic barrier's release does
+	if !episode(5, 4) {
+		t.Fatal("episode 5 not measured: Resize dropped the armed episode")
+	}
+	if reads != 3+5 {
+		t.Fatalf("%d clock reads after episode 5 at p=4, want 8", reads)
+	}
+	if episode(6, 4) {
+		t.Fatal("episode 6 measured, want the next at 8")
+	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // DefaultSigmaWeight is the weight of the newest episode's spread in the
-// EWMA σ estimate — the value the adaptive barrier has always used.
+// EWMA σ estimate.
 const DefaultSigmaWeight = 0.2
 
 // SigmaEstimator maintains an exponentially weighted moving average of

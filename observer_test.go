@@ -3,6 +3,7 @@ package softbarrier
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 // recordingObserver captures every emitted EpisodeStats. The mutex is
@@ -208,34 +209,32 @@ type fakeSigma struct {
 
 func (f *fakeSigma) MeasuredSigma() (float64, uint64) { return f.sigma, f.episodes }
 
-// TestAdaptiveIsSigmaSource pins the feedback loop end-to-end: an adaptive
-// barrier's live estimate flows into the planner via the SigmaSource
-// interface.
-func TestAdaptiveIsSigmaSource(t *testing.T) {
+// TestReconfigurableIsSigmaSource pins the feedback loop end-to-end: a
+// reconfigurable barrier's live estimate flows into the planner via the
+// SigmaSource interface, counting the episodes it measured — all of them at
+// ReplanEvery 1, the one in five its re-plans read at ReplanEvery 5.
+func TestReconfigurableIsSigmaSource(t *testing.T) {
 	const p = 4
-	ad := NewReconfigurable(p, ReconfigConfig{ReplanEvery: 64})
-	var src SigmaSource = ad
-	if _, n := src.MeasuredSigma(); n != 0 {
-		t.Fatalf("fresh adaptive barrier reports %d episodes", n)
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for id := 0; id < p; id++ {
-		go func(id int) {
-			defer wg.Done()
-			for e := 0; e < 10; e++ {
-				ad.Wait(id)
-			}
-		}(id)
-	}
-	wg.Wait()
-	if _, n := src.MeasuredSigma(); n != 10 {
-		t.Fatalf("adaptive barrier reports %d episodes, want 10", n)
-	}
-	// The measured profile must be buildable.
-	rec := RecommendMeasured(Profile{P: p, Tc: 20e-6}, src)
-	if rec.Degree < 2 {
-		t.Errorf("measured recommendation degree %d < 2", rec.Degree)
+	for _, c := range []struct {
+		replanEvery int
+		measured    uint64
+	}{{1, 10}, {5, 2}} {
+		b, episode := drivenReconfigurable(p, ReconfigConfig{ReplanEvery: c.replanEvery})
+		var src SigmaSource = b
+		if _, n := src.MeasuredSigma(); n != 0 {
+			t.Fatalf("fresh barrier reports %d episodes", n)
+		}
+		for e := 0; e < 10; e++ {
+			episode(time.Microsecond)
+		}
+		sigma, n := src.MeasuredSigma()
+		if n != c.measured || sigma <= 0 {
+			t.Fatalf("ReplanEvery %d: σ %g from %d episodes after 10, want a positive σ from %d", c.replanEvery, sigma, n, c.measured)
+		}
+		// The measured profile must be buildable.
+		if rec := RecommendMeasured(Profile{P: p, Tc: 20e-6}, src); rec.Degree < 2 {
+			t.Errorf("measured recommendation degree %d < 2", rec.Degree)
+		}
 	}
 }
 

@@ -52,12 +52,12 @@ func applyOptions(opts []Option) options {
 	return o
 }
 
-// recorder builds the barrier's episode recorder; always forces recording
-// even without an observer (the adaptive barrier's control loop needs the
-// measurements). The result is nil — the allocation-free disabled path —
-// when neither applies.
-func (o options) recorder(p int, always bool) *rt.Recorder {
-	return rt.New(p, o.observer, o.clock, always)
+// recorder builds the barrier's episode recorder. every is how often a
+// barrier whose own control loop reads the measurements needs one when no
+// observer is installed (rt.New); with every 0 and no observer the result
+// is nil, the allocation-free disabled path.
+func (o options) recorder(p int, every uint64) *rt.Recorder {
+	return rt.New(p, o.observer, o.clock, every)
 }
 
 // WithObserver installs obs to receive one EpisodeStats per completed

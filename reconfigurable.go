@@ -12,16 +12,18 @@ import (
 
 // ReconfigurableBarrier is a combining-tree barrier whose configuration —
 // tree degree and participant count — is an epoch the barrier replaces
-// itself. Every episode the releasing participant folds the measured
-// arrival spread into the EWMA σ estimate; on the replan cadence (and
-// immediately when a membership change is pending) it asks the analytic
-// model (OptimalDegree) for the degree and, when that moved by at least
-// MinDegreeDelta or the membership changes, builds the next epoch at the
-// episode's quiescent point, before opening the release gate. This is the
-// run-time degree adaptation the paper's conclusion proposes, extended to
-// elastic membership: Grow/Shrink/RequestResize queue a participant-count
-// change that lands at the next episode boundary, and Resize applies one
-// immediately when the caller knows the barrier is idle.
+// itself. The releasing participant folds each measured episode's arrival
+// spread into the EWMA σ estimate (every episode is measured for an
+// Observer or a placement policy, otherwise only the one a re-plan reads);
+// on the replan cadence (and immediately when a membership change is
+// pending) it asks the analytic model (OptimalDegree) for the degree and,
+// when that moved by at least MinDegreeDelta or the membership changes,
+// builds the next epoch at the episode's quiescent point, before opening
+// the release gate. This is the run-time degree adaptation the paper's
+// conclusion proposes, extended to elastic membership:
+// Grow/Shrink/RequestResize queue a participant-count change that lands at
+// the next episode boundary, and Resize applies one immediately when the
+// caller knows the barrier is idle.
 //
 // Elastic protocol, from a worker's point of view: a worker that may be
 // shrunk away checks Participants after each Wait returns and stops when
@@ -83,7 +85,9 @@ const (
 // 20µs counter cost.
 type ReconfigConfig struct {
 	// ReplanEvery is how many episodes pass between degree
-	// re-evaluations; 0 means every episode.
+	// re-evaluations; 0 means every episode. With no Observer and no
+	// placement policy only the episode a re-evaluation reads is measured,
+	// so σ covers 1−0.8^k of a step in the imbalance after k of those.
 	ReplanEvery int
 	// MinDegreeDelta suppresses rebuilds whose recommended degree moved
 	// by less than this; 0 means any change rebuilds. Membership changes
@@ -109,7 +113,8 @@ type ReconfigStats struct {
 	Epochs uint64
 	// Rebuilds is how many times a new epoch replaced the running one.
 	Rebuilds uint64
-	// Evals counts re-plan evaluations (one per episode).
+	// Evals counts measured episodes, the ones folded into σ: all of them
+	// with an Observer or a placement policy, else one per cadence re-plan.
 	Evals uint64
 	// Placements counts placement-only rebuilds: same configuration,
 	// slots re-ordered by a placement policy's predicted-straggler order.
@@ -130,7 +135,7 @@ type ReconfigPlan struct {
 	Degree int
 	// Sigma is the σ estimate the plan was derived from, seconds.
 	Sigma float64
-	// Episodes is how many episodes had been observed at plan time.
+	// Episodes is how many measured episodes σ was based on at plan time.
 	Episodes uint64
 }
 
@@ -141,7 +146,7 @@ type Resizable interface {
 	Resize(p int) error
 }
 
-// NewReconfigurable returns an elastic adaptive barrier for p initial
+// NewReconfigurable returns an elastic, self-tuning barrier for p initial
 // participants.
 func NewReconfigurable(p int, cfg ReconfigConfig, opts ...Option) *ReconfigurableBarrier {
 	if p < 1 {
@@ -200,7 +205,7 @@ func (b *ReconfigurableBarrier) newEpoch(prev *treeEpoch, p, degree int, order [
 // Epoch returns the 0-based configuration epoch.
 func (b *ReconfigurableBarrier) Epoch() uint64 { return b.state.Load().epoch }
 
-// Sigma returns the current arrival-spread estimate in seconds.
+// Sigma returns the σ estimate, seconds: an EWMA over the measured episodes.
 func (b *ReconfigurableBarrier) Sigma() float64 { return b.est.Sigma() }
 
 // Depths returns the current epoch's per-participant synchronization
@@ -214,7 +219,7 @@ func (b *ReconfigurableBarrier) Depths() []int {
 }
 
 // MeasuredSigma implements SigmaSource: the live σ estimate and the number
-// of episodes it is based on, for feeding back into the planner.
+// of measured episodes it is based on, for feeding back into the planner.
 func (b *ReconfigurableBarrier) MeasuredSigma() (sigma float64, episodes uint64) {
 	return b.est.Sigma(), b.est.Episodes()
 }
@@ -305,7 +310,7 @@ func (b *ReconfigurableBarrier) requestDelta(delta int) (int, error) {
 }
 
 // release runs on the participant that completed the root: a quiescent
-// point for the counters. It folds the measured spread into the σ
+// point for the counters. It folds a measured episode's spread into the σ
 // estimate (and the per-participant lags into the placement policy) and
 // decides what the next episode runs on: a new epoch when a membership
 // change is queued, or when on the replan cadence the model's degree for
@@ -315,15 +320,18 @@ func (b *ReconfigurableBarrier) requestDelta(delta int) (int, error) {
 func (b *ReconfigurableBarrier) release(st *treeEpoch) {
 	seq := b.gate.Seq()
 	b.nextGen = seq + 1
-	m, _ := b.rec.Measure(seq)
-	b.est.Observe(m.Spread)
+	// Measured: all for an Observer or a placement policy, else the cadence's.
+	m, measured := b.rec.Measure(seq)
+	if measured {
+		b.est.Observe(m.Spread)
+	}
 	if b.place != nil {
 		if b.lagBuf = b.rec.LagsInto(seq, b.lagBuf); len(b.lagBuf) > 0 {
 			b.place.Observe(b.lagBuf)
 		}
 	}
 	p := int(b.target.Load())
-	if p != st.p || b.est.Episodes()%b.replanEvery == 0 {
+	if p != st.p || b.nextGen%b.replanEvery == 0 {
 		degree, sigma := b.plan(st, p)
 		// Either branch consumes the policy's Order(), so at most once per
 		// release: hysteresis policies record what they emit.
@@ -333,8 +341,10 @@ func (b *ReconfigurableBarrier) release(st *treeEpoch) {
 			b.reorder(st, order)
 		}
 	}
-	cur := b.state.Load()
-	b.rec.Emit(m, rt.Extra{Adaptations: cur.epoch, Degree: cur.tree.Degree, Epoch: cur.epoch})
+	if measured {
+		cur := b.state.Load()
+		b.rec.Emit(m, rt.Extra{Adaptations: cur.epoch, Degree: cur.tree.Degree, Epoch: cur.epoch})
+	}
 	b.gate.Open()
 }
 

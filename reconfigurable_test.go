@@ -2,12 +2,15 @@ package softbarrier
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"softbarrier/internal/stats"
 )
 
 // episodeCounter counts emitted episodes and keeps the latest stats.
@@ -320,18 +323,30 @@ func TestReconfigurableInitialPlan(t *testing.T) {
 func TestReconfigurableCadence(t *testing.T) {
 	b, episode := drivenReconfigurable(8, ReconfigConfig{ReplanEvery: 3})
 	for i := 1; i <= 2; i++ {
-		episode(wideGap) // the recommendation moved right away
+		episode(wideGap) // would move the recommendation, were it looked at
 		if b.Epoch() != 0 || b.Degree() != 2 {
 			t.Fatalf("episode %d re-planned off-cadence (ReplanEvery 3): epoch %d degree %d", i, b.Epoch(), b.Degree())
 		}
+		if sigma, n := b.MeasuredSigma(); sigma != 0 || n != 0 {
+			t.Fatalf("episode %d was measured off-cadence with no Observer: σ %g from %d episodes", i, sigma, n)
+		}
 	}
 	episode(wideGap)
-	want := ReconfigPlan{Epoch: 1, P: 8, Degree: 8, Sigma: b.Sigma(), Episodes: 3}
-	if got := b.ReconfigStats().LastPlan; got != want {
-		t.Errorf("plan after episode 3 = %+v, want %+v", got, want)
+	wide := b.Sigma()
+	want := ReconfigPlan{Epoch: 1, P: 8, Degree: 8, Sigma: wide, Episodes: 1}
+	if got := b.ReconfigStats().LastPlan; got != want || wide == 0 {
+		t.Errorf("plan after episode 3 = %+v, want %+v from the one measured episode", got, want)
 	}
 	if b.Epoch() != 1 || b.Degree() != 8 || b.Adaptations() != 1 {
 		t.Errorf("after episode 3: epoch %d degree %d adaptations %d, want 1/8/1", b.Epoch(), b.Degree(), b.Adaptations())
+	}
+	// The EWMA folds measured episodes only, each with the usual weight:
+	// two wide episodes nobody reads, then a simultaneous one on the cadence.
+	episode(wideGap)
+	episode(wideGap)
+	episode(0)
+	if sigma, n := b.MeasuredSigma(); n != 2 || math.Abs(sigma-0.8*wide) > 1e-12 {
+		t.Errorf("after episode 6: σ %g from %d episodes, want 0.8 × %g from 2", sigma, n, wide)
 	}
 }
 
@@ -399,39 +414,49 @@ func TestReconfigurableRequestDeltaStacks(t *testing.T) {
 }
 
 func TestReconfigurableInitialSigmaWhileUnseeded(t *testing.T) {
-	b, episode := drivenReconfigurable(8, ReconfigConfig{ReplanEvery: 1000, InitialSigma: 5e-4})
+	b, episode := drivenReconfigurable(8, ReconfigConfig{ReplanEvery: 2, InitialSigma: 5e-4})
 	if err := b.Resize(6); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.ReconfigStats().LastPlan; got.Sigma != 5e-4 || got.Episodes != 0 {
 		t.Errorf("unseeded plan = %+v, want InitialSigma 5e-4 at 0 episodes", got)
 	}
+	// Off the cadence and unobserved, so not measured: a membership change
+	// after it still plans, at once, from what there is.
 	episode(wideGap)
 	if err := b.Resize(8); err != nil {
 		t.Fatal(err)
 	}
+	if got := b.ReconfigStats().LastPlan; got.Epoch != 2 || got.Sigma != 5e-4 || got.Episodes != 0 {
+		t.Errorf("plan after an unmeasured episode = %+v, want epoch 2 still on InitialSigma 5e-4 at 0 episodes", got)
+	}
+	episode(wideGap) // on the cadence: measured
+	if err := b.Resize(6); err != nil {
+		t.Fatal(err)
+	}
 	if got := b.ReconfigStats().LastPlan; got.Sigma != b.Sigma() || got.Sigma <= 5e-4 || got.Episodes != 1 {
-		t.Errorf("seeded plan = %+v, want the EWMA estimate %g at 1 episode", got, b.Sigma())
+		t.Errorf("seeded plan = %+v, want the EWMA estimate %g at 1 measured episode", got, b.Sigma())
 	}
 }
 
 func TestReconfigurableStatsCounts(t *testing.T) {
 	b, episode := drivenReconfigurable(8, ReconfigConfig{ReplanEvery: 2})
-	// Two wide episodes recommend 8 at the first cadence; two simultaneous
-	// ones decay the EWMA to 0.64 of that, back under the threshold, at the
-	// second.
-	for _, gap := range []time.Duration{wideGap, wideGap, 0, 0} {
+	// Every second episode is measured. The first of them is wide and
+	// recommends 8; the next two are simultaneous and decay the EWMA to 0.8
+	// of that, which still recommends 8, and then to 0.64, back under the
+	// threshold.
+	for _, gap := range []time.Duration{0, wideGap, wideGap, 0, wideGap, 0} {
 		episode(gap)
 	}
 	st := b.ReconfigStats()
-	if st.Evals != 4 {
-		t.Errorf("evals = %d, want 4", st.Evals)
+	if st.Evals != 3 {
+		t.Errorf("evals = %d, want 3 (the measured episodes of 6 at ReplanEvery 2)", st.Evals)
 	}
 	if st.Rebuilds != 2 || st.Epochs != 3 {
 		t.Errorf("rebuilds=%d epochs=%d, want 2 and 3", st.Rebuilds, st.Epochs)
 	}
-	if st.LastPlan.Epoch != 2 || st.LastPlan.Degree != 2 || st.LastPlan.Episodes != 4 {
-		t.Errorf("last plan = %+v, want epoch 2 at degree 2 after 4 episodes", st.LastPlan)
+	if st.LastPlan.Epoch != 2 || st.LastPlan.Degree != 2 || st.LastPlan.Episodes != 3 {
+		t.Errorf("last plan = %+v, want epoch 2 at degree 2 after 3 measured episodes", st.LastPlan)
 	}
 }
 
@@ -519,5 +544,124 @@ func TestReconfigurableConcurrentRequestsAndStats(t *testing.T) {
 	episode(0) // a boundary after the last request
 	if got, want := b.Participants(), int(last.Load()); got != want {
 		t.Errorf("participants = %d after the requester stopped at a target of %d", got, want)
+	}
+}
+
+// TestReconfigurableStampsOnCadence pins the measurement rule as a count
+// of clock reads — P arrivals and one release stamp per measured episode.
+// A barrier nobody observes measures only the episodes its re-plans read,
+// one in ReplanEvery; an Observer or a placement policy is owed every
+// episode, and the Observer's records are what they always were.
+func TestReconfigurableStampsOnCadence(t *testing.T) {
+	const p, episodes = 32, 100
+	// run drives the episodes single-handed on a clock that counts its
+	// reads (reading n returns n) and returns the count.
+	run := func(replanEvery int, opts ...Option) int64 {
+		var reads int64
+		opts = append(opts, withClock(func() int64 { reads++; return reads }))
+		b := NewReconfigurable(p, ReconfigConfig{ReplanEvery: replanEvery}, opts...)
+		for e := 0; e < episodes; e++ {
+			for id := 0; id < p; id++ {
+				b.Arrive(id)
+			}
+			for id := 0; id < p; id++ {
+				b.Await(id)
+			}
+		}
+		return reads
+	}
+	const perEpisode = p + 1
+	for _, c := range []struct {
+		replanEvery int
+		want        int64
+	}{{10, episodes / 10 * perEpisode}, {0, episodes * perEpisode}, {1, episodes * perEpisode}} {
+		if got := run(c.replanEvery); got != c.want {
+			t.Errorf("ReplanEvery %d, unobserved: %d clock reads in %d episodes, want %d", c.replanEvery, got, episodes, c.want)
+		}
+	}
+
+	mk, ok := PlacementByName("ewma")
+	if !ok {
+		t.Fatal("no ewma policy")
+	}
+	if got := run(10, WithPlacementPolicy(mk())); got != episodes*perEpisode {
+		t.Errorf("with a placement policy: %d clock reads, want %d", got, episodes*perEpisode)
+	}
+
+	var seen []EpisodeStats
+	obs := observerFunc(func(st EpisodeStats) { seen = append(seen, st) })
+	if got := run(10, WithObserver(obs)); got != episodes*perEpisode {
+		t.Errorf("with an Observer: %d clock reads, want %d", got, episodes*perEpisode)
+	}
+	if len(seen) != episodes {
+		t.Fatalf("the Observer saw %d episodes, want %d", len(seen), episodes)
+	}
+	arrivals := make([]float64, p)
+	for e, got := range seen {
+		first := int64(e*perEpisode + 1)
+		for i := range arrivals {
+			arrivals[i] = float64(first+int64(i)) * 1e-9
+		}
+		want := EpisodeStats{
+			Episode: uint64(e), P: p,
+			FirstArrival: first, LastArrival: first + p - 1, Released: first + p,
+			Spread: stats.StdDev(arrivals), SyncDelay: 1e-9,
+			Degree: 4,
+		}
+		if e >= 9 {
+			// The first re-plan, at the release of episode 9: nanoseconds
+			// of spread against the default 20µs counter recommend degree 2.
+			want.Degree, want.Adaptations, want.Epoch = 2, 1, 1
+		}
+		if got != want {
+			t.Fatalf("episode %d reported %+v, want %+v", e, got, want)
+		}
+	}
+}
+
+// recordingPolicy is a placement policy that keeps what it was shown.
+type recordingPolicy struct{ observed [][]float64 }
+
+func (r *recordingPolicy) Observe(lags []float64) {
+	r.observed = append(r.observed, append([]float64(nil), lags...))
+}
+func (r *recordingPolicy) Order() []int   { return nil }
+func (r *recordingPolicy) String() string { return "recording" }
+
+// TestLagsIntoUnmeasuredEpisode: the parity buffer an unmeasured episode
+// would have stamped still holds an earlier episode's arrivals, and those
+// are not its lags — LagsInto answers nil. A placement policy, for which
+// every episode is measured, is shown each episode's own.
+func TestLagsIntoUnmeasuredEpisode(t *testing.T) {
+	b, episode := drivenReconfigurable(4, ReconfigConfig{ReplanEvery: 3})
+	for e := 0; e < 5; e++ {
+		episode(wideGap) // episode 2 is measured and leaves its stamps in buffer 0
+	}
+	for _, e := range []uint64{3, 4} {
+		if lags := b.LagsInto(e, nil); lags != nil {
+			t.Errorf("LagsInto(%d) on an unmeasured episode = %v, want nil", e, lags)
+		}
+	}
+
+	var now int64
+	pol := &recordingPolicy{}
+	pb := NewReconfigurable(4, ReconfigConfig{ReplanEvery: 3}, WithPlacementPolicy(pol), withClock(func() int64 { return now }))
+	for e := 1; e <= 4; e++ {
+		for id := 0; id < 4; id++ {
+			now += int64(e) * 1e9 // episode e's arrivals are e seconds apart
+			pb.Arrive(id)
+		}
+		for id := 0; id < 4; id++ {
+			pb.Await(id)
+		}
+	}
+	if len(pol.observed) != 4 {
+		t.Fatalf("the policy was shown %d episodes of 4", len(pol.observed))
+	}
+	for i, lags := range pol.observed {
+		e := float64(i + 1)
+		if len(lags) != 4 || lags[0] != 0 || lags[1] != e || lags[2] != 2*e || lags[3] != 3*e {
+			t.Errorf("episode %d: policy shown %v, want [0 %g %g %g]", i, lags, e, 2*e, 3*e)
+		}
 	}
 }

@@ -51,7 +51,7 @@ func NewTournament(p int, opts ...Option) *TournamentBarrier {
 	}
 	b.local = make([]rt.PaddedUint64, p)
 	b.gate.Init(o.policy)
-	b.rec = o.recorder(p, false)
+	b.rec = o.recorder(p, 0)
 	b.initPoison(p, o.watchdog, o.poisonNotify,
 		func() {
 			b.gate.Poison()

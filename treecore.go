@@ -12,8 +12,9 @@ import (
 // treeCore is the one combining tree under TreeBarrier, DynamicBarrier and
 // ReconfigurableBarrier: a tree of atomic counters that participants
 // ascend on arrival, one fetch-and-add per counter visited; whoever
-// completes a counter's fan-in resets it and proceeds to the parent, and
-// completing the root releases the episode. Nothing on the ascent takes a
+// completes a counter's fan-in proceeds to the parent, and completing the
+// root releases the episode. Counters reverse sense instead of being reset:
+// up on even generations, down on odd ones. Nothing on the ascent takes a
 // lock except where bytes are folded (folding, below).
 //
 // The paper's point is that static, MCS and dynamic placement are this
@@ -79,8 +80,9 @@ type treeEpoch struct {
 
 // treeCounter is one tree node's arrival counter, plus the fields dynamic
 // placement hands a displaced participant over with, padded to a cache
-// line of its own. There is no lock: count is one atomic add per visit;
-// the placement fields are ordered by the counter chain (dynamic.go).
+// line of its own. There is no lock: count is one atomic add per visit,
+// never reset — up to fanIn through an even generation, back to 0 through
+// the next. The placement fields are ordered by the counter chain (dynamic.go).
 type treeCounter struct {
 	count  atomic.Int32
 	fanIn  int32
@@ -119,12 +121,14 @@ const (
 
 // newTreeEpoch builds the counters and slots for tree, carrying forward
 // the generation slots of prev (nil for the initial epoch). epochGen is the
-// gate generation at which the epoch's first episode runs.
+// gate generation at which the epoch's first episode runs; its parity is
+// the end the counts start from.
 func newTreeEpoch(tree *topology.Tree, prev *treeEpoch, epochGen uint64) treeEpoch {
 	st := treeEpoch{p: tree.P, tree: tree, counters: make([]treeCounter, len(tree.Counters))}
 	for i := range st.counters {
 		c, tc := &tree.Counters[i], &st.counters[i]
 		tc.fanIn, tc.parent = int32(c.FanIn()), int32(c.Parent)
+		tc.count.Store(startCount(tc.fanIn, epochGen))
 		tc.local, tc.destination = int32(c.Local), topology.NoCounter
 		tc.evicted.Store(topology.NoProc)
 	}
@@ -150,6 +154,10 @@ func newTreeEpoch(tree *topology.Tree, prev *treeEpoch, epochGen uint64) treeEpo
 	return st
 }
 
+// startCount is where a counter stands before generation gen's first
+// arrival: 0 to count up through an even one, fanIn to count down.
+func startCount(fanIn int32, gen uint64) int32 { return fanIn & -int32(gen&1) }
+
 // depths returns each participant's synchronization path length in the
 // epoch's tree as built.
 func (st *treeEpoch) depths() []int {
@@ -167,9 +175,16 @@ func (b *treeCore) init(o options, first treeEpoch) {
 	b.first = first
 	st := &b.first
 	b.state.Store(st)
-	// An elastic barrier records even without an observer: its control
-	// loop needs the spreads.
-	b.rec = o.recorder(st.p, b.elastic != nil)
+	// An elastic barrier measures without an observer too: on its re-plan
+	// cadence, or every episode for a placement policy.
+	var every uint64
+	if e := b.elastic; e != nil {
+		every = e.replanEvery
+		if e.place != nil {
+			every = 1
+		}
+	}
+	b.rec = o.recorder(st.p, every)
 	b.red = o.reducer(st.p, len(st.counters))
 	b.folding = b.red != nil && b.red.Op().Commutative
 	b.initPoison(st.p, o.watchdog, o.poisonNotify, b.poisonWaiters, b.clearEpisode)
@@ -185,15 +200,16 @@ func (b *treeCore) poisonWaiters() {
 }
 
 // clearEpisode drops the aborted episode's partial counts and folds for
-// Reset: the counters' own counts here, and the reducer's per-node counts
-// and part-folds (the counts of a folding barrier) in red.Reset. Dynamic
+// Reset: the counters' own counts here, back to where the aborted
+// generation, which runs again, started from, and the reducer's per-node
+// counts and part-folds (a folding barrier's counts) in red.Reset. Dynamic
 // placement state (local slots, pending evictions, first counters)
 // survives: it is a consistent placement at every ascent boundary, and
 // pending victims adopt their destination on their next arrival.
 func (b *treeCore) clearEpisode() {
-	st := b.state.Load()
+	st, gen := b.state.Load(), b.gate.Seq()
 	for i := range st.counters {
-		st.counters[i].count.Store(0)
+		st.counters[i].count.Store(startCount(st.counters[i].fanIn, gen))
 	}
 	for i := range b.wakeFlag {
 		b.wakeFlag[i].Reset()
@@ -222,8 +238,8 @@ func (b *treeCore) Degree() int { return b.state.Load().tree.Degree }
 // LagsInto reads the given episode's per-participant arrival lags
 // (seconds behind the episode's earliest arrival) into dst, which is
 // reused when it has the capacity. Like the recorder it wraps, it is
-// releaser-only before the episode's release; it returns nil on a
-// barrier built without an observer.
+// releaser-only before the episode's release; it returns nil for an
+// episode that was not measured (all, on a tree with no observer).
 func (b *treeCore) LagsInto(episode uint64, dst []float64) []float64 {
 	return b.rec.LagsInto(episode, dst)
 }
@@ -307,6 +323,10 @@ func (b *treeCore) arrive(id int, pl *payload) {
 	if b.dynamic {
 		st.adopt(id, sl)
 	}
+	// The sense of the count: +1 towards fanIn on an even generation, −1
+	// towards 0 on an odd one; fanIn&full is the end being counted towards.
+	odd := int32(gen & 1)
+	step, full := 1-2*odd, odd-1
 
 	for cn := sl.first; cn != topology.NoCounter; {
 		tc := &st.counters[cn]
@@ -318,13 +338,10 @@ func (b *treeCore) arrive(id int, pl *payload) {
 			if carry, last = b.red.FoldNode(cn, carry, tc.fanIn); !last {
 				return
 			}
-		} else if tc.count.Add(1) != tc.fanIn {
+		} else if tc.count.Add(step) != tc.fanIn&full {
+			// Not the last, who leaves the count at the far end: where the
+			// next generation, of the other parity, starts. No reset.
 			return
-		} else {
-			// The last arriver resets the counter before it touches the
-			// parent, and so before any release: the next episode's first
-			// add finds zero.
-			tc.count.Store(0)
 		}
 		// id arrived last in cn's whole subtree: under dynamic placement it
 		// positions itself here before touching the parent, so the swap is

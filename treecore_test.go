@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -271,5 +275,202 @@ func TestArriveHoldsUntilPreviousRelease(t *testing.T) {
 				t.Fatalf("episode 1 folded %x, want %x", got, want)
 			}
 		})
+	}
+}
+
+// senseRun drives one tree barrier for TestCountersReverseSense, either
+// single-handed (every Arrive, then every Await, from the test goroutine)
+// or with a goroutine per member.
+type senseRun struct {
+	t          *testing.T
+	b          fuzzyCollective
+	concurrent bool
+}
+
+// episode runs one whole episode of the current membership and checks it
+// released exactly once, and single-handed not before the last arrival.
+// With last ≥ 0 and goroutines, that member arrives after all the others.
+func (s *senseRun) episode(last int) {
+	s.t.Helper()
+	core := coreOf(s.b)
+	p, seq := core.Participants(), core.gate.Seq()
+	if !s.concurrent {
+		for id := 0; id < p; id++ {
+			if got := core.gate.Seq(); got != seq {
+				s.t.Fatalf("generation %d released with %d of %d arrived", seq, id, p)
+			}
+			s.b.Arrive(id)
+		}
+		for id := 0; id < p; id++ {
+			s.b.Await(id)
+		}
+	} else {
+		before := core.Arrivals()
+		var wg sync.WaitGroup
+		wg.Add(p)
+		for id := 0; id < p; id++ {
+			go func(id int) {
+				defer wg.Done()
+				for other := 0; id == last && other < p; other++ {
+					for other != id && core.arrived.Count(other) == before[other] {
+						runtime.Gosched()
+					}
+				}
+				s.b.Wait(id)
+			}(id)
+		}
+		wg.Wait()
+	}
+	if got := core.gate.Seq(); got != seq+1 {
+		s.t.Fatalf("generation %d: gate at %d after all %d arrived, want %d", seq, got, p, seq+1)
+	}
+	s.atRest("after an episode")
+}
+
+// strand arrives members 0 … n−1 in the open generation and returns once
+// all of them have.
+func (s *senseRun) strand(n int) {
+	var wg sync.WaitGroup
+	for id := 0; id < n; id++ {
+		if !s.concurrent {
+			s.b.Arrive(id)
+			continue
+		}
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			s.b.Arrive(id)
+		}(id)
+	}
+	wg.Wait()
+}
+
+// atRest checks the quiescent invariant: every counter stands at the end
+// the next generation counts away from, 0 if that one is even and the
+// fan-in if it is odd.
+func (s *senseRun) atRest(when string) {
+	s.t.Helper()
+	core := coreOf(s.b)
+	st, gen := core.state.Load(), core.gate.Seq()
+	for i := range st.counters {
+		tc := &st.counters[i]
+		if got, want := tc.count.Load(), startCount(tc.fanIn, gen); got != want {
+			s.t.Fatalf("%s, before generation %d: counter %d (fan-in %d) at %d, want %d", when, gen, i, tc.fanIn, got, want)
+		}
+	}
+}
+
+// TestCountersReverseSense pins the count that is never reset: a tree
+// counter climbs to its fan-in through an even generation and falls back
+// to zero through the next, so everything that builds or restores
+// counters has to do it by the parity of the generation that runs next —
+// a fresh barrier, Reset after a Poison, and on the reconfigurable barrier
+// every way a new epoch is installed. Each case lands on an odd
+// generation, where a counter put back to zero could never complete (the
+// test would hang on its Await) or would complete a visit early (caught
+// as an early release); each runs single-handed and with a goroutine per
+// member (CI runs it under -race).
+func TestCountersReverseSense(t *testing.T) {
+	const p, stranded = 8, 5
+	cause := errors.New("stranded on an odd generation")
+	var ticks atomic.Int64
+	// Successive readings are wideGap apart whoever takes them: the spread
+	// of drivenReconfigurable, without its single driver.
+	clock := withClock(func() int64 { return ticks.Add(int64(wideGap)) })
+	mk, ok := PlacementByName("reactive")
+	if !ok {
+		t.Fatal("no reactive policy")
+	}
+	cases := []struct {
+		name string
+		mk   func() fuzzyCollective // nil: every tree kind
+		run  func(s *senseRun)
+	}{
+		{"odd-then-one-more", nil, func(s *senseRun) {
+			for e := 0; e < 4; e++ {
+				s.episode(-1)
+			}
+		}},
+		{"poison-reset", nil, func(s *senseRun) {
+			s.episode(-1)
+			s.strand(stranded) // generation 1: counting down
+			s.b.Poison(cause)
+			for id := 0; id < stranded; id++ {
+				s.b.Await(id)
+			}
+			if err := s.b.Err(); !errors.Is(err, cause) {
+				s.t.Fatalf("drained with %v, want the poison cause", err)
+			}
+			s.b.Reset()
+			s.atRest("after Reset")
+			s.episode(-1) // the aborted generation, again
+			s.episode(-1)
+		}},
+		{"resize", func() fuzzyCollective { return NewReconfigurable(p, ReconfigConfig{ReplanEvery: 10}) }, func(s *senseRun) {
+			s.episode(-1)
+			if err := s.b.(*ReconfigurableBarrier).Resize(p + 4); err != nil {
+				s.t.Fatal(err)
+			}
+			s.atRest("after Resize")
+			s.episode(-1)
+			s.episode(-1)
+		}},
+		{"queued-grow", func() fuzzyCollective { return NewReconfigurable(p, ReconfigConfig{ReplanEvery: 10}) }, func(s *senseRun) {
+			b := s.b.(*ReconfigurableBarrier)
+			if _, err := b.Grow(2); err != nil {
+				s.t.Fatal(err)
+			}
+			s.episode(-1) // generation 0 admits them into an epoch that starts at 1
+			if b.Participants() != p+2 || b.Epoch() != 1 {
+				s.t.Fatalf("after the boundary: p %d epoch %d, want %d and 1", b.Participants(), b.Epoch(), p+2)
+			}
+			s.episode(-1)
+			s.episode(-1)
+		}},
+		{"degree-rebuild", func() fuzzyCollective {
+			return NewReconfigurable(p, ReconfigConfig{ReplanEvery: 1, Tc: drivenTc, InitialDegree: 2}, clock)
+		}, func(s *senseRun) {
+			b := s.b.(*ReconfigurableBarrier)
+			s.episode(-1)
+			if b.Degree() != 8 || b.Epoch() != 1 {
+				s.t.Fatalf("generation 0 did not rebuild: degree %d epoch %d, want 8 and 1", b.Degree(), b.Epoch())
+			}
+			s.episode(-1)
+			s.episode(-1)
+		}},
+		{"placement-reorder", func() fuzzyCollective {
+			return NewReconfigurable(p, ReconfigConfig{ReplanEvery: 1, InitialDegree: 2, MinDegreeDelta: 64}, clock, WithPlacementPolicy(mk()))
+		}, func(s *senseRun) {
+			b := s.b.(*ReconfigurableBarrier)
+			s.episode(p - 1) // the natural order has member 0 laggiest
+			if st := b.ReconfigStats(); st.Placements != 1 || st.Epochs != 1 {
+				s.t.Fatalf("generation 0 did not re-place: %+v", st)
+			}
+			s.episode(-1)
+			s.episode(-1)
+		}},
+	}
+	for _, concurrent := range []bool{false, true} {
+		for _, c := range cases {
+			type kind struct {
+				name string
+				mk   func() fuzzyCollective
+			}
+			kinds := []kind{{"reconfig", c.mk}}
+			if c.mk == nil {
+				kinds = nil
+				for _, k := range treeKinds {
+					kinds = append(kinds, kind{k.name, func() fuzzyCollective { return k.mk(p) }})
+				}
+			}
+			for _, k := range kinds {
+				t.Run(fmt.Sprintf("concurrent=%t/%s/%s", concurrent, c.name, k.name), func(t *testing.T) {
+					if concurrent {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+					}
+					c.run(&senseRun{t: t, b: k.mk(), concurrent: concurrent})
+				})
+			}
+		}
 	}
 }
