@@ -83,7 +83,7 @@ func (s *session) upstreamClose(cause error) {
 // the member's kind. A shard's frame also carries its local participant
 // count and measured σ; the report is recorded on the connection for the
 // fleet aggregate computed at release time.
-func (s *session) arrive(c *srvConn, f wire.Frame) {
+func (s *session) arrive(c *srvConn, f *wire.Frame) {
 	id, ok := s.checkArrival(c, f.Episode)
 	if !ok {
 		return

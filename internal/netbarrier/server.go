@@ -1,7 +1,6 @@
 package netbarrier
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -291,15 +290,18 @@ func (s *Server) SessionStats(name string) (SessionStats, bool) {
 // diagnostics read it from arbitrary goroutines, hence atomic); the
 // reader goroutine owns nextArrive's hot path, with the elastic boundary
 // seeding it for freshly admitted members; gone/leftOK are guarded by the
-// session mutex; rbuf is the reader goroutine's reusable frame-body
-// buffer (ReadFrameInto).
+// session mutex.
 //
-// The reader is the connection's only goroutine. Frames are written by
+// The reader (Server.handle) is the connection's only goroutine, and
+// reads through a wire.FrameConn of its own. Frames are written by
 // whoever has one to send — the releaser, for every member in turn —
 // through send or sendWait, one whole frame per hold of wmu. tw is the
 // connection's non-blocking write capability (nil if it has none): a
 // frame the socket takes whole is written inline, and only a socket that
 // would block gets a goroutine, for the remainder of that one frame.
+//
+// Size (unsafe.Sizeof, amd64): 80 bytes, the 80-byte allocation class
+// exactly.
 type srvConn struct {
 	conn net.Conn
 	tw   wire.TryWriter
@@ -316,8 +318,6 @@ type srvConn struct {
 	// assembles the fleet-wide release (hence atomic).
 	lastLocalP atomic.Int64
 	lastSigma  atomic.Uint64 // float64 bits
-
-	rbuf []byte // reader-goroutine-owned frame body buffer
 }
 
 func newSrvConn(conn net.Conn) *srvConn {
@@ -437,10 +437,10 @@ func (s *Server) handle(conn net.Conn) {
 		// are latency-bound, not throughput-bound.
 		tc.SetNoDelay(true)
 	}
-	br := bufio.NewReader(conn)
+	fc := wire.NewFrameConn(conn) // the read half only: frames are written through c
 
 	conn.SetReadDeadline(time.Now().Add(s.opt.joinTimeout()))
-	req, err := wire.ReadFrameInto(br, &c.rbuf)
+	req, err := fc.ReadFrame()
 	if err != nil || (req.Type != wire.TypeJoinReq && req.Type != wire.TypeShardJoin) {
 		if errors.Is(err, wire.ErrVersionMismatch) {
 			// The one decode failure worth answering: tell the
@@ -475,7 +475,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	for {
-		f, err := wire.ReadFrameInto(br, &c.rbuf)
+		f, err := fc.ReadFrame()
 		if err != nil {
 			sess.disconnect(c, err)
 			return
@@ -509,7 +509,7 @@ func (s *Server) handle(conn net.Conn) {
 // on first contact. It returns the session (nil on refusal), the JoinResp
 // to send, and — for elastic sessions — whether the join was deferred to
 // the next episode boundary (the boundary then sends the JoinResp).
-func (s *Server) join(c *srvConn, req wire.Frame) (*session, wire.Frame, bool) {
+func (s *Server) join(c *srvConn, req *wire.Frame) (*session, wire.Frame, bool) {
 	refuse := func(msg string) (*session, wire.Frame, bool) {
 		return nil, wire.Frame{Type: wire.TypeJoinResp, Err: msg}, false
 	}

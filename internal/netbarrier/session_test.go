@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -204,6 +205,7 @@ type captureConn struct {
 }
 
 func (c *captureConn) TryWrite(p []byte) (int, error) { return c.got.Write(p) }
+func (c *captureConn) Read(p []byte) (int, error)     { return c.got.Read(p) }
 
 // TestBoundaryFixedEqualsIdleElastic is the claim that lets one episode
 // boundary serve both kinds of session: driven through the same arrivals
@@ -226,7 +228,7 @@ func TestBoundaryFixedEqualsIdleElastic(t *testing.T) {
 		for i := range conns {
 			conns[i] = &captureConn{}
 			members[i] = newSrvConn(conns[i])
-			s, resp, deferred := srv.join(members[i], wire.Frame{Type: wire.TypeJoinReq, Name: "eq", P: p, ID: i})
+			s, resp, deferred := srv.join(members[i], &wire.Frame{Type: wire.TypeJoinReq, Name: "eq", P: p, ID: i})
 			if s == nil || deferred {
 				t.Fatalf("member %d not seated: %+v", i, resp)
 			}
@@ -234,7 +236,7 @@ func TestBoundaryFixedEqualsIdleElastic(t *testing.T) {
 		}
 		for ep := uint64(0); ep < episodes; ep++ {
 			for _, m := range members {
-				sess.arrive(m, wire.Frame{Type: wire.TypeArrive, Episode: ep})
+				sess.arrive(m, &wire.Frame{Type: wire.TypeArrive, Episode: ep})
 			}
 		}
 		if st := sess.stats(); st.Episode != episodes || st.Reconfig.Epochs < 2 {
@@ -242,13 +244,16 @@ func TestBoundaryFixedEqualsIdleElastic(t *testing.T) {
 		}
 		out := make([][]wire.Frame, p)
 		for i, c := range conns {
-			for c.got.Len() > 0 {
-				f, err := wire.ReadFrame(&c.got)
+			for fc := wire.NewFrameConn(c); ; {
+				f, err := fc.ReadFrame()
+				if err == io.EOF {
+					break
+				}
 				if err != nil {
 					t.Fatalf("elastic=%v member %d: %v", elastic, i, err)
 				}
 				f.Spread, f.Sigma = 0, 0
-				out[i] = append(out[i], f)
+				out[i] = append(out[i], *f)
 			}
 		}
 		return out

@@ -554,7 +554,7 @@ func TestVersionMismatchRefusedByRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	resp, err := wire.ReadFrame(conn)
+	resp, err := wire.NewFrameConn(conn).ReadFrame()
 	if err != nil {
 		t.Fatalf("no refusal frame: %v", err)
 	}

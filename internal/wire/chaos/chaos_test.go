@@ -238,7 +238,7 @@ func TestChaosLiveReplayDeterminism(t *testing.T) {
 							return
 						}
 						f.Episode++ // echo, advanced
-						if fc.WriteFrame(f) != nil {
+						if fc.WriteFrame(*f) != nil {
 							c.Close()
 							return
 						}

@@ -9,8 +9,7 @@
 //     (version-checked), per-episode arrivals and releases, collective
 //     payloads, poison causes, and the inter-shard dialect a leaf barrierd
 //     speaks to its root. AppendFrame/DecodeFrame are total and
-//     fuzz-tested; ReadFrameInto is the zero-allocation steady-state read
-//     path every connection runs on.
+//     fuzz-tested.
 //
 //   - The transport abstraction (transport.go): Conn and Listener are
 //     plain net.Conn/net.Listener — deadlines included, which the
@@ -25,11 +24,12 @@
 //     in-process memnet transport and the fault-injecting chaos wrapper
 //     live in the subpackages wire/memnet and wire/chaos.
 //
-//   - FrameConn (framec.go): one peer's framed view of a Conn — buffered
-//     reader/writer plus reusable encode/decode scratch, so the
-//     steady-state read and write paths allocate nothing. It is the I/O
-//     core shared by the netbarrier client and the shardbarrier leaf→root
-//     link, which previously each carried a copy of it.
+//   - FrameConn (framec.go): one peer's framed view of a Conn, and the
+//     only frame reader there is — client, server read loop and leaf→root
+//     link all use it. One read buffer, decoded in place into one Frame
+//     handed on by pointer and valid until the next read on that
+//     connection; one encode scratch, one Write per frame; nothing
+//     allocated in the steady state (DESIGN.md §5.11).
 //
 // Everything above this package — netbarrier's client and server,
 // shardbarrier's leaves and root links, cmd/barrierd — is written against

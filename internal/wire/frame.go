@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -163,7 +162,10 @@ const (
 )
 
 // Frame is the decoded form of any protocol frame: Type selects which
-// fields are meaningful (see the Type constants).
+// fields are meaningful (see the Type constants). It is 152 bytes, so
+// the wire path hands it on by pointer: a FrameConn decodes every frame
+// it reads into one Frame of its own (see FrameConn.ReadFrame for how
+// long that one, and the bytes its Data and Cause alias, stay valid).
 type Frame struct {
 	Type    byte
 	Version byte    // JoinReq, JoinResp, ShardJoin: protocol revision (encoder always writes ProtocolVersion)
@@ -186,7 +188,10 @@ type Frame struct {
 // (unknown type, oversized name/error/cause/data) rather than emitting a
 // frame the decoder would reject; every bound is checked before a byte
 // is written, so dst is untouched on error.
-func AppendFrame(dst []byte, f Frame) ([]byte, error) {
+func AppendFrame(dst []byte, f Frame) ([]byte, error) { return appendFrame(dst, &f) }
+
+// appendFrame is AppendFrame on a frame the caller keeps.
+func appendFrame(dst []byte, f *Frame) ([]byte, error) {
 	switch f.Type {
 	case TypeJoinReq, TypeShardJoin:
 		if len(f.Name) > MaxName {
@@ -285,27 +290,38 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 // with trailing garbage are rejected, so a frame that decodes is exactly
 // a frame AppendFrame could have produced.
 func DecodeFrame(body []byte) (Frame, error) {
+	var f Frame
+	if err := decodeFrame(&f, body); err != nil {
+		return Frame{}, err
+	}
+	return f, nil
+}
+
+// decodeFrame is DecodeFrame into a frame the caller owns. Name and Err
+// are copied out of body; Data and Cause alias it. On error *f holds
+// whatever was decoded before the bad field.
+func decodeFrame(f *Frame, body []byte) error {
 	if len(body) == 0 {
-		return Frame{}, fmt.Errorf("wire: empty frame body")
+		return fmt.Errorf("wire: empty frame body")
 	}
 	if len(body) > MaxFrame {
-		return Frame{}, fmt.Errorf("wire: frame body %d bytes exceeds %d", len(body), MaxFrame)
+		return fmt.Errorf("wire: frame body %d bytes exceeds %d", len(body), MaxFrame)
 	}
-	f := Frame{Type: body[0]}
+	*f = Frame{Type: body[0]}
 	b := body[1:]
 	switch f.Type {
 	case TypeJoinReq, TypeShardJoin:
 		var err error
 		if b, err = checkVersion(f.Type, b); err != nil {
-			return Frame{}, err
+			return err
 		}
 		f.Version = ProtocolVersion
 		n, rest, err := lengthPrefixed(b, "session name", MaxName)
 		if err != nil {
-			return Frame{}, err
+			return err
 		}
 		if len(rest) != 8 {
-			return Frame{}, fmt.Errorf("wire: %s wants 8 trailing bytes, has %d", FrameName(f.Type), len(rest))
+			return fmt.Errorf("wire: %s wants 8 trailing bytes, has %d", FrameName(f.Type), len(rest))
 		}
 		f.Name = string(n)
 		f.P = int(binary.BigEndian.Uint32(rest))
@@ -313,11 +329,11 @@ func DecodeFrame(body []byte) (Frame, error) {
 	case TypeJoinResp:
 		var err error
 		if b, err = checkVersion(f.Type, b); err != nil {
-			return Frame{}, err
+			return err
 		}
 		f.Version = ProtocolVersion
 		if len(b) < 22 {
-			return Frame{}, fmt.Errorf("wire: join response wants ≥ 22 bytes, has %d", len(b))
+			return fmt.Errorf("wire: join response wants ≥ 22 bytes, has %d", len(b))
 		}
 		f.ID = int(binary.BigEndian.Uint32(b))
 		f.P = int(binary.BigEndian.Uint32(b[4:]))
@@ -325,20 +341,20 @@ func DecodeFrame(body []byte) (Frame, error) {
 		f.Episode = binary.BigEndian.Uint64(b[12:])
 		e, rest, err := lengthPrefixed(b[20:], "join error", 0xffff)
 		if err != nil {
-			return Frame{}, err
+			return err
 		}
 		if len(rest) != 0 {
-			return Frame{}, fmt.Errorf("wire: %d trailing bytes after join response", len(rest))
+			return fmt.Errorf("wire: %d trailing bytes after join response", len(rest))
 		}
 		f.Err = string(e)
 	case TypeArrive:
 		if len(b) != 8 {
-			return Frame{}, fmt.Errorf("wire: arrive wants 8 bytes, has %d", len(b))
+			return fmt.Errorf("wire: arrive wants 8 bytes, has %d", len(b))
 		}
 		f.Episode = binary.BigEndian.Uint64(b)
 	case TypeRelease:
 		if len(b) != 40 {
-			return Frame{}, fmt.Errorf("wire: release wants 40 bytes, has %d", len(b))
+			return fmt.Errorf("wire: release wants 40 bytes, has %d", len(b))
 		}
 		f.Episode = binary.BigEndian.Uint64(b)
 		f.Degree = int(binary.BigEndian.Uint32(b[8:]))
@@ -349,32 +365,32 @@ func DecodeFrame(body []byte) (Frame, error) {
 	case TypePoison:
 		c, rest, err := lengthPrefixed(b, "poison cause", 0xffff)
 		if err != nil {
-			return Frame{}, err
+			return err
 		}
 		if len(rest) != 0 {
-			return Frame{}, fmt.Errorf("wire: %d trailing bytes after poison", len(rest))
+			return fmt.Errorf("wire: %d trailing bytes after poison", len(rest))
 		}
 		f.Cause = c
 	case TypeLeave:
 		if len(b) != 0 {
-			return Frame{}, fmt.Errorf("wire: leave wants no payload, has %d bytes", len(b))
+			return fmt.Errorf("wire: leave wants no payload, has %d bytes", len(b))
 		}
 	case TypeArriveData:
 		if len(b) < 8 {
-			return Frame{}, fmt.Errorf("wire: %s wants ≥ 8 bytes, has %d", FrameName(f.Type), len(b))
+			return fmt.Errorf("wire: %s wants ≥ 8 bytes, has %d", FrameName(f.Type), len(b))
 		}
 		f.Episode = binary.BigEndian.Uint64(b)
 		d, rest, err := lengthPrefixed(b[8:], "arrive-data payload", MaxData)
 		if err != nil {
-			return Frame{}, err
+			return err
 		}
 		if len(rest) != 0 {
-			return Frame{}, fmt.Errorf("wire: %d trailing bytes after %s", len(rest), FrameName(f.Type))
+			return fmt.Errorf("wire: %d trailing bytes after %s", len(rest), FrameName(f.Type))
 		}
 		f.Data = d
 	case TypeResult:
 		if len(b) < 40 {
-			return Frame{}, fmt.Errorf("wire: %s wants ≥ 40 bytes, has %d", FrameName(f.Type), len(b))
+			return fmt.Errorf("wire: %s wants ≥ 40 bytes, has %d", FrameName(f.Type), len(b))
 		}
 		f.Episode = binary.BigEndian.Uint64(b)
 		f.Degree = int(binary.BigEndian.Uint32(b[8:]))
@@ -384,15 +400,15 @@ func DecodeFrame(body []byte) (Frame, error) {
 		f.Sigma = bitsFloat(binary.BigEndian.Uint64(b[32:]))
 		d, rest, err := lengthPrefixed(b[40:], "result payload", MaxData)
 		if err != nil {
-			return Frame{}, err
+			return err
 		}
 		if len(rest) != 0 {
-			return Frame{}, fmt.Errorf("wire: %d trailing bytes after %s", len(rest), FrameName(f.Type))
+			return fmt.Errorf("wire: %d trailing bytes after %s", len(rest), FrameName(f.Type))
 		}
 		f.Data = d
 	case TypeShardArrive:
 		if len(b) < 28 {
-			return Frame{}, fmt.Errorf("wire: %s wants ≥ 28 bytes, has %d", FrameName(f.Type), len(b))
+			return fmt.Errorf("wire: %s wants ≥ 28 bytes, has %d", FrameName(f.Type), len(b))
 		}
 		f.Episode = binary.BigEndian.Uint64(b)
 		f.P = int(binary.BigEndian.Uint32(b[8:]))
@@ -400,15 +416,15 @@ func DecodeFrame(body []byte) (Frame, error) {
 		f.Sigma = bitsFloat(binary.BigEndian.Uint64(b[20:]))
 		d, rest, err := lengthPrefixed(b[28:], "shard-arrive payload", MaxData)
 		if err != nil {
-			return Frame{}, err
+			return err
 		}
 		if len(rest) != 0 {
-			return Frame{}, fmt.Errorf("wire: %d trailing bytes after %s", len(rest), FrameName(f.Type))
+			return fmt.Errorf("wire: %d trailing bytes after %s", len(rest), FrameName(f.Type))
 		}
 		f.Data = d
 	case TypeShardRelease:
 		if len(b) < 44 {
-			return Frame{}, fmt.Errorf("wire: %s wants ≥ 44 bytes, has %d", FrameName(f.Type), len(b))
+			return fmt.Errorf("wire: %s wants ≥ 44 bytes, has %d", FrameName(f.Type), len(b))
 		}
 		f.Episode = binary.BigEndian.Uint64(b)
 		f.Degree = int(binary.BigEndian.Uint32(b[8:]))
@@ -419,16 +435,16 @@ func DecodeFrame(body []byte) (Frame, error) {
 		f.FleetP = int(binary.BigEndian.Uint32(b[40:]))
 		d, rest, err := lengthPrefixed(b[44:], "shard-release payload", MaxData)
 		if err != nil {
-			return Frame{}, err
+			return err
 		}
 		if len(rest) != 0 {
-			return Frame{}, fmt.Errorf("wire: %d trailing bytes after %s", len(rest), FrameName(f.Type))
+			return fmt.Errorf("wire: %d trailing bytes after %s", len(rest), FrameName(f.Type))
 		}
 		f.Data = d
 	default:
-		return Frame{}, fmt.Errorf("wire: unknown frame %s", FrameName(f.Type))
+		return fmt.Errorf("wire: unknown frame %s", FrameName(f.Type))
 	}
-	return f, nil
+	return nil
 }
 
 // checkVersion consumes the leading protocol-version byte of a handshake
@@ -460,65 +476,4 @@ func lengthPrefixed(b []byte, what string, max int) (field, rest []byte, err err
 		return nil, nil, fmt.Errorf("wire: truncated %s (%d of %d bytes)", what, len(b)-2, n)
 	}
 	return b[2 : 2+n], b[2+n:], nil
-}
-
-// ReadFrame reads and decodes one frame from r, enforcing MaxFrame before
-// allocating the body. Each call allocates a fresh body, so the returned
-// frame's byte fields are caller-owned; hot loops use ReadFrameInto
-// instead.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var buf []byte
-	return ReadFrameInto(r, &buf)
-}
-
-// ReadFrameInto reads and decodes one frame from r using *buf as the body
-// buffer, growing it (once, up to MaxFrame) as needed and writing the
-// grown buffer back through buf. In steady state — after the first frame
-// of the connection's working size — it performs zero heap allocations.
-//
-// The returned frame's reference fields (Data, Cause) alias *buf and are
-// valid only until the next ReadFrameInto call with the same buffer; a
-// caller that retains them across frames must copy. String fields (Name,
-// Err) are copied by the decoder and always safe to keep.
-func ReadFrameInto(r io.Reader, buf *[]byte) (Frame, error) {
-	// The length prefix is read into the reusable buffer too: a local
-	// [4]byte array would escape through the io.ReadFull interface call and
-	// cost one heap allocation per frame — the body overwrites it once the
-	// length is parsed, so nothing is lost.
-	b := *buf
-	if cap(b) < lenSize {
-		b = make([]byte, lenSize, 256)
-		*buf = b
-	}
-	hdr := b[:lenSize]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return Frame{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n == 0 || n > MaxFrame {
-		return Frame{}, fmt.Errorf("wire: frame length %d outside (0, %d]", n, MaxFrame)
-	}
-	if uint32(cap(b)) < n {
-		b = make([]byte, n)
-		*buf = b
-	}
-	body := b[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, err
-	}
-	return DecodeFrame(body)
-}
-
-// WriteFrame encodes f and writes it to w in one Write call, so a
-// buffered writer coalesces it into the socket's pending batch.
-func WriteFrame(w io.Writer, f Frame) error {
-	buf, err := AppendFrame(nil, f)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 	"testing"
@@ -61,11 +60,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %+v: %v", f, err)
 		}
-		got, err := ReadFrame(bytes.NewReader(buf))
+		fp, err := NewFrameConn(&streamConn{r: bytes.NewReader(buf)}).ReadFrame()
 		if err != nil {
 			t.Fatalf("read back %+v: %v", f, err)
 		}
-		want := f
+		got, want := *fp, f
 		if want.Cause != nil && len(want.Cause) == 0 {
 			want.Cause = nil // empty and absent cause are the same frame
 		}
@@ -78,18 +77,26 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteFrameMatchesAppendFrame pins the write half: the bytes a
+// FrameConn puts on its Conn are AppendFrame's, handed over in one Write
+// per frame.
 func TestWriteFrameMatchesAppendFrame(t *testing.T) {
-	for _, f := range sampleFrames() {
+	conn := &streamConn{}
+	fc := NewFrameConn(conn)
+	for i, f := range sampleFrames() {
 		want, err := AppendFrame(nil, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, f); err != nil {
+		conn.w.Reset()
+		if err := fc.WriteFrame(f); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf.Bytes(), want) {
+		if !bytes.Equal(conn.w.Bytes(), want) {
 			t.Errorf("WriteFrame and AppendFrame disagree for type %d", f.Type)
+		}
+		if conn.writes != i+1 {
+			t.Fatalf("%d Write calls for %d frames, want one each", conn.writes, i+1)
 		}
 	}
 }
@@ -208,15 +215,19 @@ func TestDecodeFrameErrorsNameTypes(t *testing.T) {
 	}
 }
 
+// TestReadFrameBoundsLength: a length prefix of 0 or past MaxFrame is
+// rejected before the read buffer grows, so a corrupt peer costs no memory.
 func TestReadFrameBoundsLength(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	if _, err := ReadFrame(bytes.NewReader(hdr[:])); err == nil || !strings.Contains(err.Error(), "frame length") {
-		t.Fatalf("oversized length prefix not rejected: %v", err)
-	}
-	binary.BigEndian.PutUint32(hdr[:], 0)
-	if _, err := ReadFrame(bytes.NewReader(hdr[:])); err == nil {
-		t.Fatal("zero length prefix not rejected")
+	for _, n := range []uint32{0, MaxFrame + 1, 1<<32 - 1} {
+		hdr := binary.BigEndian.AppendUint32(nil, n)
+		fc := NewFrameConn(&streamConn{r: bytes.NewReader(append(hdr, make([]byte, 64)...))})
+		before := cap(fc.rbuf)
+		if _, err := fc.ReadFrame(); err == nil || !strings.Contains(err.Error(), "frame length") {
+			t.Fatalf("length prefix %d not rejected: %v", n, err)
+		}
+		if cap(fc.rbuf) != before {
+			t.Fatalf("length prefix %d grew the read buffer %d → %d bytes", n, before, cap(fc.rbuf))
+		}
 	}
 }
 
@@ -279,67 +290,5 @@ func TestFrameEncodeRejectsOversize(t *testing.T) {
 	}
 	if len(dst) != 1 || dst[0] != 0xAA {
 		t.Error("rejected encode mutated dst")
-	}
-}
-
-func TestReadFrameIntoReusesBuffer(t *testing.T) {
-	frames := []Frame{
-		{Type: TypeArrive, Episode: 7},
-		{Type: TypeRelease, Episode: 7, Degree: 4, P: 8, Epoch: 2, Spread: 1e-4, Sigma: 2e-4},
-		{Type: TypeArriveData, Episode: 8, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
-		{Type: TypeArrive, Episode: 9},
-	}
-	var wire []byte
-	for _, f := range frames {
-		var err error
-		wire, err = AppendFrame(wire, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := bytes.NewReader(wire)
-	var buf []byte
-	for i, want := range frames {
-		got, err := ReadFrameInto(r, &buf)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if got.Type != want.Type || got.Episode != want.Episode || !bytes.Equal(got.Data, want.Data) {
-			t.Fatalf("frame %d = %+v, want %+v", i, got, want)
-		}
-		if i > 0 && buf == nil {
-			t.Fatal("ReadFrameInto never populated the reusable buffer")
-		}
-	}
-	// Once the buffer has grown to cover the largest frame, further reads
-	// must not allocate (this is the hot loop's contract; the client and
-	// server per-connection read paths rely on it).
-	r2 := bytes.NewReader(wire)
-	avg := testing.AllocsPerRun(50, func() {
-		if _, err := r2.Seek(0, 0); err != nil {
-			t.Fatal(err)
-		}
-		for range frames {
-			if _, err := ReadFrameInto(r2, &buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("warm ReadFrameInto allocated %.2f times per wire replay, want 0", avg)
-	}
-}
-
-func TestReadFrameIntoShortBody(t *testing.T) {
-	full, err := AppendFrame(nil, Frame{Type: TypeRelease, Episode: 3, Degree: 4, P: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf []byte
-	if _, err := ReadFrameInto(bytes.NewReader(full[:len(full)-2]), &buf); err != io.ErrUnexpectedEOF {
-		t.Fatalf("truncated body: err = %v, want io.ErrUnexpectedEOF", err)
-	}
-	if _, err := ReadFrameInto(bytes.NewReader(full[:2]), &buf); err == nil {
-		t.Fatal("truncated header: want an error")
 	}
 }

@@ -26,10 +26,10 @@ import (
 	"softbarrier/internal/wire"
 )
 
-// bufCap bounds each direction's in-flight bytes. Larger than any frame
-// (wire.MaxFrame is 1 MiB-bounded payloads are not used by the stack;
-// steady-state frames are tens of bytes) yet small enough that a reader
-// that stops draining exerts backpressure like a full TCP window.
+// bufCap bounds each direction's in-flight bytes: twice wire.MaxFrame
+// (1<<17), so the largest frame fits whole (steady-state frames are tens
+// of bytes), yet small enough that a reader that stops draining exerts
+// backpressure like a full TCP window.
 const bufCap = 1 << 18
 
 // Net is one in-process network: an address namespace of listeners.

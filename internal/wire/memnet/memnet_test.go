@@ -270,7 +270,7 @@ func TestMemNetConcurrentConns(t *testing.T) {
 }
 
 // pair returns the two ends of one fresh connection.
-func pair(t *testing.T) (client, server wire.Conn) {
+func pair(t testing.TB) (client, server wire.Conn) {
 	t.Helper()
 	n := New()
 	ln, err := n.Listen("x:0")
@@ -390,4 +390,52 @@ func TestMemNetTryWrite(t *testing.T) {
 	if _, err := wire.TryWriterOf(client).TryWrite([]byte("x")); err == nil {
 		t.Fatal("TryWrite on a closed conn succeeded")
 	}
+}
+
+// framePipe returns one pass over a FrameConn pair on a fresh memnet
+// connection: an Arrive, a Release and a Result frame, each written and
+// then read back on the calling goroutine — what bench's
+// memnet.pipe_us_per_episode times, inside this module.
+func framePipe(t testing.TB) (pass func(), frames int) {
+	client, server := pair(t)
+	tx, rx := wire.NewFrameConn(client), wire.NewFrameConn(server)
+	mix := []wire.Frame{
+		{Type: wire.TypeArrive, Episode: 1 << 20},
+		{Type: wire.TypeRelease, Episode: 1 << 20, Degree: 4, P: 32, Epoch: 3, Spread: 250e-6, Sigma: 80e-6},
+		{Type: wire.TypeResult, Episode: 1 << 20, Degree: 4, P: 32, Epoch: 3, Spread: 250e-6, Sigma: 80e-6, Data: make([]byte, 8)},
+	}
+	return func() {
+		for _, f := range mix {
+			if err := tx.WriteFrame(f); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := rx.ReadFrame(); err != nil || got.Type != f.Type || got.Episode != f.Episode {
+				t.Fatalf("read back %+v, %v", got, err)
+			}
+		}
+	}, len(mix)
+}
+
+// TestMemNetFramePipeZeroAllocs: a warm FrameConn pair moves frames over
+// memnet without allocating, on either half or in the pipe between them.
+func TestMemNetFramePipeZeroAllocs(t *testing.T) {
+	pass, _ := framePipe(t)
+	pass()
+	if avg := testing.AllocsPerRun(100, pass); avg != 0 {
+		t.Fatalf("a warm frame pipe allocated %.2f times per pass, want 0", avg)
+	}
+}
+
+// BenchmarkFramePipe reports ns per frame written and read through the
+// pair (pin it and compare interleaved: `taskset -c 0 go test -run '^$'
+// -bench FramePipe -benchtime 200000x ./internal/wire/memnet`).
+func BenchmarkFramePipe(b *testing.B) {
+	pass, frames := framePipe(b)
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
 }
