@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"softbarrier/internal/experiments"
 )
@@ -243,18 +244,25 @@ func BenchmarkRuntimeBarriers(b *testing.B) {
 // scheduler adds nothing, and the episode's time is divided by its
 // counter visits (one per participant plus one per completed non-root
 // counter). "plain" is the lock-free ascent; "greedy" carries a sum-u64
-// contribution, whose visits fold under the node's lock.
+// contribution, whose visits fold under the node's lock; "watched" is the
+// plain ascent plus the watchdog's shared arrival counter, one locked add
+// per arrival.
 func BenchmarkAscent(b *testing.B) {
 	const p = 32
 	in, out := make([]byte, 8), make([]byte, 8)
 	for _, k := range treeKinds {
-		for _, greedy := range []bool{false, true} {
-			name, opts := k.name+"/plain", []Option(nil)
-			if greedy {
-				name, opts = k.name+"/greedy", []Option{WithCollective(OpSumUint64())}
-			}
-			b.Run(name, func(b *testing.B) {
-				bar := k.mk(p, opts...)
+		for _, c := range []struct {
+			name string
+			opts []Option
+		}{
+			{"plain", nil},
+			{"greedy", []Option{WithCollective(OpSumUint64())}},
+			{"watched", []Option{WithWatchdog(time.Hour)}},
+		} {
+			greedy := c.name == "greedy"
+			b.Run(k.name+"/"+c.name, func(b *testing.B) {
+				bar := k.mk(p, c.opts...)
+				defer bar.Close()
 				episode := func() {
 					for id := 0; id < p; id++ {
 						if !greedy {

@@ -21,7 +21,7 @@ type CentralBarrier struct {
 	count atomic.Int64
 	_     [56]byte // keep the hot counter off the gate's generation line
 	gate  rt.Gate
-	local []rt.PaddedUint64 // per-participant sense snapshot, padded against false sharing
+	local []arrivalSlot // per-participant sense snapshot and arrival count, padded against false sharing
 	rec   *rt.Recorder
 	poisonCore
 }
@@ -32,15 +32,17 @@ func NewCentral(p int, opts ...Option) *CentralBarrier {
 		panic("softbarrier: need at least one participant")
 	}
 	o := applyOptions(opts)
-	b := &CentralBarrier{p: p, local: make([]rt.PaddedUint64, p)}
+	b := &CentralBarrier{p: p, local: make([]arrivalSlot, p)}
 	b.gate.Init(o.policy)
 	b.rec = o.recorder(p, 0)
 	b.initPoison(p, o.watchdog, o.poisonNotify,
 		func() { b.gate.Poison() },
 		func() {
 			b.count.Store(0) // drop the aborted episode's partial arrivals
+			clear(b.local)   // and the arrival counts; every id arrives before it awaits
 			b.gate.Unpoison()
-		})
+		},
+		func() []uint64 { return slotCounts(b.local) })
 	return b
 }
 
@@ -63,7 +65,8 @@ func (b *CentralBarrier) Arrive(id int) {
 	b.noteArrive(id)
 	sense := b.gate.Seq() // also the 0-based episode index
 	b.rec.Arrive(id, sense)
-	b.local[id].V = sense
+	b.local[id].episode = sense
+	b.local[id].arrivals++
 	if b.count.Add(1) == int64(b.p) {
 		b.count.Store(0)
 		// Telemetry is read before the release: no participant can start
@@ -77,7 +80,7 @@ func (b *CentralBarrier) Arrive(id int) {
 // is poisoned.
 func (b *CentralBarrier) Await(id int) {
 	checkID(id, b.p)
-	b.gate.Await(b.local[id].V)
+	b.gate.Await(b.local[id].episode)
 }
 
 // WaitCtx is Wait with cancellation: if ctx ends while the wait is in

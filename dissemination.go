@@ -29,15 +29,10 @@ type DisseminationBarrier struct {
 	policy rt.WaitPolicy
 	// flags[id][2*round+parity] is the arrival flag signalled to id.
 	flags [][]rt.Cell
-	// state is each participant's episode counter.
-	state []dissState
+	// state is each participant's episode counter and arrival count.
+	state []arrivalSlot
 	rec   *rt.Recorder
 	poisonCore
-}
-
-type dissState struct {
-	episode uint64
-	_       [56]byte
 }
 
 // NewDissemination returns a dissemination barrier for p participants.
@@ -56,7 +51,7 @@ func NewDissemination(p int, opts ...Option) *DisseminationBarrier {
 		b.flags[i] = make([]rt.Cell, 2*rounds)
 		rt.InitCells(b.flags[i])
 	}
-	b.state = make([]dissState, p)
+	b.state = make([]arrivalSlot, p)
 	b.rec = o.recorder(p, 0)
 	b.initPoison(p, o.watchdog, o.poisonNotify,
 		func() {
@@ -76,11 +71,10 @@ func NewDissemination(p int, opts ...Option) *DisseminationBarrier {
 			}
 			// The aborted episode left the per-participant counters
 			// divergent; restart everyone from episode zero to match the
-			// zeroed flags.
-			for i := range b.state {
-				b.state[i].episode = 0
-			}
-		})
+			// zeroed flags (arrival counts zeroed too).
+			clear(b.state)
+		},
+		func() []uint64 { return slotCounts(b.state) })
 	return b
 }
 
@@ -100,6 +94,7 @@ func (b *DisseminationBarrier) Wait(id int) {
 	}
 	b.noteArrive(id)
 	st := &b.state[id]
+	st.arrivals++
 	ep := st.episode
 	b.rec.Arrive(id, ep)
 	parity := int(ep & 1)

@@ -150,12 +150,18 @@ func (s *session) onPoison(err error) {
 	if !s.dead.CompareAndSwap(false, true) {
 		return
 	}
-	s.srv.opt.logf("session %s: poisoned: %v (arrivals %v)", s.name, err, s.tree.Arrivals())
 	s.mu.Lock()
 	members := s.liveLocked(nil)
 	pending := s.pending
 	s.pending = nil
 	s.mu.Unlock()
+	ep, arrived := s.episode.Load(), []int64{} // from member records: an unwatched tree.Arrivals races
+	for _, m := range members {
+		if m.nextArrive.Load() > ep {
+			arrived = append(arrived, m.id.Load())
+		}
+	}
+	s.srv.opt.logf("session %s: poisoned at episode %d: %v (arrived: %v)", s.name, ep, err, arrived)
 	s.upstreamClose(err)
 	s.srv.retire(s)
 

@@ -264,6 +264,58 @@ func TestDisconnectPoisons(t *testing.T) {
 	}
 }
 
+// TestDisconnectPoisonsUnwatchedLogged poisons a session that runs no
+// watchdog, with a log installed, by one member's disconnect while the
+// others are arriving at the next episode. The poison log line names who
+// arrived from the session's own member records: the barrier's arrival
+// counts may only be read at a quiescent point when it has no watchdog,
+// and this is not one (CI runs it under -race).
+func TestDisconnectPoisonsUnwatchedLogged(t *testing.T) {
+	var logMu sync.Mutex
+	var logged []string
+	addr, _ := startServer(t, Options{Logf: func(format string, args ...any) {
+		logMu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}})
+	const p, warm = 4, 5
+	clients := make([]*Client, p)
+	for i := range clients {
+		clients[i] = dialJoin(t, addr, "unwatched", p, i)
+		defer clients[i].Close()
+	}
+	var wg sync.WaitGroup
+	for _, c := range clients[:p-1] {
+		wg.Add(1)
+		go func(c *Client) {
+			defer wg.Done()
+			for {
+				if _, err := c.Wait(); err != nil {
+					if !strings.Contains(err.Error(), "disconnected") {
+						t.Errorf("poison cause does not name the disconnect: %v", err)
+					}
+					return
+				}
+			}
+		}(c)
+	}
+	for e := 0; e < warm; e++ {
+		if _, err := clients[p-1].Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clients[p-1].Close()
+	wg.Wait()
+	logMu.Lock()
+	defer logMu.Unlock()
+	for _, line := range logged {
+		if strings.Contains(line, fmt.Sprintf("poisoned at episode %d", warm)) && strings.Contains(line, "arrived: [") {
+			return
+		}
+	}
+	t.Errorf("no poison line for episode %d in the log %q", warm, logged)
+}
+
 // TestWatchdogStallDeliversStallError holds one member back without
 // killing its connection: only the stall watchdog can catch that, and the
 // StallError it poisons with must cross the wire with the missing ids

@@ -22,8 +22,8 @@ type Recorder struct {
 	clock func() int64
 	p     int
 	// armed is the earliest episode that is measured; an arrival in one
-	// before it reads no clock. Emit moves it on by step (0: measure all)
-	// before the release that lets the next arrivals read it: a plain word.
+	// before it reads no clock. Emit moves it on by step (0: measure all,
+	// never written) before the release that lets the next arrivals read it.
 	armed, step uint64
 	episode     uint64 // next index reported to the observer; releaser-only
 	arrivals    [2][]PaddedInt64
@@ -154,7 +154,11 @@ func (r *Recorder) Emit(m Measurement, ex Extra) {
 	if r == nil {
 		return
 	}
-	r.armed += r.step
+	// Only a cadence recorder writes it, ordered by the gate its releaser
+	// opens next; dissemination's emitter (step 0) has no release to order it.
+	if r.step != 0 {
+		r.armed += r.step
+	}
 	ep := r.episode
 	r.episode++
 	if r.obs == nil {

@@ -4,8 +4,7 @@
 //   - a tuned waiter primitive with a bounded spin → yield → park policy
 //     (Gate for broadcast releases, Cell for single-waiter signalling),
 //     replacing the per-barrier ad-hoc spin loops and sync.Cond paths;
-//   - cache-line-padded per-participant slots (PaddedUint64, PaddedInt64)
-//     shared by all sense-reversing barriers;
+//   - cache-line-padded per-participant arrival timestamps (PaddedInt64);
 //   - per-episode arrival telemetry (Observer, EpisodeStats, Recorder)
 //     with a nil-recorder fast path that costs nothing on the hot path;
 //   - the EWMA σ estimator (SigmaEstimator) the adaptive barrier and the
@@ -43,25 +42,10 @@ func DefaultWaitPolicy() WaitPolicy {
 	return WaitPolicy{Spin: 128, Yield: 128}
 }
 
-// PaddedUint64 is a uint64 on its own cache line, for owner-written
-// per-participant slots (sense snapshots, generation numbers).
-type PaddedUint64 struct {
-	V uint64
-	_ [56]byte
-}
-
 // PaddedInt64 is an int64 on its own cache line, for owner-written
 // per-participant slots (arrival timestamps).
 type PaddedInt64 struct {
 	V int64
-	_ [56]byte
-}
-
-// PaddedAtomicUint64 is an atomic uint64 on its own cache line, for
-// owner-written per-participant slots that a second goroutine (the
-// watchdog) reads concurrently.
-type PaddedAtomicUint64 struct {
-	V atomic.Uint64
 	_ [56]byte
 }
 

@@ -228,10 +228,14 @@ type waiters struct {
 // setDeadline stores the side's deadline and wakes its blocked operations
 // to re-evaluate against it: a deadline already in the past fails them
 // now (the unblock the cancellation machinery relies on), a later or
-// earlier one makes them re-arm the timer for the new time.
+// earlier one makes them re-arm the timer for the new time; clearing it
+// stops the timer now rather than leave it until the old deadline passes.
 func (w *waiters) setDeadline(t time.Time) {
 	w.cond.L.Lock()
 	w.deadline = t
+	if t.IsZero() && w.timer != nil {
+		w.timer.Stop()
+	}
 	w.cond.Broadcast()
 	w.cond.L.Unlock()
 }

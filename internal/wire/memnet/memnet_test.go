@@ -344,6 +344,35 @@ func TestMemNetDeadlineMovedWhileBlocked(t *testing.T) {
 	}
 }
 
+// TestMemNetClearedDeadlineStopsTimer: a read that blocked under a far
+// deadline armed the side's timer; once it has completed and the deadline
+// is cleared, the timer must already be stopped rather than wait in the
+// runtime's timer heap until the old deadline passes.
+func TestMemNetClearedDeadlineStopsTimer(t *testing.T) {
+	client, server := pair(t)
+	rd := client.(*conn).rd
+	client.SetReadDeadline(time.Now().Add(time.Hour))
+	go func() {
+		for { // write only once the read has blocked and armed the timer
+			rd.mu.Lock()
+			armed := rd.r.timer != nil
+			rd.mu.Unlock()
+			if armed {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		server.Write([]byte{1})
+	}()
+	if _, err := client.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	client.SetReadDeadline(time.Time{})
+	if rd.r.timer.Stop() {
+		t.Fatal("clearing the deadline left the blocked read's timer armed")
+	}
+}
+
 // TestMemNetTryWrite: the non-blocking write takes what fits and says how
 // much, and treats a closed peer exactly as Write does — one write
 // accepted into the void, then reset.

@@ -88,7 +88,9 @@ func WithWaitPolicy(p WaitPolicy) Option {
 // naming the absent participant ids. An idle barrier (no episode open) is
 // never poisoned, so d bounds the tolerated arrival spread, not the step
 // length between episodes. Call Close when the barrier is done with to
-// release the goroutine; d <= 0 disables the watchdog.
+// release the goroutine; d <= 0 disables the watchdog. Its counters cost
+// each arrival an atomic add on a shared line, and let Arrivals be called
+// at any time; without a watchdog it may only be called at a quiescent point.
 func WithWatchdog(d time.Duration) Option {
 	return func(o *options) { o.watchdog = d }
 }

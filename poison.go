@@ -33,56 +33,75 @@ func (e *StallError) Error() string {
 
 // poisonCore is the abort machinery shared by every barrier in the
 // package, embedded so that Poison, Err, Reset and Close are promoted
-// onto each barrier type. The barrier supplies two callbacks at
+// onto each barrier type. The barrier supplies three callbacks at
 // construction: wake poisons its wait primitives (gates, cells) so every
-// parked and spinning waiter escapes, and clear reinitializes its episode
-// state so Reset can return the barrier to service.
+// parked and spinning waiter escapes, clear reinitializes its episode
+// state and arrival counts so Reset can return the barrier to service,
+// and counts reads the counts, kept in plain fields of its slots.
 type poisonCore struct {
-	wake   func()      // poison the barrier's wait primitives
-	clear  func()      // reinitialize episode state; called only at quiescence
-	notify func(error) // WithPoisonNotify hook; nil when not installed
+	wake   func()          // poison the barrier's wait primitives
+	clear  func()          // reinitialize episode state; called only at quiescence
+	counts func() []uint64 // read the slots' arrival counts; quiescence only
+	notify func(error)     // WithPoisonNotify hook; nil when not installed
 
-	state atomic.Uint32 // 0 healthy, 1 poisoned; written after err below
-	mu    sync.Mutex
-	err   error
+	state  atomic.Uint32 // 0 healthy, 1 poisoned; written after err below
+	mu     sync.Mutex
+	wdOnce sync.Once // 4-byte aligned like mu: packed, no barrier changes size class
+	err    error
 
-	// arrived counts each participant's arrivals (1-based episodes). The
-	// owner bumps its own padded slot; only the watchdog — and, through
-	// the promoted Arrivals method, remote coordinators — reads across.
+	// arrived is the watchdog's atomic copy of the counts, which it polls
+	// across goroutines; nil without one, so an unwatched arrival pays its
+	// algorithm's atomics and nothing else.
 	arrived *rt.Arrivals
 
 	wdStop chan struct{}
-	wdOnce sync.Once
 }
 
-// initPoison wires the core. watchdog > 0 starts the stall detector;
-// notify, when non-nil, is invoked once when the barrier is poisoned.
-func (c *poisonCore) initPoison(p int, watchdog time.Duration, notify func(error), wake, clear func()) {
-	c.wake = wake
-	c.clear = clear
-	c.notify = notify
-	c.arrived = rt.NewArrivals(p)
+// initPoison wires the core. watchdog > 0 starts the stall detector and
+// its counters; notify, when non-nil, is invoked once when poisoned.
+func (c *poisonCore) initPoison(p int, watchdog time.Duration, notify func(error), wake, clear func(), counts func() []uint64) {
+	c.wake, c.clear, c.counts, c.notify = wake, clear, counts, notify
 	if watchdog > 0 {
+		c.arrived = rt.NewArrivals(p)
 		c.wdStop = make(chan struct{})
 		go c.runWatchdog(watchdog)
 	}
 }
 
-// noteArrive records participant id's arrival for the watchdog.
-func (c *poisonCore) noteArrive(id int) { c.arrived.Note(id) }
-
-// resizeArrivals re-sizes the watchdog's counters for a membership change.
-// It must run at the quiescent release point, like every other epoch
-// application step; the counters restart from zero and the watchdog's
-// next Scan observes the length change as progress.
-func (c *poisonCore) resizeArrivals(p int) { c.arrived.Resize(p) }
+// noteArrive records participant id's arrival for the watchdog, if any.
+func (c *poisonCore) noteArrive(id int) {
+	if c.arrived != nil {
+		c.arrived.Note(id)
+	}
+}
 
 // Arrivals returns a snapshot of the per-participant arrival counters:
 // element id is how many episodes participant id has arrived at since
-// construction (or the last Reset). It is the hook a remote coordinator
-// uses to report per-client progress; the snapshot is taken slot by slot
-// and is only episode-consistent at a quiescent point.
-func (c *poisonCore) Arrivals() []uint64 { return c.arrived.Snapshot(nil) }
+// construction, the last Reset or membership change. It is the hook a
+// remote coordinator uses to report per-client progress; the snapshot is
+// taken slot by slot and is only episode-consistent at a quiescent point.
+// Without a watchdog (WithWatchdog) it may also only be called at one.
+func (c *poisonCore) Arrivals() []uint64 {
+	if c.arrived != nil {
+		return c.arrived.Snapshot(nil)
+	}
+	return c.counts()
+}
+
+// arrivalSlot is a participant's own episode and arrival count, on a line of its own.
+type arrivalSlot struct {
+	episode, arrivals uint64
+	_                 [rt.CacheLine - 16]byte
+}
+
+// slotCounts copies the slots' arrival counts.
+func slotCounts(slots []arrivalSlot) []uint64 {
+	out := make([]uint64, len(slots))
+	for i := range slots {
+		out[i] = slots[i].arrivals
+	}
+	return out
+}
 
 // poisoned is the hot-path check: one atomic load while healthy.
 func (c *poisonCore) poisoned() bool { return c.state.Load() != 0 }
@@ -135,7 +154,9 @@ func (c *poisonCore) Err() error {
 // monitoring.
 func (c *poisonCore) Reset() {
 	c.clear()
-	c.arrived.Reset()
+	if c.arrived != nil {
+		c.arrived.Reset()
+	}
 	c.mu.Lock()
 	c.err = nil
 	c.mu.Unlock()

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -613,5 +615,129 @@ func TestArrivalsSnapshot(t *testing.T) {
 		if n != 0 {
 			t.Fatalf("Reset left arrival counts %v, want zeros", b.Arrivals())
 		}
+	}
+}
+
+// countingBarrier is the arrival-count surface every barrier in the
+// package has.
+type countingBarrier interface {
+	ContextBarrier
+	Arrivals() []uint64
+	Reset()
+	Close()
+}
+
+// TestArrivalsExactAtQuiescence pins Arrivals on every barrier, without a
+// watchdog (the participants' own slots) and with one (the watchdog's
+// shared counters): at every quiescent point both read exactly the
+// arrivals made — across a poisoned episode and Reset, and on the
+// reconfigurable barrier across a Grow and a Shrink, whose boundaries
+// restart the counts from zero.
+func TestArrivalsExactAtQuiescence(t *testing.T) {
+	const p = 5
+	uniform := func(n int, v uint64) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	for _, watched := range []bool{false, true} {
+		var opts []Option
+		if watched {
+			opts = []Option{WithWatchdog(time.Hour)}
+		}
+		for _, v := range abortableVariants(p, opts...) {
+			t.Run(fmt.Sprintf("watched=%t/%s", watched, v.name), func(t *testing.T) {
+				b := v.build().(countingBarrier)
+				defer b.Close()
+				check := func(when string, want []uint64) {
+					t.Helper()
+					if got := b.Arrivals(); !slices.Equal(got, want) {
+						t.Fatalf("%s: Arrivals() = %v, want %v", when, got, want)
+					}
+				}
+				check("fresh", uniform(p, 0))
+				runHealthyEpisodes(t, b, 3)
+				check("after 3 episodes", uniform(p, 3))
+				if ph, ok := b.(PhasedBarrier); ok {
+					// 1 and 3 arrive without blocking on every phased kind
+					// (on the tournament they lose round 0).
+					ph.Arrive(1)
+					ph.Arrive(3)
+					b.Poison(errors.New("stranded"))
+					ph.Await(1)
+					ph.Await(3)
+					check("poisoned with 1 and 3 arrived", []uint64{3, 4, 3, 4, 3})
+				}
+				b.Reset()
+				check("after Reset", uniform(p, 0))
+				runHealthyEpisodes(t, b, 2)
+				check("2 episodes after Reset", uniform(p, 2))
+				r, ok := b.(*ReconfigurableBarrier)
+				if !ok {
+					return
+				}
+				if _, err := r.Grow(2); err != nil {
+					t.Fatal(err)
+				}
+				runHealthyEpisodes(t, b, 1)
+				check("after the growing boundary", uniform(p+2, 0))
+				runHealthyEpisodes(t, b, 2)
+				check("2 episodes after growing", uniform(p+2, 2))
+				if _, err := r.Shrink(3); err != nil {
+					t.Fatal(err)
+				}
+				runHealthyEpisodes(t, b, 1)
+				check("after the shrinking boundary", uniform(p-1, 0))
+				runHealthyEpisodes(t, b, 1)
+				check("1 episode after shrinking", uniform(p-1, 1))
+			})
+		}
+	}
+}
+
+// TestArrivalsConcurrentReadWatched reads a watched barrier's Arrivals from
+// a goroutine of its own while the members run episodes — the read a
+// remote coordinator may make at any time (CI runs it under -race) — and
+// requires every snapshot to be in range and no count to go backwards.
+func TestArrivalsConcurrentReadWatched(t *testing.T) {
+	const p, episodes = 4, 200
+	for _, v := range abortableVariants(p, WithWatchdog(time.Hour)) {
+		t.Run(v.name, func(t *testing.T) {
+			b := v.build().(countingBarrier)
+			defer b.Close()
+			stop, read := make(chan struct{}), make(chan error, 1)
+			go func() {
+				prev := make([]uint64, p)
+				for {
+					got := b.Arrivals()
+					for id, n := range got {
+						if n < prev[id] || n > episodes {
+							read <- fmt.Errorf("participant %d read %d after %d (of %d episodes)", id, n, prev[id], episodes)
+							return
+						}
+					}
+					prev = got
+					select {
+					case <-stop:
+						read <- nil
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
+			}()
+			runHealthyEpisodes(t, b, episodes)
+			close(stop)
+			if err := <-read; err != nil {
+				t.Fatal(err)
+			}
+			for id, n := range b.Arrivals() {
+				if n != episodes {
+					t.Errorf("participant %d arrived %d times, want %d", id, n, episodes)
+				}
+			}
+		})
 	}
 }

@@ -373,7 +373,12 @@ func (b *ReconfigurableBarrier) install(prev *treeEpoch, p, degree int, sigma fl
 	next.epoch, next.sigma, next.episodes = prev.epoch+1, sigma, b.est.Episodes()
 	if p != prev.p {
 		b.rec.Resize(p)
-		b.resizeArrivals(p)
+		if b.arrived != nil {
+			b.arrived.Resize(p) // the watchdog's counts restart; its Scan sees progress
+		}
+		for i := range next.slots {
+			next.slots[i].arrivals = 0 // and so do the slots' own
+		}
 	}
 	// The reducer's deposit cells and node accumulators are rebuilt for
 	// the new tree; its published result buffers survive, so awaiters of

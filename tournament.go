@@ -28,7 +28,7 @@ type TournamentBarrier struct {
 	// arrive[r][winner] is set by the loser paired with winner.
 	arrive [][]rt.Cell
 	gate   rt.Gate
-	local  []rt.PaddedUint64
+	local  []arrivalSlot
 	rec    *rt.Recorder
 	poisonCore
 }
@@ -49,7 +49,7 @@ func NewTournament(p int, opts ...Option) *TournamentBarrier {
 		b.arrive[r] = make([]rt.Cell, p)
 		rt.InitCells(b.arrive[r])
 	}
-	b.local = make([]rt.PaddedUint64, p)
+	b.local = make([]arrivalSlot, p)
 	b.gate.Init(o.policy)
 	b.rec = o.recorder(p, 0)
 	b.initPoison(p, o.watchdog, o.poisonNotify,
@@ -67,8 +67,10 @@ func NewTournament(p int, opts ...Option) *TournamentBarrier {
 					b.arrive[r][i].Reset()
 				}
 			}
+			clear(b.local) // arrival counts; every id arrives before it awaits
 			b.gate.Unpoison()
-		})
+		},
+		func() []uint64 { return slotCounts(b.local) })
 	return b
 }
 
@@ -95,7 +97,8 @@ func (b *TournamentBarrier) Arrive(id int) {
 	b.noteArrive(id)
 	mine := b.gate.Seq() // the 0-based episode index; stable until release
 	b.rec.Arrive(id, mine)
-	b.local[id].V = mine
+	b.local[id].episode = mine
+	b.local[id].arrivals++
 	want := mine + 1 // monotone per flag, never the zero initial value
 	for r := 0; r < b.rounds; r++ {
 		bit := 1 << r
@@ -122,7 +125,7 @@ func (b *TournamentBarrier) Arrive(id int) {
 // barrier is poisoned.
 func (b *TournamentBarrier) Await(id int) {
 	checkID(id, b.p)
-	b.gate.Await(b.local[id].V)
+	b.gate.Await(b.local[id].episode)
 }
 
 // WaitCtx is Wait with cancellation: if ctx ends while the wait is in

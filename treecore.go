@@ -104,10 +104,11 @@ type treeCounter struct {
 // treeSlot is one participant's owner-written state, on its own cache
 // line.
 type treeSlot struct {
-	gen   uint64 // generation of the episode the participant last arrived in
-	next  uint64 // earliest generation its next arrival may join
-	first int    // its first counter; moves only under dynamic placement
-	_     [rt.CacheLine - 24]byte
+	gen      uint64 // generation of the episode the participant last arrived in
+	next     uint64 // earliest generation its next arrival may join
+	first    int    // its first counter; moves only under dynamic placement
+	arrivals uint64 // its arrivals since construction, Reset or a membership change
+	_        [rt.CacheLine - 32]byte
 }
 
 // Each line compiles only when the struct is exactly one cache line, so
@@ -187,7 +188,14 @@ func (b *treeCore) init(o options, first treeEpoch) {
 	b.rec = o.recorder(st.p, every)
 	b.red = o.reducer(st.p, len(st.counters))
 	b.folding = b.red != nil && b.red.Op().Commutative
-	b.initPoison(st.p, o.watchdog, o.poisonNotify, b.poisonWaiters, b.clearEpisode)
+	b.initPoison(st.p, o.watchdog, o.poisonNotify, b.poisonWaiters, b.clearEpisode, func() []uint64 {
+		cur := b.state.Load()
+		out := make([]uint64, cur.p)
+		for i := range out {
+			out[i] = cur.slots[i].arrivals
+		}
+		return out
+	})
 }
 
 // poisonWaiters poisons every wait primitive a participant can be parked
@@ -217,7 +225,7 @@ func (b *treeCore) clearEpisode() {
 	// Whoever arrived in the aborted episode arrives in its generation
 	// again: Reset does not advance the gate.
 	for i := range st.slots {
-		st.slots[i].next = 0
+		st.slots[i].next, st.slots[i].arrivals = 0, 0
 	}
 	if b.red != nil {
 		b.red.Reset()
@@ -304,6 +312,7 @@ func (b *treeCore) arrive(id int, pl *payload) {
 	b.rec.Arrive(id, gen)
 	sl := &st.slots[id]
 	sl.gen, sl.next = gen, gen+1
+	sl.arrivals++
 	// carry is what a folding barrier's visit folds into the node: the
 	// contribution on its way up, nil (the identity) for an arrival that
 	// brings none.
