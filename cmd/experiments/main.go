@@ -34,7 +34,7 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit tables as JSON (stable format for regression diffing)")
 		plot     = flag.Bool("plot", false, "also render ASCII curve plots for figure-style experiments")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		engFlags = cli.AddEngineFlags()
+		engFlags = cli.AddEngineFlags(flag.CommandLine)
 	)
 	flag.Parse()
 

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"softbarrier/internal/barriersim"
+	"softbarrier/internal/model"
 	"softbarrier/internal/stats"
 	"softbarrier/internal/topology"
 )
@@ -49,7 +50,7 @@ func driveSim(tree *topology.Tree, orders [][]int) []int {
 			// Huge spacing: every update completes before the next
 			// processor arrives, exactly like the sequential runtime
 			// drive.
-			arr[proc] = float64(pos) * 1e6 * barriersim.DefaultTc
+			arr[proc] = float64(pos) * 1e6 * model.DefaultTc
 		}
 		s.Episode(arr)
 	}

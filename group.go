@@ -101,54 +101,67 @@ func (g *Group) Grow(n int) error { return g.Resize(g.b.Participants() + n) }
 // Shrink removes n workers from the group between runs.
 func (g *Group) Shrink(n int) error { return g.Resize(g.b.Participants() - n) }
 
-// panicTracker coordinates panic recovery across a worker pool: the first
-// panic of the earliest step wins, and every worker stops at that step's
-// barrier boundary so nobody is stranded mid-episode. When the group's
-// barrier is Abortable the tracker also poisons it on the first recorded
-// panic, so siblings already parked in the barrier wake at once instead
-// of relying on every worker reaching the next stop check.
+// panicTracker coordinates failure recovery across a worker pool: the
+// first failure of the earliest step wins, whether a recovered panic or a
+// returned error, and every worker stops at that step's barrier boundary
+// so nobody is stranded mid-episode. When the group's barrier is Abortable
+// the tracker also poisons it on the first recorded failure, so siblings
+// already parked in the barrier wake at once instead of relying on every
+// worker reaching the next stop check.
 type panicTracker struct {
-	step  atomic.Int64 // earliest panicking step; steps beyond it are skipped
+	step  atomic.Int64 // earliest failing step; steps beyond it are skipped
 	total int          // the run's declared step count
-	vals  []any        // per-worker recovered value (first one per worker)
-	at    []int        // per-worker panicking step
+	vals  []any        // per-worker recovered panic value (first failure per worker)
+	errs  []error      // per-worker returned error (first failure per worker)
+	at    []int        // per-worker failing step
 	ab    Abortable    // the group's barrier, or nil if it is not abortable
 }
 
 func newPanicTracker(p, steps int, ab Abortable) *panicTracker {
-	t := &panicTracker{total: steps, vals: make([]any, p), at: make([]int, p), ab: ab}
+	t := &panicTracker{total: steps, vals: make([]any, p), errs: make([]error, p), at: make([]int, p), ab: ab}
 	t.step.Store(int64(steps))
 	return t
 }
 
-// call runs f, recording a recovered panic against (id, step) and
-// poisoning the group's barrier.
+// call runs f, recording a recovered panic against (id, step).
 func (t *panicTracker) call(id, step int, f func()) {
 	defer func() {
-		r := recover()
-		if r == nil || t.vals[id] != nil {
-			return
-		}
-		t.vals[id] = r
-		t.at[id] = step
-		for {
-			cur := t.step.Load()
-			if int64(step) >= cur || t.step.CompareAndSwap(cur, int64(step)) {
-				break
-			}
-		}
-		if t.ab != nil {
-			t.ab.Poison(fmt.Errorf("softbarrier: worker %d panicked in superstep %d: %v", id, step, r))
+		if r := recover(); r != nil {
+			t.record(id, step, r, nil)
 		}
 	}()
 	f()
 }
 
-// failed reports whether the tracker recorded any panic.
+// record notes worker id's first failure — a panic value or an error — at
+// step, moves the boundary down to it if it is the earliest, and poisons
+// the group's barrier.
+func (t *panicTracker) record(id, step int, val any, err error) {
+	if t.vals[id] != nil || t.errs[id] != nil {
+		return
+	}
+	t.vals[id], t.errs[id], t.at[id] = val, err, step
+	for {
+		cur := t.step.Load()
+		if int64(step) >= cur || t.step.CompareAndSwap(cur, int64(step)) {
+			break
+		}
+	}
+	if t.ab == nil {
+		return
+	}
+	if val != nil {
+		t.ab.Poison(fmt.Errorf("softbarrier: worker %d panicked in superstep %d: %v", id, step, val))
+	} else {
+		t.ab.Poison(fmt.Errorf("softbarrier: worker %d failed in superstep %d: %w", id, step, err))
+	}
+}
+
+// failed reports whether the tracker recorded any failure.
 func (t *panicTracker) failed() bool { return t.step.Load() < int64(t.total) }
 
 // abortedExternally reports a poison that did not come from this run's
-// own panic recovery: supersteps are no longer synchronized and the pool
+// own failure recovery: supersteps are no longer synchronized and the pool
 // must stop where it stands. Self-inflicted poison is excluded — those
 // workers still drain deterministically to the recorded step boundary.
 // (Poison is published after the boundary CAS, so observing the error
@@ -157,26 +170,30 @@ func (t *panicTracker) abortedExternally() bool {
 	return t.ab != nil && !t.failed() && t.ab.Err() != nil
 }
 
-// stopped reports whether step is beyond the panic boundary. Every worker
-// observes the boundary at the same barrier crossing: the panicking step's
-// completion is ordered before this check by the barrier itself.
+// stopped reports whether step is beyond the failure boundary. Every
+// worker observes the boundary at the same barrier crossing: the failing
+// step's completion is ordered before this check by the barrier itself.
 func (t *panicTracker) stopped(step int) bool { return int64(step) > t.step.Load() }
 
-// rethrow re-raises the recorded panic, if any: the lowest-numbered worker
-// of the earliest failing step. Call after the pool has drained.
-func (t *panicTracker) rethrow(steps int) {
+// rethrow re-raises the recorded panic of the earliest failing step, or
+// else returns its recorded error: the lowest-numbered worker's, panics
+// before errors. Call after the pool has drained.
+func (t *panicTracker) rethrow() error {
 	fs := t.step.Load()
-	if fs >= int64(steps) {
-		return
-	}
-	for id := range t.vals {
-		if t.vals[id] != nil && int64(t.at[id]) == fs {
-			panic(t.vals[id])
+	for id, v := range t.vals {
+		if v != nil && int64(t.at[id]) == fs {
+			panic(v)
 		}
 	}
+	for id, err := range t.errs {
+		if err != nil && int64(t.at[id]) == fs {
+			return err
+		}
+	}
+	return nil
 }
 
-// executed returns how many supersteps actually ran given the panic
+// executed returns how many supersteps actually ran given the failure
 // boundary.
 func (t *panicTracker) executed(steps int) int {
 	if fs := t.step.Load(); fs < int64(steps) {
@@ -208,14 +225,12 @@ func (g *Group) heal(ab Abortable, selfInflicted bool) error {
 	return nil
 }
 
-// Run spawns one goroutine per worker and executes steps supersteps of
-// fn(id, step), synchronizing after each. It returns when every worker has
-// finished the last step. If fn panics, the barrier is poisoned so the
-// remaining participants release immediately, every worker stops at the
-// panicking step's boundary, and the panic is re-raised from Run (with
-// the barrier healed for reuse). If the barrier is poisoned from outside
-// mid-run, Run stops the pool and panics with the poison error.
-func (g *Group) Run(steps int, fn func(id, step int)) {
+// run is the worker loop behind Run, RunErr and RunFuzzy: one goroutine
+// per worker executes superstep for each step until the last, the
+// boundary of a recorded failure, or an external poison. Once the pool has
+// drained it heals self-inflicted poison, re-raises a recorded panic, and
+// returns the recorded error, else the external poison.
+func (g *Group) run(steps int, superstep func(t *panicTracker, id, step int)) error {
 	g.begin()
 	start := time.Now()
 	p := g.b.Participants()
@@ -230,17 +245,32 @@ func (g *Group) Run(steps int, fn func(id, step int)) {
 				if t.stopped(step) || t.abortedExternally() {
 					return
 				}
-				t.call(id, step, func() { fn(id, step) })
-				g.b.Wait(id)
+				superstep(t, id, step)
 			}
 		}(id)
 	}
 	wg.Wait()
 	g.note(start, t.executed(steps))
 	perr := g.heal(ab, t.failed())
-	t.rethrow(steps)
-	if perr != nil {
-		panic(perr)
+	if err := t.rethrow(); err != nil {
+		return err
+	}
+	return perr
+}
+
+// Run spawns one goroutine per worker and executes steps supersteps of
+// fn(id, step), synchronizing after each. It returns when every worker has
+// finished the last step. If fn panics, the barrier is poisoned so the
+// remaining participants release immediately, every worker stops at the
+// panicking step's boundary, and the panic is re-raised from Run (with
+// the barrier healed for reuse). If the barrier is poisoned from outside
+// mid-run, Run stops the pool and panics with the poison error.
+func (g *Group) Run(steps int, fn func(id, step int)) {
+	if err := g.run(steps, func(t *panicTracker, id, step int) {
+		t.call(id, step, func() { fn(id, step) })
+		g.b.Wait(id)
+	}); err != nil {
+		panic(err)
 	}
 }
 
@@ -255,66 +285,14 @@ func (g *Group) Run(steps int, fn func(id, step int)) {
 // errors. If the barrier is poisoned from outside mid-run, RunErr stops
 // the pool and returns the poison error.
 func (g *Group) RunErr(steps int, fn func(id, step int) error) error {
-	g.begin()
-	start := time.Now()
-	p := g.b.Participants()
-	ab, _ := g.b.(Abortable)
-	t := newPanicTracker(p, steps, ab)
-	errs := make([]error, p)
-	errStep := make([]int, p)
-	var failedStep atomic.Int64
-	failedStep.Store(int64(steps))
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for id := 0; id < p; id++ {
-		go func(id int) {
-			defer wg.Done()
-			for step := 0; step < steps; step++ {
-				if int64(step) > failedStep.Load() || t.stopped(step) {
-					// A previous step failed; every worker observes this
-					// boundary no later than the crossing after the failing
-					// step (the poison wake, or the barrier itself).
-					return
-				}
-				if t.abortedExternally() && failedStep.Load() == int64(steps) {
-					return // external poison and no worker error recorded
-				}
-				t.call(id, step, func() {
-					if err := fn(id, step); err != nil && errs[id] == nil {
-						errs[id] = err
-						errStep[id] = step
-						// Record the earliest failing step.
-						for {
-							cur := failedStep.Load()
-							if int64(step) >= cur || failedStep.CompareAndSwap(cur, int64(step)) {
-								break
-							}
-						}
-						if ab != nil {
-							ab.Poison(fmt.Errorf("softbarrier: worker %d failed in superstep %d: %w", id, step, err))
-						}
-					}
-				})
-				g.b.Wait(id)
+	return g.run(steps, func(t *panicTracker, id, step int) {
+		t.call(id, step, func() {
+			if err := fn(id, step); err != nil {
+				t.record(id, step, nil, err)
 			}
-		}(id)
-	}
-	wg.Wait()
-	executed := t.executed(steps)
-	if fs := failedStep.Load(); fs < int64(executed) {
-		executed = int(fs) + 1
-	}
-	g.note(start, executed)
-	perr := g.heal(ab, t.failed() || failedStep.Load() < int64(steps))
-	t.rethrow(steps)
-	if fs := failedStep.Load(); fs < int64(steps) {
-		for id := 0; id < p; id++ {
-			if errs[id] != nil && int64(errStep[id]) == fs {
-				return errs[id]
-			}
-		}
-	}
-	return perr
+		})
+		g.b.Wait(id)
+	})
 }
 
 // RunFuzzy is Run for a PhasedBarrier: after each step's dependent work,
@@ -331,36 +309,16 @@ func (g *Group) RunFuzzy(steps int, fn, slackFn func(id, step int)) {
 	if !ok {
 		panic("softbarrier: RunFuzzy needs a PhasedBarrier")
 	}
-	g.begin()
-	start := time.Now()
-	p := g.b.Participants()
-	ab, _ := g.b.(Abortable)
-	t := newPanicTracker(p, steps, ab)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for id := 0; id < p; id++ {
-		go func(id int) {
-			defer wg.Done()
-			for step := 0; step < steps; step++ {
-				if t.stopped(step) || t.abortedExternally() {
-					return
-				}
-				if fn != nil {
-					t.call(id, step, func() { fn(id, step) })
-				}
-				pb.Arrive(id)
-				if slackFn != nil {
-					t.call(id, step, func() { slackFn(id, step) })
-				}
-				pb.Await(id)
-			}
-		}(id)
-	}
-	wg.Wait()
-	g.note(start, t.executed(steps))
-	perr := g.heal(ab, t.failed())
-	t.rethrow(steps)
-	if perr != nil {
-		panic(perr)
+	if err := g.run(steps, func(t *panicTracker, id, step int) {
+		if fn != nil {
+			t.call(id, step, func() { fn(id, step) })
+		}
+		pb.Arrive(id)
+		if slackFn != nil {
+			t.call(id, step, func() { slackFn(id, step) })
+		}
+		pb.Await(id)
+	}); err != nil {
+		panic(err)
 	}
 }

@@ -15,6 +15,10 @@
 // episode, displacing that counter's previous local processor (the
 // victim). The victim pays one extra communication at the start of the
 // next episode to discover its new first counter.
+//
+// Consecutive episodes are coupled by Iterator, the fuzzy-barrier slack
+// model, and Trace replays recorded work times as a load model. The
+// imbalance regimes themselves are internal/loadmodel's generators.
 package barriersim
 
 import (
@@ -23,18 +27,14 @@ import (
 
 	"softbarrier/internal/eventsim"
 	"softbarrier/internal/loadmodel"
+	"softbarrier/internal/model"
 	"softbarrier/internal/stats"
 	"softbarrier/internal/topology"
-	"softbarrier/internal/workload"
 )
-
-// DefaultTc is the counter update time measured on the KSR1 and used for
-// every simulation in the paper: 20µs, expressed in seconds.
-const DefaultTc = 20e-6
 
 // Config configures a barrier simulation.
 type Config struct {
-	// Tc is the counter update time; 0 selects DefaultTc.
+	// Tc is the counter update time; 0 selects model.DefaultTc.
 	Tc float64
 	// Dynamic enables dynamic placement (victor/victim swaps). It has an
 	// effect only on trees whose counters have local slots (MCS, Ring).
@@ -124,7 +124,7 @@ func (s *Sim) SetTracer(tr Tracer) { s.tracer = tr }
 // mutated, even under dynamic placement).
 func New(tree *topology.Tree, cfg Config) *Sim {
 	if cfg.Tc == 0 {
-		cfg.Tc = DefaultTc
+		cfg.Tc = model.DefaultTc
 	}
 	if cfg.Tc < 0 {
 		panic("barriersim: negative t_c")
@@ -327,7 +327,7 @@ type RunResult struct {
 // discarding the first warmup episodes (placement convergence) from the
 // aggregates. The iterator observes every episode's release, including
 // warm-up ones.
-func (s *Sim) Run(it *workload.Iterator, warmup, episodes int) RunResult {
+func (s *Sim) Run(it *Iterator, warmup, episodes int) RunResult {
 	if episodes <= 0 {
 		panic("barriersim: need at least one measured episode")
 	}

@@ -5,12 +5,12 @@ import (
 	"testing"
 
 	"softbarrier/internal/loadmodel"
+	"softbarrier/internal/model"
 	"softbarrier/internal/stats"
 	"softbarrier/internal/topology"
-	"softbarrier/internal/workload"
 )
 
-const tc = DefaultTc
+const tc = model.DefaultTc
 
 // almostEq compares within a small absolute tolerance scaled to t_c.
 func almostEq(a, b float64) bool { return math.Abs(a-b) < tc*1e-9 }
@@ -152,7 +152,7 @@ func TestCallersTreeNotMutated(t *testing.T) {
 	tree := topology.NewMCS(64, 4)
 	before := tree.FirstCounter(5)
 	s := New(tree, Config{Dynamic: true})
-	it := workload.NewIterator(
+	it := NewIterator(
 		loadmodel.StaticSkew{
 			Base:    loadmodel.IID{N: 64, Dist: stats.Normal{Sigma: tc}},
 			Offsets: loadmodel.LinearOffsets(64, 100*tc),
@@ -174,7 +174,7 @@ func TestDynamicPlacementMovesSystemicallySlowProcToRoot(t *testing.T) {
 	off := make([]float64, p)
 	off[13] = 500 * tc // processor 13 is always very late
 	s := New(tree, Config{Dynamic: true})
-	it := workload.NewIterator(
+	it := NewIterator(
 		loadmodel.StaticSkew{Base: loadmodel.IID{N: p, Dist: stats.Normal{Sigma: tc / 10}}, Offsets: off},
 		1e9, 3)
 	rr := s.Run(it, 10, 20)
@@ -194,8 +194,8 @@ func TestDynamicPlacementReducesDelayUnderSystemicImbalance(t *testing.T) {
 	for i, j := 0, len(off)-1; i < j; i, j = i+1, j-1 {
 		off[i], off[j] = off[j], off[i]
 	}
-	mkIter := func(seed uint64) *workload.Iterator {
-		return workload.NewIterator(
+	mkIter := func(seed uint64) *Iterator {
+		return NewIterator(
 			loadmodel.StaticSkew{
 				Base:    loadmodel.IID{N: p, Dist: stats.Normal{Sigma: tc}},
 				Offsets: off,
@@ -215,8 +215,8 @@ func TestDynamicPlacementUselessAtZeroSlack(t *testing.T) {
 	// Fig. 8, slack-0 column: with slack 0 the arrival order is
 	// unpredictable, so dynamic placement gives no speedup (ratio ≈ 1).
 	p := 256
-	mkIter := func() *workload.Iterator {
-		return workload.NewIterator(loadmodel.IID{N: p, Dist: stats.Normal{Mu: 100 * tc, Sigma: 12.5 * tc}}, 0, 9)
+	mkIter := func() *Iterator {
+		return NewIterator(loadmodel.IID{N: p, Dist: stats.Normal{Mu: 100 * tc, Sigma: 12.5 * tc}}, 0, 9)
 	}
 	static := New(topology.NewMCS(p, 4), Config{}).Run(mkIter(), 10, 60)
 	dynamic := New(topology.NewMCS(p, 4), Config{Dynamic: true}).Run(mkIter(), 10, 60)
@@ -231,7 +231,7 @@ func TestDynamicCommOverheadBounded(t *testing.T) {
 	// there is at most one swap per counter, so overhead ≤ 1 + 1/(d+1).
 	p := 256
 	d := 4
-	it := workload.NewIterator(loadmodel.IID{N: p, Dist: stats.Normal{Sigma: 12.5 * tc}}, 0, 11)
+	it := NewIterator(loadmodel.IID{N: p, Dist: stats.Normal{Sigma: 12.5 * tc}}, 0, 11)
 	rr := New(topology.NewMCS(p, d), Config{Dynamic: true}).Run(it, 5, 50)
 	if rr.CommOverhead > 1+1.0/float64(d+1)+1e-9 {
 		t.Errorf("comm overhead %v exceeds bound %v", rr.CommOverhead, 1+1.0/float64(d+1))
@@ -242,7 +242,7 @@ func TestDynamicCommOverheadBounded(t *testing.T) {
 }
 
 func TestStaticRunHasNoSwapsAndUnitOverhead(t *testing.T) {
-	it := workload.NewIterator(loadmodel.IID{N: 64, Dist: stats.Normal{Sigma: 5 * tc}}, 0, 13)
+	it := NewIterator(loadmodel.IID{N: 64, Dist: stats.Normal{Sigma: 5 * tc}}, 0, 13)
 	rr := New(topology.NewMCS(64, 4), Config{}).Run(it, 0, 20)
 	if rr.MeanSwaps != 0 || rr.CommOverhead != 1 {
 		t.Errorf("static run: swaps %v overhead %v", rr.MeanSwaps, rr.CommOverhead)
@@ -251,7 +251,7 @@ func TestStaticRunHasNoSwapsAndUnitOverhead(t *testing.T) {
 
 func TestDynamicOnClassicTreeIsNoOp(t *testing.T) {
 	// Classic trees have no local slots, so dynamic placement cannot swap.
-	it := workload.NewIterator(loadmodel.IID{N: 64, Dist: stats.Normal{Sigma: 5 * tc}}, 1e9, 15)
+	it := NewIterator(loadmodel.IID{N: 64, Dist: stats.Normal{Sigma: 5 * tc}}, 1e9, 15)
 	rr := New(topology.NewClassic(64, 4), Config{Dynamic: true}).Run(it, 0, 20)
 	if rr.MeanSwaps != 0 {
 		t.Errorf("classic tree produced %v swaps", rr.MeanSwaps)
@@ -264,7 +264,7 @@ func TestRingTreeSwapsStayInRing(t *testing.T) {
 	off := make([]float64, 56)
 	off[3] = 500 * tc // slow processor in ring 0
 	s := New(tree, Config{Dynamic: true})
-	it := workload.NewIterator(
+	it := NewIterator(
 		loadmodel.StaticSkew{Base: loadmodel.IID{N: 56, Dist: stats.Normal{Sigma: tc / 10}}, Offsets: off},
 		1e9, 17)
 	s.Run(it, 10, 20)
@@ -285,7 +285,7 @@ func TestRingTreeSwapsStayInRing(t *testing.T) {
 	off2 := make([]float64, 56)
 	off2[40] = 500 * tc
 	s2 := New(topology.NewRing(rings, 4), Config{Dynamic: true})
-	it2 := workload.NewIterator(
+	it2 := NewIterator(
 		loadmodel.StaticSkew{Base: loadmodel.IID{N: 56, Dist: stats.Normal{Sigma: tc / 10}}, Offsets: off2},
 		1e9, 18)
 	s2.Run(it2, 10, 20)
@@ -317,7 +317,7 @@ func TestVictimPaysPenaltyNextEpisode(t *testing.T) {
 }
 
 func TestRunResultAggregates(t *testing.T) {
-	it := workload.NewIterator(loadmodel.IID{N: 64, Dist: stats.Normal{Mu: 50 * tc, Sigma: 2 * tc}}, 0, 19)
+	it := NewIterator(loadmodel.IID{N: 64, Dist: stats.Normal{Mu: 50 * tc, Sigma: 2 * tc}}, 0, 19)
 	rr := New(topology.NewClassic(64, 4), Config{}).Run(it, 2, 25)
 	if rr.Episodes != 25 || len(rr.SyncDelays) != 25 {
 		t.Fatalf("episodes %d, delays %d", rr.Episodes, len(rr.SyncDelays))
@@ -334,7 +334,7 @@ func TestRunResultAggregates(t *testing.T) {
 }
 
 func TestRunPanicsOnZeroEpisodes(t *testing.T) {
-	it := workload.NewIterator(loadmodel.IID{N: 4, Dist: stats.Degenerate{V: 1}}, 0, 0)
+	it := NewIterator(loadmodel.IID{N: 4, Dist: stats.Degenerate{V: 1}}, 0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -345,7 +345,7 @@ func TestRunPanicsOnZeroEpisodes(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	s := New(topology.NewClassic(4, 2), Config{})
-	if s.Tc() != DefaultTc {
+	if s.Tc() != model.DefaultTc {
 		t.Errorf("default tc %v", s.Tc())
 	}
 	defer func() {

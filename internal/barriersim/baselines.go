@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"softbarrier/internal/loadmodel"
+	"softbarrier/internal/model"
 	"softbarrier/internal/stats"
 )
 
@@ -166,7 +167,7 @@ func RunBaselineIID(kind BaselineKind, p int, tc float64, dist stats.Distributio
 		panic("barriersim: need at least one episode")
 	}
 	if tc == 0 {
-		tc = DefaultTc
+		tc = model.DefaultTc
 	}
 	r := stats.NewRNG(seed)
 	rr := RunResult{Episodes: episodes, SyncDelays: make([]float64, 0, episodes), CommOverhead: 1}

@@ -1,8 +1,9 @@
-// Package cli holds the configuration plumbing shared by the simulation
-// commands (cmd/experiments, cmd/degreeopt, cmd/barriersim): the
-// -workers/-cache sweep-engine flags, tree-builder selection, a throttled
-// progress printer, and duration formatting. Keeping it here means each
-// main declares only the flags specific to its own question.
+// Package cli holds the configuration plumbing shared by the commands: the
+// -workers/-cache sweep-engine flags of cmd/experiments and cmd/barriersim,
+// a throttled progress printer, duration formatting, and the networked
+// barrier service flags of cmd/barrierd and examples/netbarrier. Keeping it
+// here means each main declares only the flags specific to its own
+// question.
 package cli
 
 import (
@@ -13,10 +14,8 @@ import (
 	"time"
 
 	"softbarrier"
-	"softbarrier/internal/barriersim"
 	"softbarrier/internal/netbarrier"
 	"softbarrier/internal/sweep"
-	"softbarrier/internal/topology"
 	"softbarrier/internal/wire"
 )
 
@@ -30,11 +29,11 @@ type EngineFlags struct {
 	CacheDir string
 }
 
-// AddEngineFlags registers -workers and -cache on the default FlagSet.
-func AddEngineFlags() *EngineFlags {
+// AddEngineFlags registers -workers and -cache on fs.
+func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	f := &EngineFlags{}
-	flag.IntVar(&f.Workers, "workers", 0, "parallel sweep workers (0 = all CPUs, 1 = sequential; results identical)")
-	flag.StringVar(&f.CacheDir, "cache", "", "directory for the on-disk sweep result cache (empty = no cache)")
+	fs.IntVar(&f.Workers, "workers", 0, "parallel sweep workers (0 = all CPUs, 1 = sequential; results identical)")
+	fs.StringVar(&f.CacheDir, "cache", "", "directory for the on-disk sweep result cache (empty = no cache)")
 	return f
 }
 
@@ -81,59 +80,6 @@ func ProgressPrinter(w io.Writer) func(sweep.Progress) {
 		}
 		fmt.Fprintln(w, line)
 	}
-}
-
-// TreeFlags carries the shared combining-tree topology configuration.
-type TreeFlags struct {
-	// Kind is "classic", "mcs" or "ring".
-	Kind string
-	// Rings is the ring count for Kind "ring".
-	Rings int
-}
-
-// AddTreeFlags registers -tree and -rings on the default FlagSet.
-func AddTreeFlags() *TreeFlags {
-	f := &TreeFlags{}
-	flag.StringVar(&f.Kind, "tree", "classic", "tree kind: classic | mcs | ring")
-	flag.IntVar(&f.Rings, "rings", 2, "number of rings for -tree ring")
-	return f
-}
-
-// Builder returns the TreeBuilder the flags select. The ring builder
-// splits p processors over the configured number of rings as evenly as
-// possible (earlier rings take the remainder).
-func (f *TreeFlags) Builder() (barriersim.TreeBuilder, error) {
-	switch f.Kind {
-	case "classic":
-		return topology.NewClassic, nil
-	case "mcs":
-		return topology.NewMCS, nil
-	case "ring":
-		rings := f.Rings
-		if rings <= 0 {
-			return nil, fmt.Errorf("cli: -rings must be positive, got %d", rings)
-		}
-		return func(p, d int) *topology.Tree {
-			sizes := make([]int, rings)
-			for i := range sizes {
-				sizes[i] = p / rings
-				if i < p%rings {
-					sizes[i]++
-				}
-			}
-			return topology.NewRing(sizes, d)
-		}, nil
-	}
-	return nil, fmt.Errorf("cli: unknown tree kind %q (want classic, mcs or ring)", f.Kind)
-}
-
-// Build constructs the tree for p processors at the given degree.
-func (f *TreeFlags) Build(p, degree int) (*topology.Tree, error) {
-	build, err := f.Builder()
-	if err != nil {
-		return nil, err
-	}
-	return build(p, degree), nil
 }
 
 // Dur renders a duration in seconds as a time.Duration rounded for

@@ -29,37 +29,6 @@ func TestEngineFlags(t *testing.T) {
 	}
 }
 
-func TestBuilderKinds(t *testing.T) {
-	for _, kind := range []string{"classic", "mcs", "ring"} {
-		f := &TreeFlags{Kind: kind, Rings: 2}
-		build, err := f.Builder()
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		tree := build(16, 4)
-		if tree.P != 16 {
-			t.Errorf("%s: built tree for %d processors", kind, tree.P)
-		}
-	}
-	if _, err := (&TreeFlags{Kind: "heap"}).Builder(); err == nil {
-		t.Error("unknown kind must error")
-	}
-	if _, err := (&TreeFlags{Kind: "ring", Rings: 0}).Builder(); err == nil {
-		t.Error("zero rings must error")
-	}
-}
-
-func TestRingBuilderDistributesRemainder(t *testing.T) {
-	f := &TreeFlags{Kind: "ring", Rings: 3}
-	tree, err := f.Build(10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.P != 10 {
-		t.Fatalf("ring tree covers %d processors, want 10", tree.P)
-	}
-}
-
 func TestProgressPrinterThrottles(t *testing.T) {
 	var b strings.Builder
 	report := ProgressPrinter(&b)

@@ -10,7 +10,7 @@ import (
 )
 
 // Tc is the counter update time used throughout, the paper's 20µs.
-const Tc = barriersim.DefaultTc
+const Tc = model.DefaultTc
 
 // SigmaGrid is the load-imbalance grid of Figs. 3 and 4, in units of t_c.
 var SigmaGrid = []float64{0, 1.6, 6.2, 12.5, 25, 50}

@@ -7,7 +7,6 @@ import (
 	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/stats"
 	"softbarrier/internal/topology"
-	"softbarrier/internal/workload"
 )
 
 // fig8Sigma is the arrival spread of the §5 experiments: 0.25 ms.
@@ -43,7 +42,7 @@ func Fig5(o Options) *Table {
 	}
 	rows := grid(o, "fig5", gridKeys(fmt.Sprintf("p=%d sigma=%g slack=%%g", p, fig8Sigma), fig5Slacks),
 		func(i int, seed uint64) []float64 {
-			it := workload.NewIterator(loadmodel.IID{N: p, Dist: stats.Normal{Sigma: fig8Sigma}}, fig5Slacks[i], seed)
+			it := barriersim.NewIterator(loadmodel.IID{N: p, Dist: stats.Normal{Sigma: fig8Sigma}}, fig5Slacks[i], seed)
 			history := make([][]float64, 0, iters)
 			for k := 0; k < iters; k++ {
 				arr := it.Next()
@@ -102,8 +101,8 @@ func Fig8Data(o Options, degrees []int, p int) []Fig8Row {
 	return grid(o, "fig8", keys, func(i int, seed uint64) Fig8Row {
 		pt := points[i]
 		tree := topology.NewMCS(p, pt.Degree)
-		mkIter := func() *workload.Iterator {
-			return workload.NewIterator(loadmodel.IID{N: p, Dist: dist}, pt.Slack, seed)
+		mkIter := func() *barriersim.Iterator {
+			return barriersim.NewIterator(loadmodel.IID{N: p, Dist: dist}, pt.Slack, seed)
 		}
 		static := barriersim.New(tree, barriersim.Config{}).Run(mkIter(), o.Warmup, o.Episodes)
 		dynamic := barriersim.New(tree, barriersim.Config{Dynamic: true}).Run(mkIter(), o.Warmup, o.Episodes)

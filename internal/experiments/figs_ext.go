@@ -8,7 +8,6 @@ import (
 	"softbarrier/internal/model"
 	"softbarrier/internal/stats"
 	"softbarrier/internal/topology"
-	"softbarrier/internal/workload"
 )
 
 // The EXT experiments go beyond the paper's figures: ablations and
@@ -80,7 +79,7 @@ func Ext2(o Options) *Table {
 	idles := grid(o, "ext2", gridKeys(fmt.Sprintf("p=%d sigma=%g slack=%%g idle", p, fig8Sigma), ext2Slacks),
 		func(i int, seed uint64) float64 {
 			slack := ext2Slacks[i]
-			it := workload.NewIterator(loadmodel.IID{N: p, Dist: stats.Normal{Sigma: fig8Sigma}}, slack, seed)
+			it := barriersim.NewIterator(loadmodel.IID{N: p, Dist: stats.Normal{Sigma: fig8Sigma}}, slack, seed)
 			idleSum, n := 0.0, 0
 			iters := o.Warmup + o.Episodes
 			for k := 0; k < iters; k++ {

@@ -7,7 +7,6 @@ import (
 	"softbarrier/internal/ksr"
 	"softbarrier/internal/sor"
 	"softbarrier/internal/topology"
-	"softbarrier/internal/workload"
 )
 
 // fig12DYs is the d_y sweep of the Fig. 12 reproduction. The paper's exact
@@ -24,7 +23,7 @@ var ksrDegrees = []int{2, 4, 8, 16, 32, 56}
 // runKSRWorkload simulates episodes of the SOR timing workload over the
 // given ring-constrained tree.
 func runKSRWorkload(o Options, m ksr.Machine, tree *topology.Tree, tm *sor.TimingModel, slack float64, dynamic bool, seed uint64) barriersim.RunResult {
-	it := workload.NewIterator(tm, slack, seed)
+	it := barriersim.NewIterator(tm, slack, seed)
 	cfg := barriersim.Config{Tc: m.Tc, Dynamic: dynamic}
 	return barriersim.New(tree, cfg).Run(it, o.Warmup, o.Episodes)
 }

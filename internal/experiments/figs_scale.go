@@ -7,7 +7,6 @@ import (
 	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/stats"
 	"softbarrier/internal/topology"
-	"softbarrier/internal/workload"
 )
 
 // scaleProcs is the system-size sweep of Figures 9–11.
@@ -80,8 +79,8 @@ type placementCell struct {
 func scaleDynamicRun(o Options, p, degree int, slack float64, seed uint64) placementCell {
 	tree := topology.NewMCS(p, degree)
 	dist := stats.Normal{Sigma: fig8Sigma}
-	mkIter := func() *workload.Iterator {
-		return workload.NewIterator(loadmodel.IID{N: p, Dist: dist}, slack, seed)
+	mkIter := func() *barriersim.Iterator {
+		return barriersim.NewIterator(loadmodel.IID{N: p, Dist: dist}, slack, seed)
 	}
 	return placementCell{
 		Static:  barriersim.New(tree, barriersim.Config{}).Run(mkIter(), o.Warmup, o.Episodes),

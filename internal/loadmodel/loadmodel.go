@@ -5,15 +5,14 @@
 // placement order that puts predicted stragglers in a combining tree's
 // shallowest slots.
 //
-// The package owns the imbalance regimes that used to live in
-// internal/workload — iid draws, static per-participant skew (the paper's
-// systemic imbalance), AR(1) drift (evolving imbalance) — plus the
-// injector shapes the related work motivates: multiplicative history
-// noise (charm++ load_imb_by_history), heavy right tails, bursty
-// correlated slowdowns, and chunk-boundary-aligned skew (the LFSR
-// cycle-distribution study: C work chunks over N workers leave C mod N
-// workers one chunk heavier). internal/workload couples them across
-// episodes (fuzzy-barrier slack) and replays recorded traces.
+// The package owns the imbalance regimes — iid draws, static
+// per-participant skew (the paper's systemic imbalance), AR(1) drift
+// (evolving imbalance) — plus the injector shapes the related work
+// motivates: multiplicative history noise (charm++ load_imb_by_history),
+// heavy right tails, bursty correlated slowdowns, and chunk-boundary-aligned
+// skew (the LFSR cycle-distribution study: C work chunks over N workers
+// leave C mod N workers one chunk heavier). internal/barriersim couples
+// them across episodes (fuzzy-barrier slack) and replays recorded traces.
 package loadmodel
 
 import (
@@ -59,7 +58,7 @@ func (w IID) String() string { return fmt.Sprintf("iid p=%d %v", w.N, w.Dist) }
 
 // StaticSkew adds a fixed per-participant offset to a base generator: the
 // paper's systemic load imbalance, where the same participants are
-// consistently late. internal/workload aliases it as Systemic.
+// consistently late.
 type StaticSkew struct {
 	Base    Generator
 	Offsets []float64
@@ -104,8 +103,7 @@ func SampleArrivals(p int, dist stats.Distribution, r *stats.RNG) []float64 {
 // Drift drifts each participant's bias as an AR(1) process with
 // autocorrelation Rho and innovation scale InnovSigma, on top of iid draws
 // from Dist: the paper's evolving workload imbalance, "where the workload
-// slowly fluctuates from iteration to iteration". internal/workload
-// aliases it as Evolving.
+// slowly fluctuates from iteration to iteration".
 type Drift struct {
 	N          int
 	Dist       stats.Distribution
@@ -349,8 +347,8 @@ func (w Phased) String() string {
 
 // Schedule materializes episodes of per-participant times from g,
 // seeded deterministically — the helper that turns any Generator into a
-// precomputed sleep schedule for live jitter loops (examples, demos),
-// replacing per-client hand-rolled rand loops.
+// precomputed sleep schedule for live jitter loops (examples, demos) and
+// into the rows of a recorded trace (barriersim record).
 func Schedule(g Generator, episodes int, seed uint64) [][]float64 {
 	r := stats.NewRNG(seed)
 	out := make([][]float64, episodes)

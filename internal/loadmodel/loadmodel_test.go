@@ -132,6 +132,114 @@ func TestLoadModelSchedule(t *testing.T) {
 	}
 }
 
+func TestIIDMoments(t *testing.T) {
+	w := IID{N: 1000, Dist: stats.Normal{Mu: 5, Sigma: 2}}
+	r := stats.NewRNG(1)
+	dst := make([]float64, w.P())
+	var all []float64
+	for k := 0; k < 100; k++ {
+		w.Times(k, r, dst)
+		all = append(all, dst...)
+	}
+	if m := stats.Mean(all); math.Abs(m-5) > 0.05 {
+		t.Errorf("mean %v, want ~5", m)
+	}
+	if sd := stats.StdDev(all); math.Abs(sd-2) > 0.05 {
+		t.Errorf("sd %v, want ~2", sd)
+	}
+}
+
+func TestSystemicOffsetsPersist(t *testing.T) {
+	p := 64
+	off := LinearOffsets(p, 10)
+	w := StaticSkew{Base: IID{N: p, Dist: stats.Normal{Sigma: 0.01}}, Offsets: off}
+	r := stats.NewRNG(2)
+	dst := make([]float64, p)
+	// With tiny noise, the slowest processor must be the one with the
+	// largest offset on every iteration.
+	for k := 0; k < 20; k++ {
+		w.Times(k, r, dst)
+		argmax := 0
+		for i, v := range dst {
+			if v > dst[argmax] {
+				argmax = i
+			}
+		}
+		if argmax != p-1 {
+			t.Fatalf("iteration %d: slowest proc %d, want %d", k, argmax, p-1)
+		}
+	}
+}
+
+func TestLinearOffsets(t *testing.T) {
+	off := LinearOffsets(5, 4)
+	want := []float64{-2, -1, 0, 1, 2}
+	for i := range want {
+		if math.Abs(off[i]-want[i]) > 1e-12 {
+			t.Fatalf("offsets %v, want %v", off, want)
+		}
+	}
+	if one := LinearOffsets(1, 4); one[0] != 0 {
+		t.Fatal("single processor offset should be 0")
+	}
+}
+
+func TestEvolvingAutocorrelation(t *testing.T) {
+	p := 256
+	w := &Drift{N: p, Dist: stats.Normal{Sigma: 0.1}, Rho: 0.95, InnovSigma: 1}
+	r := stats.NewRNG(3)
+	prev := make([]float64, p)
+	cur := make([]float64, p)
+	// Warm up so biases reach stationarity.
+	for k := 0; k < 100; k++ {
+		w.Times(k, r, cur)
+	}
+	copy(prev, cur)
+	w.Times(100, r, cur)
+	if rho := stats.Spearman(prev, cur); rho < 0.7 {
+		t.Errorf("evolving workload lag-1 rank correlation %v, want > 0.7", rho)
+	}
+}
+
+func TestEvolvingZeroRhoIsIID(t *testing.T) {
+	p := 512
+	w := &Drift{N: p, Dist: stats.Normal{Sigma: 1}, Rho: 0, InnovSigma: 0}
+	r := stats.NewRNG(4)
+	a, b := make([]float64, p), make([]float64, p)
+	w.Times(0, r, a)
+	w.Times(1, r, b)
+	if rho := stats.Spearman(a, b); math.Abs(rho) > 0.15 {
+		t.Errorf("rho=0 workload correlated across iterations: %v", rho)
+	}
+}
+
+func TestSampleArrivals(t *testing.T) {
+	r := stats.NewRNG(5)
+	xs := SampleArrivals(10000, stats.Normal{Sigma: 3}, r)
+	if len(xs) != 10000 {
+		t.Fatalf("got %d arrivals", len(xs))
+	}
+	if sd := stats.StdDev(xs); math.Abs(sd-3) > 0.1 {
+		t.Errorf("arrival sd %v, want ~3", sd)
+	}
+}
+
+// TestScheduleMatchesDirectSampling pins what a recorded trace holds:
+// row k of Schedule is exactly the generator's episode k drawn from a
+// fresh RNG with the same seed.
+func TestScheduleMatchesDirectSampling(t *testing.T) {
+	w := IID{N: 3, Dist: stats.Normal{Sigma: 1}}
+	rows := Schedule(w, 4, 9)
+	r := stats.NewRNG(9)
+	dst := make([]float64, 3)
+	for k := 0; k < 4; k++ {
+		w.Times(k, r, dst)
+		if !reflect.DeepEqual(rows[k], dst) {
+			t.Fatalf("scheduled row %d differs", k)
+		}
+	}
+}
+
 func TestPlacementRank(t *testing.T) {
 	got := Rank([]float64{0, 5e-3, 1e-3})
 	if !reflect.DeepEqual(got, []int{1, 2, 0}) {

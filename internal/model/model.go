@@ -45,7 +45,9 @@ type Params struct {
 	Tc float64
 }
 
-// DefaultTc mirrors the simulator's counter update time (20µs in seconds).
+// DefaultTc is the counter update time measured on the KSR1 and used for
+// every simulation in the paper: 20µs, expressed in seconds. The simulator
+// and the planner both default to it.
 const DefaultTc = 20e-6
 
 // FullLevels returns L such that d^L == p, or false when p is not a power
@@ -217,7 +219,7 @@ func EstimateSweep(p int, sigma, tc float64) []DegreeEstimate {
 
 // EstimateByDegree returns the model's estimated delay keyed by degree:
 // the join used wherever model estimates are attached to simulated degree
-// rows (cmd/degreeopt's table, the FIG2 experiment). Degrees that are not
+// rows (barriersim sweep's table, the FIG2 experiment). Degrees that are not
 // full-tree degrees of p have no estimate and are simply absent.
 func EstimateByDegree(p int, sigma, tc float64) map[int]float64 {
 	sweep := EstimateSweep(p, sigma, tc)

@@ -24,8 +24,8 @@ type EpisodeStats struct {
 	// Swaps is the barrier's cumulative placement-swap count (dynamic
 	// placement barriers; zero elsewhere).
 	Swaps uint64
-	// Adaptations is the barrier's cumulative tree-rebuild count (adaptive
-	// barriers; zero elsewhere).
+	// Adaptations is the barrier's cumulative tree-rebuild count (the
+	// reconfigurable barrier's epoch; zero elsewhere).
 	Adaptations uint64
 	// Degree is the current combining-tree degree (zero for degree-free
 	// barriers such as central, dissemination and tournament).

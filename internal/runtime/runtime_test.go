@@ -444,3 +444,29 @@ func TestRecorderSamplesOnCadence(t *testing.T) {
 		t.Fatal("episode 6 measured, want the next at 8")
 	}
 }
+
+// TestRecorderShrinkToZero is the regression test for the empty-slot-array
+// panic: a recorder resized to zero participants must measure and report
+// lags without indexing slots[0].
+func TestRecorderShrinkToZero(t *testing.T) {
+	r := New(4, nil, nil, 1)
+	for id := 0; id < 4; id++ {
+		r.Arrive(id, 0)
+	}
+	if lags := r.LagsInto(0, nil); len(lags) != 4 {
+		t.Fatalf("LagsInto before shrink: %d lags, want 4", len(lags))
+	}
+	r.Resize(0)
+	dst := make([]float64, 0, 8)
+	if lags := r.LagsInto(1, dst); len(lags) != 0 {
+		t.Fatalf("LagsInto on a zero-p recorder = %v, want empty", lags)
+	}
+	m, ok := r.Measure(1)
+	if !ok {
+		t.Fatal("Measure on a zero-p recorder reported not-ok; want an empty measurement")
+	}
+	if m.Spread != 0 || m.First != 0 || m.Last != 0 {
+		t.Fatalf("zero-p measurement = %+v, want zero arrivals", m)
+	}
+	r.Emit(m, Extra{}) // must not panic either
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"softbarrier/internal/barriersim"
+	"softbarrier/internal/model"
 	"softbarrier/internal/topology"
 )
 
@@ -85,7 +86,7 @@ func TestPathOfReleaserEndsAtRoot(t *testing.T) {
 func TestSwapRecorded(t *testing.T) {
 	p := 16
 	arr := make([]float64, p)
-	arr[2] = 100 * barriersim.DefaultTc // proc 2 very late → victor
+	arr[2] = 100 * model.DefaultTc // proc 2 very late → victor
 	_, rec := runTraced(t, true, arr)
 	e := rec.Last()
 	if len(e.Swaps) == 0 {
@@ -126,7 +127,7 @@ func TestTimelineWidthClamp(t *testing.T) {
 func TestSummaryRendering(t *testing.T) {
 	p := 16
 	arr := make([]float64, p)
-	arr[5] = 50 * barriersim.DefaultTc
+	arr[5] = 50 * model.DefaultTc
 	_, rec := runTraced(t, true, arr)
 	sum := rec.Last().Summary()
 	for _, want := range []string{"latest arrivals", "p5", "releaser", "swaps"} {

@@ -49,10 +49,13 @@ type poisonCore struct {
 	wdOnce sync.Once // 4-byte aligned like mu: packed, no barrier changes size class
 	err    error
 
-	// arrived is the watchdog's atomic copy of the counts, which it polls
-	// across goroutines; nil without one, so an unwatched arrival pays its
-	// algorithm's atomics and nothing else.
-	arrived *rt.Arrivals
+	// arrived is the watchdog's atomic copy of the counts, one per
+	// participant, which it polls across goroutines; nil without one, so an
+	// unwatched arrival pays its algorithm's atomics and nothing else. A
+	// plain slice packs eight counters to a cache line, so a poll reads p/8
+	// lines. It sits behind a pointer because a membership change installs
+	// fresh counters while the watchdog keeps polling.
+	arrived atomic.Pointer[[]atomic.Uint64]
 
 	wdStop chan struct{}
 }
@@ -62,16 +65,24 @@ type poisonCore struct {
 func (c *poisonCore) initPoison(p int, watchdog time.Duration, notify func(error), wake, clear func(), counts func() []uint64) {
 	c.wake, c.clear, c.counts, c.notify = wake, clear, counts, notify
 	if watchdog > 0 {
-		c.arrived = rt.NewArrivals(p)
+		c.resizeArrived(p)
 		c.wdStop = make(chan struct{})
 		go c.runWatchdog(watchdog)
 	}
 }
 
+// resizeArrived gives the watchdog p fresh counters, all zero. Outside
+// construction it runs only where a watchdog exists, at a quiescent
+// membership change.
+func (c *poisonCore) resizeArrived(p int) {
+	counts := make([]atomic.Uint64, p)
+	c.arrived.Store(&counts)
+}
+
 // noteArrive records participant id's arrival for the watchdog, if any.
 func (c *poisonCore) noteArrive(id int) {
-	if c.arrived != nil {
-		c.arrived.Note(id)
+	if a := c.arrived.Load(); a != nil {
+		(*a)[id].Add(1)
 	}
 }
 
@@ -82,10 +93,15 @@ func (c *poisonCore) noteArrive(id int) {
 // taken slot by slot and is only episode-consistent at a quiescent point.
 // Without a watchdog (WithWatchdog) it may also only be called at one.
 func (c *poisonCore) Arrivals() []uint64 {
-	if c.arrived != nil {
-		return c.arrived.Snapshot(nil)
+	a := c.arrived.Load()
+	if a == nil {
+		return c.counts()
 	}
-	return c.counts()
+	out := make([]uint64, len(*a))
+	for i := range out {
+		out[i] = (*a)[i].Load()
+	}
+	return out
 }
 
 // arrivalSlot is a participant's own episode and arrival count, on a line of its own.
@@ -154,8 +170,10 @@ func (c *poisonCore) Err() error {
 // monitoring.
 func (c *poisonCore) Reset() {
 	c.clear()
-	if c.arrived != nil {
-		c.arrived.Reset()
+	if a := c.arrived.Load(); a != nil {
+		for i := range *a {
+			(*a)[i].Store(0)
+		}
 	}
 	c.mu.Lock()
 	c.err = nil
@@ -176,7 +194,8 @@ func (c *poisonCore) Close() {
 // episode is stalled when the counters are frozen while unequal: someone
 // arrived (its count leads) and the others made no progress. Frozen-equal
 // counters mean the barrier is idle between episodes — participants off
-// doing step work arbitrarily long — which is never poisoned. After d of
+// doing step work arbitrarily long — which is never poisoned, and a
+// membership change (a new number of counters) is progress. After d of
 // no movement the core is poisoned with a StallError naming the absent
 // ids, so the error that unblocks everyone says who to go debug.
 func (c *poisonCore) runWatchdog(d time.Duration) {
@@ -186,7 +205,7 @@ func (c *poisonCore) runWatchdog(d time.Duration) {
 	}
 	ticker := time.NewTicker(tick)
 	defer ticker.Stop()
-	var prev []uint64
+	var prev []uint64  // the counts the previous poll read
 	last := time.Now() // when progress (or quiescence) was last observed
 	for {
 		select {
@@ -198,17 +217,30 @@ func (c *poisonCore) runWatchdog(d time.Duration) {
 			last = time.Now()
 			continue
 		}
-		var changed, equal bool
-		prev, changed, equal = c.arrived.Scan(prev)
-		if changed || equal {
+		counts := *c.arrived.Load()
+		changed := len(prev) != len(counts)
+		if changed {
+			prev = make([]uint64, len(counts))
+		}
+		hi := uint64(0)
+		for i := range counts {
+			v := counts[i].Load()
+			changed = changed || v != prev[i]
+			prev[i], hi = v, max(hi, v)
+		}
+		var missing []int // frozen: who the leading count waits for
+		for id, v := range prev {
+			if v < hi && !changed {
+				missing = append(missing, id)
+			}
+		}
+		if missing == nil { // progress, or idle between episodes
 			last = time.Now()
 			continue
 		}
-		stalled := time.Since(last)
-		if stalled < d {
-			continue
+		if stalled := time.Since(last); stalled >= d {
+			c.Poison(&StallError{Missing: missing, Waited: stalled})
 		}
-		c.Poison(&StallError{Missing: rt.Missing(prev), Waited: stalled})
 	}
 }
 

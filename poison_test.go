@@ -333,6 +333,92 @@ func TestWatchdogIdleBarrierNotPoisoned(t *testing.T) {
 	}
 }
 
+// TestWatchdogScanAndResize drives the watchdog's poll on a bare core over
+// nine counters: equal counts mean idle, counts frozen while unequal are a
+// stall naming everyone behind the leader, and a membership change is
+// progress that restarts the stall clock and is read at its new width.
+func TestWatchdogScanAndResize(t *testing.T) {
+	const d = 40 * time.Millisecond
+	watched := func(p int) *poisonCore {
+		c := &poisonCore{}
+		c.initPoison(p, d, nil, func() {}, func() {}, nil)
+		t.Cleanup(c.Close)
+		return c
+	}
+	// stall waits for the watchdog's poison and returns its cause.
+	stall := func(t *testing.T, c *poisonCore) *StallError {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for c.Err() == nil {
+			if time.Now().After(deadline) {
+				t.Fatal("the watchdog never poisoned a frozen, unequal episode")
+			}
+			time.Sleep(d / 8)
+		}
+		var st *StallError
+		if !errors.As(c.Err(), &st) {
+			t.Fatalf("Err() = %v, want a *StallError", c.Err())
+		}
+		return st
+	}
+	except := func(p, id int) []int {
+		var ids []int
+		for i := 0; i < p; i++ {
+			if i != id {
+				ids = append(ids, i)
+			}
+		}
+		return ids
+	}
+
+	t.Run("equal counts mean idle", func(t *testing.T) {
+		t.Parallel()
+		c := watched(9)
+		for id := 0; id < 9; id++ {
+			c.noteArrive(id)
+		}
+		time.Sleep(5 * d)
+		if err := c.Err(); err != nil {
+			t.Fatalf("idle counters poisoned: %v", err)
+		}
+	})
+
+	t.Run("frozen while unequal is a stall", func(t *testing.T) {
+		t.Parallel()
+		c := watched(9)
+		c.noteArrive(3)
+		st := stall(t, c)
+		if !slices.Equal(st.Missing, except(9, 3)) {
+			t.Fatalf("Missing = %v, want everyone but 3", st.Missing)
+		}
+		if st.Waited < d {
+			t.Fatalf("Waited = %v, below the watchdog's %v", st.Waited, d)
+		}
+	})
+
+	t.Run("resize counts as progress", func(t *testing.T) {
+		t.Parallel()
+		c := watched(9)
+		c.noteArrive(3)
+		time.Sleep(d / 2)
+		// No poll can have seen d without progress yet: the poll after the
+		// arrival saw it move.
+		if err := c.Err(); err != nil {
+			t.Fatalf("poisoned after %v of a %v watchdog: %v", d/2, d, err)
+		}
+		resized := time.Now()
+		c.resizeArrived(17)
+		c.noteArrive(16)
+		st := stall(t, c)
+		if !slices.Equal(st.Missing, except(17, 16)) {
+			t.Fatalf("Missing = %v, want the new membership but 16", st.Missing)
+		}
+		if since := time.Since(resized); st.Waited > since {
+			t.Fatalf("Waited = %v, longer than the %v since the resize: the stall clock did not restart", st.Waited, since)
+		}
+	})
+}
+
 // TestGroupPoisonOnPanicHeals checks the Group rewiring: a panicking
 // worker poisons the barrier (so parked siblings release instead of
 // deadlocking), the panic re-raises from Run, and the barrier is healed —

@@ -373,8 +373,8 @@ func (b *ReconfigurableBarrier) install(prev *treeEpoch, p, degree int, sigma fl
 	next.epoch, next.sigma, next.episodes = prev.epoch+1, sigma, b.est.Episodes()
 	if p != prev.p {
 		b.rec.Resize(p)
-		if b.arrived != nil {
-			b.arrived.Resize(p) // the watchdog's counts restart; its Scan sees progress
+		if b.arrived.Load() != nil {
+			b.resizeArrived(p) // the watchdog's counts restart; its poll sees progress
 		}
 		for i := range next.slots {
 			next.slots[i].arrivals = 0 // and so do the slots' own

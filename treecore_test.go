@@ -314,7 +314,7 @@ func (s *senseRun) episode(last int) {
 			go func(id int) {
 				defer wg.Done()
 				for other := 0; id == last && other < p; other++ {
-					for other != id && core.arrived.Count(other) == before[other] {
+					for other != id && (*core.arrived.Load())[other].Load() == before[other] {
 						runtime.Gosched()
 					}
 				}
