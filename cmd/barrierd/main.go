@@ -8,16 +8,12 @@
 //	barrierd [-listen 127.0.0.1:7643] [-watchdog 10s] [-replan 10]
 //	         [-elastic] [-tc SECONDS] [-sigma SECONDS]
 //	         [-collective OP] [-placement POLICY]
-//	         [-role standalone|root|leaf] [-root ADDR]
-//	         [-shards N] [-shard-id I]
-//	         [-keepalive 15s] [-dial-timeout 5s]
-//	         [-dial-attempts 3] [-dial-backoff 100ms]
+//	         [-root ADDR [-shards N] [-shard-id I]]
+//	         [-keepalive 15s]
 //
-// The last four tune the wire transport: -keepalive is the TCP
-// keepalive probe period armed on every accepted and dialed connection
-// (0 keeps the 15s default, negative disables probing), and the -dial-*
-// trio bounds each leaf→root connection attempt and the doubling
-// backoff-retry loop around it during fleet bringup.
+// -keepalive is the TCP keepalive probe period armed on every accepted
+// and dialed connection (0 keeps the 15s default, negative disables
+// probing).
 //
 // With -elastic, session membership may change between episodes: joins
 // against a full session are parked and admitted at the next episode
@@ -46,17 +42,18 @@
 // fleet splits the population across leaf shards that each combine their
 // local clients and synchronize through a root (internal/shardbarrier):
 //
-//	barrierd -role root -listen 10.0.0.1:7643
-//	barrierd -role leaf -root 10.0.0.1:7643 -shards 4 -shard-id 0 -listen :7643
-//	barrierd -role leaf -root 10.0.0.1:7643 -shards 4 -shard-id 1 -listen :7643
+//	barrierd -listen 10.0.0.1:7643
+//	barrierd -root 10.0.0.1:7643 -shards 4 -shard-id 0 -listen :7643
+//	barrierd -root 10.0.0.1:7643 -shards 4 -shard-id 1 -listen :7643
 //	...
 //
-// A root is an ordinary barrierd that leaves join with shard frames;
-// -role root exists for operational clarity, not a different server.
-// Every leaf of one fleet uses a distinct -shard-id in [0, -shards) —
-// the shard id pins the leaf's slot in the root's deterministic
-// ascending-id fold, keeping non-commutative collectives bit-identical
-// fleet-wide. Leaves and root must agree on -collective (and should
+// -root ADDR makes a barrierd a leaf of the root at ADDR; without it the
+// daemon is a server, and a root is just a server that leaves join with
+// shard frames. -shards and -shard-id describe a leaf and are refused
+// without -root. Every leaf of one fleet uses a distinct -shard-id in
+// [0, -shards) — the shard id pins the leaf's slot in the root's
+// deterministic ascending-id fold, keeping non-commutative collectives
+// bit-identical fleet-wide. Leaves and root must agree on -collective (and should
 // agree on the planner flags); clients connect to any leaf and use the
 // leaf-local participant count for their session. Mixed protocol
 // revisions fail fast: every handshake carries a version byte, and a
@@ -70,18 +67,67 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
+	"time"
 
 	"softbarrier/internal/cli"
 	"softbarrier/internal/netbarrier"
 	"softbarrier/internal/shardbarrier"
+	"softbarrier/internal/wire"
 )
+
+// deployFlags says where the daemon listens and how it joins a fleet.
+type deployFlags struct {
+	listen    string
+	root      string // the root's address; non-empty makes the daemon a leaf
+	shards    int    // leaf shards joining the root per session
+	shardID   int    // this leaf's slot in the root's ascending-id fold
+	keepAlive time.Duration
+}
+
+func addDeployFlags(fs *flag.FlagSet) *deployFlags {
+	d := &deployFlags{}
+	fs.StringVar(&d.listen, "listen", "127.0.0.1:7643", "TCP listen address")
+	fs.StringVar(&d.root, "root", "", "root barrierd address: serve as a leaf shard of that root")
+	fs.IntVar(&d.shards, "shards", 1, "leaf shards joining the root per session (needs -root)")
+	fs.IntVar(&d.shardID, "shard-id", 0, "this leaf's shard index in [0, -shards) (needs -root)")
+	fs.DurationVar(&d.keepAlive, "keepalive", 0, "TCP keepalive probe period (0 = 15s default, negative disables)")
+	return d
+}
+
+// leaf reports whether the flags fs parsed make the daemon a leaf: it is
+// one exactly when -root is given. -shards and -shard-id describe a leaf,
+// so setting either without -root is an error rather than ignored.
+func (d *deployFlags) leaf(fs *flag.FlagSet) (bool, error) {
+	if d.root == "" {
+		var stray []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "shards" || f.Name == "shard-id" {
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			return false, fmt.Errorf("%s only applies to a leaf, which needs -root ADDR", strings.Join(stray, ", "))
+		}
+		return false, nil
+	}
+	if d.shards < 1 {
+		return false, fmt.Errorf("-shards must be ≥ 1, got %d", d.shards)
+	}
+	if d.shardID < 0 || d.shardID >= d.shards {
+		return false, fmt.Errorf("-shard-id %d outside [0, %d)", d.shardID, d.shards)
+	}
+	return true, nil
+}
 
 func main() {
 	nf := cli.AddNetFlags()
+	df := addDeployFlags(flag.CommandLine)
 	flag.Parse()
 
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
@@ -90,12 +136,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := nf.ValidateRole(); err != nil {
+	isLeaf, err := df.leaf(flag.CommandLine)
+	if err != nil {
 		log.Fatal(err)
 	}
+	tr := &wire.TCP{KeepAlive: df.keepAlive}
+	opt.Transport = tr
 	opt.Logf = log.Printf
 
-	ln, err := nf.Transport().Listen(nf.Listen)
+	ln, err := tr.Listen(df.listen)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,20 +153,18 @@ func main() {
 	// (shard frames are part of the base protocol), a leaf wraps one.
 	var serve func() error
 	var closer interface{ Close() error }
-	switch nf.Role {
-	case "leaf":
+	role := "server"
+	if isLeaf {
 		leaf := shardbarrier.NewLeaf(shardbarrier.LeafOptions{
-			Net:          opt,
-			Root:         nf.Root,
-			Index:        nf.ShardID,
-			Shards:       nf.Shards,
-			DialTimeout:  nf.DialTimeout,
-			DialAttempts: nf.DialAttempts,
-			DialBackoff:  nf.DialBackoff,
+			Net:    opt,
+			Root:   df.root,
+			Index:  df.shardID,
+			Shards: df.shards,
 		})
 		serve = func() error { return leaf.Serve(ln) }
 		closer = leaf
-	default:
+		role = "leaf of " + df.root
+	} else {
 		srv := netbarrier.NewServer(opt)
 		serve = func() error { return srv.Serve(ln) }
 		closer = srv
@@ -138,10 +185,6 @@ func main() {
 	place := nf.Placement
 	if place == "" {
 		place = "none"
-	}
-	role := nf.Role
-	if role == "leaf" {
-		role = "leaf of " + nf.Root
 	}
 	log.Printf("listening on %s as %s (watchdog %v, replan every %d episodes, elastic %v, collective %s, placement %s)",
 		ln.Addr(), role, opt.Watchdog, opt.ReplanEvery, opt.Elastic, coll, place)

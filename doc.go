@@ -119,7 +119,7 @@
 // side of the network.
 //
 // At fleet scale the hierarchy gains a second level: leaf barrierds
-// (internal/shardbarrier, barrierd -role leaf) each combine their local
+// (internal/shardbarrier, barrierd -root ADDR) each combine their local
 // clients and forward one aggregated arrival per episode to a root
 // barrierd, which combines the shards and fans a single fleet-wide
 // release — with its participant-weighted fleet σ and, for collectives,

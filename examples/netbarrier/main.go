@@ -56,7 +56,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if nf.Replan == 10 { // demo default: re-plan often enough to see the shift
+	replanSet := false
+	flag.Visit(func(f *flag.Flag) { replanSet = replanSet || f.Name == "replan" })
+	if !replanSet { // demo default: re-plan often enough to see the shift
 		opt.ReplanEvery = 5
 	}
 

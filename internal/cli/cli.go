@@ -1,7 +1,7 @@
 // Package cli holds the configuration plumbing shared by the commands: the
 // -workers/-cache sweep-engine flags of cmd/experiments and cmd/barriersim,
 // a throttled progress printer, duration formatting, and the networked
-// barrier service flags of cmd/barrierd and examples/netbarrier. Keeping it
+// barrier session flags of cmd/barrierd and examples/netbarrier. Keeping it
 // here means each main declares only the flags specific to its own
 // question.
 package cli
@@ -16,7 +16,6 @@ import (
 	"softbarrier"
 	"softbarrier/internal/netbarrier"
 	"softbarrier/internal/sweep"
-	"softbarrier/internal/wire"
 )
 
 // EngineFlags carries the shared parallel-sweep configuration.
@@ -88,12 +87,11 @@ func Dur(sec float64) time.Duration {
 	return time.Duration(sec * float64(time.Second)).Round(100 * time.Nanosecond)
 }
 
-// NetFlags carries the networked-barrier service configuration shared by
+// NetFlags carries the networked-barrier session configuration shared by
 // cmd/barrierd and examples/netbarrier, mirroring netbarrier.Options
-// field for field where a flag makes sense.
+// field for field where a flag makes sense. Where the daemon listens and
+// how it joins a fleet are cmd/barrierd's own flags.
 type NetFlags struct {
-	// Listen is the TCP listen address.
-	Listen string
 	// Watchdog is the per-session stall deadline; 0 disables detection.
 	Watchdog time.Duration
 	// Replan is how many episodes pass between planner re-evaluations.
@@ -113,41 +111,11 @@ type NetFlags struct {
 	Tc float64
 	// Sigma is the arrival spread assumed before any episode is measured.
 	Sigma float64
-	// Role selects the daemon's place in a hierarchical deployment:
-	// "standalone" (the default single-server mode), "root" (the
-	// inter-shard coordinator leaf barrierds synchronize through), or
-	// "leaf" (a shard combining local clients and forwarding one
-	// aggregated arrival per episode to -root).
-	Role string
-	// Root is the root barrierd's address; required for -role leaf.
-	Root string
-	// ShardID is this leaf's shard index — its slot in the root's
-	// deterministic ascending-id fold. Leaves of one fleet use distinct
-	// ids in [0, -shards).
-	ShardID int
-	// Shards is how many leaf shards join the root for each session.
-	Shards int
-	// KeepAlive is the TCP keepalive probe period armed on every
-	// connection (listener and leaf→root links alike): 0 selects
-	// wire.DefaultKeepAlive (15s), negative disables probing. A silently
-	// vanished peer — powered off, cable pulled, NAT state dropped — is
-	// detected within roughly this period even between episodes, when
-	// neither side is writing.
-	KeepAlive time.Duration
-	// DialTimeout bounds each leaf→root connection attempt; 0 selects 5s.
-	DialTimeout time.Duration
-	// DialAttempts is how many times a failed root dial is retried; 0
-	// selects 3.
-	DialAttempts int
-	// DialBackoff is the sleep after the first failed root dial, doubling
-	// per subsequent failure; 0 selects 100ms.
-	DialBackoff time.Duration
 }
 
-// AddNetFlags registers the barrierd service flags on the default FlagSet.
+// AddNetFlags registers the session flags on the default FlagSet.
 func AddNetFlags() *NetFlags {
 	f := &NetFlags{}
-	flag.StringVar(&f.Listen, "listen", "127.0.0.1:7643", "TCP listen address")
 	flag.DurationVar(&f.Watchdog, "watchdog", 10*time.Second, "per-session stall deadline (0 disables stall detection)")
 	flag.IntVar(&f.Replan, "replan", 10, "episodes between tree-degree re-plans (0 = every episode)")
 	flag.BoolVar(&f.Elastic, "elastic", false, "elastic sessions: admit joins and absorb leaves at episode boundaries")
@@ -157,47 +125,7 @@ func AddNetFlags() *NetFlags {
 		"serve collective sessions folding contributions with this op, one of: "+strings.Join(softbarrier.OpNames(), ", "))
 	flag.StringVar(&f.Placement, "placement", "",
 		"predictive straggler-placement policy (reactive moves consistently slow clients to the root), one of: "+strings.Join(softbarrier.PlacementNames(), ", "))
-	flag.StringVar(&f.Role, "role", "standalone", "deployment role: standalone | root | leaf")
-	flag.StringVar(&f.Root, "root", "", "root barrierd address (required with -role leaf)")
-	flag.IntVar(&f.ShardID, "shard-id", 0, "this leaf's shard index in [0, -shards) (-role leaf)")
-	flag.IntVar(&f.Shards, "shards", 1, "leaf shards joining the root per session (-role leaf)")
-	flag.DurationVar(&f.KeepAlive, "keepalive", 0, "TCP keepalive probe period (0 = 15s default, negative disables)")
-	flag.DurationVar(&f.DialTimeout, "dial-timeout", 0, "bound on each leaf→root connection attempt (0 = 5s)")
-	flag.IntVar(&f.DialAttempts, "dial-attempts", 0, "retries for a failed root dial (0 = 3)")
-	flag.DurationVar(&f.DialBackoff, "dial-backoff", 0, "sleep after the first failed root dial, doubling per failure (0 = 100ms)")
 	return f
-}
-
-// Transport builds the TCP transport the flags describe: every listener
-// and leaf→root link the daemon opens shares the configured keepalive.
-// The hard-coded 15s probe period and dial parameters that used to live
-// as literals in the client and leaf dial paths are all reachable from
-// here.
-func (f *NetFlags) Transport() *wire.TCP {
-	return &wire.TCP{KeepAlive: f.KeepAlive}
-}
-
-// ValidateRole checks the hierarchical-deployment flag combination.
-func (f *NetFlags) ValidateRole() error {
-	switch f.Role {
-	case "standalone", "root":
-		if f.Root != "" {
-			return fmt.Errorf("-root is only meaningful with -role leaf")
-		}
-		return nil
-	case "leaf":
-		if f.Root == "" {
-			return fmt.Errorf("-role leaf requires -root ADDR")
-		}
-		if f.Shards < 1 {
-			return fmt.Errorf("-shards must be ≥ 1, got %d", f.Shards)
-		}
-		if f.ShardID < 0 || f.ShardID >= f.Shards {
-			return fmt.Errorf("-shard-id %d outside [0, %d)", f.ShardID, f.Shards)
-		}
-		return nil
-	}
-	return fmt.Errorf("unknown -role %q (want standalone, root or leaf)", f.Role)
 }
 
 // Placement resolves a policy name to its constructor, erroring on an
@@ -214,8 +142,8 @@ func Placement(name string) (func() softbarrier.PlacementPolicy, error) {
 	return mk, nil
 }
 
-// Options maps the flags onto a netbarrier server configuration. Logf is
-// left nil; callers wire their own logger. It errors on an unknown
+// Options maps the flags onto a netbarrier server configuration. Logf and
+// Transport are left nil for the caller to wire. It errors on an unknown
 // -collective op name, listing the valid ones.
 func (f *NetFlags) Options() (netbarrier.Options, error) {
 	opt := netbarrier.Options{
@@ -224,7 +152,6 @@ func (f *NetFlags) Options() (netbarrier.Options, error) {
 		Elastic:      f.Elastic,
 		Tc:           f.Tc,
 		InitialSigma: f.Sigma,
-		Transport:    f.Transport(),
 	}
 	if f.Collective != "" {
 		op, ok := softbarrier.OpByName(f.Collective)

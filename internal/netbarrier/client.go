@@ -24,7 +24,6 @@ type Release struct {
 	Epoch   uint64  // the next episode's configuration epoch
 	Spread  float64 // this episode's arrival spread, seconds
 	Sigma   float64 // the session's EWMA σ estimate, seconds
-	FleetP  int     // shard peers only: fleet-wide participant count across every shard
 	Result  []byte  // collective sessions: the episode's folded result
 }
 
@@ -54,23 +53,6 @@ type Client struct {
 	err     error
 }
 
-// DialConn establishes the raw transport a barrierd peer runs over, using
-// the default TCP transport: Nagle disabled (arrive/release frames are
-// latency-bound), OS keepalive armed, and the whole connection attempt
-// bounded by timeout (0 = no bound). Peers that need different keepalive
-// or dial behavior configure a wire.TCP (or any other wire.Dialer) and
-// dial through it instead.
-func DialConn(addr string, timeout time.Duration) (net.Conn, error) {
-	return wire.DefaultTCP.Dial(addr, timeout)
-}
-
-// RedialConn is DialConn with the bounded reconnect loop of wire.Redial:
-// up to attempts tries, sleeping backoff after the first failure and
-// doubling it after each subsequent one.
-func RedialConn(addr string, timeout time.Duration, attempts int, backoff time.Duration) (net.Conn, error) {
-	return wire.Redial(wire.DefaultTCP, addr, timeout, attempts, backoff)
-}
-
 // Dial connects to a barrierd server with no connect bound. Join must be
 // called next.
 func Dial(addr string) (*Client, error) { return DialTimeout(addr, 0) }
@@ -92,8 +74,8 @@ func DialVia(d wire.Dialer, addr string, timeout time.Duration) (*Client, error)
 }
 
 // NewClient wraps an established connection (from a wire.Dialer, or
-// anything else that speaks the wire protocol) as a Client. Join or
-// ShardJoin must be called next.
+// anything else that speaks the wire protocol) as a Client. Join must be
+// called next.
 func NewClient(conn net.Conn) *Client {
 	return &Client{fc: wire.NewFrameConn(conn)}
 }
@@ -104,26 +86,13 @@ func (c *Client) Join(session string, p int) error { return c.JoinAs(session, p,
 
 // JoinAs is Join with an explicit participant id request.
 func (c *Client) JoinAs(session string, p, id int) error {
-	return c.join(wire.TypeJoinReq, session, p, id)
-}
-
-// ShardJoin enters the named session as one of shards aggregated shard
-// participants — the handshake a leaf barrierd performs against its root.
-// A shard id ≥ 0 pins this shard's slot in the root's deterministic
-// ascending-id fold (so a fleet that cares about bit-identical collective
-// results assigns stable shard indices); -1 takes any free slot.
-func (c *Client) ShardJoin(session string, shards, id int) error {
-	return c.join(wire.TypeShardJoin, session, shards, id)
-}
-
-func (c *Client) join(typ byte, session string, p, id int) error {
 	if c.err != nil {
 		return c.err
 	}
 	if c.joined {
 		return c.fail(errors.New("netbarrier: already joined"))
 	}
-	if err := c.fc.WriteFrame(wire.Frame{Type: typ, Name: session, P: p, ID: id}); err != nil {
+	if err := c.fc.WriteFrame(wire.Frame{Type: wire.TypeJoinReq, Name: session, P: p, ID: id}); err != nil {
 		return c.fail(err)
 	}
 	resp, err := c.fc.ReadFrame()
@@ -207,33 +176,13 @@ func (c *Client) ArriveReduce(in []byte) error {
 	return nil
 }
 
-// ShardArrive forwards this shard's combined arrival at the current
-// episode: localP is how many local participants it aggregates, spread
-// and sigma the shard's local arrival measurements, and data its locally
-// folded collective contribution (nil for plain sessions). It is the
-// ShardJoin counterpart of Arrive/ArriveReduce; the episode completes
-// with a shard-release, surfaced by Await with FleetP and Result set.
-func (c *Client) ShardArrive(localP int, spread, sigma float64, data []byte) error {
-	if c.err != nil {
-		return c.err
-	}
-	if !c.joined {
-		return c.fail(errors.New("netbarrier: arrive before join"))
-	}
-	if err := c.fc.WriteFrame(wire.Frame{Type: wire.TypeShardArrive, Episode: c.episode, P: localP, Spread: spread, Sigma: sigma, Data: data}); err != nil {
-		return c.fail(err)
-	}
-	return nil
-}
-
 // Poison delivers a poison cause upstream: the session is aborted for
 // every participant with err as the wire-encoded cause, exactly as if the
-// server had poisoned it locally. Only shard peers may send it — a leaf
-// whose local cohort failed uses it to hand the root the original cause
-// (a *StallError naming the absent local clients, say) instead of the
-// anonymous "shard disconnected" a bare connection drop would produce.
-// The client is failed with err afterwards; the connection is left for
-// the caller to close.
+// server had poisoned it locally, so the other members' waits see the
+// original error (errors.Is/As identity intact) instead of the anonymous
+// "disconnected" a bare connection drop would produce. The client is
+// failed with err afterwards; the connection is left for the caller to
+// close.
 func (c *Client) Poison(err error) error {
 	if c.err != nil {
 		return c.err
@@ -277,7 +226,7 @@ func (c *Client) Await() (Release, error) {
 		return Release{}, c.fail(fmt.Errorf("netbarrier: connection failed awaiting release: %w", err))
 	}
 	switch f.Type {
-	case wire.TypeRelease, wire.TypeResult, wire.TypeShardRelease:
+	case wire.TypeRelease, wire.TypeResult:
 		c.episode = f.Episode + 1
 		c.degree = f.Degree
 		if f.P > 0 {
@@ -286,14 +235,8 @@ func (c *Client) Await() (Release, error) {
 		c.epoch = f.Epoch
 		c.sigma = f.Sigma
 		rel := Release{Episode: f.Episode, Degree: f.Degree, P: f.P, Epoch: f.Epoch, Spread: f.Spread, Sigma: f.Sigma}
-		switch f.Type {
-		case wire.TypeResult:
+		if f.Type == wire.TypeResult {
 			rel.Result = append([]byte(nil), f.Data...)
-		case wire.TypeShardRelease:
-			rel.FleetP = f.FleetP
-			if len(f.Data) > 0 {
-				rel.Result = append([]byte(nil), f.Data...)
-			}
 		}
 		return rel, nil
 	case wire.TypePoison:

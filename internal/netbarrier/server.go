@@ -12,6 +12,14 @@ import (
 	"softbarrier/internal/wire"
 )
 
+const (
+	// joinTimeout bounds how long a fresh connection may take to present
+	// its JoinReq.
+	joinTimeout = 10 * time.Second
+	// maxP caps the participant count a JoinReq may open a session with.
+	maxP = 4096
+)
+
 // ErrServerClosed is the poison cause members receive when the server is
 // shut down under them.
 var ErrServerClosed = errors.New("netbarrier: server closed")
@@ -48,12 +56,6 @@ type Options struct {
 	// 0 selects 10s. A member that cannot be written within it is treated
 	// as failed and the session is poisoned.
 	WriteTimeout time.Duration
-	// JoinTimeout bounds how long a fresh connection may take to present
-	// its JoinReq; 0 selects 10s.
-	JoinTimeout time.Duration
-	// MaxP caps the participant count a JoinReq may open a session with;
-	// 0 selects 4096.
-	MaxP int
 	// Placement constructs a predictive straggler-placement policy for
 	// each new session (policies are stateful and single-owner, so the
 	// server needs a factory, not an instance — use
@@ -104,20 +106,6 @@ func (o *Options) writeTimeout() time.Duration {
 		return o.WriteTimeout
 	}
 	return 10 * time.Second
-}
-
-func (o *Options) joinTimeout() time.Duration {
-	if o.JoinTimeout > 0 {
-		return o.JoinTimeout
-	}
-	return 10 * time.Second
-}
-
-func (o *Options) maxP() int {
-	if o.MaxP > 0 {
-		return o.MaxP
-	}
-	return 4096
 }
 
 func (o *Options) logf(format string, args ...any) {
@@ -439,7 +427,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	fc := wire.NewFrameConn(conn) // the read half only: frames are written through c
 
-	conn.SetReadDeadline(time.Now().Add(s.opt.joinTimeout()))
+	conn.SetReadDeadline(time.Now().Add(joinTimeout))
 	req, err := fc.ReadFrame()
 	if err != nil || (req.Type != wire.TypeJoinReq && req.Type != wire.TypeShardJoin) {
 		if errors.Is(err, wire.ErrVersionMismatch) {
@@ -516,8 +504,8 @@ func (s *Server) join(c *srvConn, req *wire.Frame) (*session, wire.Frame, bool) 
 	if req.Name == "" {
 		return refuse("empty session name")
 	}
-	if req.P < 1 || req.P > s.opt.maxP() {
-		return refuse(fmt.Sprintf("participant count %d outside [1, %d]", req.P, s.opt.maxP()))
+	if req.P < 1 || req.P > maxP {
+		return refuse(fmt.Sprintf("participant count %d outside [1, %d]", req.P, maxP))
 	}
 	if req.ID >= req.P {
 		// Checked before the session table so a doomed join can never be

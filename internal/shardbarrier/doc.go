@@ -34,5 +34,6 @@
 // and sessions that span a subset of the fleet (FleetOptions.Span) get
 // their shard ids from the ring's placement order. Fleet wires a root
 // plus N leaves on loopback for tests and single-host deployments;
-// `barrierd -role root|leaf` runs the same wiring across machines.
+// `barrierd` (a root) and `barrierd -root ADDR` (each leaf) run the same
+// wiring across machines.
 package shardbarrier

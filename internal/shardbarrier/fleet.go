@@ -2,7 +2,6 @@ package shardbarrier
 
 import (
 	"fmt"
-	"time"
 
 	"softbarrier/internal/netbarrier"
 	"softbarrier/internal/wire"
@@ -32,11 +31,6 @@ type FleetOptions struct {
 	// empty selects "127.0.0.1:0" (ephemeral loopback ports). A memnet
 	// fleet passes "mem:0" so its addresses carry the mem: scheme.
 	Bind string
-	// DialTimeout/DialAttempts/DialBackoff tune the leaf→root links (see
-	// LeafOptions).
-	DialTimeout  time.Duration
-	DialAttempts int
-	DialBackoff  time.Duration
 }
 
 func (o *FleetOptions) transport() wire.Transport {
@@ -52,7 +46,7 @@ func (o *FleetOptions) transport() wire.Transport {
 // Fleet is an in-process hierarchical deployment — one root barrierd and
 // N leaf shards on loopback listeners — for tests, benchmarks, and
 // single-host scale-out. Production fleets run the same wiring across
-// processes via `barrierd -role root` / `-role leaf`.
+// processes via plain `barrierd` (the root) and `barrierd -root ADDR` (each leaf).
 type Fleet struct {
 	Root   *netbarrier.Server
 	Leaves []*Leaf
@@ -83,6 +77,7 @@ func StartFleet(opt FleetOptions) (*Fleet, error) {
 	}
 	rootOpt.Upstream = nil
 	tr := opt.transport()
+	opt.Net.Transport = tr // every leaf listens and dials through it
 	bind := opt.Bind
 	if bind == "" {
 		bind = "127.0.0.1:0"
@@ -109,15 +104,11 @@ func StartFleet(opt FleetOptions) (*Fleet, error) {
 	f.ring = NewRing(f.leafAddrs, 0)
 	for i := 0; i < n; i++ {
 		leaf := NewLeaf(LeafOptions{
-			Net:          opt.Net,
-			Root:         f.rootAddr,
-			Index:        i,
-			Shards:       span,
-			SessionSlot:  f.slotFor(i),
-			Transport:    tr,
-			DialTimeout:  opt.DialTimeout,
-			DialAttempts: opt.DialAttempts,
-			DialBackoff:  opt.DialBackoff,
+			Net:         opt.Net,
+			Root:        f.rootAddr,
+			Index:       i,
+			Shards:      span,
+			SessionSlot: f.slotFor(i),
 		})
 		f.Leaves = append(f.Leaves, leaf)
 		go leaf.Serve(lns[i])

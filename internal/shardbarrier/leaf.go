@@ -10,12 +10,27 @@ import (
 	"softbarrier/internal/wire"
 )
 
+// The leaf→root link's timing. Each root dial is bounded by dialTimeout
+// and retried up to dialAttempts times, sleeping dialBackoff after the
+// first failure and doubling it after each later one; each frame write on
+// the link is bounded by writeTimeout.
+const (
+	dialTimeout  = 5 * time.Second
+	dialAttempts = 3
+	dialBackoff  = 100 * time.Millisecond
+	writeTimeout = 10 * time.Second
+)
+
 // LeafOptions configures one leaf shard of a hierarchical deployment.
 type LeafOptions struct {
 	// Net configures the leaf's local netbarrier server — watchdog,
 	// elasticity, collective op, planner knobs — exactly as for a
 	// standalone barrierd. Net.Upstream is overwritten: wiring the leaf to
-	// its root is this package's job.
+	// its root is this package's job. Net.Transport is the network both
+	// sides of the leaf run over — the local listener ListenAndServe binds
+	// and the dialer the leaf→root links use — so a fleet on an in-process
+	// memnet (or under a chaos wrapper) configures one transport and every
+	// hop follows. Nil selects wire.DefaultTCP.
 	Net netbarrier.Options
 	// Root is the root barrierd's address (host:port).
 	Root string
@@ -33,60 +48,6 @@ type LeafOptions struct {
 	// wrong leaf is then refused with a placement error instead of
 	// corrupting another shard's slot. Fleet wires this to Ring.Span.
 	SessionSlot func(session string) (shards, id int)
-	// Transport is the network both sides of the leaf run over: the local
-	// listener ListenAndServe binds and the dialer the leaf→root links use.
-	// Nil selects Net.Transport, then wire.DefaultTCP — so a fleet on an
-	// in-process memnet (or under a chaos wrapper) configures one transport
-	// and every hop follows.
-	Transport wire.Transport
-	// DialTimeout bounds each connection attempt to the root; 0 selects 5s.
-	DialTimeout time.Duration
-	// DialAttempts is how many times a failed root dial is retried before
-	// the session is poisoned with the dial error; 0 selects 3.
-	DialAttempts int
-	// DialBackoff is the sleep after the first failed attempt, doubling
-	// after each subsequent one; 0 selects 100ms.
-	DialBackoff time.Duration
-	// WriteTimeout bounds each frame write on the root link; 0 selects 10s.
-	WriteTimeout time.Duration
-}
-
-func (o *LeafOptions) transport() wire.Transport {
-	if o.Transport != nil {
-		return o.Transport
-	}
-	if o.Net.Transport != nil {
-		return o.Net.Transport
-	}
-	return wire.DefaultTCP
-}
-
-func (o *LeafOptions) dialTimeout() time.Duration {
-	if o.DialTimeout > 0 {
-		return o.DialTimeout
-	}
-	return 5 * time.Second
-}
-
-func (o *LeafOptions) dialAttempts() int {
-	if o.DialAttempts > 0 {
-		return o.DialAttempts
-	}
-	return 3
-}
-
-func (o *LeafOptions) dialBackoff() time.Duration {
-	if o.DialBackoff > 0 {
-		return o.DialBackoff
-	}
-	return 100 * time.Millisecond
-}
-
-func (o *LeafOptions) writeTimeout() time.Duration {
-	if o.WriteTimeout > 0 {
-		return o.WriteTimeout
-	}
-	return 10 * time.Second
 }
 
 func (o *LeafOptions) slot(session string) (shards, id int) {
@@ -117,7 +78,7 @@ func NewLeaf(opt LeafOptions) *Leaf {
 	l := &Leaf{opt: opt}
 	l.opt.Net.Upstream = l
 	if l.opt.Net.Transport == nil {
-		l.opt.Net.Transport = l.opt.transport()
+		l.opt.Net.Transport = wire.DefaultTCP
 	}
 	l.srv = netbarrier.NewServer(l.opt.Net)
 	return l
@@ -129,13 +90,7 @@ func (l *Leaf) Server() *netbarrier.Server { return l.srv }
 
 // ListenAndServe listens on addr through the leaf's transport and serves
 // local clients until Close.
-func (l *Leaf) ListenAndServe(addr string) error {
-	ln, err := l.opt.transport().Listen(addr)
-	if err != nil {
-		return err
-	}
-	return l.Serve(ln)
-}
+func (l *Leaf) ListenAndServe(addr string) error { return l.srv.ListenAndServe(addr) }
 
 // Serve accepts local client connections on ln until Close and blocks for
 // the duration.
@@ -191,17 +146,17 @@ func (lk *link) dial() (*wire.FrameConn, uint64, error) {
 	if id < 0 {
 		return nil, 0, fmt.Errorf("shardbarrier: session %q is not placed on this leaf (consistent-hash placement routes it elsewhere)", lk.name)
 	}
-	conn, err := wire.Redial(opt.transport(), opt.Root, opt.dialTimeout(), opt.dialAttempts(), opt.dialBackoff())
+	conn, err := wire.Redial(opt.Net.Transport, opt.Root, dialTimeout, dialAttempts, dialBackoff)
 	if err != nil {
 		return nil, 0, fmt.Errorf("shardbarrier: session %q cannot reach root: %w", lk.name, err)
 	}
 	fc := wire.NewFrameConn(conn)
-	err = fc.WriteFrameTimeout(wire.Frame{Type: wire.TypeShardJoin, Name: lk.name, P: shards, ID: id}, opt.writeTimeout())
+	err = fc.WriteFrameTimeout(wire.Frame{Type: wire.TypeShardJoin, Name: lk.name, P: shards, ID: id}, writeTimeout)
 	if err != nil {
 		fc.Close()
 		return nil, 0, fmt.Errorf("shardbarrier: session %q shard-join write failed: %w", lk.name, err)
 	}
-	fc.SetReadDeadline(time.Now().Add(opt.dialTimeout() + opt.writeTimeout()))
+	fc.SetReadDeadline(time.Now().Add(dialTimeout + writeTimeout))
 	resp, err := fc.ReadFrame()
 	switch {
 	case err != nil:
@@ -370,7 +325,7 @@ func (lk *link) closeLocked(last wire.Frame) {
 }
 
 // writeLocked sends one frame on the write half under lk.mu, bounded by
-// the leaf's write timeout.
+// writeTimeout.
 func (lk *link) writeLocked(f wire.Frame) error {
-	return lk.fc.WriteFrameTimeout(f, lk.leaf.opt.writeTimeout())
+	return lk.fc.WriteFrameTimeout(f, writeTimeout)
 }

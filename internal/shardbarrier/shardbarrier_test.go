@@ -474,6 +474,49 @@ func TestDeadRootPoisonsLeafSessions(t *testing.T) {
 	}
 }
 
+// TestUnreachableRootPoisonsLeafSession starts a leaf whose root address
+// has no listener: the first forwarded arrival's dial fails every attempt,
+// and each local client's Wait must return that failure. The 2s bound is
+// the budget for all of the link's dial attempts and backoff sleeps, so
+// raising dialAttempts or dialBackoff far enough fails here.
+func TestUnreachableRootPoisonsLeafSession(t *testing.T) {
+	const p = 3
+	leaf := NewLeaf(LeafOptions{
+		Net:  netbarrier.Options{Watchdog: 30 * time.Second, Transport: testNet},
+		Root: "mem:no-root-listens-here",
+	})
+	ln, err := testNet.Listen("mem:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go leaf.Serve(ln)
+	t.Cleanup(func() { leaf.Close() })
+
+	clients := make([]*netbarrier.Client, p)
+	for i := range clients {
+		clients[i] = dialJoin(t, ln.Addr().String(), "unreachable", p, -1)
+		defer clients[i].Close()
+	}
+	errs := make(chan error, p)
+	start := time.Now()
+	for _, c := range clients {
+		go func(c *netbarrier.Client) {
+			_, err := c.Wait()
+			errs <- err
+		}(c)
+	}
+	for i := 0; i < p; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "cannot reach root") {
+				t.Errorf("Wait = %v, want the link's dial failure", err)
+			}
+		case <-time.After(2*time.Second - time.Since(start)):
+			t.Fatalf("only %d of %d clients saw the dial failure within 2s", i, p)
+		}
+	}
+}
+
 // TestRingSpanIsolation runs a span-1 fleet — sessions placed on single
 // leaves by the ring — and checks the acceptance property: killing one
 // leaf poisons exactly that leaf's sessions, while sessions on the other
