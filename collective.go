@@ -11,9 +11,9 @@ import (
 // Op is an associative combining operator over fixed-width byte strings:
 // the payload a collective barrier carries. See the field docs on
 // internal/runtime.Op — in particular the Commutative contract, which
-// selects greedy arrival-order folding during the ascent (the σ-aware
-// "pre-reduce early arrivals" policy) versus the deterministic
-// ascending-id fold at the root.
+// selects folding during the ascent, each node's inputs in input order by
+// whoever completes the node (the σ-aware "pre-reduce early arrivals"
+// policy), versus the deterministic ascending-id fold at the root.
 type Op = rt.Op
 
 // ErrNoCollective is returned by the collective methods of a barrier that
@@ -45,20 +45,12 @@ type Collective interface {
 // Collective episode modes, threaded through the ascent in the releaser's
 // stack frame: every participant of one episode must use the same mode
 // (the "same call per episode" contract above), so no shared mode state
-// is needed.
+// is needed. A reduction folds during the ascent on a barrier whose op is
+// Commutative (treeCore.folding), and in id order at the root otherwise.
 const (
-	collGreedy uint8 = iota + 1 // commutative: fold during the ascent
-	collCells                   // deposit; the releaser folds in id order
+	collReduce uint8 = iota + 1 // contribute to the episode's fold
 	collBcast                   // root deposits; the releaser selects its cell
 )
-
-// reduceMode picks the reduction path the op's contract allows.
-func reduceMode(op Op) uint8 {
-	if op.Commutative {
-		return collGreedy
-	}
-	return collCells
-}
 
 // checkContribution enforces the contribution-width contract, which is a
 // programming error like a bad participant id.

@@ -3,6 +3,7 @@ package softbarrier
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -119,8 +120,8 @@ func TestCollectiveAllReduceDifferential(t *testing.T) {
 	}
 }
 
-// TestCollectiveAllReduceCommutative exercises the greedy arrival-order
-// path: a commutative sum folded during the ascent.
+// TestCollectiveAllReduceCommutative exercises the greedy path: a
+// commutative sum folded during the ascent.
 func TestCollectiveAllReduceCommutative(t *testing.T) {
 	const p, episodes = 7, 40
 	op := OpSumUint64()
@@ -148,6 +149,69 @@ func TestCollectiveAllReduceCommutative(t *testing.T) {
 		b := b
 		t.Run(name, func(t *testing.T) {
 			runAllReduceEpisodes(t, b, p, episodes, op, contrib, want)
+		})
+	}
+}
+
+// TestCollectiveGreedyFoldIgnoresArrivalOrder: each node folds its inputs
+// in input order, so on a tree whose placement never changes a commutative
+// op gets the same bits whatever the arrival order — even an op that is
+// not associative, float addition marked Commutative here, whose result
+// moves with any change of parenthesization.
+func TestCollectiveGreedyFoldIgnoresArrivalOrder(t *testing.T) {
+	const p, orders = 13, 24
+	op := OpSumFloat64()
+	op.Commutative = true
+	in := make([][]byte, p)
+	for id := range in {
+		v := math.Ldexp(1+float64(id)/7, 40*(id%3)-40)
+		if id%2 == 1 {
+			v = -v
+		}
+		in[id] = binary.BigEndian.AppendUint64(nil, math.Float64bits(v))
+	}
+	rng := rand.New(rand.NewSource(7))
+	// The op really is not associative on these inputs: sequential folds
+	// in different orders disagree.
+	seen := map[string]bool{}
+	for i := 0; i < orders; i++ {
+		perm := make([][]byte, p)
+		for k, id := range rng.Perm(p) {
+			perm[k] = in[id]
+		}
+		seen[string(sequentialFold(op, perm))] = true
+	}
+	if len(seen) < 2 {
+		t.Fatal("every order folded to the same bits: the test op is associative on its inputs")
+	}
+	for _, k := range []struct {
+		name string
+		b    fuzzyCollective
+	}{
+		{"tree", NewCombiningTree(p, 3, WithCollective(op))},
+		{"mcs", NewMCSTree(p, 3, WithCollective(op))},
+		{"reconfig", NewReconfigurable(p, ReconfigConfig{InitialDegree: 3, MinDegreeDelta: p}, WithCollective(op))},
+	} {
+		t.Run(k.name, func(t *testing.T) {
+			var first []byte
+			out := make([]byte, 8)
+			for e := 0; e < orders; e++ {
+				for _, id := range rng.Perm(p) {
+					if err := k.b.ArriveReduce(id, in[id]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for id := 0; id < p; id++ {
+					if err := k.b.AwaitResult(id, out); err != nil {
+						t.Fatal(err)
+					}
+					if first == nil {
+						first = bytes.Clone(out)
+					} else if !bytes.Equal(out, first) {
+						t.Fatalf("order %d id %d: reduced %x, the first order %x", e, id, out, first)
+					}
+				}
+			}
 		})
 	}
 }

@@ -70,9 +70,10 @@
 // arrival wave reduces every participant's fixed-width contribution with
 // the associative Op and the release wave broadcasts the result —
 // AllReduce, Reduce and Broadcast (the Collective interface) as barrier
-// episodes, freely mixed with plain Wait. Commutative ops fold greedily
-// in arrival order, pre-reducing early arrivals while stragglers still
-// work; non-commutative ops (OpSumFloat64 — float addition does not
+// episodes, freely mixed with plain Wait. Commutative ops fold during the
+// ascent — whoever completes a tree node folds the node's inputs, in input
+// order and without a lock — pre-reducing early arrivals while stragglers
+// still work; non-commutative ops (OpSumFloat64 — float addition does not
 // associate) fold deterministically in ascending id order, so every
 // participant receives the bit-identical sequential fold and can branch
 // on it unanimously. ReduceOrder plus topology.PlaceByDepth place the

@@ -13,9 +13,10 @@ import "softbarrier/internal/topology"
 //
 // The swap protocol follows the paper's two-phase scheme: the victor
 // writes its id into the counter's Local entry and its previous first
-// counter into the Destination entry; at its next episode the victim
-// notices it was displaced, reads Destination (the one extra
-// communication, paid by the faster processor) and adopts it. Swap writes
+// counter into the Destination entry, with its input cell there, which a
+// folding collective writes into; at its next episode the victim notices
+// it was displaced, reads Destination (the one extra communication, paid
+// by the faster processor) and adopts it. Swap writes
 // happen during the ascent, before the victor updates the parent counter,
 // so they are always ordered before the episode's release.
 //
@@ -98,14 +99,16 @@ func (st *treeEpoch) home(id int) int {
 // evicted alone is read by participants that own none of this — everyone
 // whose first counter this is checks it on arrival while the victim may be
 // clearing it — so it is the one atomic, and the victor publishes it last:
-// whoever sees its id there finds destination and local already written.
+// whoever sees its id there finds destination, destIn and local already
+// written.
 // internal/modelcheck explores these steps one memory operation at a time.
 
 // adopt is the victim side (Fig. 6d), run before the participant's first
 // counter update: if it was displaced last episode, its stale counter's
-// evicted entry names it; it adopts the destination and, when that is an
-// internal counter, takes over its local slot. Not displaced — the case
-// on all but a few arrivals — it costs one atomic load.
+// evicted entry names it; it adopts the destination and its input cell
+// there and, when that is an internal counter, takes over its local slot.
+// Not displaced — the case on all but a few arrivals — it costs one atomic
+// load.
 func (st *treeEpoch) adopt(id int, sl *treeSlot) {
 	cn := &st.counters[sl.first]
 	if cn.evicted.Load() != int32(id) {
@@ -116,7 +119,7 @@ func (st *treeEpoch) adopt(id int, sl *treeSlot) {
 	if len(st.tree.Counters[dest].Children) > 0 {
 		st.counters[dest].local = int32(id)
 	}
-	sl.first = dest
+	sl.first, sl.in = dest, int(cn.destIn)
 }
 
 // victorSwap is the victor side (Fig. 6c), run after id completed counter
@@ -130,10 +133,10 @@ func (st *treeEpoch) victorSwap(id int, sl *treeSlot, c int) bool {
 	if victim == topology.NoProc || st.tree.Counters[c].RingID != st.tree.RingOf(id) {
 		return false
 	}
-	tc.destination = int32(sl.first)
+	tc.destination, tc.destIn = int32(sl.first), int32(sl.in)
 	tc.local = int32(id)
 	tc.evicted.Store(victim)
-	sl.first = c
+	sl.first, sl.in = c, int(tc.in) // a local slot's input is its counter's first
 	return true
 }
 

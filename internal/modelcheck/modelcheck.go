@@ -2,10 +2,13 @@
 // protocol by explicit-state exploration. The runtime's ascent takes no
 // lock, so the model's transitions are the algorithm's single memory
 // operations — the victim's load of evicted, its clearing store, its read
-// of destination, its write of local; a counter's fetch-and-add, up in
-// even episodes and down in odd; the victor's read of local and its three
-// stores; the release — and the checker breadth-first explores ALL interleavings
-// of all participants' operations across several episodes, checking that
+// of destination, its write of local (and read of destIn); the write of
+// its input cell; a counter's fetch-and-add, up in even episodes and down
+// in odd, which when it completes the counter reads the counter's input
+// cells and writes its own at the parent (the commutative fold); the
+// victor's read of local and its three stores; the release — and the
+// checker breadth-first explores ALL interleavings of all participants'
+// operations across several episodes, checking that
 //
 //   - the barrier never releases an episode before all participants
 //     arrived (safety),
@@ -13,7 +16,9 @@
 //     (deadlock freedom, by construction of the exploration),
 //   - each episode releases exactly once,
 //   - no count leaves [0, fan-in], and at quiescence every count is 0 or
-//     its fan-in by the parity of episodes completed, and
+//     its fan-in by the parity of episodes completed,
+//   - every input cell is written once an episode, and each counter's
+//     completer finds all of its fan-in cells written in this episode, and
 //   - at EVERY state, between any two memory operations, resolving each
 //     participant's pending eviction as it would itself gives every
 //     counter exactly its fan-in's worth of occupants (the
@@ -26,8 +31,8 @@
 // steps (the differential tests in the root package tie the two to the
 // simulator, which ties them to each other); state spaces stay tractable
 // for the small shapes that already exercise every protocol transition.
-// The greedy fold is not modelled: it keeps a lock, and its critical
-// section is one transition of the counter it replaces.
+// Cells are laid out as the runtime lays them out, a counter's processors
+// (the local one first) then its children.
 package modelcheck
 
 import (
@@ -52,8 +57,11 @@ const (
 	// phReadDest: about to read the counter's destination.
 	phReadDest
 	// phClaimLocal: about to write itself into the destination's local
-	// slot (and, privately, make the destination its first counter).
+	// slot (and, privately, make the destination its first counter and
+	// destIn its input cell).
 	phClaimLocal
+	// phPut: about to write its input cell.
+	phPut
 	// phAdd: about to fetch-and-add the current counter, ±1 by episode parity.
 	phAdd
 	// Victor side (victorSwap). phReadLocal: completed a counter above
@@ -71,12 +79,16 @@ const (
 	phWait
 	// phDone: all episodes completed.
 	phDone
+	// phLatePut (sabotageLatePut only): added at its first counter without
+	// completing it; about to write its input cell, then wait.
+	phLatePut
 )
 
 // procState is one participant's model state.
 type procState struct {
 	phase   phase
 	first   int // its first counter
+	in      int // its input cell at first
 	cur     int // counter being operated on (phAdd … phPublish)
 	dest    int // destination read from the stale counter (phClaimLocal)
 	victim  int // local slot's occupant read by the victor (phWriteDest … phPublish)
@@ -89,24 +101,29 @@ type counterState struct {
 	local       int
 	evicted     int
 	destination int
+	destIn      int
 }
 
 // state is a full system configuration.
 type state struct {
 	procs    []procState
 	counters []counterState
-	released int // episodes released so far
-	arrived  int // participants that began the current episode
+	cells    []int // the episode each input cell was last written in
+	released int   // episodes released so far
+	arrived  int   // participants that began the current episode
 }
 
 // key encodes a state canonically for the visited set.
 func (s *state) key() string {
 	b := make([]byte, 0, 8*len(s.procs)+8*len(s.counters)+8)
 	for _, p := range s.procs {
-		b = append(b, byte(p.phase), byte(p.first+1), byte(p.cur+2), byte(p.dest+2), byte(p.victim+1), byte(p.episode))
+		b = append(b, byte(p.phase), byte(p.first+1), byte(p.in), byte(p.cur+2), byte(p.dest+2), byte(p.victim+1), byte(p.episode))
 	}
 	for _, c := range s.counters {
-		b = append(b, byte(c.count), byte(c.local+1), byte(c.evicted+1), byte(c.destination+2))
+		b = append(b, byte(c.count), byte(c.local+1), byte(c.evicted+1), byte(c.destination+2), byte(c.destIn))
+	}
+	for _, e := range s.cells {
+		b = append(b, byte(e+1))
 	}
 	b = append(b, byte(s.released), byte(s.arrived))
 	return string(b)
@@ -116,6 +133,7 @@ func (s *state) clone() *state {
 	ns := &state{
 		procs:    append([]procState(nil), s.procs...),
 		counters: append([]counterState(nil), s.counters...),
+		cells:    append([]int(nil), s.cells...),
 		released: s.released,
 		arrived:  s.arrived,
 	}
@@ -126,6 +144,9 @@ func (s *state) clone() *state {
 type Checker struct {
 	tree     *topology.Tree
 	episodes int
+	// in[c] is counter c's first input cell, up[c] its cell at the parent
+	// (past every input at the root), procIn[i] participant i's cell.
+	in, up, procIn []int
 
 	// Explored counts distinct states visited.
 	Explored int
@@ -143,6 +164,12 @@ type Checker struct {
 	// sabotageStuckSense (tests only) makes the add that would complete a
 	// counter in an odd episode go +1: the counter then never completes.
 	sabotageStuckSense bool
+	// sabotageLatePut (tests only) writes an arrival's input cell after its
+	// add at its first counter, so a completer can fold it unwritten.
+	sabotageLatePut bool
+	// sabotageNoDestIn (tests only) makes the victor leave destIn alone: its
+	// victim adopts the destination with a stale input cell.
+	sabotageNoDestIn bool
 }
 
 // New creates a checker for the given tree and episode count. Trees with
@@ -155,7 +182,22 @@ func New(tree *topology.Tree, episodes int) *Checker {
 	if episodes < 1 {
 		panic("modelcheck: need at least one episode")
 	}
-	return &Checker{tree: tree, episodes: episodes}
+	c := &Checker{tree: tree, episodes: episodes, in: make([]int, len(tree.Counters)), up: make([]int, len(tree.Counters)), procIn: make([]int, tree.P)}
+	n := 0
+	for i := range tree.Counters {
+		c.in[i], n = n, n+tree.Counters[i].FanIn()
+	}
+	c.up[tree.Root] = n
+	for i := range tree.Counters {
+		in := c.in[i]
+		for _, p := range tree.Counters[i].Procs {
+			c.procIn[p], in = in, in+1
+		}
+		for _, ch := range tree.Counters[i].Children {
+			c.up[ch], in = in, in+1
+		}
+	}
+	return c
 }
 
 // initial builds the start state from the topology.
@@ -163,9 +205,13 @@ func (c *Checker) initial() *state {
 	s := &state{
 		procs:    make([]procState, c.tree.P),
 		counters: make([]counterState, len(c.tree.Counters)),
+		cells:    make([]int, c.up[c.tree.Root]+1),
 	}
 	for i := range s.procs {
-		s.procs[i] = procState{phase: phIdle, first: c.tree.FirstCounter(i), cur: -1, dest: -1, victim: topology.NoProc}
+		s.procs[i] = procState{phase: phIdle, first: c.tree.FirstCounter(i), in: c.procIn[i], cur: -1, dest: -1, victim: topology.NoProc}
+	}
+	for i := range s.cells {
+		s.cells[i] = -1
 	}
 	for i := range s.counters {
 		tc := &c.tree.Counters[i]
@@ -213,7 +259,7 @@ func (c *Checker) step(s *state, id int) (*state, error) {
 			p.phase = phClearEvicted
 		} else {
 			p.cur = p.first
-			p.phase = phAdd
+			p.phase = c.putPhase()
 		}
 
 	case phClearEvicted:
@@ -228,8 +274,19 @@ func (c *Checker) step(s *state, id int) (*state, error) {
 		if len(c.tree.Counters[p.dest].Children) > 0 {
 			ns.counters[p.dest].local = id
 		}
+		p.in = ns.counters[p.first].destIn
 		p.first, p.cur, p.dest = p.dest, p.dest, -1
-		p.phase = phAdd
+		p.phase = c.putPhase()
+
+	case phPut, phLatePut:
+		if err := put(ns, p.in, p.episode); err != nil {
+			return nil, err
+		}
+		if p.phase == phPut {
+			p.phase = phAdd
+		} else {
+			p.phase = phWait
+		}
 
 	case phAdd:
 		cn := &ns.counters[p.cur]
@@ -245,7 +302,15 @@ func (c *Checker) step(s *state, id int) (*state, error) {
 		if cn.count > fanIn || cn.count < 0 {
 			return nil, fmt.Errorf("counter %d overflowed fan-in %d: count %d", p.cur, fanIn, cn.count)
 		}
+		if cn.count == full {
+			// The completer folds the counter's inputs into its own.
+			if err := c.fold(ns, p.cur, p.episode); err != nil {
+				return nil, err
+			}
+		}
 		switch { // the last arriver moves on; there is no reset
+		case cn.count != full && c.sabotageLatePut && p.cur == p.first:
+			p.phase = phLatePut
 		case cn.count != full:
 			p.phase = phWait
 		case p.cur == p.first:
@@ -273,7 +338,12 @@ func (c *Checker) step(s *state, id int) (*state, error) {
 		}
 
 	case phWriteDest:
+		// destIn rides with destination: nobody reads either before
+		// evicted publishes them.
 		ns.counters[p.cur].destination = p.first
+		if !c.sabotageNoDestIn {
+			ns.counters[p.cur].destIn = p.in
+		}
 		p.phase = phWriteLocal
 
 	case phWriteLocal:
@@ -316,7 +386,8 @@ func (c *Checker) step(s *state, id int) (*state, error) {
 func (c *Checker) swapDone(s *state, id int) {
 	p := &s.procs[id]
 	if p.victim != topology.NoProc {
-		p.first, p.victim = p.cur, topology.NoProc
+		// The local slot's input cell is its counter's first.
+		p.first, p.in, p.victim = p.cur, c.in[p.cur], topology.NoProc
 	}
 	if c.sabotageLateRootSwap && c.tree.Counters[p.cur].Parent == topology.NoCounter {
 		// The release already happened before this (buggy) late swap.
@@ -337,6 +408,35 @@ func (c *Checker) advance(s *state, id int) {
 		return
 	}
 	p.phase = phRelease
+}
+
+// putPhase is where an arrival goes once it knows its first counter: its
+// input cell, then the add; the sabotaged order adds first.
+func (c *Checker) putPhase() phase {
+	if c.sabotageLatePut {
+		return phAdd
+	}
+	return phPut
+}
+
+// put writes input cell in during episode, which must not have written it.
+func put(s *state, in, episode int) error {
+	if s.cells[in] == episode {
+		return fmt.Errorf("input cell %d written twice in episode %d", in, episode)
+	}
+	s.cells[in] = episode
+	return nil
+}
+
+// fold is counter cn's completer reading its input cells, each of which
+// must hold this episode's write, and writing its own cell at the parent.
+func (c *Checker) fold(s *state, cn, episode int) error {
+	for in := c.in[cn]; in < c.in[cn]+c.tree.Counters[cn].FanIn(); in++ {
+		if s.cells[in] != episode {
+			return fmt.Errorf("counter %d's completer read input cell %d unwritten in episode %d", cn, in, episode)
+		}
+	}
+	return put(s, c.up[cn], episode)
 }
 
 // release fires the episode's release, checking the safety property.

@@ -67,7 +67,7 @@ func TestCheckerRejectsZeroEpisodes(t *testing.T) {
 // reorder the releaser's swap to after the release — the race the
 // production implementation avoids by swapping during the ascent — and
 // expect a violation (the displaced victim and the victor both occupy the
-// root counter in the next episode).
+// root counter in the next episode, and both write its local input cell).
 func TestCheckerCatchesLateRootSwap(t *testing.T) {
 	tree := topology.NewMCS(4, 2)
 	c := New(tree, 3)
@@ -77,6 +77,7 @@ func TestCheckerCatchesLateRootSwap(t *testing.T) {
 		t.Fatal("sabotaged protocol passed the checker")
 	}
 	if !strings.Contains(err.Error(), "occupancy") &&
+		!strings.Contains(err.Error(), "input cell") &&
 		!strings.Contains(err.Error(), "premature") &&
 		!strings.Contains(err.Error(), "overflow") &&
 		!strings.Contains(err.Error(), "deadlock") {
@@ -120,6 +121,44 @@ func TestCheckerCatchesStuckSense(t *testing.T) {
 			t.Fatal("a +1 in an odd episode passed the checker")
 		}
 		if !strings.Contains(err.Error(), "deadlock") && !strings.Contains(err.Error(), "overflow") {
+			t.Fatalf("unexpected violation kind: %v", err)
+		}
+		t.Logf("sabotage detected as: %v", err)
+	}
+}
+
+// Fourth mutant: an arrival writes its input cell after its add at its
+// first counter instead of before. Another participant's add can then
+// complete the counter and fold the cell before it holds this episode's
+// contribution.
+func TestCheckerCatchesLatePut(t *testing.T) {
+	for _, tree := range []*topology.Tree{topology.NewClassic(3, 2), topology.NewMCS(4, 2), topology.NewRing([]int{3, 2}, 2)} {
+		c := New(tree, 2)
+		c.sabotageLatePut = true
+		err := c.Run()
+		if err == nil {
+			t.Fatal("an input cell written after its add passed the checker")
+		}
+		if !strings.Contains(err.Error(), "input cell") {
+			t.Fatalf("unexpected violation kind: %v", err)
+		}
+		t.Logf("sabotage detected as: %v", err)
+	}
+}
+
+// Fifth mutant: the victor hands over destination but not destIn. The
+// victim adopts its new first counter with whatever cell destIn held, so
+// in the next episode one cell is written twice and the victor's old cell
+// not at all. Placement and counts stay correct: only the cells show it.
+func TestCheckerCatchesMissingDestIn(t *testing.T) {
+	for _, tree := range []*topology.Tree{topology.NewMCS(4, 2), topology.NewMCS(5, 2), topology.NewRing([]int{3, 2}, 2)} {
+		c := New(tree, 3)
+		c.sabotageNoDestIn = true
+		err := c.Run()
+		if err == nil {
+			t.Fatal("a swap without destIn passed the checker")
+		}
+		if !strings.Contains(err.Error(), "input cell") {
 			t.Fatalf("unexpected violation kind: %v", err)
 		}
 		t.Logf("sabotage detected as: %v", err)

@@ -3,22 +3,24 @@ package runtime
 import (
 	"fmt"
 	"sync"
-	"unsafe"
 )
 
 // Op is an associative combining operator over fixed-width byte strings —
 // what turns an arrival-counting tree into a reduction tree. Fold must be
 // associative over Width-byte values; Commutative additionally promises
 // that operand order does not matter, which lets the barrier fold
-// contributions greedily in arrival order during the ascent (the
-// pre-reduce-early-arrivals policy) instead of deferring to a
-// deterministic id-order fold at the root.
+// contributions during the ascent (the pre-reduce-early-arrivals policy):
+// whoever completes a tree node folds the node's inputs, instead of the
+// releaser folding every contribution in id order at the root.
 //
-// Note the fine print on Commutative: the greedy path's parenthesization
-// follows the arrival order, so an op that is commutative but not exactly
-// associative (float addition) will produce run-to-run result wobble.
-// Leave Commutative false when bit-for-bit reproducibility matters; the
-// id-order fold is deterministic regardless of arrival order.
+// Note the fine print on Commutative: each node folds its inputs in input
+// order, so the parenthesization follows the tree and the placement, not
+// the arrival order. An op that is commutative but not exactly associative
+// (float addition) then gives one result for every arrival order on a
+// fixed tree and placement, but not the sequential fold's, and a placement
+// swap or an epoch rebuild can change it. Leave Commutative false when the
+// result must be the sequential fold's; the id-order fold gives it on
+// every tree.
 type Op struct {
 	// Name identifies the op on the wire and in logs (both sides of a
 	// networked session must configure the same op out-of-band).
@@ -26,7 +28,7 @@ type Op struct {
 	// Width is the contribution size in bytes; every Deposit and Fold
 	// operand is exactly Width bytes.
 	Width int
-	// Commutative enables greedy arrival-order folding during the ascent.
+	// Commutative enables folding at each node during the ascent.
 	Commutative bool
 	// Identity, when non-nil, is the op's identity element (folded for
 	// members that depart without contributing). nil means Width zero
@@ -64,68 +66,54 @@ func (op Op) identity() []byte {
 const CacheLine = 64
 
 // cellStride rounds a contribution width up to a cache-line multiple so
-// adjacent participants' deposit cells never share a line.
+// adjacent cells never share a line.
 func cellStride(width int) int { return (width + CacheLine - 1) &^ (CacheLine - 1) }
 
 // Reducer carries the payload side of a combining-tree episode: padded
-// per-participant deposit cells, per-node fold accumulators, and the
-// published per-episode result. It is the payload twin of the Recorder
-// and inherits its memory-safety argument wholesale: cells and results
-// are double-buffered by episode parity, a participant racing ahead into
-// episode k+1 uses the other buffer, and nobody can reach episode k+2
-// (parity of k) before the episode-k releaser — who folds and publishes
-// before opening the gate — is done. Node accumulators need no parity at
-// all: each is folded under its own node's lock, which is the only lock a
-// combining tree takes and is taken only where bytes are folded, and they
-// are quiescently empty (every fold consumed) whenever the root completes.
+// per-participant deposit cells, padded input cells for the fold during
+// the ascent, and the published per-episode result. It is the payload twin
+// of the Recorder and inherits its memory-safety argument wholesale:
+// deposit cells and results are double-buffered by episode parity, a
+// participant racing ahead into episode k+1 uses the other buffer, and
+// nobody can reach episode k+2 (parity of k) before the episode-k releaser
+// — who folds and publishes before opening the gate — is done.
+//
+// Input cells need no parity and no lock. There is one per tree input
+// (each participant at its first counter, each counter at its parent) and
+// one output cell past them for the root. A cell is written by the one
+// arrival or completer that feeds that input, before the fetch-and-add
+// that counts it, and read by the node's completer after its own add,
+// which observes the whole chain of adds before it. The next episode's
+// write cannot come before the release, which follows every read.
 type Reducer struct {
 	op     Op
 	ident  []byte
 	stride int
 	p      int
-	cells  [2][]byte  // p*stride each; deposit slots, owner-written
-	nodes  []foldNode // per-node lock and arrival count
-	acc    []byte     // nodes*stride; each node's under its foldNode's lock
-	res    [2][]byte  // width each; releaser-written, parity-stable across Resize
+	cells  [2][]byte // p*stride each; deposit slots, owner-written
+	in     []byte    // (inputs+1)*stride; input cells, then the output cell
+	res    [2][]byte // width each; releaser-written, parity-stable across Resize
 }
 
-// foldNode is one tree node's fold lock and the count of arrivals folded
-// under it this episode, on a cache line of its own. On a greedy barrier
-// the count is the node's arrival counter: the lock a fold needs anyway
-// also decides who completed the fan-in, so a visit costs one lock round
-// trip and no further atomic.
-type foldNode struct {
-	mu sync.Mutex
-	n  int32
-	_  [CacheLine - 12]byte
-}
-
-// Both lines compile only when a foldNode is exactly one cache line.
-const (
-	_ = CacheLine - unsafe.Sizeof(foldNode{})
-	_ = unsafe.Sizeof(foldNode{}) - CacheLine
-)
-
-// NewReducer builds a reducer for p participants over a tree of nodes
-// counters. It panics on an invalid op — collective configuration is a
-// construction-time contract, like a bad tree degree.
-func NewReducer(op Op, p, nodes int) *Reducer {
+// NewReducer builds a reducer for p participants over a tree with the
+// given number of inputs. It panics on an invalid op — collective
+// configuration is a construction-time contract, like a bad tree degree.
+func NewReducer(op Op, p, inputs int) *Reducer {
 	if err := op.Validate(); err != nil {
 		panic(err.Error())
 	}
 	r := &Reducer{op: op, ident: op.identity(), stride: cellStride(op.Width)}
 	r.res[0] = make([]byte, op.Width)
 	r.res[1] = make([]byte, op.Width)
-	r.alloc(p, nodes)
+	r.alloc(p, inputs)
 	return r
 }
 
-func (r *Reducer) alloc(p, nodes int) {
+func (r *Reducer) alloc(p, inputs int) {
 	r.p = p
 	r.cells[0] = make([]byte, p*r.stride)
 	r.cells[1] = make([]byte, p*r.stride)
-	r.nodes = make([]foldNode, nodes)
-	r.acc = make([]byte, nodes*r.stride)
+	r.in = make([]byte, (inputs+1)*r.stride)
 }
 
 // Op returns the configured operator.
@@ -133,9 +121,6 @@ func (r *Reducer) Op() Op { return r.op }
 
 // Width returns the contribution size in bytes.
 func (r *Reducer) Width() int { return r.op.Width }
-
-// Identity returns the op's identity element. Callers must not mutate it.
-func (r *Reducer) Identity() []byte { return r.ident }
 
 // cell returns participant id's deposit cell for the given parity.
 func (r *Reducer) cell(parity uint64, id int) []byte {
@@ -153,39 +138,32 @@ func (r *Reducer) Deposit(parity uint64, id int, src []byte) {
 	copy(r.cell(parity, id), src)
 }
 
-// DepositIdentity deposits the op's identity for id — the contribution of
-// a member that departs (or abstains) mid-episode.
-func (r *Reducer) DepositIdentity(parity uint64, id int) {
-	copy(r.cell(parity, id), r.ident)
+// input returns input cell i; the cell after the last input is the output.
+func (r *Reducer) input(i int) []byte {
+	off := i * r.stride
+	return r.in[off : off+r.op.Width]
 }
 
-// FoldNode counts one arrival at node and folds src into the node's
-// accumulator under the node's lock; a nil src folds the identity (a plain
-// arrival on a greedy barrier, which counts through the same node so that
-// a mixed episode still completes). When the arrival completes fanIn it
-// consumes the accumulator and returns it as the carry for the parent. The
-// carry stays valid after unlock because nobody can fold into this node
-// again before the episode's release, and the carry is folded onward
-// before that.
-func (r *Reducer) FoldNode(node int, src []byte, fanIn int32) (carry []byte, last bool) {
+// Put writes src into input cell in; nil writes the identity (a plain
+// arrival on a folding barrier). The writer must put before the add that
+// counts the input.
+func (r *Reducer) Put(in int, src []byte) {
 	if src == nil {
 		src = r.ident
 	}
-	off := node * r.stride
-	dst := r.acc[off : off+r.op.Width]
-	nd := &r.nodes[node]
-	nd.mu.Lock()
-	if nd.n == 0 {
-		copy(dst, src)
-	} else {
-		r.op.Fold(dst, src)
+	copy(r.input(in), src)
+}
+
+// FoldInputs folds input cells first … first+n−1, in that order, into
+// cell out: a node's inputs into its own input at the parent, or at the
+// root into the output cell. Only the add that completed the node may
+// call it, and before the add at the parent.
+func (r *Reducer) FoldInputs(first, n, out int) {
+	dst := r.input(out)
+	copy(dst, r.input(first))
+	for i := first + 1; i < first+n; i++ {
+		r.op.Fold(dst, r.input(i))
 	}
-	nd.n++
-	if last = nd.n == fanIn; last {
-		nd.n = 0
-	}
-	nd.mu.Unlock()
-	return dst, last
 }
 
 // FinishCells folds the first n deposit cells in ascending id order into
@@ -200,10 +178,10 @@ func (r *Reducer) FinishCells(parity uint64, n int) []byte {
 	return dst
 }
 
-// PublishCarry publishes the greedy path's root carry as the episode's
-// result. Releaser-only, before the episode's release.
-func (r *Reducer) PublishCarry(parity uint64, carry []byte) {
-	copy(r.res[parity&1], carry)
+// PublishOutput publishes the output cell, where the root's completer
+// folded, as the episode's result. Releaser-only, before the release.
+func (r *Reducer) PublishOutput(parity uint64) {
+	copy(r.res[parity&1], r.input(len(r.in)/r.stride-1))
 }
 
 // PublishCell publishes participant id's deposit cell as the episode's
@@ -223,26 +201,16 @@ func (r *Reducer) CopyResult(parity uint64, dst []byte) {
 	copy(dst, r.res[parity&1])
 }
 
-// Resize re-buffers the deposit cells and node accumulators for a new
-// epoch. Like Recorder.Resize it must run at the quiescent release point:
-// no deposit of the next episode can precede the current release, and the
-// accumulators are quiescently empty there. The result buffers are
+// Resize re-buffers the deposit and input cells for a new epoch. Like
+// Recorder.Resize it must run at the quiescent release point: no write of
+// the next episode can precede the current release. The result buffers are
 // deliberately kept — a slow awaiter of the pre-rebuild episode still
 // copies its result from the same backing array.
-func (r *Reducer) Resize(p, nodes int) {
-	if r == nil || (p == r.p && nodes == len(r.nodes)) {
+func (r *Reducer) Resize(p, inputs int) {
+	if r == nil || (p == r.p && len(r.in) == (inputs+1)*r.stride) {
 		return
 	}
-	r.alloc(p, nodes)
-}
-
-// Reset clears the node accumulators after a poisoned episode, so a
-// Reset barrier starts from empty folds. Quiescent-only, like the
-// barrier-side clear it is called from.
-func (r *Reducer) Reset() {
-	for i := range r.nodes {
-		r.nodes[i].n = 0
-	}
+	r.alloc(p, inputs)
 }
 
 // LagEstimator maintains a per-participant EWMA of arrival lag — how far

@@ -45,39 +45,53 @@ func TestOpValidate(t *testing.T) {
 }
 
 func TestReducerGreedyPath(t *testing.T) {
-	// One node with fan-in 3: fold three contributions through FoldNode;
-	// only the third completes the node, and it carries the sum.
-	r := NewReducer(sumOp(), 3, 1)
+	// Two leaves of fan-in 2 (inputs 0–1 and 2–3) under a root of fan-in 2
+	// (inputs 4–5); output cell 6. Each leaf's completer folds into its
+	// input at the root, and the root's into the output cell.
+	r := NewReducer(shiftOp(), 4, 6)
+	put := func(in int, b byte) { r.Put(in, []byte{0, 0, 0, b}) }
+	put(3, 0xd)
+	put(1, 0xb)
+	put(0, 0xa)
+	put(2, 0xc)
+	r.FoldInputs(2, 2, 5)
+	r.FoldInputs(0, 2, 4)
+	r.FoldInputs(4, 2, 6)
+	r.PublishOutput(0)
+	// Input order, not put or fold order: (a·b)·(c·d), where the root's
+	// fold keeps only the last byte of (c·d).
+	if got, want := r.Result(0), []byte{0x00, 0x0a, 0x0b, 0x0d}; !bytes.Equal(got, want) {
+		t.Fatalf("tree fold = %x, want %x", got, want)
+	}
+	// A nil put is the identity: a plain arrival folds in as nothing.
+	sum := NewReducer(sumOp(), 3, 3)
 	buf := make([]byte, 8)
-	var carry []byte
-	for i, v := range []uint64{10, 200, 3000} {
+	for in, v := range []uint64{10, 0, 3000} {
 		binary.BigEndian.PutUint64(buf, v)
-		var last bool
-		if carry, last = r.FoldNode(0, buf, 3); last != (i == 2) {
-			t.Fatalf("arrival %d of 3: last = %v", i+1, last)
+		if in == 1 {
+			sum.Put(in, nil)
+			continue
 		}
+		sum.Put(in, buf)
 	}
-	if got := binary.BigEndian.Uint64(carry); got != 3210 {
-		t.Fatalf("greedy fold = %d, want 3210", got)
+	sum.FoldInputs(0, 3, 3)
+	sum.PublishOutput(1)
+	if got := binary.BigEndian.Uint64(sum.Result(1)); got != 3010 {
+		t.Fatalf("fold with an identity input = %d, want 3010", got)
 	}
-	// The node is empty again for the next episode, a nil contribution
-	// (a plain arrival) counts and folds the identity, and Reset drops a
-	// stranded part-fold.
-	binary.BigEndian.PutUint64(buf, 7)
-	r.FoldNode(0, buf, 3)
-	r.FoldNode(0, nil, 3)
-	carry, last := r.FoldNode(0, buf, 3)
-	if got := binary.BigEndian.Uint64(carry); !last || got != 14 {
-		t.Fatalf("post-take fold = %d (last %v), want 14", got, last)
+	// Resize to a wider tree keeps the output cell past the inputs.
+	sum.Resize(3, 5)
+	for in := 0; in < 5; in++ {
+		binary.BigEndian.PutUint64(buf, uint64(in+1))
+		sum.Put(in, buf)
 	}
-	r.FoldNode(0, buf, 3)
-	r.Reset()
-	binary.BigEndian.PutUint64(buf, 1)
-	for i := 0; i < 3; i++ {
-		carry, last = r.FoldNode(0, buf, 3)
+	sum.FoldInputs(0, 5, 5)
+	sum.PublishOutput(0)
+	if got := binary.BigEndian.Uint64(sum.Result(0)); got != 15 {
+		t.Fatalf("fold after Resize = %d, want 15", got)
 	}
-	if got := binary.BigEndian.Uint64(carry); !last || got != 3 {
-		t.Fatalf("post-reset fold = %d (last %v), want 3", got, last)
+	if got := binary.BigEndian.Uint64(sum.Result(1)); got != 3010 {
+		t.Fatalf("odd result clobbered by Resize: %d, want 3010", got)
 	}
 }
 
@@ -134,15 +148,15 @@ func TestReducerParityAndResize(t *testing.T) {
 }
 
 func TestReducerIdentity(t *testing.T) {
-	op := sumOp()
-	op.Identity = make([]byte, 8) // explicit zero identity
-	r := NewReducer(op, 2, 1)
-	buf := make([]byte, 8)
-	binary.BigEndian.PutUint64(buf, 9)
-	r.Deposit(0, 0, buf)
-	r.DepositIdentity(0, 1)
-	if got := binary.BigEndian.Uint64(r.FinishCells(0, 2)); got != 9 {
-		t.Fatalf("identity-padded fold = %d, want 9", got)
+	op := shiftOp()
+	op.Identity = []byte{0, 0, 0, 7} // explicit identity (of a sort)
+	r := NewReducer(op, 2, 2)
+	r.Put(0, []byte{0, 0, 0, 9})
+	r.Put(1, nil)
+	r.FoldInputs(0, 2, 2)
+	r.PublishOutput(0)
+	if got, want := r.Result(0), []byte{0, 0, 9, 7}; !bytes.Equal(got, want) {
+		t.Fatalf("fold with a nil put = %x, want %x: the op's Identity", got, want)
 	}
 }
 

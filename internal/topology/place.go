@@ -138,8 +138,8 @@ func (t *Tree) Validate() error {
 				return fmt.Errorf("topology: processor %d attached to counter %d but first counter is %d", p, i, t.first[p])
 			}
 		}
-		if c.Local != NoProc && !contains(c.Procs, c.Local) {
-			return fmt.Errorf("topology: counter %d local %d not among its processors", i, c.Local)
+		if c.Local != NoProc && (len(c.Procs) == 0 || c.Procs[0] != c.Local) {
+			return fmt.Errorf("topology: counter %d local %d is not its first processor", i, c.Local)
 		}
 	}
 	if roots != 1 {

@@ -61,10 +61,11 @@ type Counter struct {
 	// Children lists child counter IDs.
 	Children []int
 	// Procs lists the processors attached directly to this counter
-	// (including the Local processor for MCS-style trees).
+	// (including, first, the Local processor for MCS-style trees).
 	Procs []int
-	// Local is the processor occupying this counter's local slot, or
-	// NoProc. Dynamic placement swaps processors through this slot.
+	// Local is the processor occupying this counter's local slot, always
+	// Procs[0], or NoProc. Dynamic placement swaps processors through this
+	// slot.
 	Local int
 	// RingID is the ring this counter belongs to, or -1 when the tree is
 	// not ring-constrained (or for the merge root, which belongs to none).

@@ -29,8 +29,9 @@ var lockFreeKinds = []struct {
 
 // TestLockFreeAscentStress drives a goroutine per member through the
 // lock-free ascent (run it under -race): plain, carrying sum-u64 — the
-// greedy fold, whose node lock does the counting — and carrying sum-f64 —
-// the cell fold, riding the atomic counters. No participant may leave an
+// greedy fold, each input cell written before its add and folded by the
+// counter's completer — and carrying sum-f64 — the id-order fold of the
+// deposit cells at the root. No participant may leave an
 // episode before all have entered it, every AllReduce result must equal
 // the sequential fold bit for bit, and a dynamic barrier must end on a
 // consistent placement.
@@ -127,8 +128,9 @@ func TestLockFreeAscentStress(t *testing.T) {
 // TestLockFreeMixedEpisodeCompletes arrives half of a greedy-collective
 // barrier's members with Arrive and half with ArriveReduce. The calls
 // disagree, so the episode's result is unspecified, but it must complete —
-// plain and reducing arrivals count through the same node — and must
-// leave nothing behind: the next, well-formed episode reduces correctly.
+// a plain arrival puts the identity where a reducing one puts its
+// contribution — and must leave nothing behind: the next, well-formed
+// episode reduces correctly.
 func TestLockFreeMixedEpisodeCompletes(t *testing.T) {
 	const p = 8
 	op := OpSumUint64()

@@ -116,22 +116,25 @@ func WithTreeWakeup() Option {
 
 // WithCollective arms the barrier's payload path: episodes may then carry
 // op.Width-byte contributions through AllReduce / Reduce / Broadcast (see
-// Collective), folded by op. The plain Wait path is untouched — a barrier
-// built with this option and driven only through Wait runs the same
-// zero-payload fast path as one built without it. The option panics at
+// Collective), folded by op. Driven only through Wait, a barrier built
+// with a non-commutative op runs the same zero-payload path as one built
+// without it; with a commutative op each plain arrival also puts the op's
+// identity in its input cell, which its counter's completer folds, so an
+// episode mixing Wait and ArriveReduce completes. The option panics at
 // construction on an invalid op (zero width, nil fold, mis-sized
 // identity); barriers that do not implement Collective ignore it.
 func WithCollective(op Op) Option {
 	return func(o *options) { o.collective = &op }
 }
 
-// reducer builds the barrier's payload reducer for p participants over
-// nodes counters, or nil when WithCollective was not given.
-func (o options) reducer(p, nodes int) *rt.Reducer {
+// reducer builds the barrier's payload reducer for p participants over a
+// tree with the given number of inputs, or nil when WithCollective was not
+// given.
+func (o options) reducer(p, inputs int) *rt.Reducer {
 	if o.collective == nil {
 		return nil
 	}
-	return rt.NewReducer(*o.collective, p, nodes)
+	return rt.NewReducer(*o.collective, p, inputs)
 }
 
 // withClock overrides the telemetry clock (tests only).

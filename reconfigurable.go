@@ -72,7 +72,7 @@ type ReconfigurableBarrier struct {
 // Eight whole cache lines, on purpose: 512 bytes is an allocation class
 // whose objects start on a cache line. An unpadded size between classes
 // rounds up to one that does not (456 bytes landed in the 480 class and
-// measured +7% sync delay on lib-allreduce-32; EXPERIMENTS.md, PR 23).
+// measured +7% sync delay on lib-allreduce-32; perf/PR-23.md).
 // Compiles only at exactly 512: shrink the padding when a field is added.
 const (
 	_ = 512 - unsafe.Sizeof(ReconfigurableBarrier{})
@@ -380,10 +380,10 @@ func (b *ReconfigurableBarrier) install(prev *treeEpoch, p, degree int, sigma fl
 			next.slots[i].arrivals = 0 // and so do the slots' own
 		}
 	}
-	// The reducer's deposit cells and node accumulators are rebuilt for
-	// the new tree; its published result buffers survive, so awaiters of
-	// the pre-rebuild episode still copy their in-flight result.
-	b.red.Resize(p, len(next.counters))
+	// The reducer's deposit and input cells are rebuilt for the new tree;
+	// its published result buffers survive, so awaiters of the pre-rebuild
+	// episode still copy their in-flight result.
+	b.red.Resize(p, next.inputs())
 	b.state.Store(&next)
 }
 
@@ -391,11 +391,10 @@ func (b *ReconfigurableBarrier) install(prev *treeEpoch, p, degree int, sigma fl
 // same P, degree, epoch number and plan, slots re-labelled so order[k]
 // sits on the k-th shallowest slot. Like install it runs only at the
 // quiescent release point; ReconfigStats.Placements counts these
-// rebuilds.
+// rebuilds. The tree keeps its shape, so the reducer's cells still fit.
 func (b *ReconfigurableBarrier) reorder(prev *treeEpoch, order []int) {
 	next := b.newEpoch(prev, prev.p, prev.tree.Degree, order)
 	next.epoch, next.sigma, next.episodes = prev.epoch, prev.sigma, prev.episodes
-	b.red.Resize(next.p, len(next.counters))
 	b.state.Store(&next)
 	b.placements.Add(1)
 }

@@ -15,7 +15,7 @@ import (
 // completes a counter's fan-in proceeds to the parent, and completing the
 // root releases the episode. Counters reverse sense instead of being reset:
 // up on even generations, down on odd ones. Nothing on the ascent takes a
-// lock except where bytes are folded (folding, below).
+// lock, folding included (folding, below).
 //
 // The paper's point is that static, MCS and dynamic placement are this
 // same tree with a different answer to "who sits where", so the ascent,
@@ -42,11 +42,9 @@ type treeCore struct {
 
 	dynamic bool // victor/victim placement (dynamic.go)
 	// folding is set on a barrier whose collective op is Commutative: every
-	// counter visit, plain arrivals included, then counts through the
-	// reducer's node (rt.Reducer.FoldNode), whose fold lock decides who
-	// completed the fan-in, and treeCounter.count goes unused. One owner
-	// per counter is what lets an episode that mixes Arrive and
-	// ArriveReduce complete.
+	// arrival, plain ones included (the identity), puts its contribution in
+	// its input cell at its first counter, and each counter's completer
+	// folds the counter's inputs into its own input at the parent.
 	folding bool
 	swaps   atomic.Uint64 // placement swaps so far
 	// elastic, when set, is the embedding barrier whose release runs at the
@@ -87,18 +85,24 @@ type treeCounter struct {
 	count  atomic.Int32
 	fanIn  int32
 	parent int32
+	// in is the counter's first input cell (rt.Reducer): its fanIn inputs
+	// are cells in … in+fanIn−1, its participants' (the local one, first)
+	// then its children's. up is its own input at the parent, or the
+	// output cell at the root.
+	in, up int32
 	// local is the participant occupying the counter's local slot, or
 	// topology.NoProc (classic trees; the ring merge root accepts no
 	// migrants). For internal counters it always names the participant
 	// whose first counter this is.
 	local int32
-	// evicted/destination implement the victim hand-off: evicted names the
-	// displaced participant (one-shot, cleared on consumption) and
-	// destination its new first counter, written before evicted publishes
-	// it.
+	// evicted/destination/destIn implement the victim hand-off: evicted
+	// names the displaced participant (one-shot, cleared on consumption),
+	// destination its new first counter and destIn its input cell there,
+	// both written before evicted publishes them.
 	evicted     atomic.Int32
 	destination int32
-	_           [rt.CacheLine - 24]byte
+	destIn      int32
+	_           [rt.CacheLine - 36]byte
 }
 
 // treeSlot is one participant's owner-written state, on its own cache
@@ -107,8 +111,9 @@ type treeSlot struct {
 	gen      uint64 // generation of the episode the participant last arrived in
 	next     uint64 // earliest generation its next arrival may join
 	first    int    // its first counter; moves only under dynamic placement
+	in       int    // its input cell at first, which moves with it
 	arrivals uint64 // its arrivals since construction, Reset or a membership change
-	_        [rt.CacheLine - 32]byte
+	_        [rt.CacheLine - 40]byte
 }
 
 // Each line compiles only when the struct is exactly one cache line, so
@@ -126,13 +131,16 @@ const (
 // the end the counts start from.
 func newTreeEpoch(tree *topology.Tree, prev *treeEpoch, epochGen uint64) treeEpoch {
 	st := treeEpoch{p: tree.P, tree: tree, counters: make([]treeCounter, len(tree.Counters))}
+	var inputs int32
 	for i := range st.counters {
 		c, tc := &tree.Counters[i], &st.counters[i]
-		tc.fanIn, tc.parent = int32(c.FanIn()), int32(c.Parent)
+		tc.fanIn, tc.parent, tc.in = int32(c.FanIn()), int32(c.Parent), inputs
+		inputs += tc.fanIn
 		tc.count.Store(startCount(tc.fanIn, epochGen))
 		tc.local, tc.destination = int32(c.Local), topology.NoCounter
 		tc.evicted.Store(topology.NoProc)
 	}
+	st.counters[tree.Root].up = inputs
 	n := tree.P
 	if prev != nil && len(prev.slots) > n {
 		n = len(prev.slots)
@@ -152,8 +160,21 @@ func newTreeEpoch(tree *topology.Tree, prev *treeEpoch, epochGen uint64) treeEpo
 			st.slots[id].next = epochGen
 		}
 	}
+	for i := range tree.Counters {
+		in := st.counters[i].in
+		for _, id := range tree.Counters[i].Procs {
+			st.slots[id].in, in = int(in), in+1
+		}
+		for _, ch := range tree.Counters[i].Children {
+			st.counters[ch].up, in = in, in+1
+		}
+	}
 	return st
 }
+
+// inputs returns the number of input cells the epoch's tree folds through;
+// the root's completer folds into the cell after them.
+func (st *treeEpoch) inputs() int { return int(st.counters[st.tree.Root].up) }
 
 // startCount is where a counter stands before generation gen's first
 // arrival: 0 to count up through an even one, fanIn to count down.
@@ -186,7 +207,7 @@ func (b *treeCore) init(o options, first treeEpoch) {
 		}
 	}
 	b.rec = o.recorder(st.p, every)
-	b.red = o.reducer(st.p, len(st.counters))
+	b.red = o.reducer(st.p, st.inputs())
 	b.folding = b.red != nil && b.red.Op().Commutative
 	b.initPoison(st.p, o.watchdog, o.poisonNotify, b.poisonWaiters, b.clearEpisode, func() []uint64 {
 		cur := b.state.Load()
@@ -207,13 +228,13 @@ func (b *treeCore) poisonWaiters() {
 	}
 }
 
-// clearEpisode drops the aborted episode's partial counts and folds for
-// Reset: the counters' own counts here, back to where the aborted
-// generation, which runs again, started from, and the reducer's per-node
-// counts and part-folds (a folding barrier's counts) in red.Reset. Dynamic
-// placement state (local slots, pending evictions, first counters)
-// survives: it is a consistent placement at every ascent boundary, and
-// pending victims adopt their destination on their next arrival.
+// clearEpisode drops the aborted episode's partial counts for Reset, back
+// to where the aborted generation, which runs again, started from. Input
+// cells need no clearing: every input is put again before it is counted.
+// Dynamic placement state (local slots, pending evictions, first counters
+// and their input cells) survives: it is a consistent placement at every
+// ascent boundary, and pending victims adopt their destination on their
+// next arrival.
 func (b *treeCore) clearEpisode() {
 	st, gen := b.state.Load(), b.gate.Seq()
 	for i := range st.counters {
@@ -226,9 +247,6 @@ func (b *treeCore) clearEpisode() {
 	// again: Reset does not advance the gate.
 	for i := range st.slots {
 		st.slots[i].next, st.slots[i].arrivals = 0, 0
-	}
-	if b.red != nil {
-		b.red.Reset()
 	}
 	b.gate.Unpoison()
 }
@@ -266,12 +284,11 @@ func (b *treeCore) Wait(id int) {
 func (b *treeCore) Arrive(id int) { b.arrive(id, nil) }
 
 // payload is one arrival's contribution on its way up the tree: mode
-// selects how it travels (greedy fold during the ascent, deposit cell for
-// the releaser's id-order fold, or broadcast root deposit). It stays in
-// the collective call's frame and the ascent takes a pointer: threading
-// mode, root and data through as arguments keeps them live across every
-// call in the loop, which cost the plain episode about 5%. The one value
-// the loop does keep is the greedy carry.
+// selects how it travels (a reduction's, into an input cell on a folding
+// barrier and a deposit cell otherwise, or a broadcast root's deposit). It
+// stays in the collective call's frame and the ascent takes a pointer:
+// threading mode, root and data through as arguments keeps them live
+// across every call in the loop, which cost the plain episode about 5%.
 type payload struct {
 	mode uint8
 	root int    // collBcast: whose data is delivered
@@ -313,24 +330,26 @@ func (b *treeCore) arrive(id int, pl *payload) {
 	sl := &st.slots[id]
 	sl.gen, sl.next = gen, gen+1
 	sl.arrivals++
-	// carry is what a folding barrier's visit folds into the node: the
-	// contribution on its way up, nil (the identity) for an arrival that
-	// brings none.
-	var carry []byte
+	if b.dynamic {
+		st.adopt(id, sl)
+	}
+	var put []byte // what a folding barrier puts: the contribution, or nil (the identity)
 	if pl != nil {
-		switch pl.mode {
-		case collGreedy:
-			carry = pl.data
-		case collCells:
-			b.red.Deposit(gen, id, pl.data)
-		case collBcast:
+		switch {
+		case pl.mode == collBcast:
 			if id == pl.root {
 				b.red.Deposit(gen, id, pl.data)
 			}
+		case b.folding:
+			put = pl.data
+		default:
+			b.red.Deposit(gen, id, pl.data)
 		}
 	}
-	if b.dynamic {
-		st.adopt(id, sl)
+	if b.folding {
+		// Into the input cell at the first counter (adopt has moved both),
+		// before the add that counts it.
+		b.red.Put(sl.in, put)
 	}
 	// The sense of the count: +1 towards fanIn on an even generation, −1
 	// towards 0 on an odd one; fanIn&full is the end being counted towards.
@@ -339,18 +358,15 @@ func (b *treeCore) arrive(id int, pl *payload) {
 
 	for cn := sl.first; cn != topology.NoCounter; {
 		tc := &st.counters[cn]
-		if b.folding {
-			// The fold's lock does the counting. The carry is attached to
-			// the ascending participant, not to a tree position, so a
-			// placement swap cannot drop or double-fold a contribution.
-			var last bool
-			if carry, last = b.red.FoldNode(cn, carry, tc.fanIn); !last {
-				return
-			}
-		} else if tc.count.Add(step) != tc.fanIn&full {
+		if tc.count.Add(step) != tc.fanIn&full {
 			// Not the last, who leaves the count at the far end: where the
 			// next generation, of the other parity, starts. No reset.
 			return
+		}
+		if b.folding {
+			// The add saw every input's: fold them into cn's own input at
+			// the parent, before the add there.
+			b.red.FoldInputs(int(tc.in), int(tc.fanIn), int(tc.up))
 		}
 		// id arrived last in cn's whole subtree: under dynamic placement it
 		// positions itself here before touching the parent, so the swap is
@@ -361,17 +377,17 @@ func (b *treeCore) arrive(id int, pl *payload) {
 		cn = int(tc.parent)
 	}
 
-	// Root completed: publish the result while the cells and accumulators
-	// are quiescent — before release applies any epoch rebuild, so the fold
-	// runs over this episode's membership and tree.
+	// Root completed: publish the result while the cells are quiescent —
+	// before release applies any epoch rebuild, so the fold runs over this
+	// episode's membership and tree.
 	if pl != nil {
-		switch pl.mode {
-		case collGreedy:
-			b.red.PublishCarry(gen, carry)
-		case collCells:
-			b.red.FinishCells(gen, st.p)
-		case collBcast:
+		switch {
+		case pl.mode == collBcast:
 			b.red.PublishCell(gen, pl.root)
+		case b.folding:
+			b.red.PublishOutput(gen)
+		default:
+			b.red.FinishCells(gen, st.p)
 		}
 	}
 	if b.elastic != nil {
@@ -436,7 +452,7 @@ func (b *treeCore) AllReduce(id int, in, out []byte) error {
 	if b.red == nil {
 		return ErrNoCollective
 	}
-	b.arrive(id, &payload{mode: reduceMode(b.red.Op()), data: in})
+	b.arrive(id, &payload{mode: collReduce, data: in})
 	return b.AwaitResult(id, out)
 }
 
@@ -448,7 +464,7 @@ func (b *treeCore) Reduce(id, root int, in, out []byte) error {
 		return ErrNoCollective
 	}
 	checkID(root, b.state.Load().p)
-	b.arrive(id, &payload{mode: reduceMode(b.red.Op()), data: in})
+	b.arrive(id, &payload{mode: collReduce, data: in})
 	if id != root {
 		out = nil
 	}
@@ -479,7 +495,7 @@ func (b *treeCore) ArriveReduce(id int, in []byte) error {
 	if b.red == nil {
 		return ErrNoCollective
 	}
-	b.arrive(id, &payload{mode: reduceMode(b.red.Op()), data: in})
+	b.arrive(id, &payload{mode: collReduce, data: in})
 	return nil
 }
 
