@@ -60,16 +60,8 @@ func TestTournamentChampionLast(t *testing.T) {
 	wg.Wait()
 }
 
-func TestTreeWakeupOptionConformance(t *testing.T) {
-	for _, p := range []int{1, 2, 7, 16} {
-		b := NewCombiningTree(p, 4, WithTreeWakeup())
-		checkBarrier(t, b, p, 60)
-	}
-}
-
-func TestTreeWakeupWithMCS(t *testing.T) {
-	b := NewMCSTree(12, 4, WithTreeWakeup())
-	checkBarrierWithJitter(t, b, 12, 80)
+func TestMCSTreeJitterConformance(t *testing.T) {
+	checkBarrierWithJitter(t, NewMCSTree(12, 4), 12, 80)
 }
 
 func TestBaselineConstructorPanics(t *testing.T) {

@@ -105,12 +105,11 @@ func TestCollectiveAllReduceDifferential(t *testing.T) {
 		return sequentialFold(op, cs)
 	}
 	barriers := map[string]Collective{
-		"tree-d2":     NewCombiningTree(p, 2, WithCollective(op)),
-		"tree-d4":     NewCombiningTree(p, 4, WithCollective(op)),
-		"mcs-d3":      NewMCSTree(p, 3, WithCollective(op)),
-		"tree-wakeup": NewCombiningTree(p, 2, WithCollective(op), WithTreeWakeup()),
-		"dynamic-d2":  NewDynamic(p, 2, WithCollective(op)),
-		"reconfig":    NewReconfigurable(p, ReconfigConfig{ReplanEvery: 4}, WithCollective(op)),
+		"tree-d2":    NewCombiningTree(p, 2, WithCollective(op)),
+		"tree-d4":    NewCombiningTree(p, 4, WithCollective(op)),
+		"mcs-d3":     NewMCSTree(p, 3, WithCollective(op)),
+		"dynamic-d2": NewDynamic(p, 2, WithCollective(op)),
+		"reconfig":   NewReconfigurable(p, ReconfigConfig{ReplanEvery: 4}, WithCollective(op)),
 	}
 	for name, b := range barriers {
 		b := b

@@ -29,7 +29,8 @@
 //     the epoch and rebuild history.
 //
 // The three tree barriers are one combining tree (treeCore): the counter
-// ascent, the release wait and the collective path exist once, and each
+// ascent, the release (one broadcast gate, opened by whoever completes the
+// root) and the collective path exist once, and each
 // barrier adds only its answer to "who sits where" — a fixed placement,
 // victor/victim swaps during the ascent, or a new epoch at the root.
 //
@@ -98,8 +99,8 @@
 // WithPlacement applies a fixed laggiest-first order to the static
 // trees; the netbarrier server (cmd/barrierd -placement) runs the same
 // policies per session against remote arrival lags. The load models the
-// policies are designed against — systemic skew, drifting, heavy-tail
-// and bursty imbalance — live in internal/loadmodel.
+// policies are designed against — systemic skew, drifting and bursty
+// imbalance — live in internal/loadmodel.
 //
 // # Choosing a degree
 //

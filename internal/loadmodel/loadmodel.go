@@ -7,17 +7,13 @@
 //
 // The package owns the imbalance regimes — iid draws, static
 // per-participant skew (the paper's systemic imbalance), AR(1) drift
-// (evolving imbalance) — plus the injector shapes the related work
-// motivates: multiplicative history noise (charm++ load_imb_by_history),
-// heavy right tails, bursty correlated slowdowns, and chunk-boundary-aligned
-// skew (the LFSR cycle-distribution study: C work chunks over N workers
-// leave C mod N workers one chunk heavier). internal/barriersim couples
-// them across episodes (fuzzy-barrier slack) and replays recorded traces.
+// (evolving imbalance) — plus bursty correlated slowdowns and a phase
+// schedule over any of them. internal/barriersim couples them across
+// episodes (fuzzy-barrier slack) and replays recorded traces.
 package loadmodel
 
 import (
 	"fmt"
-	"math"
 
 	"softbarrier/internal/stats"
 )
@@ -131,89 +127,6 @@ func (w *Drift) String() string {
 	return fmt.Sprintf("evolving p=%d %v rho=%g innov=%g", w.N, w.Dist, w.Rho, w.InnovSigma)
 }
 
-// HistoryNoise multiplies a base generator's times by per-participant
-// multiplicative random-walk factors — the charm++ load_imb_by_history
-// injector shape: a participant's relative speed wanders slowly, so its
-// recent history predicts its near future without being constant. Each
-// episode every factor is multiplied by (1 + U[-Step, Step]) and clamped
-// to [1/Limit, Limit].
-type HistoryNoise struct {
-	Base Generator
-	// Step is the per-episode multiplicative step bound; 0 selects 0.05.
-	Step float64
-	// Limit bounds the walk's factor away from 0 and ∞; 0 selects 4.
-	Limit float64
-
-	fac []float64
-}
-
-// P returns the participant count.
-func (w *HistoryNoise) P() int { return w.Base.P() }
-
-// Times draws base times and applies the per-participant walk factors.
-func (w *HistoryNoise) Times(k int, r *stats.RNG, dst []float64) {
-	step, limit := w.Step, w.Limit
-	if step == 0 {
-		step = 0.05
-	}
-	if limit == 0 {
-		limit = 4
-	}
-	if w.fac == nil {
-		w.fac = make([]float64, w.P())
-		for i := range w.fac {
-			w.fac[i] = 1
-		}
-	}
-	w.Base.Times(k, r, dst)
-	for i := range dst[:w.P()] {
-		f := w.fac[i] * (1 + step*(2*r.Float64()-1))
-		if f > limit {
-			f = limit
-		} else if f < 1/limit {
-			f = 1 / limit
-		}
-		w.fac[i] = f
-		dst[i] *= f
-	}
-}
-
-func (w *HistoryNoise) String() string {
-	return fmt.Sprintf("history-noise(step=%g) over %v", w.Step, w.Base)
-}
-
-// HeavyTail draws iid Pareto-tailed delays: Scale·(U^(-1/Alpha) − 1),
-// which starts at 0 and has a power-law right tail — occasional
-// participants are very late, with no persistence across episodes.
-// Alpha must exceed 1 for a finite mean; 0 selects 2.
-type HeavyTail struct {
-	N     int
-	Scale float64
-	Alpha float64
-}
-
-// P returns the participant count.
-func (w HeavyTail) P() int { return w.N }
-
-// Times draws N iid Pareto-tailed samples.
-func (w HeavyTail) Times(_ int, r *stats.RNG, dst []float64) {
-	alpha := w.Alpha
-	if alpha == 0 {
-		alpha = 2
-	}
-	for i := range dst[:w.N] {
-		u := r.Float64()
-		if u == 0 {
-			u = math.SmallestNonzeroFloat64
-		}
-		dst[i] = w.Scale * (math.Pow(u, -1/alpha) - 1)
-	}
-}
-
-func (w HeavyTail) String() string {
-	return fmt.Sprintf("heavy-tail p=%d scale=%g alpha=%g", w.N, w.Scale, w.Alpha)
-}
-
 // Bursty overlays correlated slowdown bursts on a base generator: each
 // participant carries a two-state Markov chain (quiet/bursting) and adds
 // Extra to its time while bursting. OnProb is the per-episode probability
@@ -264,42 +177,6 @@ func (w *Bursty) Times(k int, r *stats.RNG, dst []float64) {
 
 func (w *Bursty) String() string {
 	return fmt.Sprintf("bursty(extra=%g on=%g stay=%g) over %v", w.Extra, w.OnProb, w.StayProb, w.Base)
-}
-
-// ChunkSkew models chunk-quantization imbalance, the LFSR cycle-study
-// shape: Chunks equal work chunks of ChunkTime each are dealt round-robin
-// over N participants, so the first Chunks mod N participants carry one
-// extra chunk every episode — a systemic step imbalance whose magnitude
-// is one chunk, aligned to the chunk boundary rather than drawn from a
-// distribution. Jitter, when non-nil, adds an iid sample per participant.
-type ChunkSkew struct {
-	N         int
-	Chunks    int
-	ChunkTime float64
-	Jitter    stats.Distribution
-}
-
-// P returns the participant count.
-func (w ChunkSkew) P() int { return w.N }
-
-// Times assigns each participant its chunk count times ChunkTime.
-func (w ChunkSkew) Times(_ int, r *stats.RNG, dst []float64) {
-	base := w.Chunks / w.N
-	extra := w.Chunks % w.N
-	for i := range dst[:w.N] {
-		n := base
-		if i < extra {
-			n++
-		}
-		dst[i] = float64(n) * w.ChunkTime
-		if w.Jitter != nil {
-			dst[i] += w.Jitter.Sample(r)
-		}
-	}
-}
-
-func (w ChunkSkew) String() string {
-	return fmt.Sprintf("chunk-skew p=%d chunks=%d t=%g", w.N, w.Chunks, w.ChunkTime)
 }
 
 // Phase is one segment of a Phased generator.

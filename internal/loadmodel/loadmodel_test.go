@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	rt "softbarrier/internal/runtime"
 	"softbarrier/internal/stats"
 )
 
@@ -18,18 +19,6 @@ func TestLoadModelGenerators(t *testing.T) {
 			g.Times(k, r, dst)
 			if got := dst[7] - dst[0]; math.Abs(got-0.8) > 1e-12 {
 				t.Fatalf("episode %d: spread = %g, want 0.8", k, got)
-			}
-		}
-	})
-
-	t.Run("heavy tail nonnegative", func(t *testing.T) {
-		g := HeavyTail{N: 8, Scale: 1e-3, Alpha: 2}
-		for k := 0; k < 100; k++ {
-			g.Times(k, r, dst)
-			for i, v := range dst {
-				if v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
-					t.Fatalf("episode %d participant %d: %g", k, i, v)
-				}
 			}
 		}
 	})
@@ -51,32 +40,6 @@ func TestLoadModelGenerators(t *testing.T) {
 		}
 		if bursts == 0 {
 			t.Fatal("no bursts in 200 episodes at OnProb=0.5")
-		}
-	})
-
-	t.Run("history noise clamps factors", func(t *testing.T) {
-		g := &HistoryNoise{Base: IID{N: 8, Dist: stats.Degenerate{V: 1}}, Step: 0.5, Limit: 2}
-		for k := 0; k < 500; k++ {
-			g.Times(k, r, dst)
-			for i, v := range dst {
-				if v < 0.5-1e-12 || v > 2+1e-12 {
-					t.Fatalf("episode %d participant %d: %g outside [1/Limit, Limit]", k, i, v)
-				}
-			}
-		}
-	})
-
-	t.Run("chunk skew deals remainder to low ids", func(t *testing.T) {
-		g := ChunkSkew{N: 8, Chunks: 11, ChunkTime: 1e-3}
-		g.Times(0, r, dst)
-		for i, v := range dst {
-			want := 1e-3
-			if i < 3 { // 11 mod 8 = 3 participants carry 2 chunks
-				want = 2e-3
-			}
-			if math.Abs(v-want) > 1e-15 {
-				t.Fatalf("participant %d: %g, want %g", i, v, want)
-			}
 		}
 	})
 
@@ -367,6 +330,55 @@ func TestPlacementPolicies(t *testing.T) {
 			t.Fatal("unknown name resolved")
 		}
 	})
+}
+
+func TestEWMAAverages(t *testing.T) {
+	p := &EWMA{Weight: 0.5}
+	if p.Order() != nil {
+		t.Fatal("order before any episode")
+	}
+	p.Observe([]float64{0, 1, 3})
+	if !reflect.DeepEqual(p.lags, []float64{0, 1, 3}) {
+		t.Fatalf("seed lags = %v, want [0 1 3]", p.lags)
+	}
+	// Second episode: participant 2 on time, participant 0 late.
+	p.Observe([]float64{5, 0, 0})
+	if !reflect.DeepEqual(p.lags, []float64{2.5, 0.5, 1.5}) {
+		t.Fatalf("EWMA lags = %v, want [2.5 0.5 1.5]", p.lags)
+	}
+	// A length change reseeds.
+	p.Observe([]float64{0, 2})
+	if !reflect.DeepEqual(p.lags, []float64{0, 2}) {
+		t.Fatalf("post-resize lags = %v, want [0 2]", p.lags)
+	}
+	p.Observe(nil)
+	if p.Order() != nil {
+		t.Fatal("order after an empty episode")
+	}
+
+	def := &EWMA{}
+	def.Observe([]float64{0, 1})
+	def.Observe([]float64{1, 0})
+	w := rt.DefaultSigmaWeight
+	if want := []float64{w, 1 - w}; !reflect.DeepEqual(def.lags, want) {
+		t.Fatalf("Weight 0: lags = %v, want %v", def.lags, want)
+	}
+}
+
+func TestPolicyStrings(t *testing.T) {
+	want := map[string]string{
+		"static":   "static",
+		"reactive": "reactive",
+		"ewma":     "ewma",
+		"trend":    "trend(w=8)",
+		"ewma-hys": "ewma+hys(0.25)",
+	}
+	for _, name := range PolicyNames() {
+		mk, _ := PolicyByName(name)
+		if got := mk().String(); got != want[name] {
+			t.Errorf("%s: String() = %q, want %q", name, got, want[name])
+		}
+	}
 }
 
 func TestPlacementRankShift(t *testing.T) {

@@ -71,30 +71,38 @@ func (p *Reactive) Order() []int { return p.order }
 func (p *Reactive) String() string { return "reactive" }
 
 // EWMA ranks by an exponentially weighted moving average of each
-// participant's lag (runtime.LagEstimator), so persistent stragglers
-// dominate one-off noise. Weight 0 selects runtime.DefaultSigmaWeight.
+// participant's lag, so persistent stragglers dominate one-off noise.
+// Weight is that of the newest episode; 0 (or anything outside (0, 1])
+// selects runtime.DefaultSigmaWeight.
 type EWMA struct {
 	Weight float64
 
-	p   int
-	est *rt.LagEstimator
+	lags []float64
 }
 
-// Observe folds the episode into the per-participant EWMA.
+// Observe folds the episode into the per-participant EWMA. The first
+// episode, and the first after a length change, seeds it.
 func (p *EWMA) Observe(lags []float64) {
-	if p.est == nil || len(lags) != p.p {
-		p.p = len(lags)
-		p.est = rt.NewLagEstimator(len(lags), p.Weight)
+	if len(lags) != len(p.lags) {
+		p.lags = append(p.lags[:0], lags...)
+		return
 	}
-	p.est.Observe(lags)
+	w := p.Weight
+	if w <= 0 || w > 1 {
+		w = rt.DefaultSigmaWeight
+	}
+	for i, l := range lags {
+		p.lags[i] += w * (l - p.lags[i])
+	}
 }
 
-// Order ranks the EWMA lags, nil before any episode.
+// Order ranks the EWMA lags, nil before any episode and after an empty
+// one.
 func (p *EWMA) Order() []int {
-	if p.est == nil || p.est.Episodes() == 0 {
+	if len(p.lags) == 0 {
 		return nil
 	}
-	return Rank(p.est.Lags())
+	return Rank(p.lags)
 }
 
 func (p *EWMA) String() string { return "ewma" }
@@ -112,12 +120,17 @@ type Trend struct {
 	pred []float64
 }
 
+// window is the history length in force.
+func (p *Trend) window() int {
+	if p.Window <= 0 {
+		return 8
+	}
+	return p.Window
+}
+
 // Observe appends the episode to each participant's window.
 func (p *Trend) Observe(lags []float64) {
-	w := p.Window
-	if w <= 0 {
-		w = 8
-	}
+	w := p.window()
 	if len(p.hist) != len(lags) {
 		p.hist = make([][]float64, len(lags))
 		p.pred = make([]float64, len(lags))
@@ -142,7 +155,7 @@ func (p *Trend) Order() []int {
 	return Rank(p.pred)
 }
 
-func (p *Trend) String() string { return fmt.Sprintf("trend(w=%d)", p.Window) }
+func (p *Trend) String() string { return fmt.Sprintf("trend(w=%d)", p.window()) }
 
 // extrapolate fits lag = a + b·t over t = 0..n-1 by least squares and
 // returns the value at t = n (one step past the window).
@@ -196,18 +209,22 @@ func (p *Hysteresis) Order() []int {
 		p.last = order
 		return order
 	}
-	min := p.MinShift
-	if min == 0 {
-		min = 0.25
-	}
-	if rankShift(p.last, order) >= min {
+	if rankShift(p.last, order) >= p.minShift() {
 		p.last = order
 		return order
 	}
 	return nil
 }
 
-func (p *Hysteresis) String() string { return fmt.Sprintf("%v+hys(%g)", p.Inner, p.MinShift) }
+// minShift is the emission threshold in force.
+func (p *Hysteresis) minShift() float64 {
+	if p.MinShift == 0 {
+		return 0.25
+	}
+	return p.MinShift
+}
+
+func (p *Hysteresis) String() string { return fmt.Sprintf("%v+hys(%g)", p.Inner, p.minShift()) }
 
 // rankShift is the largest absolute rank displacement between two
 // permutations of the same ids, normalized by the length: 0 for equal

@@ -90,56 +90,6 @@ func CounterHomes(tree *topology.Tree) []int {
 	return homes
 }
 
-// HierarchicalGather simulates a ring-constrained tree barrier's arrival
-// traffic on a two-level interconnect (the §7 machine shape): counters are
-// homed with locality inside each ring, and only the per-ring subtree
-// roots' messages cross ring:1 to the merge root. It returns the gather's
-// completion and total ring:1 crossings — the quantity the ring-constraint
-// exists to minimize.
-func HierarchicalGather(ic *Interconnect, tree *topology.Tree) (completion float64, ring1Crossings int) {
-	if tree.P != ic.P() {
-		panic("ringsim: tree size does not match interconnect size")
-	}
-	var sim eventsim.Simulator
-	homes := CounterHomes(tree)
-
-	pending := make([]int, len(tree.Counters))
-	for i := range tree.Counters {
-		pending[i] = tree.Counters[i].FanIn()
-	}
-
-	var deliver func(counter int, t float64)
-	send := func(from, counter int) {
-		sr, _ := ic.Split(from)
-		dr, _ := ic.Split(homes[counter])
-		if sr != dr {
-			ring1Crossings++
-		}
-		ic.Send(&sim, from, homes[counter], func(t float64) { deliver(counter, t) })
-	}
-	deliver = func(counter int, t float64) {
-		pending[counter]--
-		if pending[counter] > 0 {
-			return
-		}
-		parent := tree.Counters[counter].Parent
-		if parent == topology.NoCounter {
-			if t > completion {
-				completion = t
-			}
-			return
-		}
-		send(homes[counter], parent)
-	}
-
-	for proc := 0; proc < tree.P; proc++ {
-		proc := proc
-		sim.ScheduleAt(0, func() { send(proc, tree.FirstCounter(proc)) })
-	}
-	sim.Run()
-	return completion, ring1Crossings
-}
-
 // TreeGather simulates the network traffic of a combining-tree barrier's
 // arrival phase on a single ring: every processor sends to its first
 // counter's home, and each completed counter sends one message to its

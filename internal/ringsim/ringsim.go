@@ -1,7 +1,6 @@
 // Package ringsim models the KSR1-style interconnect at the message
-// level: unidirectional slotted rings (ring:0) whose links are occupied
-// for one slot time per passing message, optionally joined by a top-level
-// ring:1 through per-ring interface nodes. Messages pipeline naturally
+// level: a unidirectional slotted ring whose links are occupied
+// for one slot time per passing message. Messages pipeline naturally
 // (spatial reuse) and queue FIFO at each link, so converging traffic —
 // the hot spot of Pfister & Norton that the paper's §2 cites as the
 // motivation for combining — creates honest link contention.
@@ -85,70 +84,5 @@ func (r *Ring) MaxLinkUtilization(horizon float64) float64 {
 func (r *Ring) Reset() {
 	for i := range r.links {
 		r.links[i].Reset()
-	}
-}
-
-// Interconnect is a two-level hierarchy: one ring:0 per group, joined by a
-// ring:1 whose node i is the interface of ring i. Global node numbering is
-// ring-major: node g = ring·ring0Size + local.
-type Interconnect struct {
-	Ring0s []*Ring
-	Ring1  *Ring
-	// Iface[i] is the ring:0 node hosting ring i's ring:1 interface.
-	Iface []int
-}
-
-// NewInterconnect builds rings ring:0s of size each, joined by a ring:1
-// with the given slot times. Interfaces sit at local node 0 of every ring.
-// A single ring omits ring:1.
-func NewInterconnect(rings, size int, slot0, slot1 float64) *Interconnect {
-	if rings < 1 {
-		panic("ringsim: need at least one ring")
-	}
-	ic := &Interconnect{}
-	for i := 0; i < rings; i++ {
-		ic.Ring0s = append(ic.Ring0s, NewRing(size, slot0))
-		ic.Iface = append(ic.Iface, 0)
-	}
-	if rings > 1 {
-		ic.Ring1 = NewRing(rings, slot1)
-	}
-	return ic
-}
-
-// P returns the total node count.
-func (ic *Interconnect) P() int { return len(ic.Ring0s) * ic.Ring0s[0].N }
-
-// Split returns the ring index and local node of a global node.
-func (ic *Interconnect) Split(g int) (ring, local int) {
-	size := ic.Ring0s[0].N
-	return g / size, g % size
-}
-
-// Send delivers a message from global node src to global node dst,
-// calling done with the delivery time. Cross-ring messages hop
-// ring:0 → ring:1 → ring:0 through the interface nodes.
-func (ic *Interconnect) Send(sim *eventsim.Simulator, src, dst int, done func(t float64)) {
-	sr, sl := ic.Split(src)
-	dr, dl := ic.Split(dst)
-	if sr == dr {
-		ic.Ring0s[sr].Transit(sim, sl, dl, done)
-		return
-	}
-	// To the local interface, across ring:1, then to the destination.
-	ic.Ring0s[sr].Transit(sim, sl, ic.Iface[sr], func(float64) {
-		ic.Ring1.Transit(sim, sr, dr, func(float64) {
-			ic.Ring0s[dr].Transit(sim, ic.Iface[dr], dl, done)
-		})
-	})
-}
-
-// Reset clears all link state.
-func (ic *Interconnect) Reset() {
-	for _, r := range ic.Ring0s {
-		r.Reset()
-	}
-	if ic.Ring1 != nil {
-		ic.Ring1.Reset()
 	}
 }

@@ -77,7 +77,6 @@ func TestRingPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewRing(1, slot) },
 		func() { NewRing(4, 0) },
-		func() { NewInterconnect(0, 4, slot, slot) },
 		func() { NewRing(4, slot).MaxLinkUtilization(0) },
 		func() {
 			r := NewRing(4, slot)
@@ -93,36 +92,6 @@ func TestRingPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestInterconnectCrossRing(t *testing.T) {
-	ic := NewInterconnect(2, 4, slot, 10*slot)
-	if ic.P() != 8 {
-		t.Fatalf("P = %d", ic.P())
-	}
-	var sim eventsim.Simulator
-	var done float64 = -1
-	// Node 1 (ring 0, local 1) to node 6 (ring 1, local 2):
-	// local 1→0 (3 hops), ring1 0→1 (1 hop × 10 slots), local 0→2 (2 hops).
-	sim.ScheduleAt(0, func() {
-		ic.Send(&sim, 1, 6, func(t float64) { done = t })
-	})
-	sim.Run()
-	want := 3*slot + 10*slot + 2*slot
-	if math.Abs(done-want) > 1e-15 {
-		t.Errorf("cross-ring delivery %v, want %v", done, want)
-	}
-	// Same-ring send takes the local path only.
-	ic.Reset()
-	var sim2 eventsim.Simulator
-	done = -1
-	sim2.ScheduleAt(0, func() {
-		ic.Send(&sim2, 1, 3, func(t float64) { done = t })
-	})
-	sim2.Run()
-	if math.Abs(done-2*slot) > 1e-15 {
-		t.Errorf("local delivery %v, want %v", done, 2*slot)
 	}
 }
 
@@ -213,39 +182,4 @@ func TestTreeGatherSizeMismatchPanics(t *testing.T) {
 		}
 	}()
 	TreeGather(NewRing(8, slot), topology.NewClassic(16, 4))
-}
-
-func TestHierarchicalGatherMinimizesRing1Crossings(t *testing.T) {
-	// A ring-constrained tree on a 2×8 interconnect: only the per-ring
-	// subtree roots cross ring:1, so exactly... the merge root is homed in
-	// ring 0 (locality homing follows its last child), and only messages
-	// whose source ring differs from the merge root's ring cross — one per
-	// non-resident ring subtree.
-	ic := NewInterconnect(2, 8, slot, 10*slot)
-	tree := topology.NewRing([]int{8, 8}, 4)
-	completion, crossings := HierarchicalGather(ic, tree)
-	if completion <= 0 {
-		t.Fatal("gather did not complete")
-	}
-	if crossings > 1 {
-		t.Errorf("ring:1 crossings = %d, want ≤ 1 (only the remote subtree root)", crossings)
-	}
-	// Contrast: a ring-oblivious classic tree scatters counters across
-	// rings and crosses ring:1 many times.
-	ic2 := NewInterconnect(2, 8, slot, 10*slot)
-	oblivious := topology.NewClassic(16, 4)
-	_, obliviousCrossings := HierarchicalGather(ic2, oblivious)
-	if obliviousCrossings <= crossings {
-		t.Errorf("ring-oblivious tree crossed ring:1 %d times, constrained %d — constraint should win",
-			obliviousCrossings, crossings)
-	}
-}
-
-func TestHierarchicalGatherSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	HierarchicalGather(NewInterconnect(2, 8, slot, slot), topology.NewClassic(8, 4))
 }

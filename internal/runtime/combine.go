@@ -1,9 +1,6 @@
 package runtime
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Op is an associative combining operator over fixed-width byte strings —
 // what turns an arrival-counting tree into a reduction tree. Fold must be
@@ -211,90 +208,4 @@ func (r *Reducer) Resize(p, inputs int) {
 		return
 	}
 	r.alloc(p, inputs)
-}
-
-// LagEstimator maintains a per-participant EWMA of arrival lag — how far
-// behind the episode's first arrival each participant reached the barrier
-// — the measured signal behind the σ-aware reduction placement: rank
-// participants by this estimate and put the laggiest nearest the root so
-// their contributions fold last. Observe is releaser-only; Lags may be
-// read from any goroutine.
-type LagEstimator struct {
-	mu     sync.Mutex
-	weight float64
-	lags   []float64
-	n      uint64
-}
-
-// NewLagEstimator returns an estimator for p participants; weight is the
-// EWMA weight of the newest episode (0 selects DefaultSigmaWeight).
-func NewLagEstimator(p int, weight float64) *LagEstimator {
-	if weight <= 0 || weight > 1 {
-		weight = DefaultSigmaWeight
-	}
-	return &LagEstimator{weight: weight, lags: make([]float64, p)}
-}
-
-// Observe folds one episode's arrival times (any base — the minimum is
-// subtracted) into the per-participant lag estimates. A length change
-// re-seeds the estimator at the new membership.
-func (e *LagEstimator) Observe(arrivals []float64) {
-	if len(arrivals) == 0 {
-		return
-	}
-	first := arrivals[0]
-	for _, a := range arrivals[1:] {
-		if a < first {
-			first = a
-		}
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(arrivals) != len(e.lags) {
-		e.lags = make([]float64, len(arrivals))
-		e.n = 0
-	}
-	if e.n == 0 {
-		for i, a := range arrivals {
-			e.lags[i] = a - first
-		}
-	} else {
-		w := e.weight
-		for i, a := range arrivals {
-			e.lags[i] += w * ((a - first) - e.lags[i])
-		}
-	}
-	e.n++
-}
-
-// Lags returns a snapshot of the per-participant lag estimates, seconds.
-func (e *LagEstimator) Lags() []float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]float64, len(e.lags))
-	copy(out, e.lags)
-	return out
-}
-
-// Episodes returns how many episodes the estimate is based on.
-func (e *LagEstimator) Episodes() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.n
-}
-
-// FoldLags feeds the episode's recorded arrival timestamps into est. Like
-// Measure it is releaser-only and must run before the episode's release,
-// while the parity buffer is quiescent. A nil recorder is a no-op, as is
-// an episode that was not measured.
-func (r *Recorder) FoldLags(episode uint64, est *LagEstimator) {
-	if r == nil || est == nil || episode < r.armed {
-		return
-	}
-	slots := r.arrivals[episode&1]
-	arr := make([]float64, len(slots))
-	for i := range slots {
-		arr[i] = float64(slots[i].V) * 1e-9
-	}
-	est.Observe(arr)
 }

@@ -168,48 +168,3 @@ func TestReducerDepositWidthPanics(t *testing.T) {
 	}()
 	NewReducer(sumOp(), 1, 1).Deposit(0, 0, []byte{1, 2})
 }
-
-func TestLagEstimator(t *testing.T) {
-	e := NewLagEstimator(3, 0.5)
-	e.Observe([]float64{10, 11, 13})
-	lags := e.Lags()
-	want := []float64{0, 1, 3}
-	for i := range want {
-		if lags[i] != want[i] {
-			t.Fatalf("seed lags = %v, want %v", lags, want)
-		}
-	}
-	// Second episode: participant 2 on time, participant 0 late.
-	e.Observe([]float64{25, 20, 20})
-	lags = e.Lags()
-	if lags[0] != 2.5 || lags[1] != 0.5 || lags[2] != 1.5 {
-		t.Fatalf("EWMA lags = %v, want [2.5 0.5 1.5]", lags)
-	}
-	if e.Episodes() != 2 {
-		t.Fatalf("episodes = %d, want 2", e.Episodes())
-	}
-	// Membership change re-seeds.
-	e.Observe([]float64{5, 5})
-	if got := e.Lags(); len(got) != 2 || got[0] != 0 || got[1] != 0 {
-		t.Fatalf("post-resize lags = %v, want [0 0]", got)
-	}
-	if e.Episodes() != 1 {
-		t.Fatalf("post-resize episodes = %d, want 1", e.Episodes())
-	}
-}
-
-func TestRecorderFoldLags(t *testing.T) {
-	now := int64(0)
-	clock := func() int64 { return now }
-	r := New(3, nil, clock, 1)
-	est := NewLagEstimator(3, 1)
-	for id, at := range []int64{0, 1e9, 3e9} {
-		now = at
-		r.Arrive(id, 0)
-	}
-	r.FoldLags(0, est)
-	lags := est.Lags()
-	if lags[0] != 0 || lags[1] != 1 || lags[2] != 3 {
-		t.Fatalf("folded lags = %v, want [0 1 3]", lags)
-	}
-}

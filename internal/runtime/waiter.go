@@ -169,10 +169,10 @@ const PoisonValue = ^uint64(0)
 
 // Cell is a cache-line-padded signalling slot carrying a monotonically
 // increasing value, with park support for a single waiter — the building
-// block for dissemination/tournament round flags and tree-propagated
-// wakeups. Writers publish with Set; the (single) waiter blocks with
-// AwaitAtLeast. A Cell must be prepared with Init (or InitCells) before
-// use and must not be copied afterwards.
+// block for dissemination/tournament round flags. Writers publish with
+// Set; the (single) waiter blocks with AwaitAtLeast. A Cell must be
+// prepared with Init (or InitCells) before use and must not be copied
+// afterwards.
 //
 // Set enforces the monotone contract, so Poison — which publishes the
 // maximal PoisonValue — is sticky even against a signaller racing with
@@ -194,9 +194,6 @@ func InitCells(cells []Cell) {
 		cells[i].Init()
 	}
 }
-
-// Load returns the cell's current value.
-func (c *Cell) Load() uint64 { return c.v.Load() }
 
 // Set publishes v and wakes the parked waiter, if any. Values are
 // monotone: a v at or below the current value is ignored, which keeps a

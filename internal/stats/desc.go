@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -35,20 +34,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the minimum of xs; it panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
 
 // Max returns the maximum of xs; it panics on an empty slice.
 func Max(xs []float64) float64 {
@@ -85,38 +70,6 @@ func Percentile(xs []float64, p float64) float64 {
 		return sorted[len(sorted)-1]
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P50    float64
-	P95    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs. An empty sample yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		P50:    Percentile(xs, 50),
-		P95:    Percentile(xs, 95),
-		Max:    Max(xs),
-	}
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.6g sd=%.6g min=%.6g p50=%.6g p95=%.6g max=%.6g",
-		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.P95, s.Max)
 }
 
 // Ranks returns the fractional ranks of xs (1-based; ties get the average
@@ -168,44 +121,3 @@ func Spearman(xs, ys []float64) float64 {
 	}
 	return num / math.Sqrt(dx*dy)
 }
-
-// Histogram is a fixed-width bucketing of a sample.
-type Histogram struct {
-	Lo, Hi  float64 // histogram range
-	Counts  []int   // per-bucket counts
-	Under   int     // samples below Lo
-	Over    int     // samples at or above Hi
-	Samples int     // total samples observed
-}
-
-// NewHistogram creates a histogram over [lo, hi) with buckets buckets.
-// It panics for a non-positive bucket count or an empty range.
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if buckets <= 0 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	if !(hi > lo) {
-		panic("stats: histogram range must be non-empty")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, buckets)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.Samples++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) { // guard the x == Hi-ε rounding edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// BucketWidth returns the width of each bucket.
-func (h *Histogram) BucketWidth() float64 { return (h.Hi - h.Lo) / float64(len(h.Counts)) }

@@ -28,7 +28,7 @@ func DefaultWaitPolicy() WaitPolicy {
 
 // Option configures a barrier at construction. Every constructor in this
 // package accepts options; an option that does not apply to a particular
-// barrier (WithTreeWakeup on a non-tree barrier) is ignored.
+// barrier (WithPlacement on a non-tree barrier) is ignored.
 type Option func(*options)
 
 // options is the merged configuration shared by all constructors.
@@ -36,7 +36,6 @@ type options struct {
 	observer     Observer
 	policy       rt.WaitPolicy
 	clock        func() int64
-	treeWakeup   bool
 	watchdog     time.Duration
 	poisonNotify func(error)
 	collective   *rt.Op
@@ -104,14 +103,6 @@ func WithWatchdog(d time.Duration) Option {
 // next poisoning notifies again.
 func WithPoisonNotify(fn func(error)) Option {
 	return func(o *options) { o.poisonNotify = fn }
-}
-
-// WithTreeWakeup selects tree-propagated wakeup on TreeBarrier: released
-// participants wake their two heap children instead of everyone parking on
-// one broadcast gate. This bounds the contention of the release path at
-// the cost of log₂ p propagation hops. Other barriers ignore it.
-func WithTreeWakeup() Option {
-	return func(o *options) { o.treeWakeup = true }
 }
 
 // WithCollective arms the barrier's payload path: episodes may then carry

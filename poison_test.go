@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// abortableVariants enumerates every root barrier type (plus the tree
-// wakeup and ring-constrained variants) under a fixed participant count,
+// abortableVariants enumerates every root barrier type (plus the MCS
+// and ring-constrained variants) under a fixed participant count,
 // so the poison / watchdog / cancellation contracts are pinned uniformly.
 // The opts slice is copied before appending so table entries never alias
 // each other's backing arrays.
@@ -31,9 +31,7 @@ func abortableVariants(p int, opts ...Option) []struct {
 	}{
 		{"central", mk(func(o []Option) ContextBarrier { return NewCentral(p, o...) })},
 		{"tree-gate", mk(func(o []Option) ContextBarrier { return NewCombiningTree(p, 2, o...) })},
-		{"tree-wakeup", mk(func(o []Option) ContextBarrier {
-			return NewMCSTree(p, 2, append(append([]Option(nil), o...), WithTreeWakeup())...)
-		})},
+		{"mcs", mk(func(o []Option) ContextBarrier { return NewMCSTree(p, 2, o...) })},
 		{"tournament", mk(func(o []Option) ContextBarrier { return NewTournament(p, o...) })},
 		{"dissemination", mk(func(o []Option) ContextBarrier { return NewDissemination(p, o...) })},
 		{"dynamic", mk(func(o []Option) ContextBarrier { return NewDynamic(p, 2, o...) })},

@@ -1,9 +1,6 @@
 package softbarrier
 
-import (
-	rt "softbarrier/internal/runtime"
-	"softbarrier/internal/topology"
-)
+import "softbarrier/internal/topology"
 
 // TreeBarrier is a software combining-tree barrier: a tree of atomic
 // counters, each on its own cache line, so that at most degree+1
@@ -16,10 +13,8 @@ import (
 // every counter, the Mellor-Crummey & Scott structure the paper's §5
 // builds on).
 //
-// The release path runs on the shared internal/runtime core: waiters
-// follow the configured spin→yield→park policy, and WithTreeWakeup swaps
-// the broadcast gate for an MCS-style binary wakeup tree whose flags park
-// the same way.
+// The release is one broadcast gate on the shared internal/runtime core,
+// whose waiters follow the configured spin→yield→park policy.
 type TreeBarrier struct {
 	treeCore
 }
@@ -43,10 +38,6 @@ func newTreeBarrier(tree *topology.Tree, opts []Option) *TreeBarrier {
 	o := applyOptions(opts)
 	tree = placeTree(tree, o.placeOrder)
 	b := &TreeBarrier{}
-	if o.treeWakeup {
-		b.wakeFlag = make([]rt.Cell, tree.P)
-		rt.InitCells(b.wakeFlag)
-	}
 	b.init(o, newTreeEpoch(tree, nil, 0))
 	return b
 }
@@ -60,27 +51,6 @@ func (b *TreeBarrier) Levels() int { return b.state.Load().tree.Levels }
 // With a placement applied (WithPlacement), the laggiest-ranked
 // participants show the smallest depths.
 func (b *TreeBarrier) Depths() []int { return b.state.Load().depths() }
-
-// awaitWake is Await under WithTreeWakeup: instead of the broadcast gate,
-// the releaser wakes participant 0, and each woken participant wakes its
-// two children in a binary heap layout — the MCS-style wakeup tree that
-// bounds the number of waiters per flag.
-func (b *treeCore) awaitWake(id int, mine uint64) {
-	got := b.wakeFlag[id].AwaitAtLeast(mine+1, b.policy)
-	if got == rt.PoisonValue {
-		return // poison wake; siblings' flags were poisoned alongside
-	}
-	// Propagate the wakeup (monotone values make overlapping episodes
-	// safe: a flag may carry a newer generation, which is still a
-	// release of our episode's successor and therefore of ours).
-	for _, child := range [2]int{2*id + 1, 2*id + 2} {
-		if child < len(b.wakeFlag) {
-			if cur := b.wakeFlag[child].Load(); cur < got {
-				b.wakeFlag[child].Set(got)
-			}
-		}
-	}
-}
 
 var _ PhasedBarrier = (*TreeBarrier)(nil)
 var _ ContextBarrier = (*TreeBarrier)(nil)

@@ -50,10 +50,12 @@ type treeCore struct {
 	// elastic, when set, is the embedding barrier whose release runs at the
 	// root completion in place of the plain measure-and-open.
 	elastic *ReconfigurableBarrier
-	// Tree wakeup (WithTreeWakeup, tree.go): nil selects the broadcast gate.
-	wakeFlag []rt.Cell
-	policy   rt.WaitPolicy
 	poisonCore
+
+	// Six whole cache lines, for the reason ReconfigurableBarrier has eight
+	// (reconfigurable.go): unpadded, its 344 bytes fall in the 352-byte
+	// allocation class, whose objects do not start on a cache line.
+	_ [40]byte
 }
 
 // treeEpoch is one epoch's rebuildable configuration: the topology, its
@@ -116,9 +118,12 @@ type treeSlot struct {
 	_        [rt.CacheLine - 40]byte
 }
 
-// Each line compiles only when the struct is exactly one cache line, so
-// the padding above cannot silently drift when a field changes.
+// Each line compiles only when the struct is exactly its size: one cache
+// line, and six for treeCore, so the padding above cannot silently drift
+// when a field changes.
 const (
+	_ = 6*rt.CacheLine - unsafe.Sizeof(treeCore{})
+	_ = unsafe.Sizeof(treeCore{}) - 6*rt.CacheLine
 	_ = rt.CacheLine - unsafe.Sizeof(treeCounter{})
 	_ = unsafe.Sizeof(treeCounter{}) - rt.CacheLine
 	_ = rt.CacheLine - unsafe.Sizeof(treeSlot{})
@@ -192,7 +197,6 @@ func (st *treeEpoch) depths() []int {
 
 // init wires the core around its first epoch.
 func (b *treeCore) init(o options, first treeEpoch) {
-	b.policy = o.policy
 	b.gate.Init(o.policy)
 	b.first = first
 	st := &b.first
@@ -209,7 +213,7 @@ func (b *treeCore) init(o options, first treeEpoch) {
 	b.rec = o.recorder(st.p, every)
 	b.red = o.reducer(st.p, st.inputs())
 	b.folding = b.red != nil && b.red.Op().Commutative
-	b.initPoison(st.p, o.watchdog, o.poisonNotify, b.poisonWaiters, b.clearEpisode, func() []uint64 {
+	b.initPoison(st.p, o.watchdog, o.poisonNotify, b.gate.Poison, b.clearEpisode, func() []uint64 {
 		cur := b.state.Load()
 		out := make([]uint64, cur.p)
 		for i := range out {
@@ -217,15 +221,6 @@ func (b *treeCore) init(o options, first treeEpoch) {
 		}
 		return out
 	})
-}
-
-// poisonWaiters poisons every wait primitive a participant can be parked
-// on.
-func (b *treeCore) poisonWaiters() {
-	b.gate.Poison()
-	for i := range b.wakeFlag {
-		b.wakeFlag[i].Poison()
-	}
 }
 
 // clearEpisode drops the aborted episode's partial counts for Reset, back
@@ -239,9 +234,6 @@ func (b *treeCore) clearEpisode() {
 	st, gen := b.state.Load(), b.gate.Seq()
 	for i := range st.counters {
 		st.counters[i].count.Store(startCount(st.counters[i].fanIn, gen))
-	}
-	for i := range b.wakeFlag {
-		b.wakeFlag[i].Reset()
 	}
 	// Whoever arrived in the aborted episode arrives in its generation
 	// again: Reset does not advance the gate.
@@ -396,10 +388,7 @@ func (b *treeCore) arrive(id int, pl *payload) {
 	}
 	// Measure while the arrival slots are quiescent, then release everyone.
 	b.rec.Release(gen, rt.Extra{Swaps: b.swaps.Load(), Degree: st.tree.Degree})
-	opened := b.gate.Open()
-	if b.wakeFlag != nil {
-		b.wakeFlag[0].Set(opened)
-	}
+	b.gate.Open()
 }
 
 // Await blocks participant id until the episode it arrived in completes
@@ -407,10 +396,6 @@ func (b *treeCore) arrive(id int, pl *payload) {
 func (b *treeCore) Await(id int) {
 	st := b.state.Load()
 	checkID(id, len(st.slots))
-	if b.wakeFlag != nil {
-		b.awaitWake(id, st.slots[id].gen)
-		return
-	}
 	b.gate.Await(st.slots[id].gen)
 }
 
