@@ -117,6 +117,28 @@ func TestCommandLineErrors(t *testing.T) {
 	}
 }
 
+// TestTracefileNonFiniteIsAnError: a trace file holding NaN or +Inf is a
+// bad input, reported as an error, not a panic inside the event queue.
+func TestTracefileNonFiniteIsAnError(t *testing.T) {
+	for _, bad := range []string{"NaN", "+Inf"} {
+		path := filepath.Join(t.TempDir(), "bad.csv")
+		if err := os.WriteFile(path, []byte("1e-3,2e-3\n3e-3,"+bad+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("trace holding %s: panic %v", bad, r)
+				}
+			}()
+			return run([]string{"-tracefile", path, "-degree", "2", "-episodes", "2"}, &strings.Builder{})
+		}()
+		if err == nil {
+			t.Errorf("trace holding %s replayed without an error", bad)
+		}
+	}
+}
+
 func TestBuilderKinds(t *testing.T) {
 	for _, kind := range []string{"classic", "mcs", "ring"} {
 		build, err := treeFlags{kind: kind, rings: 2}.builder()

@@ -3,6 +3,7 @@ package barriersim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/model"
@@ -82,42 +83,12 @@ func CentralDelay(arrivals []float64, tc float64) float64 {
 	free := math.Inf(-1)
 	sorted := append([]float64(nil), arrivals...)
 	// Serve in arrival order.
-	sortFloat64s(sorted)
+	slices.Sort(sorted)
 	for _, a := range sorted {
 		start := math.Max(a, free)
 		free = start + tc
 	}
 	return free - sorted[p-1]
-}
-
-func sortFloat64s(xs []float64) {
-	// Insertion sort is fine for the sizes used here? No — p reaches 4096.
-	// Use a simple heap sort to stay allocation-free and O(n log n).
-	n := len(xs)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(xs, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		xs[0], xs[end] = xs[end], xs[0]
-		siftDown(xs, 0, end)
-	}
-}
-
-func siftDown(xs []float64, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && xs[child+1] > xs[child] {
-			child++
-		}
-		if xs[root] >= xs[child] {
-			return
-		}
-		xs[root], xs[child] = xs[child], xs[root]
-		root = child
-	}
 }
 
 // BaselineKind selects a baseline barrier structure.

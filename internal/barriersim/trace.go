@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -32,6 +33,11 @@ func NewTrace(rows [][]float64) (*Trace, error) {
 	for k, row := range rows {
 		if len(row) != p {
 			return nil, fmt.Errorf("barriersim: row %d has %d entries, want %d", k, len(row), p)
+		}
+		for i, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("barriersim: row %d column %d is %g, want a finite time", k, i, v)
+			}
 		}
 	}
 	return &Trace{Rows: rows}, nil

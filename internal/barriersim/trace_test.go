@@ -2,6 +2,7 @@ package barriersim
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -40,6 +41,20 @@ func TestNewTraceValidation(t *testing.T) {
 	}
 	if _, err := NewTrace([][]float64{{1, 2}, {3}}); err == nil {
 		t.Error("ragged trace accepted")
+	}
+}
+
+// TestNewTraceRejectsNonFinite: a recorded time that is NaN or infinite
+// cannot be scheduled, so the trace is refused up front, naming where the
+// bad entry sits.
+func TestNewTraceRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := NewTrace([][]float64{{1, 2}, {3, bad}})
+		if err == nil {
+			t.Errorf("trace holding %g accepted", bad)
+		} else if !strings.Contains(err.Error(), "row 1 column 1") {
+			t.Errorf("error %q does not name row 1 column 1", err)
+		}
 	}
 }
 

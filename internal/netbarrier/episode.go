@@ -15,8 +15,6 @@ type ShardOutcome struct {
 	// sessions). The bytes are valid only while the done callback runs;
 	// the session consumes them into its release encoding before returning.
 	Result []byte
-	// FleetP is the fleet-wide participant count across every shard.
-	FleetP int
 	// Sigma is the fleet-wide σ estimate the root aggregated from the
 	// shards' reports, seconds. 0 means not yet measured; the leaf then
 	// falls back to its local estimate.
@@ -60,7 +58,7 @@ type UpstreamLink interface {
 	// must be called exactly once — from any goroutine — when the upstream
 	// releases or poisons the episode, or cannot be reached; the session
 	// completes (or poisons) itself in that callback.
-	Arrive(episode uint64, localP int, spread, sigma float64, data []byte, done func(ShardOutcome))
+	Arrive(localP int, spread, sigma float64, data []byte, done func(ShardOutcome))
 	// Close tears the link down. A nil cause is a graceful departure (the
 	// local session retired cleanly; with an arrival outstanding it takes
 	// effect after that episode's release); non-nil delivers the local
@@ -154,7 +152,7 @@ func (s *session) deposit(id int, data []byte) {
 func (s *session) onEpisode(st softbarrier.EpisodeStats) {
 	result := s.tree.Reduced(st.Episode) // nil for a plain barrier session
 	if s.up != nil && !s.dead.Load() {
-		s.up.Arrive(st.Episode, s.tree.Participants(), st.Spread, s.tree.Sigma(), result,
+		s.up.Arrive(s.tree.Participants(), st.Spread, s.tree.Sigma(), result,
 			func(out ShardOutcome) { s.completeEpisode(st, out) })
 		return
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"softbarrier"
 	"softbarrier/internal/wire"
@@ -65,34 +64,28 @@ func (s *session) fleetStats(live []*srvConn) (fleetP int, fleetSigma float64) {
 
 // fanOut is the release fan-out: it answers the joiners this boundary
 // admitted (elastic sessions; each JoinResp is its own small encoding) and
-// sends the episode-completing frame — encoded once, into the
-// parity-double-buffered release scratch, so a steady-state episode
-// encodes with zero allocations — to every continuing member. The
-// releaser writes each socket itself (srvConn.send): with the server idle
-// behind the last arrival, the synchronization delay is this loop, and a
-// write per member is all it holds — no goroutine is woken, no timer
-// armed, nothing allocated.
+// sends the episode-completing frame — encoded once, into the session's
+// one release buffer, so a steady-state episode encodes with zero
+// allocations — to every continuing member. The releaser writes each
+// socket itself (srvConn.send): with the server idle behind the last
+// arrival, the synchronization delay is this loop, and a write per member
+// is all it holds — no goroutine is woken, no timer armed, nothing
+// allocated.
 //
-// One stalled socket cannot delay the rest: send never blocks, handing a
-// frame the socket will not take whole to a goroutine of its own, whose
-// write still times out against the server's write deadline and poisons
-// the session then. A write error met inline is kept until every other
-// member has its frame, and poisons once, after the loop — poisoning
-// blocks until the cause frames are written, which in the middle of the
-// loop is exactly the wait behind a bad socket the loop must not have.
-//
-// Scratch safety: a same-parity buffer is reused two episodes later, by
-// which time every borrowing write has completed — a member must receive
-// episode k's release before it can arrive at k+1, and releases k+1 and
-// k+2 cannot exist before every member arrived. Inline writes are done
-// with the buffer when send returns; relPending counts the goroutines
-// still holding it (a stalled socket), and nonzero means encode into a
-// fresh allocation instead.
+// One stalled socket cannot delay the rest: send never blocks, handing
+// what the socket will not take to a goroutine of its own, whose write
+// still times out against the server's write deadline and poisons the
+// session then. That goroutine writes its own copy, so the release buffer
+// is free again as soon as send returns. A write error met inline is kept
+// until every other member has its frame, and poisons once, after the
+// loop — poisoning blocks until the cause frames are written, which in the
+// middle of the loop is exactly the wait behind a bad socket the loop must
+// not have.
 func (s *session) fanOut(ep uint64, f wire.Frame, continuing, admitted []*srvConn) {
 	var failed *srvConn
 	var failure error
-	send := func(m *srvConn, buf []byte, pend *atomic.Int64) {
-		if err := m.send(sendJob{buf: buf, sess: s, pend: pend}); err != nil && failed == nil {
+	send := func(m *srvConn, buf []byte) {
+		if err := m.send(buf, s); err != nil && failed == nil {
 			failed, failure = m, err
 		}
 	}
@@ -105,26 +98,16 @@ func (s *session) fanOut(ep uint64, f wire.Frame, continuing, admitted []*srvCon
 			s.poison(fmt.Errorf("netbarrier: internal: unencodable frame: %w", err))
 			return
 		}
-		send(m, buf, nil)
+		send(m, buf)
 	}
-	parity := ep & 1
-	pend := &s.relPending[parity]
-	var dst []byte
-	if pend.Load() == 0 {
-		dst = s.relScratch[parity][:0]
-	} else {
-		pend = nil // scratch still borrowed; this fan-out owns a private buffer
-	}
-	buf, err := wire.AppendFrame(dst, f)
+	buf, err := wire.AppendFrame(s.rel[:0], f)
 	if err != nil {
 		s.poison(fmt.Errorf("netbarrier: internal: unencodable frame: %w", err))
 		return
 	}
-	if pend != nil {
-		s.relScratch[parity] = buf
-	}
+	s.rel = buf
 	for _, m := range continuing {
-		send(m, buf, pend)
+		send(m, buf)
 	}
 	if failed != nil {
 		s.unreachable(failed, failure)

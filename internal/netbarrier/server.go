@@ -314,17 +314,6 @@ func newSrvConn(conn net.Conn) *srvConn {
 	return c
 }
 
-// sendJob is one fan-out write: a release, or the JoinResp admitting an
-// elastic joiner. buf is pre-encoded and read-only; pend, when non-nil,
-// is the borrow count of the session scratch backing buf. A member that
-// cannot be written within the server's write timeout will never arrive
-// again, so a failed write poisons sess.
-type sendJob struct {
-	buf  []byte
-	sess *session
-	pend *atomic.Int64
-}
-
 // tryWrite is the inline attempt: how much of buf the socket took
 // without blocking. The caller holds wmu.
 func (c *srvConn) tryWrite(buf []byte) (int, error) {
@@ -359,52 +348,52 @@ func (c *srvConn) sendWait(buf []byte, timeout time.Duration) error {
 	return c.writeRest(buf[n:], timeout)
 }
 
-// send writes one fan-out frame without ever blocking the caller, who
+// send writes one fan-out frame of sess — a release, or the JoinResp
+// admitting an elastic joiner — without ever blocking the caller, who
 // has other members to release. A socket that takes the whole frame —
 // the steady state — is written inline: no wake-up, no timer, no
 // allocation. One that takes less keeps its write lock, so no other
 // frame can cut into this one, and a one-off goroutine finishes the
 // frame under it; so does a connection whose lock is already held by
-// such a goroutine, or that has no non-blocking write at all. An error
-// met inline is returned for the caller to act on once its fan-out is
-// over; one met by the goroutine poisons the session from there.
-func (c *srvConn) send(j sendJob) error {
-	n := -1 // write lock not held: finish takes it
-	if c.wmu.TryLock() {
+// such a goroutine, or that has no non-blocking write at all. Either
+// way buf is the caller's again when send returns. An error met inline
+// is returned for the caller to act on once its fan-out is over; one met
+// by the goroutine poisons the session from there: a member that cannot
+// be written within the write timeout will never arrive again.
+func (c *srvConn) send(buf []byte, sess *session) error {
+	locked := c.wmu.TryLock()
+	n := 0
+	if locked {
 		var err error
-		n, err = c.tryWrite(j.buf)
-		if err != nil || n == len(j.buf) {
+		n, err = c.tryWrite(buf)
+		if err != nil || n == len(buf) {
 			c.wmu.Unlock()
 			return err
 		}
 	}
-	if j.pend != nil {
-		j.pend.Add(1) // the goroutine borrows buf past this call's return
-	}
-	go c.finish(j, n)
+	c.handOff(buf[n:], locked, sess)
 	return nil
 }
 
-// finish completes a frame send could not: from byte n on, under the
-// write lock send kept for it, or — n < 0 — all of it, once the lock is
-// free. It lives for at most the write timeout (plus, in the second
-// case, that of the write ahead of it) and nothing waits for it: closing
-// the connection fails its write.
-func (c *srvConn) finish(j sendJob, n int) {
-	if n < 0 {
+// handOff starts the goroutine that finishes a frame send could not, on
+// a copy of what is left of it. It is kept out of send so that the
+// inline path carries none of the copy's code.
+func (c *srvConn) handOff(rest []byte, locked bool, sess *session) {
+	go c.finish(append([]byte(nil), rest...), locked, sess)
+}
+
+// finish writes rest under the write lock — the one send kept for it, or
+// (locked false) one it waits for. It lives for at most the write timeout
+// (plus, in the second case, that of the write ahead of it) and nothing
+// waits for it: closing the connection fails its write.
+func (c *srvConn) finish(rest []byte, locked bool, sess *session) {
+	if !locked {
 		c.wmu.Lock()
-		n = 0
 	}
-	err := c.writeRest(j.buf[n:], j.sess.srv.opt.writeTimeout())
+	err := c.writeRest(rest, sess.srv.opt.writeTimeout())
 	c.wmu.Unlock()
-	if j.pend != nil {
-		// Release the borrow only after the last read of buf: the next
-		// same-parity broadcast's Load of the counter is then ordered after
-		// every access to the scratch bytes.
-		j.pend.Add(-1)
-	}
 	if err != nil {
-		j.sess.unreachable(c, err)
+		sess.unreachable(c, err)
 	}
 }
 
@@ -419,12 +408,6 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		// wire.TCP listeners tune accepted sockets themselves; this covers
-		// Serve(ln) callers handing the server a raw TCP listener. Frames
-		// are latency-bound, not throughput-bound.
-		tc.SetNoDelay(true)
-	}
 	fc := wire.NewFrameConn(conn) // the read half only: frames are written through c
 
 	conn.SetReadDeadline(time.Now().Add(joinTimeout))

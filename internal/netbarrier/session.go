@@ -73,17 +73,14 @@ type session struct {
 	dead    atomic.Bool   // poison broadcast already sent
 
 	// Release fan-out scratch, all releaser-only (successive releasers are
-	// ordered through the episode atomic and the tree). relScratch is the
-	// encoded release frame, double-buffered by episode parity;
-	// relPending[k] counts fan-out writes still borrowing relScratch[k] —
-	// nonzero only while a socket is stalled, in which case the next
-	// same-parity broadcast falls back to a fresh allocation instead of
-	// reusing the buffer. contBuf is the boundary's live-member scratch;
-	// epoch is the epoch of the last release, for the re-plan log line.
-	relScratch [2][]byte
-	relPending [2]atomic.Int64
-	contBuf    []*srvConn
-	epoch      uint64
+	// ordered through the episode atomic and the tree). rel is the encoded
+	// release frame, free again once every send has returned: a write that
+	// outlives its send works on its own copy. contBuf is the boundary's
+	// live-member scratch; epoch is the epoch of the last release, for the
+	// re-plan log line.
+	rel     []byte
+	contBuf []*srvConn
+	epoch   uint64
 
 	mu      sync.Mutex
 	members []*srvConn // slot per id; nil = not yet joined (formation only)

@@ -34,7 +34,7 @@ func (u *loopUpstream) Open(_ string, fail func(error)) UpstreamLink {
 
 type loopLink struct{}
 
-func (loopLink) Arrive(_ uint64, _ int, _, _ float64, data []byte, done func(ShardOutcome)) {
+func (loopLink) Arrive(_ int, _, _ float64, data []byte, done func(ShardOutcome)) {
 	done(ShardOutcome{Result: data})
 }
 

@@ -29,11 +29,11 @@
 // down the link and poisons the local cohort, so every client on every
 // shard learns the original error.
 //
-// Session placement uses a consistent-hash Ring over the leaf addresses:
-// clients derive their leaf from the session name with no coordination,
-// and sessions that span a subset of the fleet (FleetOptions.Span) get
-// their shard ids from the ring's placement order. Fleet wires a root
-// plus N leaves on loopback for tests and single-host deployments;
-// `barrierd` (a root) and `barrierd -root ADDR` (each leaf) run the same
-// wiring across machines.
+// Every leaf serves every session, as every subtree of the paper's
+// combining tree spans part of every episode: leaf i joins each session
+// as shard i of the fleet's n, so a client may dial any leaf, and the
+// root's fold order is the leaves' index order. Fleet wires a root plus N
+// leaves on loopback for tests and single-host deployments; `barrierd`
+// (a root) and `barrierd -root ADDR -shards N -shard-id I` (each leaf)
+// run the same wiring across machines.
 package shardbarrier

@@ -9,14 +9,9 @@ import (
 
 // FleetOptions configures StartFleet.
 type FleetOptions struct {
-	// Leaves is how many leaf shards to start. 0 selects 2.
+	// Leaves is how many leaf shards to start. 0 selects 2. Every leaf
+	// joins the root for every session.
 	Leaves int
-	// Span is how many leaves each session spans: 0 (or ≥ Leaves) spans
-	// the whole fleet — every leaf joins the root for every session, the
-	// all-shards-synchronize shape — while a smaller span places each
-	// session on Span ring-consecutive leaves (Ring.Span order assigns the
-	// shard ids), isolating unrelated sessions onto disjoint shard sets.
-	Span int
 	// Net configures every leaf's local server (op, watchdog, planner
 	// knobs). The root runs the same options minus Upstream.
 	Net netbarrier.Options
@@ -51,25 +46,18 @@ type Fleet struct {
 	Root   *netbarrier.Server
 	Leaves []*Leaf
 
-	ring      *Ring
-	span      int
 	rootAddr  string
 	leafAddrs []string
 }
 
 // StartFleet launches a root and opt.Leaves leaf shards on ephemeral
-// loopback ports, fully wired: leaves know the root, and the fleet's ring
-// places sessions across the leaves. Callers route each client to
-// LeafAddr(session) (or any leaf, for whole-fleet spans) and must Close
-// the fleet when done.
+// loopback ports, fully wired: leaf i knows the root and joins every
+// session as shard i of opt.Leaves. Callers route each client to any
+// leaf and must Close the fleet when done.
 func StartFleet(opt FleetOptions) (*Fleet, error) {
 	n := opt.Leaves
 	if n <= 0 {
 		n = 2
-	}
-	span := opt.Span
-	if span <= 0 || span > n {
-		span = n
 	}
 	rootOpt := opt.Net
 	if opt.RootNet != nil {
@@ -82,7 +70,7 @@ func StartFleet(opt FleetOptions) (*Fleet, error) {
 	if bind == "" {
 		bind = "127.0.0.1:0"
 	}
-	f := &Fleet{Root: netbarrier.NewServer(rootOpt), span: span}
+	f := &Fleet{Root: netbarrier.NewServer(rootOpt)}
 	rootLn, err := tr.Listen(bind)
 	if err != nil {
 		return nil, err
@@ -101,37 +89,12 @@ func StartFleet(opt FleetOptions) (*Fleet, error) {
 		lns[i] = ln
 		f.leafAddrs[i] = ln.Addr().String()
 	}
-	f.ring = NewRing(f.leafAddrs, 0)
 	for i := 0; i < n; i++ {
-		leaf := NewLeaf(LeafOptions{
-			Net:         opt.Net,
-			Root:        f.rootAddr,
-			Index:       i,
-			Shards:      span,
-			SessionSlot: f.slotFor(i),
-		})
+		leaf := NewLeaf(LeafOptions{Net: opt.Net, Root: f.rootAddr, Index: i, Shards: n})
 		f.Leaves = append(f.Leaves, leaf)
 		go leaf.Serve(lns[i])
 	}
 	return f, nil
-}
-
-// slotFor builds leaf i's SessionSlot: for whole-fleet spans every leaf
-// participates with its own index; for partial spans the ring decides
-// which leaves host the session, and a participating leaf's shard id is
-// its rank in the ring's placement order.
-func (f *Fleet) slotFor(i int) func(string) (int, int) {
-	if f.span == len(f.leafAddrs) {
-		return nil // LeafOptions defaults: span = Shards, id = Index
-	}
-	return func(session string) (int, int) {
-		for rank, leaf := range f.ring.Span(session, f.span) {
-			if leaf == i {
-				return f.span, rank
-			}
-		}
-		return f.span, -1
-	}
 }
 
 // RootAddr returns the root's listen address.
@@ -139,15 +102,6 @@ func (f *Fleet) RootAddr() string { return f.rootAddr }
 
 // LeafAddrs returns every leaf's listen address, in shard-index order.
 func (f *Fleet) LeafAddrs() []string { return append([]string(nil), f.leafAddrs...) }
-
-// LeafAddr returns the address a client of the session should dial: the
-// ring's owner for partial spans, and the session's first ring leaf —
-// any leaf works, this one just spreads load deterministically — for
-// whole-fleet spans.
-func (f *Fleet) LeafAddr(session string) string { return f.ring.Addr(session) }
-
-// Ring exposes the fleet's placement ring.
-func (f *Fleet) Ring() *Ring { return f.ring }
 
 // Close shuts the fleet down, leaves first (so their sessions poison
 // with leaf-side causes rather than root disconnects), then the root.
@@ -166,5 +120,5 @@ func (f *Fleet) Close() error {
 
 // String describes the fleet topology.
 func (f *Fleet) String() string {
-	return fmt.Sprintf("fleet{root %s, %d leaves, span %d}", f.rootAddr, len(f.Leaves), f.span)
+	return fmt.Sprintf("fleet{root %s, %d leaves}", f.rootAddr, len(f.Leaves))
 }

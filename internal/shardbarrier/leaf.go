@@ -34,31 +34,12 @@ type LeafOptions struct {
 	Net netbarrier.Options
 	// Root is the root barrierd's address (host:port).
 	Root string
-	// Index is this leaf's default shard id: its slot in the root's
-	// deterministic ascending-id fold for sessions that span the whole
-	// fleet. Leaves must use distinct indices in [0, Shards).
+	// Index is this leaf's shard id: its slot in the root's deterministic
+	// ascending-id fold. Leaves must use distinct indices in [0, Shards).
 	Index int
-	// Shards is the default session span: how many leaf shards join the
-	// root for each session. 0 selects 1 (a fleet of one).
+	// Shards is how many leaf shards join the root for each session: every
+	// leaf serves every session. 0 selects 1 (a fleet of one).
 	Shards int
-	// SessionSlot, when non-nil, overrides Shards/Index per session: it
-	// returns the session's span and this leaf's shard id within it. An id
-	// of -1 means the session is not placed on this leaf (consistent-hash
-	// placement routed its clients elsewhere); a client that dials the
-	// wrong leaf is then refused with a placement error instead of
-	// corrupting another shard's slot. Fleet wires this to Ring.Span.
-	SessionSlot func(session string) (shards, id int)
-}
-
-func (o *LeafOptions) slot(session string) (shards, id int) {
-	if o.SessionSlot != nil {
-		return o.SessionSlot(session)
-	}
-	shards = o.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-	return shards, o.Index
 }
 
 // Leaf is one shard of a hierarchical barrierd fleet: a full netbarrier
@@ -142,16 +123,12 @@ type link struct {
 // current episode.
 func (lk *link) dial() (*wire.FrameConn, uint64, error) {
 	opt := &lk.leaf.opt
-	shards, id := opt.slot(lk.name)
-	if id < 0 {
-		return nil, 0, fmt.Errorf("shardbarrier: session %q is not placed on this leaf (consistent-hash placement routes it elsewhere)", lk.name)
-	}
 	conn, err := wire.Redial(opt.Net.Transport, opt.Root, dialTimeout, dialAttempts, dialBackoff)
 	if err != nil {
 		return nil, 0, fmt.Errorf("shardbarrier: session %q cannot reach root: %w", lk.name, err)
 	}
 	fc := wire.NewFrameConn(conn)
-	err = fc.WriteFrameTimeout(wire.Frame{Type: wire.TypeShardJoin, Name: lk.name, P: shards, ID: id}, writeTimeout)
+	err = fc.WriteFrameTimeout(wire.Frame{Type: wire.TypeShardJoin, Name: lk.name, P: max(opt.Shards, 1), ID: opt.Index}, writeTimeout)
 	if err != nil {
 		fc.Close()
 		return nil, 0, fmt.Errorf("shardbarrier: session %q shard-join write failed: %w", lk.name, err)
@@ -179,10 +156,10 @@ func (lk *link) dial() (*wire.FrameConn, uint64, error) {
 // use, and arranges for done to run when the root's release — or the
 // fleet's poison cause — comes back. The root session counts its own
 // episodes (the link follows them from the JoinResp on), so the local
-// episode number is not sent. The pending slot is armed before the frame
-// is flushed, so a release (or poison) racing back on the reader goroutine
-// always finds its callback.
-func (lk *link) Arrive(_ uint64, localP int, spread, sigma float64, data []byte, done func(netbarrier.ShardOutcome)) {
+// session's episode number never reaches the link. The pending slot is
+// armed before the frame is flushed, so a release (or poison) racing back
+// on the reader goroutine always finds its callback.
+func (lk *link) Arrive(localP int, spread, sigma float64, data []byte, done func(netbarrier.ShardOutcome)) {
 	lk.mu.Lock()
 	if lk.fc == nil && !lk.dead {
 		// The dial runs unlocked — a Close must not wait out a redial
@@ -247,7 +224,7 @@ func (lk *link) read() {
 				lk.fail(fmt.Errorf("shardbarrier: session %q: root released episode %d with no arrival outstanding", lk.name, f.Episode))
 				return
 			}
-			out := netbarrier.ShardOutcome{FleetP: f.FleetP, Sigma: f.Sigma}
+			out := netbarrier.ShardOutcome{Sigma: f.Sigma}
 			if len(f.Data) > 0 {
 				lk.resBuf = append(lk.resBuf[:0], f.Data...)
 				out.Result = lk.resBuf

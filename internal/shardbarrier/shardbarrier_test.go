@@ -99,61 +99,6 @@ func expectedSum(p int, ep uint64) float64 {
 	return sum
 }
 
-// TestRingPlacement checks the consistent-hash ring: determinism, span
-// distinctness, coverage, and the consistency property — removing one
-// leaf only moves the sessions that leaf owned.
-func TestRingPlacement(t *testing.T) {
-	leaves := []string{"leaf-a:1", "leaf-b:1", "leaf-c:1", "leaf-d:1"}
-	r := NewRing(leaves, 0)
-	r2 := NewRing(leaves, 0)
-
-	owned := make(map[int]int)
-	for i := 0; i < 400; i++ {
-		name := fmt.Sprintf("session-%d", i)
-		leaf := r.Leaf(name)
-		if leaf != r2.Leaf(name) {
-			t.Fatalf("ring placement of %q is not deterministic", name)
-		}
-		if leaf < 0 || leaf >= len(leaves) {
-			t.Fatalf("session %q placed on leaf %d", name, leaf)
-		}
-		owned[leaf]++
-		span := r.Span(name, 3)
-		if len(span) != 3 {
-			t.Fatalf("Span(%q, 3) = %v", name, span)
-		}
-		if span[0] != leaf {
-			t.Errorf("Span(%q)[0] = %d, Leaf = %d", name, span[0], leaf)
-		}
-		seen := map[int]bool{}
-		for _, l := range span {
-			if seen[l] {
-				t.Fatalf("Span(%q, 3) repeats a leaf: %v", name, span)
-			}
-			seen[l] = true
-		}
-	}
-	for i := range leaves {
-		if owned[i] == 0 {
-			t.Errorf("leaf %d owns no sessions out of 400", i)
-		}
-	}
-
-	// Consistency: dropping leaf-d moves only leaf-d's sessions.
-	shrunk := NewRing(leaves[:3], 0)
-	for i := 0; i < 400; i++ {
-		name := fmt.Sprintf("session-%d", i)
-		if was := r.Leaf(name); was != 3 && shrunk.Leaf(name) != was {
-			t.Fatalf("session %q moved from leaf %d to %d when an unrelated leaf left",
-				name, was, shrunk.Leaf(name))
-		}
-	}
-
-	if NewRing(nil, 0).Leaf("x") != -1 || NewRing(nil, 0).Addr("x") != "" {
-		t.Error("empty ring should place nothing")
-	}
-}
-
 // TestHierarchicalEpisodes runs a plain (no collective) session spanning
 // two leaves and checks that every client sees the same totally ordered
 // episode sequence — the root's release is what serializes the fleet.
@@ -514,66 +459,6 @@ func TestUnreachableRootPoisonsLeafSession(t *testing.T) {
 		case <-time.After(2*time.Second - time.Since(start)):
 			t.Fatalf("only %d of %d clients saw the dial failure within 2s", i, p)
 		}
-	}
-}
-
-// TestRingSpanIsolation runs a span-1 fleet — sessions placed on single
-// leaves by the ring — and checks the acceptance property: killing one
-// leaf poisons exactly that leaf's sessions, while sessions on the other
-// leaf keep completing episodes.
-func TestRingSpanIsolation(t *testing.T) {
-	const leaves = 2
-	f := startFleet(t, FleetOptions{
-		Leaves: leaves,
-		Span:   1,
-		Net:    netbarrier.Options{Watchdog: 30 * time.Second},
-	})
-
-	// Probe the ring for one session owned by each leaf.
-	session := make([]string, leaves)
-	for i := 0; len(session[0]) == 0 || len(session[1]) == 0; i++ {
-		name := fmt.Sprintf("iso-%d", i)
-		if l := f.Ring().Leaf(name); session[l] == "" {
-			session[l] = name
-		}
-	}
-
-	cs := make([]*netbarrier.Client, leaves)
-	for l := 0; l < leaves; l++ {
-		cs[l] = dialJoin(t, f.LeafAddr(session[l]), session[l], 1, -1)
-		defer cs[l].Close()
-		if _, err := cs[l].Wait(); err != nil { // warm-up: link established
-			t.Fatalf("leaf %d warmup: %v", l, err)
-		}
-	}
-
-	f.Leaves[0].Close()
-	if _, err := cs[0].Wait(); err == nil || !strings.Contains(err.Error(), "server closed") {
-		t.Errorf("dead leaf's session: got %v, want its close cause", err)
-	}
-	for ep := 0; ep < 5; ep++ {
-		if _, err := cs[1].Wait(); err != nil {
-			t.Fatalf("surviving leaf's session poisoned by an unrelated leaf death: %v", err)
-		}
-	}
-}
-
-// TestMisroutedClientRefused dials the leaf the ring did NOT pick for a
-// span-1 session: the first episode must fail with a placement error
-// instead of silently joining the wrong shard slot.
-func TestMisroutedClientRefused(t *testing.T) {
-	const leaves = 2
-	f := startFleet(t, FleetOptions{
-		Leaves: leaves,
-		Span:   1,
-		Net:    netbarrier.Options{Watchdog: 30 * time.Second},
-	})
-	name := "misroute-probe"
-	wrong := f.LeafAddrs()[1-f.Ring().Leaf(name)]
-	c := dialJoin(t, wrong, name, 1, -1)
-	defer c.Close()
-	if _, err := c.Wait(); err == nil || !strings.Contains(err.Error(), "not placed on this leaf") {
-		t.Fatalf("misrouted client: got %v, want a placement refusal", err)
 	}
 }
 

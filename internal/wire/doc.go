@@ -15,8 +15,8 @@
 //     plain net.Conn/net.Listener — deadlines included, which the
 //     watchdog, stall, and cancellation machinery all lean on — and
 //     Dialer/Transport abstract how connections are made. TCP is the
-//     production transport (Nagle disabled, OS keepalive armed, both
-//     configurable); Redial wraps any Dialer with the bounded
+//     production transport (TCP_NODELAY, as Go sets it on every TCP
+//     connection, and a configurable OS keepalive); Redial wraps any Dialer with the bounded
 //     backoff-retry loop fleet bringup needs. TryWriter (trywrite.go)
 //     is a Conn's optional non-blocking write, which lets the server's
 //     release fan-out write member sockets from the releasing goroutine;

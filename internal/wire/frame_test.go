@@ -3,9 +3,13 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -97,6 +101,82 @@ func TestWriteFrameMatchesAppendFrame(t *testing.T) {
 		}
 		if conn.writes != i+1 {
 			t.Fatalf("%d Write calls for %d frames, want one each", conn.writes, i+1)
+		}
+	}
+}
+
+// TestFrameGoldenBytes pins the wire layout itself, not just its
+// symmetry: sampleFrames()[i] must encode to exactly goldenFrames[i]. A
+// change here is a protocol change, and needs a ProtocolVersion bump.
+func TestFrameGoldenBytes(t *testing.T) {
+	goldenFrames := []string{
+		"0000001501010009736f722d737765657000000040ffffffff",
+		"0000000d01010001780000000100000000",
+		"000000180201000000070000004000000004000000000000000c0000",
+		"0000002702010000000000000000000000000000000000000000000f73657373696f6e2069732066756c6c",
+		"0000001109010005666c65657400000004ffffffff",
+		"0000000d09010001730000000100000000",
+		"000000270a0000000000000011000000403f23a92a305532613f30624dd2f1a9fc00080102030405060708",
+		"0000001f0a7fffffffffffffff000000017ff80000000000017ff00000000000000000",
+		"000000310b0000000000000011000000020000000400000000000000033f23a92a305532613f30624dd2f1a9fc000001000002cafe",
+		"0000002f0b000000000000000000000002000000010000000000000000fff00000000000007ff8000000000001000000010000",
+		"00000009030000000000000000",
+		"00000009037fffffffffffffff",
+		"000000290400000000000003e7000000400000008000000000000000073f354c985f06f6943f30624dd2f1a9fc",
+		"00000029040000000000000000000000020000000200000000000000007ff80000000000017ff0000000000000",
+		"0000000405000101",
+		"00000003050000",
+		"0000000106",
+		"000000130700000000000000030008000000000000002a",
+		"0000000b077fffffffffffffff0000",
+		"0000002f0800000000000003e7000000040000004000000000000000073f354c985f06f6943f30624dd2f1a9fc0004deadbeef",
+		"000000ab080000000000000000000000020000000200000000000000007ff8000000000001fff00000000000000080" + strings.Repeat("07", 128),
+	}
+	frames := sampleFrames()
+	if len(frames) != len(goldenFrames) {
+		t.Fatalf("%d sample frames, %d golden encodings", len(frames), len(goldenFrames))
+	}
+	for i, f := range frames {
+		buf, err := AppendFrame(nil, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(buf); got != goldenFrames[i] {
+			t.Errorf("sample %d (%s) encodes as\n  %s\nwant\n  %s", i, FrameName(f.Type), got, goldenFrames[i])
+		}
+	}
+}
+
+// TestFuzzSeedsDecode keeps the committed FuzzDecodeFrame corpus honest: a
+// seed named for a frame must be that frame in the current layout, or it
+// only ever exercises the rejection path. seed-bad-* and seed-empty are
+// the seeds meant for that path, and are not checked.
+func TestFuzzSeedsDecode(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecodeFrame", "seed-*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed seeds (%v)", err)
+	}
+	for _, path := range paths {
+		name := filepath.Base(path)
+		if strings.HasPrefix(name, "seed-bad-") || name == "seed-empty" {
+			continue
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The corpus format: a "go test fuzz v1" header, then one
+		// []byte("…") line holding a Go-quoted string.
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 {
+			t.Fatalf("%s: not a one-value corpus entry: %q", name, raw)
+		}
+		body, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := DecodeFrame([]byte(body)); err != nil {
+			t.Errorf("%s: does not decode: %v", name, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"time"
@@ -36,21 +37,19 @@ type Transport interface {
 // writing.
 const DefaultKeepAlive = 15 * time.Second
 
-// TCP is the production transport: TCP with Nagle disabled (arrive and
-// release frames are latency-bound; batching them behind delayed ACKs
-// costs episode time) and OS keepalive armed on both dialed and accepted
-// connections. The zero value is the stack's default configuration.
+// TCP is the production transport: TCP with OS keepalive armed on both
+// dialed and accepted connections, and with TCP_NODELAY, which Go sets on
+// every TCP connection (arrive and release frames are latency-bound;
+// batching them behind delayed ACKs costs episode time). The zero value
+// is the stack's default configuration.
 type TCP struct {
 	// KeepAlive is the keepalive probe period armed on every connection:
 	// 0 selects DefaultKeepAlive, negative disables probing entirely.
 	KeepAlive time.Duration
-	// Nagle re-enables Nagle's algorithm (leaves TCP_NODELAY unset) for
-	// workloads that prefer batching over per-frame latency.
-	Nagle bool
 }
 
 // DefaultTCP is the transport consumers fall back to when none is
-// configured: default keepalive, Nagle off.
+// configured: default keepalive.
 var DefaultTCP = &TCP{}
 
 func (t *TCP) keepAlive() time.Duration {
@@ -64,60 +63,19 @@ func (t *TCP) keepAlive() time.Duration {
 	}
 }
 
-// tune applies the transport's socket options to a dialed or accepted
-// connection. Keepalive is armed here only on the accept side; the dial
-// side configures it through net.Dialer.
-func (t *TCP) tune(conn Conn, accepted bool) {
-	tc, ok := conn.(*net.TCPConn)
-	if !ok {
-		return
-	}
-	if !t.Nagle {
-		tc.SetNoDelay(true)
-	}
-	if accepted {
-		if ka := t.keepAlive(); ka > 0 {
-			tc.SetKeepAlive(true)
-			tc.SetKeepAlivePeriod(ka)
-		}
-	}
-}
-
 // Dial implements Dialer: one TCP connection attempt bounded by timeout,
-// with the transport's keepalive and Nagle settings applied.
+// with the transport's keepalive armed through net.Dialer.
 func (t *TCP) Dial(addr string, timeout time.Duration) (Conn, error) {
 	d := net.Dialer{Timeout: timeout, KeepAlive: t.keepAlive()}
-	conn, err := d.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	t.tune(conn, false)
-	return conn, nil
+	return d.Dial("tcp", addr)
 }
 
-// Listen implements Transport. Accepted connections get the same socket
-// options as dialed ones, so a peer behind either end of the link is
-// detected by keepalive and pays no Nagle latency.
+// Listen implements Transport. Accepted connections get the same keepalive
+// as dialed ones, armed through net.ListenConfig, so a peer behind either
+// end of the link is detected.
 func (t *TCP) Listen(addr string) (Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &tcpListener{Listener: ln, t: t}, nil
-}
-
-type tcpListener struct {
-	net.Listener
-	t *TCP
-}
-
-func (l *tcpListener) Accept() (Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	l.t.tune(conn, true)
-	return conn, nil
+	lc := net.ListenConfig{KeepAlive: t.keepAlive()}
+	return lc.Listen(context.Background(), "tcp", addr)
 }
 
 // Redial is Dial with a bounded reconnect loop: up to attempts tries
