@@ -242,11 +242,12 @@ func BenchmarkRuntimeBarriers(b *testing.B) {
 // counter visits (one per participant plus one per completed non-root
 // counter). "plain" is the lock-free ascent; "greedy" carries a sum-u64
 // contribution, put in a cell before each add and folded by each counter's
-// completer; "watched" is the plain ascent plus the watchdog's shared
-// arrival counter, one locked add per arrival. ns/last is the critical
-// path alone: the last arrival's ascent, its completers' folds and the
-// release, timed (one clock read included) in a second pass so that the
-// clock stays out of ns/visit.
+// completer; "idorder" carries a sum-f64 contribution, deposited in the
+// arriver's cell and folded in id order by the releaser; "watched" is the
+// plain ascent plus the watchdog's shared arrival counter, one locked add
+// per arrival. ns/last is the critical path alone: the last arrival's
+// ascent, its completers' folds and the release, timed (one clock read
+// included) in a second pass so that the clock stays out of ns/visit.
 func BenchmarkAscent(b *testing.B) {
 	const p = 32
 	in, out := make([]byte, 8), make([]byte, 8)
@@ -257,15 +258,16 @@ func BenchmarkAscent(b *testing.B) {
 		}{
 			{"plain", nil},
 			{"greedy", []Option{WithCollective(OpSumUint64())}},
+			{"idorder", []Option{WithCollective(OpSumFloat64())}},
 			{"watched", []Option{WithWatchdog(time.Hour)}},
 		} {
-			greedy := c.name == "greedy"
+			collective := c.name == "greedy" || c.name == "idorder"
 			b.Run(k.name+"/"+c.name, func(b *testing.B) {
 				bar := k.mk(p, c.opts...)
 				defer bar.Close()
 				arrive := func(from, to int) {
 					for id := from; id < to; id++ {
-						if !greedy {
+						if !collective {
 							bar.Arrive(id)
 						} else if err := bar.ArriveReduce(id, in); err != nil {
 							b.Fatal(err)
@@ -274,7 +276,7 @@ func BenchmarkAscent(b *testing.B) {
 				}
 				await := func() {
 					for id := 0; id < p; id++ {
-						if !greedy {
+						if !collective {
 							bar.Await(id)
 						} else if err := bar.AwaitResult(id, out); err != nil {
 							b.Fatal(err)

@@ -1,9 +1,8 @@
 package softbarrier
 
 import (
-	"encoding/binary"
 	"errors"
-	"math"
+	"slices"
 
 	rt "softbarrier/internal/runtime"
 )
@@ -33,7 +32,8 @@ var ErrNoCollective = errors.New("softbarrier: barrier built without WithCollect
 type Collective interface {
 	PhasedBarrier
 	// AllReduce contributes in, waits for the episode, and copies the
-	// reduction of all contributions into out (out may be in).
+	// reduction of all contributions into out (out may be in; both are
+	// Op.Width bytes).
 	AllReduce(id int, in, out []byte) error
 	// Reduce is AllReduce with the result delivered only to root; other
 	// participants' out is ignored.
@@ -52,8 +52,9 @@ const (
 	collBcast                   // root deposits; the releaser selects its cell
 )
 
-// checkContribution enforces the contribution-width contract, which is a
-// programming error like a bad participant id.
+// checkContribution enforces the contribution-width contract, which a
+// result buffer is held to as well; breaking it is a programming error
+// like a bad participant id.
 func checkContribution(red *rt.Reducer, in []byte) {
 	if len(in) != red.Width() {
 		panic("softbarrier: contribution length does not match the collective op's width")
@@ -62,65 +63,23 @@ func checkContribution(red *rt.Reducer, in []byte) {
 
 // OpSumUint64 returns uint64 addition (big-endian, wrapping): commutative,
 // identity 0.
-func OpSumUint64() Op {
-	return Op{
-		Name: "sum-u64", Width: 8, Commutative: true,
-		Fold: func(dst, src []byte) {
-			binary.BigEndian.PutUint64(dst, binary.BigEndian.Uint64(dst)+binary.BigEndian.Uint64(src))
-		},
-	}
-}
+func OpSumUint64() Op { return rt.SumUint64() }
 
 // OpMinUint64 returns the uint64 minimum: commutative, identity MaxUint64.
-func OpMinUint64() Op {
-	ident := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-	return Op{
-		Name: "min-u64", Width: 8, Commutative: true, Identity: ident,
-		Fold: func(dst, src []byte) {
-			if binary.BigEndian.Uint64(src) < binary.BigEndian.Uint64(dst) {
-				copy(dst, src)
-			}
-		},
-	}
-}
+func OpMinUint64() Op { return rt.MinUint64() }
 
 // OpMaxUint64 returns the uint64 maximum: commutative, identity 0.
-func OpMaxUint64() Op {
-	return Op{
-		Name: "max-u64", Width: 8, Commutative: true,
-		Fold: func(dst, src []byte) {
-			if binary.BigEndian.Uint64(src) > binary.BigEndian.Uint64(dst) {
-				copy(dst, src)
-			}
-		},
-	}
-}
+func OpMaxUint64() Op { return rt.MaxUint64() }
 
 // OpXorUint64 returns uint64 exclusive-or: commutative, identity 0.
-func OpXorUint64() Op {
-	return Op{
-		Name: "xor-u64", Width: 8, Commutative: true,
-		Fold: func(dst, src []byte) {
-			binary.BigEndian.PutUint64(dst, binary.BigEndian.Uint64(dst)^binary.BigEndian.Uint64(src))
-		},
-	}
-}
+func OpXorUint64() Op { return rt.XorUint64() }
 
 // OpSumFloat64 returns float64 addition over IEEE-754 bits. It is
 // deliberately not marked Commutative: float addition is not associative,
 // so the deterministic ascending-id fold is used and every episode's
 // result is bit-for-bit the sequential fold — at the cost of skipping the
 // greedy pre-reduce. Identity +0.0.
-func OpSumFloat64() Op {
-	return Op{
-		Name: "sum-f64", Width: 8,
-		Fold: func(dst, src []byte) {
-			v := math.Float64frombits(binary.BigEndian.Uint64(dst)) +
-				math.Float64frombits(binary.BigEndian.Uint64(src))
-			binary.BigEndian.PutUint64(dst, math.Float64bits(v))
-		},
-	}
-}
+func OpSumFloat64() Op { return rt.SumFloat64() }
 
 // builtinOps is the by-name registry OpByName consults. Ops cannot travel
 // the wire (they are code), so a networked session configures the op by
@@ -149,10 +108,6 @@ func OpNames() []string {
 	for n := range builtinOps {
 		names = append(names, n)
 	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	slices.Sort(names)
 	return names
 }

@@ -472,3 +472,180 @@ func TestOpByName(t *testing.T) {
 		t.Fatal("unknown op resolved")
 	}
 }
+
+// byteTwin is op with its Fold behind a closure: the same fold, taken on
+// the Reducer's byte path, which is the reference for the word kernels.
+func byteTwin(op Op) Op {
+	fold := op.Fold
+	op.Fold = func(dst, src []byte) { fold(dst, src) }
+	return op
+}
+
+// kernelEdges are the contributions a word kernel could get wrong: zero,
+// the unsigned wrap, ±0, NaNs, ±Inf and subnormals.
+var kernelEdges = []uint64{
+	0, 1, math.MaxUint64, math.MaxUint64 - 1, 1 << 63,
+	math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.NaN()), 0xfff8000000000123,
+	math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)),
+	0x000fffffffffffff, 0x8000000000000001, math.Float64bits(math.SmallestNonzeroFloat64),
+}
+
+// TestCollectiveKernelsMatchBytePath runs every built-in op on every tree
+// kind twice in lockstep, once as built (its word kernel) and once as its
+// byte-path twin, with the same contributions and the same arrival order,
+// so the two see the same tree and placement. Both fold paths are covered:
+// each op as a non-commutative copy, folded in id order at the root, and
+// as a commutative copy, folded on the ascent. Every result must be
+// bit-identical to the twin's, and the id-order fold to the sequential
+// fold. Two ops must fold with their own Fold although they look built
+// in: a user op that reuses a built-in's name, and a built-in whose Fold
+// was replaced.
+func TestCollectiveKernelsMatchBytePath(t *testing.T) {
+	const p, episodes = 11, 40
+	sub := func(dst, src []byte) {
+		binary.BigEndian.PutUint64(dst, binary.BigEndian.Uint64(dst)-binary.BigEndian.Uint64(src))
+	}
+	replaced := OpSumUint64()
+	replaced.Fold = sub
+	type namedOp struct {
+		name string
+		op   Op
+	}
+	ops := []namedOp{{"impostor", Op{Name: "sum-u64", Width: 8, Fold: sub}}, {"replaced", replaced}}
+	for _, name := range OpNames() {
+		op, _ := OpByName(name)
+		ops = append(ops, namedOp{name, op})
+	}
+	kinds := []struct {
+		name string
+		mk   func(op Op) fuzzyCollective
+	}{
+		{"tree", func(op Op) fuzzyCollective { return NewCombiningTree(p, 3, WithCollective(op)) }},
+		{"mcs", func(op Op) fuzzyCollective { return NewMCSTree(p, 2, WithCollective(op)) }},
+		{"dynamic", func(op Op) fuzzyCollective { return NewDynamic(p, 3, WithCollective(op)) }},
+		{"reconfig", func(op Op) fuzzyCollective {
+			return NewReconfigurable(p, ReconfigConfig{InitialDegree: 4, MinDegreeDelta: p}, WithCollective(op))
+		}},
+	}
+	seed := int64(0)
+	for _, o := range ops {
+		for _, commutative := range []bool{false, true} {
+			name, op := o.name, o.op
+			op.Commutative = commutative
+			path := "idorder"
+			if commutative {
+				path = "ascent"
+			}
+			for _, k := range kinds {
+				seed++
+				rng := rand.New(rand.NewSource(seed))
+				t.Run(name+"/"+path+"/"+k.name, func(t *testing.T) {
+					word, ref := k.mk(op), k.mk(byteTwin(op))
+					defer word.Close()
+					defer ref.Close()
+					in := make([][]byte, p)
+					for id := range in {
+						in[id] = make([]byte, 8)
+					}
+					got, want := make([]byte, 8), make([]byte, 8)
+					for e := 0; e < episodes; e++ {
+						for id := range in {
+							v := rng.Uint64()
+							if rng.Intn(3) == 0 {
+								v = kernelEdges[rng.Intn(len(kernelEdges))]
+							}
+							binary.BigEndian.PutUint64(in[id], v)
+						}
+						for _, id := range rng.Perm(p) {
+							if err := word.ArriveReduce(id, in[id]); err != nil {
+								t.Fatal(err)
+							}
+							if err := ref.ArriveReduce(id, in[id]); err != nil {
+								t.Fatal(err)
+							}
+						}
+						seq := sequentialFold(op, in)
+						for id := 0; id < p; id++ {
+							if err := word.AwaitResult(id, got); err != nil {
+								t.Fatal(err)
+							}
+							if err := ref.AwaitResult(id, want); err != nil {
+								t.Fatal(err)
+							}
+							if !bytes.Equal(got, want) {
+								t.Fatalf("episode %d id %d: %x, byte path %x", e, id, got, want)
+							}
+							if !commutative && !bytes.Equal(got, seq) {
+								t.Fatalf("episode %d id %d: id-order fold %x, sequential fold %x", e, id, got, seq)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCollectiveResultBufferWidth: a result buffer is held to the
+// contribution's width. A short one would read a truncated result and a
+// long one would keep stale trailing bytes, with a nil error.
+func TestCollectiveResultBufferWidth(t *testing.T) {
+	mustPanic := func(t *testing.T, what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	in := binary.BigEndian.AppendUint64(nil, 256)
+	for _, k := range treeKinds {
+		t.Run(k.name, func(t *testing.T) {
+			b := k.mk(2, WithCollective(OpSumUint64()))
+			defer b.Close()
+			c := b.(Collective)
+			out := make([]byte, 8)
+			collect := func(id int) {
+				t.Helper()
+				if err := b.AwaitResult(id, out); err != nil {
+					t.Fatal(err)
+				}
+				if got := binary.BigEndian.Uint64(out); got != 512 {
+					t.Fatalf("reduced %d, want 512", got)
+				}
+			}
+			arrive := func(id int) {
+				t.Helper()
+				if err := b.ArriveReduce(id, in); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Each bad call completes its episode (the other participant
+			// arrived first) and panics before it waits, so a missing check
+			// fails the test instead of blocking it.
+			for _, n := range []int{4, 10} {
+				bad := make([]byte, n)
+				arrive(1)
+				mustPanic(t, "AllReduce", func() { _ = c.AllReduce(0, in, bad) })
+				collect(0)
+				collect(1)
+				arrive(0)
+				arrive(1)
+				mustPanic(t, "AwaitResult", func() { _ = b.AwaitResult(0, bad) })
+				collect(0)
+				collect(1)
+				arrive(1)
+				mustPanic(t, "Reduce at the root", func() { _ = c.Reduce(0, 0, in, bad) })
+				collect(0)
+				collect(1)
+				// A non-root's out is ignored, whatever its length.
+				arrive(0)
+				if err := c.Reduce(1, 0, in, bad); err != nil {
+					t.Fatal(err)
+				}
+				collect(0)
+			}
+		})
+	}
+}

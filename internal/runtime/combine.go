@@ -1,6 +1,10 @@
 package runtime
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"unsafe"
+)
 
 // Op is an associative combining operator over fixed-width byte strings —
 // what turns an arrival-counting tree into a reduction tree. Fold must be
@@ -82,14 +86,23 @@ func cellStride(width int) int { return (width + CacheLine - 1) &^ (CacheLine - 
 // that counts it, and read by the node's completer after its own add,
 // which observes the whole chain of adds before it. The next episode's
 // write cannot come before the release, which follows every read.
+//
+// An op that folds with a built-in kernel (kernelOf) takes the word path:
+// a cell's first word holds the contribution decoded from big-endian, a
+// move is one 8-byte load and store, and a fold runs in a register; the
+// result is encoded back to bytes when it is published. Every other op
+// takes the byte path, which views a cell's words as bytes and folds
+// through Op.Fold; it is also the reference the word path is tested
+// against.
 type Reducer struct {
 	op     Op
 	ident  []byte
-	stride int
+	kern   kernel // noKernel: the byte path
+	stride int    // words per cell
 	p      int
-	cells  [2][]byte // p*stride each; deposit slots, owner-written
-	in     []byte    // (inputs+1)*stride; input cells, then the output cell
-	res    [2][]byte // width each; releaser-written, parity-stable across Resize
+	cells  [2][]uint64 // p cells each; deposit slots, owner-written
+	in     []uint64    // inputs+1 cells; input cells, then the output cell
+	res    [2][]byte   // width each; releaser-written, parity-stable across Resize
 }
 
 // NewReducer builds a reducer for p participants over a tree with the
@@ -99,7 +112,7 @@ func NewReducer(op Op, p, inputs int) *Reducer {
 	if err := op.Validate(); err != nil {
 		panic(err.Error())
 	}
-	r := &Reducer{op: op, ident: op.identity(), stride: cellStride(op.Width)}
+	r := &Reducer{op: op, ident: op.identity(), kern: kernelOf(op), stride: cellStride(op.Width) / 8}
 	r.res[0] = make([]byte, op.Width)
 	r.res[1] = make([]byte, op.Width)
 	r.alloc(p, inputs)
@@ -108,9 +121,9 @@ func NewReducer(op Op, p, inputs int) *Reducer {
 
 func (r *Reducer) alloc(p, inputs int) {
 	r.p = p
-	r.cells[0] = make([]byte, p*r.stride)
-	r.cells[1] = make([]byte, p*r.stride)
-	r.in = make([]byte, (inputs+1)*r.stride)
+	r.cells[0] = make([]uint64, p*r.stride)
+	r.cells[1] = make([]uint64, p*r.stride)
+	r.in = make([]uint64, (inputs+1)*r.stride)
 }
 
 // Op returns the configured operator.
@@ -119,10 +132,10 @@ func (r *Reducer) Op() Op { return r.op }
 // Width returns the contribution size in bytes.
 func (r *Reducer) Width() int { return r.op.Width }
 
-// cell returns participant id's deposit cell for the given parity.
-func (r *Reducer) cell(parity uint64, id int) []byte {
-	off := id * r.stride
-	return r.cells[parity&1][off : off+r.op.Width]
+// bytesOf is the byte path's view of cell i of cells.
+func (r *Reducer) bytesOf(cells []uint64, i int) []byte {
+	w := cells[i*r.stride : (i+1)*r.stride]
+	return unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), r.op.Width)
 }
 
 // Deposit stores participant id's contribution for the episode with the
@@ -132,13 +145,11 @@ func (r *Reducer) Deposit(parity uint64, id int, src []byte) {
 	if len(src) != r.op.Width {
 		panic(fmt.Sprintf("runtime: contribution is %d bytes, op %q wants %d", len(src), r.op.Name, r.op.Width))
 	}
-	copy(r.cell(parity, id), src)
-}
-
-// input returns input cell i; the cell after the last input is the output.
-func (r *Reducer) input(i int) []byte {
-	off := i * r.stride
-	return r.in[off : off+r.op.Width]
+	if r.kern != noKernel {
+		r.cells[parity&1][id*r.stride] = binary.BigEndian.Uint64(src)
+		return
+	}
+	copy(r.bytesOf(r.cells[parity&1], id), src)
 }
 
 // Put writes src into input cell in; nil writes the identity (a plain
@@ -148,7 +159,11 @@ func (r *Reducer) Put(in int, src []byte) {
 	if src == nil {
 		src = r.ident
 	}
-	copy(r.input(in), src)
+	if r.kern != noKernel {
+		r.in[in*r.stride] = binary.BigEndian.Uint64(src)
+		return
+	}
+	copy(r.bytesOf(r.in, in), src)
 }
 
 // FoldInputs folds input cells first … first+n−1, in that order, into
@@ -156,21 +171,40 @@ func (r *Reducer) Put(in int, src []byte) {
 // root into the output cell. Only the add that completed the node may
 // call it, and before the add at the parent.
 func (r *Reducer) FoldInputs(first, n, out int) {
-	dst := r.input(out)
-	copy(dst, r.input(first))
-	for i := first + 1; i < first+n; i++ {
-		r.op.Fold(dst, r.input(i))
+	if r.kern != noKernel {
+		r.in[out*r.stride] = r.foldWords(r.in, first, first+n)
+		return
 	}
+	dst := r.bytesOf(r.in, out)
+	copy(dst, r.bytesOf(r.in, first))
+	for i := first + 1; i < first+n; i++ {
+		r.op.Fold(dst, r.bytesOf(r.in, i))
+	}
+}
+
+// foldWords folds the words of cells from … to−1, in that order, in a
+// register.
+func (r *Reducer) foldWords(cells []uint64, from, to int) uint64 {
+	k, s := r.kern, r.stride
+	acc := cells[from*s]
+	for i := from + 1; i < to; i++ {
+		acc = k.fold(acc, cells[i*s])
+	}
+	return acc
 }
 
 // FinishCells folds the first n deposit cells in ascending id order into
 // the episode's result slot and returns it — the deterministic path for
 // non-commutative ops. Releaser-only, before the episode's release.
 func (r *Reducer) FinishCells(parity uint64, n int) []byte {
-	dst := r.res[parity&1]
-	copy(dst, r.cell(parity, 0))
+	dst, cells := r.res[parity&1], r.cells[parity&1]
+	if r.kern != noKernel {
+		binary.BigEndian.PutUint64(dst, r.foldWords(cells, 0, n))
+		return dst
+	}
+	copy(dst, r.bytesOf(cells, 0))
 	for id := 1; id < n; id++ {
-		r.op.Fold(dst, r.cell(parity, id))
+		r.op.Fold(dst, r.bytesOf(cells, id))
 	}
 	return dst
 }
@@ -178,13 +212,23 @@ func (r *Reducer) FinishCells(parity uint64, n int) []byte {
 // PublishOutput publishes the output cell, where the root's completer
 // folded, as the episode's result. Releaser-only, before the release.
 func (r *Reducer) PublishOutput(parity uint64) {
-	copy(r.res[parity&1], r.input(len(r.in)/r.stride-1))
+	r.publish(parity, r.in, len(r.in)/r.stride-1)
 }
 
 // PublishCell publishes participant id's deposit cell as the episode's
 // result — the broadcast path. Releaser-only, before the release.
 func (r *Reducer) PublishCell(parity uint64, id int) {
-	copy(r.res[parity&1], r.cell(parity, id))
+	r.publish(parity, r.cells[parity&1], id)
+}
+
+// publish makes cell i of cells the result of the episode with the given
+// parity.
+func (r *Reducer) publish(parity uint64, cells []uint64, i int) {
+	if r.kern != noKernel {
+		binary.BigEndian.PutUint64(r.res[parity&1], cells[i*r.stride])
+		return
+	}
+	copy(r.res[parity&1], r.bytesOf(cells, i))
 }
 
 // Result returns the published result for the episode with the given
@@ -193,8 +237,13 @@ func (r *Reducer) PublishCell(parity uint64, id int) {
 // participant that contributed to the episode reads it in time.
 func (r *Reducer) Result(parity uint64) []byte { return r.res[parity&1] }
 
-// CopyResult copies the published result into dst.
+// CopyResult copies the published result into dst, which must be Width
+// bytes.
 func (r *Reducer) CopyResult(parity uint64, dst []byte) {
+	if r.kern != noKernel {
+		*(*[8]byte)(dst) = [8]byte(r.res[parity&1])
+		return
+	}
 	copy(dst, r.res[parity&1])
 }
 

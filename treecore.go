@@ -414,7 +414,7 @@ func (b *treeCore) AwaitCtx(ctx context.Context, id int) error {
 
 // AllReduce contributes in, completes one barrier episode, and copies the
 // reduction of all the epoch's contributions into out (out may alias in,
-// or be nil to discard). It returns ErrNoCollective on a barrier built
+// or be nil to discard; like in, it is Op.Width bytes). It returns ErrNoCollective on a barrier built
 // without WithCollective, and the poison cause if the episode was
 // aborted. Every participant must make the same collective call for the
 // episode.
@@ -485,7 +485,8 @@ func (b *treeCore) ArriveReduce(id int, in []byte) error {
 }
 
 // AwaitResult blocks until the episode ArriveReduce contributed to
-// completes and copies its reduction into out (nil discards it). The copy
+// completes and copies its reduction into out (nil discards it; otherwise
+// it must be Op.Width bytes, as a contribution must). The copy
 // is skipped — out is left untouched — when this participant is outside
 // the membership after the release (it was draining, or was shrunk away
 // at the episode's boundary): such a participant is no longer ordered
@@ -495,6 +496,9 @@ func (b *treeCore) ArriveReduce(id int, in []byte) error {
 func (b *treeCore) AwaitResult(id int, out []byte) error {
 	if b.red == nil {
 		return ErrNoCollective
+	}
+	if out != nil {
+		checkContribution(b.red, out)
 	}
 	b.Await(id)
 	if err := b.Err(); err != nil {
