@@ -310,6 +310,33 @@ func BenchmarkAscent(b *testing.B) {
 	}
 }
 
+// constructSink keeps the benchmarked constructions from being optimized
+// away.
+var constructSink fuzzyCollective
+
+// BenchmarkConstruct measures building each tree barrier kind at P = 32,
+// plain and with a collective: the setup a barrierd session or a program
+// that builds barriers per round pays before its first episode.
+func BenchmarkConstruct(b *testing.B) {
+	const p = 32
+	for _, k := range treeKinds {
+		for _, c := range []struct {
+			name string
+			opts []Option
+		}{
+			{"plain", nil},
+			{"sum-u64", []Option{WithCollective(OpSumUint64())}},
+		} {
+			b.Run(k.name+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					constructSink = k.mk(p, c.opts...)
+				}
+			})
+		}
+	}
+}
+
 // coreOf returns the combining-tree core a tree barrier kind embeds.
 func coreOf(b fuzzyCollective) *treeCore {
 	switch b := b.(type) {

@@ -35,16 +35,19 @@ func NewCentral(p int, opts ...Option) *CentralBarrier {
 	b := &CentralBarrier{p: p, local: make([]arrivalSlot, p)}
 	b.gate.Init(o.policy)
 	b.rec = o.recorder(p, 0)
-	b.initPoison(p, o.watchdog, o.poisonNotify,
-		func() { b.gate.Poison() },
-		func() {
-			b.count.Store(0) // drop the aborted episode's partial arrivals
-			clear(b.local)   // and the arrival counts; every id arrives before it awaits
-			b.gate.Unpoison()
-		},
-		func() []uint64 { return slotCounts(b.local) })
+	b.initPoison(p, o.watchdog, o.poisonNotify, b)
 	return b
 }
+
+func (b *CentralBarrier) wakeWaiters() { b.gate.Poison() }
+
+func (b *CentralBarrier) clearEpisode() {
+	b.count.Store(0) // drop the aborted episode's partial arrivals
+	clear(b.local)   // and the arrival counts; every id arrives before it awaits
+	b.gate.Unpoison()
+}
+
+func (b *CentralBarrier) slotArrivals() []uint64 { return slotCounts(b.local) }
 
 // Participants returns P.
 func (b *CentralBarrier) Participants() int { return b.p }

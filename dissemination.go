@@ -53,30 +53,33 @@ func NewDissemination(p int, opts ...Option) *DisseminationBarrier {
 	}
 	b.state = make([]arrivalSlot, p)
 	b.rec = o.recorder(p, 0)
-	b.initPoison(p, o.watchdog, o.poisonNotify,
-		func() {
-			// No central gate: waking everyone means poisoning every round
-			// flag — each participant is parked on (at most) one of its own.
-			for i := range b.flags {
-				for j := range b.flags[i] {
-					b.flags[i][j].Poison()
-				}
-			}
-		},
-		func() {
-			for i := range b.flags {
-				for j := range b.flags[i] {
-					b.flags[i][j].Reset()
-				}
-			}
-			// The aborted episode left the per-participant counters
-			// divergent; restart everyone from episode zero to match the
-			// zeroed flags (arrival counts zeroed too).
-			clear(b.state)
-		},
-		func() []uint64 { return slotCounts(b.state) })
+	b.initPoison(p, o.watchdog, o.poisonNotify, b)
 	return b
 }
+
+// wakeWaiters poisons every round flag: there is no central gate, and each
+// participant is parked on (at most) one of its own.
+func (b *DisseminationBarrier) wakeWaiters() {
+	for i := range b.flags {
+		for j := range b.flags[i] {
+			b.flags[i][j].Poison()
+		}
+	}
+}
+
+func (b *DisseminationBarrier) clearEpisode() {
+	for i := range b.flags {
+		for j := range b.flags[i] {
+			b.flags[i][j].Reset()
+		}
+	}
+	// The aborted episode left the per-participant counters divergent;
+	// restart everyone from episode zero to match the zeroed flags
+	// (arrival counts zeroed too).
+	clear(b.state)
+}
+
+func (b *DisseminationBarrier) slotArrivals() []uint64 { return slotCounts(b.state) }
 
 // Participants returns P.
 func (b *DisseminationBarrier) Participants() int { return b.p }

@@ -152,12 +152,16 @@ func (s *session) deposit(id int, data []byte) {
 func (s *session) onEpisode(st softbarrier.EpisodeStats) {
 	result := s.tree.Reduced(st.Episode) // nil for a plain barrier session
 	if s.up != nil && !s.dead.Load() {
-		s.up.Arrive(s.tree.Participants(), st.Spread, s.tree.Sigma(), result,
-			func(out ShardOutcome) { s.completeEpisode(st, out) })
+		s.upStats = st
+		s.up.Arrive(s.tree.Participants(), st.Spread, s.tree.Sigma(), result, s.upDone)
 		return
 	}
 	s.completeEpisode(st, ShardOutcome{Result: result})
 }
+
+// completeUpstream is a leaf session's upDone: the upstream outcome of the
+// episode onEpisode forwarded.
+func (s *session) completeUpstream(out ShardOutcome) { s.completeEpisode(s.upStats, out) }
 
 // completeEpisode is the episode boundary, run once its outcome is known
 // — locally immediate on a standalone server (inside the barrier's

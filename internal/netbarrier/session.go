@@ -64,6 +64,13 @@ type session struct {
 	// reassigned, so a session can only ever close, or be failed by, the
 	// link it opened itself.
 	up UpstreamLink
+	// upDone is the completion every upstream Arrive hands the link, bound
+	// once with the session so a leaf's episode allocates nothing; upStats
+	// is the episode it completes. Episode serialization keeps at most one
+	// round-trip outstanding, so one of each suffices: onEpisode writes
+	// upStats before the Arrive that publishes upDone to the link.
+	upDone  func(ShardOutcome)
+	upStats softbarrier.EpisodeStats
 
 	tree  *softbarrier.ReconfigurableBarrier // built once, never replaced
 	op    *softbarrier.Op                    // collective op, nil for a plain barrier session
@@ -126,7 +133,7 @@ func newSession(srv *Server, name string, p int, shard bool) *session {
 		// Open dials nothing (the first Arrive does). The failure hook is
 		// this instance's poison: once the session is dead it is a no-op,
 		// so a link failing late cannot reach whoever holds the name next.
-		s.up = up.Open(name, s.poison)
+		s.up, s.upDone = up.Open(name, s.poison), s.completeUpstream
 	}
 	return s
 }

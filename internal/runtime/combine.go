@@ -53,15 +53,6 @@ func (op Op) Validate() error {
 	return nil
 }
 
-// identity returns the identity element, materializing the all-zero
-// default.
-func (op Op) identity() []byte {
-	if op.Identity != nil {
-		return op.Identity
-	}
-	return make([]byte, op.Width)
-}
-
 // CacheLine is the line size hot per-node and per-participant state is
 // padded to.
 const CacheLine = 64
@@ -112,18 +103,27 @@ func NewReducer(op Op, p, inputs int) *Reducer {
 	if err := op.Validate(); err != nil {
 		panic(err.Error())
 	}
-	r := &Reducer{op: op, ident: op.identity(), kern: kernelOf(op), stride: cellStride(op.Width) / 8}
-	r.res[0] = make([]byte, op.Width)
-	r.res[1] = make([]byte, op.Width)
+	r := &Reducer{op: op, ident: op.Identity, kern: kernelOf(op), stride: cellStride(op.Width) / 8}
+	// Both result buffers and, when the op has none, the all-zero
+	// identity, in one allocation.
+	w := op.Width
+	bufs := make([]byte, 3*w)
+	r.res = [2][]byte{bufs[:w:w], bufs[w : 2*w : 2*w]}
+	if r.ident == nil {
+		r.ident = bufs[2*w:]
+	}
 	r.alloc(p, inputs)
 	return r
 }
 
+// alloc gives the reducer both parity's deposit cells and the input
+// cells, in one allocation.
 func (r *Reducer) alloc(p, inputs int) {
 	r.p = p
-	r.cells[0] = make([]uint64, p*r.stride)
-	r.cells[1] = make([]uint64, p*r.stride)
-	r.in = make([]uint64, (inputs+1)*r.stride)
+	n := p * r.stride
+	cells := make([]uint64, 2*n+(inputs+1)*r.stride)
+	r.cells = [2][]uint64{cells[:n:n], cells[n : 2*n : 2*n]}
+	r.in = cells[2*n:]
 }
 
 // Op returns the configured operator.

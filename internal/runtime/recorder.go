@@ -1,9 +1,8 @@
 package runtime
 
 import (
+	"math"
 	"time"
-
-	"softbarrier/internal/stats"
 )
 
 // Recorder collects per-episode arrival timestamps and turns them into
@@ -20,6 +19,7 @@ import (
 type Recorder struct {
 	obs   Observer
 	clock func() int64
+	zero  int64 // the clock's reading at construction, subtracted from what Measure reports
 	p     int
 	// armed is the earliest episode that is measured; an arrival in one
 	// before it reads no clock. Emit moves it on by step (0: measure all,
@@ -27,30 +27,40 @@ type Recorder struct {
 	armed, step uint64
 	episode     uint64 // next index reported to the observer; releaser-only
 	arrivals    [2][]PaddedInt64
-	scratch     []float64 // spread computation buffer; releaser-only
 }
+
+// clockBase anchors monotonicNow: a package-level function, so a recorder
+// on the default clock holds no closure of its own.
+var clockBase = time.Now()
+
+func monotonicNow() int64 { return int64(time.Since(clockBase)) }
 
 // New returns a recorder for p participants reporting to obs, measuring
 // every episode. With a nil obs it measures the last of each `every`
 // episodes — every−1, 2·every−1, … — for a barrier whose own control loop
 // reads them on that cadence, and every = 0 returns nil, the disabled
 // recorder. clock overrides the nanosecond clock; nil selects a monotonic
-// clock zeroed at construction.
+// one. Either way Measure reports times from construction.
 func New(p int, obs Observer, clock func() int64, every uint64) *Recorder {
 	if obs == nil && every == 0 {
 		return nil
 	}
+	r := &Recorder{obs: obs, clock: clock, p: p}
 	if clock == nil {
-		base := time.Now()
-		clock = func() int64 { return int64(time.Since(base)) }
+		r.clock, r.zero = monotonicNow, monotonicNow()
 	}
-	r := &Recorder{obs: obs, clock: clock, p: p, scratch: make([]float64, p)}
 	if obs == nil && every > 1 {
 		r.armed, r.step = every-1, every
 	}
-	r.arrivals[0] = make([]PaddedInt64, p)
-	r.arrivals[1] = make([]PaddedInt64, p)
+	r.buffer(p)
 	return r
+}
+
+// buffer gives the recorder both parity buffers for p participants, in
+// one allocation.
+func (r *Recorder) buffer(p int) {
+	both := make([]PaddedInt64, 2*p)
+	r.arrivals = [2][]PaddedInt64{both[:p:p], both[p:]}
 }
 
 // Active reports whether arrivals are being recorded.
@@ -65,9 +75,7 @@ func (r *Recorder) Resize(p int) {
 		return
 	}
 	r.p = p
-	r.arrivals[0] = make([]PaddedInt64, p)
-	r.arrivals[1] = make([]PaddedInt64, p)
-	r.scratch = make([]float64, p)
+	r.buffer(p)
 }
 
 // Arrive timestamps participant id's arrival for the given episode if it
@@ -89,7 +97,8 @@ type Measurement struct {
 	Spread                float64
 }
 
-// Measure reads the episode's arrival slots and timestamps the release. It
+// Measure reads the episode's arrival slots and timestamps the release,
+// reporting times from the recorder's construction. It
 // must be called by the releasing participant before the episode is
 // released, when the slots are quiescent. ok is false on a nil recorder and
 // for an episode that was not measured: there is then nothing to Emit.
@@ -101,20 +110,38 @@ func (r *Recorder) Measure(episode uint64) (m Measurement, ok bool) {
 	if len(slots) == 0 {
 		// A recorder shrunk to zero participants has nothing to measure;
 		// still stamp the release so Emit's delay math stays sane.
-		return Measurement{Released: r.clock()}, true
+		return Measurement{Released: r.clock() - r.zero}, true
 	}
 	first, last := slots[0].V, slots[0].V
+	sum := 0.0
 	for i := range slots {
 		v := slots[i].V
-		r.scratch[i] = float64(v) * 1e-9
-		if v < first {
-			first = v
-		}
-		if v > last {
-			last = v
-		}
+		sum += float64(float64(v) * 1e-9)
+		first = min(first, v)
+		last = max(last, v)
 	}
-	return Measurement{First: first, Last: last, Released: r.clock(), Spread: stats.StdDev(r.scratch)}, true
+	return Measurement{
+		First:    first - r.zero,
+		Last:     last - r.zero,
+		Released: r.clock() - r.zero,
+		Spread:   spread(slots, sum),
+	}, true
+}
+
+// spread is the sample standard deviation of the slots' stamps in seconds,
+// given their sum: stats.StdDev's two passes, in its order and rounding,
+// read off the slots rather than a copy of them.
+func spread(slots []PaddedInt64, sum float64) float64 {
+	if len(slots) < 2 {
+		return 0
+	}
+	mean := sum / float64(len(slots))
+	s := 0.0
+	for i := range slots {
+		d := float64(float64(slots[i].V)*1e-9) - mean
+		s += d * d
+	}
+	return math.Sqrt(s / float64(len(slots)-1))
 }
 
 // LagsInto reads the episode's arrival slots into dst as per-participant

@@ -2,10 +2,13 @@ package runtime
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"softbarrier/internal/stats"
 )
 
 // parkOnly forces the park path immediately, exercising the blocking
@@ -469,4 +472,25 @@ func TestRecorderShrinkToZero(t *testing.T) {
 		t.Fatalf("zero-p measurement = %+v, want zero arrivals", m)
 	}
 	r.Emit(m, Extra{}) // must not panic either
+}
+
+// TestRecorderSpreadIsStdDev checks that the spread Measure computes in
+// place over the arrival slots is exactly stats.StdDev of the stamps in
+// seconds, bit for bit, at every participant count from the degenerate
+// ones up.
+func TestRecorderSpreadIsStdDev(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for p := 0; p <= 70; p++ {
+		slots := make([]PaddedInt64, p)
+		secs := make([]float64, p)
+		sum := 0.0
+		for i := range slots {
+			slots[i].V = rng.Int63n(1 << 40)
+			secs[i] = float64(slots[i].V) * 1e-9
+			sum += secs[i]
+		}
+		if got, want := spread(slots, sum), stats.StdDev(secs); got != want {
+			t.Fatalf("p=%d: spread %v, stats.StdDev %v", p, got, want)
+		}
+	}
 }

@@ -3,25 +3,37 @@ package topology
 import "fmt"
 
 // Clone returns a deep copy of the tree, so a simulation can mutate
-// placement without disturbing the caller's tree.
+// placement without disturbing the caller's tree. Like a builder it
+// allocates three times whatever the tree's size.
 func (t *Tree) Clone() *Tree {
+	n := len(t.first) + len(t.ringOf)
+	for i := range t.Counters {
+		n += len(t.Counters[i].Children) + len(t.Counters[i].Procs)
+	}
+	ints := intArena(make([]int, n))
 	nt := &Tree{
-		Kind:   t.Kind,
-		P:      t.P,
-		Degree: t.Degree,
-		Root:   t.Root,
-		Levels: t.Levels,
+		Kind:     t.Kind,
+		P:        t.P,
+		Degree:   t.Degree,
+		Counters: make([]Counter, len(t.Counters)),
+		Root:     t.Root,
+		Levels:   t.Levels,
+		first:    ints.clone(t.first),
+		ringOf:   ints.clone(t.ringOf),
 	}
-	nt.Counters = make([]Counter, len(t.Counters))
 	for i, c := range t.Counters {
-		nc := c
-		nc.Children = append([]int(nil), c.Children...)
-		nc.Procs = append([]int(nil), c.Procs...)
-		nt.Counters[i] = nc
+		c.Children = ints.clone(c.Children)
+		c.Procs = ints.clone(c.Procs)
+		nt.Counters[i] = c
 	}
-	nt.first = append([]int(nil), t.first...)
-	nt.ringOf = append([]int(nil), t.ringOf...)
 	return nt
+}
+
+// clone carves a copy of src.
+func (a *intArena) clone(src []int) []int {
+	dst := a.take(len(src))
+	copy(dst, src)
+	return dst
 }
 
 // CanSwap reports whether processor victor, currently placed on counter

@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PlaceByDepth returns a clone of the tree with processors reassigned to
 // attachment slots by depth: order[0] takes the shallowest slot (for an
@@ -23,48 +20,33 @@ func (t *Tree) PlaceByDepth(order []int) (*Tree, error) {
 	if len(order) != t.P {
 		return nil, fmt.Errorf("topology: order has %d entries for %d processors", len(order), t.P)
 	}
-	seen := make([]bool, t.P)
-	for _, p := range order {
-		if p < 0 || p >= t.P || seen[p] {
-			return nil, fmt.Errorf("topology: order is not a permutation of 0..%d", t.P-1)
-		}
-		seen[p] = true
-	}
-
-	// Enumerate the attachment slots, shallowest first. Ties break by
-	// counter id then slot index, so the assignment is deterministic.
-	type slot struct {
-		counter int
-		idx     int // index into Counters[counter].Procs
-		depth   int
-	}
-	var slots []slot
-	for ci := range t.Counters {
-		d := t.Depth(ci)
-		for i := range t.Counters[ci].Procs {
-			slots = append(slots, slot{counter: ci, idx: i, depth: d})
-		}
-	}
-	sort.SliceStable(slots, func(a, b int) bool {
-		if slots[a].depth != slots[b].depth {
-			return slots[a].depth < slots[b].depth
-		}
-		if slots[a].counter != slots[b].counter {
-			return slots[a].counter < slots[b].counter
-		}
-		return slots[a].idx < slots[b].idx
-	})
-
 	nt := t.Clone()
-	for k, s := range slots {
-		p := order[k]
-		old := t.Counters[s.counter].Procs[s.idx]
-		nt.Counters[s.counter].Procs[s.idx] = p
-		if t.Counters[s.counter].Local == old {
-			nt.Counters[s.counter].Local = p
+	fill(nt.first, NoCounter) // no processor placed yet
+	// Walk the attachment slots shallowest first. A counter's depth is the
+	// root's level minus its own, plus one, so the walk goes level by level
+	// down from the root's; within a level ties break by counter id, then
+	// slot index, so the assignment is deterministic.
+	k := 0
+	for level := t.Counters[t.Root].Level; level >= 0; level-- {
+		for ci := range t.Counters {
+			c := &t.Counters[ci]
+			if c.Level != level {
+				continue
+			}
+			for i, old := range c.Procs {
+				p := order[k]
+				k++
+				if p < 0 || p >= t.P || nt.first[p] != NoCounter {
+					return nil, fmt.Errorf("topology: order is not a permutation of 0..%d", t.P-1)
+				}
+				nt.Counters[ci].Procs[i] = p
+				if c.Local == old {
+					nt.Counters[ci].Local = p
+				}
+				nt.first[p] = ci
+				nt.ringOf[p] = t.ringOf[old]
+			}
 		}
-		nt.first[p] = s.counter
-		nt.ringOf[p] = t.ringOf[old]
 	}
 	return nt, nil
 }

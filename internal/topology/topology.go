@@ -138,11 +138,17 @@ func (t *Tree) MaxFanIn() int {
 // NumCounters returns the number of counters in the tree.
 func (t *Tree) NumCounters() int { return len(t.Counters) }
 
-// layerSizes returns the per-layer counter counts for n groups reduced by
-// degree d until a single root remains: sizes[0] = n, sizes[k+1] =
-// ceil(sizes[k]/d).
-func layerSizes(n, d int) []int {
-	sizes := []int{n}
+// maxLayers bounds a tree's layer count: each layer above the leaves
+// holds at most half the counters of the one below (the degree is at least
+// 2), so no tree with an int-sized counter count has more layers.
+const maxLayers = 64
+
+// layerSizes appends to sizes the per-layer counter counts for n groups
+// reduced by degree d until a single root remains: sizes[0] = n,
+// sizes[k+1] = ceil(sizes[k]/d). The builders pass a [maxLayers]int on
+// their stack, so sizing a tree allocates nothing.
+func layerSizes(sizes []int, n, d int) []int {
+	sizes = append(sizes, n)
 	for n > 1 {
 		n = (n + d - 1) / d
 		sizes = append(sizes, n)
@@ -150,30 +156,63 @@ func layerSizes(n, d int) []int {
 	return sizes
 }
 
-// NewClassic builds a classic combining tree for p processors with degree
-// d: ceil(p/d) leaf counters each holding up to d processors, reduced by
-// degree d up to a single root. d ≥ p yields the flat single-counter
-// barrier. It panics for p < 1 or d < 2.
-func NewClassic(p, d int) *Tree {
+// mcsLayers returns, appended to sizes, the layer sizes of NewMCS's tree
+// for p processors: the largest leaf count with enough processors to give
+// every counter a local processor and every leaf at least one processor.
+func mcsLayers(sizes []int, p, d int) []int {
+	nLeaves := max((p+d)/(d+1), 1)
+	for {
+		sizes = layerSizes(sizes[:0], nLeaves, d)
+		internals := 0
+		for _, s := range sizes[1:] {
+			internals += s
+		}
+		if p-internals >= nLeaves || nLeaves == 1 {
+			return sizes
+		}
+		nLeaves--
+	}
+}
+
+func sum(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
+}
+
+func checkShape(p, d int) {
 	if p < 1 {
 		panic("topology: need at least one processor")
 	}
 	if d < 2 {
 		panic("topology: degree must be at least 2")
 	}
-	nLeaves := (p + d - 1) / d
-	sizes := layerSizes(nLeaves, d)
-	t := &Tree{Kind: Classic, P: p, Degree: d, Levels: len(sizes)}
-	t.buildLayers(sizes, d)
+}
+
+// NewClassic builds a classic combining tree for p processors with degree
+// d: ceil(p/d) leaf counters each holding up to d processors, reduced by
+// degree d up to a single root. d ≥ p yields the flat single-counter
+// barrier. It panics for p < 1 or d < 2.
+func NewClassic(p, d int) *Tree {
+	checkShape(p, d)
+	var buf [maxLayers]int
+	sizes := layerSizes(buf[:0], (p+d-1)/d, d)
+	t, ints := newTree(Classic, p, d, sum(sizes))
+	t.layLayers(0, sizes, d, 0, -1, &ints)
+	t.Root, t.Levels = len(t.Counters)-1, len(sizes)
 
 	// Attach processors to leaf counters in contiguous blocks of ≤ d.
-	t.first = make([]int, p)
-	for i := 0; i < p; i++ {
-		leaf := i / d
-		t.Counters[leaf].Procs = append(t.Counters[leaf].Procs, i)
-		t.first[i] = leaf
+	for leaf := 0; leaf < sizes[0]; leaf++ {
+		lo := leaf * d
+		procs := ints.take(min(d, p-lo))
+		for i := range procs {
+			procs[i], t.first[lo+i] = lo+i, leaf
+		}
+		t.Counters[leaf].Procs = procs
 	}
-	t.ringOf = uniformRing(p, -1)
+	fill(t.ringOf, -1)
 	return t
 }
 
@@ -182,67 +221,14 @@ func NewClassic(p, d int) *Tree {
 // in total; internal counters have d counter children plus their local
 // processor. It panics for p < 1 or d < 2.
 func NewMCS(p, d int) *Tree {
-	if p < 1 {
-		panic("topology: need at least one processor")
-	}
-	if d < 2 {
-		panic("topology: degree must be at least 2")
-	}
-	// Pick the largest leaf count with enough processors to give every
-	// counter a local processor and every leaf at least one processor.
-	nLeaves := (p + d) / (d + 1)
-	if nLeaves < 1 {
-		nLeaves = 1
-	}
-	var sizes []int
-	for {
-		sizes = layerSizes(nLeaves, d)
-		internals := 0
-		for _, s := range sizes[1:] {
-			internals += s
-		}
-		if p-internals >= nLeaves || nLeaves == 1 {
-			break
-		}
-		nLeaves--
-	}
-	t := &Tree{Kind: MCS, P: p, Degree: d, Levels: len(sizes)}
-	t.buildLayers(sizes, d)
-
-	t.first = make([]int, p)
-	internals := len(t.Counters) - nLeaves
-	leafProcs := p - internals
-	if leafProcs < nLeaves {
-		// Unreachable: the loop above only stops with enough processors
-		// (nLeaves == 1 implies zero internal counters, so leafProcs = p).
-		panic("topology: internal error, not enough processors for the leaves")
-	}
-	// Distribute leafProcs over the leaves as evenly as possible.
-	next := 0
-	for leaf := 0; leaf < nLeaves; leaf++ {
-		share := leafProcs / nLeaves
-		if leaf < leafProcs%nLeaves {
-			share++
-		}
-		for j := 0; j < share; j++ {
-			t.attach(next, leaf)
-			if j == 0 {
-				t.Counters[leaf].Local = next
-			}
-			next++
-		}
-	}
-	// Remaining processors become the locals of internal counters, in
-	// counter order (lower levels first).
-	for c := nLeaves; c < len(t.Counters); c++ {
-		t.attach(next, c)
-		t.Counters[c].Local = next
-		next++
-	}
-	if next != p {
-		panic("topology: internal error, processors left over")
-	}
-	t.ringOf = uniformRing(p, -1)
+	checkShape(p, d)
+	var buf [maxLayers]int
+	sizes := mcsLayers(buf[:0], p, d)
+	t, ints := newTree(MCS, p, d, sum(sizes))
+	t.layLayers(0, sizes, d, 0, -1, &ints)
+	t.attachMCS(0, 0, sizes, p, &ints)
+	t.Root, t.Levels = len(t.Counters)-1, len(sizes)
+	fill(t.ringOf, -1)
 	return t
 }
 
@@ -255,8 +241,8 @@ func NewMCS(p, d int) *Tree {
 // last-processor depths fall below 2, so their root accepted migrants).
 // Processor IDs are assigned ring by ring. A single ring degenerates to a
 // plain MCS tree (with ring IDs recorded). It panics for an empty ring
-// list, a non-positive ring, or a first ring too small to spare its root
-// processor (< 2 processors with multiple rings).
+// list, a non-positive ring, a first ring too small to spare its root
+// processor (< 2 processors with multiple rings), or d < 2.
 func NewRing(ringSizes []int, d int) *Tree {
 	if len(ringSizes) == 0 {
 		panic("topology: need at least one ring")
@@ -271,84 +257,69 @@ func NewRing(ringSizes []int, d int) *Tree {
 		}
 		total += s
 	}
-	t := &Tree{Kind: Ring, P: total, Degree: d}
-	t.first = make([]int, total)
-	t.ringOf = make([]int, total)
-
-	var ringRoots []int
-	procBase := 0
-	maxLevel := 0
+	checkShape(total, d)
 	multi := len(ringSizes) > 1
-	for ring, size := range ringSizes {
-		subSize := size
+	// subSize is how many processors ring's subtree holds: ring 0's last
+	// processor staffs the merge root.
+	subSize := func(ring int) int {
 		if multi && ring == 0 {
-			subSize-- // ring 0's last processor staffs the merge root
+			return ringSizes[0] - 1
 		}
-		sub := NewMCS(subSize, d)
-		counterBase := len(t.Counters)
-		for _, c := range sub.Counters {
-			nc := Counter{
-				ID:     counterBase + c.ID,
-				Level:  c.Level,
-				Parent: NoCounter,
-				Local:  NoProc,
-				RingID: ring,
-			}
-			if c.Parent != NoCounter {
-				nc.Parent = counterBase + c.Parent
-			}
-			for _, ch := range c.Children {
-				nc.Children = append(nc.Children, counterBase+ch)
-			}
-			for _, p := range c.Procs {
-				nc.Procs = append(nc.Procs, procBase+p)
-			}
-			if c.Local != NoProc {
-				nc.Local = procBase + c.Local
-			}
-			t.Counters = append(t.Counters, nc)
-		}
-		for i := 0; i < subSize; i++ {
-			t.first[procBase+i] = counterBase + sub.first[i]
-			t.ringOf[procBase+i] = ring
-		}
-		ringRoots = append(ringRoots, counterBase+sub.Root)
-		if lv := sub.Counters[sub.Root].Level; lv > maxLevel {
-			maxLevel = lv
-		}
-		procBase += size
+		return ringSizes[ring]
 	}
-
+	// Size the whole tree before building any of it: every ring's subtree,
+	// the merge root, and the level its ring roots all sit at.
+	var buf [maxLayers]int
+	n, maxLevel := 0, 0
+	for ring := range ringSizes {
+		sizes := mcsLayers(buf[:0], subSize(ring), d)
+		n += sum(sizes)
+		maxLevel = max(maxLevel, len(sizes)-1)
+	}
+	if multi {
+		n++
+	}
+	t, ints := newTree(Ring, total, d, n)
+	var ringRoots []int // the merge root's children
+	if multi {
+		ringRoots = ints.take(len(ringSizes))
+	}
+	counterBase, procBase := 0, 0
+	for ring, size := range ringSizes {
+		sizes := mcsLayers(buf[:0], subSize(ring), d)
+		// Rings of different sizes build subtrees of different depths, but
+		// the merge root must sit exactly one level above every ring root.
+		// Lift each shallow ring's counters uniformly so all ring roots land
+		// on maxLevel; a uniform shift preserves the ring-internal
+		// parent/child level chain, and nothing reads a counter's absolute
+		// level except that chain.
+		t.layLayers(counterBase, sizes, d, maxLevel-(len(sizes)-1), ring, &ints)
+		t.attachMCS(counterBase, procBase, sizes, subSize(ring), &ints)
+		fill(t.ringOf[procBase:procBase+subSize(ring)], ring)
+		counterBase += sum(sizes)
+		procBase += size
+		if multi {
+			ringRoots[ring] = counterBase - 1
+		} else {
+			t.Root = counterBase - 1
+		}
+	}
 	if !multi {
-		t.Root = ringRoots[0]
 		t.Levels = maxLevel + 1
 		return t
 	}
-	// Rings of different sizes build subtrees of different depths, but the
-	// merge root must sit exactly one level above every ring root. Lift each
-	// shallow ring's counters uniformly so all ring roots land on maxLevel;
-	// a uniform shift preserves the ring-internal parent/child level chain,
-	// and nothing reads a counter's absolute level except that chain.
-	for ring, r := range ringRoots {
-		if delta := maxLevel - t.Counters[r].Level; delta > 0 {
-			for i := range t.Counters {
-				if t.Counters[i].RingID == ring {
-					t.Counters[i].Level += delta
-				}
-			}
-		}
-	}
 	rootLocal := ringSizes[0] - 1 // the spared last processor of ring 0
-	root := Counter{
-		ID:     len(t.Counters),
-		Level:  maxLevel + 1,
-		Parent: NoCounter,
-		Procs:  []int{rootLocal},
-		Local:  rootLocal,
-		RingID: 0,
+	root := &t.Counters[counterBase]
+	*root = Counter{
+		ID:       counterBase,
+		Level:    maxLevel + 1,
+		Parent:   NoCounter,
+		Children: ringRoots,
+		Procs:    ints.take(1),
+		Local:    rootLocal,
+		RingID:   0,
 	}
-	root.Children = append(root.Children, ringRoots...)
-	t.Counters = append(t.Counters, root)
+	root.Procs[0] = rootLocal
 	t.first[rootLocal] = root.ID
 	t.ringOf[rootLocal] = 0
 	for _, r := range ringRoots {
@@ -359,45 +330,95 @@ func NewRing(ringSizes []int, d int) *Tree {
 	return t
 }
 
-// buildLayers creates the counter hierarchy given per-layer sizes, linking
-// each layer-k counter to a layer-k+1 parent in contiguous groups of d.
-func (t *Tree) buildLayers(sizes []int, d int) {
-	base := 0
-	prevBase := 0
+// intArena hands out int slices carved from one backing array, each with
+// its capacity capped at its length: an append to one counter's Procs or
+// Children then reallocates instead of writing into its neighbour's.
+type intArena []int
+
+// take carves the next n ints; nil for n == 0, as an unbuilt slice is.
+func (a *intArena) take(n int) []int {
+	if n == 0 {
+		return nil
+	}
+	s := (*a)[:n:n]
+	*a = (*a)[n:]
+	return s
+}
+
+// newTree allocates a tree of n counters for p processors in three
+// allocations whatever its size: the Tree, its counters, and one array
+// for every int slice the tree holds — the per-processor tables, carved
+// here, and its n−1 child links and p attachments, which the returned
+// arena hands out. Every non-root counter is exactly one counter's child
+// and every processor is attached exactly once, so the array is exact.
+func newTree(kind Kind, p, d, n int) (*Tree, intArena) {
+	t := &Tree{Kind: kind, P: p, Degree: d, Counters: make([]Counter, n)}
+	ints := intArena(make([]int, n-1+3*p))
+	t.first, t.ringOf = ints.take(p), ints.take(p)
+	return t, ints
+}
+
+// layLayers builds a layered counter hierarchy in place, starting at
+// Counters[base]: sizes[k] counters on layer k, each layer-k counter
+// linked to a layer-k+1 parent in contiguous groups of d. lift is added
+// to every counter's level and ring is every counter's RingID.
+func (t *Tree) layLayers(base int, sizes []int, d, lift, ring int, ints *intArena) {
+	below := base // first counter of the layer below
+	id := base
 	for level, n := range sizes {
 		for i := 0; i < n; i++ {
-			t.Counters = append(t.Counters, Counter{
-				ID:     base + i,
-				Level:  level,
-				Parent: NoCounter,
-				Local:  NoProc,
-				RingID: -1,
-			})
-		}
-		if level > 0 {
-			for i := 0; i < sizes[level-1]; i++ {
-				parent := base + i/d
-				t.Counters[prevBase+i].Parent = parent
-				t.Counters[parent].Children = append(t.Counters[parent].Children, prevBase+i)
+			c := &t.Counters[id+i]
+			*c = Counter{ID: id + i, Level: level + lift, Parent: NoCounter, Local: NoProc, RingID: ring}
+			if level > 0 {
+				lo := below + i*d
+				c.Children = ints.take(min(d, id-lo))
+				for j := range c.Children {
+					c.Children[j] = lo + j
+					t.Counters[lo+j].Parent = id + i
+				}
 			}
 		}
-		prevBase = base
-		base += n
+		below = id
+		id += n
 	}
-	t.Root = len(t.Counters) - 1
 }
 
-// attach places processor p on counter c and records it as p's first
-// counter.
-func (t *Tree) attach(p, c int) {
-	t.Counters[c].Procs = append(t.Counters[c].Procs, p)
-	t.first[p] = c
+// attachMCS attaches p processors, numbered from procBase, to the MCS
+// subtree of layer sizes sizes laid from Counters[base]: the processors
+// left after every internal counter's local are spread over the leaves
+// as evenly as possible, then the internal counters take one local each,
+// in counter order (lower levels first).
+func (t *Tree) attachMCS(base, procBase int, sizes []int, p int, ints *intArena) {
+	n, nLeaves := sum(sizes), sizes[0]
+	leafProcs := p - (n - nLeaves)
+	if leafProcs < nLeaves {
+		// Unreachable: mcsLayers only stops with enough processors
+		// (nLeaves == 1 implies zero internal counters, so leafProcs = p).
+		panic("topology: internal error, not enough processors for the leaves")
+	}
+	next := procBase
+	for c := base; c < base+n; c++ {
+		share := 1 // an internal counter's local
+		if c < base+nLeaves {
+			share = leafProcs / nLeaves
+			if c-base < leafProcs%nLeaves {
+				share++
+			}
+		}
+		procs := ints.take(share)
+		for j := range procs {
+			procs[j], t.first[next] = next, c
+			next++
+		}
+		t.Counters[c].Procs, t.Counters[c].Local = procs, procs[0]
+	}
+	if next != procBase+p {
+		panic("topology: internal error, processors left over")
+	}
 }
 
-func uniformRing(p, ring int) []int {
-	r := make([]int, p)
-	for i := range r {
-		r[i] = ring
+func fill(xs []int, v int) {
+	for i := range xs {
+		xs[i] = v
 	}
-	return r
 }

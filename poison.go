@@ -33,16 +33,11 @@ func (e *StallError) Error() string {
 
 // poisonCore is the abort machinery shared by every barrier in the
 // package, embedded so that Poison, Err, Reset and Close are promoted
-// onto each barrier type. The barrier supplies three callbacks at
-// construction: wake poisons its wait primitives (gates, cells) so every
-// parked and spinning waiter escapes, clear reinitializes its episode
-// state and arrival counts so Reset can return the barrier to service,
-// and counts reads the counts, kept in plain fields of its slots.
+// onto each barrier type. The barrier hands itself in at construction as
+// the core's poisonHost.
 type poisonCore struct {
-	wake   func()          // poison the barrier's wait primitives
-	clear  func()          // reinitialize episode state; called only at quiescence
-	counts func() []uint64 // read the slots' arrival counts; quiescence only
-	notify func(error)     // WithPoisonNotify hook; nil when not installed
+	host   poisonHost
+	notify func(error) // WithPoisonNotify hook; nil when not installed
 
 	state  atomic.Uint32 // 0 healthy, 1 poisoned; written after err below
 	mu     sync.Mutex
@@ -60,10 +55,24 @@ type poisonCore struct {
 	wdStop chan struct{}
 }
 
+// poisonHost is what a barrier supplies its poisonCore. It is the
+// barrier itself, so wiring the core allocates nothing.
+type poisonHost interface {
+	// wakeWaiters poisons the barrier's wait primitives (gates, cells) so
+	// every parked and spinning waiter escapes.
+	wakeWaiters()
+	// clearEpisode reinitializes the barrier's episode state and arrival
+	// counts so Reset can return it to service; quiescence only.
+	clearEpisode()
+	// slotArrivals reads the arrival counts kept in plain fields of the
+	// barrier's slots; quiescence only.
+	slotArrivals() []uint64
+}
+
 // initPoison wires the core. watchdog > 0 starts the stall detector and
 // its counters; notify, when non-nil, is invoked once when poisoned.
-func (c *poisonCore) initPoison(p int, watchdog time.Duration, notify func(error), wake, clear func(), counts func() []uint64) {
-	c.wake, c.clear, c.counts, c.notify = wake, clear, counts, notify
+func (c *poisonCore) initPoison(p int, watchdog time.Duration, notify func(error), host poisonHost) {
+	c.host, c.notify = host, notify
 	if watchdog > 0 {
 		c.resizeArrived(p)
 		c.wdStop = make(chan struct{})
@@ -95,7 +104,7 @@ func (c *poisonCore) noteArrive(id int) {
 func (c *poisonCore) Arrivals() []uint64 {
 	a := c.arrived.Load()
 	if a == nil {
-		return c.counts()
+		return c.host.slotArrivals()
 	}
 	out := make([]uint64, len(*a))
 	for i := range out {
@@ -142,7 +151,7 @@ func (c *poisonCore) Poison(err error) {
 	// Publish the flag only after the error is in place, so any waiter
 	// that observes the poisoned state finds a non-nil Err.
 	c.state.Store(1)
-	c.wake()
+	c.host.wakeWaiters()
 	// Notify after the local waiters are released: the hook typically does
 	// I/O (a networked barrier broadcasting the cause), and nothing it can
 	// observe regresses — state and err are already published. Only the
@@ -169,7 +178,7 @@ func (c *poisonCore) Err() error {
 // reinitialized; a watchdog installed with WithWatchdog resumes
 // monitoring.
 func (c *poisonCore) Reset() {
-	c.clear()
+	c.host.clearEpisode()
 	if a := c.arrived.Load(); a != nil {
 		for i := range *a {
 			(*a)[i].Store(0)

@@ -331,6 +331,13 @@ func TestWatchdogIdleBarrierNotPoisoned(t *testing.T) {
 	}
 }
 
+// idleHost is a poisonHost with nothing to wake or clear, for a bare core.
+type idleHost struct{}
+
+func (idleHost) wakeWaiters()           {}
+func (idleHost) clearEpisode()          {}
+func (idleHost) slotArrivals() []uint64 { return nil }
+
 // TestWatchdogScanAndResize drives the watchdog's poll on a bare core over
 // nine counters: equal counts mean idle, counts frozen while unequal are a
 // stall naming everyone behind the leader, and a membership change is
@@ -339,7 +346,7 @@ func TestWatchdogScanAndResize(t *testing.T) {
 	const d = 40 * time.Millisecond
 	watched := func(p int) *poisonCore {
 		c := &poisonCore{}
-		c.initPoison(p, d, nil, func() {}, func() {}, nil)
+		c.initPoison(p, d, nil, idleHost{})
 		t.Cleanup(c.Close)
 		return c
 	}

@@ -52,27 +52,30 @@ func NewTournament(p int, opts ...Option) *TournamentBarrier {
 	b.local = make([]arrivalSlot, p)
 	b.gate.Init(o.policy)
 	b.rec = o.recorder(p, 0)
-	b.initPoison(p, o.watchdog, o.poisonNotify,
-		func() {
-			b.gate.Poison()
-			for r := range b.arrive {
-				for i := range b.arrive[r] {
-					b.arrive[r][i].Poison()
-				}
-			}
-		},
-		func() {
-			for r := range b.arrive {
-				for i := range b.arrive[r] {
-					b.arrive[r][i].Reset()
-				}
-			}
-			clear(b.local) // arrival counts; every id arrives before it awaits
-			b.gate.Unpoison()
-		},
-		func() []uint64 { return slotCounts(b.local) })
+	b.initPoison(p, o.watchdog, o.poisonNotify, b)
 	return b
 }
+
+func (b *TournamentBarrier) wakeWaiters() {
+	b.gate.Poison()
+	for r := range b.arrive {
+		for i := range b.arrive[r] {
+			b.arrive[r][i].Poison()
+		}
+	}
+}
+
+func (b *TournamentBarrier) clearEpisode() {
+	for r := range b.arrive {
+		for i := range b.arrive[r] {
+			b.arrive[r][i].Reset()
+		}
+	}
+	clear(b.local) // arrival counts; every id arrives before it awaits
+	b.gate.Unpoison()
+}
+
+func (b *TournamentBarrier) slotArrivals() []uint64 { return slotCounts(b.local) }
 
 // Participants returns P.
 func (b *TournamentBarrier) Participants() int { return b.p }

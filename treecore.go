@@ -53,9 +53,9 @@ type treeCore struct {
 	poisonCore
 
 	// Six whole cache lines, for the reason ReconfigurableBarrier has eight
-	// (reconfigurable.go): unpadded, its 344 bytes fall in the 352-byte
+	// (reconfigurable.go): unpadded, its 336 bytes fall in the 352-byte
 	// allocation class, whose objects do not start on a cache line.
-	_ [40]byte
+	_ [48]byte
 }
 
 // treeEpoch is one epoch's rebuildable configuration: the topology, its
@@ -213,14 +213,18 @@ func (b *treeCore) init(o options, first treeEpoch) {
 	b.rec = o.recorder(st.p, every)
 	b.red = o.reducer(st.p, st.inputs())
 	b.folding = b.red != nil && b.red.Op().Commutative
-	b.initPoison(st.p, o.watchdog, o.poisonNotify, b.gate.Poison, b.clearEpisode, func() []uint64 {
-		cur := b.state.Load()
-		out := make([]uint64, cur.p)
-		for i := range out {
-			out[i] = cur.slots[i].arrivals
-		}
-		return out
-	})
+	b.initPoison(st.p, o.watchdog, o.poisonNotify, b)
+}
+
+func (b *treeCore) wakeWaiters() { b.gate.Poison() }
+
+func (b *treeCore) slotArrivals() []uint64 {
+	st := b.state.Load()
+	out := make([]uint64, st.p)
+	for i := range out {
+		out[i] = st.slots[i].arrivals
+	}
+	return out
 }
 
 // clearEpisode drops the aborted episode's partial counts for Reset, back

@@ -99,10 +99,10 @@ func TestTreeEpisodeZeroAllocs(t *testing.T) {
 func TestTreeConstructorAllocs(t *testing.T) {
 	const p = 32
 	limits := map[string][2]float64{ // plain, WithCollective
-		"tree":     {50, 57},
-		"mcs":      {52, 59},
-		"dynamic":  {52, 59},
-		"reconfig": {55, 62},
+		"tree":     {8, 11},
+		"mcs":      {8, 11},
+		"dynamic":  {8, 11},
+		"reconfig": {10, 13},
 	}
 	withOp := []Option{WithCollective(OpSumUint64())}
 	for _, k := range treeKinds {
