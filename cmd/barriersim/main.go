@@ -8,17 +8,14 @@
 //
 //	barriersim -p 4096 -degree 16 -sigma 0.25ms [-tree mcs] [-dynamic]
 //	           [-slack 4ms] [-episodes 200] [-warmup 20] [-tc 20us] [-seed 1]
-//	           [-placement ewma] [-replan 5] [-cache DIR] [-workers N]
+//	           [-placement ewma] [-replan 5]
 //	barriersim model -p 4096 -degree 4 -sigma 0.25ms [-tc 20us]
-//	barriersim sweep -p 4096 -sigma 0.5ms [-episodes 200] [-tree mcs] [-workers N] [-cache DIR]
+//	barriersim sweep -p 4096 -sigma 0.5ms [-episodes 200] [-tree mcs] [-workers N]
 //	barriersim record -p 64 -episodes 200 -workload normal -sigma 0.25ms > trace.csv
 //	barriersim record -p 56 -workload sor -dy 210 > sor.csv
 //	barriersim -tracefile trace.csv -degree 4
 //
-// Durations accept Go syntax (e.g. 250us, 0.25ms). With -cache, results are
-// memoized on disk under their full configuration, so repeating one is
-// instant; run's -trace and -tracefile bypass the cache (the timeline needs
-// a live simulation, and trace files are not hashed). sweep simulates its
+// Durations accept Go syntax (e.g. 250us, 0.25ms). sweep simulates its
 // candidate degrees in parallel across -workers workers (default: all
 // CPUs), and its output is identical for every worker count.
 //
@@ -26,7 +23,7 @@
 // softbarrier.PlacementNames) observes every episode's arrival lags and,
 // every -replan episodes, rebuilds the tree with its laggiest-first
 // ranking in the shallowest slots. Placement runs ignore -slack (the
-// policy engine drives episodes directly) and bypass the cache.
+// policy engine drives episodes directly).
 //
 // A trace file holds one iteration per line, comma-separated per-processor
 // work times in seconds; run's -tracefile replays it in place of -sigma,
@@ -51,7 +48,6 @@ import (
 	"softbarrier/internal/model"
 	"softbarrier/internal/sor"
 	"softbarrier/internal/stats"
-	"softbarrier/internal/sweep"
 	"softbarrier/internal/topology"
 	"softbarrier/internal/trace"
 )
@@ -186,10 +182,6 @@ func simulate(c *config, stdout io.Writer) error {
 		return err
 	}
 	tree := build(c.p, c.degree)
-	engine, err := c.engine.Engine(os.Stderr)
-	if err != nil {
-		return err
-	}
 
 	cfg := barriersim.Config{Tc: c.tc.Seconds(), Dynamic: c.dynamic}
 	if w == nil {
@@ -220,27 +212,14 @@ func simulate(c *config, stdout io.Writer) error {
 		return nil
 	}
 
+	it := barriersim.NewIterator(w, c.slack.Seconds(), c.seed)
+	sim := barriersim.New(tree, cfg)
 	var rec *trace.Recorder
-	simulateOnce := func(int, uint64) barriersim.RunResult {
-		it := barriersim.NewIterator(w, c.slack.Seconds(), c.seed)
-		sim := barriersim.New(tree, cfg)
-		if c.showTrace {
-			rec = &trace.Recorder{Keep: 1}
-			sim.SetTracer(rec)
-		}
-		return sim.Run(it, c.warmup, c.episodes)
+	if c.showTrace {
+		rec = &trace.Recorder{Keep: 1}
+		sim.SetTracer(rec)
 	}
-
-	var rr barriersim.RunResult
-	if engine.Cache != nil && !c.showTrace && c.traceFile == "" {
-		// A single-point sweep buys the on-disk memoization: repeating a
-		// configuration never re-simulates.
-		key := fmt.Sprintf("p=%d d=%d kind=%s cfg=%+v workload=%v slack=%g episodes=%d warmup=%d",
-			c.p, c.degree, tree.Kind, cfg, w, c.slack.Seconds(), c.episodes, c.warmup)
-		rr = sweep.Run(engine, sweep.Spec{Name: "barriersim", Keys: []string{key}, BaseSeed: c.seed}, simulateOnce)[0]
-	} else {
-		rr = simulateOnce(0, c.seed)
-	}
+	rr := sim.Run(it, c.warmup, c.episodes)
 
 	printTree()
 	if c.traceFile != "" {
@@ -308,13 +287,9 @@ func sweepDegrees(c *config, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	engine, err := c.engine.Engine(os.Stderr)
-	if err != nil {
-		return err
-	}
 	sigma, tc := c.sigma.Seconds(), c.tc.Seconds()
 	cfg := barriersim.Config{Tc: tc}
-	sw := barriersim.DegreeSweepOn(engine, c.p, build, cfg, stats.Normal{Sigma: sigma}, c.episodes, c.seed)
+	sw := barriersim.DegreeSweep(c.engine.Engine(os.Stderr), c.p, build, cfg, stats.Normal{Sigma: sigma}, c.episodes, c.seed)
 	estOf := model.EstimateByDegree(c.p, sigma, tc)
 
 	fmt.Fprintf(stdout, "p=%d σ=%v (%.1f·t_c) t_c=%v episodes=%d tree=%s\n\n",

@@ -4,13 +4,13 @@
 // Usage:
 //
 //	experiments [-run FIG3,FIG8] [-episodes 100] [-warmup 20] [-seed 1995]
-//	            [-workers N] [-cache DIR] [-markdown]
+//	            [-workers N] [-markdown | -json]
 //
 // With no -run it reproduces everything in presentation order. Each
 // experiment's parameter grid fans out over -workers parallel workers
 // (default: all CPUs); tables are bit-identical for every worker count.
-// With -cache, grid points are memoized on disk and re-runs only simulate
-// configurations that changed.
+// The output of -json at the defaults is checked in as
+// internal/experiments/testdata/experiments.json.
 package main
 
 import (
@@ -69,12 +69,7 @@ func main() {
 	if set["seed"] {
 		o.Seed = *seed
 	}
-	engine, err := engFlags.Engine(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	o.Engine = engine
+	o.Engine = engFlags.Engine(os.Stderr)
 
 	ids := experiments.IDs()
 	if *run != "" {
@@ -113,8 +108,5 @@ func main() {
 			}
 		}
 		fmt.Fprintf(os.Stderr, "[%s took %v]\n", id, time.Since(start).Round(time.Millisecond))
-	}
-	if c := engine.Cache; c != nil {
-		fmt.Fprintf(os.Stderr, "[cache: %d hits, %d misses]\n", c.Hits(), c.Misses())
 	}
 }

@@ -138,7 +138,7 @@ func TestCombiningTreeBeatsDisseminationUnderImbalance(t *testing.T) {
 	p := 256
 	dist := stats.Normal{Sigma: 50 * tc}
 	diss := RunBaselineIID(Dissemination, p, tc, dist, 40, 11)
-	sweep := DegreeSweep(p, topology.NewClassic, Config{}, dist, 40, 11)
+	sweep := DegreeSweep(nil, p, topology.NewClassic, Config{}, dist, 40, 11)
 	best := Best(sweep)
 	if best.MeanSync >= diss.MeanSync {
 		t.Errorf("optimal tree %v not better than dissemination %v at σ=50t_c", best.MeanSync, diss.MeanSync)

@@ -1,7 +1,6 @@
 package barriersim
 
 import (
-	"fmt"
 	"sort"
 
 	"softbarrier/internal/stats"
@@ -34,30 +33,18 @@ type DegreeResult struct {
 }
 
 // DegreeSweep simulates every candidate degree with identical arrival
-// streams (common random numbers, so degree comparisons are paired) and
-// returns the per-degree results sorted by degree. Degrees run
-// sequentially; use DegreeSweepOn to fan them out over an engine.
-func DegreeSweep(p int, build TreeBuilder, cfg Config, dist stats.Distribution, episodes int, seed uint64) []DegreeResult {
-	return DegreeSweepOn(nil, p, build, cfg, dist, episodes, seed)
-}
-
-// DegreeSweepOn is DegreeSweep running on the given sweep engine: each
-// candidate degree is one point, executed in parallel up to the engine's
-// worker bound and cached under the point's full configuration. Every
-// degree deliberately reuses the caller's seed — not the engine's derived
+// streams and returns the per-degree results sorted by degree. Each
+// candidate is one point on eng (nil runs them sequentially). Every degree
+// deliberately reuses the caller's seed — not the engine's derived
 // per-point seed — so that degree comparisons stay paired (common random
-// numbers); results are identical for every worker count and identical to
-// DegreeSweep.
-func DegreeSweepOn(eng *sweep.Engine, p int, build TreeBuilder, cfg Config, dist stats.Distribution, episodes int, seed uint64) []DegreeResult {
+// numbers); results are identical for every engine and worker count.
+func DegreeSweep(eng *sweep.Engine, p int, build TreeBuilder, cfg Config, dist stats.Distribution, episodes int, seed uint64) []DegreeResult {
 	ds := DegreeCandidates(p)
 	trees := make([]*topology.Tree, len(ds))
-	keys := make([]string, len(ds))
 	for i, d := range ds {
 		trees[i] = build(p, d)
-		keys[i] = fmt.Sprintf("p=%d d=%d kind=%s cfg=%+v dist=%v episodes=%d",
-			p, d, trees[i].Kind, cfg, dist, episodes)
 	}
-	out := sweep.Run(eng, sweep.Spec{Name: "degree-sweep", Keys: keys, BaseSeed: seed},
+	out := sweep.Run(eng, sweep.Spec{Points: len(ds), BaseSeed: seed},
 		func(i int, _ uint64) DegreeResult {
 			rr := RunIID(trees[i], cfg, dist, episodes, seed)
 			return DegreeResult{Degree: ds[i], MeanSync: rr.MeanSync, Levels: trees[i].Levels}
@@ -102,13 +89,7 @@ func DelayOf(results []DegreeResult, d int) (float64, bool) {
 // its speedup over a degree-4 tree (the previously assumed optimum), the
 // paper's headline metric in Figs. 3 and 12.
 func OptimalDegree(p int, build TreeBuilder, cfg Config, dist stats.Distribution, episodes int, seed uint64) (best DegreeResult, speedupVs4 float64, all []DegreeResult) {
-	return OptimalDegreeOn(nil, p, build, cfg, dist, episodes, seed)
-}
-
-// OptimalDegreeOn is OptimalDegree with the underlying sweep running on
-// the given engine.
-func OptimalDegreeOn(eng *sweep.Engine, p int, build TreeBuilder, cfg Config, dist stats.Distribution, episodes int, seed uint64) (best DegreeResult, speedupVs4 float64, all []DegreeResult) {
-	all = DegreeSweepOn(eng, p, build, cfg, dist, episodes, seed)
+	all = DegreeSweep(nil, p, build, cfg, dist, episodes, seed)
 	best = Best(all)
 	if d4, ok := DelayOf(all, 4); ok && best.MeanSync > 0 {
 		speedupVs4 = d4 / best.MeanSync

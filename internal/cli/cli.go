@@ -1,5 +1,5 @@
 // Package cli holds the configuration plumbing shared by the commands: the
-// -workers/-cache sweep-engine flags of cmd/experiments and cmd/barriersim,
+// -workers sweep-engine flag of cmd/experiments and cmd/barriersim,
 // a throttled progress printer, duration formatting, and the networked
 // barrier session flags of cmd/barrierd and examples/netbarrier. Keeping it
 // here means each main declares only the flags specific to its own
@@ -23,34 +23,23 @@ type EngineFlags struct {
 	// Workers is the worker-pool bound; 0 selects all CPUs, 1 runs
 	// sequentially. Results are identical either way (internal/sweep).
 	Workers int
-	// CacheDir, when non-empty, is the on-disk result cache directory;
-	// it is created if absent.
-	CacheDir string
 }
 
-// AddEngineFlags registers -workers and -cache on fs.
+// AddEngineFlags registers -workers on fs.
 func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	f := &EngineFlags{}
 	fs.IntVar(&f.Workers, "workers", 0, "parallel sweep workers (0 = all CPUs, 1 = sequential; results identical)")
-	fs.StringVar(&f.CacheDir, "cache", "", "directory for the on-disk sweep result cache (empty = no cache)")
 	return f
 }
 
 // Engine builds the sweep engine the flags describe. Progress is reported
 // to w (nil disables reporting) for sweeps that run long enough to matter.
-func (f *EngineFlags) Engine(w io.Writer) (*sweep.Engine, error) {
+func (f *EngineFlags) Engine(w io.Writer) *sweep.Engine {
 	e := &sweep.Engine{Workers: f.Workers}
-	if f.CacheDir != "" {
-		c, err := sweep.OpenCache(f.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		e.Cache = c
-	}
 	if w != nil {
 		e.Report = ProgressPrinter(w)
 	}
-	return e, nil
+	return e
 }
 
 // ProgressPrinter returns a sweep progress callback that prints points
@@ -69,11 +58,7 @@ func ProgressPrinter(w io.Writer) func(sweep.Progress) {
 		}
 		started = true
 		last = p.Elapsed
-		line := fmt.Sprintf("sweep %d/%d points", p.Done, p.Total)
-		if p.CacheHits > 0 {
-			line += fmt.Sprintf(" (%d cached)", p.CacheHits)
-		}
-		line += fmt.Sprintf(", elapsed %s", p.Elapsed.Round(100*time.Millisecond))
+		line := fmt.Sprintf("sweep %d/%d points, elapsed %s", p.Done, p.Total, p.Elapsed.Round(100*time.Millisecond))
 		if p.Remaining > 0 {
 			line += fmt.Sprintf(", eta %s", p.Remaining.Round(100*time.Millisecond))
 		}

@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,21 +10,8 @@ import (
 
 func TestEngineFlags(t *testing.T) {
 	f := &EngineFlags{Workers: 3}
-	e, err := f.Engine(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Workers != 3 || e.Cache != nil {
+	if e := f.Engine(nil); e.Workers != 3 || e.Report != nil {
 		t.Fatalf("engine = %+v", e)
-	}
-
-	f.CacheDir = filepath.Join(t.TempDir(), "cache")
-	e, err = f.Engine(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Cache == nil || e.Cache.Dir() != f.CacheDir {
-		t.Fatalf("cache not opened at %q", f.CacheDir)
 	}
 }
 
@@ -37,9 +23,9 @@ func TestProgressPrinterThrottles(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("printed too early: %q", b.String())
 	}
-	report(sweep.Progress{Done: 5, Total: 10, Elapsed: 3 * time.Second, Remaining: 3 * time.Second, CacheHits: 2})
+	report(sweep.Progress{Done: 5, Total: 10, Elapsed: 3 * time.Second, Remaining: 3 * time.Second})
 	out := b.String()
-	if !strings.Contains(out, "5/10") || !strings.Contains(out, "2 cached") || !strings.Contains(out, "eta") {
+	if !strings.Contains(out, "5/10") || !strings.Contains(out, "eta") {
 		t.Fatalf("progress line %q", out)
 	}
 	// Within a second of the last line: throttled.

@@ -38,40 +38,3 @@ func TestEngineDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineCacheRoundTrip re-runs an experiment against a warm cache and
-// requires every grid point to hit with unchanged output.
-func TestEngineCacheRoundTrip(t *testing.T) {
-	cache, err := sweep.OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := Options{Episodes: 8, Warmup: 3, Seed: 7, Engine: &sweep.Engine{Workers: 2, Cache: cache}}
-	cold, err := Fig3(o).JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.Hits() != 0 || cache.Misses() == 0 {
-		t.Fatalf("cold run: hits=%d misses=%d", cache.Hits(), cache.Misses())
-	}
-	points := cache.Misses()
-	warm, err := Fig3(o).JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm != cold {
-		t.Error("cached table differs from computed table")
-	}
-	if cache.Hits() != points {
-		t.Errorf("warm run hit %d of %d points", cache.Hits(), points)
-	}
-
-	// Changing the fidelity must change the keys, not resurface stale rows.
-	o.Episodes++
-	if _, err := Fig3(o).JSON(); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Misses() != 2*points {
-		t.Errorf("episodes bump reused stale cache entries: misses=%d want %d", cache.Misses(), 2*points)
-	}
-}

@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -171,6 +175,7 @@ func TestAllRunnersProduceTables(t *testing.T) {
 		t.Skip("runs every experiment")
 	}
 	o := Options{Episodes: 6, Warmup: 2, Seed: 7}
+	var got strings.Builder
 	for _, tab := range RunAll(o) {
 		if tab.ID == "" || len(tab.Header) == 0 || len(tab.Rows) == 0 {
 			t.Errorf("experiment %q produced an empty table", tab.ID)
@@ -180,6 +185,88 @@ func TestAllRunnersProduceTables(t *testing.T) {
 				t.Errorf("%s: row width %d != header width %d", tab.ID, len(row), len(tab.Header))
 			}
 		}
+		s, err := tab.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.WriteString(s + "\n")
+	}
+	// The simulator's output at these options is pinned byte for byte.
+	// Other targets may fuse multiply-adds, which moves the last digit.
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	want, err := os.ReadFile("testdata/quick.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("tables differ from testdata/quick.json:\n%s", firstDiff(got.String(), string(want)))
+	}
+}
+
+// firstDiff describes the first line at which got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d: got %q, want %q", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
+}
+
+// TestExperimentsMarkdownMatchesGolden checks every generated block of
+// EXPERIMENTS.md, the lines between a line <!-- gen:ID --> and a line
+// <!-- /gen -->, against Table.Markdown() of that ID in
+// testdata/experiments.json, the output of cmd/experiments -json at the
+// default options. It reads the golden file and simulates nothing.
+func TestExperimentsMarkdownMatchesGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/experiments.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := map[string]*Table{}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	for dec.More() {
+		tab := &Table{}
+		if err := dec.Decode(tab); err != nil {
+			t.Fatal(err)
+		}
+		tables[tab.ID] = tab
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const open, end = "\n<!-- gen:", "<!-- /gen -->\n"
+	rest, blocks := string(doc), 0
+	for {
+		i := strings.Index(rest, open)
+		if i < 0 {
+			break
+		}
+		rest = rest[i+len(open):]
+		id, body, ok := strings.Cut(rest, " -->\n")
+		if !ok {
+			t.Fatal("EXPERIMENTS.md ends inside a gen marker")
+		}
+		body, rest, ok = strings.Cut(body, end)
+		if !ok {
+			t.Fatalf("gen:%s has no %s", id, end)
+		}
+		blocks++
+		tab, ok := tables[id]
+		if !ok {
+			t.Errorf("gen:%s: no such table in testdata/experiments.json", id)
+			continue
+		}
+		if want := tab.Markdown(); body != want {
+			t.Errorf("EXPERIMENTS.md gen:%s is stale: %s", id, firstDiff(body, want))
+		}
+	}
+	if blocks == 0 {
+		t.Error("EXPERIMENTS.md has no generated blocks")
 	}
 }
 

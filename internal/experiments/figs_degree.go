@@ -23,17 +23,16 @@ var ProcGrid = []int{64, 256, 4096}
 func procSigmaGrid() (points []struct {
 	P     int
 	Sigma float64
-}, keys []string) {
+}) {
 	for _, p := range ProcGrid {
 		for _, s := range SigmaGrid {
 			points = append(points, struct {
 				P     int
 				Sigma float64
 			}{p, s})
-			keys = append(keys, fmt.Sprintf("p=%d sigma=%gtc", p, s))
 		}
 	}
-	return points, keys
+	return points
 }
 
 // fig2Cell is the simulated half of one FIG2 row.
@@ -60,7 +59,7 @@ func Fig2(o Options) *Table {
 	sigma := 12.5 * Tc
 	// Every degree reuses the base seed: common random numbers keep the
 	// per-degree comparison paired.
-	cells := grid(o, "fig2", gridKeys("p=4096 sigma=12.5tc d=%d", fig2Degrees),
+	cells := grid(o, len(fig2Degrees),
 		func(i int, _ uint64) fig2Cell {
 			tree := topology.NewClassic(p, fig2Degrees[i])
 			rr := barriersim.RunIID(tree, barriersim.Config{}, stats.Normal{Sigma: sigma}, o.Episodes, o.Seed)
@@ -90,8 +89,8 @@ type Fig3Cell struct {
 
 // Fig3Data computes the simulated optimal-degree grid.
 func Fig3Data(o Options) []Fig3Cell {
-	points, keys := procSigmaGrid()
-	return grid(o, "fig3", keys, func(i int, seed uint64) Fig3Cell {
+	points := procSigmaGrid()
+	return grid(o, len(points), func(i int, seed uint64) Fig3Cell {
 		pt := points[i]
 		best, speedup, _ := barriersim.OptimalDegree(
 			pt.P, topology.NewClassic, barriersim.Config{},
@@ -148,10 +147,10 @@ func Fig4(o Options) *Table {
 	for _, s := range SigmaGrid {
 		t.Header = append(t.Header, fmt.Sprintf("σ=%gtc", s))
 	}
-	points, keys := procSigmaGrid()
-	cells := grid(o, "fig4", keys, func(i int, seed uint64) fig4Cell {
+	points := procSigmaGrid()
+	cells := grid(o, len(points), func(i int, seed uint64) fig4Cell {
 		pt := points[i]
-		sweep := barriersim.DegreeSweep(
+		sweep := barriersim.DegreeSweep(nil,
 			pt.P, topology.NewClassic, barriersim.Config{},
 			stats.Normal{Sigma: pt.Sigma * Tc}, o.Episodes, seed)
 		opt := barriersim.Best(sweep)
@@ -208,7 +207,7 @@ func Eq1OptimalDegree(o Options) *Table {
 		Header: []string{"degree", "levels", "sim delay", "L·d·t_c"},
 	}
 	const p = 4096
-	cells := grid(o, "eq1", gridKeys("p=4096 sigma=0 d=%d", eq1Degrees),
+	cells := grid(o, len(eq1Degrees),
 		func(i int, seed uint64) eq1Cell {
 			tree := topology.NewClassic(p, eq1Degrees[i])
 			rr := barriersim.RunIID(tree, barriersim.Config{}, stats.Degenerate{}, 1, seed)

@@ -40,7 +40,7 @@ func Fig5(o Options) *Table {
 	if iters < 40 {
 		iters = 40
 	}
-	rows := grid(o, "fig5", gridKeys(fmt.Sprintf("p=%d sigma=%g slack=%%g", p, fig8Sigma), fig5Slacks),
+	rows := grid(o, len(fig5Slacks),
 		func(i int, seed uint64) []float64 {
 			it := barriersim.NewIterator(loadmodel.IID{N: p, Dist: stats.Normal{Sigma: fig8Sigma}}, fig5Slacks[i], seed)
 			history := make([][]float64, 0, iters)
@@ -91,14 +91,12 @@ func Fig8Data(o Options, degrees []int, p int) []Fig8Row {
 		Slack  float64
 	}
 	var points []point
-	var keys []string
 	for _, d := range degrees {
 		for _, slack := range fig8Slacks {
 			points = append(points, point{d, slack})
-			keys = append(keys, fmt.Sprintf("p=%d d=%d sigma=%g slack=%g mcs", p, d, fig8Sigma, slack))
 		}
 	}
-	return grid(o, "fig8", keys, func(i int, seed uint64) Fig8Row {
+	return grid(o, len(points), func(i int, seed uint64) Fig8Row {
 		pt := points[i]
 		tree := topology.NewMCS(p, pt.Degree)
 		mkIter := func() *barriersim.Iterator {

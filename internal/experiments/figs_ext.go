@@ -40,10 +40,10 @@ func Ext1(o Options) *Table {
 		Header: []string{"σ/tc", "tree d=4", "tree opt (d*)", "dissemination", "tournament", "central"},
 	}
 	const p = 256
-	cells := grid(o, "ext1", gridKeys(fmt.Sprintf("p=%d sigma=%%gtc baselines", p), SigmaGrid),
+	cells := grid(o, len(SigmaGrid),
 		func(i int, seed uint64) ext1Cell {
 			dist := stats.Normal{Sigma: SigmaGrid[i] * Tc}
-			sweep := barriersim.DegreeSweep(p, topology.NewClassic, barriersim.Config{}, dist, o.Episodes, seed)
+			sweep := barriersim.DegreeSweep(nil, p, topology.NewClassic, barriersim.Config{}, dist, o.Episodes, seed)
 			best := barriersim.Best(sweep)
 			d4, _ := barriersim.DelayOf(sweep, 4)
 			diss := barriersim.RunBaselineIID(barriersim.Dissemination, p, Tc, dist, o.Episodes, seed)
@@ -76,7 +76,7 @@ func Ext2(o Options) *Table {
 		Header: []string{"slack (ms)", "mean idle (µs)", "idle × slack (µs·ms)"},
 	}
 	const p = 4096
-	idles := grid(o, "ext2", gridKeys(fmt.Sprintf("p=%d sigma=%g slack=%%g idle", p, fig8Sigma), ext2Slacks),
+	idles := grid(o, len(ext2Slacks),
 		func(i int, seed uint64) float64 {
 			slack := ext2Slacks[i]
 			it := barriersim.NewIterator(loadmodel.IID{N: p, Dist: stats.Normal{Sigma: fig8Sigma}}, slack, seed)
@@ -130,9 +130,7 @@ func Ext3(o Options) *Table {
 	phases := []ext3Phase{{0.5, o.Episodes}, {50, o.Episodes}}
 	const window = 10
 
-	// The regime change is a loadmodel.Phased workload; IID draws through
-	// the shared RNG are byte-identical to the former inline sample loop,
-	// so cached sweep results stay valid.
+	// The regime change is a loadmodel.Phased workload.
 	gen := loadmodel.Phased{Phases: []loadmodel.Phase{
 		{Episodes: phases[0].episodes, Gen: loadmodel.IID{N: p, Dist: stats.Normal{Sigma: phases[0].sigmaTc * Tc}}},
 		{Episodes: phases[1].episodes, Gen: loadmodel.IID{N: p, Dist: stats.Normal{Sigma: phases[1].sigmaTc * Tc}}},

@@ -55,14 +55,12 @@ func Ext4(o Options) *Table {
 		Dist  string
 	}
 	var points []point
-	var keys []string
 	for _, s := range ext4Sigmas {
 		for _, name := range ext4DistNames {
 			points = append(points, point{s, name})
-			keys = append(keys, fmt.Sprintf("p=%d sigma=%gtc dist=%s", p, s, name))
 		}
 	}
-	cells := grid(o, "ext4", keys, func(i int, seed uint64) optCell {
+	cells := grid(o, len(points), func(i int, seed uint64) optCell {
 		pt := points[i]
 		best, speedup, _ := barriersim.OptimalDegree(
 			p, topology.NewClassic, barriersim.Config{}, ext4Dist(pt.Dist, pt.Sigma*Tc),

@@ -34,14 +34,12 @@ func Ext5(o Options) *Table {
 		Sigma float64
 	}
 	var points []point
-	var keys []string
 	for _, alpha := range ext5Alphas {
 		for _, s := range ext5Sigmas {
 			points = append(points, point{alpha, s})
-			keys = append(keys, fmt.Sprintf("p=%d alpha=%g sigma=%gtc", p, alpha, s))
 		}
 	}
-	cells := grid(o, "ext5", keys, func(i int, seed uint64) optCell {
+	cells := grid(o, len(points), func(i int, seed uint64) optCell {
 		pt := points[i]
 		cfg := barriersim.Config{LockDegradation: pt.Alpha}
 		best, speedup, _ := barriersim.OptimalDegree(

@@ -38,7 +38,7 @@ func Ext6(o Options) *Table {
 	m.Rings = rings
 	tm := sor.NewTimingModel(m, 60, 210)
 	const slack = 4e-3
-	cells := grid(o, "ext6", gridKeys("ksr34x32 sor dy=210 slack=4ms d=%d", ext6Degrees),
+	cells := grid(o, len(ext6Degrees),
 		func(i int, seed uint64) ext6Cell {
 			d := ext6Degrees[i]
 			static := runKSRWorkload(o, m, m.Tree(d), tm, slack, false, seed)

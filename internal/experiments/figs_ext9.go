@@ -73,16 +73,14 @@ func Ext9(o Options) *Table {
 		Title:  "predictive straggler placement: mean sync delay by policy (µs, 15 procs MCS d=2)",
 		Header: append([]string{"workload"}, ext9Policies...),
 	}
-	var keys []string
 	type point struct{ w, pol int }
 	var points []point
-	for wi, w := range ext9Workloads {
-		for pi, pol := range ext9Policies {
+	for wi := range ext9Workloads {
+		for pi := range ext9Policies {
 			points = append(points, point{wi, pi})
-			keys = append(keys, fmt.Sprintf("p=%d d=2 mcs workload=%s placement=%s replan=5", ext9P, w.name, pol))
 		}
 	}
-	cells := grid(o, "ext9", keys, func(i int, seed uint64) ext9Cell {
+	cells := grid(o, len(points), func(i int, seed uint64) ext9Cell {
 		pt := points[i]
 		mkPol, ok := loadmodel.PolicyByName(ext9Policies[pt.pol])
 		if !ok {

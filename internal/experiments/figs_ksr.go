@@ -46,7 +46,7 @@ func Fig12(o Options) *Table {
 		Header: []string{"dy", "σ (µs)", "σ/tc", "opt degree", "speedup vs d=4"},
 	}
 	m := ksr.New56()
-	cells := grid(o, "fig12", gridKeys("ksr56 sor dx=60 dy=%d", fig12DYs),
+	cells := grid(o, len(fig12DYs),
 		func(i int, seed uint64) fig12Cell {
 			dy := fig12DYs[i]
 			tm := sor.NewTimingModel(m, 60, dy)
@@ -90,14 +90,12 @@ func Fig13Data(o Options, degrees []int) []Fig13Row {
 		Slack  float64
 	}
 	var points []point
-	var keys []string
 	for _, d := range degrees {
 		for _, slack := range fig13Slacks {
 			points = append(points, point{d, slack})
-			keys = append(keys, fmt.Sprintf("ksr56 sor dy=210 d=%d slack=%g", d, slack))
 		}
 	}
-	return grid(o, "fig13", keys, func(i int, seed uint64) Fig13Row {
+	return grid(o, len(points), func(i int, seed uint64) Fig13Row {
 		pt := points[i]
 		tree := m.Tree(pt.Degree)
 		static := runKSRWorkload(o, m, tree, tm, pt.Slack, false, seed)

@@ -36,17 +36,15 @@ func Fig9(o Options) *Table {
 		P     int
 		Sigma float64
 	}
-	var keys []string
 	var points []point
 	for _, p := range scaleProcs {
 		for _, sigma := range fig9Sigmas {
 			points = append(points, point{p, sigma})
-			keys = append(keys, fmt.Sprintf("p=%d sigma=%g", p, sigma))
 		}
 	}
-	cells := grid(o, "fig9", keys, func(i int, seed uint64) fig9Cell {
+	cells := grid(o, len(points), func(i int, seed uint64) fig9Cell {
 		pt := points[i]
-		sweep := barriersim.DegreeSweep(pt.P, topology.NewClassic, barriersim.Config{},
+		sweep := barriersim.DegreeSweep(nil, pt.P, topology.NewClassic, barriersim.Config{},
 			stats.Normal{Sigma: pt.Sigma}, o.Episodes, seed)
 		best := barriersim.Best(sweep)
 		d4, ok := barriersim.DelayOf(sweep, 4)
@@ -90,9 +88,8 @@ func scaleDynamicRun(o Options, p, degree int, slack float64, seed uint64) place
 
 // placementVsSize sweeps scaleProcs for one degree, returning one
 // static/dynamic pair per system size.
-func placementVsSize(o Options, name string, degree int, slack float64) []placementCell {
-	keyf := fmt.Sprintf("p=%%d d=%d sigma=%g slack=%g mcs", degree, fig8Sigma, slack)
-	return grid(o, name, gridKeys(keyf, scaleProcs),
+func placementVsSize(o Options, degree int, slack float64) []placementCell {
+	return grid(o, len(scaleProcs),
 		func(i int, seed uint64) placementCell {
 			return scaleDynamicRun(o, scaleProcs[i], degree, slack, seed)
 		})
@@ -119,7 +116,7 @@ func Fig10(o Options) *Table {
 		Title:  "static vs dynamic placement, degree 4, σ=0.25ms, slack 16ms (ms)",
 		Header: []string{"procs", "static", "dynamic", "speedup", "dyn last depth"},
 	}
-	placementTable(t, placementVsSize(o, "fig10", 4, 16e-3))
+	placementTable(t, placementVsSize(o, 4, 16e-3))
 	t.AddNote("paper shape: static delay grows with tree depth; dynamic delay is nearly constant in p")
 	return t
 }
@@ -134,7 +131,7 @@ func Fig11(o Options) *Table {
 		Title:  "combined: degree 16 static vs dynamic, σ=0.25ms, slack 16ms (ms)",
 		Header: []string{"procs", "static d=16", "dynamic d=16", "speedup", "dyn last depth"},
 	}
-	placementTable(t, placementVsSize(o, "fig11", 16, 16e-3))
+	placementTable(t, placementVsSize(o, 16, 16e-3))
 	t.AddNote("paper shape: with a suitable degree and dynamic placement, software barriers scale to large p when slack is available")
 	return t
 }

@@ -1,31 +1,11 @@
 package experiments
 
-import (
-	"fmt"
+import "softbarrier/internal/sweep"
 
-	"softbarrier/internal/sweep"
-)
-
-// grid runs one independent simulation per key on the options' engine
-// (nil runs the points sequentially) and returns the results in key
-// order. Every key is suffixed with the harness fidelity (episodes,
-// warm-up), so callers only encode the parameters of their own grid; the
-// engine's cache addressing adds the derived seed. Results are
-// engine-independent: see internal/sweep for the determinism contract.
-func grid[R any](o Options, name string, keys []string, fn sweep.PointFunc[R]) []R {
-	full := make([]string, len(keys))
-	for i, k := range keys {
-		full[i] = fmt.Sprintf("%s episodes=%d warmup=%d", k, o.Episodes, o.Warmup)
-	}
-	return sweep.Run(o.Engine, sweep.Spec{Name: name, Keys: full, BaseSeed: o.Seed}, fn)
-}
-
-// gridKeys formats one key per element of a grid axis (or pre-flattened
-// grid) with the given format applied to each element.
-func gridKeys[T any](format string, axis []T) []string {
-	keys := make([]string, len(axis))
-	for i, v := range axis {
-		keys[i] = fmt.Sprintf(format, v)
-	}
-	return keys
+// grid runs n independent simulations, point i being the grid's i-th cell,
+// on the options' engine (nil runs the points sequentially) and returns
+// the results in point order. Results are engine-independent: see
+// internal/sweep for the determinism contract.
+func grid[R any](o Options, n int, fn sweep.PointFunc[R]) []R {
+	return sweep.Run(o.Engine, sweep.Spec{Points: n, BaseSeed: o.Seed}, fn)
 }

@@ -34,7 +34,7 @@ func TestEstimatedDegreeNearSimulatedOptimum(t *testing.T) {
 	}
 	sumRatio, n := 0.0, 0
 	for _, c := range cells {
-		sweep := barriersim.DegreeSweep(c.p, topology.NewClassic, cfg, stats.Normal{Sigma: c.sigma}, 40, 11)
+		sweep := barriersim.DegreeSweep(nil, c.p, topology.NewClassic, cfg, stats.Normal{Sigma: c.sigma}, 40, 11)
 		opt := barriersim.Best(sweep)
 		est := model.EstimateOptimalDegree(c.p, c.sigma, tc)
 		estDelay, ok := barriersim.DelayOf(sweep, est.Degree)

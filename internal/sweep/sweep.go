@@ -10,10 +10,8 @@
 // at their own index. A parallel run is therefore bit-identical to the
 // sequential run regardless of worker count or goroutine scheduling.
 //
-// An optional on-disk Cache short-circuits points whose full configuration
-// (spec name, point key, derived seed, code-version salt) was already
-// simulated, and an optional progress callback reports points done / total
-// with an ETA for long sweeps.
+// An optional progress callback reports points done / total with an ETA
+// for long sweeps.
 package sweep
 
 import (
@@ -22,17 +20,11 @@ import (
 	"time"
 )
 
-// Spec declares one sweep: a named family of points in presentation order.
+// Spec declares one sweep: points 0 … Points-1, in the order the results
+// are wanted. A point is its index; the caller maps it to parameters.
 type Spec struct {
-	// Name identifies the sweep family; it salts cache keys so that
-	// distinct sweeps with coincidentally equal point keys never collide.
-	Name string
-	// Keys holds one stable identity string per point, in the order the
-	// results are wanted. A key must encode every parameter that affects
-	// the point's result except the seed (which the engine derives): two
-	// points with equal keys and equal base seed are assumed
-	// interchangeable by the cache.
-	Keys []string
+	// Points is the number of points.
+	Points int
 	// BaseSeed is the sweep's base PRNG seed; each point receives
 	// PointSeed(BaseSeed, index).
 	BaseSeed uint64
@@ -41,8 +33,7 @@ type Spec struct {
 // PointFunc simulates point i using the derived per-point seed. A point
 // function may deliberately ignore the derived seed in favour of the
 // spec's base seed when paired comparisons across points (common random
-// numbers) are wanted; the cache key incorporates the derived seed either
-// way, which subsumes (base seed, index).
+// numbers) are wanted.
 type PointFunc[R any] func(i int, seed uint64) R
 
 // Progress is a snapshot of a running sweep, delivered to the engine's
@@ -50,8 +41,6 @@ type PointFunc[R any] func(i int, seed uint64) R
 type Progress struct {
 	// Done and Total count completed and declared points.
 	Done, Total int
-	// CacheHits counts the completed points served from the cache.
-	CacheHits int
 	// Elapsed is the time since the sweep started.
 	Elapsed time.Duration
 	// Remaining estimates the time to completion by extrapolating the
@@ -61,16 +50,12 @@ type Progress struct {
 }
 
 // Engine executes sweeps. The zero value runs points on all CPUs with no
-// cache and no progress reporting; a nil *Engine runs points sequentially
-// (the safe default for sweeps nested inside an already-parallel outer
-// sweep).
+// progress reporting; a nil *Engine runs points sequentially (the safe
+// default for sweeps nested inside an already-parallel outer sweep).
 type Engine struct {
 	// Workers bounds the number of concurrently simulated points.
 	// Values <= 0 select runtime.GOMAXPROCS(0).
 	Workers int
-	// Cache, when non-nil, is consulted before and written after every
-	// point. Cache failures are treated as misses, never as errors.
-	Cache *Cache
 	// Report, when non-nil, receives a Progress snapshot after every
 	// completed point. It is called with the engine's internal lock held,
 	// so it must not call back into the engine.
@@ -93,17 +78,15 @@ func PointSeed(base uint64, index int) uint64 {
 // re-raised on the calling goroutine after the remaining workers drain.
 func Run[R any](e *Engine, s Spec, fn PointFunc[R]) []R {
 	workers := 1
-	var cache *Cache
 	var report func(Progress)
 	if e != nil {
 		workers = e.Workers
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		cache = e.Cache
 		report = e.Report
 	}
-	n := len(s.Keys)
+	n := s.Points
 	results := make([]R, n)
 	if n == 0 {
 		return results
@@ -116,45 +99,21 @@ func Run[R any](e *Engine, s Spec, fn PointFunc[R]) []R {
 	var (
 		mu       sync.Mutex
 		done     int
-		hits     int
 		panicked any
 	)
-	finish := func(cached bool) {
+	runPoint := func(i int) {
+		results[i] = fn(i, PointSeed(s.BaseSeed, i))
 		mu.Lock()
 		defer mu.Unlock()
 		done++
-		if cached {
-			hits++
-		}
 		if report == nil {
 			return
 		}
-		p := Progress{Done: done, Total: n, CacheHits: hits, Elapsed: time.Since(start)}
-		// Extrapolate only once at least one point was actually computed
-		// (cache hits return in microseconds and would produce a nonsense
-		// mean), and guard done > 0 explicitly so no refactor of the
-		// accounting above can ever reintroduce a divide-by-zero Inf/NaN
-		// Remaining on the first tick.
-		if computed := done - hits; computed > 0 && done > 0 && done < n {
+		p := Progress{Done: done, Total: n, Elapsed: time.Since(start)}
+		if done < n {
 			p.Remaining = time.Duration(float64(p.Elapsed) / float64(done) * float64(n-done))
 		}
 		report(p)
-	}
-	runPoint := func(i int) {
-		seed := PointSeed(s.BaseSeed, i)
-		var key string
-		if cache != nil {
-			key = cache.Key(s.Name, s.Keys[i], seed)
-			if cache.Get(key, &results[i]) {
-				finish(true)
-				return
-			}
-		}
-		results[i] = fn(i, seed)
-		if cache != nil {
-			cache.Put(key, s.Name, s.Keys[i], results[i])
-		}
-		finish(false)
 	}
 
 	if workers == 1 {

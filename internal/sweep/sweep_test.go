@@ -2,17 +2,13 @@ package sweep
 
 import (
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
-	"time"
 
 	"softbarrier/internal/stats"
 )
 
-// pointResult exercises JSON round-tripping through the cache.
+// pointResult is a point result rendered to JSON for byte comparison.
 type pointResult struct {
 	Index int
 	Mean  float64
@@ -35,11 +31,7 @@ func simulate(i int, seed uint64) pointResult {
 }
 
 func testSpec(n int) Spec {
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("point=%d episodes=8", i)
-	}
-	return Spec{Name: "sweep-test", Keys: keys, BaseSeed: 42}
+	return Spec{Points: n, BaseSeed: 42}
 }
 
 func mustJSON(t *testing.T, v any) string {
@@ -79,7 +71,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		{"sequential-engine", 1},
 		{"workers-4", 4},
 		{"gomaxprocs", runtime.GOMAXPROCS(0)},
-		{"oversubscribed", 2 * len(spec.Keys)},
+		{"oversubscribed", 2 * spec.Points},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,80 +90,9 @@ func TestNilEngineAndEmptySpec(t *testing.T) {
 	if got := Run[int](nil, Spec{}, func(i int, _ uint64) int { return i }); len(got) != 0 {
 		t.Fatalf("empty spec returned %v", got)
 	}
-	got := Run[int](nil, Spec{Name: "n", Keys: []string{"a", "b", "c"}}, func(i int, _ uint64) int { return i * i })
+	got := Run[int](nil, Spec{Points: 3}, func(i int, _ uint64) int { return i * i })
 	if got[0] != 0 || got[1] != 1 || got[2] != 4 {
 		t.Fatalf("nil engine results %v", got)
-	}
-}
-
-func TestCacheRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	spec := testSpec(12)
-
-	c1, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := mustJSON(t, Run(&Engine{Workers: 4, Cache: c1}, spec, simulate))
-	if c1.Hits() != 0 || c1.Misses() != int64(len(spec.Keys)) {
-		t.Fatalf("cold run: hits=%d misses=%d", c1.Hits(), c1.Misses())
-	}
-
-	// A fresh cache handle over the same directory must serve every point.
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	second := mustJSON(t, Run(&Engine{Workers: 2, Cache: c2}, spec, func(i int, seed uint64) pointResult {
-		calls++
-		return simulate(i, seed)
-	}))
-	if calls != 0 {
-		t.Fatalf("warm run recomputed %d points", calls)
-	}
-	if c2.Hits() != int64(len(spec.Keys)) {
-		t.Fatalf("warm run: hits=%d", c2.Hits())
-	}
-	if second != first {
-		t.Fatalf("cached results differ:\n got %s\nwant %s", second, first)
-	}
-
-	// A different base seed must not hit the old entries.
-	reseeded := spec
-	reseeded.BaseSeed = spec.BaseSeed + 1
-	third := mustJSON(t, Run(&Engine{Cache: c2, Workers: 1}, reseeded, simulate))
-	if third == first {
-		t.Fatal("different base seed returned identical results")
-	}
-}
-
-func TestCacheIgnoresCorruptEntries(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := testSpec(3)
-	want := mustJSON(t, Run(&Engine{Workers: 1, Cache: c}, spec, simulate))
-
-	// Truncate every entry; the next run must recompute, not fail.
-	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
-		}
-		return os.WriteFile(path, []byte("{not json"), 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, _ := OpenCache(dir)
-	got := mustJSON(t, Run(&Engine{Workers: 1, Cache: c2}, spec, simulate))
-	if got != want {
-		t.Fatalf("recompute after corruption differs:\n got %s\nwant %s", got, want)
-	}
-	if c2.Hits() != 0 {
-		t.Fatalf("corrupt entries counted as hits: %d", c2.Hits())
 	}
 }
 
@@ -179,48 +100,16 @@ func TestProgressReporting(t *testing.T) {
 	spec := testSpec(9)
 	var snaps []Progress
 	Run(&Engine{Workers: 3, Report: func(p Progress) { snaps = append(snaps, p) }}, spec, simulate)
-	if len(snaps) != len(spec.Keys) {
-		t.Fatalf("%d progress reports for %d points", len(snaps), len(spec.Keys))
+	if len(snaps) != spec.Points {
+		t.Fatalf("%d progress reports for %d points", len(snaps), spec.Points)
 	}
 	last := snaps[len(snaps)-1]
-	if last.Done != len(spec.Keys) || last.Total != len(spec.Keys) {
+	if last.Done != spec.Points || last.Total != spec.Points {
 		t.Fatalf("final progress %+v", last)
 	}
 	for k := 1; k < len(snaps); k++ {
 		if snaps[k].Done != snaps[k-1].Done+1 {
 			t.Fatalf("progress not monotone: %+v -> %+v", snaps[k-1], snaps[k])
-		}
-	}
-}
-
-// TestProgressETAAllCacheHits pins the done == hits corner: a fully warm
-// run completes every point from the cache, so the per-point mean is
-// meaningless and Remaining must stay zero rather than divide by the zero
-// computed-point count.
-func TestProgressETAAllCacheHits(t *testing.T) {
-	dir := t.TempDir()
-	spec := testSpec(6)
-	c1, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Run(&Engine{Workers: 2, Cache: c1}, spec, simulate)
-
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snaps []Progress
-	Run(&Engine{Workers: 2, Cache: c2, Report: func(p Progress) { snaps = append(snaps, p) }}, spec, simulate)
-	if len(snaps) != len(spec.Keys) {
-		t.Fatalf("%d progress reports for %d points", len(snaps), len(spec.Keys))
-	}
-	for _, p := range snaps {
-		if p.Remaining != 0 {
-			t.Fatalf("all-hit snapshot %+v has nonzero Remaining", p)
-		}
-		if p.CacheHits != p.Done {
-			t.Fatalf("all-hit snapshot %+v: hits != done", p)
 		}
 	}
 }
@@ -239,53 +128,6 @@ func TestProgressETAFinite(t *testing.T) {
 	}
 	if last := snaps[len(snaps)-1]; last.Remaining != 0 {
 		t.Fatalf("final snapshot %+v has nonzero Remaining", last)
-	}
-}
-
-// TestCacheSweepsStaleOrphans checks that OpenCache removes temp files
-// abandoned by a crashed writer, leaves fresh temp files alone (a live
-// writer may still own them), and does not disturb real entries.
-func TestCacheSweepsStaleOrphans(t *testing.T) {
-	dir := t.TempDir()
-	spec := testSpec(4)
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustJSON(t, Run(&Engine{Workers: 1, Cache: c}, spec, simulate))
-
-	shard := filepath.Join(dir, "ab")
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	stale := filepath.Join(shard, ".tmp-stale")
-	fresh := filepath.Join(shard, ".tmp-fresh")
-	for _, f := range []string{stale, fresh} {
-		if err := os.WriteFile(f, []byte("partial"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old := time.Now().Add(-2 * orphanTTL)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatalf("stale orphan survived reopen: stat err = %v", err)
-	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Fatalf("fresh temp file was removed: %v", err)
-	}
-	got := mustJSON(t, Run(&Engine{Workers: 1, Cache: c2}, spec, simulate))
-	if got != want {
-		t.Fatalf("entries lost after orphan sweep:\n got %s\nwant %s", got, want)
-	}
-	if c2.Hits() != int64(len(spec.Keys)) {
-		t.Fatalf("post-sweep run: hits=%d want %d", c2.Hits(), len(spec.Keys))
 	}
 }
 
