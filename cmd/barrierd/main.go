@@ -126,7 +126,7 @@ func (d *deployFlags) leaf(fs *flag.FlagSet) (bool, error) {
 }
 
 func main() {
-	nf := cli.AddNetFlags()
+	nf := cli.AddNetFlags(flag.CommandLine)
 	df := addDeployFlags(flag.CommandLine)
 	flag.Parse()
 

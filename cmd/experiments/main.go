@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -25,44 +27,70 @@ import (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if msg := err.Error(); msg != "" {
+		fmt.Fprintln(os.Stderr, msg)
+	}
+	if errors.As(err, new(usageError)) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// usageError is a bad command line, on which main exits 2 rather than 1.
+// A refusal by the FlagSet, which has printed its own, has no message.
+type usageError struct{ msg string }
+
+func (e usageError) Error() string { return e.msg }
+
+// run reproduces the chosen experiments and prints their tables to stdout;
+// progress and timings go to stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
 	var (
-		run      = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		episodes = flag.Int("episodes", 0, "measured episodes per configuration (default: harness default)")
-		warmup   = flag.Int("warmup", 0, "warm-up episodes (default: harness default)")
-		seed     = flag.Uint64("seed", 0, "base PRNG seed (default: harness default)")
-		markdown = flag.Bool("markdown", false, "emit GitHub-flavored markdown tables")
-		jsonOut  = flag.Bool("json", false, "emit tables as JSON (stable format for regression diffing)")
-		plot     = flag.Bool("plot", false, "also render ASCII curve plots for figure-style experiments")
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		engFlags = cli.AddEngineFlags(flag.CommandLine)
+		only     = fs.String("run", "", "comma-separated experiment IDs (default: all)")
+		episodes = fs.Int("episodes", 0, "measured episodes per configuration (default: harness default)")
+		warmup   = fs.Int("warmup", 0, "warm-up episodes (default: harness default)")
+		seed     = fs.Uint64("seed", 0, "base PRNG seed (default: harness default)")
+		markdown = fs.Bool("markdown", false, "emit GitHub-flavored markdown tables")
+		jsonOut  = fs.Bool("json", false, "emit tables as JSON (stable format for regression diffing)")
+		plot     = fs.Bool("plot", false, "also render ASCII curve plots for figure-style experiments")
+		list     = fs.Bool("list", false, "list experiment IDs and exit")
+		engFlags = cli.AddEngineFlags(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{}
+	}
 
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return nil
 	}
 
 	// Harness defaults apply only to flags the user did not set: detecting
 	// explicit flags with Visit lets -seed 0 and -warmup 0 mean what they
 	// say instead of being mistaken for "unset".
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	o := experiments.DefaultOptions()
 	if set["episodes"] {
 		if *episodes <= 0 {
-			fmt.Fprintf(os.Stderr, "experiments: -episodes must be positive, got %d\n", *episodes)
-			os.Exit(2)
+			return usageError{fmt.Sprintf("experiments: -episodes must be positive, got %d", *episodes)}
 		}
 		o.Episodes = *episodes
 	}
 	if set["warmup"] {
 		if *warmup < 0 {
-			fmt.Fprintf(os.Stderr, "experiments: -warmup must be non-negative, got %d\n", *warmup)
-			os.Exit(2)
+			return usageError{fmt.Sprintf("experiments: -warmup must be non-negative, got %d", *warmup)}
 		}
 		o.Warmup = *warmup
 	}
@@ -72,15 +100,14 @@ func main() {
 	o.Engine = engFlags.Engine(os.Stderr)
 
 	ids := experiments.IDs()
-	if *run != "" {
-		ids = strings.Split(*run, ",")
+	if *only != "" {
+		ids = strings.Split(*only, ",")
 	}
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		runner, err := experiments.Lookup(id)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return usageError{err.Error()}
 		}
 		start := time.Now()
 		table := runner(o)
@@ -88,14 +115,13 @@ func main() {
 		case *jsonOut:
 			s, err := table.JSON()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
-			fmt.Println(s)
+			fmt.Fprintln(stdout, s)
 		case *markdown:
-			fmt.Println(table.Markdown())
+			fmt.Fprintln(stdout, table.Markdown())
 		default:
-			fmt.Println(table.String())
+			fmt.Fprintln(stdout, table.String())
 		}
 		if *plot {
 			if spec, ok := experiments.SpecFor(id); ok {
@@ -103,10 +129,11 @@ func main() {
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "plot %s: %v\n", id, err)
 				} else {
-					fmt.Println(chart)
+					fmt.Fprintln(stdout, chart)
 				}
 			}
 		}
 		fmt.Fprintf(os.Stderr, "[%s took %v]\n", id, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }

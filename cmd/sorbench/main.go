@@ -15,8 +15,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -41,10 +43,10 @@ func (l *episodeLog) Episode(st softbarrier.EpisodeStats) {
 
 // dump writes the collected episodes as JSON to path ("-" for stdout),
 // wrapped with the run configuration and the aggregate view.
-func (l *episodeLog) dump(path string, cfg map[string]any, agg *softbarrier.Aggregate) error {
+func (l *episodeLog) dump(path string, stdout io.Writer, cfg map[string]any, agg *softbarrier.Aggregate) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := os.Stdout
+	out := stdout
 	if path != "-" {
 		f, err := os.Create(path)
 		if err != nil {
@@ -72,23 +74,50 @@ func (m multiObserver) Episode(st softbarrier.EpisodeStats) {
 }
 
 func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if msg := err.Error(); msg != "" {
+		fmt.Fprintln(os.Stderr, msg)
+	}
+	if errors.As(err, new(usageError)) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// usageError is a bad command line, on which main exits 2 rather than 1.
+// A refusal by the FlagSet, which has printed its own, has no message.
+type usageError struct{ msg string }
+
+func (e usageError) Error() string { return e.msg }
+
+// run solves the grid sequentially and in parallel on the chosen barrier,
+// reports to stdout, and fails unless the two results agree.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
 	var (
-		p        = flag.Int("p", 8, "number of worker goroutines")
-		dx       = flag.Int("dx", 60, "grid rows per worker")
-		dy       = flag.Int("dy", 210, "grid columns")
-		iters    = flag.Int("iters", 200, "relaxation iterations")
-		barrier  = flag.String("barrier", "tree", "barrier: central | tree | mcs | dynamic | adaptive | dissemination | tournament")
-		degree   = flag.Int("degree", 4, "tree degree for tree-based barriers")
-		method   = flag.String("method", "jacobi", "relaxation method: jacobi (the paper's two-array sweep) | sor (red/black over-relaxation, ω*)")
-		stats    = flag.String("stats", "", "dump per-episode barrier telemetry as JSON to this file (\"-\" for stdout)")
-		eps      = flag.Float64("eps", 0, "run -method sor to this RMS residual instead of a fixed sweep count (-iters caps it); the residual is folded through the barrier's AllReduce")
-		chkEvery = flag.Int("check-every", 10, "sweeps between residual convergence checks when -eps is set")
+		p        = fs.Int("p", 8, "number of worker goroutines")
+		dx       = fs.Int("dx", 60, "grid rows per worker")
+		dy       = fs.Int("dy", 210, "grid columns")
+		iters    = fs.Int("iters", 200, "relaxation iterations")
+		barrier  = fs.String("barrier", "tree", "barrier: central | tree | mcs | dynamic | adaptive | dissemination | tournament")
+		degree   = fs.Int("degree", 4, "tree degree for tree-based barriers")
+		method   = fs.String("method", "jacobi", "relaxation method: jacobi (the paper's two-array sweep) | sor (red/black over-relaxation, ω*)")
+		stats    = fs.String("stats", "", "dump per-episode barrier telemetry as JSON to this file (\"-\" for stdout)")
+		eps      = fs.Float64("eps", 0, "run -method sor to this RMS residual instead of a fixed sweep count (-iters caps it); the residual is folded through the barrier's AllReduce")
+		chkEvery = fs.Int("check-every", 10, "sweeps between residual convergence checks when -eps is set")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{}
+	}
 
 	if *eps > 0 && *method != "sor" {
-		fmt.Fprintln(os.Stderr, "-eps requires -method sor")
-		os.Exit(2)
+		return usageError{"-eps requires -method sor"}
 	}
 
 	var opts []softbarrier.Option
@@ -119,8 +148,7 @@ func main() {
 	case "tournament":
 		b = softbarrier.NewTournament(*p, opts...)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown barrier %q\n", *barrier)
-		os.Exit(2)
+		return usageError{fmt.Sprintf("unknown barrier %q", *barrier)}
 	}
 
 	nx := *p**dx + 2 // interior rows plus fixed boundary
@@ -146,12 +174,11 @@ func main() {
 		parTime = time.Since(parStart)
 	case "sor":
 		omega := sor.OmegaOpt(nx-2, *dy)
-		fmt.Printf("red/black SOR with ω* = %.4f\n", omega)
+		fmt.Fprintf(stdout, "red/black SOR with ω* = %.4f\n", omega)
 		if *eps > 0 {
 			cb, ok := b.(sor.ConvergeBarrier)
 			if !ok {
-				fmt.Fprintf(os.Stderr, "barrier %q cannot carry the residual AllReduce; use tree, mcs, dynamic or adaptive\n", *barrier)
-				os.Exit(2)
+				return usageError{fmt.Sprintf("barrier %q cannot carry the residual AllReduce; use tree, mcs, dynamic or adaptive", *barrier)}
 			}
 			seqStart := time.Now()
 			seqSweeps, seqRMS := ref.SolveSORSeqUntil(omega, *eps, *chkEvery, *iters, *p)
@@ -160,19 +187,17 @@ func main() {
 			parSweeps, parRMS, err := g.SolveSORParUntil(*p, omega, *eps, *chkEvery, *iters, cb)
 			parTime = time.Since(parStart)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "parallel solve failed: %v\n", err)
-				os.Exit(1)
+				return fmt.Errorf("parallel solve failed: %w", err)
 			}
 			if parSweeps != seqSweeps || parRMS != seqRMS {
-				fmt.Fprintf(os.Stderr, "FAIL: parallel converged at sweep %d (RMS %g), sequential at %d (RMS %g)\n",
+				return fmt.Errorf("FAIL: parallel converged at sweep %d (RMS %g), sequential at %d (RMS %g)",
 					parSweeps, parRMS, seqSweeps, seqRMS)
-				os.Exit(1)
 			}
 			conv := "converged"
 			if parSweeps >= *iters && parRMS > *eps {
 				conv = "gave up"
 			}
-			fmt.Printf("%s at sweep %d, RMS residual %.3g (target %.3g, checked every %d sweeps)\n",
+			fmt.Fprintf(stdout, "%s at sweep %d, RMS residual %.3g (target %.3g, checked every %d sweeps)\n",
 				conv, parSweeps, parRMS, *eps, *chkEvery)
 			*iters = parSweeps // per-iteration reporting below divides by sweeps run
 		} else {
@@ -184,26 +209,24 @@ func main() {
 			parTime = time.Since(parStart)
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown method %q\n", *method)
-		os.Exit(2)
+		return usageError{fmt.Sprintf("unknown method %q", *method)}
 	}
 
 	if buf != refBuf || g.Checksum(buf) != ref.Checksum(refBuf) {
-		fmt.Fprintln(os.Stderr, "FAIL: parallel result differs from sequential")
-		os.Exit(1)
+		return errors.New("FAIL: parallel result differs from sequential")
 	}
 
-	fmt.Printf("SOR %dx%d, %d iterations, %d workers, barrier=%s degree=%d\n",
+	fmt.Fprintf(stdout, "SOR %dx%d, %d iterations, %d workers, barrier=%s degree=%d\n",
 		nx, *dy+2, *iters, *p, *barrier, *degree)
-	fmt.Printf("sequential: %v total, %v/iteration\n", seqTime.Round(time.Millisecond), (seqTime / time.Duration(*iters)).Round(time.Microsecond))
-	fmt.Printf("parallel:   %v total, %v/iteration\n", parTime.Round(time.Millisecond), (parTime / time.Duration(*iters)).Round(time.Microsecond))
-	fmt.Printf("result verified against sequential solver (checksum %.6g)\n", g.Checksum(buf))
+	fmt.Fprintf(stdout, "sequential: %v total, %v/iteration\n", seqTime.Round(time.Millisecond), (seqTime / time.Duration(*iters)).Round(time.Microsecond))
+	fmt.Fprintf(stdout, "parallel:   %v total, %v/iteration\n", parTime.Round(time.Millisecond), (parTime / time.Duration(*iters)).Round(time.Microsecond))
+	fmt.Fprintf(stdout, "result verified against sequential solver (checksum %.6g)\n", g.Checksum(buf))
 	if d, ok := b.(*softbarrier.DynamicBarrier); ok {
-		fmt.Printf("dynamic placement performed %d swaps\n", d.Swaps())
+		fmt.Fprintf(stdout, "dynamic placement performed %d swaps\n", d.Swaps())
 	}
 	if a, ok := b.(*softbarrier.ReconfigurableBarrier); ok {
 		rs := a.ReconfigStats()
-		fmt.Printf("adaptive barrier: degree %d, σ estimate %v, epoch %d (%d rebuilds over %d evals)\n",
+		fmt.Fprintf(stdout, "adaptive barrier: degree %d, σ estimate %v, epoch %d (%d rebuilds over %d evals)\n",
 			a.Degree(), time.Duration(a.Sigma()*float64(time.Second)).Round(time.Microsecond),
 			rs.LastPlan.Epoch, rs.Rebuilds, rs.Evals)
 	}
@@ -213,14 +236,14 @@ func main() {
 			"p": *p, "dx": *dx, "dy": *dy, "iters": *iters,
 			"barrier": *barrier, "degree": *degree, "method": *method,
 		}
-		if err := log.dump(*stats, cfg, agg); err != nil {
-			fmt.Fprintf(os.Stderr, "stats dump failed: %v\n", err)
-			os.Exit(1)
+		if err := log.dump(*stats, stdout, cfg, agg); err != nil {
+			return fmt.Errorf("stats dump failed: %w", err)
 		}
 		if *stats != "-" {
 			sigma, n := agg.MeasuredSigma()
-			fmt.Printf("telemetry: %d episodes to %s, measured σ %v\n",
+			fmt.Fprintf(stdout, "telemetry: %d episodes to %s, measured σ %v\n",
 				n, *stats, time.Duration(sigma*float64(time.Second)).Round(time.Nanosecond))
 		}
 	}
+	return nil
 }

@@ -17,6 +17,7 @@ package main
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sync"
@@ -45,6 +46,15 @@ func slice(id, n int) float64 {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run estimates π on the barrier and reports to stdout the round every
+// worker stopped on.
+func run(stdout io.Writer) error {
 	op := softbarrier.OpSumFloat64()
 	b := softbarrier.NewCombiningTree(workers, 4, softbarrier.WithCollective(op))
 
@@ -98,17 +108,16 @@ func main() {
 	wg.Wait()
 
 	if fail != nil {
-		fmt.Fprintln(os.Stderr, fail)
-		os.Exit(1)
+		return fail
 	}
 	round := rounds[0]
 	for id, r := range rounds {
 		if r != round {
-			fmt.Fprintf(os.Stderr, "worker %d stopped on round %d, worker 0 on %d\n", id, r, round)
-			os.Exit(1)
+			return fmt.Errorf("worker %d stopped on round %d, worker 0 on %d", id, r, round)
 		}
 	}
-	fmt.Printf("%d workers converged together on round %d (deterministic AllReduce => unanimous stop)\n",
+	fmt.Fprintf(stdout, "%d workers converged together on round %d (deterministic AllReduce => unanimous stop)\n",
 		workers, round)
-	fmt.Printf("π ≈ %.15f (off by %.2g)\n", pi, math.Abs(pi-math.Pi))
+	fmt.Fprintf(stdout, "π ≈ %.15f (off by %.2g)\n", pi, math.Abs(pi-math.Pi))
+	return nil
 }

@@ -23,8 +23,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -45,12 +47,39 @@ const (
 )
 
 func main() {
-	leaves := flag.Int("leaves", 2, "leaf shards in the fleet")
-	quiet := flag.Bool("quiet", false, "print only the episodes around a degree change")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if msg := err.Error(); msg != "" {
+		fmt.Fprintln(os.Stderr, msg)
+	}
+	if errors.As(err, new(usageError)) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// usageError is a bad command line, on which main exits 2 rather than 1.
+// A refusal by the FlagSet, which has printed its own, has no message.
+type usageError struct{ msg string }
+
+func (e usageError) Error() string { return e.msg }
+
+// run starts the fleet, drives every client through every episode, and
+// prints each leaf's release table to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	leaves := fs.Int("leaves", 2, "leaf shards in the fleet")
+	quiet := fs.Bool("quiet", false, "print only the episodes around a degree change")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{}
+	}
 	if *leaves < 1 || workers%*leaves != 0 {
-		fmt.Fprintf(os.Stderr, "-leaves must divide %d clients, got %d\n", workers, *leaves)
-		os.Exit(1)
+		return fmt.Errorf("-leaves must divide %d clients, got %d", workers, *leaves)
 	}
 
 	op := softbarrier.OpSumFloat64()
@@ -63,12 +92,11 @@ func main() {
 		},
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer fleet.Close()
 	addrs := fleet.LeafAddrs()
-	fmt.Printf("%v, %d clients x %d episodes of sum-f64 AllReduce\n", fleet, workers, episodes)
+	fmt.Fprintf(stdout, "%v, %d clients x %d episodes of sum-f64 AllReduce\n", fleet, workers, episodes)
 
 	// Client i joins leaf i*leaves/workers; the first client of each leaf
 	// records that leaf's release stream (leaf-mates share it).
@@ -119,20 +147,19 @@ func main() {
 	}
 	wg.Wait()
 
-	failed := false
+	var failed []error
 	for i, err := range errs {
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "client %d failed: %v\n", i, err)
-			failed = true
+			failed = append(failed, fmt.Errorf("client %d failed: %w", i, err))
 		}
 	}
-	if failed {
-		os.Exit(1)
+	if len(failed) > 0 {
+		return errors.Join(failed...)
 	}
 
 	for l := 0; l < *leaves; l++ {
-		fmt.Printf("\nleaf %d (%s):\n", l, addrs[l])
-		fmt.Printf("%8s %5s %12s %12s %16s\n", "episode", "deg", "spread", "sigma", "fold")
+		fmt.Fprintf(stdout, "\nleaf %d (%s):\n", l, addrs[l])
+		fmt.Fprintf(stdout, "%8s %5s %12s %12s %16s\n", "episode", "deg", "spread", "sigma", "fold")
 		prev := -1
 		for ep, r := range rels[l] {
 			changed := r.Degree != prev
@@ -141,14 +168,15 @@ func main() {
 				if changed && prev != -1 {
 					mark = "<- re-plan"
 				}
-				fmt.Printf("%8d %5d %12s %12s %16.0f %s\n", r.Episode, r.Degree,
+				fmt.Fprintf(stdout, "%8d %5d %12s %12s %16.0f %s\n", r.Episode, r.Degree,
 					cli.Dur(r.Spread), cli.Dur(r.Sigma), f64of(r.Result), mark)
 			}
 			prev = r.Degree
 		}
 	}
-	fmt.Printf("\nall %d clients completed %d ledger-verified episodes across %d leaves\n",
+	fmt.Fprintf(stdout, "\nall %d clients completed %d ledger-verified episodes across %d leaves\n",
 		workers, episodes, *leaves)
+	return nil
 }
 
 // contribution is client i's episode-ep input: integer-valued, so the

@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -47,17 +49,44 @@ func phasedDelays() [][]float64 {
 }
 
 func main() {
-	nf := cli.AddNetFlags()
-	quiet := flag.Bool("quiet", false, "print only the episodes around a degree change")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if msg := err.Error(); msg != "" {
+		fmt.Fprintln(os.Stderr, msg)
+	}
+	if errors.As(err, new(usageError)) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// usageError is a bad command line, on which main exits 2 rather than 1.
+// A refusal by the FlagSet, which has printed its own, has no message.
+type usageError struct{ msg string }
+
+func (e usageError) Error() string { return e.msg }
+
+// run hosts the server, drives the clients through every episode, and
+// prints the release table to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	nf := cli.AddNetFlags(fs)
+	quiet := fs.Bool("quiet", false, "print only the episodes around a degree change")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{}
+	}
 
 	opt, err := nf.Options()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	replanSet := false
-	flag.Visit(func(f *flag.Flag) { replanSet = replanSet || f.Name == "replan" })
+	fs.Visit(func(f *flag.Flag) { replanSet = replanSet || f.Name == "replan" })
 	if !replanSet { // demo default: re-plan often enough to see the shift
 		opt.ReplanEvery = 5
 	}
@@ -67,10 +96,9 @@ func main() {
 	defer srv.Close()
 	addr, err := waitAddr(srv)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("barrierd on %s, %d clients x %d episodes\n", addr, workers, episodes)
+	fmt.Fprintf(stdout, "barrierd on %s, %d clients x %d episodes\n", addr, workers, episodes)
 
 	clients := make([]*netbarrier.Client, workers)
 	for i := range clients {
@@ -79,8 +107,7 @@ func main() {
 			err = c.Join("demo", workers)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "client %d: %v\n", i, err)
-			os.Exit(1)
+			return fmt.Errorf("client %d: %w", i, err)
 		}
 		clients[i] = c
 	}
@@ -103,7 +130,7 @@ func main() {
 				}
 				r, err := c.Wait()
 				if err != nil {
-					errs[i] = err
+					errs[i] = fmt.Errorf("client %d failed: %w", i, err)
 					return
 				}
 				if i == 0 {
@@ -113,19 +140,11 @@ func main() {
 		}(i, c)
 	}
 	wg.Wait()
-
-	failed := false
-	for i, err := range errs {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "client %d failed: %v\n", i, err)
-			failed = true
-		}
-	}
-	if failed {
-		os.Exit(1)
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
 
-	fmt.Printf("%8s %5s %12s %12s\n", "episode", "deg", "spread", "sigma")
+	fmt.Fprintf(stdout, "%8s %5s %12s %12s\n", "episode", "deg", "spread", "sigma")
 	prev := -1
 	for ep, r := range rels {
 		changed := r.Degree != prev
@@ -134,12 +153,13 @@ func main() {
 			if changed && prev != -1 {
 				mark = "<- re-plan"
 			}
-			fmt.Printf("%8d %5d %12s %12s %s\n", r.Episode, r.Degree,
+			fmt.Fprintf(stdout, "%8d %5d %12s %12s %s\n", r.Episode, r.Degree,
 				cli.Dur(r.Spread), cli.Dur(r.Sigma), mark)
 		}
 		prev = r.Degree
 	}
-	fmt.Printf("all %d clients completed %d episodes\n", workers, episodes)
+	fmt.Fprintf(stdout, "all %d clients completed %d episodes\n", workers, episodes)
+	return nil
 }
 
 // waitAddr polls until the server has bound its ephemeral port.

@@ -98,17 +98,17 @@ type NetFlags struct {
 	Sigma float64
 }
 
-// AddNetFlags registers the session flags on the default FlagSet.
-func AddNetFlags() *NetFlags {
+// AddNetFlags registers the session flags on fs.
+func AddNetFlags(fs *flag.FlagSet) *NetFlags {
 	f := &NetFlags{}
-	flag.DurationVar(&f.Watchdog, "watchdog", 10*time.Second, "per-session stall deadline (0 disables stall detection)")
-	flag.IntVar(&f.Replan, "replan", 10, "episodes between tree-degree re-plans (0 = every episode)")
-	flag.BoolVar(&f.Elastic, "elastic", false, "elastic sessions: admit joins and absorb leaves at episode boundaries")
-	flag.Float64Var(&f.Tc, "tc", 0, "model counter-update cost in seconds (0 = 20µs)")
-	flag.Float64Var(&f.Sigma, "sigma", 0, "assumed arrival spread in seconds before measurement")
-	flag.StringVar(&f.Collective, "collective", "",
+	fs.DurationVar(&f.Watchdog, "watchdog", 10*time.Second, "per-session stall deadline (0 disables stall detection)")
+	fs.IntVar(&f.Replan, "replan", 10, "episodes between tree-degree re-plans (0 = every episode)")
+	fs.BoolVar(&f.Elastic, "elastic", false, "elastic sessions: admit joins and absorb leaves at episode boundaries")
+	fs.Float64Var(&f.Tc, "tc", 0, "model counter-update cost in seconds (0 = 20µs)")
+	fs.Float64Var(&f.Sigma, "sigma", 0, "assumed arrival spread in seconds before measurement")
+	fs.StringVar(&f.Collective, "collective", "",
 		"serve collective sessions folding contributions with this op, one of: "+strings.Join(softbarrier.OpNames(), ", "))
-	flag.StringVar(&f.Placement, "placement", "",
+	fs.StringVar(&f.Placement, "placement", "",
 		"predictive straggler-placement policy (reactive moves consistently slow clients to the root), one of: "+strings.Join(softbarrier.PlacementNames(), ", "))
 	return f
 }

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"flag"
 	"strings"
 	"testing"
 	"time"
@@ -48,7 +49,14 @@ func TestDur(t *testing.T) {
 }
 
 func TestNetFlagsOptions(t *testing.T) {
-	f := &NetFlags{Watchdog: 3 * time.Second, Replan: 5, Tc: 1e-5, Sigma: 2e-4}
+	fs := flag.NewFlagSet("net", flag.ContinueOnError)
+	f := AddNetFlags(fs)
+	if err := fs.Parse([]string{"-watchdog", "3s", "-replan", "5", "-tc", "1e-5", "-sigma", "2e-4"}); err != nil {
+		t.Fatal(err)
+	}
+	if flag.Lookup("watchdog") != nil {
+		t.Fatal("AddNetFlags registered on the default FlagSet")
+	}
 	opt, err := f.Options()
 	if err != nil {
 		t.Fatal(err)
