@@ -349,3 +349,20 @@ func coreOf(b fuzzyCollective) *treeCore {
 	}
 	panic("not a tree barrier")
 }
+
+// degreeSink keeps the benchmarked plans from being optimized away.
+var degreeSink int
+
+// BenchmarkOptimalDegree measures one re-plan, the model's degree for a
+// cohort of p at a measured σ: what a ReconfigurableBarrier's release runs
+// on its cadence (every episode under a netbarrier session's default).
+func BenchmarkOptimalDegree(b *testing.B) {
+	for _, p := range []int{2, 8, 32, 4096} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				degreeSink = OptimalDegree(p, 3e-4, 20e-6)
+			}
+		})
+	}
+}

@@ -134,7 +134,8 @@ func main() {
 	log.SetPrefix("barrierd: ")
 	opt, err := nf.Options()
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		os.Exit(2) // a bad flag value, as flag.Parse exits on a bad flag
 	}
 	isLeaf, err := df.leaf(flag.CommandLine)
 	if err != nil {

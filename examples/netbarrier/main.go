@@ -83,7 +83,7 @@ func run(args []string, stdout io.Writer) error {
 
 	opt, err := nf.Options()
 	if err != nil {
-		return err
+		return usageError{err.Error()}
 	}
 	replanSet := false
 	fs.Visit(func(f *flag.Flag) { replanSet = replanSet || f.Name == "replan" })

@@ -128,9 +128,18 @@ func Placement(name string) (func() softbarrier.PlacementPolicy, error) {
 }
 
 // Options maps the flags onto a netbarrier server configuration. Logf and
-// Transport are left nil for the caller to wire. It errors on an unknown
-// -collective op name, listing the valid ones.
+// Transport are left nil for the caller to wire. It errors on a negative
+// or NaN -tc or -sigma, a negative -replan, and an unknown -collective op
+// name, listing the valid ones.
 func (f *NetFlags) Options() (netbarrier.Options, error) {
+	switch {
+	case f.Replan < 0:
+		return netbarrier.Options{}, fmt.Errorf("-replan must be ≥ 0, got %d", f.Replan)
+	case !(f.Tc >= 0):
+		return netbarrier.Options{}, fmt.Errorf("-tc must be ≥ 0 seconds, got %g", f.Tc)
+	case !(f.Sigma >= 0):
+		return netbarrier.Options{}, fmt.Errorf("-sigma must be ≥ 0 seconds, got %g", f.Sigma)
+	}
 	opt := netbarrier.Options{
 		Watchdog:     f.Watchdog,
 		ReplanEvery:  f.Replan,

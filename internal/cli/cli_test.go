@@ -86,3 +86,20 @@ func TestNetFlagsOptions(t *testing.T) {
 		t.Fatal("unknown collective op accepted")
 	}
 }
+
+// TestNetFlagsRejectNegativeModelInputs: each of these flags used to reach
+// a session constructor that panics on it, under the server's lock.
+func TestNetFlagsRejectNegativeModelInputs(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sigma", "-1e-3"}, {"-sigma", "NaN"}, {"-tc", "-1"}, {"-tc", "NaN"}, {"-replan", "-1"},
+	} {
+		fs := flag.NewFlagSet("net", flag.ContinueOnError)
+		f := AddNetFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Options(); err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%q: got error %v, want one naming %s", args, err, args[0])
+		}
+	}
+}

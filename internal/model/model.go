@@ -28,7 +28,8 @@ package model
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"sync/atomic"
 
 	"softbarrier/internal/stats"
 )
@@ -70,12 +71,9 @@ func FullLevels(p, d int) (int, bool) {
 // bar for degree 32.
 func FullTreeDegrees(p int) []int {
 	var ds []int
-	for d := 2; d <= p; d++ {
-		if _, ok := FullLevels(p, d); ok {
-			ds = append(ds, d)
-		}
+	for _, r := range Table(p).rows {
+		ds = append(ds, r.degree)
 	}
-	sort.Ints(ds)
 	return ds
 }
 
@@ -143,55 +141,19 @@ func Estimate(pr Params) (Breakdown, error) {
 	if !ok {
 		return Breakdown{}, fmt.Errorf("model: %d processors is not a full tree of degree %d", pr.P, pr.Degree)
 	}
+	t := Table(pr.P)
+	r := degreeRow{degree: pr.Degree} // p = 1: a tree with no levels and no subsets
+	for _, tr := range t.rows {
+		if tr.degree == pr.Degree {
+			r = tr
+		}
+	}
 	b := Breakdown{
-		Levels:         levels,
-		SubsetArrival:  make([]float64, levels),
-		SubsetRelease:  make([]float64, levels),
-		CriticalSubset: -1,
+		Levels:        levels,
+		SubsetArrival: make([]float64, levels),
+		SubsetRelease: make([]float64, levels),
 	}
-
-	// Step 1: subset arrival and release times (Eq. 2, 4, 1, 6).
-	for l := 0; l < levels; l++ {
-		pb := PBefore(pr.Degree, l, levels)
-		if l == levels-1 {
-			// Φ⁻¹(0) = −∞. Algorithm 1 replaces the earliest subset's
-			// fraction by the middle of its quantile range: the subset
-			// spans [0, PBefore(S_{L−2})], so the paper halves
-			// PBefore(S_{L−2}). For the flat single-level tree the lone
-			// subset spans [0, 1−1/p], giving (1−1/p)/2 by the same rule.
-			if levels >= 2 {
-				pb = PBefore(pr.Degree, levels-2, levels) / 2
-			} else {
-				pb = (1 - 1/float64(pr.P)) / 2
-			}
-		}
-		if pr.Sigma == 0 {
-			b.SubsetArrival[l] = 0
-		} else {
-			b.SubsetArrival[l] = pr.Sigma * stats.NormalQuantile(pb)
-		}
-		// Subset S_l plus the climber from below form a full (l+1)-level
-		// subtree rooted at the path counter of level l (Eq. 1), after
-		// which the finisher updates the path counters at levels
-		// l+1 … L−1 (Eq. 6).
-		b.SubsetRelease[l] = b.SubsetArrival[l] +
-			Contention(pr.Degree, l+1, pr.Tc) +
-			float64(levels-1-l)*pr.Tc
-	}
-
-	// Step 2: the last processor (Eq. 5, 7).
-	b.LastArrival = LastArrival(pr.P, pr.Sigma)
-	b.LastRelease = b.LastArrival + float64(levels)*pr.Tc
-
-	// Step 3: Eq. 8.
-	release := b.LastRelease
-	for l, r := range b.SubsetRelease {
-		if r > release {
-			release = r
-			b.CriticalSubset = l
-		}
-	}
-	b.Delay = release - b.LastArrival
+	b.Delay = r.eval(t.emax, pr.Sigma, pr.Tc, &b)
 	return b, nil
 }
 
@@ -205,16 +167,7 @@ type DegreeEstimate struct {
 // EstimateSweep evaluates the model for every full-tree degree of p and
 // returns the estimates in increasing degree order.
 func EstimateSweep(p int, sigma, tc float64) []DegreeEstimate {
-	var out []DegreeEstimate
-	for _, d := range FullTreeDegrees(p) {
-		b, err := Estimate(Params{P: p, Degree: d, Sigma: sigma, Tc: tc})
-		if err != nil {
-			// Unreachable: FullTreeDegrees only yields valid degrees.
-			panic(err)
-		}
-		out = append(out, DegreeEstimate{Degree: d, Levels: b.Levels, Delay: b.Delay})
-	}
-	return out
+	return Table(p).Sweep(sigma, tc)
 }
 
 // EstimateByDegree returns the model's estimated delay keyed by degree:
@@ -230,63 +183,184 @@ func EstimateByDegree(p int, sigma, tc float64) map[int]float64 {
 	return byDegree
 }
 
-// delayScalar is Algorithm 1 as a pure scalar computation: the same math
-// as Estimate, but with a running maximum instead of a Breakdown, so it
-// performs no allocations. Hot re-plan paths (a barrier's per-episode degree
-// evaluation) run the degree scan on it. levels must satisfy
-// d^levels == p; tc must already be defaulted.
-func delayScalar(p, d, levels int, sigma, tc float64) float64 {
-	lastArrival := LastArrival(p, sigma)
-	release := lastArrival + float64(levels)*tc // Eq. 7: the last processor's release
-	for l := 0; l < levels; l++ {
-		pb := PBefore(d, l, levels)
-		if l == levels-1 {
-			if levels >= 2 {
-				pb = PBefore(d, levels-2, levels) / 2
-			} else {
-				pb = (1 - 1/float64(p)) / 2
-			}
-		}
-		arr := 0.0
-		if sigma != 0 {
-			arr = sigma * stats.NormalQuantile(pb)
-		}
-		rel := arr + Contention(d, l+1, tc) + float64(levels-1-l)*tc
-		if rel > release {
-			release = rel
-		}
-	}
-	return release - lastArrival
-}
-
 // EstimateOptimalDegree returns the analytic model's delay-minimizing
 // degree for p processors at the given imbalance, with ties going to the
 // larger degree (wider trees need fewer counters). This is the quantity a
-// compiler would use to configure a barrier (§8). It scans the full-tree
-// degrees on the scalar path and allocates nothing, so per-episode
-// re-planning stays off the heap. It panics for p < 2 (no full-tree
-// degree exists).
+// compiler would use to configure a barrier (§8). It reads p's DegreeTable
+// (Table): for a power of two, the only p a barrier's re-plan asks for,
+// the table is built on the first call and every later call allocates
+// nothing and evaluates no Φ⁻¹ or E[max], so per-episode re-planning stays
+// off the heap; any other p builds its table on every call. It panics for
+// p < 2 (no full-tree degree exists).
 func EstimateOptimalDegree(p int, sigma, tc float64) DegreeEstimate {
+	return Table(p).Optimal(sigma, tc)
+}
+
+// DegreeTable holds the terms of Algorithm 1 that depend on p alone: the
+// full-tree degrees of p, each one's level count and Φ⁻¹ of each subset's
+// fraction (Eq. 2–4), and E[max of p standard normals] (Eq. 5). What is
+// left for a (σ, t_c) is a handful of multiply-adds per level. A table is
+// immutable, so one may be shared by any number of goroutines.
+type DegreeTable struct {
+	p    int
+	emax float64     // E[max of p standard normals], Eq. 5
+	rows []degreeRow // one per full-tree degree, in increasing order
+}
+
+// degreeRow is one full-tree degree of a table.
+type degreeRow struct {
+	degree, levels int
+	q              []float64 // Φ⁻¹ of S_l's fraction arriving before it, l = 0..levels−1
+}
+
+// tables caches one DegreeTable per power of two, slot k holding p = 2^k:
+// the only cohort sizes OptimalDegree asks for. A table is published once
+// and never changed; of two builders racing on a slot, the one whose
+// CompareAndSwap lands wins and the other's table is dropped.
+var tables [64]atomic.Pointer[DegreeTable]
+
+// Table returns p's DegreeTable. A power of two's is built once and cached
+// for the life of the process; any other p's is built on every call (only
+// the simulator and the command line ask for those).
+func Table(p int) *DegreeTable {
+	if p < 1 || p&(p-1) != 0 {
+		return newDegreeTable(p)
+	}
+	slot := &tables[bits.TrailingZeros(uint(p))]
+	if t := slot.Load(); t != nil {
+		return t
+	}
+	if t := newDegreeTable(p); slot.CompareAndSwap(nil, t) {
+		return t
+	}
+	return slot.Load()
+}
+
+// newDegreeTable builds p's table in three allocations: the table, its
+// rows, and one array every row's quantiles are carved from.
+func newDegreeTable(p int) *DegreeTable {
+	// d^L = p with d ≥ 2 needs L ≤ log₂ p; the degree grows as L falls. For
+	// p = 2^k this yields 2^(k/L) for each L dividing k.
+	var found [64]degreeRow
+	n, quantiles := 0, 0
+	for levels := bits.Len(uint(max(p, 1))) - 1; levels >= 1; levels-- {
+		if d := root(p, levels); d != 0 {
+			found[n] = degreeRow{degree: d, levels: levels}
+			n++
+			quantiles += levels
+		}
+	}
+	t := &DegreeTable{p: p, emax: stats.ExpectedMaxNormalAsymptotic(p), rows: make([]degreeRow, n)}
+	q := make([]float64, quantiles)
+	for i, r := range found[:n] {
+		r.q, q = q[:r.levels:r.levels], q[r.levels:]
+		for l := range r.q {
+			pb := PBefore(r.degree, l, r.levels)
+			if l == r.levels-1 {
+				// Φ⁻¹(0) = −∞. Algorithm 1 replaces the earliest subset's
+				// fraction by the middle of its quantile range: the subset
+				// spans [0, PBefore(S_{L−2})], so the paper halves
+				// PBefore(S_{L−2}). For the flat single-level tree the lone
+				// subset spans [0, 1−1/p], giving (1−1/p)/2 by the same rule.
+				if r.levels >= 2 {
+					pb = PBefore(r.degree, r.levels-2, r.levels) / 2
+				} else {
+					pb = (1 - 1/float64(p)) / 2
+				}
+			}
+			r.q[l] = stats.NormalQuantile(pb)
+		}
+		t.rows[i] = r
+	}
+	return t
+}
+
+// root returns the d ≥ 2 with d^levels == p, or 0 when there is none.
+func root(p, levels int) int {
+	if levels == 1 {
+		return p
+	}
+	r := int(math.Round(math.Pow(float64(p), 1/float64(levels))))
+	for d := max(r-1, 2); d <= r+1; d++ {
+		v, l := 1, 0
+		for ; l < levels && v <= p/d; l++ {
+			v *= d
+		}
+		if l == levels && v == p {
+			return d
+		}
+	}
+	return 0
+}
+
+// Optimal is EstimateOptimalDegree on this table's p. tc = 0 selects
+// DefaultTc. It allocates nothing.
+func (t *DegreeTable) Optimal(sigma, tc float64) DegreeEstimate {
 	if tc == 0 {
 		tc = DefaultTc
 	}
 	best := DegreeEstimate{Degree: -1}
-	for d := 2; d <= p; d++ {
-		levels, ok := FullLevels(p, d)
-		if !ok {
-			continue
-		}
-		delay := delayScalar(p, d, levels, sigma, tc)
+	for i := range t.rows {
+		r := &t.rows[i]
+		delay := r.eval(t.emax, sigma, tc, nil)
 		// Scanning in increasing degree order, a tie (within relative 1e-12)
 		// is won by the later — larger — degree.
 		if best.Degree < 0 || delay < best.Delay*(1+1e-12) {
-			best = DegreeEstimate{Degree: d, Levels: levels, Delay: delay}
+			best = DegreeEstimate{Degree: r.degree, Levels: r.levels, Delay: delay}
 		}
 	}
 	if best.Degree < 0 {
-		panic(fmt.Sprintf("model: no full-tree degree for p=%d", p))
+		panic(fmt.Sprintf("model: no full-tree degree for p=%d", t.p))
 	}
 	return best
+}
+
+// Sweep is EstimateSweep on this table's p. tc = 0 selects DefaultTc.
+func (t *DegreeTable) Sweep(sigma, tc float64) []DegreeEstimate {
+	if tc == 0 {
+		tc = DefaultTc
+	}
+	var out []DegreeEstimate
+	for i := range t.rows {
+		r := &t.rows[i]
+		out = append(out, DegreeEstimate{Degree: r.degree, Levels: r.levels, Delay: r.eval(t.emax, sigma, tc, nil)})
+	}
+	return out
+}
+
+// eval runs Algorithm 1 for this degree and returns the synchronization
+// delay. emax is E[max] for the table's p; tc must already be defaulted.
+// A non-nil b, its subset slices sized to the levels, receives the
+// breakdown.
+func (r *degreeRow) eval(emax, sigma, tc float64, b *Breakdown) float64 {
+	// Step 2: the last processor (Eq. 5, 7).
+	lastArrival := sigma * emax
+	lastRelease := lastArrival + float64(r.levels)*tc
+	release, critical := lastRelease, -1
+	// Step 1: subset arrival and release times (Eq. 2, 4, 1, 6).
+	for l, q := range r.q {
+		arr := 0.0
+		if sigma != 0 {
+			arr = sigma * q
+		}
+		// Subset S_l plus the climber from below form a full (l+1)-level
+		// subtree rooted at the path counter of level l (Eq. 1), after
+		// which the finisher updates the path counters at levels
+		// l+1 … L−1 (Eq. 6).
+		rel := arr + Contention(r.degree, l+1, tc) + float64(r.levels-1-l)*tc
+		if b != nil {
+			b.SubsetArrival[l], b.SubsetRelease[l] = arr, rel
+		}
+		if rel > release {
+			release, critical = rel, l
+		}
+	}
+	// Step 3: Eq. 8.
+	delay := release - lastArrival
+	if b != nil {
+		b.LastArrival, b.LastRelease, b.CriticalSubset = lastArrival, lastRelease, critical
+	}
+	return delay
 }
 
 // OptimalDegreeSimultaneous returns the continuous minimizer of Eq. 1 under

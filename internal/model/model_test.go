@@ -2,7 +2,11 @@ package model
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
+
+	"softbarrier/internal/stats"
 )
 
 const tc = DefaultTc
@@ -177,36 +181,214 @@ func TestEstimateSweepCoversAllFullDegrees(t *testing.T) {
 	}
 }
 
-// TestEstimateOptimalDegreeMatchesSweep pins the scalar scan to the
-// reference path: for every (p, σ) the allocation-free degree scan must
-// select exactly what a full EstimateSweep minimization would.
-func TestEstimateOptimalDegreeMatchesSweep(t *testing.T) {
-	sweepBest := func(p int, sigma, tc float64) DegreeEstimate {
-		sweep := EstimateSweep(p, sigma, tc)
-		best := sweep[0]
-		for _, e := range sweep[1:] {
-			switch {
-			case e.Delay < best.Delay*(1-1e-12):
-				best = e
-			case e.Delay < best.Delay*(1+1e-12) && e.Degree > best.Degree:
-				best = e
+// The oracle: Algorithm 1 as it ran before the degree table, kept here
+// verbatim so the table is checked against something it does not read.
+// scanOptimal scans every d in 2..p; scanDelay is the allocation-free
+// per-degree evaluation the scan ran on; scanEstimate is the full
+// breakdown.
+
+func scanOptimal(p int, sigma, tc float64) DegreeEstimate {
+	if tc == 0 {
+		tc = DefaultTc
+	}
+	best := DegreeEstimate{Degree: -1}
+	for d := 2; d <= p; d++ {
+		levels, ok := FullLevels(p, d)
+		if !ok {
+			continue
+		}
+		delay := scanDelay(p, d, levels, sigma, tc)
+		if best.Degree < 0 || delay < best.Delay*(1+1e-12) {
+			best = DegreeEstimate{Degree: d, Levels: levels, Delay: delay}
+		}
+	}
+	return best
+}
+
+func scanDelay(p, d, levels int, sigma, tc float64) float64 {
+	lastArrival := LastArrival(p, sigma)
+	release := lastArrival + float64(levels)*tc
+	for l := 0; l < levels; l++ {
+		pb := PBefore(d, l, levels)
+		if l == levels-1 {
+			if levels >= 2 {
+				pb = PBefore(d, levels-2, levels) / 2
+			} else {
+				pb = (1 - 1/float64(p)) / 2
 			}
 		}
-		return best
+		arr := 0.0
+		if sigma != 0 {
+			arr = sigma * stats.NormalQuantile(pb)
+		}
+		rel := arr + Contention(d, l+1, tc) + float64(levels-1-l)*tc
+		if rel > release {
+			release = rel
+		}
 	}
-	for _, p := range []int{2, 4, 16, 64, 256, 1024, 4096} {
-		for _, sigma := range []float64{0, 1e-5, 1e-4, 1e-3, 1e-2} {
-			want := sweepBest(p, sigma, DefaultTc)
-			got := EstimateOptimalDegree(p, sigma, DefaultTc)
-			if got != want {
-				t.Errorf("EstimateOptimalDegree(%d, %g) = %+v, want sweep's %+v", p, sigma, got, want)
+	return release - lastArrival
+}
+
+func scanEstimate(p, d int, sigma, tc float64) Breakdown {
+	if tc == 0 {
+		tc = DefaultTc
+	}
+	levels, _ := FullLevels(p, d)
+	b := Breakdown{
+		Levels:         levels,
+		SubsetArrival:  make([]float64, levels),
+		SubsetRelease:  make([]float64, levels),
+		CriticalSubset: -1,
+	}
+	for l := 0; l < levels; l++ {
+		pb := PBefore(d, l, levels)
+		if l == levels-1 {
+			if levels >= 2 {
+				pb = PBefore(d, levels-2, levels) / 2
+			} else {
+				pb = (1 - 1/float64(p)) / 2
 			}
+		}
+		if sigma == 0 {
+			b.SubsetArrival[l] = 0
+		} else {
+			b.SubsetArrival[l] = sigma * stats.NormalQuantile(pb)
+		}
+		b.SubsetRelease[l] = b.SubsetArrival[l] +
+			Contention(d, l+1, tc) +
+			float64(levels-1-l)*tc
+	}
+	b.LastArrival = LastArrival(p, sigma)
+	b.LastRelease = b.LastArrival + float64(levels)*tc
+	release := b.LastRelease
+	for l, r := range b.SubsetRelease {
+		if r > release {
+			release = r
+			b.CriticalSubset = l
+		}
+	}
+	b.Delay = release - b.LastArrival
+	return b
+}
+
+// sameBreakdown reports whether a and b agree field for field, floats bit
+// for bit.
+func sameBreakdown(a, b Breakdown) bool {
+	same := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Levels == b.Levels && a.CriticalSubset == b.CriticalSubset &&
+		same(a.SubsetArrival, b.SubsetArrival) && same(a.SubsetRelease, b.SubsetRelease) &&
+		same([]float64{a.LastArrival, a.LastRelease, a.Delay}, []float64{b.LastArrival, b.LastRelease, b.Delay})
+}
+
+// TestDegreeTableMatchesScan pins the degree table to the scan it
+// replaced: for every p in 2..300 and every power of two up to 2^16, at
+// σ = 0 and along a log grid from 10⁻¹⁰ to 10 s, and at four t_c, the
+// table's optimum, sweep and breakdowns equal the scan's bit for bit. The
+// grid reaches the flat tree at its top for every (p, t_c), so it crosses
+// every degree switch on the way.
+func TestDegreeTableMatchesScan(t *testing.T) {
+	ps := make([]int, 0, 320)
+	for p := 2; p <= 300; p++ {
+		ps = append(ps, p)
+	}
+	for p := 512; p <= 1<<16; p *= 2 {
+		ps = append(ps, p)
+	}
+	sigmas := []float64{0}
+	for e := -10.0; e <= 1; e += 1.0 / 8 {
+		sigmas = append(sigmas, math.Pow(10, e))
+	}
+	cases := 0
+	for _, p := range ps {
+		for _, tc := range []float64{0, 20e-6, 1e-9, 0.33e-6} {
+			for _, sigma := range sigmas {
+				want := scanOptimal(p, sigma, tc)
+				got := EstimateOptimalDegree(p, sigma, tc)
+				if got.Degree != want.Degree || got.Levels != want.Levels ||
+					math.Float64bits(got.Delay) != math.Float64bits(want.Delay) {
+					t.Fatalf("p=%d σ=%g tc=%g: table %+v, scan %+v", p, sigma, tc, got, want)
+				}
+				sweep := EstimateSweep(p, sigma, tc)
+				for _, e := range sweep {
+					b, err := Estimate(Params{P: p, Degree: e.Degree, Sigma: sigma, Tc: tc})
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantB := scanEstimate(p, e.Degree, sigma, tc)
+					if !sameBreakdown(b, wantB) {
+						t.Fatalf("p=%d d=%d σ=%g tc=%g: breakdown %+v, scan %+v", p, e.Degree, sigma, tc, b, wantB)
+					}
+					if e.Levels != wantB.Levels || math.Float64bits(e.Delay) != math.Float64bits(wantB.Delay) {
+						t.Fatalf("p=%d d=%d σ=%g tc=%g: sweep %+v, scan %+v", p, e.Degree, sigma, tc, e, wantB)
+					}
+				}
+				cases++
+			}
+			if top := EstimateOptimalDegree(p, sigmas[len(sigmas)-1], tc).Degree; top != p {
+				t.Fatalf("p=%d tc=%g: degree %d at the grid's top, want the flat tree", p, tc, top)
+			}
+		}
+	}
+	t.Logf("%d (p, σ, t_c) cases", cases)
+}
+
+// TestFullTreeDegreesMatchScan checks the table's degree enumeration
+// against the definition: every d in 2..p with d^L = p.
+func TestFullTreeDegreesMatchScan(t *testing.T) {
+	ps := []int{0, 1, 1 << 20, 3 * 3 * 3 * 3 * 3 * 3, 6 * 6 * 6 * 6, 10000}
+	for p := 2; p <= 1100; p++ {
+		ps = append(ps, p)
+	}
+	for _, p := range ps {
+		var want []int
+		for d := 2; d <= p; d++ {
+			if _, ok := FullLevels(p, d); ok {
+				want = append(want, d)
+			}
+		}
+		if got := FullTreeDegrees(p); !slices.Equal(got, want) {
+			t.Fatalf("FullTreeDegrees(%d) = %v, want %v", p, got, want)
 		}
 	}
 }
 
-// TestEstimateOptimalDegreeZeroAlloc gates the scalar path: per-episode
-// re-planning calls this on the release path, so it must not allocate.
+// TestTableConcurrentBuild races builders on one power of two's empty
+// slot: every caller must get the one table that was published.
+func TestTableConcurrentBuild(t *testing.T) {
+	const p = 1 << 40
+	got := make([]*DegreeTable, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = Table(p)
+		}()
+	}
+	wg.Wait()
+	for _, tb := range got {
+		if tb != got[0] || tb != Table(p) {
+			t.Fatal("racing builders published different tables")
+		}
+	}
+	if d := FullTreeDegrees(p); !slices.Equal(d, []int{2, 4, 16, 32, 256, 1024, 1 << 20, p}) {
+		t.Fatalf("degrees of 2^40 = %v", d)
+	}
+}
+
+// TestEstimateOptimalDegreeZeroAlloc gates the cached table: per-episode
+// re-planning calls this on the release path for a power of two, so once
+// that p's table exists it must not allocate.
 func TestEstimateOptimalDegreeZeroAlloc(t *testing.T) {
 	avg := testing.AllocsPerRun(100, func() {
 		EstimateOptimalDegree(1024, 3e-4, DefaultTc)

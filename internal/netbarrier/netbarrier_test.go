@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"strings"
@@ -193,6 +194,27 @@ func TestJoinRefusals(t *testing.T) {
 	c.Close()
 	if err == nil || !strings.Contains(err.Error(), "full") {
 		t.Errorf("join of full session: got %v", err)
+	}
+}
+
+// TestNewServerRejectsNegativeModelInputs: a negative model input used to
+// pass NewServer and panic in the first join, inside newSession under the
+// server's lock, so the join went unanswered and Close blocked on that
+// lock for good. Now the server refuses the options up front.
+func TestNewServerRejectsNegativeModelInputs(t *testing.T) {
+	for _, opt := range []Options{
+		{InitialSigma: -1}, {Tc: -1}, {ReplanEvery: -1},
+		{InitialSigma: math.NaN()}, {Tc: math.NaN()},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewServer(ReplanEvery %d, Tc %g, InitialSigma %g) did not panic",
+						opt.ReplanEvery, opt.Tc, opt.InitialSigma)
+				}
+			}()
+			NewServer(opt)
+		}()
 	}
 }
 

@@ -34,9 +34,11 @@ type Options struct {
 	// a vanished client is then only caught by its connection dropping.
 	Watchdog time.Duration
 	// ReplanEvery is how many episodes pass between planner re-evaluations
-	// of the tree degree; 0 means every episode. Re-planning is cheap (a
-	// model evaluation) and only rebuilds the tree when the recommended
-	// degree actually changes.
+	// of the tree degree; 0 means every episode, and a negative value
+	// panics in NewServer. Re-planning is cheap (a read of the model's
+	// table for the cohort size: about 50–60 ns at 32 members on a 2-vCPU
+	// host) and only rebuilds the tree when the recommended degree
+	// actually changes.
 	ReplanEvery int
 	// Elastic lets session membership change between episodes: joins
 	// against a full session are parked and admitted at the next episode
@@ -46,11 +48,11 @@ type Options struct {
 	// densely at each boundary.
 	Elastic bool
 	// Tc is the counter-update cost fed to the analytic model, seconds;
-	// 0 selects the paper's 20µs.
+	// 0 selects the paper's 20µs. Negative or NaN panics in NewServer.
 	Tc float64
 	// InitialSigma is the arrival spread assumed before any episode has
 	// been measured, seconds. After the first episode the measured EWMA σ
-	// takes over.
+	// takes over. Negative or NaN panics in NewServer.
 	InitialSigma float64
 	// WriteTimeout bounds each member-socket write during fan-out;
 	// 0 selects 10s. A member that cannot be written within it is treated
@@ -129,8 +131,14 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// NewServer returns a server with the given options.
+// NewServer returns a server with the given options. Like the barrier
+// constructors it panics on a negative (or NaN) model input — ReplanEvery,
+// Tc or InitialSigma — rather than on the first join, where the session
+// is built under the server's lock.
 func NewServer(opt Options) *Server {
+	if opt.ReplanEvery < 0 || !(opt.Tc >= 0) || !(opt.InitialSigma >= 0) {
+		panic("netbarrier: negative ReplanEvery, Tc or InitialSigma")
+	}
 	return &Server{
 		opt:      opt,
 		sessions: make(map[string]*session),

@@ -297,6 +297,17 @@ func TestRecommendConfigZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestOptimalDegreeZeroAlloc gates a re-plan: after the first call for a
+// cohort size has built its model table, OptimalDegree allocates nothing.
+func TestOptimalDegreeZeroAlloc(t *testing.T) {
+	for _, p := range []int{2, 8, 32, 4096} {
+		OptimalDegree(p, 3e-4, 20e-6) // cold: builds p's table
+		if avg := testing.AllocsPerRun(100, func() { OptimalDegree(p, 3e-4, 20e-6) }); avg != 0 {
+			t.Errorf("OptimalDegree(%d) allocated %.2f times/op after first use, want 0", p, avg)
+		}
+	}
+}
+
 func TestRecommendConfigPanics(t *testing.T) {
 	for _, pr := range []Profile{{P: 0}, {P: 4, Sigma: -1}, {P: 4, Tc: -1}, {P: 4, Slack: -1}} {
 		func() {

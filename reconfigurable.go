@@ -97,7 +97,7 @@ type ReconfigConfig struct {
 	// 0 selects the paper's 20µs.
 	Tc float64
 	// InitialSigma is the arrival spread assumed before any episode has
-	// been measured, seconds.
+	// been measured, seconds; negative panics, as a negative Tc does.
 	InitialSigma float64
 	// InitialDegree is the starting tree degree; 0 selects 4 (the
 	// classic simultaneous-arrival optimum).
@@ -160,6 +160,9 @@ func NewReconfigurable(p int, cfg ReconfigConfig, opts ...Option) *Reconfigurabl
 	}
 	if cfg.Tc < 0 {
 		panic("softbarrier: negative counter update cost")
+	}
+	if cfg.InitialSigma < 0 {
+		panic("softbarrier: negative initial arrival spread")
 	}
 	if cfg.InitialDegree == 0 {
 		cfg.InitialDegree = 4

@@ -128,12 +128,14 @@ func TestCheckIDPanics(t *testing.T) {
 
 func TestConstructorPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"central-0":        func() { NewCentral(0) },
-		"tree-0":           func() { NewCombiningTree(0, 4) },
-		"tree-degree-1":    func() { NewCombiningTree(8, 1) },
-		"adaptive-0":       func() { NewReconfigurable(0, ReconfigConfig{ReplanEvery: 1}) },
-		"adaptive-neg-tc":  func() { NewReconfigurable(4, ReconfigConfig{ReplanEvery: 1, Tc: -1}) },
-		"dynamic-degree-1": func() { NewDynamic(8, 1) },
+		"central-0":           func() { NewCentral(0) },
+		"tree-0":              func() { NewCombiningTree(0, 4) },
+		"tree-degree-1":       func() { NewCombiningTree(8, 1) },
+		"adaptive-0":          func() { NewReconfigurable(0, ReconfigConfig{ReplanEvery: 1}) },
+		"adaptive-neg-tc":     func() { NewReconfigurable(4, ReconfigConfig{ReplanEvery: 1, Tc: -1}) },
+		"adaptive-neg-sigma":  func() { NewReconfigurable(4, ReconfigConfig{InitialSigma: -1e-3}) },
+		"adaptive-neg-replan": func() { NewReconfigurable(4, ReconfigConfig{ReplanEvery: -1}) },
+		"dynamic-degree-1":    func() { NewDynamic(8, 1) },
 	} {
 		f := f
 		t.Run(name, func(t *testing.T) {
