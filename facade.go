@@ -1,6 +1,9 @@
 package softbarrier
 
-import "softbarrier/internal/model"
+import (
+	"softbarrier/internal/model"
+	"softbarrier/internal/stats"
+)
 
 // OptimalDegree returns the combining-tree degree the paper's analytic
 // model (§3–4) recommends for p participants whose arrival times have
@@ -40,5 +43,5 @@ func EstimateSyncDelay(p, d int, sigma, tc float64) (float64, error) {
 // participants whose arrival times are N(0, sigma²), using the paper's
 // Eq. 5 order-statistics asymptote.
 func ExpectedLastArrival(p int, sigma float64) float64 {
-	return model.LastArrival(p, sigma)
+	return sigma * stats.ExpectedMaxNormalAsymptotic(p)
 }

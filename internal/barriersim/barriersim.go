@@ -328,48 +328,37 @@ type RunResult struct {
 // aggregates. The iterator observes every episode's release, including
 // warm-up ones.
 func (s *Sim) Run(it *Iterator, warmup, episodes int) RunResult {
-	if episodes <= 0 {
-		panic("barriersim: need at least one measured episode")
-	}
-	rr := RunResult{Episodes: episodes, SyncDelays: make([]float64, 0, episodes)}
-	comms := 0
-	for k := 0; k < warmup+episodes; k++ {
+	return s.run(warmup, episodes, func() EpisodeResult {
 		er := s.Episode(it.Next())
 		it.Complete(er.Release)
-		if k < warmup {
-			continue
-		}
-		rr.MeanSync += er.SyncDelay
-		rr.MeanUpdate += er.UpdateDelay
-		rr.MeanContention += er.ContentionDelay
-		rr.MeanLastDepth += float64(er.LastProcDepth)
-		rr.MeanSwaps += float64(er.Swaps)
-		comms += er.Comms
-		rr.SyncDelays = append(rr.SyncDelays, er.SyncDelay)
-	}
-	n := float64(episodes)
-	rr.MeanSync /= n
-	rr.MeanUpdate /= n
-	rr.MeanContention /= n
-	rr.MeanLastDepth /= n
-	rr.MeanSwaps /= n
-	rr.CommOverhead = float64(comms) / (n * float64(s.baseComms))
-	return rr
+		return er
+	})
 }
 
 // RunIID simulates independent episodes whose arrivals are drawn iid from
 // dist (the single-barrier experiments of Figs. 2–4 and 9); episodes are
 // causally unlinked, so there is no warm-up or slack feedback.
 func RunIID(tree *topology.Tree, cfg Config, dist stats.Distribution, episodes int, seed uint64) RunResult {
-	if episodes <= 0 {
-		panic("barriersim: need at least one episode")
-	}
 	s := New(tree, cfg)
 	r := stats.NewRNG(seed)
+	return s.run(0, episodes, func() EpisodeResult {
+		return s.Episode(loadmodel.SampleArrivals(tree.P, dist, r))
+	})
+}
+
+// run calls episode warmup+episodes times and aggregates the last
+// episodes results.
+func (s *Sim) run(warmup, episodes int, episode func() EpisodeResult) RunResult {
+	if episodes <= 0 {
+		panic("barriersim: need at least one measured episode")
+	}
 	rr := RunResult{Episodes: episodes, SyncDelays: make([]float64, 0, episodes)}
 	comms := 0
-	for k := 0; k < episodes; k++ {
-		er := s.Episode(loadmodel.SampleArrivals(tree.P, dist, r))
+	for k := 0; k < warmup+episodes; k++ {
+		er := episode()
+		if k < warmup {
+			continue
+		}
 		rr.MeanSync += er.SyncDelay
 		rr.MeanUpdate += er.UpdateDelay
 		rr.MeanContention += er.ContentionDelay

@@ -44,12 +44,9 @@ func (h *eventHeap) Pop() interface{} {
 // Simulator is a discrete-event simulator. The zero value is ready to use
 // with the clock at 0.
 type Simulator struct {
-	now     float64
-	seq     uint64
-	events  eventHeap
-	stopped bool
-	// Processed counts events executed by Run/RunUntil/Step.
-	Processed uint64
+	now    float64
+	seq    uint64
+	events eventHeap
 }
 
 // Now returns the current simulated time.
@@ -74,12 +71,6 @@ func (s *Simulator) Schedule(delay float64, fn func()) {
 	s.ScheduleAt(s.now+delay, fn)
 }
 
-// Pending returns the number of events not yet executed.
-func (s *Simulator) Pending() int { return len(s.events) }
-
-// Stop makes the current Run call return after the in-flight event.
-func (s *Simulator) Stop() { s.stopped = true }
-
 // Step executes the single earliest pending event and reports whether one
 // was executed.
 func (s *Simulator) Step() bool {
@@ -88,29 +79,14 @@ func (s *Simulator) Step() bool {
 	}
 	e := heap.Pop(&s.events).(event)
 	s.now = e.t
-	s.Processed++
 	e.fn()
 	return true
 }
 
-// Run executes events in time order until the event set is exhausted or
-// Stop is called. It returns the final simulated time.
+// Run executes events in time order until the event set is exhausted. It
+// returns the final simulated time.
 func (s *Simulator) Run() float64 {
-	s.stopped = false
-	for !s.stopped && s.Step() {
-	}
-	return s.now
-}
-
-// RunUntil executes events with time ≤ t, then advances the clock to t
-// (if the clock has not already passed it) and returns the simulated time.
-func (s *Simulator) RunUntil(t float64) float64 {
-	s.stopped = false
-	for !s.stopped && len(s.events) > 0 && s.events[0].t <= t {
-		s.Step()
-	}
-	if s.now < t {
-		s.now = t
+	for s.Step() {
 	}
 	return s.now
 }

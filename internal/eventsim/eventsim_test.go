@@ -73,53 +73,6 @@ func TestSchedulePastPanics(t *testing.T) {
 	s.ScheduleAt(5, func() {})
 }
 
-func TestRunUntil(t *testing.T) {
-	var s Simulator
-	fired := 0
-	for _, tm := range []float64{1, 2, 3, 4} {
-		s.ScheduleAt(tm, func() { fired++ })
-	}
-	if now := s.RunUntil(2.5); now != 2.5 {
-		t.Fatalf("RunUntil time %v, want 2.5", now)
-	}
-	if fired != 2 {
-		t.Fatalf("fired %d events, want 2", fired)
-	}
-	if s.Pending() != 2 {
-		t.Fatalf("pending %d, want 2", s.Pending())
-	}
-	s.Run()
-	if fired != 4 {
-		t.Fatalf("fired %d events after Run, want 4", fired)
-	}
-}
-
-func TestStop(t *testing.T) {
-	var s Simulator
-	fired := 0
-	s.ScheduleAt(1, func() { fired++; s.Stop() })
-	s.ScheduleAt(2, func() { fired++ })
-	s.Run()
-	if fired != 1 {
-		t.Fatalf("Stop did not halt the run: fired=%d", fired)
-	}
-	s.Run() // resumes
-	if fired != 2 {
-		t.Fatalf("second Run did not resume: fired=%d", fired)
-	}
-}
-
-func TestProcessedCount(t *testing.T) {
-	var s Simulator
-	for i := 0; i < 5; i++ {
-		s.ScheduleAt(float64(i), func() {})
-	}
-	s.Run()
-	if s.Processed != 5 {
-		t.Fatalf("Processed = %d, want 5", s.Processed)
-	}
-}
-
 func TestResourceSerializesOverlapping(t *testing.T) {
 	var r Resource
 	s1, e1 := r.Use(0, 10)
@@ -141,28 +94,15 @@ func TestResourceMetrics(t *testing.T) {
 	r.Use(0, 10)
 	r.Use(5, 10) // waits 5
 	r.Use(6, 10) // waits 14
-	if r.Uses != 3 {
-		t.Fatalf("Uses = %d", r.Uses)
-	}
-	if r.TotalWait != 19 {
-		t.Fatalf("TotalWait = %v, want 19", r.TotalWait)
-	}
-	if r.MaxWait != 14 {
-		t.Fatalf("MaxWait = %v, want 14", r.MaxWait)
-	}
 	if r.TotalService != 30 {
 		t.Fatalf("TotalService = %v, want 30", r.TotalService)
 	}
-	r.ResetMetrics()
-	if r.Uses != 0 || r.TotalWait != 0 {
-		t.Fatal("ResetMetrics did not clear")
-	}
 	if r.FreeAt() != 30 {
-		t.Fatal("ResetMetrics must not clear schedule state")
+		t.Fatalf("FreeAt = %v, want 30", r.FreeAt())
 	}
 	r.Reset()
-	if r.FreeAt() != 0 {
-		t.Fatal("Reset must clear schedule state")
+	if r.TotalService != 0 || r.FreeAt() != 0 {
+		t.Fatal("Reset must clear the metric and the schedule state")
 	}
 }
 

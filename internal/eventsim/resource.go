@@ -20,11 +20,9 @@ type Resource struct {
 	nextFree float64
 	lastReq  float64
 
-	// Metrics, reset by ResetMetrics.
-	Uses         uint64  // number of completed service grants
-	TotalWait    float64 // cumulative time requests spent queued
-	TotalService float64 // cumulative service time
-	MaxWait      float64 // largest single queueing delay
+	// TotalService is the cumulative service time granted, cleared by
+	// Reset.
+	TotalService float64
 }
 
 // Use requests the resource at time now for the given service duration and
@@ -44,14 +42,7 @@ func (r *Resource) Use(now, service float64) (start, end float64) {
 	}
 	end = start + service
 	r.nextFree = end
-
-	wait := start - now
-	r.Uses++
-	r.TotalWait += wait
 	r.TotalService += service
-	if wait > r.MaxWait {
-		r.MaxWait = wait
-	}
 	return start, end
 }
 
@@ -59,17 +50,10 @@ func (r *Resource) Use(now, service float64) (start, end float64) {
 // service.
 func (r *Resource) FreeAt() float64 { return r.nextFree }
 
-// ResetMetrics clears the accumulated metrics but keeps the schedule state.
-func (r *Resource) ResetMetrics() {
-	r.Uses = 0
-	r.TotalWait = 0
-	r.TotalService = 0
-	r.MaxWait = 0
-}
-
-// Reset returns the resource to an idle state at time 0 and clears metrics.
+// Reset returns the resource to an idle state at time 0 and clears
+// TotalService.
 func (r *Resource) Reset() {
 	r.nextFree = 0
 	r.lastReq = 0
-	r.ResetMetrics()
+	r.TotalService = 0
 }

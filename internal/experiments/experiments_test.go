@@ -29,18 +29,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestOptionsScaled(t *testing.T) {
-	o := Options{Episodes: 100, Warmup: 20}
-	s := o.Scaled(0.1)
-	if s.Episodes != 10 || s.Warmup != 2 {
-		t.Fatalf("scaled = %+v", s)
-	}
-	tiny := o.Scaled(0.001)
-	if tiny.Episodes < 5 || tiny.Warmup < 2 {
-		t.Fatalf("floor not applied: %+v", tiny)
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	ids := IDs()
 	if len(ids) != 20 {
@@ -174,9 +162,10 @@ func TestAllRunnersProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	o := Options{Episodes: 6, Warmup: 2, Seed: 7}
+	o := quickOptions
 	var got strings.Builder
-	for _, tab := range RunAll(o) {
+	for _, e := range registry {
+		tab := e.Runner(o)
 		if tab.ID == "" || len(tab.Header) == 0 || len(tab.Rows) == 0 {
 			t.Errorf("experiment %q produced an empty table", tab.ID)
 		}

@@ -55,13 +55,3 @@ func Lookup(id string) (Runner, error) {
 	sort.Strings(known)
 	return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, known)
 }
-
-// RunAll executes every experiment and returns the tables in presentation
-// order.
-func RunAll(o Options) []*Table {
-	out := make([]*Table, len(registry))
-	for i, e := range registry {
-		out[i] = e.Runner(o)
-	}
-	return out
-}

@@ -39,19 +39,6 @@ func DefaultOptions() Options {
 	return Options{Episodes: 100, Warmup: 20, Seed: 1995}
 }
 
-// Scaled returns a copy with episode counts scaled by f (minimum 5/2).
-func (o Options) Scaled(f float64) Options {
-	o.Episodes = int(float64(o.Episodes) * f)
-	if o.Episodes < 5 {
-		o.Episodes = 5
-	}
-	o.Warmup = int(float64(o.Warmup) * f)
-	if o.Warmup < 2 {
-		o.Warmup = 2
-	}
-	return o
-}
-
 // Table is one reproduced figure or table. Its JSON form (field names in
 // lower case) is stable and intended for regression diffing via
 // cmd/experiments -json.

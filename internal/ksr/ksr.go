@@ -85,19 +85,6 @@ func (m Machine) RingOf(p int) int {
 	panic(fmt.Sprintf("ksr: processor %d out of range", p))
 }
 
-// AccessCost returns the latency of processor from accessing data homed at
-// processor to.
-func (m Machine) AccessCost(from, to int) float64 {
-	switch {
-	case from == to:
-		return m.LocalAccess
-	case m.RingOf(from) == m.RingOf(to):
-		return m.RingAccess
-	default:
-		return m.InterRingAccess
-	}
-}
-
 // Tree builds the degree-d combining tree the paper uses on this machine:
 // one subtree per ring merged by an additional root level, so that dynamic
 // placement never crosses ring boundaries. With degree 16 and two rings of

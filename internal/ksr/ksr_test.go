@@ -31,16 +31,6 @@ func TestRingOf(t *testing.T) {
 	m.RingOf(56)
 }
 
-func TestAccessCostOrdering(t *testing.T) {
-	m := New56()
-	local := m.AccessCost(3, 3)
-	ring := m.AccessCost(3, 4)
-	inter := m.AccessCost(3, 40)
-	if !(local < ring && ring < inter) {
-		t.Fatalf("access costs not ordered: local %v ring %v inter %v", local, ring, inter)
-	}
-}
-
 func TestMachineTreeRingConstrained(t *testing.T) {
 	m := New56()
 	// Footnote 5: degree 16 yields an initial tree depth of three (two

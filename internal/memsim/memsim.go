@@ -173,10 +173,3 @@ func (s *System) Access(proc, line int, write bool, now float64) float64 {
 	_, end := l.res.Use(now, cost)
 	return end
 }
-
-// Reset clears all line states and statistics.
-func (s *System) Reset() {
-	s.lines = make(map[int]*Line)
-	s.SyncStats = Stats{}
-	s.DataStats = Stats{}
-}

@@ -76,10 +76,6 @@ func TestSyncVsDataAccounting(t *testing.T) {
 	if s.SyncStats.Misses != 1 || s.DataStats.Misses != 1 {
 		t.Errorf("stats not split: sync %+v data %+v", s.SyncStats, s.DataStats)
 	}
-	s.Reset()
-	if s.SyncStats.Misses != 0 || len(s.lines) != 0 {
-		t.Error("Reset incomplete")
-	}
 }
 
 func TestAccessPanics(t *testing.T) {

@@ -65,18 +65,6 @@ func FullLevels(p, d int) (int, bool) {
 	return l, v == p
 }
 
-// FullTreeDegrees returns every degree d ≥ 2 with d^L = p for some L ≥ 1,
-// in increasing order. For p = 4096 this is {2, 4, 8, 16, 64, 4096} — note
-// the absence of 32, which is why the paper's Fig. 2 has no approximation
-// bar for degree 32.
-func FullTreeDegrees(p int) []int {
-	var ds []int
-	for _, r := range Table(p).rows {
-		ds = append(ds, r.degree)
-	}
-	return ds
-}
-
 // SubsetSize returns |S_l| = (d−1)·d^l (Eq. 2 context).
 func SubsetSize(d, l int) int {
 	return (d - 1) * pow(d, l)
@@ -95,12 +83,6 @@ func PBefore(d, l, levels int) float64 {
 // given number of levels under simultaneous arrival: levels·d·t_c.
 func Contention(d, levels int, tc float64) float64 {
 	return float64(levels) * float64(d) * tc
-}
-
-// LastArrival returns Eq. 5's asymptotic expected arrival time of the last
-// of p processors, σ·E[max of p standard normals].
-func LastArrival(p int, sigma float64) float64 {
-	return sigma * stats.ExpectedMaxNormalAsymptotic(p)
 }
 
 // Breakdown exposes the intermediate quantities of Algorithm 1 for

@@ -27,10 +27,22 @@ func TestFullLevels(t *testing.T) {
 	}
 }
 
+// fullTreeDegrees returns every degree d ≥ 2 with d^L = p for some L ≥ 1,
+// in increasing order, as the table holds them. For p = 4096 this is
+// {2, 4, 8, 16, 64, 4096} — note the absence of 32, which is why the
+// paper's Fig. 2 has no approximation bar for degree 32.
+func fullTreeDegrees(p int) []int {
+	var ds []int
+	for _, r := range Table(p).rows {
+		ds = append(ds, r.degree)
+	}
+	return ds
+}
+
 func TestFullTreeDegrees4096(t *testing.T) {
 	// The paper notes there is no approximation for degree 32 at p = 4096:
 	// 32 is not a full-tree degree, but 2, 4, 8, 16, 64, 4096 are.
-	got := FullTreeDegrees(4096)
+	got := fullTreeDegrees(4096)
 	want := []int{2, 4, 8, 16, 64, 4096}
 	if len(got) != len(want) {
 		t.Fatalf("degrees %v, want %v", got, want)
@@ -167,7 +179,7 @@ func TestOptimalDegreeSimultaneous(t *testing.T) {
 
 func TestEstimateSweepCoversAllFullDegrees(t *testing.T) {
 	sweep := EstimateSweep(256, 5*tc, tc)
-	want := FullTreeDegrees(256)
+	want := fullTreeDegrees(256)
 	if len(sweep) != len(want) {
 		t.Fatalf("sweep has %d entries, want %d", len(sweep), len(want))
 	}
@@ -206,7 +218,7 @@ func scanOptimal(p int, sigma, tc float64) DegreeEstimate {
 }
 
 func scanDelay(p, d, levels int, sigma, tc float64) float64 {
-	lastArrival := LastArrival(p, sigma)
+	lastArrival := sigma * stats.ExpectedMaxNormalAsymptotic(p)
 	release := lastArrival + float64(levels)*tc
 	for l := 0; l < levels; l++ {
 		pb := PBefore(d, l, levels)
@@ -258,7 +270,7 @@ func scanEstimate(p, d int, sigma, tc float64) Breakdown {
 			Contention(d, l+1, tc) +
 			float64(levels-1-l)*tc
 	}
-	b.LastArrival = LastArrival(p, sigma)
+	b.LastArrival = sigma * stats.ExpectedMaxNormalAsymptotic(p)
 	b.LastRelease = b.LastArrival + float64(levels)*tc
 	release := b.LastRelease
 	for l, r := range b.SubsetRelease {
@@ -356,8 +368,8 @@ func TestFullTreeDegreesMatchScan(t *testing.T) {
 				want = append(want, d)
 			}
 		}
-		if got := FullTreeDegrees(p); !slices.Equal(got, want) {
-			t.Fatalf("FullTreeDegrees(%d) = %v, want %v", p, got, want)
+		if got := fullTreeDegrees(p); !slices.Equal(got, want) {
+			t.Fatalf("fullTreeDegrees(%d) = %v, want %v", p, got, want)
 		}
 	}
 }
@@ -381,7 +393,7 @@ func TestTableConcurrentBuild(t *testing.T) {
 			t.Fatal("racing builders published different tables")
 		}
 	}
-	if d := FullTreeDegrees(p); !slices.Equal(d, []int{2, 4, 16, 32, 256, 1024, 1 << 20, p}) {
+	if d := fullTreeDegrees(p); !slices.Equal(d, []int{2, 4, 16, 32, 256, 1024, 1 << 20, p}) {
 		t.Fatalf("degrees of 2^40 = %v", d)
 	}
 }

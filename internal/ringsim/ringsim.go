@@ -40,11 +40,6 @@ func NewRing(n int, slotTime float64) *Ring {
 	return r
 }
 
-// Hops returns the number of links a message from src to dst traverses.
-func (r *Ring) Hops(src, dst int) int {
-	return (dst - src + r.N) % r.N
-}
-
 // Transit moves a message from src to dst starting at the current
 // simulated time, hopping link by link, and calls done with the delivery
 // time. src == dst delivers immediately.

@@ -13,7 +13,7 @@ import (
 
 	"softbarrier"
 	"softbarrier/internal/netbarrier"
-	"softbarrier/internal/wire/chaos"
+	"softbarrier/internal/testkit/chaos"
 	"softbarrier/internal/wire/memnet"
 )
 

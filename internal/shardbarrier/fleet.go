@@ -97,9 +97,6 @@ func StartFleet(opt FleetOptions) (*Fleet, error) {
 	return f, nil
 }
 
-// RootAddr returns the root's listen address.
-func (f *Fleet) RootAddr() string { return f.rootAddr }
-
 // LeafAddrs returns every leaf's listen address, in shard-index order.
 func (f *Fleet) LeafAddrs() []string { return append([]string(nil), f.leafAddrs...) }
 

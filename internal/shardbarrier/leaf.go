@@ -53,8 +53,8 @@ type Leaf struct {
 }
 
 // NewLeaf returns a leaf serving opt.Net locally and synchronizing
-// through the root at opt.Root. Start it with Serve/ListenAndServe, like
-// the server it wraps.
+// through the root at opt.Root. Start it with Serve, like the server it
+// wraps.
 func NewLeaf(opt LeafOptions) *Leaf {
 	l := &Leaf{opt: opt}
 	l.opt.Net.Upstream = l
@@ -68,10 +68,6 @@ func NewLeaf(opt LeafOptions) *Leaf {
 // Server exposes the leaf's local netbarrier server (for stats, Addr,
 // and session inspection).
 func (l *Leaf) Server() *netbarrier.Server { return l.srv }
-
-// ListenAndServe listens on addr through the leaf's transport and serves
-// local clients until Close.
-func (l *Leaf) ListenAndServe(addr string) error { return l.srv.ListenAndServe(addr) }
 
 // Serve accepts local client connections on ln until Close and blocks for
 // the duration.

@@ -9,40 +9,6 @@ type Barrier interface {
 	Wait(id int)
 }
 
-// WaitGroupBarrier is a trivial reference Barrier built from stdlib
-// primitives, used to cross-check the library barriers in tests.
-type WaitGroupBarrier struct {
-	n    int
-	mu   sync.Mutex
-	cond *sync.Cond
-	cnt  int
-	gen  uint64
-}
-
-// NewWaitGroupBarrier returns a reference barrier for n participants.
-func NewWaitGroupBarrier(n int) *WaitGroupBarrier {
-	b := &WaitGroupBarrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// Wait blocks until all n participants have arrived.
-func (b *WaitGroupBarrier) Wait(int) {
-	b.mu.Lock()
-	gen := b.gen
-	b.cnt++
-	if b.cnt == b.n {
-		b.cnt = 0
-		b.gen++
-		b.cond.Broadcast()
-	} else {
-		for gen == b.gen {
-			b.cond.Wait()
-		}
-	}
-	b.mu.Unlock()
-}
-
 // SolvePar runs iters relaxation sweeps of g with p goroutines partitioned
 // along the x-dimension, synchronized by barrier b after every sweep, and
 // returns the index of the buffer holding the final values. The result is

@@ -84,20 +84,6 @@ func (g *Grid) SolveSORPar(p int, omega float64, iters int, b Barrier) {
 	wg.Wait()
 }
 
-// SweepsToResidual runs SOR sweeps until Residual(0) ≤ eps and returns the
-// sweep count, capped at maxIters (returning maxIters if not converged).
-func (g *Grid) SweepsToResidual(omega, eps float64, maxIters int) int {
-	checkOmega(omega)
-	for k := 0; k < maxIters; k++ {
-		if g.Residual(0) <= eps {
-			return k
-		}
-		g.relaxColorRows(0, 0, omega, 1, g.NX-1)
-		g.relaxColorRows(0, 1, omega, 1, g.NX-1)
-	}
-	return maxIters
-}
-
 func checkOmega(omega float64) {
 	if !(omega > 0 && omega < 2) {
 		panic(fmt.Sprintf("sor: relaxation factor %v outside (0, 2)", omega))

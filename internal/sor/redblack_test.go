@@ -134,3 +134,17 @@ func TestSweepsToResidualCaps(t *testing.T) {
 		t.Fatalf("converged grid needed %d sweeps", got)
 	}
 }
+
+// SweepsToResidual runs SOR sweeps until Residual(0) ≤ eps and returns the
+// sweep count, capped at maxIters (returning maxIters if not converged).
+func (g *Grid) SweepsToResidual(omega, eps float64, maxIters int) int {
+	checkOmega(omega)
+	for k := 0; k < maxIters; k++ {
+		if g.Residual(0) <= eps {
+			return k
+		}
+		g.relaxColorRows(0, 0, omega, 1, g.NX-1)
+		g.relaxColorRows(0, 1, omega, 1, g.NX-1)
+	}
+	return maxIters
+}

@@ -2,6 +2,7 @@ package sor
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -220,4 +221,51 @@ func TestTimingModelWorkloadInterface(t *testing.T) {
 		}
 	}()
 	NewTimingModel(ksr.New56(), 0, 10)
+}
+
+// WaitGroupBarrier is a trivial reference Barrier built from stdlib
+// primitives, used to cross-check the library barriers in tests.
+type WaitGroupBarrier struct {
+	n    int
+	mu   sync.Mutex
+	cond *sync.Cond
+	cnt  int
+	gen  uint64
+}
+
+// NewWaitGroupBarrier returns a reference barrier for n participants.
+func NewWaitGroupBarrier(n int) *WaitGroupBarrier {
+	b := &WaitGroupBarrier{n: n}
+	b.cond = sync.NewCond(&b.mu)
+	return b
+}
+
+// Wait blocks until all n participants have arrived.
+func (b *WaitGroupBarrier) Wait(int) {
+	b.mu.Lock()
+	gen := b.gen
+	b.cnt++
+	if b.cnt == b.n {
+		b.cnt = 0
+		b.gen++
+		b.cond.Broadcast()
+	} else {
+		for gen == b.gen {
+			b.cond.Wait()
+		}
+	}
+	b.mu.Unlock()
+}
+
+// MeanTime returns the expected per-iteration execution time of a
+// processor.
+func (t *TimingModel) MeanTime() float64 {
+	compute := float64(t.DX*t.DY) * t.M.ComputePerElement
+	return compute + float64(t.CommEvents())*(t.M.RingAccess+t.jitter())
+}
+
+// PredictedSigma returns the analytic standard deviation of a processor's
+// iteration time, √(events)·jitter.
+func (t *TimingModel) PredictedSigma() float64 {
+	return t.jitter() * math.Sqrt(float64(t.CommEvents()))
 }

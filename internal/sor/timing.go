@@ -2,7 +2,6 @@ package sor
 
 import (
 	"fmt"
-	"math"
 
 	"softbarrier/internal/ksr"
 	"softbarrier/internal/stats"
@@ -76,19 +75,6 @@ func (t *TimingModel) Times(_ int, r *stats.RNG, dst []float64) {
 		}
 		dst[i] = w
 	}
-}
-
-// MeanTime returns the expected per-iteration execution time of a
-// processor.
-func (t *TimingModel) MeanTime() float64 {
-	compute := float64(t.DX*t.DY) * t.M.ComputePerElement
-	return compute + float64(t.CommEvents())*(t.M.RingAccess+t.jitter())
-}
-
-// PredictedSigma returns the analytic standard deviation of a processor's
-// iteration time, √(events)·jitter.
-func (t *TimingModel) PredictedSigma() float64 {
-	return t.jitter() * math.Sqrt(float64(t.CommEvents()))
 }
 
 func (t *TimingModel) String() string {

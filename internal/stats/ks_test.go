@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -101,4 +102,57 @@ func TestKSDoesNotMutateInput(t *testing.T) {
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Fatal("KS mutated its input")
 	}
+}
+
+// KolmogorovSmirnov returns the one-sample Kolmogorov-Smirnov statistic
+// D_n = sup_x |F_n(x) − F(x)| of the sample xs against the continuous
+// distribution function cdf. The barrier study uses it to verify the
+// normality assumptions imported from [13] and [15] on its own generators,
+// and tests use it to validate the PRNG's samplers against their target
+// distributions. It panics on an empty sample.
+func KolmogorovSmirnov(xs []float64, cdf func(float64) float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		panic("stats: KS statistic of empty sample")
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	d := 0.0
+	for i, x := range sorted {
+		f := cdf(x)
+		// Compare against the empirical CDF just before and at x.
+		lo := f - float64(i)/float64(n)
+		hi := float64(i+1)/float64(n) - f
+		if lo > d {
+			d = lo
+		}
+		if hi > d {
+			d = hi
+		}
+	}
+	return d
+}
+
+// KSNormal returns the KS statistic of xs against N(mu, sigma²).
+func KSNormal(xs []float64, mu, sigma float64) float64 {
+	if sigma <= 0 {
+		panic("stats: KSNormal needs positive sigma")
+	}
+	return KolmogorovSmirnov(xs, func(x float64) float64 {
+		return NormalCDF((x - mu) / sigma)
+	})
+}
+
+// KSCriticalValue returns the asymptotic critical value of the one-sample
+// KS statistic at significance level alpha (two-sided): c(α)/√n with
+// c(α) = √(−ln(α/2)/2). For α = 0.05 this is the familiar 1.358/√n. It
+// panics for alpha outside (0, 1) or n < 1.
+func KSCriticalValue(n int, alpha float64) float64 {
+	if n < 1 {
+		panic("stats: KS critical value needs n ≥ 1")
+	}
+	if alpha <= 0 || alpha >= 1 {
+		panic("stats: KS significance level must be in (0, 1)")
+	}
+	return math.Sqrt(-math.Log(alpha/2)/2) / math.Sqrt(float64(n))
 }

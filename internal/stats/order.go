@@ -17,69 +17,3 @@ func ExpectedMaxNormalAsymptotic(p int) float64 {
 	s := math.Sqrt(2 * lp)
 	return s - (math.Log(lp)+math.Log(4*math.Pi))/(2*s)
 }
-
-// ExpectedMaxNormalExact returns the expected maximum of n iid standard
-// normal variates computed by numerical integration of
-//
-//	E[M_n] = ∫ x · n · φ(x) · Φ(x)^(n−1) dx.
-//
-// It is exact to the precision of the quadrature (~1e-10) and serves as the
-// reference implementation the asymptote is validated against.
-func ExpectedMaxNormalExact(n int) float64 {
-	if n <= 1 {
-		return 0
-	}
-	return ExpectedOrderStatisticNormal(n, n)
-}
-
-// ExpectedOrderStatisticNormal returns the expectation of the k-th order
-// statistic (1-based, k = n is the maximum) of n iid standard normal
-// variates, by numerically integrating its density
-//
-//	f_(k)(x) = n·C(n−1, k−1)·Φ(x)^(k−1)·(1−Φ(x))^(n−k)·φ(x).
-//
-// Binomial factors are computed in log space so the routine is stable for
-// large n (the study uses n up to 4096). It panics if k is out of range.
-func ExpectedOrderStatisticNormal(n, k int) float64 {
-	if k < 1 || k > n {
-		panic("stats: order statistic index out of range")
-	}
-	logC := logBinomial(n-1, k-1) + math.Log(float64(n))
-	integrand := func(x float64) float64 {
-		cdf := NormalCDF(x)
-		if cdf <= 0 || cdf >= 1 {
-			// Far tails: the log-space density underflows anyway.
-			if (cdf <= 0 && k > 1) || (cdf >= 1 && k < n) {
-				return 0
-			}
-		}
-		logF := logC + float64(k-1)*safeLog(cdf) + float64(n-k)*safeLog(1-cdf) - 0.5*x*x - 0.5*math.Log(2*math.Pi)
-		if logF < -745 { // below exp underflow
-			return 0
-		}
-		return x * math.Exp(logF)
-	}
-	// The density of any normal order statistic is negligible outside
-	// ±(√(2 ln n) + 8).
-	bound := math.Sqrt(2*math.Log(float64(n)+1)) + 8
-	return gaussLegendre(integrand, -bound, bound, 64)
-}
-
-func safeLog(x float64) float64 {
-	if x <= 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(x)
-}
-
-// logBinomial returns ln C(n, k) using log-gamma.
-func logBinomial(n, k int) float64 {
-	if k < 0 || k > n {
-		return math.Inf(-1)
-	}
-	lg := func(x int) float64 {
-		v, _ := math.Lgamma(float64(x) + 1)
-		return v
-	}
-	return lg(n) - lg(k) - lg(n-k)
-}

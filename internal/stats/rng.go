@@ -12,7 +12,7 @@ import (
 
 // RNG is a deterministic pseudo-random number generator based on
 // xoshiro256++ with splitmix64 seeding. It is not safe for concurrent use;
-// derive per-goroutine generators with Split.
+// give each goroutine a generator of its own.
 type RNG struct {
 	s [4]uint64
 	// cached second normal variate from the polar Box-Muller transform
@@ -125,10 +125,4 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		swap(i, r.Intn(i+1))
 	}
-}
-
-// Split derives an independent generator from the current stream. The
-// derived stream is decorrelated by reseeding through splitmix64.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xd1b54a32d192ed03)
 }

@@ -152,20 +152,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := NewRNG(23)
-	child := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("split stream matched parent %d times", same)
-	}
-}
-
 func TestSeedResetsGaussCache(t *testing.T) {
 	r := NewRNG(29)
 	_ = r.NormFloat64() // populate cache

@@ -21,8 +21,9 @@
 //     is a Conn's optional non-blocking write, which lets the server's
 //     release fan-out write member sockets from the releasing goroutine;
 //     TryWriterOf finds it, or builds it for a kernel socket. The
-//     in-process memnet transport and the fault-injecting chaos wrapper
-//     live in the subpackages wire/memnet and wire/chaos.
+//     in-process memnet transport lives in the subpackage wire/memnet;
+//     the fault-injecting chaos wrapper, which only tests use, in
+//     internal/testkit/chaos.
 //
 //   - FrameConn (framec.go): one peer's framed view of a Conn, and the
 //     only frame reader there is — client, server read loop and leaf→root
