@@ -161,12 +161,6 @@ func New(tree *topology.Tree, cfg Config) *Sim {
 // current placement.
 func (s *Sim) Tree() *topology.Tree { return s.tree }
 
-// Tc returns the configured counter update time.
-func (s *Sim) Tc() float64 { return s.tc }
-
-// BaseComms returns the fixed number of counter updates per episode.
-func (s *Sim) BaseComms() int { return s.baseComms }
-
 // Episode simulates one barrier episode with the given arrival times
 // (len = P, any time base) and returns its metrics. Under dynamic
 // placement the tree's placement may change as a side effect, taking

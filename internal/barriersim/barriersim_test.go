@@ -396,3 +396,9 @@ func TestNegativeLockDegradationPanics(t *testing.T) {
 	}()
 	New(topology.NewClassic(4, 2), Config{LockDegradation: -1})
 }
+
+// Tc returns the configured counter update time.
+func (s *Sim) Tc() float64 { return s.tc }
+
+// BaseComms returns the fixed number of counter updates per episode.
+func (s *Sim) BaseComms() int { return s.baseComms }

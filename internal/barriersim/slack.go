@@ -48,10 +48,6 @@ func NewIterator(w loadmodel.Generator, slack float64, seed uint64) *Iterator {
 	}
 }
 
-// Iteration returns the index of the episode the next call to Next will
-// produce.
-func (it *Iterator) Iteration() int { return it.iter }
-
 // Next returns the arrival times of the next episode. The returned slice
 // is owned by the iterator and overwritten by the following call; copy it
 // to retain. After simulating the episode the caller must report the

@@ -122,3 +122,7 @@ func TestWorkloadStrings(t *testing.T) {
 		t.Error("iterator empty string")
 	}
 }
+
+// Iteration returns the index of the episode the next call to Next will
+// produce.
+func (it *Iterator) Iteration() int { return it.iter }

@@ -79,23 +79,21 @@ func Fig2(o Options) *Table {
 	return t
 }
 
-// Fig3Cell is one entry of the Fig. 3 grid.
-type Fig3Cell struct {
-	P         int
-	SigmaTc   float64 // σ in units of t_c
+// fig3Cell is one entry of the Fig. 3 grid.
+type fig3Cell struct {
 	OptDegree int
 	Speedup   float64 // delay(degree 4) / delay(optimal)
 }
 
-// Fig3Data computes the simulated optimal-degree grid.
-func Fig3Data(o Options) []Fig3Cell {
+// fig3Data computes the simulated optimal-degree grid.
+func fig3Data(o Options) []fig3Cell {
 	points := procSigmaGrid()
-	return grid(o, len(points), func(i int, seed uint64) Fig3Cell {
+	return grid(o, len(points), func(i int, seed uint64) fig3Cell {
 		pt := points[i]
 		best, speedup, _ := barriersim.OptimalDegree(
 			pt.P, topology.NewClassic, barriersim.Config{},
 			stats.Normal{Sigma: pt.Sigma * Tc}, o.Episodes, seed)
-		return Fig3Cell{P: pt.P, SigmaTc: pt.Sigma, OptDegree: best.Degree, Speedup: speedup}
+		return fig3Cell{OptDegree: best.Degree, Speedup: speedup}
 	})
 }
 
@@ -110,7 +108,7 @@ func Fig3(o Options) *Table {
 	for _, s := range SigmaGrid {
 		t.Header = append(t.Header, fmt.Sprintf("σ=%gtc", s))
 	}
-	cells := Fig3Data(o)
+	cells := fig3Data(o)
 	i := 0
 	for _, p := range ProcGrid {
 		row := []string{fmt.Sprintf("%d", p)}

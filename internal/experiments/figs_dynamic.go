@@ -71,20 +71,17 @@ func Fig5(o Options) *Table {
 	return t
 }
 
-// Fig8Row is one measured configuration of Figure 8.
-type Fig8Row struct {
-	Degree       int
-	Slack        float64
+// fig8Row is one measured configuration of Figure 8.
+type fig8Row struct {
 	LastDepth    float64 // dynamic placement, mean releaser depth
 	Speedup      float64 // static delay / dynamic delay
 	CommOverhead float64
-	StaticDepth  float64
 }
 
-// Fig8Data measures the dynamic-placement barrier against static placement
+// fig8Data measures the dynamic-placement barrier against static placement
 // for p processors over the slack grid, one sweep point per
 // (degree, slack) pair.
-func Fig8Data(o Options, degrees []int, p int) []Fig8Row {
+func fig8Data(o Options, degrees []int, p int) []fig8Row {
 	dist := stats.Normal{Sigma: fig8Sigma}
 	type point struct {
 		Degree int
@@ -96,7 +93,7 @@ func Fig8Data(o Options, degrees []int, p int) []Fig8Row {
 			points = append(points, point{d, slack})
 		}
 	}
-	return grid(o, len(points), func(i int, seed uint64) Fig8Row {
+	return grid(o, len(points), func(i int, seed uint64) fig8Row {
 		pt := points[i]
 		tree := topology.NewMCS(p, pt.Degree)
 		mkIter := func() *barriersim.Iterator {
@@ -104,13 +101,10 @@ func Fig8Data(o Options, degrees []int, p int) []Fig8Row {
 		}
 		static := barriersim.New(tree, barriersim.Config{}).Run(mkIter(), o.Warmup, o.Episodes)
 		dynamic := barriersim.New(tree, barriersim.Config{Dynamic: true}).Run(mkIter(), o.Warmup, o.Episodes)
-		return Fig8Row{
-			Degree:       pt.Degree,
-			Slack:        pt.Slack,
+		return fig8Row{
 			LastDepth:    dynamic.MeanLastDepth,
 			Speedup:      static.MeanSync / dynamic.MeanSync,
 			CommOverhead: dynamic.CommOverhead,
-			StaticDepth:  static.MeanLastDepth,
 		}
 	})
 }
@@ -127,7 +121,7 @@ func Fig8(o Options) *Table {
 	for _, s := range fig8Slacks {
 		t.Header = append(t.Header, fmt.Sprintf("slack %gms", s*1e3))
 	}
-	rows := Fig8Data(o, []int{4, 16}, 4096)
+	rows := fig8Data(o, []int{4, 16}, 4096)
 	i := 0
 	for _, d := range []int{4, 16} {
 		depth := []string{fmt.Sprintf("%d", d), "last proc depth"}

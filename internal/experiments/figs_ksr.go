@@ -71,18 +71,16 @@ func Fig12(o Options) *Table {
 	return t
 }
 
-// Fig13Row is one measured configuration of Figure 13.
-type Fig13Row struct {
-	Degree    int
-	Slack     float64
+// fig13Row is one measured configuration of Figure 13.
+type fig13Row struct {
 	LastDepth float64
 	Speedup   float64
 }
 
-// Fig13Data measures dynamic vs static placement for the SOR workload
+// fig13Data measures dynamic vs static placement for the SOR workload
 // (d_y = 210) on ring-constrained trees, one sweep point per
 // (degree, slack) pair.
-func Fig13Data(o Options, degrees []int) []Fig13Row {
+func fig13Data(o Options, degrees []int) []fig13Row {
 	m := ksr.New56()
 	tm := sor.NewTimingModel(m, 60, 210)
 	type point struct {
@@ -95,17 +93,12 @@ func Fig13Data(o Options, degrees []int) []Fig13Row {
 			points = append(points, point{d, slack})
 		}
 	}
-	return grid(o, len(points), func(i int, seed uint64) Fig13Row {
+	return grid(o, len(points), func(i int, seed uint64) fig13Row {
 		pt := points[i]
 		tree := m.Tree(pt.Degree)
 		static := runKSRWorkload(o, m, tree, tm, pt.Slack, false, seed)
 		dynamic := runKSRWorkload(o, m, tree, tm, pt.Slack, true, seed)
-		return Fig13Row{
-			Degree:    pt.Degree,
-			Slack:     pt.Slack,
-			LastDepth: dynamic.MeanLastDepth,
-			Speedup:   static.MeanSync / dynamic.MeanSync,
-		}
+		return fig13Row{LastDepth: dynamic.MeanLastDepth, Speedup: static.MeanSync / dynamic.MeanSync}
 	})
 }
 
@@ -122,7 +115,7 @@ func Fig13(o Options) *Table {
 		t.Header = append(t.Header, fmt.Sprintf("slack %gms", s*1e3))
 	}
 	degrees := []int{2, 4, 16}
-	rows := Fig13Data(o, degrees)
+	rows := fig13Data(o, degrees)
 	i := 0
 	for _, d := range degrees {
 		depth := []string{fmt.Sprintf("%d", d), "last proc depth"}

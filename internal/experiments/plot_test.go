@@ -104,17 +104,15 @@ func TestSpecForKnownFigures(t *testing.T) {
 	}
 }
 
+// TestRegisteredSpecsRenderOnRealTables plots every registered spec on
+// its table in testdata/experiments.json.
 func TestRegisteredSpecsRenderOnRealTables(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs figure experiments")
-	}
-	o := Options{Episodes: 5, Warmup: 2, Seed: 7}
+	g := readGolden(t)
 	for id, spec := range plotSpecs {
-		runner, err := Lookup(id)
-		if err != nil {
-			t.Fatal(err)
+		tab, ok := g[id]
+		if !ok {
+			t.Fatalf("no table %s in testdata/experiments.json", id)
 		}
-		tab := runner(o)
 		if _, err := tab.Plot(spec, 60, 12); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}

@@ -18,11 +18,7 @@
 // deviation (≈110 µs) — come out at the measured values.
 package ksr
 
-import (
-	"fmt"
-
-	"softbarrier/internal/topology"
-)
+import "softbarrier/internal/topology"
 
 // Machine-architecture constants.
 const (
@@ -71,18 +67,6 @@ func (m Machine) P() int {
 		p += r
 	}
 	return p
-}
-
-// RingOf returns the ring index of processor p (processors are numbered
-// ring by ring). It panics for an out-of-range processor.
-func (m Machine) RingOf(p int) int {
-	for ring, size := range m.Rings {
-		if p < size {
-			return ring
-		}
-		p -= size
-	}
-	panic(fmt.Sprintf("ksr: processor %d out of range", p))
 }
 
 // Tree builds the degree-d combining tree the paper uses on this machine:

@@ -1,6 +1,9 @@
 package ksr
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestNew56Shape(t *testing.T) {
 	m := New56()
@@ -60,4 +63,16 @@ func TestSubLines(t *testing.T) {
 		}
 	}()
 	SubLines(-1)
+}
+
+// RingOf returns the ring index of processor p (processors are numbered
+// ring by ring). It panics for an out-of-range processor.
+func (m Machine) RingOf(p int) int {
+	for ring, size := range m.Rings {
+		if p < size {
+			return ring
+		}
+		p -= size
+	}
+	panic(fmt.Sprintf("ksr: processor %d out of range", p))
 }

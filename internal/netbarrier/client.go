@@ -139,10 +139,6 @@ func (c *Client) Sigma() float64 { return c.sigma }
 // Err returns the sticky error, or nil while the client is healthy.
 func (c *Client) Err() error { return c.err }
 
-// LocalAddr returns the local address of the client's connection — the
-// address the server sees as the remote end.
-func (c *Client) LocalAddr() net.Addr { return c.fc.Conn().LocalAddr() }
-
 // Arrive announces arrival at the current episode without waiting for its
 // completion — the fuzzy-barrier arrival half.
 func (c *Client) Arrive() error {

@@ -64,12 +64,31 @@ func serveOn(t testing.TB, ln net.Listener, opt Options) *Server {
 }
 
 // testDial routes an address to the transport that owns it: testNet for
-// memnet addresses, TCP otherwise.
+// memnet addresses, TCP otherwise. It records the client's local address
+// in localAddrs.
 func testDial(addr string) (*Client, error) {
+	var d wire.Dialer = wire.DefaultTCP
 	if strings.HasPrefix(addr, "mem:") {
-		return DialVia(testNet, addr, 5*time.Second)
+		d = testNet
 	}
-	return DialTimeout(addr, 5*time.Second)
+	conn, err := d.Dial(addr, 5*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	c := NewClient(conn)
+	localAddrs.Store(c, conn.LocalAddr().String())
+	return c, nil
+}
+
+// localAddrs maps each client testDial made to its connection's local
+// address, the address the server sees as the remote end.
+var localAddrs sync.Map // *Client → string
+
+// localAddr returns the local address of a client testDial made.
+func localAddr(c *Client) string {
+	a, _ := localAddrs.Load(c)
+	s, _ := a.(string)
+	return s
 }
 
 // dialJoin connects and joins, failing the test on any error.

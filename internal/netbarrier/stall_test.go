@@ -156,7 +156,7 @@ func TestStalledSocketReleaseFanOut(t *testing.T) {
 	}
 	wg.Wait()
 
-	sc := ln.connFor(victim.LocalAddr().String())
+	sc := ln.connFor(localAddr(victim))
 	if sc == nil {
 		t.Fatal("no server-side conn for the victim client")
 	}
@@ -246,7 +246,7 @@ func TestPoisonedPendingJoinerFailsFast(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var sc *stallConn
 	for time.Now().Before(deadline) {
-		if sc = ln.connFor(pc.LocalAddr().String()); sc != nil {
+		if sc = ln.connFor(localAddr(pc)); sc != nil {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -310,7 +310,7 @@ func TestStalledSocketPoisonCause(t *testing.T) {
 	}
 	wg.Wait()
 
-	sc := ln.connFor(victim.LocalAddr().String())
+	sc := ln.connFor(localAddr(victim))
 	if sc == nil {
 		t.Fatal("no server-side conn for the victim client")
 	}
@@ -361,7 +361,7 @@ func TestNameReuseWhilePoisonUnwinds(t *testing.T) {
 
 	// Member 0 arrives but will not be told: its server-side socket takes
 	// no more writes. Members 1 and 2 wait; member 3 dies without arriving.
-	sc := ln.connFor(clients[0].LocalAddr().String())
+	sc := ln.connFor(localAddr(clients[0]))
 	if sc == nil {
 		t.Fatal("no server-side conn for member 0")
 	}
@@ -436,7 +436,7 @@ func TestStalledSocketStaleWriteDeadline(t *testing.T) {
 	}
 	episode("warmup")
 
-	sc := ln.connFor(victim.LocalAddr().String())
+	sc := ln.connFor(localAddr(victim))
 	if sc == nil {
 		t.Fatal("no server-side conn for the victim client")
 	}

@@ -63,9 +63,6 @@ func (r *Recorder) buffer(p int) {
 	r.arrivals = [2][]PaddedInt64{both[:p:p], both[p:]}
 }
 
-// Active reports whether arrivals are being recorded.
-func (r *Recorder) Active() bool { return r != nil }
-
 // Resize re-buffers the recorder for p participants. It must be called by
 // the releasing participant after Measure and before the episode's
 // release — the only point where both parity buffers are quiescent — so an

@@ -494,3 +494,12 @@ func TestRecorderSpreadIsStdDev(t *testing.T) {
 		}
 	}
 }
+
+// Poisoned reports whether the gate has been poisoned.
+func (g *Gate) Poisoned() bool { return g.seq.Load()&GatePoisonBit != 0 }
+
+// Poisoned reports whether the cell carries the poison sentinel.
+func (c *Cell) Poisoned() bool { return c.v.Load() == PoisonValue }
+
+// Active reports whether arrivals are being recorded.
+func (r *Recorder) Active() bool { return r != nil }

@@ -144,9 +144,6 @@ func (g *Gate) Poison() {
 	g.mu.Unlock()
 }
 
-// Poisoned reports whether the gate has been poisoned.
-func (g *Gate) Poisoned() bool { return g.seq.Load()&GatePoisonBit != 0 }
-
 // Unpoison clears the poison bit, restoring the pre-poison generation.
 // Only meaningful at a quiescent point: no Await may be in flight.
 func (g *Gate) Unpoison() {
@@ -220,9 +217,6 @@ func (c *Cell) Set(v uint64) {
 // Poison publishes PoisonValue: the parked or spinning waiter wakes, and
 // every future AwaitAtLeast returns immediately (with PoisonValue).
 func (c *Cell) Poison() { c.Set(PoisonValue) }
-
-// Poisoned reports whether the cell carries the poison sentinel.
-func (c *Cell) Poisoned() bool { return c.v.Load() == PoisonValue }
 
 // Reset returns the cell to its initial state (value 0, no pending wakeup
 // token). Only meaningful at a quiescent point: no waiter in flight.

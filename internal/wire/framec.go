@@ -41,9 +41,6 @@ func NewFrameConn(conn Conn) *FrameConn {
 	return &FrameConn{conn: conn, rbuf: make([]byte, 256)}
 }
 
-// Conn returns the underlying connection.
-func (fc *FrameConn) Conn() Conn { return fc.conn }
-
 // ReadFrame reads and decodes the next frame into the connection's own
 // Frame and returns a pointer to it. The Frame, and the bytes of rbuf its
 // Data and Cause alias, are valid until the next ReadFrame on this
