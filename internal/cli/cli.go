@@ -129,12 +129,14 @@ func Placement(name string) (func() softbarrier.PlacementPolicy, error) {
 
 // Options maps the flags onto a netbarrier server configuration. Logf and
 // Transport are left nil for the caller to wire. It errors on a negative
-// or NaN -tc or -sigma, a negative -replan, and an unknown -collective op
-// name, listing the valid ones.
+// or NaN -tc or -sigma, a negative -replan or -watchdog, and an unknown
+// -collective op name, listing the valid ones.
 func (f *NetFlags) Options() (netbarrier.Options, error) {
 	switch {
 	case f.Replan < 0:
 		return netbarrier.Options{}, fmt.Errorf("-replan must be ≥ 0, got %d", f.Replan)
+	case f.Watchdog < 0:
+		return netbarrier.Options{}, fmt.Errorf("-watchdog must be ≥ 0, got %v", f.Watchdog)
 	case !(f.Tc >= 0):
 		return netbarrier.Options{}, fmt.Errorf("-tc must be ≥ 0 seconds, got %g", f.Tc)
 	case !(f.Sigma >= 0):

@@ -88,10 +88,12 @@ func TestNetFlagsOptions(t *testing.T) {
 }
 
 // TestNetFlagsRejectNegativeModelInputs: each of these flags used to reach
-// a session constructor that panics on it, under the server's lock.
+// a session constructor that panics on it, under the server's lock, except
+// -watchdog, whose negative value turned stall detection off unannounced.
 func TestNetFlagsRejectNegativeModelInputs(t *testing.T) {
 	for _, args := range [][]string{
 		{"-sigma", "-1e-3"}, {"-sigma", "NaN"}, {"-tc", "-1"}, {"-tc", "NaN"}, {"-replan", "-1"},
+		{"-watchdog", "-1s"},
 	} {
 		fs := flag.NewFlagSet("net", flag.ContinueOnError)
 		f := AddNetFlags(fs)

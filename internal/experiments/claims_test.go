@@ -30,7 +30,7 @@ var claims = []claim{
 		ok := true
 		var sim, degs []string
 		for _, r := range g["EQ1"].Rows { // degree, levels, sim delay, L·d·t_c
-			closed := fmt.Sprintf("%.3f", num(r[0])*num(r[1])*Tc*1e3)
+			closed := fmt.Sprintf("%.3f", num(r[0])*num(r[1])*tc*1e3)
 			ok = ok && r[2] == r[3] && r[2] == closed
 			sim, degs = append(sim, r[2]), append(degs, r[0])
 		}
@@ -53,7 +53,7 @@ var claims = []claim{
 		ok := true
 		var upd, depth []string
 		for _, r := range g["FIG2"].Rows { // degree, depth, update, contention, total, model
-			ok = ok && r[2] == fmt.Sprintf("%.3f", num(r[1])*Tc*1e3)
+			ok = ok && r[2] == fmt.Sprintf("%.3f", num(r[1])*tc*1e3)
 			upd, depth = append(upd, r[2]), append(depth, r[1])
 		}
 		return fmt.Sprintf("%s ms for depths %s, exactly depth·t_c",

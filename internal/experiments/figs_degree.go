@@ -9,23 +9,23 @@ import (
 	"softbarrier/internal/topology"
 )
 
-// Tc is the counter update time used throughout, the paper's 20µs.
-const Tc = model.DefaultTc
+// tc is the counter update time used throughout, the paper's 20µs.
+const tc = model.DefaultTc
 
-// SigmaGrid is the load-imbalance grid of Figs. 3 and 4, in units of t_c.
-var SigmaGrid = []float64{0, 1.6, 6.2, 12.5, 25, 50}
+// sigmaGrid is the load-imbalance grid of Figs. 3 and 4, in units of t_c.
+var sigmaGrid = []float64{0, 1.6, 6.2, 12.5, 25, 50}
 
-// ProcGrid is the system-size grid of Figs. 3 and 4.
-var ProcGrid = []int{64, 256, 4096}
+// procGrid is the system-size grid of Figs. 3 and 4.
+var procGrid = []int{64, 256, 4096}
 
-// procSigmaGrid flattens ProcGrid × SigmaGrid in row-major order, the
+// procSigmaGrid flattens procGrid × sigmaGrid in row-major order, the
 // point order shared by Figs. 3 and 4.
 func procSigmaGrid() (points []struct {
 	P     int
 	Sigma float64
 }) {
-	for _, p := range ProcGrid {
-		for _, s := range SigmaGrid {
+	for _, p := range procGrid {
+		for _, s := range sigmaGrid {
 			points = append(points, struct {
 				P     int
 				Sigma float64
@@ -56,7 +56,7 @@ func Fig2(o Options) *Table {
 		Header: []string{"degree", "depth", "sim update", "sim contention", "sim total", "model"},
 	}
 	const p = 4096
-	sigma := 12.5 * Tc
+	sigma := 12.5 * tc
 	// Every degree reuses the base seed: common random numbers keep the
 	// per-degree comparison paired.
 	cells := grid(o, len(fig2Degrees),
@@ -65,7 +65,7 @@ func Fig2(o Options) *Table {
 			rr := barriersim.RunIID(tree, barriersim.Config{}, stats.Normal{Sigma: sigma}, o.Episodes, o.Seed)
 			return fig2Cell{Levels: tree.Levels, Update: rr.MeanUpdate, Contention: rr.MeanContention, Sync: rr.MeanSync}
 		})
-	estOf := model.EstimateByDegree(p, sigma, Tc)
+	estOf := model.EstimateByDegree(p, sigma, tc)
 	for i, d := range fig2Degrees {
 		c := cells[i]
 		est := "-"
@@ -92,7 +92,7 @@ func fig3Data(o Options) []fig3Cell {
 		pt := points[i]
 		best, speedup, _ := barriersim.OptimalDegree(
 			pt.P, topology.NewClassic, barriersim.Config{},
-			stats.Normal{Sigma: pt.Sigma * Tc}, o.Episodes, seed)
+			stats.Normal{Sigma: pt.Sigma * tc}, o.Episodes, seed)
 		return fig3Cell{OptDegree: best.Degree, Speedup: speedup}
 	})
 }
@@ -105,14 +105,14 @@ func Fig3(o Options) *Table {
 		Title:  "simulated optimal degree (speedup vs degree 4)",
 		Header: []string{"procs"},
 	}
-	for _, s := range SigmaGrid {
+	for _, s := range sigmaGrid {
 		t.Header = append(t.Header, fmt.Sprintf("σ=%gtc", s))
 	}
 	cells := fig3Data(o)
 	i := 0
-	for _, p := range ProcGrid {
+	for _, p := range procGrid {
 		row := []string{fmt.Sprintf("%d", p)}
-		for range SigmaGrid {
+		for range sigmaGrid {
 			c := cells[i]
 			i++
 			row = append(row, fmt.Sprintf("%d (%.2f)", c.OptDegree, c.Speedup))
@@ -142,7 +142,7 @@ func Fig4(o Options) *Table {
 		Title:  "simulated (opt) vs estimated (est) optimal degree (speedup vs degree 4)",
 		Header: []string{"procs", "row"},
 	}
-	for _, s := range SigmaGrid {
+	for _, s := range sigmaGrid {
 		t.Header = append(t.Header, fmt.Sprintf("σ=%gtc", s))
 	}
 	points := procSigmaGrid()
@@ -150,9 +150,9 @@ func Fig4(o Options) *Table {
 		pt := points[i]
 		sweep := barriersim.DegreeSweep(nil,
 			pt.P, topology.NewClassic, barriersim.Config{},
-			stats.Normal{Sigma: pt.Sigma * Tc}, o.Episodes, seed)
+			stats.Normal{Sigma: pt.Sigma * tc}, o.Episodes, seed)
 		opt := barriersim.Best(sweep)
-		est := model.EstimateOptimalDegree(pt.P, pt.Sigma*Tc, Tc)
+		est := model.EstimateOptimalDegree(pt.P, pt.Sigma*tc, tc)
 		d4, _ := barriersim.DelayOf(sweep, 4)
 		estDelay, ok := barriersim.DelayOf(sweep, est.Degree)
 		if !ok {
@@ -165,10 +165,10 @@ func Fig4(o Options) *Table {
 	})
 	sumRatio, nRatio := 0.0, 0
 	i := 0
-	for _, p := range ProcGrid {
+	for _, p := range procGrid {
 		optRow := []string{fmt.Sprintf("%d", p), "opt"}
 		estRow := []string{"", "est"}
-		for range SigmaGrid {
+		for range sigmaGrid {
 			c := cells[i]
 			i++
 			optRow = append(optRow, fmt.Sprintf("%d (%.2f)", c.OptDegree, c.D4/c.OptDelay))
@@ -214,7 +214,7 @@ func Eq1OptimalDegree(o Options) *Table {
 	for i, d := range eq1Degrees {
 		c := cells[i]
 		t.AddRow(fmt.Sprintf("%d", d), fmt.Sprintf("%d", c.Levels),
-			ms(c.Sync), ms(float64(c.Levels*d)*Tc))
+			ms(c.Sync), ms(float64(c.Levels*d)*tc))
 	}
 	t.AddNote("continuous optimum of d/ln d is d = e ≈ %.3f; degrees 2 and 4 tie at 24·t_c for p=4096", model.OptimalDegreeSimultaneous())
 	return t

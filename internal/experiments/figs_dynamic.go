@@ -15,6 +15,9 @@ const fig8Sigma = 0.25e-3
 // fig8Slacks are the fuzzy-barrier slacks of Figure 8, in seconds.
 var fig8Slacks = []float64{0, 1e-3, 2e-3, 4e-3, 16e-3}
 
+// fig8Degrees are the tree degrees of Figure 8.
+var fig8Degrees = []int{4, 16}
+
 // fig5Slacks is the slack axis of Figure 5, in seconds.
 var fig5Slacks = []float64{0, 1e-3, 4e-3, 16e-3}
 
@@ -79,16 +82,17 @@ type fig8Row struct {
 }
 
 // fig8Data measures the dynamic-placement barrier against static placement
-// for p processors over the slack grid, one sweep point per
+// for 4K processors over the slack grid, one sweep point per
 // (degree, slack) pair.
-func fig8Data(o Options, degrees []int, p int) []fig8Row {
+func fig8Data(o Options) []fig8Row {
+	const p = 4096
 	dist := stats.Normal{Sigma: fig8Sigma}
 	type point struct {
 		Degree int
 		Slack  float64
 	}
 	var points []point
-	for _, d := range degrees {
+	for _, d := range fig8Degrees {
 		for _, slack := range fig8Slacks {
 			points = append(points, point{d, slack})
 		}
@@ -121,9 +125,9 @@ func Fig8(o Options) *Table {
 	for _, s := range fig8Slacks {
 		t.Header = append(t.Header, fmt.Sprintf("slack %gms", s*1e3))
 	}
-	rows := fig8Data(o, []int{4, 16}, 4096)
+	rows := fig8Data(o)
 	i := 0
-	for _, d := range []int{4, 16} {
+	for _, d := range fig8Degrees {
 		depth := []string{fmt.Sprintf("%d", d), "last proc depth"}
 		speed := []string{"", "sync speedup"}
 		comm := []string{"", "comm overhead"}

@@ -40,19 +40,19 @@ func Ext1(o Options) *Table {
 		Header: []string{"σ/tc", "tree d=4", "tree opt (d*)", "dissemination", "tournament", "central"},
 	}
 	const p = 256
-	cells := grid(o, len(SigmaGrid),
+	cells := grid(o, len(sigmaGrid),
 		func(i int, seed uint64) ext1Cell {
-			dist := stats.Normal{Sigma: SigmaGrid[i] * Tc}
+			dist := stats.Normal{Sigma: sigmaGrid[i] * tc}
 			sweep := barriersim.DegreeSweep(nil, p, topology.NewClassic, barriersim.Config{}, dist, o.Episodes, seed)
 			best := barriersim.Best(sweep)
 			d4, _ := barriersim.DelayOf(sweep, 4)
-			diss := barriersim.RunBaselineIID(barriersim.Dissemination, p, Tc, dist, o.Episodes, seed)
-			tour := barriersim.RunBaselineIID(barriersim.Tournament, p, Tc, dist, o.Episodes, seed)
-			cent := barriersim.RunBaselineIID(barriersim.Central, p, Tc, dist, o.Episodes, seed)
+			diss := barriersim.RunBaselineIID(barriersim.Dissemination, p, tc, dist, o.Episodes, seed)
+			tour := barriersim.RunBaselineIID(barriersim.Tournament, p, tc, dist, o.Episodes, seed)
+			cent := barriersim.RunBaselineIID(barriersim.Central, p, tc, dist, o.Episodes, seed)
 			return ext1Cell{D4: d4, Opt: best.MeanSync, OptDegree: best.Degree,
 				Diss: diss.MeanSync, Tour: tour.MeanSync, Cent: cent.MeanSync}
 		})
-	for i, s := range SigmaGrid {
+	for i, s := range sigmaGrid {
 		c := cells[i]
 		t.AddRow(fmt.Sprintf("%g", s), ms(c.D4),
 			fmt.Sprintf("%s (%d)", ms(c.Opt), c.OptDegree),
@@ -132,8 +132,8 @@ func Ext3(o Options) *Table {
 
 	// The regime change is a loadmodel.Phased workload.
 	gen := loadmodel.Phased{Phases: []loadmodel.Phase{
-		{Episodes: phases[0].episodes, Gen: loadmodel.IID{N: p, Dist: stats.Normal{Sigma: phases[0].sigmaTc * Tc}}},
-		{Episodes: phases[1].episodes, Gen: loadmodel.IID{N: p, Dist: stats.Normal{Sigma: phases[1].sigmaTc * Tc}}},
+		{Episodes: phases[0].episodes, Gen: loadmodel.IID{N: p, Dist: stats.Normal{Sigma: phases[0].sigmaTc * tc}}},
+		{Episodes: phases[1].episodes, Gen: loadmodel.IID{N: p, Dist: stats.Normal{Sigma: phases[1].sigmaTc * tc}}},
 	}}
 	arr := make([]float64, p)
 
@@ -174,7 +174,7 @@ func Ext3(o Options) *Table {
 			}
 			episode++
 			if episode%window == 0 {
-				if d := model.EstimateOptimalDegree(p, sigmaEst, Tc).Degree; d != adaptiveDegree {
+				if d := model.EstimateOptimalDegree(p, sigmaEst, tc).Degree; d != adaptiveDegree {
 					adaptiveDegree = d
 					adaptive = barriersim.New(topology.NewClassic(p, d), barriersim.Config{})
 				}

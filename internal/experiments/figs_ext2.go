@@ -63,7 +63,7 @@ func Ext4(o Options) *Table {
 	cells := grid(o, len(points), func(i int, seed uint64) optCell {
 		pt := points[i]
 		best, speedup, _ := barriersim.OptimalDegree(
-			p, topology.NewClassic, barriersim.Config{}, ext4Dist(pt.Dist, pt.Sigma*Tc),
+			p, topology.NewClassic, barriersim.Config{}, ext4Dist(pt.Dist, pt.Sigma*tc),
 			o.Episodes, seed)
 		return optCell{Degree: best.Degree, Speedup: speedup}
 	})

@@ -44,7 +44,7 @@ func Ext5(o Options) *Table {
 		cfg := barriersim.Config{LockDegradation: pt.Alpha}
 		best, speedup, _ := barriersim.OptimalDegree(
 			p, topology.NewClassic, cfg,
-			stats.Normal{Sigma: pt.Sigma * Tc}, o.Episodes, seed)
+			stats.Normal{Sigma: pt.Sigma * tc}, o.Episodes, seed)
 		return optCell{Degree: best.Degree, Speedup: speedup}
 	})
 	i := 0

@@ -17,6 +17,9 @@ var fig12DYs = []int{8, 30, 60, 120, 210, 480, 960}
 // fig13Slacks is the slack sweep of the Fig. 13 reproduction, in seconds.
 var fig13Slacks = []float64{0, 0.25e-3, 0.5e-3, 1e-3, 2e-3, 4e-3}
 
+// fig13Degrees are the tree degrees of the Fig. 13 reproduction.
+var fig13Degrees = []int{2, 4, 16}
+
 // ksrDegrees are the tree degrees measurable on the 56-processor machine.
 var ksrDegrees = []int{2, 4, 8, 16, 32, 56}
 
@@ -80,7 +83,7 @@ type fig13Row struct {
 // fig13Data measures dynamic vs static placement for the SOR workload
 // (d_y = 210) on ring-constrained trees, one sweep point per
 // (degree, slack) pair.
-func fig13Data(o Options, degrees []int) []fig13Row {
+func fig13Data(o Options) []fig13Row {
 	m := ksr.New56()
 	tm := sor.NewTimingModel(m, 60, 210)
 	type point struct {
@@ -88,7 +91,7 @@ func fig13Data(o Options, degrees []int) []fig13Row {
 		Slack  float64
 	}
 	var points []point
-	for _, d := range degrees {
+	for _, d := range fig13Degrees {
 		for _, slack := range fig13Slacks {
 			points = append(points, point{d, slack})
 		}
@@ -114,10 +117,9 @@ func Fig13(o Options) *Table {
 	for _, s := range fig13Slacks {
 		t.Header = append(t.Header, fmt.Sprintf("slack %gms", s*1e3))
 	}
-	degrees := []int{2, 4, 16}
-	rows := fig13Data(o, degrees)
+	rows := fig13Data(o)
 	i := 0
-	for _, d := range degrees {
+	for _, d := range fig13Degrees {
 		depth := []string{fmt.Sprintf("%d", d), "last proc depth"}
 		speed := []string{"", "sync speedup"}
 		for range fig13Slacks {

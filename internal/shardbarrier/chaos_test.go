@@ -13,7 +13,6 @@ import (
 
 	"softbarrier"
 	"softbarrier/internal/netbarrier"
-	"softbarrier/internal/testkit/chaos"
 	"softbarrier/internal/wire/memnet"
 )
 
@@ -67,7 +66,7 @@ func TestChaosAcceptanceFleet(t *testing.T) {
 		churnSlots, churnP, churnGens, churnEpisodes     = 16, 4, 8, 3
 	)
 	op := softbarrier.OpSumUint64()
-	tr := chaos.New(memnet.New(), 0xACCE55, chaos.Config{
+	tr := New(memnet.New(), 0xACCE55, Config{
 		WriteLatency: 50 * time.Microsecond, WriteJitter: 200 * time.Microsecond,
 		ReadLatency: 50 * time.Microsecond, ReadJitter: 200 * time.Microsecond,
 		ResetProb: 0.002, TruncateProb: 0.002,
@@ -449,7 +448,7 @@ func TestChaosAcceptanceFleet(t *testing.T) {
 func TestChaosFleetQuietSmoke(t *testing.T) {
 	const leaves, p, eps = 2, 4, 5
 	op := softbarrier.OpSumUint64()
-	tr := chaos.New(memnet.New(), 7, chaos.Config{
+	tr := New(memnet.New(), 7, Config{
 		WriteLatency: 20 * time.Microsecond, WriteJitter: 100 * time.Microsecond,
 		ReadLatency: 20 * time.Microsecond, ReadJitter: 100 * time.Microsecond,
 	})

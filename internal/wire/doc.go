@@ -22,8 +22,8 @@
 //     release fan-out write member sockets from the releasing goroutine;
 //     TryWriterOf finds it, or builds it for a kernel socket. The
 //     in-process memnet transport lives in the subpackage wire/memnet;
-//     the fault-injecting chaos wrapper, which only tests use, in
-//     internal/testkit/chaos.
+//     the fault-injecting chaos wrapper, which only the fleet tests
+//     use, in internal/shardbarrier's _test.go files.
 //
 //   - FrameConn (framec.go): one peer's framed view of a Conn, and the
 //     only frame reader there is — client, server read loop and leaf→root

@@ -2,7 +2,7 @@
 // connections over buffered byte pipes, one address namespace per Net.
 // Protocol tests run on it instead of loopback TCP — no kernel socket
 // costs, no ephemeral-port collisions, no listen backlog — and the chaos
-// wrapper (internal/testkit/chaos) composes over it for deterministic fault runs.
+// wrapper (internal/shardbarrier's tests) composes over it for deterministic fault runs.
 //
 // Fidelity: connections are streams with full deadline support (read and
 // write, including the deadline-in-the-past unblock the cancellation
