@@ -59,9 +59,7 @@ const usage = `Usage: barriersim [run|model|sweep|record] [flags]
   sweep   simulate every candidate degree beside the model's estimate
   record  write -episodes iterations of -workload to stdout as a trace file
 
-Every mode shares the flags and defaults below. Changed defaults: sweep's
--sigma is 250µs (formerly 500µs) and its -episodes 200 (formerly 100);
-record's -p is 4096 (formerly 64).
+Every mode shares the flags and defaults below.
 
 `
 

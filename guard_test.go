@@ -9,7 +9,9 @@ import (
 	"io/fs"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -20,9 +22,11 @@ import (
 // place: one fetch-and-add per counter visit, one re-plan rule, one frame
 // reader, and no code that no binary reaches. Each reads the module's Go
 // source as syntax, so a comment or a string literal never trips one and
-// an alias never slips past one. Each also runs on its fixture under
-// testdata/guard/<slug>, which holds the forbidden identifiers, imports or
-// directories and, in want.txt, exactly what the guard must report there.
+// an alias never slips past one. The last keeps the documents' pointers
+// into the design, the tests and the tree live. Each also runs on its
+// fixture under testdata/guard/<slug>, which holds the forbidden
+// identifiers, imports, directories or references and, in want.txt,
+// exactly what the guard must report there.
 var guards = []guard{
 	{
 		slug: "inlined-arrive",
@@ -57,7 +61,7 @@ var guards = []guard{
 			{scope: scope{in: []string{"internal/netbarrier"}}, within: []string{"softbarrier/internal/reconfig", "NewCombiningTree", "NewMCSTree", "NewDynamic"}},
 			{scope: scope{in: []string{"reconfigurable.go"}}, imports: []string{"sync"}},
 		},
-		check: absent("internal/reconfig"),
+		deleted: []string{"internal/reconfig"},
 	},
 	{
 		slug: "one-frame-reader",
@@ -104,20 +108,37 @@ var guards = []guard{
 			{scope: scope{in: []string{"internal/wire"}}, names: []string{"Nagle"}},
 		},
 	},
+	{
+		slug: "doc-refs",
+		rule: "every section, test and path a document names exists",
+		// Each mechanism is described once, in DESIGN.md; README,
+		// EXPERIMENTS and the package docs point into it, at tests and at
+		// files. A rename or a move that leaves a pointer behind sends the
+		// reader nowhere. ROADMAP, CHANGES and perf/ name deleted things on
+		// purpose and are not read.
+		check: liveDocRefs,
+	},
 }
 
-// A guard is one design rule, checked by its bans and its check.
+// A guard is one design rule, checked by its bans, its deleted paths and
+// its check.
 type guard struct {
-	slug  string // the subtest's name and the fixture's directory
-	rule  string // what the guard keeps true
-	bans  []ban
-	check func(*srcTree) []string // nil when the bans say it all
+	slug    string // the subtest's name and the fixture's directory
+	rule    string // what the guard keeps true
+	bans    []ban
+	deleted []string                // slash paths, relative to the tree's root, that must not exist
+	check   func(*srcTree) []string // nil when the bans say it all
 }
 
 func (g guard) violations(tr *srcTree) []string {
 	var bad []string
 	for _, b := range g.bans {
 		bad = append(bad, b.violations(tr)...)
+	}
+	for _, p := range g.deleted {
+		if _, err := os.Stat(filepath.Join(tr.root, p)); !errors.Is(err, fs.ErrNotExist) {
+			bad = append(bad, p+": exists")
+		}
 	}
 	if g.check != nil {
 		bad = append(bad, g.check(tr)...)
@@ -180,16 +201,6 @@ func (b ban) violations(tr *srcTree) []string {
 		})
 	}
 	return bad
-}
-
-// absent reports path, relative to the tree's root, if it exists.
-func absent(path string) func(*srcTree) []string {
-	return func(tr *srcTree) []string {
-		if _, err := os.Stat(filepath.Join(tr.root, path)); !errors.Is(err, fs.ErrNotExist) {
-			return []string{path + ": exists"}
-		}
-		return nil
-	}
 }
 
 // inlinesArrive requires the compiler to report (*Recorder).Arrive as
@@ -284,9 +295,10 @@ func importName(f *ast.File, path string) string {
 	return ""
 }
 
-// A srcTree is every Go file under root, parsed without comments. Like
-// the go tool it skips testdata/ and names starting with "." or "_", and
-// it skips bench/, the benchmark's own module.
+// A srcTree is every Go file under root, parsed with its comments, which
+// only liveDocRefs reads. Like the go tool it skips testdata/ and names
+// starting with "." or "_", and it skips bench/, the benchmark's own
+// module.
 type srcTree struct {
 	root  string
 	fset  *token.FileSet
@@ -294,6 +306,9 @@ type srcTree struct {
 	// compileRuntime returns what go build -gcflags=-m ./internal/runtime
 	// prints for this tree.
 	compileRuntime func() ([]byte, error)
+	// deleted holds every guard's deleted paths, which a document may
+	// still name.
+	deleted []string
 }
 
 type goFile struct {
@@ -322,7 +337,7 @@ func parseTree(root string) (*srcTree, error) {
 		if !strings.HasSuffix(name, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(tr.fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(tr.fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
@@ -347,6 +362,9 @@ func TestGuards(t *testing.T) {
 		return exec.Command("go", "build", "-gcflags=-m", "./internal/runtime").CombinedOutput()
 	}
 	for _, g := range guards {
+		mod.deleted = append(mod.deleted, g.deleted...)
+	}
+	for _, g := range guards {
 		t.Run(g.slug, func(t *testing.T) {
 			if bad := g.violations(mod); len(bad) > 0 {
 				t.Errorf("guard %q fails:\n%s", g.rule, strings.Join(bad, "\n"))
@@ -359,6 +377,7 @@ func TestGuards(t *testing.T) {
 			fixture.compileRuntime = func() ([]byte, error) {
 				return os.ReadFile(filepath.Join(dir, "gcflags-m.txt"))
 			}
+			fixture.deleted = mod.deleted
 			want, err := os.ReadFile(filepath.Join(dir, "want.txt"))
 			if err != nil {
 				t.Fatal(err)
@@ -368,6 +387,132 @@ func TestGuards(t *testing.T) {
 			}
 		})
 	}
+}
+
+// The documents liveDocRefs reads, besides every package doc comment.
+var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+var (
+	// A DESIGN.md heading: "## 5. Key …" or "### 5.7 Networked …".
+	designHeading = regexp.MustCompile(`(?m)^#{2,} (\d+(?:\.\d+)*)\.? `)
+	// A section reference that can only mean DESIGN.md: a numbered
+	// subsection anywhere, or any section after "DESIGN". A bare "§7" is
+	// the paper's.
+	sectionRef = regexp.MustCompile(`DESIGN(?:\.md)?(?:'s)? §(\d+(?:\.\d+)?)|§(\d+\.\d+)`)
+	backticked = regexp.MustCompile("`([^`\n]+)`")
+	testName   = regexp.MustCompile(`^((?:Test|Benchmark|Fuzz|Example)\w*)(\*?)(?:/\S*)?$`)
+	repoPath   = regexp.MustCompile(`^(?:internal|cmd|examples|perf|testdata|bench)/\S*$`)
+)
+
+// liveDocRefs reports each reference in README, DESIGN and EXPERIMENTS
+// and in the package doc comments that points nowhere: a § that is no
+// DESIGN.md heading, a backticked Test, Benchmark, Fuzz or Example name
+// (a trailing * makes it a prefix) that is no function of a _test.go file
+// of the tree or of bench/, and a backticked path under internal/, cmd/,
+// examples/, perf/, testdata/ or bench/ that does not exist, unless a
+// guard keeps it deleted. Section references are also checked in every
+// other Go comment.
+func liveDocRefs(tr *srcTree) []string {
+	design, err := os.ReadFile(filepath.Join(tr.root, "DESIGN.md"))
+	if err != nil {
+		return []string{err.Error()}
+	}
+	sections := map[string]bool{}
+	for _, m := range designHeading.FindAllStringSubmatch(string(design), -1) {
+		sections[m[1]] = true
+	}
+	tests, err := testFuncs(tr)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var bad []string
+	checkSections := func(where string, line int, text string) {
+		for _, m := range sectionRef.FindAllStringSubmatch(text, -1) {
+			if sec := m[1] + m[2]; !sections[sec] {
+				bad = append(bad, fmt.Sprintf("%s:%d: §%s is no DESIGN.md heading", where, line, sec))
+			}
+		}
+	}
+	checkNames := func(where string, line int, text string) {
+		for _, m := range backticked.FindAllStringSubmatch(text, -1) {
+			ref := m[1]
+			if t := testName.FindStringSubmatch(ref); t != nil {
+				if !slices.ContainsFunc(tests, func(fn string) bool {
+					return fn == t[1] || t[2] == "*" && strings.HasPrefix(fn, t[1])
+				}) {
+					bad = append(bad, fmt.Sprintf("%s:%d: no test function %s", where, line, t[1]+t[2]))
+				}
+			} else if repoPath.MatchString(ref) && !tr.exists(ref) {
+				bad = append(bad, fmt.Sprintf("%s:%d: %s does not exist", where, line, ref))
+			}
+		}
+	}
+	for _, name := range docFiles {
+		text, err := os.ReadFile(filepath.Join(tr.root, name))
+		if err != nil {
+			bad = append(bad, err.Error())
+			continue
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			checkSections(name, i+1, line)
+			checkNames(name, i+1, line)
+		}
+	}
+	for _, f := range tr.files {
+		for _, cg := range f.syntax.Comments {
+			for _, c := range cg.List {
+				line := tr.fset.Position(c.Slash).Line
+				for i, text := range strings.Split(c.Text, "\n") {
+					checkSections(f.path, line+i, text)
+					if cg == f.syntax.Doc && !f.test {
+						checkNames(f.path, line+i, text)
+					}
+				}
+			}
+		}
+	}
+	return bad
+}
+
+// exists reports whether the slash path ref, relative to the tree's root,
+// exists or lies in a path a guard keeps deleted.
+func (tr *srcTree) exists(ref string) bool {
+	ref = path.Clean(ref)
+	if slices.ContainsFunc(tr.deleted, func(d string) bool { return ref == d || strings.HasPrefix(ref, d+"/") }) {
+		return true
+	}
+	_, err := os.Stat(filepath.Join(tr.root, filepath.FromSlash(ref)))
+	return err == nil
+}
+
+// testFuncs returns the names of the top-level functions of the tree's
+// _test.go files and of those directly in its bench/ directory.
+func testFuncs(tr *srcTree) ([]string, error) {
+	var names []string
+	add := func(f *ast.File) {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+				names = append(names, fn.Name.Name)
+			}
+		}
+	}
+	for _, f := range tr.files {
+		if f.test {
+			add(f.syntax)
+		}
+	}
+	bench, err := filepath.Glob(filepath.Join(tr.root, "bench", "*_test.go"))
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range bench {
+		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		add(f)
+	}
+	return names, nil
 }
 
 // goList runs go list with args in dir and returns its output lines.

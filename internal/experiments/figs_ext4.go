@@ -56,6 +56,6 @@ func Ext6(o Options) *Table {
 			bestStatic, bestDegree = c.Static, d
 		}
 	}
-	t.AddNote("static optimum at degree %d; dynamic placement keeps the last-processor depth near the ring floor, so the 19× larger machine pays barely more than the 56-processor one", bestDegree)
+	t.AddNote("static optimum at degree %d; dynamic placement keeps the last-processor depth near the ring floor", bestDegree)
 	return t
 }
