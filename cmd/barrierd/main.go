@@ -15,10 +15,12 @@
 // and dialed connection (0 keeps the 15s default, negative disables
 // probing).
 //
-// With -elastic, session membership may change between episodes: joins
-// against a full session are parked and admitted at the next episode
-// boundary, and a Leave shrinks the cohort at the next boundary instead
-// of retiring the session only when everyone has left.
+// With -elastic, client session membership may change between episodes:
+// joins against a full session are parked and admitted at the next
+// episode boundary, and a Leave shrinks the cohort at the next boundary
+// instead of retiring the session only when everyone has left. It applies
+// to client sessions only: the inter-shard sessions a root serves keep
+// fixed membership, so every leaf keeps the slot its -shard-id names.
 //
 // With -placement, each session runs a predictive straggler-placement
 // policy (reactive, ewma, trend, ewma-hys): the server observes every

@@ -226,9 +226,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if a, ok := b.(*softbarrier.ReconfigurableBarrier); ok {
 		rs := a.ReconfigStats()
-		fmt.Fprintf(stdout, "adaptive barrier: degree %d, σ estimate %v, epoch %d (%d rebuilds over %d evals)\n",
+		fmt.Fprintf(stdout, "adaptive barrier: degree %d, σ estimate %v, epoch %d over %d evals\n",
 			a.Degree(), time.Duration(a.Sigma()*float64(time.Second)).Round(time.Microsecond),
-			rs.LastPlan.Epoch, rs.Rebuilds, rs.Evals)
+			rs.LastPlan.Epoch, rs.Evals)
 	}
 
 	if *stats != "" {

@@ -189,7 +189,7 @@ func TestCollectiveGreedyFoldIgnoresArrivalOrder(t *testing.T) {
 	}{
 		{"tree", NewCombiningTree(p, 3, WithCollective(op))},
 		{"mcs", NewMCSTree(p, 3, WithCollective(op))},
-		{"reconfig", NewReconfigurable(p, ReconfigConfig{InitialDegree: 3, MinDegreeDelta: p}, WithCollective(op))},
+		{"reconfig", NewReconfigurable(p, ReconfigConfig{Tc: pinTc}, WithCollective(op))},
 	} {
 		t.Run(k.name, func(t *testing.T) {
 			var first []byte
@@ -524,7 +524,7 @@ func TestCollectiveKernelsMatchBytePath(t *testing.T) {
 		{"mcs", func(op Op) fuzzyCollective { return NewMCSTree(p, 2, WithCollective(op)) }},
 		{"dynamic", func(op Op) fuzzyCollective { return NewDynamic(p, 3, WithCollective(op)) }},
 		{"reconfig", func(op Op) fuzzyCollective {
-			return NewReconfigurable(p, ReconfigConfig{InitialDegree: 4, MinDegreeDelta: p}, WithCollective(op))
+			return NewReconfigurable(p, ReconfigConfig{Tc: pinTc}, WithCollective(op))
 		}},
 	}
 	seed := int64(0)

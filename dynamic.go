@@ -2,12 +2,12 @@ package softbarrier
 
 import "softbarrier/internal/topology"
 
-// DynamicBarrier is the paper's dynamic-placement barrier (§5.1, Fig. 7):
-// an MCS-style combining tree in which a participant that completes a
-// counter above its own — meaning it arrived last in that counter's whole
-// subtree — swaps into that counter's local slot as it climbs, displacing
-// the slot's previous occupant (the victim) into the position the victor
-// just vacated. Under systemic load imbalance, or fuzzy barriers with
+// DynamicBarrier is the paper's dynamic-placement barrier (DESIGN §5.3,
+// the paper's Fig. 7): an MCS-style combining tree in which a participant
+// that completes a counter above its own — meaning it arrived last in that
+// counter's whole subtree — swaps into that counter's local slot as it
+// climbs, displacing the slot's previous occupant (the victim) into the
+// position the victor just vacated. Under systemic load imbalance, or fuzzy barriers with
 // enough slack, the consistently slow participant migrates to the root
 // and synchronizes in O(1) counter updates instead of O(log p).
 //
@@ -54,19 +54,12 @@ func NewDynamicFromTree(tree *topology.Tree, opts ...Option) *DynamicBarrier {
 // Swaps returns the total number of placement swaps performed so far.
 func (b *DynamicBarrier) Swaps() uint64 { return b.swaps.Load() }
 
-// FirstCounterOf returns participant id's current first counter. It is
-// meaningful only at a quiescent point (no Wait/Arrive in flight); the
-// slot is owner-written without cross-goroutine synchronization.
-func (b *DynamicBarrier) FirstCounterOf(id int) int {
-	st := b.state.Load()
-	checkID(id, st.p)
-	return st.slots[id].first
-}
-
 // DepthOf returns the number of counters participant id currently updates
-// per episode (its synchronization path length). Like FirstCounterOf it
-// must be called at a quiescent point. A pending eviction the participant
-// has not consumed yet is resolved as the victim itself would resolve it.
+// per episode (its synchronization path length). It is meaningful only at
+// a quiescent point (no Wait/Arrive in flight); the slot is owner-written
+// without cross-goroutine synchronization. A pending eviction the
+// participant has not consumed yet is resolved as the victim itself would
+// resolve it.
 func (b *DynamicBarrier) DepthOf(id int) int {
 	st := b.state.Load()
 	checkID(id, st.p)
@@ -79,7 +72,7 @@ func (b *DynamicBarrier) DepthOf(id int) int {
 
 // home is the counter participant id's next ascent starts from: its first
 // counter, or where a pending eviction it has not consumed yet sends it.
-// Quiescent-only, like FirstCounterOf.
+// Quiescent-only, like DepthOf.
 func (st *treeEpoch) home(id int) int {
 	c := st.slots[id].first
 	if tc := &st.counters[c]; tc.evicted.Load() == int32(id) {

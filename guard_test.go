@@ -56,10 +56,14 @@ var guards = []guard{
 		rule: "one re-plan rule, inside ReconfigurableBarrier, on atomics",
 		// netbarrier's non-test code builds no other tree and owns no
 		// re-plan loop; the controller package stays folded into the barrier;
-		// and the barrier's release path takes no lock of its own.
+		// and the barrier's release path takes no lock of its own. The
+		// degree has one source, the model: it plans the first epoch like
+		// every later one, every change of it rebuilds (no damper), and no
+		// second entry point decides it for a caller.
 		bans: []ban{
 			{scope: scope{in: []string{"internal/netbarrier"}}, within: []string{"softbarrier/internal/reconfig", "NewCombiningTree", "NewMCSTree", "NewDynamic"}},
-			{scope: scope{in: []string{"reconfigurable.go"}}, imports: []string{"sync"}},
+			{scope: scope{in: []string{"reconfigurable.go"}}, imports: []string{"sync"}, names: []string{"minDelta"}},
+			{scope: scope{in: []string{"."}}, names: []string{"InitialDegree", "MinDegreeDelta", "RecommendConfig"}},
 		},
 		deleted: []string{"internal/reconfig"},
 	},
@@ -98,6 +102,11 @@ var guards = []guard{
 		// no consistent-hash ring and no partial spans; the release fan-out
 		// keeps one buffer; and TCP_NODELAY is Go's default, not an option.
 		// Scoped by directory: topology.NewRing and ringsim.NewRing stay.
+		// Nothing to set that no program sets, and nothing reported twice:
+		// the EWMA weight, Trend's window, the hysteresis threshold and the
+		// victim's penalty are constants; the epoch is also the rebuild
+		// count, under one name; and a client keeps no copy of what each
+		// Release carries. barriersim.PolicyRun.Rebuilds stays.
 		bans: []ban{
 			{scope: scope{in: []string{"."}}, within: []string{
 				"WithTreeWakeup", "wakeFlag", "awaitWake", "LagEstimator", "FoldLags", "HierarchicalGather", "NewInterconnect",
@@ -106,6 +115,12 @@ var guards = []guard{
 			{scope: scope{in: []string{"internal/shardbarrier"}}, names: []string{"Ring", "NewRing", "DefaultVnodes", "SessionSlot", "LeafAddr"}},
 			{scope: scope{in: []string{"internal/netbarrier"}, tests: true}, names: []string{"relScratch", "relPending", "sendJob"}},
 			{scope: scope{in: []string{"internal/wire"}}, names: []string{"Nagle"}},
+			{scope: scope{in: []string{"."}}, names: []string{"FirstCounterOf", "RootNet"}},
+			{scope: scope{in: []string{"reconfigurable.go", "observer.go", "internal/runtime"}}, names: []string{"Adaptations", "Epochs", "Rebuilds"}},
+			{scope: scope{in: []string{"internal/runtime/sigma.go"}}, names: []string{"weight"}},
+			{scope: scope{in: []string{"internal/loadmodel"}}, names: []string{"Weight", "Window", "MinShift"}},
+			{scope: scope{in: []string{"internal/barriersim"}}, names: []string{"CommCost", "commCost"}},
+			{scope: scope{in: []string{"internal/netbarrier/client.go"}}, names: []string{"epoch", "degree", "sigma"}},
 		},
 	},
 	{

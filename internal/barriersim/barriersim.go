@@ -38,10 +38,9 @@ type Config struct {
 	Tc float64
 	// Dynamic enables dynamic placement (victor/victim swaps). It has an
 	// effect only on trees whose counters have local slots (MCS, Ring).
+	// A swap victim pays Tc at its next episode to read its Destination
+	// entry: the paper's one extra communication.
 	Dynamic bool
-	// CommCost is the latency a swap victim pays at its next episode to
-	// read its Destination entry; 0 selects Tc.
-	CommCost float64
 	// LockDegradation models test-and-set-style locks whose update cost
 	// grows with contention: an update issued while w earlier updates are
 	// still queued costs Tc·(1 + LockDegradation·w) instead of Tc. The
@@ -99,11 +98,10 @@ type Tracer interface {
 // Sim simulates successive barrier episodes over one combining tree. It is
 // not safe for concurrent use.
 type Sim struct {
-	tc       float64
-	commCost float64
-	degrade  float64
-	dynamic  bool
-	tree     *topology.Tree
+	tc      float64
+	degrade float64
+	dynamic bool
+	tree    *topology.Tree
 
 	res       []eventsim.Resource
 	count     []int
@@ -129,23 +127,19 @@ func New(tree *topology.Tree, cfg Config) *Sim {
 	if cfg.Tc < 0 {
 		panic("barriersim: negative t_c")
 	}
-	if cfg.CommCost == 0 {
-		cfg.CommCost = cfg.Tc
-	}
 	if cfg.LockDegradation < 0 {
 		panic("barriersim: negative lock degradation")
 	}
 	t := tree.Clone()
 	s := &Sim{
-		tc:       cfg.Tc,
-		commCost: cfg.CommCost,
-		degrade:  cfg.LockDegradation,
-		dynamic:  cfg.Dynamic,
-		tree:     t,
-		res:      make([]eventsim.Resource, len(t.Counters)),
-		count:    make([]int, len(t.Counters)),
-		highest:  make([]int, t.P),
-		penalty:  make([]float64, t.P),
+		tc:      cfg.Tc,
+		degrade: cfg.LockDegradation,
+		dynamic: cfg.Dynamic,
+		tree:    t,
+		res:     make([]eventsim.Resource, len(t.Counters)),
+		count:   make([]int, len(t.Counters)),
+		highest: make([]int, t.P),
+		penalty: make([]float64, t.P),
 	}
 	for i := range s.res {
 		s.res[i].Name = fmt.Sprintf("counter%d", i)
@@ -286,7 +280,7 @@ func (s *Sim) applySwaps() int {
 		for _, c := range path[1:] {
 			if s.tree.CanSwap(proc, c) {
 				victim := s.tree.Swap(proc, c)
-				s.penalty[victim] += s.commCost
+				s.penalty[victim] += s.tc
 				swaps++
 				if s.tracer != nil {
 					s.tracer.Swap(proc, victim, c)

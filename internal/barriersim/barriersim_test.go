@@ -300,7 +300,7 @@ func TestRingTreeSwapsStayInRing(t *testing.T) {
 func TestVictimPaysPenaltyNextEpisode(t *testing.T) {
 	p := 8
 	tree := topology.NewMCS(p, 4)
-	s := New(tree, Config{Dynamic: true, CommCost: 5 * tc})
+	s := New(tree, Config{Dynamic: true})
 	// Episode 1: proc 0 (a leaf processor) very late -> becomes a victor,
 	// swaps toward the root.
 	arr := make([]float64, p)

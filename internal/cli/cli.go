@@ -103,7 +103,7 @@ func AddNetFlags(fs *flag.FlagSet) *NetFlags {
 	f := &NetFlags{}
 	fs.DurationVar(&f.Watchdog, "watchdog", 10*time.Second, "per-session stall deadline (0 disables stall detection)")
 	fs.IntVar(&f.Replan, "replan", 10, "episodes between tree-degree re-plans (0 = every episode)")
-	fs.BoolVar(&f.Elastic, "elastic", false, "elastic sessions: admit joins and absorb leaves at episode boundaries")
+	fs.BoolVar(&f.Elastic, "elastic", false, "elastic client sessions: admit joins and absorb leaves at episode boundaries (inter-shard sessions stay fixed)")
 	fs.Float64Var(&f.Tc, "tc", 0, "model counter-update cost in seconds (0 = 20µs)")
 	fs.Float64Var(&f.Sigma, "sigma", 0, "assumed arrival spread in seconds before measurement")
 	fs.StringVar(&f.Collective, "collective", "",

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	rt "softbarrier/internal/runtime"
 	"softbarrier/internal/stats"
 )
 
@@ -269,7 +268,7 @@ func TestPlacementPolicies(t *testing.T) {
 	})
 
 	t.Run("trend predicts the climber", func(t *testing.T) {
-		p := &Trend{Window: 6}
+		p := &Trend{}
 		if p.Order() != nil {
 			t.Fatal("order before two episodes")
 		}
@@ -287,7 +286,7 @@ func TestPlacementPolicies(t *testing.T) {
 	})
 
 	t.Run("hysteresis suppresses small shifts", func(t *testing.T) {
-		p := &Hysteresis{Inner: &Reactive{}, MinShift: 0.25}
+		p := &Hysteresis{Inner: &Reactive{}}
 		p.Observe(straggler5)
 		first := p.Order()
 		if first == nil || first[0] != 5 {
@@ -333,7 +332,7 @@ func TestPlacementPolicies(t *testing.T) {
 }
 
 func TestEWMAAverages(t *testing.T) {
-	p := &EWMA{Weight: 0.5}
+	p := &EWMA{}
 	if p.Order() != nil {
 		t.Fatal("order before any episode")
 	}
@@ -341,10 +340,11 @@ func TestEWMAAverages(t *testing.T) {
 	if !reflect.DeepEqual(p.lags, []float64{0, 1, 3}) {
 		t.Fatalf("seed lags = %v, want [0 1 3]", p.lags)
 	}
-	// Second episode: participant 2 on time, participant 0 late.
+	// Second episode: participant 2 on time, participant 0 late. The new
+	// episode weighs rt.DefaultSigmaWeight, 0.2.
 	p.Observe([]float64{5, 0, 0})
-	if !reflect.DeepEqual(p.lags, []float64{2.5, 0.5, 1.5}) {
-		t.Fatalf("EWMA lags = %v, want [2.5 0.5 1.5]", p.lags)
+	if !reflect.DeepEqual(p.lags, []float64{1, 0.8, 2.4}) {
+		t.Fatalf("EWMA lags = %v, want [1 0.8 2.4]", p.lags)
 	}
 	// A length change reseeds.
 	p.Observe([]float64{0, 2})
@@ -354,14 +354,6 @@ func TestEWMAAverages(t *testing.T) {
 	p.Observe(nil)
 	if p.Order() != nil {
 		t.Fatal("order after an empty episode")
-	}
-
-	def := &EWMA{}
-	def.Observe([]float64{0, 1})
-	def.Observe([]float64{1, 0})
-	w := rt.DefaultSigmaWeight
-	if want := []float64{w, 1 - w}; !reflect.DeepEqual(def.lags, want) {
-		t.Fatalf("Weight 0: lags = %v, want %v", def.lags, want)
 	}
 }
 

@@ -71,12 +71,9 @@ func (p *Reactive) Order() []int { return p.order }
 func (p *Reactive) String() string { return "reactive" }
 
 // EWMA ranks by an exponentially weighted moving average of each
-// participant's lag, so persistent stragglers dominate one-off noise.
-// Weight is that of the newest episode; 0 (or anything outside (0, 1])
-// selects runtime.DefaultSigmaWeight.
+// participant's lag, so persistent stragglers dominate one-off noise. The
+// newest episode weighs runtime.DefaultSigmaWeight, as in the σ estimate.
 type EWMA struct {
-	Weight float64
-
 	lags []float64
 }
 
@@ -87,12 +84,8 @@ func (p *EWMA) Observe(lags []float64) {
 		p.lags = append(p.lags[:0], lags...)
 		return
 	}
-	w := p.Weight
-	if w <= 0 || w > 1 {
-		w = rt.DefaultSigmaWeight
-	}
 	for i, l := range lags {
-		p.lags[i] += w * (l - p.lags[i])
+		p.lags[i] += rt.DefaultSigmaWeight * (l - p.lags[i])
 	}
 }
 
@@ -110,34 +103,26 @@ func (p *EWMA) String() string { return "ewma" }
 // Trend keeps a sliding window of recent episodes per participant and
 // ranks by a one-step least-squares extrapolation of each participant's
 // lag — it predicts who will be late *next* episode, so a participant
-// whose lag is climbing outranks one whose equal lag is fading. Window 0
-// selects 8. With fewer than two observed episodes it has no opinion.
+// whose lag is climbing outranks one whose equal lag is fading. The
+// window is 8 episodes. With fewer than two observed episodes it has no
+// opinion.
 type Trend struct {
-	// Window is the history length in episodes; 0 selects 8.
-	Window int
-
 	hist [][]float64 // hist[i] = participant i's recent lags, oldest first
 	pred []float64
 }
 
-// window is the history length in force.
-func (p *Trend) window() int {
-	if p.Window <= 0 {
-		return 8
-	}
-	return p.Window
-}
+// trendWindow is Trend's history length in episodes.
+const trendWindow = 8
 
 // Observe appends the episode to each participant's window.
 func (p *Trend) Observe(lags []float64) {
-	w := p.window()
 	if len(p.hist) != len(lags) {
 		p.hist = make([][]float64, len(lags))
 		p.pred = make([]float64, len(lags))
 	}
 	for i, l := range lags {
 		h := append(p.hist[i], l)
-		if len(h) > w {
+		if len(h) > trendWindow {
 			h = h[1:]
 		}
 		p.hist[i] = h
@@ -155,7 +140,7 @@ func (p *Trend) Order() []int {
 	return Rank(p.pred)
 }
 
-func (p *Trend) String() string { return fmt.Sprintf("trend(w=%d)", p.window()) }
+func (p *Trend) String() string { return fmt.Sprintf("trend(w=%d)", trendWindow) }
 
 // extrapolate fits lag = a + b·t over t = 0..n-1 by least squares and
 // returns the value at t = n (one step past the window).
@@ -180,26 +165,27 @@ func extrapolate(h []float64) float64 {
 
 // Hysteresis wraps an inner policy and suppresses its order unless it
 // differs enough from the last order Hysteresis emitted: the largest
-// single rank displacement, normalized by p, must reach MinShift
-// (0 selects 0.25) — a genuine straggler change moves someone to or from
-// the front and scores near 1, while σ-noise permuting near-tied
-// neighbours scores 1/p. Without it, σ-level noise in the lag estimates
-// permutes near-tied participants every episode and each permutation is
-// a full tree rebuild; with it, only a genuine straggler change pays the
-// rebuild cost. A length change (membership change) always passes.
+// single rank displacement, normalized by p, must reach 0.25 — a genuine
+// straggler change moves someone to or from the front and scores near 1,
+// while σ-noise permuting near-tied neighbours scores 1/p. Without it,
+// σ-level noise in the lag estimates permutes near-tied participants
+// every episode and each permutation is a full tree rebuild; with it,
+// only a genuine straggler change pays the rebuild cost. A length change
+// (membership change) always passes.
 type Hysteresis struct {
 	Inner PlacementPolicy
-	// MinShift is the emission threshold in [0, 1]; 0 selects 0.25.
-	MinShift float64
 
 	last []int
 }
 
+// minShift is Hysteresis's emission threshold, a fraction of p.
+const minShift = 0.25
+
 // Observe forwards to the inner policy.
 func (p *Hysteresis) Observe(lags []float64) { p.Inner.Observe(lags) }
 
-// Order returns the inner order when it has shifted by at least
-// MinShift since the last emission, nil otherwise.
+// Order returns the inner order when it has shifted by at least 0.25
+// since the last emission, nil otherwise.
 func (p *Hysteresis) Order() []int {
 	order := p.Inner.Order()
 	if order == nil {
@@ -209,22 +195,14 @@ func (p *Hysteresis) Order() []int {
 		p.last = order
 		return order
 	}
-	if rankShift(p.last, order) >= p.minShift() {
+	if rankShift(p.last, order) >= minShift {
 		p.last = order
 		return order
 	}
 	return nil
 }
 
-// minShift is the emission threshold in force.
-func (p *Hysteresis) minShift() float64 {
-	if p.MinShift == 0 {
-		return 0.25
-	}
-	return p.MinShift
-}
-
-func (p *Hysteresis) String() string { return fmt.Sprintf("%v+hys(%g)", p.Inner, p.minShift()) }
+func (p *Hysteresis) String() string { return fmt.Sprintf("%v+hys(%g)", p.Inner, minShift) }
 
 // rankShift is the largest absolute rank displacement between two
 // permutations of the same ids, normalized by the length: 0 for equal

@@ -46,10 +46,7 @@ type Client struct {
 	left    bool
 	id      int
 	p       int
-	degree  int
 	episode uint64
-	epoch   uint64
-	sigma   float64
 	err     error
 }
 
@@ -108,7 +105,6 @@ func (c *Client) JoinAs(session string, p, id int) error {
 	c.joined = true
 	c.id = resp.ID
 	c.p = resp.P
-	c.degree = resp.Degree
 	c.episode = resp.Episode
 	return nil
 }
@@ -125,16 +121,6 @@ func (c *Client) Participants() int { return c.p }
 // join's episode, advancing by one per release. Ledger-keeping callers
 // (the acceptance suites) read it to key contributions by episode.
 func (c *Client) Episode() uint64 { return c.episode }
-
-// Epoch returns the session's configuration epoch as of the last release.
-func (c *Client) Epoch() uint64 { return c.epoch }
-
-// Degree returns the tree degree of the upcoming episode, as of the last
-// release (or the join).
-func (c *Client) Degree() int { return c.degree }
-
-// Sigma returns the session's σ estimate as of the last release, seconds.
-func (c *Client) Sigma() float64 { return c.sigma }
 
 // Err returns the sticky error, or nil while the client is healthy.
 func (c *Client) Err() error { return c.err }
@@ -224,12 +210,9 @@ func (c *Client) Await() (Release, error) {
 	switch f.Type {
 	case wire.TypeRelease, wire.TypeResult:
 		c.episode = f.Episode + 1
-		c.degree = f.Degree
 		if f.P > 0 {
 			c.p = f.P
 		}
-		c.epoch = f.Epoch
-		c.sigma = f.Sigma
 		rel := Release{Episode: f.Episode, Degree: f.Degree, P: f.P, Epoch: f.Epoch, Spread: f.Spread, Sigma: f.Sigma}
 		if f.Type == wire.TypeResult {
 			rel.Result = append([]byte(nil), f.Data...)

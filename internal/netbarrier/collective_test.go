@@ -313,8 +313,8 @@ func TestAcceptanceElasticAllReduce(t *testing.T) {
 	if mismatches > 0 {
 		t.Fatalf("%d of %d episodes diverged from the sequential fold", mismatches, len(results))
 	}
-	t.Logf("collective acceptance: %d episodes verified against client ledgers, final membership %d, %d rebuilds",
-		len(results), st.P, st.Reconfig.Rebuilds)
+	t.Logf("collective acceptance: %d episodes verified against client ledgers, final membership %d, epoch %d",
+		len(results), st.P, st.Reconfig.LastPlan.Epoch)
 }
 
 // benchAllReduce measures full collective episodes — every client

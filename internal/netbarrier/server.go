@@ -45,7 +45,9 @@ type Options struct {
 	// boundary instead of refused, Leaves shrink the cohort at the next
 	// boundary instead of stalling it, and the first joiner's participant
 	// count is only the initial cohort size. Member ids are re-assigned
-	// densely at each boundary.
+	// densely at each boundary. It applies to client sessions only: an
+	// inter-shard session keeps fixed membership, so each leaf keeps the
+	// slot its shard id names in the root's ascending-id fold.
 	Elastic bool
 	// Tc is the counter-update cost fed to the analytic model, seconds;
 	// 0 selects the paper's 20µs. Negative or NaN panics in NewServer.
@@ -244,9 +246,8 @@ func (s *Server) retire(sess *session) {
 		delete(s.sessions, sess.name)
 	}
 	s.mu.Unlock()
-	st := sess.tree.ReconfigStats()
-	s.opt.logf("session %s: retired after %d episodes (%d epochs, %d rebuilds)",
-		sess.name, sess.episode.Load(), st.Epochs, st.Rebuilds)
+	s.opt.logf("session %s: retired after %d episodes at epoch %d",
+		sess.name, sess.episode.Load(), sess.tree.Epoch())
 }
 
 // SessionStats is a live snapshot of one session, for operational

@@ -33,8 +33,8 @@ func (f observerFunc) Episode(st softbarrier.EpisodeStats) { f(st) }
 // reaches it. (That Arrive can reach the tree before its gate has opened;
 // the tree holds it until it has.)
 //
-// Elastic sessions (Options.Elastic) treat membership as part of the
-// epoch: a Leave drops the member at the next boundary (the session
+// Elastic sessions (Options.Elastic; client sessions only) treat
+// membership as part of the epoch: a Leave drops the member at the next boundary (the session
 // proxy-arriving for a leaver that had not arrived yet, so the in-flight
 // episode still completes), and a join against a full session parks on
 // the pending list until the boundary admits it. The boundary re-assigns
@@ -100,7 +100,7 @@ func newSession(srv *Server, name string, p int, shard bool) *session {
 	s := &session{
 		name:    name,
 		srv:     srv,
-		elastic: srv.opt.Elastic,
+		elastic: srv.opt.Elastic && !shard, // a shard's id is its slot in the fold
 		shard:   shard,
 		members: make([]*srvConn, p),
 	}
@@ -121,13 +121,11 @@ func newSession(srv *Server, name string, p int, shard bool) *session {
 	if opt.Placement != nil {
 		opts = append(opts, softbarrier.WithPlacementPolicy(opt.Placement()))
 	}
-	s.fleetEst.Init(rt.DefaultSigmaWeight)
-	degree, _ := softbarrier.RecommendConfig(softbarrier.Profile{P: p, Sigma: opt.InitialSigma, Tc: opt.Tc})
+	s.fleetEst.Init()
 	s.tree = softbarrier.NewReconfigurable(p, softbarrier.ReconfigConfig{
-		ReplanEvery:   opt.ReplanEvery,
-		Tc:            opt.Tc,
-		InitialSigma:  opt.InitialSigma,
-		InitialDegree: degree,
+		ReplanEvery:  opt.ReplanEvery,
+		Tc:           opt.Tc,
+		InitialSigma: opt.InitialSigma,
 	}, opts...)
 	if up := opt.Upstream; up != nil {
 		// Open dials nothing (the first Arrive does). The failure hook is

@@ -239,8 +239,8 @@ func TestBoundaryFixedEqualsIdleElastic(t *testing.T) {
 				sess.arrive(m, &wire.Frame{Type: wire.TypeArrive, Episode: ep})
 			}
 		}
-		if st := sess.stats(); st.Episode != episodes || st.Reconfig.Epochs < 2 {
-			t.Fatalf("elastic=%v: %d episodes, %d epochs — the run must cross a re-plan", elastic, st.Episode, st.Reconfig.Epochs)
+		if st := sess.stats(); st.Episode != episodes || st.Reconfig.LastPlan.Epoch < 1 {
+			t.Fatalf("elastic=%v: %d episodes, epoch %d — the run must cross a re-plan", elastic, st.Episode, st.Reconfig.LastPlan.Epoch)
 		}
 		out := make([][]wire.Frame, p)
 		for i, c := range conns {

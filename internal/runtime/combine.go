@@ -63,12 +63,16 @@ func cellStride(width int) int { return (width + CacheLine - 1) &^ (CacheLine - 
 
 // Reducer carries the payload side of a combining-tree episode: padded
 // per-participant deposit cells, padded input cells for the fold during
-// the ascent, and the published per-episode result. It is the payload twin
-// of the Recorder and inherits its memory-safety argument wholesale:
+// the ascent, and the published per-episode result. It is the payload
+// twin of the Recorder and inherits its memory-safety argument wholesale:
 // deposit cells and results are double-buffered by episode parity, a
 // participant racing ahead into episode k+1 uses the other buffer, and
 // nobody can reach episode k+2 (parity of k) before the episode-k releaser
 // — who folds and publishes before opening the gate — is done.
+//
+// A broadcast goes through deposit cell 0. A commutative op reduces
+// through the input cells alone, so that is its only deposit, and its
+// reducer has one deposit cell per parity instead of one per participant.
 //
 // Input cells need no parity and no lock. There is one per tree input
 // (each participant at its first counter, each counter at its parent) and
@@ -91,7 +95,7 @@ type Reducer struct {
 	kern   kernel // noKernel: the byte path
 	stride int    // words per cell
 	p      int
-	cells  [2][]uint64 // p cells each; deposit slots, owner-written
+	cells  [2][]uint64 // p cells each (1 for a commutative op); deposit slots, owner-written
 	in     []uint64    // inputs+1 cells; input cells, then the output cell
 	res    [2][]byte   // width each; releaser-written, parity-stable across Resize
 }
@@ -121,6 +125,9 @@ func NewReducer(op Op, p, inputs int) *Reducer {
 func (r *Reducer) alloc(p, inputs int) {
 	r.p = p
 	n := p * r.stride
+	if r.op.Commutative {
+		n = r.stride
+	}
 	cells := make([]uint64, 2*n+(inputs+1)*r.stride)
 	r.cells = [2][]uint64{cells[:n:n], cells[n : 2*n : 2*n]}
 	r.in = cells[2*n:]

@@ -65,6 +65,9 @@ func TestReducerGreedyPath(t *testing.T) {
 	}
 	// A nil put is the identity: a plain arrival folds in as nothing.
 	sum := NewReducer(sumOp(), 3, 3)
+	if len(sum.cells[0]) != sum.stride {
+		t.Fatalf("commutative reducer has %d deposit words per parity, want one cell of %d", len(sum.cells[0]), sum.stride)
+	}
 	buf := make([]byte, 8)
 	for in, v := range []uint64{10, 0, 3000} {
 		binary.BigEndian.PutUint64(buf, v)
@@ -116,7 +119,9 @@ func TestReducerCellsPathDeterministic(t *testing.T) {
 }
 
 func TestReducerParityAndResize(t *testing.T) {
-	r := NewReducer(sumOp(), 2, 1)
+	op := sumOp()
+	op.Commutative = false // deposited and folded in id order
+	r := NewReducer(op, 2, 1)
 	buf := make([]byte, 8)
 	binary.BigEndian.PutUint64(buf, 41)
 	r.Deposit(0, 0, buf)

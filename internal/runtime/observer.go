@@ -24,16 +24,14 @@ type EpisodeStats struct {
 	// Swaps is the barrier's cumulative placement-swap count (dynamic
 	// placement barriers; zero elsewhere).
 	Swaps uint64
-	// Adaptations is the barrier's cumulative tree-rebuild count (the
-	// reconfigurable barrier's epoch; zero elsewhere).
-	Adaptations uint64
 	// Degree is the current combining-tree degree (zero for degree-free
 	// barriers such as central, dissemination and tournament).
 	Degree int
-	// Epoch is the barrier's 0-based configuration epoch (reconfigurable
-	// barriers; zero elsewhere). It increments when a rebuild is applied
-	// at the episode's release point, so the emitting episode already ran
-	// the configuration of the *previous* epoch.
+	// Epoch is the barrier's 0-based configuration epoch, which is also
+	// its cumulative tree-rebuild count (reconfigurable barriers; zero
+	// elsewhere). It increments when a rebuild is applied at the episode's
+	// release point, so the emitting episode already ran the configuration
+	// of the *previous* epoch.
 	Epoch uint64
 }
 
@@ -50,8 +48,7 @@ type Observer interface {
 // Recorder.Emit; barriers without the corresponding feature leave the
 // fields zero.
 type Extra struct {
-	Swaps       uint64
-	Adaptations uint64
-	Degree      int
-	Epoch       uint64
+	Swaps  uint64
+	Degree int
+	Epoch  uint64
 }

@@ -126,18 +126,23 @@ func TestKernelChosenByFoldNotName(t *testing.T) {
 
 // TestReducerWordPathMatchesBytePath drives a word-path Reducer and its
 // byte-path twin through the same puts, deposits, folds and publishes,
-// and requires the same bytes out of every one.
+// and requires the same bytes out of every one. The id-order fold runs on
+// a non-commutative copy of each op, the only kind that deposits every
+// participant's contribution.
 func TestReducerWordPathMatchesBytePath(t *testing.T) {
 	const p, inputs, rounds = 9, 12, 300
 	rng := rand.New(rand.NewSource(1))
 	for _, b := range builtins {
 		op := b.mk()
+		ordered := op
+		ordered.Commutative = false
 		word, ref := NewReducer(op, p, inputs), NewReducer(byteTwin(op), p, inputs)
-		if word.kern != b.kern || ref.kern != noKernel {
-			t.Fatalf("%s: kernels %d and %d", op.Name, word.kern, ref.kern)
+		wordIO, refIO := NewReducer(ordered, p, inputs), NewReducer(byteTwin(ordered), p, inputs)
+		if word.kern != b.kern || ref.kern != noKernel || wordIO.kern != b.kern || refIO.kern != noKernel {
+			t.Fatalf("%s: kernels %d, %d, %d and %d", op.Name, word.kern, ref.kern, wordIO.kern, refIO.kern)
 		}
 		buf, got, want := make([]byte, 8), make([]byte, 8), make([]byte, 8)
-		check := func(what string, parity uint64) {
+		check := func(what string, parity uint64, word, ref *Reducer) {
 			t.Helper()
 			if !bytes.Equal(word.Result(parity), ref.Result(parity)) {
 				t.Fatalf("%s %s: word path %x, byte path %x", op.Name, what, word.Result(parity), ref.Result(parity))
@@ -161,8 +166,8 @@ func TestReducerWordPathMatchesBytePath(t *testing.T) {
 			}
 			for id := 0; id < p; id++ {
 				binary.BigEndian.PutUint64(buf, randomWord(rng))
-				word.Deposit(parity, id, buf)
-				ref.Deposit(parity, id, buf)
+				wordIO.Deposit(parity, id, buf)
+				refIO.Deposit(parity, id, buf)
 			}
 			// Two nodes of random fan-in fold into a root, which folds
 			// into the output cell.
@@ -174,16 +179,23 @@ func TestReducerWordPathMatchesBytePath(t *testing.T) {
 				r.FoldInputs(inputs-2, 2, inputs)
 				r.PublishOutput(parity)
 			}
-			check("ascent", parity)
+			check("ascent", parity, word, ref)
 			n := 1 + rng.Intn(p)
-			if w, r := word.FinishCells(parity, n), ref.FinishCells(parity, n); !bytes.Equal(w, r) {
+			if w, r := wordIO.FinishCells(parity, n), refIO.FinishCells(parity, n); !bytes.Equal(w, r) {
 				t.Fatalf("%s id order over %d: word path %x, byte path %x", op.Name, n, w, r)
 			}
-			check("id order", parity)
+			check("id order", parity, wordIO, refIO)
 			id := rng.Intn(p)
-			word.PublishCell(parity, id)
-			ref.PublishCell(parity, id)
-			check("broadcast", parity)
+			wordIO.PublishCell(parity, id)
+			refIO.PublishCell(parity, id)
+			check("broadcast", parity, wordIO, refIO)
+			// A commutative op's one deposit cell, a broadcast's.
+			binary.BigEndian.PutUint64(buf, randomWord(rng))
+			word.Deposit(parity, 0, buf)
+			ref.Deposit(parity, 0, buf)
+			word.PublishCell(parity, 0)
+			ref.PublishCell(parity, 0)
+			check("commutative broadcast", parity, word, ref)
 		}
 	}
 }

@@ -201,7 +201,6 @@ func (r *Recorder) Emit(m Measurement, ex Extra) {
 		Spread:       m.Spread,
 		SyncDelay:    delay,
 		Swaps:        ex.Swaps,
-		Adaptations:  ex.Adaptations,
 		Degree:       ex.Degree,
 		Epoch:        ex.Epoch,
 	})

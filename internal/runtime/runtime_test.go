@@ -264,7 +264,7 @@ func TestSigmaEstimatorConcurrentObserve(t *testing.T) {
 	// All observations equal: the EWMA fixed point is the value itself, so
 	// any lost update or double-seed shows up as a wrong count or σ.
 	var e SigmaEstimator
-	e.Init(0.25)
+	e.Init()
 	const goroutines, perG = 8, 500
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
@@ -287,7 +287,7 @@ func TestSigmaEstimatorConcurrentObserve(t *testing.T) {
 
 func TestSigmaEstimatorEWMA(t *testing.T) {
 	var e SigmaEstimator
-	e.Init(0.5)
+	e.Init()
 	if e.Sigma() != 0 || e.Episodes() != 0 {
 		t.Fatal("fresh estimator not zero")
 	}
@@ -295,9 +295,9 @@ func TestSigmaEstimatorEWMA(t *testing.T) {
 	if got := e.Sigma(); got != 4 {
 		t.Fatalf("after seed: σ = %v, want 4", got)
 	}
-	e.Observe(8) // 0.5*4 + 0.5*8 = 6
-	if got := e.Sigma(); math.Abs(got-6) > 1e-12 {
-		t.Fatalf("after second observation: σ = %v, want 6", got)
+	e.Observe(8) // 0.8*4 + 0.2*8 = 4.8
+	if got := e.Sigma(); math.Abs(got-4.8) > 1e-12 {
+		t.Fatalf("after second observation: σ = %v, want 4.8", got)
 	}
 	if e.Episodes() != 2 {
 		t.Fatalf("episodes = %d, want 2", e.Episodes())
@@ -306,7 +306,7 @@ func TestSigmaEstimatorEWMA(t *testing.T) {
 
 func TestSigmaEstimatorDefaultWeight(t *testing.T) {
 	var e SigmaEstimator
-	e.Init(0) // out of range → default
+	e.Init()
 	e.Observe(1)
 	e.Observe(0)
 	want := (1 - DefaultSigmaWeight) * 1.0

@@ -16,9 +16,8 @@ const DefaultSigmaWeight = 0.2
 // concurrent observers (several barriers sharing one estimator, or an
 // estimator fed from outside the release path) cannot lose updates.
 type SigmaEstimator struct {
-	weight float64
-	bits   atomic.Uint64 // math.Float64bits of the current estimate
-	n      atomic.Uint64
+	bits atomic.Uint64 // math.Float64bits of the current estimate
+	n    atomic.Uint64
 }
 
 // unseededBits marks an estimator that has not observed anything yet: a
@@ -28,25 +27,20 @@ type SigmaEstimator struct {
 // observations cannot overwrite each other.
 const unseededBits = 0x7ff8_0000_0000_0001
 
-// Init sets the EWMA weight; values outside (0, 1] select
-// DefaultSigmaWeight. The zero estimator must be initialized before use.
-func (e *SigmaEstimator) Init(weight float64) {
-	if weight <= 0 || weight > 1 {
-		weight = DefaultSigmaWeight
-	}
-	e.weight = weight
-	e.bits.Store(unseededBits)
-}
+// Init marks the estimator unseeded. The zero estimator must be
+// initialized before use.
+func (e *SigmaEstimator) Init() { e.bits.Store(unseededBits) }
 
-// Observe folds one episode's spread (seconds) into the estimate. The
-// first observation seeds the EWMA directly. Concurrent observers are
+// Observe folds one episode's spread (seconds) into the estimate with
+// weight DefaultSigmaWeight. The first observation seeds the EWMA
+// directly. Concurrent observers are
 // safe: the whole load-fold-store is retried on interference.
 func (e *SigmaEstimator) Observe(spread float64) {
 	for {
 		old := e.bits.Load()
 		cur := spread
 		if old != unseededBits {
-			cur = (1-e.weight)*math.Float64frombits(old) + e.weight*spread
+			cur = (1-DefaultSigmaWeight)*math.Float64frombits(old) + DefaultSigmaWeight*spread
 		}
 		if e.bits.CompareAndSwap(old, math.Float64bits(cur)) {
 			e.n.Add(1)

@@ -15,8 +15,6 @@ type FleetOptions struct {
 	// Net configures every leaf's local server (op, watchdog, planner
 	// knobs). The root runs the same options minus Upstream.
 	Net netbarrier.Options
-	// RootNet, when non-nil, overrides the root server's options.
-	RootNet *netbarrier.Options
 	// Transport is the network the whole fleet runs over — the root and
 	// leaf listeners, and the leaf→root links. Nil selects Net.Transport,
 	// then loopback TCP; an in-process fleet (tests, chaos runs) passes a
@@ -60,9 +58,6 @@ func StartFleet(opt FleetOptions) (*Fleet, error) {
 		n = 2
 	}
 	rootOpt := opt.Net
-	if opt.RootNet != nil {
-		rootOpt = *opt.RootNet
-	}
 	rootOpt.Upstream = nil
 	tr := opt.transport()
 	opt.Net.Transport = tr // every leaf listens and dials through it

@@ -542,9 +542,8 @@ func TestTCPSmokeHierarchicalEpisodes(t *testing.T) {
 func TestLeafElasticBoundary(t *testing.T) {
 	const session = "leaf-elastic"
 	f := startFleet(t, FleetOptions{
-		Leaves:  2,
-		Net:     netbarrier.Options{Elastic: true, ReplanEvery: 2, Watchdog: 10 * time.Second},
-		RootNet: &netbarrier.Options{Watchdog: 10 * time.Second},
+		Leaves: 2,
+		Net:    netbarrier.Options{Elastic: true, ReplanEvery: 2, Watchdog: 10 * time.Second},
 	})
 	addrs := f.LeafAddrs()
 	type member struct {

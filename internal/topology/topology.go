@@ -367,8 +367,8 @@ func (t *Tree) layLayers(base int, sizes []int, d, lift, ring int, ints *intAren
 	id := base
 	for level, n := range sizes {
 		for i := 0; i < n; i++ {
-			c := &t.Counters[id+i]
-			*c = Counter{ID: id + i, Level: level + lift, Parent: NoCounter, Local: NoProc, RingID: ring}
+			c := &t.Counters[id+i] // zeroed by newTree: no struct copy
+			c.ID, c.Level, c.Parent, c.Local, c.RingID = id+i, level+lift, NoCounter, NoProc, ring
 			if level > 0 {
 				lo := below + i*d
 				c.Children = ints.take(min(d, id-lo))

@@ -9,8 +9,8 @@ import (
 // EpisodeStats is one completed barrier episode's telemetry: episode
 // index, first/last arrival timestamps (nanoseconds on the barrier's
 // monotonic clock), the measured arrival spread σ (seconds), the
-// synchronization delay (release − last arrival, seconds), and the
-// barrier's cumulative swap/adaptation counters. See the field
+// synchronization delay (release − last arrival, seconds), the barrier's
+// cumulative swap count and its configuration epoch. See the field
 // documentation in internal/runtime.
 type EpisodeStats = rt.EpisodeStats
 
@@ -30,21 +30,21 @@ type Observer = rt.Observer
 type Aggregate struct {
 	est rt.SigmaEstimator
 
-	mu          sync.Mutex
-	episodes    uint64
-	p           int
-	spreadSum   float64
-	syncSum     float64
-	syncMax     float64
-	swaps       uint64
-	adaptations uint64
-	degree      int
+	mu        sync.Mutex
+	episodes  uint64
+	p         int
+	spreadSum float64
+	syncSum   float64
+	syncMax   float64
+	swaps     uint64
+	epoch     uint64
+	degree    int
 }
 
-// NewAggregate returns an empty aggregate using the default EWMA weight.
+// NewAggregate returns an empty aggregate.
 func NewAggregate() *Aggregate {
 	a := &Aggregate{}
-	a.est.Init(0)
+	a.est.Init()
 	return a
 }
 
@@ -60,7 +60,7 @@ func (a *Aggregate) Episode(st EpisodeStats) {
 		a.syncMax = st.SyncDelay
 	}
 	a.swaps = st.Swaps
-	a.adaptations = st.Adaptations
+	a.epoch = st.Epoch
 	a.degree = st.Degree
 	a.mu.Unlock()
 }
@@ -86,12 +86,12 @@ type AggregateSummary struct {
 	MeanSyncDelay float64
 	// MaxSyncDelay is the largest observed sync delay, seconds.
 	MaxSyncDelay float64
-	// Swaps and Adaptations are the barrier's cumulative counters as of
-	// the last episode.
-	Swaps uint64
-	// Adaptations is the cumulative tree-rebuild count as of the last
+	// Swaps is the barrier's cumulative swap count as of the last
 	// episode.
-	Adaptations uint64
+	Swaps uint64
+	// Epoch is the barrier's configuration epoch as of the last episode,
+	// which is also its cumulative tree-rebuild count.
+	Epoch uint64
 	// Degree is the tree degree reported by the last episode (0 for
 	// degree-free barriers).
 	Degree int
@@ -107,7 +107,7 @@ func (a *Aggregate) Summary() AggregateSummary {
 		Sigma:        a.est.Sigma(),
 		MaxSyncDelay: a.syncMax,
 		Swaps:        a.swaps,
-		Adaptations:  a.adaptations,
+		Epoch:        a.epoch,
 		Degree:       a.degree,
 	}
 	if a.episodes > 0 {

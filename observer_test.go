@@ -90,7 +90,7 @@ func TestObserverEpisodeStats(t *testing.T) {
 
 // TestObserverSeesSwapsAndAdaptations checks the barrier-specific Extra
 // fields flow through: dynamic reports cumulative swaps, adaptive reports
-// its adaptation count and current degree.
+// its epoch (its adaptation count) and current degree.
 func TestObserverSeesSwapsAndAdaptations(t *testing.T) {
 	const p, episodes = 4, 8
 	run := func(bar Barrier, obs *recordingObserver) []EpisodeStats {
@@ -128,8 +128,8 @@ func TestObserverSeesSwapsAndAdaptations(t *testing.T) {
 	if last.Degree != ad.Degree() {
 		t.Errorf("adaptive: final event degree %d, barrier degree %d", last.Degree, ad.Degree())
 	}
-	if last.Adaptations != ad.Adaptations() {
-		t.Errorf("adaptive: final event adaptations %d, barrier reports %d", last.Adaptations, ad.Adaptations())
+	if last.Epoch != ad.Epoch() {
+		t.Errorf("adaptive: final event epoch %d, barrier reports %d", last.Epoch, ad.Epoch())
 	}
 }
 

@@ -61,8 +61,9 @@ func (o options) recorder(p int, every uint64) *rt.Recorder {
 
 // WithObserver installs obs to receive one EpisodeStats per completed
 // episode: episode index, first/last arrival, measured spread σ, sync
-// delay, and the barrier's swap/adaptation counters. Without this option
-// the telemetry path is disabled entirely and costs nothing per episode.
+// delay, and the barrier's swap count, degree and epoch. Without this
+// option the telemetry path is disabled entirely and costs nothing per
+// episode.
 func WithObserver(obs Observer) Option {
 	return func(o *options) { o.observer = obs }
 }

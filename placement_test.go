@@ -138,16 +138,12 @@ func TestReconfigurablePredictivePlacement(t *testing.T) {
 	if !ok {
 		t.Fatal("no ewma policy")
 	}
-	// Pin the degree at 2 (MinDegreeDelta larger than any possible move
-	// suppresses degree rebuilds) so the MCS epochs keep their depth
-	// diversity — the thing placement exploits — and the policy's orders
-	// flow through the placement-only rebuild path
-	// (ReconfigStats.Placements) instead of riding a degree change.
-	b := NewReconfigurable(p, ReconfigConfig{
-		ReplanEvery:    2,
-		InitialDegree:  2,
-		MinDegreeDelta: 64,
-	}, WithPlacementPolicy(mk()))
+	// Pin the degree at 2 (against pinTc every measured spread is
+	// simultaneous arrival) so the MCS epochs keep their depth diversity —
+	// the thing placement exploits — and the policy's orders flow through
+	// the placement-only rebuild path (ReconfigStats.Placements) instead of
+	// riding a degree change.
+	b := NewReconfigurable(p, ReconfigConfig{ReplanEvery: 2, Tc: pinTc}, WithPlacementPolicy(mk()))
 
 	episode := func(straggler int) {
 		var wg sync.WaitGroup

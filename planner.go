@@ -45,15 +45,15 @@ type Recommendation struct {
 	Rationale string
 }
 
-// RecommendConfig is the planner's decision procedure without the prose:
-// the analytic model (§3–4) picks the tree degree from (p, σ, t_c), and
-// dynamic placement (§5) is enabled exactly when the arrival order is
-// predictable — systemic imbalance, or slack comfortably exceeding the
-// per-iteration spread (the Fig. 5/8/13 condition; below that threshold
-// dynamic placement measured slower than static). It allocates nothing,
-// so a caller may re-plan with it every episode. It panics for P < 1 or
-// negative quantities.
-func RecommendConfig(pr Profile) (degree int, dynamic bool) {
+// Recommend is the planner's decision procedure, explained for logs and
+// humans: the analytic model (§3–4) picks the tree degree from (p, σ, t_c)
+// (OptimalDegree, which allocates nothing and is what a running
+// ReconfigurableBarrier re-plans with), and dynamic placement (§5) is
+// enabled exactly when the arrival order is predictable — systemic
+// imbalance, or slack comfortably exceeding the per-iteration spread (the
+// Fig. 5/8/13 condition; below that threshold dynamic placement measured
+// slower than static). It panics for P < 1 or negative quantities.
+func Recommend(pr Profile) Recommendation {
 	if pr.P < 1 {
 		panic("softbarrier: profile needs at least one participant")
 	}
@@ -64,22 +64,10 @@ func RecommendConfig(pr Profile) (degree int, dynamic bool) {
 	if tc == 0 {
 		tc = model.DefaultTc
 	}
-	degree = OptimalDegree(pr.P, pr.Sigma, tc)
 	// The §7 measurements put the static/dynamic crossover near the point
 	// where the slack covers a few arrival spreads; require 2σ.
 	predictable := pr.Systemic || (pr.Slack > 0 && pr.Slack >= 2*pr.Sigma)
-	return degree, predictable && pr.P > 1
-}
-
-// Recommend is RecommendConfig with the reasoning attached: the same
-// decisions, explained for logs and humans.
-func Recommend(pr Profile) Recommendation {
-	tc := pr.Tc
-	if tc == 0 {
-		tc = model.DefaultTc
-	}
-	degree, dynamic := RecommendConfig(pr)
-	rec := Recommendation{Degree: degree, Dynamic: dynamic}
+	rec := Recommendation{Degree: OptimalDegree(pr.P, pr.Sigma, tc), Dynamic: predictable && pr.P > 1}
 	rationale := fmt.Sprintf("degree %d from the analytic model (p=%d, σ=%.3gs, t_c=%.3gs)",
 		rec.Degree, pr.P, pr.Sigma, tc)
 	if rec.Dynamic {

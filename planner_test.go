@@ -259,44 +259,6 @@ func TestRecommendMeasuredClamps(t *testing.T) {
 	}
 }
 
-// TestRecommendConfigMatchesRecommend pins the allocation-free path to the
-// full recommendation: same degree, same dynamic decision, across the
-// profile space.
-func TestRecommendConfigMatchesRecommend(t *testing.T) {
-	profiles := []Profile{
-		{P: 1},
-		{P: 2, Sigma: 1e-4},
-		{P: 64, Sigma: 0, Tc: 20e-6},
-		{P: 64, Sigma: 100 * 20e-6, Tc: 20e-6},
-		{P: 64, Sigma: 1e-4, Systemic: true},
-		{P: 64, Sigma: 1e-3, Slack: 1e-3},
-		{P: 64, Sigma: 1e-3, Slack: 5e-3},
-		{P: 1024, Sigma: 3e-4},
-	}
-	for _, pr := range profiles {
-		rec := Recommend(pr)
-		degree, dynamic := RecommendConfig(pr)
-		if degree != rec.Degree || dynamic != rec.Dynamic {
-			t.Errorf("RecommendConfig(%+v) = (%d, %v), want Recommend's (%d, %v)",
-				pr, degree, dynamic, rec.Degree, rec.Dynamic)
-		}
-	}
-}
-
-// TestRecommendConfigZeroAlloc gates the hot re-plan path: netbarrier
-// sessions and reconfigurable barriers consult the recommender on the
-// steady-state release path (default cadence: every episode), so it must
-// stay off the heap.
-func TestRecommendConfigZeroAlloc(t *testing.T) {
-	pr := Profile{P: 64, Sigma: 3e-4, Tc: 20e-6, Slack: 1e-3}
-	avg := testing.AllocsPerRun(100, func() {
-		RecommendConfig(pr)
-	})
-	if avg != 0 {
-		t.Fatalf("RecommendConfig allocated %.2f times/op, want 0", avg)
-	}
-}
-
 // TestOptimalDegreeZeroAlloc gates a re-plan: after the first call for a
 // cohort size has built its model table, OptimalDegree allocates nothing.
 func TestOptimalDegreeZeroAlloc(t *testing.T) {
@@ -305,18 +267,5 @@ func TestOptimalDegreeZeroAlloc(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, func() { OptimalDegree(p, 3e-4, 20e-6) }); avg != 0 {
 			t.Errorf("OptimalDegree(%d) allocated %.2f times/op after first use, want 0", p, avg)
 		}
-	}
-}
-
-func TestRecommendConfigPanics(t *testing.T) {
-	for _, pr := range []Profile{{P: 0}, {P: 4, Sigma: -1}, {P: 4, Tc: -1}, {P: 4, Slack: -1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("RecommendConfig(%+v) did not panic", pr)
-				}
-			}()
-			RecommendConfig(pr)
-		}()
 	}
 }

@@ -17,9 +17,9 @@ import (
 // Observer or a placement policy, otherwise only the one a re-plan reads);
 // on the replan cadence (and immediately when a membership change is
 // pending) it asks the analytic model (OptimalDegree) for the degree and,
-// when that moved by at least MinDegreeDelta or the membership changes,
-// builds the next epoch at the episode's quiescent point, before opening
-// the release gate. This is the run-time degree adaptation the paper's
+// when that or the membership changed, builds the next epoch at the
+// episode's quiescent point, before opening the release gate. The first
+// epoch is planned by the same model, from ReconfigConfig.InitialSigma. This is the run-time degree adaptation the paper's
 // conclusion proposes, extended to elastic membership:
 // Grow/Shrink/RequestResize queue a participant-count change that lands at
 // the next episode boundary, and Resize applies one immediately when the
@@ -50,7 +50,6 @@ type ReconfigurableBarrier struct {
 
 	// The re-plan rule, normalized from ReconfigConfig at construction.
 	replanEvery uint64
-	minDelta    int
 	tc          float64
 
 	// target is the membership the barrier is asked to run at — the one
@@ -66,7 +65,7 @@ type ReconfigurableBarrier struct {
 	place  PlacementPolicy
 	lagBuf []float64
 
-	_ [16]byte
+	_ [32]byte
 }
 
 // Eight whole cache lines, on purpose: 512 bytes is an allocation class
@@ -79,40 +78,29 @@ const (
 	_ = unsafe.Sizeof(ReconfigurableBarrier{}) - 512
 )
 
-// ReconfigConfig tunes a ReconfigurableBarrier's replan cadence, degree
-// damper and model inputs. The zero value re-plans every episode and
-// rebuilds on any degree change, starting at degree 4 with the paper's
-// 20µs counter cost.
+// ReconfigConfig tunes a ReconfigurableBarrier's replan cadence and model
+// inputs. The barrier rebuilds on any change of the model's degree; the
+// zero value re-plans every episode with the paper's 20µs counter cost and
+// starts at the model's degree for simultaneous arrivals.
 type ReconfigConfig struct {
 	// ReplanEvery is how many episodes pass between degree
 	// re-evaluations; 0 means every episode. With no Observer and no
 	// placement policy only the episode a re-evaluation reads is measured,
 	// so σ covers 1−0.8^k of a step in the imbalance after k of those.
 	ReplanEvery int
-	// MinDegreeDelta suppresses rebuilds whose recommended degree moved
-	// by less than this; 0 means any change rebuilds. Membership changes
-	// always rebuild.
-	MinDegreeDelta int
 	// Tc is the assumed counter update cost fed to the model, seconds;
 	// 0 selects the paper's 20µs.
 	Tc float64
 	// InitialSigma is the arrival spread assumed before any episode has
-	// been measured, seconds; negative panics, as a negative Tc does.
+	// been measured, seconds; the first epoch runs at the model's degree
+	// for it. Negative panics, as a negative Tc does.
 	InitialSigma float64
-	// InitialDegree is the starting tree degree; 0 selects 4 (the
-	// classic simultaneous-arrival optimum).
-	InitialDegree int
 }
 
 // ReconfigStats is the unified reconfiguration telemetry every elastic
 // barrier exposes — the in-process ReconfigurableBarrier and the
 // netbarrier sessions report the same shape.
 type ReconfigStats struct {
-	// Epochs is how many configurations the barrier has run, including
-	// the initial one: Rebuilds + 1.
-	Epochs uint64
-	// Rebuilds is how many times a new epoch replaced the running one.
-	Rebuilds uint64
 	// Evals counts measured episodes, the ones folded into σ: all of them
 	// with an Observer or a placement policy, else one per cadence re-plan.
 	Evals uint64
@@ -120,7 +108,8 @@ type ReconfigStats struct {
 	// slots re-ordered by a placement policy's predicted-straggler order.
 	Placements uint64
 	// LastPlan is the running epoch's plan; for a barrier that never
-	// re-planned it describes the initial configuration.
+	// re-planned it describes the initial configuration. Its Epoch is
+	// also how many times a new epoch replaced the running one.
 	LastPlan ReconfigPlan
 }
 
@@ -164,23 +153,16 @@ func NewReconfigurable(p int, cfg ReconfigConfig, opts ...Option) *Reconfigurabl
 	if cfg.InitialSigma < 0 {
 		panic("softbarrier: negative initial arrival spread")
 	}
-	if cfg.InitialDegree == 0 {
-		cfg.InitialDegree = 4
-	}
-	if cfg.InitialDegree < 2 {
-		panic("softbarrier: tree degree must be ≥ 2")
-	}
 	o := applyOptions(opts)
 	b := &ReconfigurableBarrier{
 		replanEvery: uint64(max(cfg.ReplanEvery, 1)),
-		minDelta:    max(cfg.MinDegreeDelta, 1),
 		tc:          cfg.Tc,
 		place:       o.placement,
 	}
 	b.elastic = b
 	b.target.Store(int64(p))
-	b.est.Init(rt.DefaultSigmaWeight)
-	first := b.newEpoch(nil, p, cfg.InitialDegree, nil)
+	b.est.Init()
+	first := b.newEpoch(nil, p, OptimalDegree(p, cfg.InitialSigma, cfg.Tc), nil)
 	first.sigma = cfg.InitialSigma
 	b.init(o, first)
 	return b
@@ -227,20 +209,14 @@ func (b *ReconfigurableBarrier) MeasuredSigma() (sigma float64, episodes uint64)
 	return b.est.Sigma(), b.est.Episodes()
 }
 
-// Adaptations returns how many times the barrier has rebuilt its tree
-// into a new epoch.
-func (b *ReconfigurableBarrier) Adaptations() uint64 { return b.state.Load().epoch }
-
-// ReconfigStats returns the unified reconfiguration telemetry: epoch and
-// rebuild counts plus the running epoch's plan (σ at plan time included).
-// It is safe from any goroutine and takes no lock: everything but
-// Placements and Evals is read off one published epoch, so the counts
-// always agree with each other.
+// ReconfigStats returns the unified reconfiguration telemetry: the
+// measured-episode and placement counts plus the running epoch's plan (σ
+// at plan time included). It is safe from any goroutine and takes no lock:
+// the plan is read off one published epoch, so its fields always agree
+// with each other.
 func (b *ReconfigurableBarrier) ReconfigStats() ReconfigStats {
 	st := b.state.Load()
 	return ReconfigStats{
-		Epochs:     st.epoch + 1,
-		Rebuilds:   st.epoch,
 		Evals:      b.est.Episodes(),
 		Placements: b.placements.Load(),
 		LastPlan: ReconfigPlan{
@@ -317,9 +293,9 @@ func (b *ReconfigurableBarrier) requestDelta(delta int) (int, error) {
 // estimate (and the per-participant lags into the placement policy) and
 // decides what the next episode runs on: a new epoch when a membership
 // change is queued, or when on the replan cadence the model's degree for
-// the measured σ moved by at least MinDegreeDelta; else, on the cadence,
-// the same epoch re-placed if the policy's predicted-straggler order
-// changed. Then it emits the episode's telemetry and opens the gate.
+// the measured σ moved; else, on the cadence, the same epoch re-placed if
+// the policy's predicted-straggler order changed. Then it emits the
+// episode's telemetry and opens the gate.
 func (b *ReconfigurableBarrier) release(st *treeEpoch) {
 	seq := b.gate.Seq()
 	b.nextGen = seq + 1
@@ -338,7 +314,7 @@ func (b *ReconfigurableBarrier) release(st *treeEpoch) {
 		degree, sigma := b.plan(st, p)
 		// Either branch consumes the policy's Order(), so at most once per
 		// release: hysteresis policies record what they emit.
-		if d := degree - st.tree.Degree; p != st.p || d >= b.minDelta || -d >= b.minDelta {
+		if p != st.p || degree != st.tree.Degree {
 			b.install(st, p, degree, sigma)
 		} else if order := policyOrder(b.place, p); order != nil && !sameOrder(order, st.order, p) {
 			b.reorder(st, order)
@@ -346,7 +322,7 @@ func (b *ReconfigurableBarrier) release(st *treeEpoch) {
 	}
 	if measured {
 		cur := b.state.Load()
-		b.rec.Emit(m, rt.Extra{Adaptations: cur.epoch, Degree: cur.tree.Degree, Epoch: cur.epoch})
+		b.rec.Emit(m, rt.Extra{Degree: cur.tree.Degree, Epoch: cur.epoch})
 	}
 	b.gate.Open()
 }

@@ -15,3 +15,5 @@ func (f *Fleet) LeafAddr(i int) string { return f.LeafAddrs()[i] }
 func (f *Fleet) LeafAddrs() []string { return nil }
 
 type Fleet struct{}
+
+type FleetOptions struct{ RootNet *int }

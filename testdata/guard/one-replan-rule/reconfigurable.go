@@ -6,6 +6,9 @@ import (
 )
 
 type ReconfigurableBarrier struct {
-	mu     locks.Mutex
-	degree atomic.Int32
+	mu       locks.Mutex
+	degree   atomic.Int32
+	minDelta int
 }
+
+type ReconfigConfig struct{ InitialDegree, MinDegreeDelta int }

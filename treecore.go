@@ -141,7 +141,9 @@ func newTreeEpoch(tree *topology.Tree, prev *treeEpoch, epochGen uint64) treeEpo
 		c, tc := &tree.Counters[i], &st.counters[i]
 		tc.fanIn, tc.parent, tc.in = int32(c.FanIn()), int32(c.Parent), inputs
 		inputs += tc.fanIn
-		tc.count.Store(startCount(tc.fanIn, epochGen))
+		if n := startCount(tc.fanIn, epochGen); n != 0 {
+			tc.count.Store(n) // the counter is fresh: 0 needs no store
+		}
 		tc.local, tc.destination = int32(c.Local), topology.NoCounter
 		tc.evicted.Store(topology.NoProc)
 	}
@@ -333,8 +335,10 @@ func (b *treeCore) arrive(id int, pl *payload) {
 	if pl != nil {
 		switch {
 		case pl.mode == collBcast:
+			// Deposit cell 0 carries a broadcast: a commutative op's
+			// reducer has no other.
 			if id == pl.root {
-				b.red.Deposit(gen, id, pl.data)
+				b.red.Deposit(gen, 0, pl.data)
 			}
 		case b.folding:
 			put = pl.data
@@ -379,7 +383,7 @@ func (b *treeCore) arrive(id int, pl *payload) {
 	if pl != nil {
 		switch {
 		case pl.mode == collBcast:
-			b.red.PublishCell(gen, pl.root)
+			b.red.PublishCell(gen, 0)
 		case b.folding:
 			b.red.PublishOutput(gen)
 		default:

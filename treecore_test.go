@@ -432,7 +432,7 @@ func TestCountersReverseSense(t *testing.T) {
 			s.episode(-1)
 		}},
 		{"degree-rebuild", func(p int, o ...Option) fuzzyCollective {
-			return NewReconfigurable(p, ReconfigConfig{ReplanEvery: 1, Tc: drivenTc, InitialDegree: 2}, append(o, clock)...)
+			return NewReconfigurable(p, ReconfigConfig{ReplanEvery: 1, Tc: drivenTc}, append(o, clock)...)
 		}, func(s *senseRun) {
 			b := s.b.(*ReconfigurableBarrier)
 			s.episode(-1)
@@ -443,11 +443,11 @@ func TestCountersReverseSense(t *testing.T) {
 			s.episode(-1)
 		}},
 		{"placement-reorder", func(p int, o ...Option) fuzzyCollective {
-			return NewReconfigurable(p, ReconfigConfig{ReplanEvery: 1, InitialDegree: 2, MinDegreeDelta: 64}, append(o, clock, WithPlacementPolicy(mk()))...)
+			return NewReconfigurable(p, ReconfigConfig{ReplanEvery: 1, Tc: pinTc}, append(o, clock, WithPlacementPolicy(mk()))...)
 		}, func(s *senseRun) {
 			b := s.b.(*ReconfigurableBarrier)
 			s.episode(p - 1) // the natural order has member 0 laggiest
-			if st := b.ReconfigStats(); st.Placements != 1 || st.Epochs != 1 {
+			if st := b.ReconfigStats(); st.Placements != 1 || st.LastPlan.Epoch != 0 {
 				s.t.Fatalf("generation 0 did not re-place: %+v", st)
 			}
 			s.episode(-1)
