@@ -135,7 +135,7 @@ func parseFlags(args []string) (*config, error) {
 	fs.BoolVar(&c.showTrace, "trace", false, "print the final episode's counter timeline")
 	fs.StringVar(&c.traceFile, "tracefile", "", "replay work times from a trace file (see record) instead of -sigma")
 	fs.StringVar(&c.placement, "placement", "", "predictive straggler-placement policy, one of: "+strings.Join(softbarrier.PlacementNames(), ", "))
-	fs.IntVar(&c.replan, "replan", 5, "episodes between placement re-plans (with -placement)")
+	fs.IntVar(&c.replan, "replan", 5, "episodes between placement re-plans (with -placement; 0 = every episode)")
 	fs.StringVar(&c.tree.kind, "tree", "classic", "tree kind: classic | mcs | ring")
 	fs.IntVar(&c.tree.rings, "rings", 2, "number of rings for -tree ring")
 	c.engine = cli.AddEngineFlags(fs)
@@ -153,6 +153,12 @@ func parseFlags(args []string) (*config, error) {
 	}
 	if c.episodes < 1 {
 		return nil, fmt.Errorf("-episodes must be positive, got %d", c.episodes)
+	}
+	if c.replan < 0 {
+		return nil, fmt.Errorf("-replan must be ≥ 0, got %d", c.replan)
+	}
+	if c.placement != "" && c.tree.kind == "ring" {
+		return nil, errors.New("-placement cannot re-place a ring tree (its slots are ring-constrained); use -tree classic or mcs")
 	}
 	return c, nil
 }
@@ -201,10 +207,11 @@ func simulate(c *config, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		pr := barriersim.RunPlacement(tree, cfg, w, mk(), c.replan, c.warmup, c.episodes, c.seed)
+		ctl := loadmodel.NewController(c.replan, c.tc.Seconds(), c.degree, mk())
+		pr := barriersim.RunPlanned(build, cfg, w, ctl, c.warmup, c.episodes, c.seed)
 		printTree()
 		fmt.Fprintf(stdout, "placement: %s, re-planned every %d episodes, %d rebuilds\n",
-			c.placement, c.replan, pr.Rebuilds)
+			c.placement, max(c.replan, 1), pr.Rebuilds)
 		fmt.Fprintf(stdout, "workload: %v, %d episodes after %d warm-up\n", w, c.episodes, c.warmup)
 		printDelay(pr.RunResult)
 		return nil

@@ -110,6 +110,8 @@ func TestCommandLineErrors(t *testing.T) {
 		{"record", "-workload", "sor", "-p", "7"},
 		{"-tracefile", filepath.Join(t.TempDir(), "missing.csv")},
 		{"-placement", "oracle"},
+		{"-p", "16", "-episodes", "2", "-tree", "ring", "-placement", "ewma"},
+		{"-p", "16", "-episodes", "2", "-placement", "ewma", "-replan", "-3"},
 	} {
 		if err := run(args, &strings.Builder{}); err == nil {
 			t.Errorf("barriersim %s succeeded, want an error", strings.Join(args, " "))

@@ -30,7 +30,7 @@ func driveRuntime(tree *topology.Tree, orders [][]int) []int {
 		}
 	}
 	st := b.state.Load()
-	out := make([]int, st.p)
+	out := make([]int, st.P)
 	for id := range out {
 		out[id] = st.home(id)
 	}

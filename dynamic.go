@@ -47,7 +47,7 @@ func NewDynamicFromTree(tree *topology.Tree, opts ...Option) *DynamicBarrier {
 	o := applyOptions(opts)
 	b := &DynamicBarrier{}
 	b.dynamic = true
-	b.init(o, newTreeEpoch(placeTree(tree, o.placeOrder), nil, 0))
+	b.init(o, newTreeEpoch(tree.MustPlaceByDepth(o.placeOrder), nil, 0))
 	return b
 }
 
@@ -62,7 +62,7 @@ func (b *DynamicBarrier) Swaps() uint64 { return b.swaps.Load() }
 // resolve it.
 func (b *DynamicBarrier) DepthOf(id int) int {
 	st := b.state.Load()
-	checkID(id, st.p)
+	checkID(id, st.P)
 	n := 0
 	for c := st.home(id); c != topology.NoCounter; c = int(st.counters[c].parent) {
 		n++

@@ -13,23 +13,7 @@ import (
 // The model is defined on full trees, so p is rounded up to the next power
 // of two for the estimation; the paper shows the delay curve is flat
 // enough around the optimum for this to cost only a few percent.
-func OptimalDegree(p int, sigma, tc float64) int {
-	if p < 2 {
-		return 2
-	}
-	pUp := 2
-	for pUp < p {
-		pUp *= 2
-	}
-	d := model.EstimateOptimalDegree(pUp, sigma, tc).Degree
-	if d > p {
-		d = p
-	}
-	if d < 2 {
-		d = 2
-	}
-	return d
-}
+func OptimalDegree(p int, sigma, tc float64) int { return model.OptimalDegree(p, sigma, tc) }
 
 // EstimateSyncDelay returns the analytic model's synchronization-delay
 // estimate (Algorithm 1) for p participants, tree degree d, arrival

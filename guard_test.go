@@ -53,17 +53,21 @@ var guards = []guard{
 	},
 	{
 		slug: "one-replan-rule",
-		rule: "one re-plan rule, inside ReconfigurableBarrier, on atomics",
+		rule: "one re-plan rule, in loadmodel's one controller, on atomics",
 		// netbarrier's non-test code builds no other tree and owns no
-		// re-plan loop; the controller package stays folded into the barrier;
-		// and the barrier's release path takes no lock of its own. The
-		// degree has one source, the model: it plans the first epoch like
-		// every later one, every change of it rebuilds (no damper), and no
-		// second entry point decides it for a caller.
+		// re-plan loop; no reconfig package comes back beside the
+		// controller; and neither the barrier's release path nor the
+		// controller takes a lock. The degree has one source, the model: it
+		// plans the first epoch like every later one, every change of it
+		// rebuilds (no damper), and no second entry point decides it for a
+		// caller. The live barrier, the simulator's one planned run loop and
+		// EXT3 all step loadmodel.Controller: no second placement loop, plan
+		// or order comparison.
 		bans: []ban{
 			{scope: scope{in: []string{"internal/netbarrier"}}, within: []string{"softbarrier/internal/reconfig", "NewCombiningTree", "NewMCSTree", "NewDynamic"}},
-			{scope: scope{in: []string{"reconfigurable.go"}}, imports: []string{"sync"}, names: []string{"minDelta"}},
-			{scope: scope{in: []string{"."}}, names: []string{"InitialDegree", "MinDegreeDelta", "RecommendConfig"}},
+			{scope: scope{in: []string{"reconfigurable.go", "internal/loadmodel/controller.go"}}, imports: []string{"sync"}},
+			{scope: scope{in: []string{"reconfigurable.go"}}, names: []string{"minDelta", "plan"}},
+			{scope: scope{in: []string{"."}}, names: []string{"InitialDegree", "MinDegreeDelta", "RecommendConfig", "RunPlacement", "orderEq", "sameOrder", "policyOrder"}},
 		},
 		deleted: []string{"internal/reconfig"},
 	},

@@ -24,6 +24,7 @@ package barriersim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"softbarrier/internal/eventsim"
 	"softbarrier/internal/loadmodel"
@@ -334,19 +335,74 @@ func RunIID(tree *topology.Tree, cfg Config, dist stats.Distribution, episodes i
 	})
 }
 
+// PolicyRun extends RunResult with what the controller of a planned run
+// decided.
+type PolicyRun struct {
+	RunResult
+	// Rebuilds counts the rebuilds the controller triggered, new epochs and
+	// re-placements alike (each discards counter-contention state, like
+	// the runtime's epoch swap).
+	Rebuilds int
+	// Plans holds, for every episode warm-up included, the plan its
+	// release chose for the next one.
+	Plans []loadmodel.Plan
+}
+
+// RunPlanned simulates episodes fed by gen on the trees ctl plans, the
+// loop a ReconfigurableBarrier runs live: after every episode the
+// controller is stepped with the episode's arrival spread and lags, and
+// when it decides on a new epoch or a new placement the tree is rebuilt
+// with build and re-placed with PlaceByDepth, putting predicted stragglers
+// in the shallowest slots. A controller with a pinned degree only places;
+// one with no policy either keeps the natural placement (pinned: the
+// static baseline, same workload, same seed) or only re-plans the degree.
+// The first warmup episodes (policy convergence) are excluded from the
+// aggregates.
+func RunPlanned(build TreeBuilder, cfg Config, gen loadmodel.Generator, ctl *loadmodel.Controller, warmup, episodes int, seed uint64) PolicyRun {
+	p := gen.P()
+	cur := ctl.Replan(loadmodel.Plan{}, p)
+	sim := New(build(p, cur.Degree), cfg)
+	pr := PolicyRun{Plans: make([]loadmodel.Plan, 0, warmup+episodes)}
+	r := stats.NewRNG(seed)
+	arrivals := make([]float64, p)
+	lags := make([]float64, p)
+	k := 0
+	pr.RunResult = sim.run(warmup, episodes, func() EpisodeResult {
+		gen.Times(k, r, arrivals)
+		er := sim.Episode(arrivals)
+		first := slices.Min(arrivals)
+		for i, a := range arrivals {
+			lags[i] = a - first
+		}
+		e := loadmodel.Episode{Seq: uint64(k), Spread: stats.StdDev(arrivals), Measured: true, Lags: lags, Target: p}
+		if ctl.Step(&cur, &e) != loadmodel.Same {
+			// In place: run's receiver is the simulator of the plan in force.
+			*sim = *New(build(cur.P, cur.Degree).MustPlaceByDepth(cur.Order), cfg)
+			pr.Rebuilds++
+		}
+		pr.Plans = append(pr.Plans, cur)
+		k++
+		return er
+	})
+	return pr
+}
+
 // run calls episode warmup+episodes times and aggregates the last
-// episodes results.
+// episodes results. An episode may replace *s (RunPlanned's rebuilds), so
+// each one's communications are counted against the tree it ran on.
 func (s *Sim) run(warmup, episodes int, episode func() EpisodeResult) RunResult {
 	if episodes <= 0 {
 		panic("barriersim: need at least one measured episode")
 	}
 	rr := RunResult{Episodes: episodes, SyncDelays: make([]float64, 0, episodes)}
-	comms := 0
+	comms, base := 0, 0
 	for k := 0; k < warmup+episodes; k++ {
+		ran := s.baseComms
 		er := episode()
 		if k < warmup {
 			continue
 		}
+		base += ran
 		rr.MeanSync += er.SyncDelay
 		rr.MeanUpdate += er.UpdateDelay
 		rr.MeanContention += er.ContentionDelay
@@ -361,6 +417,6 @@ func (s *Sim) run(warmup, episodes int, episode func() EpisodeResult) RunResult 
 	rr.MeanContention /= n
 	rr.MeanLastDepth /= n
 	rr.MeanSwaps /= n
-	rr.CommOverhead = float64(comms) / (n * float64(s.baseComms))
+	rr.CommOverhead = float64(comms) / float64(base)
 	return rr
 }

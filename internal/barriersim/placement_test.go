@@ -34,7 +34,7 @@ func TestRunPlacementPolicyComparison(t *testing.T) {
 	gen := straggler2()
 	cfg := Config{}
 
-	static := RunPlacement(tree, cfg, gen, nil, 5, warmup, episodes, seed)
+	static := RunPlanned(topology.NewMCS, cfg, gen, loadmodel.NewController(5, 0, tree.Degree, nil), warmup, episodes, seed)
 	if static.Rebuilds != 0 {
 		t.Fatalf("static run rebuilt %d times", static.Rebuilds)
 	}
@@ -43,7 +43,7 @@ func TestRunPlacementPolicyComparison(t *testing.T) {
 		if !ok {
 			t.Fatalf("no policy %q", name)
 		}
-		pr := RunPlacement(tree, cfg, gen, mk(), 5, warmup, episodes, seed)
+		pr := RunPlanned(topology.NewMCS, cfg, gen, loadmodel.NewController(5, 0, tree.Degree, mk()), warmup, episodes, seed)
 		ratio := static.MeanSync / pr.MeanSync
 		t.Logf("%-9s mean sync %7.1fµs (static %.1fµs, %.2fx), %d rebuilds",
 			name, pr.MeanSync*1e6, static.MeanSync*1e6, ratio, pr.Rebuilds)
@@ -83,7 +83,7 @@ func TestRunPlacementEWMAStability(t *testing.T) {
 		if !ok {
 			t.Fatalf("no policy %q", name)
 		}
-		pr := RunPlacement(tree, cfg, gen, mk(), 2, warmup, episodes, seed)
+		pr := RunPlanned(topology.NewMCS, cfg, gen, loadmodel.NewController(2, 0, tree.Degree, mk()), warmup, episodes, seed)
 		t.Logf("%-9s mean sync %7.1fµs, %d rebuilds", name, pr.MeanSync*1e6, pr.Rebuilds)
 		return pr
 	}
@@ -124,7 +124,7 @@ func BenchmarkPlacementPolicies(b *testing.B) {
 				if name != "static" {
 					pol = mk()
 				}
-				pr := RunPlacement(tree, Config{}, straggler2(), pol, 5, 20, 100, 7)
+				pr := RunPlanned(topology.NewMCS, Config{}, straggler2(), loadmodel.NewController(5, 0, tree.Degree, pol), 20, 100, 7)
 				sync = pr.MeanSync
 			}
 			b.ReportMetric(sync*1e9, "simsync-ns/op")

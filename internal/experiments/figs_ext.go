@@ -5,7 +5,6 @@ import (
 
 	"softbarrier/internal/barriersim"
 	"softbarrier/internal/loadmodel"
-	"softbarrier/internal/model"
 	"softbarrier/internal/stats"
 	"softbarrier/internal/topology"
 )
@@ -105,21 +104,21 @@ func Ext2(o Options) *Table {
 	return t
 }
 
-// ext3Phase describes one imbalance regime of the EXT3 scenario.
-type ext3Phase struct {
-	sigmaTc  float64
-	episodes int
-}
+// ext3Sigmas are the two imbalance regimes of the EXT3 scenario, in
+// units of t_c; each lasts Options.Episodes episodes.
+var ext3Sigmas = []float64{0.5, 50}
 
 // Ext3 demonstrates run-time degree adaptation (the paper's proposed
-// future work, §8): the workload's σ switches regime mid-run; an adaptive
-// policy re-estimates σ from observed arrivals (EWMA) every window and
-// rebuilds the tree with the model's degree. Its delay tracks the best
-// fixed degree of each regime instead of being wrong in one of them.
+// future work, §8): the workload's σ switches regime mid-run, and the
+// controller a ReconfigurableBarrier runs (loadmodel.Controller)
+// re-estimates σ from observed arrivals and re-plans the degree every 10
+// episodes. Its delay tracks the best fixed degree of each regime instead
+// of being wrong in one of them.
 //
 // EXT3 is deliberately not a sweep: it is a single coupled time series
 // (the adaptive simulator's state spans both phases), so there is no
-// independent grid to fan out.
+// independent grid to fan out. The same episodes run three times through
+// barriersim.RunPlanned: pinned at degree 4, pinned at 64, and planned.
 func Ext3(o Options) *Table {
 	t := &Table{
 		ID:     "EXT3",
@@ -127,62 +126,23 @@ func Ext3(o Options) *Table {
 		Header: []string{"phase", "σ/tc", "mean delay d=4 (ms)", "mean delay d=64 (ms)", "adaptive (ms)", "adaptive degree"},
 	}
 	const p = 4096
-	phases := []ext3Phase{{0.5, o.Episodes}, {50, o.Episodes}}
-	const window = 10
-
 	// The regime change is a loadmodel.Phased workload.
-	gen := loadmodel.Phased{Phases: []loadmodel.Phase{
-		{Episodes: phases[0].episodes, Gen: loadmodel.IID{N: p, Dist: stats.Normal{Sigma: phases[0].sigmaTc * tc}}},
-		{Episodes: phases[1].episodes, Gen: loadmodel.IID{N: p, Dist: stats.Normal{Sigma: phases[1].sigmaTc * tc}}},
-	}}
-	arr := make([]float64, p)
-
-	r := stats.NewRNG(o.Seed + 33)
-	// Fixed-degree simulators persist across phases, like the adaptive one.
-	fixed4 := barriersim.New(topology.NewClassic(p, 4), barriersim.Config{})
-	fixed64 := barriersim.New(topology.NewClassic(p, 64), barriersim.Config{})
-	adaptive := barriersim.New(topology.NewClassic(p, 4), barriersim.Config{})
-	adaptiveDegree := 4
-	sigmaEst := 0.0
-	episode := 0
-
-	for phase, ph := range phases {
-		var d4, d64, da float64
-		measured := 0
+	var gen loadmodel.Phased
+	for _, s := range ext3Sigmas {
+		gen.Phases = append(gen.Phases, loadmodel.Phase{Episodes: o.Episodes, Gen: loadmodel.IID{N: p, Dist: stats.Normal{Sigma: s * tc}}})
+	}
+	run := func(degree int) barriersim.PolicyRun {
+		ctl := loadmodel.NewController(10, tc, degree, nil)
+		return barriersim.RunPlanned(topology.NewClassic, barriersim.Config{}, gen, ctl, 0, len(ext3Sigmas)*o.Episodes, o.Seed+33)
+	}
+	fixed4, fixed64, adaptive := run(4), run(64), run(0)
+	for phase, s := range ext3Sigmas {
 		// The first half of each phase is the adaptation transient; the
 		// table reports the settled second half.
-		measureFrom := ph.episodes / 2
-		for k := 0; k < ph.episodes; k++ {
-			gen.Times(episode, r, arr)
-			e4 := fixed4.Episode(arr).SyncDelay
-			e64 := fixed64.Episode(arr).SyncDelay
-			ea := adaptive.Episode(arr).SyncDelay
-			if k >= measureFrom {
-				d4 += e4
-				d64 += e64
-				da += ea
-				measured++
-			}
-
-			// Adaptive policy: EWMA of the observed arrival spread, degree
-			// re-derived from the analytic model every window episodes.
-			spread := stats.StdDev(arr)
-			if episode == 0 {
-				sigmaEst = spread
-			} else {
-				sigmaEst = 0.7*sigmaEst + 0.3*spread
-			}
-			episode++
-			if episode%window == 0 {
-				if d := model.EstimateOptimalDegree(p, sigmaEst, tc).Degree; d != adaptiveDegree {
-					adaptiveDegree = d
-					adaptive = barriersim.New(topology.NewClassic(p, d), barriersim.Config{})
-				}
-			}
-		}
-		n := float64(measured)
-		t.AddRow(fmt.Sprintf("%d", phase+1), fmt.Sprintf("%g", ph.sigmaTc),
-			ms(d4/n), ms(d64/n), ms(da/n), fmt.Sprintf("%d", adaptiveDegree))
+		from, end := phase*o.Episodes+o.Episodes/2, (phase+1)*o.Episodes
+		settled := func(pr barriersim.PolicyRun) string { return ms(stats.Mean(pr.SyncDelays[from:end])) }
+		t.AddRow(fmt.Sprintf("%d", phase+1), fmt.Sprintf("%g", s),
+			settled(fixed4), settled(fixed64), settled(adaptive), fmt.Sprintf("%d", adaptive.Plans[end-1].Degree))
 	}
 	t.AddNote("delays are means over each phase's second half (after the adaptation transient); the adaptive barrier tracks the better fixed degree of each regime, while each fixed degree is poor in one phase")
 	return t

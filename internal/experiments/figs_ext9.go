@@ -59,8 +59,8 @@ type ext9Cell struct {
 // Ext9 compares the predictive straggler-placement policies across
 // imbalance regimes: each policy observes every episode's arrival lags
 // and periodically rebuilds the p=15 degree-2 MCS tree with its
-// laggiest-first ranking in the shallowest slots (barriersim.
-// RunPlacement). The 2-straggler row is the PR-6 σ-aware placement
+// laggiest-first ranking in the shallowest slots (barriersim.RunPlanned,
+// the degree pinned at 2). The 2-straggler row is the PR-6 σ-aware placement
 // baseline (static ≈80µs vs placed ≈20µs, 4×), now reached by the
 // policies at run time instead of a hand-fed lag profile. On systemic
 // skew with σ-scale noise, the EWMA and trend policies beat reactive's
@@ -86,9 +86,8 @@ func Ext9(o Options) *Table {
 		if !ok {
 			panic("ext9: unknown policy " + ext9Policies[pt.pol])
 		}
-		tree := topology.NewMCS(ext9P, 2)
-		pr := barriersim.RunPlacement(tree, barriersim.Config{},
-			ext9Workloads[pt.w].mk(), mkPol(), 5, o.Warmup, o.Episodes, seed)
+		pr := barriersim.RunPlanned(topology.NewMCS, barriersim.Config{}, ext9Workloads[pt.w].mk(),
+			loadmodel.NewController(5, tc, 2, mkPol()), o.Warmup, o.Episodes, seed)
 		return ext9Cell{Sync: pr.MeanSync, Rebuilds: pr.Rebuilds}
 	})
 	i := 0

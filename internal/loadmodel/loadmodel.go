@@ -1,9 +1,10 @@
 // Package loadmodel is the pluggable load-imbalance subsystem: Generator
 // produces per-participant imbalance (the work/arrival times that drive
-// simulations, experiments and live jitter loops), and PlacementPolicy
+// simulations, experiments and live jitter loops), PlacementPolicy
 // (policy.go) consumes per-participant arrival-lag history and emits the
 // placement order that puts predicted stragglers in a combining tree's
-// shallowest slots.
+// shallowest slots, and Controller (controller.go) is the one re-plan
+// rule the live barrier and the simulator both run (DESIGN §5.8).
 //
 // The package owns the imbalance regimes — iid draws, static
 // per-participant skew (the paper's systemic imbalance), AR(1) drift

@@ -178,6 +178,20 @@ func EstimateOptimalDegree(p int, sigma, tc float64) DegreeEstimate {
 	return Table(p).Optimal(sigma, tc)
 }
 
+// OptimalDegree is softbarrier.OptimalDegree, the degree a barrier of
+// any p runs at: EstimateOptimalDegree at p rounded up to a power of two,
+// clamped to [2, p]. After p's first call it allocates nothing.
+func OptimalDegree(p int, sigma, tc float64) int {
+	if p < 2 {
+		return 2
+	}
+	pUp := 2
+	for pUp < p {
+		pUp *= 2
+	}
+	return min(max(EstimateOptimalDegree(pUp, sigma, tc).Degree, 2), p)
+}
+
 // DegreeTable holds the terms of Algorithm 1 that depend on p alone: the
 // full-tree degrees of p, each one's level count and Φ⁻¹ of each subset's
 // fraction (Eq. 2–4), and E[max of p standard normals] (Eq. 5). What is

@@ -74,9 +74,10 @@ func cellStride(width int) int { return (width + CacheLine - 1) &^ (CacheLine - 
 // through the input cells alone, so that is its only deposit, and its
 // reducer has one deposit cell per parity instead of one per participant.
 //
-// Input cells need no parity and no lock. There is one per tree input
-// (each participant at its first counter, each counter at its parent) and
-// one output cell past them for the root. A cell is written by the one
+// Input cells need no parity and no lock. A commutative op has one per
+// tree input (each participant at its first counter, each counter at its
+// parent) and one output cell past them for the root; any other op has
+// none, since only the fold during the ascent reads them. A cell is written by the one
 // arrival or completer that feeds that input, before the fetch-and-add
 // that counts it, and read by the node's completer after its own add,
 // which observes the whole chain of adds before it. The next episode's
@@ -120,15 +121,16 @@ func NewReducer(op Op, p, inputs int) *Reducer {
 	return r
 }
 
-// alloc gives the reducer both parity's deposit cells and the input
-// cells, in one allocation.
+// alloc gives the reducer both parity's deposit cells and, for a
+// commutative op, whose fold alone reads them, the input cells, in one
+// allocation.
 func (r *Reducer) alloc(p, inputs int) {
 	r.p = p
-	n := p * r.stride
+	n, in := p*r.stride, 0
 	if r.op.Commutative {
-		n = r.stride
+		n, in = r.stride, (inputs+1)*r.stride
 	}
-	cells := make([]uint64, 2*n+(inputs+1)*r.stride)
+	cells := make([]uint64, 2*n+in)
 	r.cells = [2][]uint64{cells[:n:n], cells[n : 2*n : 2*n]}
 	r.in = cells[2*n:]
 }
@@ -260,7 +262,7 @@ func (r *Reducer) CopyResult(parity uint64, dst []byte) {
 // deliberately kept — a slow awaiter of the pre-rebuild episode still
 // copies its result from the same backing array.
 func (r *Reducer) Resize(p, inputs int) {
-	if r == nil || (p == r.p && len(r.in) == (inputs+1)*r.stride) {
+	if r == nil || (p == r.p && (!r.op.Commutative || len(r.in) == (inputs+1)*r.stride)) {
 		return
 	}
 	r.alloc(p, inputs)

@@ -48,7 +48,10 @@ func TestReducerGreedyPath(t *testing.T) {
 	// Two leaves of fan-in 2 (inputs 0–1 and 2–3) under a root of fan-in 2
 	// (inputs 4–5); output cell 6. Each leaf's completer folds into its
 	// input at the root, and the root's into the output cell.
-	r := NewReducer(shiftOp(), 4, 6)
+	// The Commutative flag, not the fold, gives the reducer input cells.
+	greedy := shiftOp()
+	greedy.Commutative = true
+	r := NewReducer(greedy, 4, 6)
 	put := func(in int, b byte) { r.Put(in, []byte{0, 0, 0, b}) }
 	put(3, 0xd)
 	put(1, 0xb)
@@ -95,6 +98,22 @@ func TestReducerGreedyPath(t *testing.T) {
 	}
 	if got := binary.BigEndian.Uint64(sum.Result(1)); got != 3010 {
 		t.Fatalf("odd result clobbered by Resize: %d, want 3010", got)
+	}
+}
+
+// TestReducerNonCommutativeInputCells: a non-commutative op folds in id
+// order at the root and never through input cells, so its reducer has
+// none, and a Resize that keeps p keeps its deposit cells whatever the
+// tree's input count.
+func TestReducerNonCommutativeInputCells(t *testing.T) {
+	r := NewReducer(shiftOp(), 4, 6)
+	if len(r.in) != 0 {
+		t.Fatalf("non-commutative reducer has %d input words, want none", len(r.in))
+	}
+	cells := &r.cells[0][0]
+	r.Resize(4, 9)
+	if &r.cells[0][0] != cells {
+		t.Error("Resize at the same p re-allocated a non-commutative reducer's cells")
 	}
 }
 
@@ -154,6 +173,7 @@ func TestReducerParityAndResize(t *testing.T) {
 
 func TestReducerIdentity(t *testing.T) {
 	op := shiftOp()
+	op.Commutative = true            // for the input cells a nil put fills
 	op.Identity = []byte{0, 0, 0, 7} // explicit identity (of a sort)
 	r := NewReducer(op, 2, 2)
 	r.Put(0, []byte{0, 0, 0, 9})

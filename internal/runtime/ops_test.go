@@ -126,17 +126,18 @@ func TestKernelChosenByFoldNotName(t *testing.T) {
 
 // TestReducerWordPathMatchesBytePath drives a word-path Reducer and its
 // byte-path twin through the same puts, deposits, folds and publishes,
-// and requires the same bytes out of every one. The id-order fold runs on
-// a non-commutative copy of each op, the only kind that deposits every
-// participant's contribution.
+// and requires the same bytes out of every one. The ascent's fold runs on
+// a commutative copy of each op, the only kind with input cells, and the
+// id-order fold on a non-commutative copy, the only kind that deposits
+// every participant's contribution.
 func TestReducerWordPathMatchesBytePath(t *testing.T) {
 	const p, inputs, rounds = 9, 12, 300
 	rng := rand.New(rand.NewSource(1))
 	for _, b := range builtins {
 		op := b.mk()
-		ordered := op
-		ordered.Commutative = false
-		word, ref := NewReducer(op, p, inputs), NewReducer(byteTwin(op), p, inputs)
+		folded, ordered := op, op
+		folded.Commutative, ordered.Commutative = true, false
+		word, ref := NewReducer(folded, p, inputs), NewReducer(byteTwin(folded), p, inputs)
 		wordIO, refIO := NewReducer(ordered, p, inputs), NewReducer(byteTwin(ordered), p, inputs)
 		if word.kern != b.kern || ref.kern != noKernel || wordIO.kern != b.kern || refIO.kern != noKernel {
 			t.Fatalf("%s: kernels %d, %d, %d and %d", op.Name, word.kern, ref.kern, wordIO.kern, refIO.kern)

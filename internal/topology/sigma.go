@@ -2,6 +2,20 @@ package topology
 
 import "fmt"
 
+// MustPlaceByDepth is PlaceByDepth for an order that is a construction-time
+// contract, like a tree degree: it panics where PlaceByDepth returns an
+// error, and a nil order leaves the tree as built.
+func (t *Tree) MustPlaceByDepth(order []int) *Tree {
+	if order == nil {
+		return t
+	}
+	placed, err := t.PlaceByDepth(order)
+	if err != nil {
+		panic(err.Error())
+	}
+	return placed
+}
+
 // PlaceByDepth returns a clone of the tree with processors reassigned to
 // attachment slots by depth: order[0] takes the shallowest slot (for an
 // MCS tree, the root's local slot), order[1] the next shallowest, and so

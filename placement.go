@@ -1,9 +1,6 @@
 package softbarrier
 
-import (
-	"softbarrier/internal/loadmodel"
-	"softbarrier/internal/topology"
-)
+import "softbarrier/internal/loadmodel"
 
 // PlacementPolicy consumes per-participant arrival-lag history — one
 // Observe per episode, lags in seconds behind the episode's earliest
@@ -56,53 +53,4 @@ func WithPlacementPolicy(pol PlacementPolicy) Option {
 // (ring-constrained trees). Barriers without a fixed tree ignore it.
 func WithPlacement(order []int) Option {
 	return func(o *options) { o.placeOrder = order }
-}
-
-// placeTree applies a static placement order to a freshly built tree,
-// panicking on an invalid order — a construction-time programming error,
-// like an invalid degree.
-func placeTree(tree *topology.Tree, order []int) *topology.Tree {
-	if order == nil {
-		return tree
-	}
-	placed, err := tree.PlaceByDepth(order)
-	if err != nil {
-		panic("softbarrier: " + err.Error())
-	}
-	return placed
-}
-
-// policyOrder asks pol for a placement order for p participants. It
-// returns nil — keep the current placement — when the policy has no
-// opinion or its opinion is for a different membership (stale history
-// straddling a resize).
-func policyOrder(pol PlacementPolicy, p int) []int {
-	if pol == nil {
-		return nil
-	}
-	order := pol.Order()
-	if len(order) != p {
-		return nil
-	}
-	return order
-}
-
-// sameOrder reports whether two placement orders are equal, treating nil
-// as the identity order (the natural placement a nil-order tree has).
-func sameOrder(a, b []int, p int) bool {
-	if a == nil && b == nil {
-		return true
-	}
-	idx := func(o []int, k int) int {
-		if o == nil {
-			return k
-		}
-		return o[k]
-	}
-	for k := 0; k < p; k++ {
-		if idx(a, k) != idx(b, k) {
-			return false
-		}
-	}
-	return true
 }

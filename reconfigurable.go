@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"softbarrier/internal/model"
+	"softbarrier/internal/loadmodel"
 	rt "softbarrier/internal/runtime"
 	"softbarrier/internal/topology"
 )
@@ -14,13 +14,14 @@ import (
 // tree degree and participant count — is an epoch the barrier replaces
 // itself. The releasing participant folds each measured episode's arrival
 // spread into the EWMA σ estimate (every episode is measured for an
-// Observer or a placement policy, otherwise only the one a re-plan reads);
-// on the replan cadence (and immediately when a membership change is
-// pending) it asks the analytic model (OptimalDegree) for the degree and,
-// when that or the membership changed, builds the next epoch at the
+// Observer or a placement policy, otherwise only the one a re-plan reads).
+// On the replan cadence, and immediately when a membership change is
+// pending, it asks the analytic model (OptimalDegree) for the degree. When
+// that or the membership changed, it builds the next epoch at the
 // episode's quiescent point, before opening the release gate. The first
-// epoch is planned by the same model, from ReconfigConfig.InitialSigma. This is the run-time degree adaptation the paper's
-// conclusion proposes, extended to elastic membership:
+// epoch is planned by the same model, from ReconfigConfig.InitialSigma.
+// This is the run-time degree adaptation the paper's conclusion proposes
+// (DESIGN §5.8), extended to elastic membership:
 // Grow/Shrink/RequestResize queue a participant-count change that lands at
 // the next episode boundary, and Resize applies one immediately when the
 // caller knows the barrier is idle.
@@ -46,11 +47,9 @@ type ReconfigurableBarrier struct {
 	// not yet open — stamps what one made after it would. Quiescent-only.
 	nextGen uint64
 
-	est rt.SigmaEstimator // EWMA of per-episode arrival spread, seconds
-
-	// The re-plan rule, normalized from ReconfigConfig at construction.
-	replanEvery uint64
-	tc          float64
+	// ctl is the re-plan rule: the σ estimate, the cadence, t_c and the
+	// placement policy. Only the releasing participant steps it.
+	ctl loadmodel.Controller
 
 	// target is the membership the barrier is asked to run at — the one
 	// word other goroutines write. RequestResize and Resize store it, Grow
@@ -60,12 +59,9 @@ type ReconfigurableBarrier struct {
 	target     atomic.Int64
 	placements atomic.Uint64 // placement-only rebuilds so far
 
-	// Predictive straggler placement (WithPlacementPolicy). place and
-	// lagBuf are touched only by the releasing participant.
-	place  PlacementPolicy
-	lagBuf []float64
+	lagBuf []float64 // the placement policy's lags; releaser-only
 
-	_ [32]byte
+	_ [24]byte
 }
 
 // Eight whole cache lines, on purpose: 512 bytes is an allocation class
@@ -144,9 +140,6 @@ func NewReconfigurable(p int, cfg ReconfigConfig, opts ...Option) *Reconfigurabl
 	if cfg.ReplanEvery < 0 {
 		panic("softbarrier: negative replan cadence")
 	}
-	if cfg.Tc == 0 {
-		cfg.Tc = model.DefaultTc
-	}
 	if cfg.Tc < 0 {
 		panic("softbarrier: negative counter update cost")
 	}
@@ -154,36 +147,30 @@ func NewReconfigurable(p int, cfg ReconfigConfig, opts ...Option) *Reconfigurabl
 		panic("softbarrier: negative initial arrival spread")
 	}
 	o := applyOptions(opts)
-	b := &ReconfigurableBarrier{
-		replanEvery: uint64(max(cfg.ReplanEvery, 1)),
-		tc:          cfg.Tc,
-		place:       o.placement,
-	}
+	b := &ReconfigurableBarrier{}
+	b.ctl.Init(cfg.ReplanEvery, cfg.Tc, 0, o.placement)
 	b.elastic = b
 	b.target.Store(int64(p))
-	b.est.Init()
-	first := b.newEpoch(nil, p, OptimalDegree(p, cfg.InitialSigma, cfg.Tc), nil)
-	first.sigma = cfg.InitialSigma
-	b.init(o, first)
+	b.init(o, b.newEpoch(nil, b.ctl.Replan(loadmodel.Plan{Sigma: cfg.InitialSigma}, p)))
 	return b
 }
 
-// newEpoch builds a tree for p participants at the given degree, carrying
-// forward the generation slots of prev (nil for the initial epoch); the
-// caller numbers it. Its first episode runs at nextGen. A non-nil order
-// (one entry per participant) relabels the tree laggiest-first-shallowest
-// (PlaceByDepth). A barrier with a placement policy builds MCS trees,
-// because a classic tree puts every participant at the same (leaf) depth
-// and placement would choose nothing.
-func (b *ReconfigurableBarrier) newEpoch(prev *treeEpoch, p, degree int, order []int) treeEpoch {
+// newEpoch builds the tree a plan describes, carrying forward the
+// generation slots of prev (nil for the initial epoch); the caller numbers
+// it. Its first episode runs at nextGen. A non-nil order (one entry per
+// participant) relabels the tree laggiest-first-shallowest (PlaceByDepth).
+// A barrier with a placement policy builds MCS trees, because a classic
+// tree puts every participant at the same (leaf) depth and placement would
+// choose nothing.
+func (b *ReconfigurableBarrier) newEpoch(prev *treeEpoch, pl loadmodel.Plan) treeEpoch {
 	var tree *topology.Tree
-	if b.place != nil {
-		tree = topology.NewMCS(p, degree)
+	if b.ctl.Placing() {
+		tree = topology.NewMCS(pl.P, pl.Degree)
 	} else {
-		tree = topology.NewClassic(p, degree)
+		tree = topology.NewClassic(pl.P, pl.Degree)
 	}
-	st := newTreeEpoch(placeTree(tree, order), prev, b.nextGen)
-	st.order = order
+	st := newTreeEpoch(tree.MustPlaceByDepth(pl.Order), prev, b.nextGen)
+	st.Plan = pl
 	return st
 }
 
@@ -191,7 +178,7 @@ func (b *ReconfigurableBarrier) newEpoch(prev *treeEpoch, p, degree int, order [
 func (b *ReconfigurableBarrier) Epoch() uint64 { return b.state.Load().epoch }
 
 // Sigma returns the σ estimate, seconds: an EWMA over the measured episodes.
-func (b *ReconfigurableBarrier) Sigma() float64 { return b.est.Sigma() }
+func (b *ReconfigurableBarrier) Sigma() float64 { return b.ctl.Sigma() }
 
 // Depths returns the current epoch's per-participant synchronization
 // path lengths — how many counters each participant updates per episode.
@@ -206,7 +193,7 @@ func (b *ReconfigurableBarrier) Depths() []int {
 // MeasuredSigma implements SigmaSource: the live σ estimate and the number
 // of measured episodes it is based on, for feeding back into the planner.
 func (b *ReconfigurableBarrier) MeasuredSigma() (sigma float64, episodes uint64) {
-	return b.est.Sigma(), b.est.Episodes()
+	return b.ctl.Sigma(), b.ctl.Episodes()
 }
 
 // ReconfigStats returns the unified reconfiguration telemetry: the
@@ -217,13 +204,13 @@ func (b *ReconfigurableBarrier) MeasuredSigma() (sigma float64, episodes uint64)
 func (b *ReconfigurableBarrier) ReconfigStats() ReconfigStats {
 	st := b.state.Load()
 	return ReconfigStats{
-		Evals:      b.est.Episodes(),
+		Evals:      b.ctl.Episodes(),
 		Placements: b.placements.Load(),
 		LastPlan: ReconfigPlan{
 			Epoch:    st.epoch,
-			P:        st.p,
-			Degree:   st.tree.Degree,
-			Sigma:    st.sigma,
+			P:        st.P,
+			Degree:   st.Degree,
+			Sigma:    st.Sigma,
 			Episodes: st.episodes,
 		},
 	}
@@ -241,8 +228,7 @@ func (b *ReconfigurableBarrier) Resize(p int) error {
 	}
 	b.target.Store(int64(p))
 	st := b.state.Load()
-	degree, sigma := b.plan(st, p)
-	b.install(st, p, degree, sigma)
+	b.install(st, b.ctl.Replan(st.Plan, p))
 	return nil
 }
 
@@ -289,71 +275,44 @@ func (b *ReconfigurableBarrier) requestDelta(delta int) (int, error) {
 }
 
 // release runs on the participant that completed the root: a quiescent
-// point for the counters. It folds a measured episode's spread into the σ
-// estimate (and the per-participant lags into the placement policy) and
-// decides what the next episode runs on: a new epoch when a membership
-// change is queued, or when on the replan cadence the model's degree for
-// the measured σ moved; else, on the cadence, the same epoch re-placed if
-// the policy's predicted-straggler order changed. Then it emits the
-// episode's telemetry and opens the gate.
+// point for the counters. It steps the controller with the episode (its
+// measured spread and lags, and the membership target) and builds what
+// the controller decides the next episode runs on: a new epoch, the same
+// epoch re-placed, or nothing. Then it emits the episode's telemetry and
+// opens the gate.
 func (b *ReconfigurableBarrier) release(st *treeEpoch) {
 	seq := b.gate.Seq()
 	b.nextGen = seq + 1
 	// Measured: all for an Observer or a placement policy, else the cadence's.
 	m, measured := b.rec.Measure(seq)
-	if measured {
-		b.est.Observe(m.Spread)
+	e := loadmodel.Episode{Seq: seq, Spread: m.Spread, Measured: measured, Target: int(b.target.Load())}
+	if b.ctl.Placing() {
+		b.lagBuf = b.rec.LagsInto(seq, b.lagBuf)
+		e.Lags = b.lagBuf
 	}
-	if b.place != nil {
-		if b.lagBuf = b.rec.LagsInto(seq, b.lagBuf); len(b.lagBuf) > 0 {
-			b.place.Observe(b.lagBuf)
-		}
-	}
-	p := int(b.target.Load())
-	if p != st.p || b.nextGen%b.replanEvery == 0 {
-		degree, sigma := b.plan(st, p)
-		// Either branch consumes the policy's Order(), so at most once per
-		// release: hysteresis policies record what they emit.
-		if p != st.p || degree != st.tree.Degree {
-			b.install(st, p, degree, sigma)
-		} else if order := policyOrder(b.place, p); order != nil && !sameOrder(order, st.order, p) {
-			b.reorder(st, order)
-		}
+	next := st.Plan
+	switch b.ctl.Step(&next, &e) {
+	case loadmodel.NewEpoch:
+		b.install(st, next)
+	case loadmodel.Reorder:
+		b.reorder(st, next)
 	}
 	if measured {
 		cur := b.state.Load()
-		b.rec.Emit(m, rt.Extra{Degree: cur.tree.Degree, Epoch: cur.epoch})
+		b.rec.Emit(m, rt.Extra{Degree: cur.Degree, Epoch: cur.epoch})
 	}
 	b.gate.Open()
 }
 
-// plan returns the model's degree for p participants and the σ it was
-// derived from: the measured EWMA, or, before any episode, what the
-// running epoch was planned with (ReconfigConfig.InitialSigma).
-func (b *ReconfigurableBarrier) plan(st *treeEpoch, p int) (degree int, sigma float64) {
-	sigma = st.sigma
-	if b.est.Episodes() > 0 {
-		sigma = b.est.Sigma()
-	}
-	return OptimalDegree(p, sigma, b.tc), sigma
-}
-
 // install builds the epoch after prev and publishes it. It must run at a
 // quiescent point: the release path, or a caller-synchronized Resize.
-func (b *ReconfigurableBarrier) install(prev *treeEpoch, p, degree int, sigma float64) {
-	order := policyOrder(b.place, p)
-	if order == nil && len(prev.order) == p {
-		// The policy has no (new) opinion for this membership; keep the
-		// placement the previous epoch ran with rather than snapping back
-		// to the identity order.
-		order = prev.order
-	}
-	next := b.newEpoch(prev, p, degree, order)
-	next.epoch, next.sigma, next.episodes = prev.epoch+1, sigma, b.est.Episodes()
-	if p != prev.p {
-		b.rec.Resize(p)
+func (b *ReconfigurableBarrier) install(prev *treeEpoch, pl loadmodel.Plan) {
+	next := b.newEpoch(prev, pl)
+	next.epoch, next.episodes = prev.epoch+1, b.ctl.Episodes()
+	if pl.P != prev.P {
+		b.rec.Resize(pl.P)
 		if b.arrived.Load() != nil {
-			b.resizeArrived(p) // the watchdog's counts restart; its poll sees progress
+			b.resizeArrived(pl.P) // the watchdog's counts restart; its poll sees progress
 		}
 		for i := range next.slots {
 			next.slots[i].arrivals = 0 // and so do the slots' own
@@ -362,7 +321,7 @@ func (b *ReconfigurableBarrier) install(prev *treeEpoch, p, degree int, sigma fl
 	// The reducer's deposit and input cells are rebuilt for the new tree;
 	// its published result buffers survive, so awaiters of the pre-rebuild
 	// episode still copy their in-flight result.
-	b.red.Resize(p, next.inputs())
+	b.red.Resize(pl.P, next.inputs())
 	b.state.Store(&next)
 }
 
@@ -371,9 +330,9 @@ func (b *ReconfigurableBarrier) install(prev *treeEpoch, p, degree int, sigma fl
 // sits on the k-th shallowest slot. Like install it runs only at the
 // quiescent release point; ReconfigStats.Placements counts these
 // rebuilds. The tree keeps its shape, so the reducer's cells still fit.
-func (b *ReconfigurableBarrier) reorder(prev *treeEpoch, order []int) {
-	next := b.newEpoch(prev, prev.p, prev.tree.Degree, order)
-	next.epoch, next.sigma, next.episodes = prev.epoch, prev.sigma, prev.episodes
+func (b *ReconfigurableBarrier) reorder(prev *treeEpoch, pl loadmodel.Plan) {
+	next := b.newEpoch(prev, pl)
+	next.epoch, next.episodes = prev.epoch, prev.episodes
 	b.state.Store(&next)
 	b.placements.Add(1)
 }

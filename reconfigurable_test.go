@@ -5,11 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"softbarrier/internal/loadmodel"
 	"softbarrier/internal/stats"
 )
 
@@ -651,4 +653,114 @@ func TestLagsIntoUnmeasuredEpisode(t *testing.T) {
 			t.Errorf("episode %d: policy shown %v, want [0 %g %g %g]", i, lags, e, 2*e, 3*e)
 		}
 	}
+}
+
+// TestReconfigurableMatchesController drives one arrival schedule through
+// a ReconfigurableBarrier (Observer attached, on the test's clock) and
+// through a loadmodel.Controller fed the same lags and spreads: after
+// every release both run the same epoch, P, degree and placement order.
+// The schedule has a straggler that moves, a spread step that widens the
+// degree and a queued Grow. Two checks of the test's own hold the shared
+// rule to the documented one: σ is the 0.2-weighted EWMA of the spreads,
+// and nothing changes off the ReplanEvery cadence but the Grow.
+func TestReconfigurableMatchesController(t *testing.T) {
+	const (
+		p0, grow, every = 8, 2, 3
+		episodes        = 42
+		growAt          = 30 // the release that admits the grown ids
+	)
+	// offset is arrival id's time into episode k: ids in order, gap apart,
+	// and one straggler 300µs late, id 5 and from episode 12 on id 1; the
+	// gap steps from 10µs to wideGap at episode 24.
+	offset := func(k, id int) int64 {
+		gap := 10 * time.Microsecond
+		if k >= 24 {
+			gap = wideGap
+		}
+		d := time.Duration(id) * gap
+		straggler := 5
+		if k >= 12 {
+			straggler = 1
+		}
+		if id == straggler {
+			d += 300 * time.Microsecond
+		}
+		return int64(k)*int64(time.Second) + int64(d)
+	}
+	mk, ok := PlacementByName("reactive")
+	if !ok {
+		t.Fatal("no reactive policy")
+	}
+	var now int64
+	b := NewReconfigurable(p0, ReconfigConfig{ReplanEvery: every, Tc: drivenTc},
+		WithPlacementPolicy(mk()), WithObserver(observerFunc(func(EpisodeStats) {})), withClock(func() int64 { return now }))
+	ctl := loadmodel.NewController(every, drivenTc, 0, mk())
+	cur := ctl.Replan(loadmodel.Plan{}, p0)
+
+	var epoch uint64
+	var sigma float64
+	seen := map[string]int{}
+	for k := 0; k < episodes; k++ {
+		if k == growAt {
+			if _, err := b.Grow(grow); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := b.Participants()
+		stamps, lags := make([]float64, n), make([]float64, n)
+		first := offset(k, 0)
+		for id := 0; id < n; id++ {
+			now = offset(k, id)
+			first = min(first, now)
+			stamps[id] = float64(now) * 1e-9
+			b.Arrive(id)
+		}
+		for id := 0; id < n; id++ {
+			b.Await(id)
+			lags[id] = float64(offset(k, id)-first) * 1e-9
+		}
+
+		target := p0
+		if k >= growAt {
+			target = p0 + grow
+		}
+		spread := stats.StdDev(stamps)
+		next := cur
+		change := ctl.Step(&next, &loadmodel.Episode{Seq: uint64(k), Spread: spread, Measured: true, Lags: lags, Target: target})
+		switch change {
+		case loadmodel.NewEpoch:
+			epoch++
+			if next.P != cur.P {
+				seen["grow"]++
+			} else {
+				seen["degree"]++
+			}
+		case loadmodel.Reorder:
+			seen["reorder"]++
+		}
+		if change != loadmodel.Same && (k+1)%every != 0 && next.P == cur.P {
+			t.Errorf("episode %d: the controller changed the plan off the cadence of %d", k, every)
+		}
+		cur = next
+
+		if k == 0 {
+			sigma = spread
+		} else {
+			sigma = 0.8*sigma + 0.2*spread
+		}
+		if got := ctl.Sigma(); math.Abs(got-sigma) > 1e-12*sigma {
+			t.Fatalf("episode %d: controller σ %g, want the 0.2-weighted EWMA %g", k, got, sigma)
+		}
+		st := b.state.Load()
+		if b.Epoch() != epoch || st.P != cur.P || st.tree.Degree != cur.Degree || !slices.Equal(st.Order, cur.Order) || b.Sigma() != ctl.Sigma() {
+			t.Fatalf("after episode %d the barrier runs epoch %d, p %d, degree %d, order %v, σ %g; the controller %d, %d, %d, %v, %g",
+				k, b.Epoch(), st.P, st.tree.Degree, st.Order, b.Sigma(), epoch, cur.P, cur.Degree, cur.Order, ctl.Sigma())
+		}
+	}
+	for _, what := range []string{"grow", "degree", "reorder"} {
+		if seen[what] == 0 {
+			t.Errorf("the schedule never exercised a %s (%v)", what, seen)
+		}
+	}
+	t.Logf("changes: %v; final plan p %d degree %d order %v", seen, cur.P, cur.Degree, cur.Order)
 }

@@ -316,7 +316,7 @@ func checkBarrierWithJitter(t *testing.T, b Barrier, p, episodes int) {
 func validateDynamicPlacement(b *DynamicBarrier) string {
 	st := b.state.Load()
 	occupants := make(map[int]int)
-	for id := 0; id < st.p; id++ {
+	for id := 0; id < st.P; id++ {
 		occupants[st.home(id)]++
 	}
 	for i := range st.counters {

@@ -12,3 +12,5 @@ type ReconfigurableBarrier struct {
 }
 
 type ReconfigConfig struct{ InitialDegree, MinDegreeDelta int }
+
+func (b *ReconfigurableBarrier) plan(p int) (degree int) { return 2 }

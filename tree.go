@@ -36,7 +36,7 @@ func NewMCSTree(p, degree int, opts ...Option) *TreeBarrier {
 // newTreeBarrier builds the static tree: its one epoch is never replaced.
 func newTreeBarrier(tree *topology.Tree, opts []Option) *TreeBarrier {
 	o := applyOptions(opts)
-	tree = placeTree(tree, o.placeOrder)
+	tree = tree.MustPlaceByDepth(o.placeOrder)
 	b := &TreeBarrier{}
 	b.init(o, newTreeEpoch(tree, nil, 0))
 	return b

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"softbarrier/internal/loadmodel"
 	rt "softbarrier/internal/runtime"
 	"softbarrier/internal/topology"
 )
@@ -53,28 +54,27 @@ type treeCore struct {
 	poisonCore
 
 	// Six whole cache lines, for the reason ReconfigurableBarrier has eight
-	// (reconfigurable.go): unpadded, its 336 bytes fall in the 352-byte
+	// (reconfigurable.go): unpadded, its 344 bytes fall in the 352-byte
 	// allocation class, whose objects do not start on a cache line.
-	_ [48]byte
+	_ [40]byte
 }
 
-// treeEpoch is one epoch's rebuildable configuration: the topology, its
-// counters, and the per-participant slots.
+// treeEpoch is one epoch's rebuildable configuration: the plan it runs,
+// the topology, its counters, and the per-participant slots.
 type treeEpoch struct {
-	p        int
+	// Plan is what the epoch was built from: P and the tree's Degree, and
+	// for a reconfigurable barrier (reconfigurable.go) the placement Order,
+	// nil for the natural ascending-id placement, and the σ it was planned
+	// at. A static tree leaves Order and Sigma zero.
+	loadmodel.Plan
 	epoch    uint64
 	tree     *topology.Tree
 	counters []treeCounter
-	// order is the placement order the epoch's tree was built with, nil
-	// for the natural ascending-id placement.
-	order []int
 	// slots only ever grows across epochs (shrunk ids keep their slot so
 	// their final Await still reads a valid generation while they drain
 	// out).
 	slots []treeSlot
-	// sigma and episodes are the σ estimate and the episode count the epoch
-	// was planned at (reconfigurable.go); zero on a static tree.
-	sigma    float64
+	// episodes is the measured-episode count the epoch was planned at.
 	episodes uint64
 }
 
@@ -135,7 +135,7 @@ const (
 // gate generation at which the epoch's first episode runs; its parity is
 // the end the counts start from.
 func newTreeEpoch(tree *topology.Tree, prev *treeEpoch, epochGen uint64) treeEpoch {
-	st := treeEpoch{p: tree.P, tree: tree, counters: make([]treeCounter, len(tree.Counters))}
+	st := treeEpoch{Plan: loadmodel.Plan{P: tree.P, Degree: tree.Degree}, tree: tree, counters: make([]treeCounter, len(tree.Counters))}
 	var inputs int32
 	for i := range st.counters {
 		c, tc := &tree.Counters[i], &st.counters[i]
@@ -156,7 +156,7 @@ func newTreeEpoch(tree *topology.Tree, prev *treeEpoch, epochGen uint64) treeEpo
 	admitted := 0
 	if prev != nil {
 		copy(st.slots, prev.slots)
-		admitted = prev.p
+		admitted = prev.P
 	}
 	for id := 0; id < tree.P; id++ {
 		st.slots[id].first = tree.FirstCounter(id)
@@ -190,7 +190,7 @@ func startCount(fanIn int32, gen uint64) int32 { return fanIn & -int32(gen&1) }
 // depths returns each participant's synchronization path length in the
 // epoch's tree as built.
 func (st *treeEpoch) depths() []int {
-	d := make([]int, st.p)
+	d := make([]int, st.P)
 	for id := range d {
 		d[id] = st.tree.Depth(st.tree.FirstCounter(id))
 	}
@@ -207,22 +207,19 @@ func (b *treeCore) init(o options, first treeEpoch) {
 	// cadence, or every episode for a placement policy.
 	var every uint64
 	if e := b.elastic; e != nil {
-		every = e.replanEvery
-		if e.place != nil {
-			every = 1
-		}
+		every = e.ctl.MeasureEvery()
 	}
-	b.rec = o.recorder(st.p, every)
-	b.red = o.reducer(st.p, st.inputs())
+	b.rec = o.recorder(st.P, every)
+	b.red = o.reducer(st.P, st.inputs())
 	b.folding = b.red != nil && b.red.Op().Commutative
-	b.initPoison(st.p, o.watchdog, o.poisonNotify, b)
+	b.initPoison(st.P, o.watchdog, o.poisonNotify, b)
 }
 
 func (b *treeCore) wakeWaiters() { b.gate.Poison() }
 
 func (b *treeCore) slotArrivals() []uint64 {
 	st := b.state.Load()
-	out := make([]uint64, st.p)
+	out := make([]uint64, st.P)
 	for i := range out {
 		out[i] = st.slots[i].arrivals
 	}
@@ -254,7 +251,7 @@ func (b *treeCore) clearEpisode() {
 // committed membership change as soon as the changing episode's release
 // is published, so a worker observing its id outside [0, Participants)
 // after Wait returns has been shrunk away and must stop calling Wait.
-func (b *treeCore) Participants() int { return b.state.Load().p }
+func (b *treeCore) Participants() int { return b.state.Load().P }
 
 // Degree returns the (current) tree's construction degree.
 func (b *treeCore) Degree() int { return b.state.Load().tree.Degree }
@@ -314,7 +311,7 @@ func (b *treeCore) arrive(id int, pl *payload) {
 		st = b.state.Load()
 		gen = b.gate.Seq()
 	}
-	if id >= st.p {
+	if id >= st.P {
 		return // shrunk away; drain without contributing
 	}
 	if b.poisoned() {
@@ -387,7 +384,7 @@ func (b *treeCore) arrive(id int, pl *payload) {
 		case b.folding:
 			b.red.PublishOutput(gen)
 		default:
-			b.red.FinishCells(gen, st.p)
+			b.red.FinishCells(gen, st.P)
 		}
 	}
 	if b.elastic != nil {
@@ -456,7 +453,7 @@ func (b *treeCore) Reduce(id, root int, in, out []byte) error {
 	if b.red == nil {
 		return ErrNoCollective
 	}
-	checkID(root, b.state.Load().p)
+	checkID(root, b.state.Load().P)
 	b.arrive(id, &payload{mode: collReduce, data: in})
 	if id != root {
 		out = nil
@@ -471,7 +468,7 @@ func (b *treeCore) Broadcast(id, root int, buf []byte) error {
 	if b.red == nil {
 		return ErrNoCollective
 	}
-	checkID(root, b.state.Load().p)
+	checkID(root, b.state.Load().P)
 	b.arrive(id, &payload{mode: collBcast, root: root, data: buf})
 	if id == root {
 		buf = nil
@@ -515,7 +512,7 @@ func (b *treeCore) AwaitResult(id int, out []byte) error {
 	// Re-load: the episode's release may have committed a new epoch, and
 	// membership is judged against the post-release state.
 	cur := b.state.Load()
-	if out != nil && id < cur.p {
+	if out != nil && id < cur.P {
 		b.red.CopyResult(cur.slots[id].gen, out)
 	}
 	return nil
