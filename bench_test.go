@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"softbarrier/internal/experiments"
+	rt "softbarrier/internal/runtime"
 )
 
 // benchOpts keeps per-iteration cost manageable.
@@ -200,20 +201,20 @@ func benchBarrier(b *testing.B, bar Barrier, p int) {
 func BenchmarkWaiterPolicies(b *testing.B) {
 	policies := []struct {
 		name   string
-		policy WaitPolicy
+		policy rt.WaitPolicy
 	}{
-		{"default", DefaultWaitPolicy()},
-		{"spin", WaitPolicy{Spin: 1 << 16, Yield: 1 << 10}},
-		{"park", WaitPolicy{Spin: 0, Yield: 0}},
+		{"default", rt.DefaultWaitPolicy()},
+		{"spin", rt.WaitPolicy{Spin: 1 << 16, Yield: 1 << 10}},
+		{"park", rt.WaitPolicy{Spin: 0, Yield: 0}},
 	}
 	for _, p := range []int{4, 16, 64} {
 		for _, pol := range policies {
 			p, pol := p, pol
 			b.Run(fmt.Sprintf("central/%s/p=%d", pol.name, p), func(b *testing.B) {
-				benchBarrier(b, NewCentral(p, WithWaitPolicy(pol.policy)), p)
+				benchBarrier(b, NewCentral(p, withWaitPolicy(pol.policy)), p)
 			})
 			b.Run(fmt.Sprintf("tree-d4/%s/p=%d", pol.name, p), func(b *testing.B) {
-				benchBarrier(b, NewCombiningTree(p, 4, WithWaitPolicy(pol.policy)), p)
+				benchBarrier(b, NewCombiningTree(p, 4, withWaitPolicy(pol.policy)), p)
 			})
 		}
 	}

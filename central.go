@@ -14,7 +14,7 @@ import (
 // paper shows this flat barrier is in fact optimal (Fig. 3, large σ).
 //
 // Waiting and telemetry run on the shared internal/runtime core: Await
-// follows the configured spin→yield→park policy (WithWaitPolicy), and an
+// follows internal/runtime's default spin→yield→park policy, and an
 // installed Observer (WithObserver) receives one EpisodeStats per episode.
 type CentralBarrier struct {
 	p     int

@@ -103,7 +103,7 @@ func run(args []string, stdout io.Writer) error {
 		dy       = fs.Int("dy", 210, "grid columns")
 		iters    = fs.Int("iters", 200, "relaxation iterations")
 		barrier  = fs.String("barrier", "tree", "barrier: central | tree | mcs | dynamic | adaptive | dissemination | tournament")
-		degree   = fs.Int("degree", 4, "tree degree for tree-based barriers")
+		degree   = fs.Int("degree", 4, "tree degree for -barrier tree, mcs and dynamic")
 		method   = fs.String("method", "jacobi", "relaxation method: jacobi (the paper's two-array sweep) | sor (red/black over-relaxation, ω*)")
 		stats    = fs.String("stats", "", "dump per-episode barrier telemetry as JSON to this file (\"-\" for stdout)")
 		eps      = fs.Float64("eps", 0, "run -method sor to this RMS residual instead of a fixed sweep count (-iters caps it); the residual is folded through the barrier's AllReduce")
@@ -216,8 +216,15 @@ func run(args []string, stdout io.Writer) error {
 		return errors.New("FAIL: parallel result differs from sequential")
 	}
 
-	fmt.Fprintf(stdout, "SOR %dx%d, %d iterations, %d workers, barrier=%s degree=%d\n",
-		nx, *dy+2, *iters, *p, *barrier, *degree)
+	// The degree reported is the one the barrier ran at: the tree's own,
+	// which for the adaptive barrier is its last plan's, and none for a
+	// barrier that has no tree.
+	treeDegree, hasDegree := b.(interface{ Degree() int })
+	fmt.Fprintf(stdout, "SOR %dx%d, %d iterations, %d workers, barrier=%s", nx, *dy+2, *iters, *p, *barrier)
+	if hasDegree {
+		fmt.Fprintf(stdout, " degree=%d", treeDegree.Degree())
+	}
+	fmt.Fprintln(stdout)
 	fmt.Fprintf(stdout, "sequential: %v total, %v/iteration\n", seqTime.Round(time.Millisecond), (seqTime / time.Duration(*iters)).Round(time.Microsecond))
 	fmt.Fprintf(stdout, "parallel:   %v total, %v/iteration\n", parTime.Round(time.Millisecond), (parTime / time.Duration(*iters)).Round(time.Microsecond))
 	fmt.Fprintf(stdout, "result verified against sequential solver (checksum %.6g)\n", g.Checksum(buf))
@@ -234,15 +241,18 @@ func run(args []string, stdout io.Writer) error {
 	if *stats != "" {
 		cfg := map[string]any{
 			"p": *p, "dx": *dx, "dy": *dy, "iters": *iters,
-			"barrier": *barrier, "degree": *degree, "method": *method,
+			"barrier": *barrier, "method": *method,
+		}
+		if hasDegree {
+			cfg["degree"] = treeDegree.Degree()
 		}
 		if err := log.dump(*stats, stdout, cfg, agg); err != nil {
 			return fmt.Errorf("stats dump failed: %w", err)
 		}
 		if *stats != "-" {
-			sigma, n := agg.MeasuredSigma()
+			s := agg.Summary()
 			fmt.Fprintf(stdout, "telemetry: %d episodes to %s, measured σ %v\n",
-				n, *stats, time.Duration(sigma*float64(time.Second)).Round(time.Nanosecond))
+				s.Episodes, *stats, time.Duration(s.Sigma*float64(time.Second)).Round(time.Nanosecond))
 		}
 	}
 	return nil

@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -24,16 +26,56 @@ func runOK(t *testing.T, args ...string) string {
 var barriers = []string{"central", "tree", "mcs", "dynamic", "adaptive", "dissemination", "tournament"}
 
 // TestEveryBarrierAndMethod: run fails unless the parallel result equals
-// the sequential solver's, on every barrier under both methods.
+// the sequential solver's, on every barrier under both methods; and the
+// report and the -stats config name the degree the barrier ran at: -degree
+// for a fixed tree, the adaptive barrier's own, none for the rest.
 func TestEveryBarrierAndMethod(t *testing.T) {
 	for _, b := range barriers {
 		for _, m := range []string{"jacobi", "sor"} {
-			out := runOK(t, "-barrier", b, "-method", m)
+			out := runOK(t, "-barrier", b, "-method", m, "-stats", "-")
 			if !strings.Contains(out, "result verified against sequential solver (checksum ") {
 				t.Fatalf("-barrier %s -method %s: no verified checksum:\n%s", b, m, out)
 			}
+			want := map[string]string{"tree": "4", "mcs": "4", "dynamic": "4"}[b]
+			if b == "adaptive" {
+				a := adaptiveDegree.FindStringSubmatch(out)
+				if a == nil {
+					t.Fatalf("-barrier adaptive -method %s: no adaptive line:\n%s", m, out)
+				}
+				want = a[1]
+			}
+			if header, config := reportedDegrees(t, out); header != want || config != want {
+				t.Fatalf("-barrier %s -method %s: report names degree %q, -stats config %q, want %q:\n%s", b, m, header, config, want, out)
+			}
 		}
 	}
+}
+
+var (
+	headerDegree   = regexp.MustCompile(`barrier=\S+(?: degree=(\d+))?\n`)
+	adaptiveDegree = regexp.MustCompile(`adaptive barrier: degree (\d+),`)
+)
+
+// reportedDegrees returns the degree a run's report header names and the
+// one its -stats - config records, each "" when there is none.
+func reportedDegrees(t *testing.T, out string) (header, config string) {
+	t.Helper()
+	m := headerDegree.FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no report header:\n%s", out)
+	}
+	_, js, ok := strings.Cut(out, "\n{")
+	if !ok {
+		t.Fatalf("no stats dump:\n%s", out)
+	}
+	var dump struct{ Config map[string]any }
+	if err := json.Unmarshal([]byte("{"+js), &dump); err != nil {
+		t.Fatalf("stats dump: %v\n%s", err, out)
+	}
+	if d, ok := dump.Config["degree"]; ok {
+		config = fmt.Sprint(d)
+	}
+	return m[1], config
 }
 
 // TestConvergeNeedsAllReduce: -eps folds the residual through AllReduce,

@@ -11,8 +11,8 @@
 // Abortable and a ContextBarrier; the central and tree barriers are
 // PhasedBarriers (fuzzy barriers), and the tree barriers built
 // WithCollective are Collectives. OptimalDegree applies the paper's
-// analytic model, Recommend and Plan turn a workload Profile into a
-// configured barrier, and Group runs supersteps over any barrier.
+// analytic model, which a ReconfigurableBarrier re-plans with at run time
+// from the spread it measures, and Group runs supersteps over any barrier.
 //
 // Each mechanism is described once, in DESIGN.md: the analytic model in
 // §5.1, dynamic placement in §5.3, poison and the watchdog in §5.6,

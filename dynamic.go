@@ -44,10 +44,9 @@ func NewDynamicRing(ringSizes []int, degree int, opts ...Option) *DynamicBarrier
 // topology.NewMCS or topology.NewRing; classic trees have no local slots
 // and would never migrate anyone.
 func NewDynamicFromTree(tree *topology.Tree, opts ...Option) *DynamicBarrier {
-	o := applyOptions(opts)
 	b := &DynamicBarrier{}
 	b.dynamic = true
-	b.init(o, newTreeEpoch(tree.MustPlaceByDepth(o.placeOrder), nil, 0))
+	b.init(applyOptions(opts), newTreeEpoch(tree, nil, 0))
 	return b
 }
 

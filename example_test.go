@@ -89,17 +89,6 @@ func ExampleDynamicBarrier() {
 	// Output: slow worker depth: 1
 }
 
-// EstimateSyncDelay evaluates the paper's Algorithm 1: for simultaneous
-// arrival it reduces to the closed form L·d·t_c.
-func ExampleEstimateSyncDelay() {
-	delay, err := softbarrier.EstimateSyncDelay(64, 4, 0, 20e-6)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("%.0fµs\n", delay*1e6)
-	// Output: 240µs
-}
-
 // Group removes the BSP boilerplate: one call runs all workers and
 // supersteps over any barrier.
 func ExampleGroup_Run() {
@@ -113,25 +102,6 @@ func ExampleGroup_Run() {
 	})
 	fmt.Println(sum[0], sum[1], sum[2])
 	// Output: 4 4 4
-}
-
-// Recommend turns a workload profile into a barrier configuration using
-// the paper's decision procedure.
-func ExampleRecommend() {
-	rec := softbarrier.Recommend(softbarrier.Profile{
-		P:        64,
-		Sigma:    500e-6, // arrivals spread over ~0.5ms
-		Tc:       20e-6,  // counter updates cost 20µs
-		Slack:    2e-3,   // the program exposes 2ms of fuzzy slack
-		Systemic: false,
-	})
-	fmt.Println("degree:", rec.Degree)
-	fmt.Println("dynamic placement:", rec.Dynamic)
-	fmt.Println("fuzzy:", rec.Fuzzy)
-	// Output:
-	// degree: 8
-	// dynamic placement: true
-	// fuzzy: true
 }
 
 // The dissemination barrier needs no tuning and no central state: a

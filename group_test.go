@@ -248,3 +248,117 @@ func TestPanicTrackerStoppedBoundary(t *testing.T) {
 		t.Fatal("earlier panic did not move the boundary")
 	}
 }
+
+func TestGroupRunSynchronizesSteps(t *testing.T) {
+	const p, steps = 6, 20
+	g := NewGroup(NewCombiningTree(p, 4))
+	if g.Workers() != p {
+		t.Fatalf("Workers = %d", g.Workers())
+	}
+	var perStep [steps]atomic.Int32
+	g.Run(steps, func(id, step int) {
+		perStep[step].Add(1)
+		// Everything from earlier steps must be complete.
+		for s := 0; s < step; s++ {
+			if perStep[s].Load() != p {
+				t.Errorf("worker %d at step %d saw incomplete step %d", id, step, s)
+			}
+		}
+	})
+	for s := 0; s < steps; s++ {
+		if perStep[s].Load() != p {
+			t.Fatalf("step %d has %d arrivals", s, perStep[s].Load())
+		}
+	}
+}
+
+func TestGroupRunFuzzyOverlap(t *testing.T) {
+	const p, steps = 4, 10
+	g := NewGroup(NewMCSTree(p, 2))
+	var slackRuns atomic.Int32
+	g.RunFuzzy(steps,
+		func(id, step int) {
+			if id == 0 {
+				time.Sleep(200 * time.Microsecond) // imbalance
+			}
+		},
+		func(id, step int) { slackRuns.Add(1) },
+	)
+	if got := slackRuns.Load(); got != p*steps {
+		t.Fatalf("slack function ran %d times, want %d", got, p*steps)
+	}
+	// Nil functions must be allowed.
+	g.RunFuzzy(2, nil, nil)
+}
+
+func TestGroupRunFuzzyNeedsPhased(t *testing.T) {
+	g := NewGroup(plainBarrier{NewCentral(2)})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunFuzzy on a plain barrier did not panic")
+		}
+	}()
+	g.RunFuzzy(1, nil, nil)
+}
+
+// plainBarrier hides the phased methods of an underlying barrier.
+type plainBarrier struct{ b Barrier }
+
+func (p plainBarrier) Wait(id int)       { p.b.Wait(id) }
+func (p plainBarrier) Participants() int { return p.b.Participants() }
+
+func TestGroupRunErrStopsAfterFailingStep(t *testing.T) {
+	const p, steps = 4, 50
+	g := NewGroup(NewCombiningTree(p, 4))
+	var maxStep atomic.Int32
+	wantErr := errors.New("worker 2 exploded")
+	err := g.RunErr(steps, func(id, step int) error {
+		if s := int32(step); s > maxStep.Load() {
+			maxStep.Store(s)
+		}
+		if id == 2 && step == 3 {
+			return wantErr
+		}
+		return nil
+	})
+	if err != wantErr {
+		t.Fatalf("err = %v, want %v", err, wantErr)
+	}
+	// Workers finish the failing step and may start at most one more.
+	if got := maxStep.Load(); got > 4 {
+		t.Fatalf("work continued to step %d after failure at 3", got)
+	}
+}
+
+func TestGroupRunErrNilOnSuccess(t *testing.T) {
+	g := NewGroup(NewCentral(3))
+	calls := atomic.Int32{}
+	if err := g.RunErr(10, func(id, step int) error {
+		calls.Add(1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != 30 {
+		t.Fatalf("calls = %d, want 30", calls.Load())
+	}
+}
+
+func TestGroupRunErrEarliestStepWins(t *testing.T) {
+	const p = 3
+	g := NewGroup(NewCombiningTree(p, 2))
+	early := errors.New("early")
+	late := errors.New("late")
+	err := g.RunErr(10, func(id, step int) error {
+		switch {
+		case id == 1 && step == 2:
+			return early
+		case id == 0 && step == 3:
+			return late
+		}
+		return nil
+	})
+	if err != early {
+		t.Fatalf("err = %v, want the earliest failing step's error", err)
+	}
+}

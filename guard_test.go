@@ -1,9 +1,11 @@
 package softbarrier
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -111,6 +113,13 @@ var guards = []guard{
 		// victim's penalty are constants; the epoch is also the rebuild
 		// count, under one name; and a client keeps no copy of what each
 		// Release carries. barriersim.PolicyRun.Rebuilds stays.
+		// One planner, and it runs live (loadmodel.Controller): no offline
+		// Profile → Recommend → Build path, no σ feedback interface, no
+		// one-shot placement order and no model queries beside
+		// OptimalDegree. The root package declares no wait policy of its
+		// own, only a test hook sets one, and a distribution is something
+		// to sample. loadmodel.Plan, rt.WaitPolicy, stats.Mean and
+		// sor.(*TimingModel).MeasuredSigma stay.
 		bans: []ban{
 			{scope: scope{in: []string{"."}}, within: []string{
 				"WithTreeWakeup", "wakeFlag", "awaitWake", "LagEstimator", "FoldLags", "HierarchicalGather", "NewInterconnect",
@@ -125,6 +134,13 @@ var guards = []guard{
 			{scope: scope{in: []string{"internal/loadmodel"}}, names: []string{"Weight", "Window", "MinShift"}},
 			{scope: scope{in: []string{"internal/barriersim"}}, names: []string{"CommCost", "commCost"}},
 			{scope: scope{in: []string{"internal/netbarrier/client.go"}}, names: []string{"epoch", "degree", "sigma"}},
+			{scope: scope{in: []string{"."}}, names: []string{
+				"Profile", "Recommendation", "Recommend", "RecommendMeasured", "SigmaSource", "ReduceOrder",
+				"EstimateSyncDelay", "ExpectedLastArrival", "WithPlacement", "placeOrder", "WithWaitPolicy",
+			}},
+			{scope: scope{in: []string{"*.go"}}, decls: []string{"Plan", "MeasuredSigma", "WaitPolicy", "DefaultWaitPolicy"}},
+			{scope: scope{in: []string{"internal/stats/dist.go"}}, names: []string{"Mean", "StdDev", "Quantile", "Shifted"}},
+			{scope: scope{in: []string{"internal/sor"}}, names: []string{"Jitter", "jitter"}},
 		},
 	},
 	{
@@ -168,7 +184,8 @@ func (g guard) violations(tr *srcTree) []string {
 // A scope is the part of a tree a rule reads.
 type scope struct {
 	// in holds slash paths relative to the tree's root: a directory covers
-	// every file below it, a file itself, "." the whole tree.
+	// every file below it, a file itself, "." the whole tree, and a
+	// pattern the files it matches ("*.go": the root package's).
 	in    []string
 	tests bool // _test.go files count too
 }
@@ -181,7 +198,8 @@ func (s scope) files(tr *srcTree) ([]goFile, []string) {
 	for _, p := range s.in {
 		n := 0
 		for _, f := range tr.files {
-			if (s.tests || !f.test) && (p == "." || f.path == p || strings.HasPrefix(f.path, p+"/")) {
+			match, _ := path.Match(p, f.path) // a file, or a pattern
+			if (s.tests || !f.test) && (p == "." || match || strings.HasPrefix(f.path, p+"/")) {
 				out = append(out, f)
 				n++
 			}
@@ -196,7 +214,11 @@ func (s scope) files(tr *srcTree) ([]goFile, []string) {
 // A ban keeps identifiers and import paths out of the files in its scope.
 type ban struct {
 	scope
-	names   []string // identifiers banned by their whole name
+	names []string // identifiers banned by their whole name
+	// decls are names nothing in scope may declare (a type, function,
+	// method, variable, constant, field or parameter) while using one
+	// that another package declares, as in rt.WaitPolicy, stays legal.
+	decls   []string
 	within  []string // substrings no identifier or import path may contain
 	imports []string // import paths banned by their whole path
 }
@@ -212,9 +234,27 @@ func (b ban) violations(tr *srcTree) []string {
 				bad = append(bad, fmt.Sprintf("%s: imports %q", tr.pos(f, imp.Pos()), path))
 			}
 		}
+		declares := func(ids ...*ast.Ident) {
+			for _, id := range ids {
+				if slices.Contains(b.decls, id.Name) {
+					bad = append(bad, fmt.Sprintf("%s: declares %s", tr.pos(f, id.Pos()), id.Name))
+				}
+			}
+		}
 		ast.Inspect(f.syntax, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && banned(id.Name) {
-				bad = append(bad, fmt.Sprintf("%s: names %s", tr.pos(f, id.Pos()), id.Name))
+			switch n := n.(type) {
+			case *ast.Ident:
+				if banned(n.Name) {
+					bad = append(bad, fmt.Sprintf("%s: names %s", tr.pos(f, n.Pos()), n.Name))
+				}
+			case *ast.FuncDecl:
+				declares(n.Name)
+			case *ast.TypeSpec:
+				declares(n.Name)
+			case *ast.ValueSpec:
+				declares(n.Names...)
+			case *ast.Field:
+				declares(n.Names...)
 			}
 			return true
 		})
@@ -405,6 +445,45 @@ func TestGuards(t *testing.T) {
 				t.Errorf("guard %q on %s reports\n%swant\n%s", g.rule, dir, got, want)
 			}
 		})
+	}
+}
+
+// TestGofmt holds every Go file of the module and of bench/ to gofmt's
+// layout: go/format.Source must return each unchanged. Like the go tool it
+// skips testdata/ and names starting with "." or "_". It only reads.
+func TestGofmt(t *testing.T) {
+	n := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		n++
+		if got, err := format.Source(src); err != nil {
+			t.Errorf("%s: %v", path, err)
+		} else if !bytes.Equal(got, src) {
+			t.Errorf("%s is not gofmt-formatted: run gofmt -w %s", path, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 {
+		t.Fatal("no Go file found, so nothing was checked")
 	}
 }
 

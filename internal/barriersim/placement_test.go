@@ -131,3 +131,50 @@ func BenchmarkPlacementPolicies(b *testing.B) {
 		})
 	}
 }
+
+// TestRankPlacementSim measures the σ-aware placement rule on a fixed
+// tree: under systemic imbalance (the same two processors late every
+// episode), relabelling the MCS tree in loadmodel.Rank's laggiest-first
+// order, shallowest slot first, must beat the id-order placement on mean
+// sync delay, because the straggler that releases the barrier climbs one
+// counter instead of a full leaf-to-root path.
+func TestRankPlacementSim(t *testing.T) {
+	const (
+		p        = 15
+		episodes = 300
+		sigma    = 20e-6
+		lagBig   = 500e-6
+	)
+	lags := make([]float64, p)
+	lags[3], lags[11] = lagBig, 0.6*lagBig // systemic stragglers
+
+	tree := topology.NewMCS(p, 2)
+	placed, err := tree.PlaceByDepth(loadmodel.Rank(lags))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := placed.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(tr *topology.Tree) float64 {
+		sim := New(tr, Config{})
+		rng := stats.NewRNG(7)
+		var delays []float64
+		for e := 0; e < episodes; e++ {
+			arrivals := make([]float64, p)
+			for i := range arrivals {
+				arrivals[i] = rng.NormFloat64()*sigma + lags[i]
+			}
+			delays = append(delays, sim.Episode(arrivals).SyncDelay)
+		}
+		return stats.Mean(delays)
+	}
+
+	naive := run(tree)
+	aware := run(placed)
+	t.Logf("mean sync delay: naive %.3gs, σ-aware %.3gs", naive, aware)
+	if aware >= naive {
+		t.Fatalf("σ-aware placement (%.3gs) did not beat naive placement (%.3gs)", aware, naive)
+	}
+}

@@ -15,11 +15,11 @@ import (
 // collective one, or — for an inter-shard session — a ShardRelease
 // carrying both the fleet-wide result and the fleet aggregate (ΣP and the
 // σ folded across the shards' reports), which each leaf fans back out to
-// its local clients. The σ a
-// leaf's release advertises is the fleet-wide estimate the root reported
-// with this outcome when there is one, else the session's own: leaf
-// clients thus plan against the σ of the whole arrival population they
-// actually synchronize with.
+// its local clients. The σ a leaf's release advertises is the fleet-wide
+// estimate the root reported with this outcome when there is one, else
+// the session's own. The fleet-wide value is the root's EWMA of the
+// P-weighted mean of the shards' σ reports (fleetStats). Clients plan
+// nothing with it: they only display it.
 func (s *session) releaseFrame(ep uint64, spread float64, out ShardOutcome, live []*srvConn) wire.Frame {
 	f := wire.Frame{
 		Type: wire.TypeRelease, Episode: ep,

@@ -261,11 +261,11 @@ func (b *WaitGroupBarrier) Wait(int) {
 // processor.
 func (t *TimingModel) MeanTime() float64 {
 	compute := float64(t.DX*t.DY) * t.M.ComputePerElement
-	return compute + float64(t.CommEvents())*(t.M.RingAccess+t.jitter())
+	return compute + float64(t.CommEvents())*(t.M.RingAccess+DefaultJitter)
 }
 
 // PredictedSigma returns the analytic standard deviation of a processor's
 // iteration time, √(events)·jitter.
 func (t *TimingModel) PredictedSigma() float64 {
-	return t.jitter() * math.Sqrt(float64(t.CommEvents()))
+	return DefaultJitter * math.Sqrt(float64(t.CommEvents()))
 }

@@ -35,9 +35,6 @@ type TimingModel struct {
 	DX int
 	// DY is the grid's y-dimension, which sets the communication volume.
 	DY int
-	// Jitter is the mean of the exponential per-transfer contention
-	// delay; 0 selects DefaultJitter.
-	Jitter float64
 }
 
 // NewTimingModel builds a timing model, validating its parameters.
@@ -55,30 +52,21 @@ func (t *TimingModel) P() int { return t.M.P() }
 // iteration, the paper's 4·⌈d_y/16⌉.
 func (t *TimingModel) CommEvents() int { return 4 * ksr.SubLines(t.DY) }
 
-// jitter returns the effective jitter mean.
-func (t *TimingModel) jitter() float64 {
-	if t.Jitter > 0 {
-		return t.Jitter
-	}
-	return DefaultJitter
-}
-
 // Times fills dst with one iteration of per-processor execution times.
 func (t *TimingModel) Times(_ int, r *stats.RNG, dst []float64) {
 	compute := float64(t.DX*t.DY) * t.M.ComputePerElement
-	j := t.jitter()
 	events := t.CommEvents()
 	for i := 0; i < t.P(); i++ {
 		w := compute
 		for e := 0; e < events; e++ {
-			w += t.M.RingAccess + j*r.ExpFloat64()
+			w += t.M.RingAccess + DefaultJitter*r.ExpFloat64()
 		}
 		dst[i] = w
 	}
 }
 
 func (t *TimingModel) String() string {
-	return fmt.Sprintf("sor p=%d dx=%d dy=%d jitter=%g", t.P(), t.DX, t.DY, t.jitter())
+	return fmt.Sprintf("sor p=%d dx=%d dy=%d jitter=%g", t.P(), t.DX, t.DY, DefaultJitter)
 }
 
 // MeasuredSigma samples iters iterations and returns the mean

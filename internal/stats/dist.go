@@ -1,21 +1,12 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Distribution is a one-dimensional sampling distribution used for
 // processor execution and arrival times.
 type Distribution interface {
 	// Sample draws one variate using the supplied generator.
 	Sample(r *RNG) float64
-	// Mean returns the distribution mean.
-	Mean() float64
-	// StdDev returns the distribution standard deviation.
-	StdDev() float64
-	// Quantile returns the p-quantile for p in (0, 1).
-	Quantile(p float64) float64
 	// String describes the distribution for logs and table captions.
 	String() string
 }
@@ -36,20 +27,6 @@ func (n Normal) Sample(r *RNG) float64 {
 	return n.Mu + n.Sigma*r.NormFloat64()
 }
 
-// Mean returns Mu.
-func (n Normal) Mean() float64 { return n.Mu }
-
-// StdDev returns Sigma.
-func (n Normal) StdDev() float64 { return n.Sigma }
-
-// Quantile returns Mu + Sigma·Φ⁻¹(p).
-func (n Normal) Quantile(p float64) float64 {
-	if n.Sigma == 0 {
-		return n.Mu
-	}
-	return n.Mu + n.Sigma*NormalQuantile(p)
-}
-
 func (n Normal) String() string { return fmt.Sprintf("Normal(µ=%g, σ=%g)", n.Mu, n.Sigma) }
 
 // Uniform is the continuous uniform distribution on [Lo, Hi).
@@ -59,15 +36,6 @@ type Uniform struct {
 
 // Sample draws a uniform variate on [Lo, Hi).
 func (u Uniform) Sample(r *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
-
-// Mean returns (Lo+Hi)/2.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-// StdDev returns (Hi−Lo)/√12.
-func (u Uniform) StdDev() float64 { return (u.Hi - u.Lo) / math.Sqrt(12) }
-
-// Quantile returns Lo + p·(Hi−Lo).
-func (u Uniform) Quantile(p float64) float64 { return u.Lo + p*(u.Hi-u.Lo) }
 
 func (u Uniform) String() string { return fmt.Sprintf("Uniform[%g, %g)", u.Lo, u.Hi) }
 
@@ -82,15 +50,6 @@ type Exponential struct {
 // Sample draws an exponential variate.
 func (e Exponential) Sample(r *RNG) float64 { return e.Shift + r.ExpFloat64()/e.Rate }
 
-// Mean returns Shift + 1/Rate.
-func (e Exponential) Mean() float64 { return e.Shift + 1/e.Rate }
-
-// StdDev returns 1/Rate.
-func (e Exponential) StdDev() float64 { return 1 / e.Rate }
-
-// Quantile returns Shift − ln(1−p)/Rate.
-func (e Exponential) Quantile(p float64) float64 { return e.Shift - math.Log(1-p)/e.Rate }
-
 func (e Exponential) String() string {
 	return fmt.Sprintf("Exponential(rate=%g, shift=%g)", e.Rate, e.Shift)
 }
@@ -103,34 +62,4 @@ type Degenerate struct {
 // Sample returns V.
 func (d Degenerate) Sample(*RNG) float64 { return d.V }
 
-// Mean returns V.
-func (d Degenerate) Mean() float64 { return d.V }
-
-// StdDev returns 0.
-func (d Degenerate) StdDev() float64 { return 0 }
-
-// Quantile returns V for all p.
-func (d Degenerate) Quantile(float64) float64 { return d.V }
-
 func (d Degenerate) String() string { return fmt.Sprintf("Degenerate(%g)", d.V) }
-
-// Shifted wraps a distribution and adds a constant offset to every draw,
-// used to give individual processors a systemic head start or handicap.
-type Shifted struct {
-	Base   Distribution
-	Offset float64
-}
-
-// Sample draws from Base and adds Offset.
-func (s Shifted) Sample(r *RNG) float64 { return s.Base.Sample(r) + s.Offset }
-
-// Mean returns Base.Mean() + Offset.
-func (s Shifted) Mean() float64 { return s.Base.Mean() + s.Offset }
-
-// StdDev returns Base.StdDev().
-func (s Shifted) StdDev() float64 { return s.Base.StdDev() }
-
-// Quantile returns Base.Quantile(p) + Offset.
-func (s Shifted) Quantile(p float64) float64 { return s.Base.Quantile(p) + s.Offset }
-
-func (s Shifted) String() string { return fmt.Sprintf("%v + %g", s.Base, s.Offset) }

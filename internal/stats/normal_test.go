@@ -106,12 +106,6 @@ func TestNormalQuantileMonotone(t *testing.T) {
 
 func TestNormalDistribution(t *testing.T) {
 	d := Normal{Mu: 10, Sigma: 2}
-	if d.Mean() != 10 || d.StdDev() != 2 {
-		t.Fatal("Normal moments wrong")
-	}
-	if got := d.Quantile(0.5); math.Abs(got-10) > 1e-12 {
-		t.Errorf("Normal median = %v, want 10", got)
-	}
 	r := NewRNG(5)
 	xs := make([]float64, 100000)
 	for i := range xs {
@@ -133,36 +127,25 @@ func TestNormalSigmaZeroDegenerates(t *testing.T) {
 			t.Fatalf("σ=0 sample = %v, want 3", v)
 		}
 	}
-	if d.Quantile(0.99) != 3 {
-		t.Fatal("σ=0 quantile should be the point mass")
-	}
 }
 
 func TestUniformDistribution(t *testing.T) {
 	d := Uniform{Lo: -1, Hi: 3}
-	if got := d.Mean(); got != 1 {
-		t.Errorf("Uniform mean = %v, want 1", got)
-	}
-	if got := d.Quantile(0.25); got != 0 {
-		t.Errorf("Uniform q(0.25) = %v, want 0", got)
-	}
 	r := NewRNG(2)
-	for i := 0; i < 10000; i++ {
-		v := d.Sample(r)
-		if v < -1 || v >= 3 {
-			t.Fatalf("Uniform sample %v out of range", v)
+	xs := make([]float64, 10000)
+	for i := range xs {
+		xs[i] = d.Sample(r)
+		if xs[i] < -1 || xs[i] >= 3 {
+			t.Fatalf("Uniform sample %v out of range", xs[i])
 		}
+	}
+	if m := Mean(xs); math.Abs(m-1) > 0.05 {
+		t.Errorf("Uniform sample mean %v, want ~1", m)
 	}
 }
 
 func TestExponentialDistribution(t *testing.T) {
 	d := Exponential{Rate: 2, Shift: 1}
-	if got := d.Mean(); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("Exponential mean = %v, want 1.5", got)
-	}
-	if got := d.Quantile(0); got != 1 {
-		t.Errorf("Exponential q(0) = %v, want shift 1", got)
-	}
 	r := NewRNG(4)
 	xs := make([]float64, 100000)
 	for i := range xs {
@@ -176,17 +159,9 @@ func TestExponentialDistribution(t *testing.T) {
 	}
 }
 
-func TestDegenerateAndShifted(t *testing.T) {
-	d := Degenerate{V: 7}
-	if d.Sample(nil) != 7 || d.Mean() != 7 || d.StdDev() != 0 || d.Quantile(0.9) != 7 {
-		t.Fatal("Degenerate distribution misbehaves")
-	}
-	s := Shifted{Base: Degenerate{V: 7}, Offset: -2}
-	if s.Sample(nil) != 5 || s.Mean() != 5 || s.Quantile(0.1) != 5 {
-		t.Fatal("Shifted distribution misbehaves")
-	}
-	if s.StdDev() != 0 {
-		t.Fatal("Shifted must preserve spread")
+func TestDegenerateDistribution(t *testing.T) {
+	if v := (Degenerate{V: 7}).Sample(nil); v != 7 {
+		t.Fatalf("Degenerate sample = %v, want 7", v)
 	}
 }
 
@@ -194,7 +169,6 @@ func TestDistributionStrings(t *testing.T) {
 	for _, d := range []Distribution{
 		Normal{Mu: 1, Sigma: 2}, Uniform{Lo: 0, Hi: 1},
 		Exponential{Rate: 1}, Degenerate{V: 0},
-		Shifted{Base: Normal{}, Offset: 1},
 	} {
 		if d.String() == "" {
 			t.Errorf("%T has empty String()", d)

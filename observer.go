@@ -24,9 +24,7 @@ type Observer = rt.Observer
 // Aggregate is an Observer that folds every episode into running
 // aggregates — episode count, an EWMA estimate of the arrival spread σ,
 // and sync-delay statistics. It is cheap enough to leave attached in
-// production, and it implements SigmaSource, so its live σ estimate can be
-// fed straight back into the planner (RecommendMeasured) — the
-// measurement→model→barrier loop the paper's conclusion proposes.
+// production.
 type Aggregate struct {
 	est rt.SigmaEstimator
 
@@ -63,12 +61,6 @@ func (a *Aggregate) Episode(st EpisodeStats) {
 	a.epoch = st.Epoch
 	a.degree = st.Degree
 	a.mu.Unlock()
-}
-
-// MeasuredSigma implements SigmaSource: the EWMA σ estimate (seconds) and
-// the number of episodes it is based on.
-func (a *Aggregate) MeasuredSigma() (sigma float64, episodes uint64) {
-	return a.est.Sigma(), a.est.Episodes()
 }
 
 // AggregateSummary is a consistent snapshot of an Aggregate.

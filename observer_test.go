@@ -134,7 +134,7 @@ func TestObserverSeesSwapsAndAdaptations(t *testing.T) {
 }
 
 // TestAggregateObserver folds episodes through the Aggregate observer and
-// checks the summary arithmetic and the SigmaSource implementation.
+// checks the summary arithmetic and its σ estimate.
 func TestAggregateObserver(t *testing.T) {
 	const p, episodes = 6, 25
 	agg := NewAggregate()
@@ -161,79 +161,33 @@ func TestAggregateObserver(t *testing.T) {
 	if s.MeanSyncDelay < 0 || s.MaxSyncDelay < s.MeanSyncDelay {
 		t.Errorf("incoherent sync delays: mean %g, max %g", s.MeanSyncDelay, s.MaxSyncDelay)
 	}
-	sigma, n := agg.MeasuredSigma()
-	if n != episodes {
-		t.Errorf("MeasuredSigma episodes = %d, want %d", n, episodes)
-	}
-	if sigma < 0 {
-		t.Errorf("negative measured sigma %g", sigma)
+	if s.Sigma < 0 {
+		t.Errorf("negative measured sigma %g", s.Sigma)
 	}
 }
 
-// TestRecommendMeasured checks the planner consumes a live σ estimate:
-// with a seeded source the profile's assumed Sigma is replaced, and with
-// an empty source it is kept.
-func TestRecommendMeasured(t *testing.T) {
-	pr := Profile{P: 64, Sigma: 0, Tc: 20e-6}
-
-	// Unseeded source: the assumed profile stands.
-	empty := &fakeSigma{}
-	if got, want := RecommendMeasured(pr, empty).Degree, Recommend(pr).Degree; got != want {
-		t.Errorf("unseeded source changed the recommendation: got degree %d, want %d", got, want)
-	}
-	if RecommendMeasured(pr, nil).Degree != Recommend(pr).Degree {
-		t.Error("nil source changed the recommendation")
-	}
-
-	// A large measured spread must drive the degree away from the σ=0
-	// optimum, matching a direct Recommend over the measured profile.
-	src := &fakeSigma{sigma: 2e-3, episodes: 100}
-	measured := pr.Measured(src)
-	if measured.Sigma != src.sigma {
-		t.Fatalf("Measured kept Sigma %g, want %g", measured.Sigma, src.sigma)
-	}
-	got := RecommendMeasured(pr, src)
-	want := Recommend(measured)
-	if got.Degree != want.Degree {
-		t.Errorf("RecommendMeasured degree %d, want %d", got.Degree, want.Degree)
-	}
-	if got.Degree == Recommend(pr).Degree {
-		t.Errorf("measured σ=%g did not move the degree off the σ=0 optimum %d", src.sigma, got.Degree)
-	}
-}
-
-type fakeSigma struct {
-	sigma    float64
-	episodes uint64
-}
-
-func (f *fakeSigma) MeasuredSigma() (float64, uint64) { return f.sigma, f.episodes }
-
-// TestReconfigurableIsSigmaSource pins the feedback loop end-to-end: a
-// reconfigurable barrier's live estimate flows into the planner via the
-// SigmaSource interface, counting the episodes it measured — all of them at
-// ReplanEvery 1, the one in five its re-plans read at ReplanEvery 5.
-func TestReconfigurableIsSigmaSource(t *testing.T) {
+// TestReconfigurableSigmaOnCadence pins what an unobserved barrier
+// measures: its σ estimate counts the episodes it measured — all of them
+// at ReplanEvery 1, the one in five its re-plans read at ReplanEvery 5 —
+// and its degree stays in [2, p] whatever σ it settles on.
+func TestReconfigurableSigmaOnCadence(t *testing.T) {
 	const p = 4
 	for _, c := range []struct {
 		replanEvery int
 		measured    uint64
 	}{{1, 10}, {5, 2}} {
 		b, episode := drivenReconfigurable(p, ReconfigConfig{ReplanEvery: c.replanEvery})
-		var src SigmaSource = b
-		if _, n := src.MeasuredSigma(); n != 0 {
+		if n := b.ReconfigStats().Evals; n != 0 {
 			t.Fatalf("fresh barrier reports %d episodes", n)
 		}
 		for e := 0; e < 10; e++ {
 			episode(time.Microsecond)
 		}
-		sigma, n := src.MeasuredSigma()
-		if n != c.measured || sigma <= 0 {
+		if sigma, n := b.Sigma(), b.ReconfigStats().Evals; n != c.measured || sigma <= 0 {
 			t.Fatalf("ReplanEvery %d: σ %g from %d episodes after 10, want a positive σ from %d", c.replanEvery, sigma, n, c.measured)
 		}
-		// The measured profile must be buildable.
-		if rec := RecommendMeasured(Profile{P: p, Tc: 20e-6}, src); rec.Degree < 2 {
-			t.Errorf("measured recommendation degree %d < 2", rec.Degree)
+		if d := b.Degree(); d < 2 || d > p {
+			t.Errorf("ReplanEvery %d: degree %d outside [2, %d]", c.replanEvery, d, p)
 		}
 	}
 }

@@ -6,29 +6,9 @@ import (
 	rt "softbarrier/internal/runtime"
 )
 
-// WaitPolicy bounds the phases every barrier's waiter goes through before
-// it parks: Spin busy-poll iterations on the watched atomic, then Yield
-// iterations interleaved with runtime.Gosched(), then a park on a blocking
-// primitive until the releaser wakes it. The zero policy parks
-// immediately; DefaultWaitPolicy is the tuned hybrid every constructor
-// starts from.
-type WaitPolicy struct {
-	// Spin is the number of busy-poll iterations before yielding.
-	Spin int
-	// Yield is the number of poll+Gosched iterations before parking.
-	Yield int
-}
-
-// DefaultWaitPolicy returns the policy barriers use unless overridden with
-// WithWaitPolicy.
-func DefaultWaitPolicy() WaitPolicy {
-	p := rt.DefaultWaitPolicy()
-	return WaitPolicy{Spin: p.Spin, Yield: p.Yield}
-}
-
 // Option configures a barrier at construction. Every constructor in this
 // package accepts options; an option that does not apply to a particular
-// barrier (WithPlacement on a non-tree barrier) is ignored.
+// barrier (WithPlacementPolicy on a barrier that never rebuilds) is ignored.
 type Option func(*options)
 
 // options is the merged configuration shared by all constructors.
@@ -40,7 +20,6 @@ type options struct {
 	poisonNotify func(error)
 	collective   *rt.Op
 	placement    PlacementPolicy
-	placeOrder   []int
 }
 
 func applyOptions(opts []Option) options {
@@ -66,19 +45,6 @@ func (o options) recorder(p int, every uint64) *rt.Recorder {
 // episode.
 func WithObserver(obs Observer) Option {
 	return func(o *options) { o.observer = obs }
-}
-
-// WithWaitPolicy overrides the waiter's spin→yield→park budgets. Negative
-// values are treated as zero. WaitPolicy{} parks immediately (lowest CPU
-// burn); large budgets approximate the old pure-spin behaviour.
-func WithWaitPolicy(p WaitPolicy) Option {
-	if p.Spin < 0 {
-		p.Spin = 0
-	}
-	if p.Yield < 0 {
-		p.Yield = 0
-	}
-	return func(o *options) { o.policy = rt.WaitPolicy{Spin: p.Spin, Yield: p.Yield} }
 }
 
 // WithWatchdog arms a stall detector on the barrier: a background
@@ -132,4 +98,11 @@ func (o options) reducer(p, inputs int) *rt.Reducer {
 // withClock overrides the telemetry clock (tests only).
 func withClock(clock func() int64) Option {
 	return func(o *options) { o.clock = clock }
+}
+
+// withWaitPolicy overrides the waiter's spin→yield→park budgets (tests
+// only): rt.WaitPolicy{} parks at once, which keeps a test that blocks
+// waiters from burning its CPU.
+func withWaitPolicy(p rt.WaitPolicy) Option {
+	return func(o *options) { o.policy = p }
 }

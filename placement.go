@@ -42,15 +42,3 @@ func PlacementNames() []string { return loadmodel.PolicyNames() }
 func WithPlacementPolicy(pol PlacementPolicy) Option {
 	return func(o *options) { o.placement = pol }
 }
-
-// WithPlacement fixes a static placement order for tree construction:
-// order[k] is the participant id assigned to the k-th shallowest slot
-// (ties broken by counter id, then slot index — topology.PlaceByDepth).
-// It is the offline counterpart of WithPlacementPolicy for callers that
-// already hold a lag profile: NewMCSTree(p, d, WithPlacement(
-// ReduceOrder(lags))). The constructor panics if order is not a
-// permutation of the participants or the topology refuses relabelling
-// (ring-constrained trees). Barriers without a fixed tree ignore it.
-func WithPlacement(order []int) Option {
-	return func(o *options) { o.placeOrder = order }
-}

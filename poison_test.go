@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	rt "softbarrier/internal/runtime"
 )
 
 // abortableVariants enumerates every root barrier type (plus the MCS
@@ -76,7 +78,7 @@ func runHealthyEpisodes(t *testing.T, b ContextBarrier, n int) {
 func TestPoisonUnblocksWaiters(t *testing.T) {
 	const p = 4
 	cause := errors.New("test: abandon ship")
-	for _, v := range abortableVariants(p, WithWaitPolicy(WaitPolicy{})) {
+	for _, v := range abortableVariants(p, withWaitPolicy(rt.WaitPolicy{})) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
@@ -130,7 +132,7 @@ func TestPoisonUnblocksWaiters(t *testing.T) {
 // clears the poison and the barrier completes full episodes again.
 func TestPoisonResetRestoresBarrier(t *testing.T) {
 	const p = 4
-	for _, v := range abortableVariants(p, WithWaitPolicy(WaitPolicy{})) {
+	for _, v := range abortableVariants(p, withWaitPolicy(rt.WaitPolicy{})) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
@@ -169,7 +171,7 @@ func TestPoisonResetRestoresBarrier(t *testing.T) {
 // what WaitCtx and Err report.
 func TestWaitCtxCancelPoisons(t *testing.T) {
 	const p = 4
-	for _, v := range abortableVariants(p, WithWaitPolicy(WaitPolicy{})) {
+	for _, v := range abortableVariants(p, withWaitPolicy(rt.WaitPolicy{})) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
@@ -211,7 +213,7 @@ func TestWaitCtxCancelPoisons(t *testing.T) {
 // going to arrive, so letting the others park would strand them.
 func TestWaitCtxPreCancelled(t *testing.T) {
 	const p = 4
-	for _, v := range abortableVariants(p, WithWaitPolicy(WaitPolicy{})) {
+	for _, v := range abortableVariants(p, withWaitPolicy(rt.WaitPolicy{})) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
@@ -233,7 +235,7 @@ func TestWaitCtxPreCancelled(t *testing.T) {
 // returns nil with the context still live.
 func TestWaitCtxCompletesNormally(t *testing.T) {
 	const p = 4
-	for _, v := range abortableVariants(p, WithWaitPolicy(WaitPolicy{})) {
+	for _, v := range abortableVariants(p, withWaitPolicy(rt.WaitPolicy{})) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
@@ -270,7 +272,7 @@ func TestWaitCtxCompletesNormally(t *testing.T) {
 func TestWatchdogPoisonsStalledEpisode(t *testing.T) {
 	const p = 4
 	const missing = 3
-	for _, v := range abortableVariants(p, WithWaitPolicy(WaitPolicy{}), WithWatchdog(75*time.Millisecond)) {
+	for _, v := range abortableVariants(p, withWaitPolicy(rt.WaitPolicy{}), WithWatchdog(75*time.Millisecond)) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
@@ -315,7 +317,7 @@ func TestWatchdogPoisonsStalledEpisode(t *testing.T) {
 // how long the watchdog watches it.
 func TestWatchdogIdleBarrierNotPoisoned(t *testing.T) {
 	const p = 4
-	for _, v := range abortableVariants(p, WithWaitPolicy(WaitPolicy{}), WithWatchdog(20*time.Millisecond)) {
+	for _, v := range abortableVariants(p, withWaitPolicy(rt.WaitPolicy{}), WithWatchdog(20*time.Millisecond)) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
@@ -430,7 +432,7 @@ func TestWatchdogScanAndResize(t *testing.T) {
 // the same Group runs cleanly afterwards.
 func TestGroupPoisonOnPanicHeals(t *testing.T) {
 	const p, steps = 4, 5
-	for _, v := range abortableVariants(p, WithWaitPolicy(WaitPolicy{})) {
+	for _, v := range abortableVariants(p, withWaitPolicy(rt.WaitPolicy{})) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
@@ -462,7 +464,7 @@ func TestGroupPoisonOnPanicHeals(t *testing.T) {
 func TestGroupPoisonOnErrorHeals(t *testing.T) {
 	const p, steps = 4, 5
 	wantErr := errors.New("test: worker failure")
-	for _, v := range abortableVariants(p, WithWaitPolicy(WaitPolicy{})) {
+	for _, v := range abortableVariants(p, withWaitPolicy(rt.WaitPolicy{})) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
@@ -493,7 +495,7 @@ func TestGroupPoisonOnErrorHeals(t *testing.T) {
 func TestGroupExternalPoisonPropagates(t *testing.T) {
 	const p, steps = 4, 5
 	cause := errors.New("test: external abort")
-	for _, v := range abortableVariants(p, WithWaitPolicy(WaitPolicy{})) {
+	for _, v := range abortableVariants(p, withWaitPolicy(rt.WaitPolicy{})) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
@@ -516,7 +518,7 @@ func TestGroupExternalPoisonPropagates(t *testing.T) {
 func TestGroupExternalPoisonPanicsRun(t *testing.T) {
 	const p = 4
 	cause := errors.New("test: operator abort")
-	for _, v := range abortableVariants(p, WithWaitPolicy(WaitPolicy{})) {
+	for _, v := range abortableVariants(p, withWaitPolicy(rt.WaitPolicy{})) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()

@@ -190,12 +190,6 @@ func (b *ReconfigurableBarrier) Depths() []int {
 	return b.state.Load().depths()
 }
 
-// MeasuredSigma implements SigmaSource: the live σ estimate and the number
-// of measured episodes it is based on, for feeding back into the planner.
-func (b *ReconfigurableBarrier) MeasuredSigma() (sigma float64, episodes uint64) {
-	return b.ctl.Sigma(), b.ctl.Episodes()
-}
-
 // ReconfigStats returns the unified reconfiguration telemetry: the
 // measured-episode and placement counts plus the running epoch's plan (σ
 // at plan time included). It is safe from any goroutine and takes no lock:
@@ -341,4 +335,3 @@ var _ PhasedBarrier = (*ReconfigurableBarrier)(nil)
 var _ ContextBarrier = (*ReconfigurableBarrier)(nil)
 var _ Collective = (*ReconfigurableBarrier)(nil)
 var _ Resizable = (*ReconfigurableBarrier)(nil)
-var _ SigmaSource = (*ReconfigurableBarrier)(nil)

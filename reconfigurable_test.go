@@ -62,7 +62,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestReconfigurableElasticMidRun(t *testing.T) {
 	b := NewReconfigurable(8, ReconfigConfig{ReplanEvery: 2})
-	episodes := func() uint64 { _, n := b.MeasuredSigma(); return n }
+	episodes := func() uint64 { return b.ReconfigStats().Evals }
 
 	var wg, shrunk sync.WaitGroup
 	wg.Add(4)
@@ -335,7 +335,7 @@ func TestReconfigurableCadence(t *testing.T) {
 		if b.Epoch() != 0 || b.Degree() != 2 {
 			t.Fatalf("episode %d re-planned off-cadence (ReplanEvery 3): epoch %d degree %d", i, b.Epoch(), b.Degree())
 		}
-		if sigma, n := b.MeasuredSigma(); sigma != 0 || n != 0 {
+		if sigma, n := b.Sigma(), b.ReconfigStats().Evals; sigma != 0 || n != 0 {
 			t.Fatalf("episode %d was measured off-cadence with no Observer: σ %g from %d episodes", i, sigma, n)
 		}
 	}
@@ -353,7 +353,7 @@ func TestReconfigurableCadence(t *testing.T) {
 	episode(wideGap)
 	episode(wideGap)
 	episode(0)
-	if sigma, n := b.MeasuredSigma(); n != 2 || math.Abs(sigma-0.8*wide) > 1e-12 {
+	if sigma, n := b.Sigma(), b.ReconfigStats().Evals; n != 2 || math.Abs(sigma-0.8*wide) > 1e-12 {
 		t.Errorf("after episode 6: σ %g from %d episodes, want 0.8 × %g from 2", sigma, n, wide)
 	}
 }

@@ -401,25 +401,41 @@ func TestOptimalDegreeFacade(t *testing.T) {
 	}
 }
 
-func TestEstimateSyncDelayFacade(t *testing.T) {
-	d, err := EstimateSyncDelay(64, 4, 0, 20e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 3 * 4 * 20e-6; d < want*(1-1e-9) || d > want*(1+1e-9) {
-		t.Errorf("EstimateSyncDelay = %v, want %v", d, want)
-	}
-	if _, err := EstimateSyncDelay(56, 4, 0, 0); err == nil {
-		t.Error("non-full tree should error")
+// TestOptimalDegreeClampsToParticipants checks that every degree is
+// buildable: within [2, max(2, p)] however wide a tree the model asks for.
+// Small cohorts with large σ are where it overshoots: σ ≥ 1 ms wants
+// degree ≈ 64 at p = 64, so without the clamp p = 3 would get degree 64.
+func TestOptimalDegreeClampsToParticipants(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		p     int
+		sigma float64
+		want  int
+	}{
+		{"p1-huge-sigma", 1, 1, 2},
+		{"p2-huge-sigma", 2, 1, 2},
+		{"p3-huge-sigma", 3, 1, 3},
+		{"p5-huge-sigma", 5, 1, 5},
+		{"p64-tiny-sigma-floor", 64, 1e-6, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := OptimalDegree(c.p, c.sigma, 0)
+			if d != c.want {
+				t.Fatalf("OptimalDegree(%d, %g, 0) = %d, want %d", c.p, c.sigma, d, c.want)
+			}
+			checkBarrier(t, NewCombiningTree(c.p, d), c.p, 4)
+		})
 	}
 }
 
-func TestExpectedLastArrivalFacade(t *testing.T) {
-	if v := ExpectedLastArrival(4096, 1); v < 3 || v > 4 {
-		t.Errorf("ExpectedLastArrival(4096, 1) = %v, want ≈3.5", v)
-	}
-	if v := ExpectedLastArrival(64, 0); v != 0 {
-		t.Errorf("zero σ should give 0, got %v", v)
+// TestOptimalDegreeZeroAlloc gates a re-plan: after the first call for a
+// cohort size has built its model table, OptimalDegree allocates nothing.
+func TestOptimalDegreeZeroAlloc(t *testing.T) {
+	for _, p := range []int{2, 8, 32, 4096} {
+		OptimalDegree(p, 3e-4, 20e-6) // cold: builds p's table
+		if avg := testing.AllocsPerRun(100, func() { OptimalDegree(p, 3e-4, 20e-6) }); avg != 0 {
+			t.Errorf("OptimalDegree(%d) allocated %.2f times/op after first use, want 0", p, avg)
+		}
 	}
 }
 

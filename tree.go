@@ -35,10 +35,8 @@ func NewMCSTree(p, degree int, opts ...Option) *TreeBarrier {
 
 // newTreeBarrier builds the static tree: its one epoch is never replaced.
 func newTreeBarrier(tree *topology.Tree, opts []Option) *TreeBarrier {
-	o := applyOptions(opts)
-	tree = tree.MustPlaceByDepth(o.placeOrder)
 	b := &TreeBarrier{}
-	b.init(o, newTreeEpoch(tree, nil, 0))
+	b.init(applyOptions(opts), newTreeEpoch(tree, nil, 0))
 	return b
 }
 
@@ -48,8 +46,6 @@ func (b *TreeBarrier) Levels() int { return b.state.Load().tree.Levels }
 // Depths returns each participant's synchronization path length — how
 // many counters it updates per episode. The tree is immutable, so Depths
 // is safe at any time; index k of the result is participant k's depth.
-// With a placement applied (WithPlacement), the laggiest-ranked
-// participants show the smallest depths.
 func (b *TreeBarrier) Depths() []int { return b.state.Load().depths() }
 
 var _ PhasedBarrier = (*TreeBarrier)(nil)
